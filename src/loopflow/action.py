@@ -15,6 +15,13 @@ horizontal part lives in the s-metric, the vertical part in the
 (1-s)-metric.  Because the quadrature pairing and the frame analysis
 use identical weights, finite differences of the discrete action
 reproduce this gradient to roundoff, not merely to truncation order.
+
+The action and both gradient parts come from one evaluation
+(fiber_evaluation, wrapped by evaluate): the velocity coefficients are
+read off the loop's velocity series, with no sampling; the fiber is
+synthesized once; one radial_H_jet pass gives H and dH/drho; and the
+dH/dp samples are analyzed once.  action, gradient and
+hamilton_residual are thin callers of it.
 """
 
 from dataclasses import dataclass
@@ -24,7 +31,7 @@ import numpy as np
 from . import fourier
 from .geometry import LoopPath, flat_torus, random_loop, straight_loop
 from .spectral import FiberField, frame_of
-from .hamiltonian import TIE_BAND, radial_H
+from .hamiltonian import TIE_BAND, radial_H_jet
 
 
 @dataclass(frozen=True)
@@ -82,40 +89,57 @@ def derivative_coefficients(frame, c):
     return out
 
 
-def _momentum_geometry(x, spec, m):
-    p_samp = x.fiber.samples(m)
-    rho = np.linalg.norm(p_samp, axis=1)
-    dH = radial_H(spec, rho, order=1)
-    scale = np.divide(dH, rho, out=np.zeros_like(rho), where=rho > 0.0)
-    return p_samp, rho, scale[:, None] * p_samp  # last item: dH/dp samples
+def velocity_coefficients(loop, frame):
+    """Frame coefficients of the loop velocity, read off its series.
+
+    Exact: the velocity of a loop with at most J modes lies in the
+    frame's span, so no synthesis or analysis is needed.
+    """
+    return frame.layout(*loop.velocity_series())
+
+
+def fiber_evaluation(frame, qd, c, spec):
+    """The action at fiber coefficients c and its plain fiber gradient.
+
+    qd holds the frame coefficients of the loop velocity.  One
+    synthesis of the fiber, one radial_H_jet pass and one analysis of
+    dH/dp; returns (action, qd - coefficients of dH/dp, dH/dp samples).
+    """
+    p_samp = frame.samples(c)
+    rho = np.sqrt((p_samp * p_samp).sum(axis=1))
+    h0, h1, _ = radial_H_jet(spec, rho)
+    scale = np.divide(h1, rho, out=np.zeros_like(rho), where=rho > 0.0)
+    dpH = scale[:, None] * p_samp
+    return float(qd @ c) - float(h0.sum() / h0.size), qd - frame.coefficients(dpH), dpH
+
+
+def evaluate(x, spec):
+    """The discrete action at x and its metric gradient, in one evaluation.
+
+    Returns (action, horizontal, vertical) with the gradient parts as
+    frame coefficient arrays: horizontal = -(1+lam)^{-s} (dp/dt)
+    coefficients (the s-metric representative of xi -> <xi_dot, p>),
+    vertical = (1+lam)^{s-1} times the coefficients of qdot - dH/dp
+    (the (1-s)-metric representative).
+    """
+    frame = x.frame
+    lam = frame.eigenvalues
+    c = x.fiber.coefficients
+    a, dv, _ = fiber_evaluation(frame, velocity_coefficients(x.loop, frame), c, spec)
+    grad_h = -((1.0 + lam) ** (-x.s)) * derivative_coefficients(frame, c)
+    return a, grad_h, ((1.0 + lam) ** (x.s - 1.0)) * dv
 
 
 def action(x, spec):
     """The discrete action A(q,p) at the frame's native quadrature."""
-    frame = x.frame
-    m = fourier.default_samples(frame.cutoff)
-    qd = frame.coefficients(x.loop.velocity_samples(m))
-    pairing = float(qd @ x.fiber.coefficients)
-    _, rho, _ = _momentum_geometry(x, spec, m)
-    return pairing - float(np.mean(radial_H(spec, rho)))
+    return evaluate(x, spec)[0]
 
 
 def gradient(x, spec):
-    """The metric gradient of the discrete action, as (horizontal, vertical).
-
-    horizontal = -(1+lam)^{-s} (dp/dt)-coefficients  (the s-metric
-    representative of xi -> <xi_dot, p>), vertical = (1+lam)^{s-1} times
-    the coefficients of qdot - dH/dp (the (1-s)-metric representative).
-    """
-    frame = x.frame
-    m = fourier.default_samples(frame.cutoff)
-    lam = frame.eigenvalues
-    pdot = derivative_coefficients(frame, x.fiber.coefficients)
-    grad_h = FiberField(frame, -((1.0 + lam) ** (-x.s)) * pdot)
-    _, _, dpH = _momentum_geometry(x, spec, m)
-    v_samp = x.loop.velocity_samples(m) - dpH
-    grad_v = FiberField(frame, ((1.0 + lam) ** (x.s - 1.0)) * frame.coefficients(v_samp))
-    return grad_h, grad_v
+    """The metric gradient of the discrete action, as (horizontal, vertical)
+    FiberFields; see evaluate."""
+    _, grad_h, grad_v = evaluate(x, spec)
+    return FiberField(x.frame, grad_h), FiberField(x.frame, grad_v)
 
 
 def gradient_norm(x, spec):
@@ -165,9 +189,9 @@ def hamilton_residual(x, spec):
     the residual is the sum of the two L^2 norms.
     """
     frame = x.frame
-    m = fourier.default_samples(frame.cutoff)
-    _, _, dpH = _momentum_geometry(x, spec, m)
-    diff = x.loop.velocity_samples(m) - dpH
+    qd = velocity_coefficients(x.loop, frame)
+    _, _, dpH = fiber_evaluation(frame, qd, x.fiber.coefficients, spec)
+    diff = frame.samples(qd) - dpH
     res_q = float(np.sqrt(np.mean(np.sum(diff ** 2, axis=1))))
     pdot = derivative_coefficients(frame, x.fiber.coefficients)
     return res_q + float(np.linalg.norm(pdot))

@@ -8,7 +8,11 @@ a bounded field (norm <= 1): the normalization caps the speed and the
 radial cutoff freezes states whose fiber norm reaches gamma''.  Steps
 are classical RK4 with step-halving whenever a step would raise the
 action by more than the per-step tolerance; since the field is bounded,
-explicit stepping is stable at fixed dt.
+explicit stepping is stable at fixed dt.  One evaluation of the action
+and its gradient (action.evaluate) gives the velocity at a state
+together with its action, so the evaluation that accepts a step also
+supplies the next step's RK4 stage k1: an accepted step costs four
+evaluations (stages k2-k4 and the new state).
 
 Along a trajectory the vertical component satisfies a linear
 inhomogeneous ODE whose homogeneous weights are hyperbolic in the
@@ -30,11 +34,13 @@ the quadratic ratio.
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import fourier
-from .action import PhasePoint, action, derivative_coefficients, gradient, perturb
+from .action import (PhasePoint, derivative_coefficients, evaluate, perturb,
+                     velocity_coefficients)
 from .hamiltonian import alpha_bound, smoothstep
 from .spectral import FiberField, adjoint_inclusion, project
 
@@ -114,52 +120,65 @@ def speed_cutoff(config, fiber_norm):
     return float(1.0 - s)
 
 
+class Velocity(NamedTuple):
+    """V_r at a state, with the action and gradient norm found on the way."""
+
+    horizontal: FiberField
+    vertical: FiberField
+    grad_norm: float
+    phi_tilde: float
+    action: float
+
+
 def flow_velocity(x, spec, config):
-    """V_r at x: ((horizontal, vertical), grad norm, phi~).
+    """V_r at x from one evaluation, as a Velocity.
 
     phi~ = cut/sqrt(1 + |grad|^2) is the normalized speed weight whose
     time integral drives the representation coefficients.
     """
-    grad_h, grad_v = gradient(x, spec)
+    a, gh, gv = evaluate(x, spec)
+    grad_h = FiberField(x.frame, gh)
+    grad_v = FiberField(x.frame, gv)
     gn = math.sqrt(grad_h.norm_r(x.s) ** 2 + grad_v.norm_r(1.0 - x.s) ** 2)
     cut = speed_cutoff(config, x.fiber.norm_r(1.0 - x.s))
     phi_tilde = cut / math.sqrt(1.0 + gn * gn)
-    return (-phi_tilde * grad_h, -phi_tilde * grad_v), gn, phi_tilde
+    return Velocity(-phi_tilde * grad_h, -phi_tilde * grad_v, gn, phi_tilde, a)
 
 
-def _rk4(x, spec, config, dt):
-    (k1h, k1v), gn, phi_tilde = flow_velocity(x, spec, config)
-    x2 = perturb(x, 0.5 * dt, xi=k1h, eta=k1v)
-    (k2h, k2v), _, _ = flow_velocity(x2, spec, config)
-    x3 = perturb(x, 0.5 * dt, xi=k2h, eta=k2v)
-    (k3h, k3v), _, _ = flow_velocity(x3, spec, config)
-    x4 = perturb(x, dt, xi=k3h, eta=k3v)
-    (k4h, k4v), _, _ = flow_velocity(x4, spec, config)
+def _rk4(x, spec, config, dt, k1):
+    """The RK4 step of size dt from x, whose velocity k1 is given."""
+    x2 = perturb(x, 0.5 * dt, xi=k1.horizontal, eta=k1.vertical)
+    k2 = flow_velocity(x2, spec, config)
+    x3 = perturb(x, 0.5 * dt, xi=k2.horizontal, eta=k2.vertical)
+    k3 = flow_velocity(x3, spec, config)
+    x4 = perturb(x, dt, xi=k3.horizontal, eta=k3.vertical)
+    k4 = flow_velocity(x4, spec, config)
     # stage frames sit over different loops but the analytic layout is
     # loop-independent, so stage fields combine by coefficient transport
-    ch = (k1h.coefficients + 2.0 * k2h.coefficients
-          + 2.0 * k3h.coefficients + k4h.coefficients) / 6.0
-    cv = (k1v.coefficients + 2.0 * k2v.coefficients
-          + 2.0 * k3v.coefficients + k4v.coefficients) / 6.0
+    ch = (k1.horizontal.coefficients + 2.0 * k2.horizontal.coefficients
+          + 2.0 * k3.horizontal.coefficients + k4.horizontal.coefficients) / 6.0
+    cv = (k1.vertical.coefficients + 2.0 * k2.vertical.coefficients
+          + 2.0 * k3.vertical.coefficients + k4.vertical.coefficients) / 6.0
     frame = x.frame
-    return perturb(x, dt, xi=FiberField(frame, ch), eta=FiberField(frame, cv)), gn, phi_tilde
+    return perturb(x, dt, xi=FiberField(frame, ch), eta=FiberField(frame, cv))
 
 
-def _step(x, spec, config, dt, action_before=None):
-    """One accepted step: halve dt until the action does not increase."""
-    a0 = action(x, spec) if action_before is None else action_before
+def _step(x, spec, config, dt, k1):
+    """One accepted step from x, whose velocity is k1: halve dt until the
+    action does not increase.  Returns (new state, dt used, its velocity)."""
     for _ in range(MAX_HALVINGS):
-        xn, gn, phi_tilde = _rk4(x, spec, config, dt)
-        a1 = action(xn, spec)
-        if a1 <= a0 + DESCENT_TOL:
-            return xn, dt, a0, a1, gn, phi_tilde
+        xn = _rk4(x, spec, config, dt, k1)
+        kn = flow_velocity(xn, spec, config)
+        if kn.action <= k1.action + DESCENT_TOL:
+            return xn, dt, kn
         dt *= 0.5
     raise ArithmeticError(f"flow step rejected after {MAX_HALVINGS} halvings (dt={dt:.3e})")
 
 
 def flow_step(x, spec, config, dt=None):
     """One integrator step of V_r (public form of _step)."""
-    xn, _, _, _, _, _ = _step(x, spec, config, config.dt if dt is None else dt)
+    dt = config.dt if dt is None else dt
+    xn, _, _ = _step(x, spec, config, dt, flow_velocity(x, spec, config))
     return xn
 
 
@@ -198,27 +217,26 @@ def flow(x0, spec, config, T):
     """
     if T > config.t_max + 1e-12:
         raise ValueError("flow horizon exceeds the configured t_max budget")
+    k = flow_velocity(x0, spec, config)
     times = [0.0]
     states = [x0]
-    (_, _), gn0, pt0 = flow_velocity(x0, spec, config)
-    actions = [action(x0, spec)]
-    grad_norms = [gn0]
-    speeds = [pt0]
+    actions = [k.action]
+    grad_norms = [k.grad_norm]
+    speeds = [k.phi_tilde]
     max_steps = 16 * int(math.ceil(T / config.dt)) + 16
     t = 0.0
     x = x0
     steps = 0
     while t < T - 1e-12 and steps < max_steps:
         dt = min(config.dt, T - t)
-        x, dt_used, _, a1, _, _ = _step(x, spec, config, dt, action_before=actions[-1])
+        x, dt_used, k = _step(x, spec, config, dt, k)
         t += dt_used
         steps += 1
-        (_, _), gn, pt = flow_velocity(x, spec, config)
         times.append(t)
         states.append(x)
-        actions.append(a1)
-        grad_norms.append(gn)
-        speeds.append(pt)
+        actions.append(k.action)
+        grad_norms.append(k.grad_norm)
+        speeds.append(k.phi_tilde)
     times = np.asarray(times)
     phi_tilde = np.asarray(speeds)
     return FlowTrajectory(times=times, states=states, actions=np.asarray(actions),
@@ -255,10 +273,9 @@ def flow_to_critical(x, spec, config, floor=None, sustain=10):
     steps = 0
     consec = 0
     max_steps = 16 * int(math.ceil(config.t_max / config.dt)) + 16
-    a = action(x, spec)
-    gn = None
+    k = flow_velocity(x, spec, config)
     while True:
-        (_, _), gn, _ = flow_velocity(x, spec, config)
+        gn, a = k.grad_norm, k.action
         if gn < config.grad_tol:
             consec += 1
             if consec >= sustain or gn <= 0.01 * config.grad_tol:
@@ -272,8 +289,7 @@ def flow_to_critical(x, spec, config, floor=None, sustain=10):
         if t >= config.t_max or steps >= max_steps:
             return CriticalSearch(state=x, converged=False, escaped=False, steps=steps,
                                   time=t, grad_norm=gn, action=a, budget_exhausted=True)
-        x, dt_used, _, a, _, _ = _step(x, spec, config, min(config.dt, config.t_max - t),
-                                       action_before=a)
+        x, dt_used, k = _step(x, spec, config, min(config.dt, config.t_max - t), k)
         t += dt_used
         steps += 1
 
@@ -367,8 +383,7 @@ def ps_diagnostics(traj, spec, config):
         frame = xk.frame
         n = xk.loop.manifold.dim
         lam = frame.eigenvalues
-        m = fourier.default_samples(frame.cutoff)
-        qd = frame.coefficients(xk.loop.velocity_samples(m))
+        qd = velocity_coefficients(xk.loop, frame)
         pc = xk.fiber.coefficients
         diff = qd - pc
         v1.append(np.sqrt(np.sum((1.0 + lam) ** (xk.s - 1.0) * diff ** 2)))
@@ -402,18 +417,18 @@ def divergent_fixture(spec, config, steps=24, scale=0.35, winding=(1, 0)):
     from .spectral import FiberField, frame_of
     loop = straight_loop(flat_torus(len(winding)), tuple(winding), modes=spec.J)
     frame = frame_of(loop, spec.J)
-    m = fourier.default_samples(spec.J)
-    qd = frame.coefficients(loop.velocity_samples(m))
+    qd = velocity_coefficients(loop, frame)
     states = []
     for k in range(steps):
         c = -(1.0 + k) * scale * qd
         states.append(PhasePoint(loop=loop, fiber=FiberField(frame, c), s=spec.s))
     times = config.dt * np.arange(steps)
-    actions = np.asarray([action(x, spec) for x in states])
+    actions = np.empty(steps)
     grads = np.empty(steps)
     speeds = np.empty(steps)
     for k, x in enumerate(states):
-        (_, _), grads[k], speeds[k] = flow_velocity(x, spec, config)
+        vel = flow_velocity(x, spec, config)
+        actions[k], grads[k], speeds[k] = vel.action, vel.grad_norm, vel.phi_tilde
     return FlowTrajectory(times=times, states=states, actions=actions,
                           gradient_norms=grads, phi_tilde=speeds,
                           ab=_ab_from_speed(times, speeds), budget_exhausted=False)

@@ -61,10 +61,6 @@ class ModelManifold:
     def embedding_dim(self):
         return 2 * len(self.periods)
 
-    @property
-    def injectivity_radius(self):
-        return min(self.periods) / 2.0
-
     # Embedding circle curvatures 1/R_k = 2 pi / L_k; these control the
     # normal part of ambient derivatives of embedded fields.
     @property
@@ -324,13 +320,6 @@ def covariant_derivative(loop, field, cutoff=None):
     _, da, db = fourier.differentiate(a0, a, b)
     out = fourier.synthesize(np.zeros_like(a0), da, db, m=field.count)
     return TangentFieldSamples(loop=loop, samples=out)
-
-
-def embed_field(loop, field):
-    """Pushforward of a field to ambient space: samples of shape (m, 2n)."""
-    t = fourier.grid(field.count)
-    coords = loop.coordinates(t)
-    return loop.manifold.embed_tangent(coords, field.samples)
 
 
 def loop_json_roundtrip(loop):

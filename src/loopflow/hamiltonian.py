@@ -36,7 +36,7 @@ def smoothstep(u):
     at both ends (C^2 joins), s''' does not.
     """
     u = np.asarray(u, dtype=float)
-    uc = np.clip(u, 0.0, 1.0)
+    uc = np.minimum(np.maximum(u, 0.0), 1.0)
     inside = (u > 0.0) & (u < 1.0)
     s = uc ** 3 * (10.0 + uc * (-15.0 + 6.0 * uc))
     s1 = np.where(inside, 30.0 * uc ** 2 * (uc - 1.0) ** 2, 0.0)
@@ -133,36 +133,50 @@ def phi(spec, rho, order=0):
 TIE_BAND = 1e-9  # branch boundaries get this much slack before rejecting
 
 
+def radial_H_jet(spec, rho):
+    """H_r and its first two rho-derivatives at the radii rho, one pass.
+
+    One smoothstep per populated branch (the chi band and the phi
+    tail) serves all three orders; the arithmetic is that of chi and
+    phi, so every entry equals the per-order value bit for bit.
+    Returns three arrays shaped like rho (at least 1-d).
+    """
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    lo = spec.rho_star * math.exp(-spec.delta)
+    hi = spec.rho_star * math.exp(spec.delta)
+    h0, h1, h2 = np.zeros((3,) + rho.shape)
+    mid = (rho >= lo) & (rho <= hi)  # lo > 0, so rho > 0 here
+    if mid.any():
+        rm = rho[mid]
+        width = 2.0 * spec.delta
+        s, s1, s2, _ = smoothstep((np.log(rm / spec.rho_star) + spec.delta) / width)
+        c1 = s1 / width
+        h0[mid] = spec.r * s
+        h1[mid] = spec.r * c1 / rm
+        h2[mid] = spec.r * (s2 / width ** 2 - c1) / rm ** 2
+    h0[rho > hi] = spec.r
+    top = rho > spec.rho1
+    if top.any():
+        rt = rho[top]
+        r1 = spec.rho1
+        s, s1, s2, _ = smoothstep((rt - r1) / r1)
+        s1, s2 = s1 / r1, s2 / r1 ** 2
+        h0[top] = spec.r + 0.5 * rt ** 2 * s
+        h1[top] = rt * s + 0.5 * rt ** 2 * s1
+        h2[top] = s + 2.0 * rt * s1 + 0.5 * rt ** 2 * s2
+    return h0, h1, h2
+
+
 def radial_H(spec, rho, order=0):
     """H_r as a function of the fiber radius; order 0, 1, or 2 (d/drho).
 
     Vectorized; the branches agree on their overlaps so the tie-band
     only matters for the thickening-domain rejection in evaluate_H.
     """
-    scalar = np.ndim(rho) == 0
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    lo = spec.rho_star * math.exp(-spec.delta)
-    hi = spec.rho_star * math.exp(spec.delta)
-    out = np.zeros_like(rho)
-    mid = (rho >= lo) & (rho <= hi) & (rho > 0.0)
-    top = rho > spec.rho1
-    if order == 0:
-        if np.any(mid):
-            out[mid] = spec.r * chi(spec, np.log(rho[mid] / spec.rho_star))
-        out[rho > hi] = spec.r
-        out[top] = spec.r + phi(spec, rho[top])
-    elif order == 1:
-        if np.any(mid):
-            out[mid] = spec.r * chi(spec, np.log(rho[mid] / spec.rho_star), order=1) / rho[mid]
-        out[top] = phi(spec, rho[top], order=1)
-    elif order == 2:
-        if np.any(mid):
-            sig = np.log(rho[mid] / spec.rho_star)
-            out[mid] = spec.r * (chi(spec, sig, order=2) - chi(spec, sig, order=1)) / rho[mid] ** 2
-        out[top] = phi(spec, rho[top], order=2)
-    else:
+    if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1, or 2")
-    return float(out[0]) if scalar else out
+    out = radial_H_jet(spec, rho)[order]
+    return float(out[0]) if np.ndim(rho) == 0 else out
 
 
 def thickening_sigma(spec, rho):

@@ -13,6 +13,7 @@ gradient coefficients before classification.
 """
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -20,13 +21,13 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from . import fourier
-from .action import (PhasePoint, action, classify_critical, gradient,
-                     gradient_norm, hamilton_residual, loop_energy,
-                     pack_coefficients, unpack_coefficients)
+from .action import (PhasePoint, action, classify_critical, fiber_evaluation, gradient,
+                     gradient_norm, loop_energy, pack_coefficients,
+                     unpack_coefficients, velocity_coefficients)
 from .flow import FlowConfig, flow_step, flow_to_critical
 from .geometry import flat_torus, straight_loop
-from .hamiltonian import HamiltonianSpec, alpha_bound, r0_threshold, radial_H
-from .spectral import FiberField, frame_of, project
+from .hamiltonian import HamiltonianSpec, alpha_bound, r0_threshold, radial_H_jet
+from .spectral import FiberField, frame_of
 
 ASCENT_TOL = 1e-9
 ASCENT_ITERS = 600
@@ -35,10 +36,7 @@ ESCAPE_FLOOR = -0.5
 
 def symplectic_action(x):
     """Loop integral of p dq, via the exact coefficient pairing."""
-    frame = x.frame
-    m = fourier.default_samples(frame.cutoff)
-    qd = frame.coefficients(x.loop.velocity_samples(m))
-    return float(qd @ x.fiber.coefficients)
+    return float(velocity_coefficients(x.loop, x.frame) @ x.fiber.coefficients)
 
 
 @dataclass(frozen=True)
@@ -49,54 +47,67 @@ class AscentResult:
     grad_norm: float
 
 
-def _fiber_action_and_gradient(loop, frame, coeffs, spec):
-    x = PhasePoint(loop=loop, fiber=FiberField(frame=frame, coefficients=coeffs), s=spec.s)
-    _, grad_v = gradient(x, spec)
-    return action(x, spec), grad_v.coefficients, grad_v.norm_r(1.0 - spec.s)
-
-
-def _project_ball(frame, coeffs, s, radius):
-    nrm = math.sqrt(float(np.sum((1.0 + frame.eigenvalues) ** (1.0 - s) * coeffs ** 2)))
+def _project_ball(coeffs, weights, radius):
+    # weights = (1+lam)^{1-s}: the ball of the (1-s)-norm
+    nrm = math.sqrt(float(np.sum(weights * coeffs ** 2)))
     if nrm > radius:
         return coeffs * (radius / nrm), True
     return coeffs, False
 
 
-def _vertical_newton(loop, frame, basis, c, spec, config, tol, iters=12):
+def fiber_hessian(frame, basis, c, spec):
+    """Hessian of the H term of the action in the fiber coefficients c.
+
+    It is the quadrature compression sum_t basis_k(t)^T W(t) basis_l(t) / m
+    of the pointwise fiber Hessian W(t) = h'' phat phat^T
+    + (h'/rho)(1 - phat phat^T) of H_r; the action's fiber Hessian is
+    its negative.  basis holds the sampled eigenfields (D, m, n) of
+    frame.basis_samples.  The compression is one two-operand einsum (W
+    applied to every eigenfield) and one BLAS product of the flattened
+    (D, m n) arrays.
+    """
+    n = frame.loop.manifold.dim
+    dim, m, _ = basis.shape
+    p = frame.samples(c, m)
+    rho = np.sqrt(np.sum(p ** 2, axis=1))
+    safe = np.where(rho > 1e-12, rho, 1.0)
+    _, h1, h2 = radial_H_jet(spec, rho)
+    ratio = h1 / safe
+    phat = p / safe[:, None]
+    w = (ratio[:, None, None] * np.eye(n)[None, :, :]
+         + (h2 - ratio)[:, None, None] * phat[:, :, None] * phat[:, None, :])
+    applied = np.einsum("tij,ltj->lti", w, basis)
+    return basis.reshape(dim, -1) @ applied.reshape(dim, -1).T / m
+
+
+def _vertical_newton(frame, basis, evaluate_at, c, spec, precond, radius, tol, iters=12):
     """Endgame for the fiber ascent: damped Newton on the vertical
     stationarity, with the exact quadrature Hessian of the H term.
 
-    W(t) = h'' phat phat^T + (h'/rho)(1 - phat phat^T) is the pointwise
-    fiber Hessian of H_r; the action Hessian in the L^2-orthonormal
-    coefficients is its quadrature compression, so the solve has none
-    of the mode damping that stalls first-order ascent near the top.
+    The action Hessian in the L^2-orthonormal coefficients is the
+    quadrature compression of the pointwise fiber Hessian of H_r
+    (fiber_hessian, built by BLAS from the sampled eigenfields), so the
+    solve has none of the mode damping that stalls first-order ascent
+    near the top.  evaluate_at(c) gives (action, vertical gradient, its
+    (1-s)-norm) at fiber coefficients c; precond = (1+lam)^{1-s} turns the
+    vertical gradient into the plain partial gradient, and candidates are
+    projected back into the (1-s)-ball of the given radius.
     """
-    n = loop.manifold.dim
-    lam = frame.eigenvalues
-    m = basis.shape[1]
-    a, g, gn = _fiber_action_and_gradient(loop, frame, c, spec)
+    a, g, gn = evaluate_at(c)
     eye = np.eye(frame.dim)
     for _ in range(iters):
         if gn <= tol:
             break
-        p = frame.samples(c, m)
-        rho = np.sqrt(np.sum(p ** 2, axis=1))
-        safe = np.where(rho > 1e-12, rho, 1.0)
-        ratio = radial_H(spec, rho, order=1) / safe
-        h2 = radial_H(spec, rho, order=2)
-        phat = p / safe[:, None]
-        w = (ratio[:, None, None] * np.eye(n)[None, :, :]
-             + (h2 - ratio)[:, None, None] * phat[:, :, None] * phat[:, None, :])
-        hess = np.einsum("kti,tij,ltj->kl", basis, w, basis) / m
-        u = (1.0 + lam) ** (1.0 - spec.s) * g
+        hess = fiber_hessian(frame, basis, c, spec)
+        u = precond * g
         improved = False
         for mu in (0.0, 1e-9, 1e-6, 1e-3, 1.0):
             try:
                 delta = np.linalg.solve(hess + mu * eye, u)
             except np.linalg.LinAlgError:
                 continue
-            cand, _ = _project_ball(frame, c + delta, spec.s, config.gamma_dprime)
-            a2, g2, gn2 = _fiber_action_and_gradient(loop, frame, cand, spec)
+            cand, _ = _project_ball(c + delta, precond, radius)
+            a2, g2, gn2 = evaluate_at(cand)
             if gn2 < gn:
                 c, a, g, gn = cand, a2, g2, gn2
                 improved = True
@@ -114,15 +125,28 @@ def fiber_sup(loop, spec, config, rng=None, starts=8, iters=ASCENT_ITERS, tol=AS
     covering the zero branch, the thickening band, and the fake-geodesic
     annulus, topped up with random fields; pass explicit coefficient
     arrays to ascend locally instead.  Returns results sorted by action,
-    best first.
+    best first.  The loop never moves here, so its velocity coefficients
+    and the metric weights are computed once and every line-search try
+    is one fiber_evaluation.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     frame = frame_of(loop, spec.J)
     lam = frame.eigenvalues
     m = fourier.default_samples(spec.J)
+    qd = velocity_coefficients(loop, frame)
+    to_vertical = (1.0 + lam) ** (spec.s - 1.0)
+    # step along the plain partial gradient (1+lam)^{1-s} g: the fiber
+    # Hessian is O(1)-conditioned in these coordinates, while the raw
+    # (1-s)-representative damps high modes and stalls the ascent
+    precond = (1.0 + lam) ** (1.0 - spec.s)
+
+    def evaluate_at(c):
+        a, dv, _ = fiber_evaluation(frame, qd, c, spec)
+        g = to_vertical * dv
+        return a, g, math.sqrt(float(np.sum(precond * g ** 2)))
+
     if seeds is None:
-        qd = project(frame, loop.velocity_samples(m))
-        smooth = (1.0 + lam) ** (spec.s - 1.0) * qd.coefficients
+        smooth = to_vertical * qd
         speed = max(math.sqrt(float(np.max(np.sum(loop.velocity_samples(m) ** 2, axis=1)))), 1e-12)
         lo = spec.rho_star * math.exp(-spec.thickening_halfwidth)
         radii = [0.9 * lo, spec.rho_star, 1.45 * spec.rho1, 1.85 * spec.rho1, 1.0, 2.2 * spec.rho1]
@@ -130,15 +154,11 @@ def fiber_sup(loop, spec, config, rng=None, starts=8, iters=ASCENT_ITERS, tol=AS
         while len(seeds) < starts:
             noise = 0.05 * rng.standard_normal(frame.dim) / (1.0 + lam) ** 0.5
             seeds.append(smooth * spec.rho_star / speed + noise)
-    # step along the plain partial gradient (1+lam)^{1-s} g: the fiber
-    # Hessian is O(1)-conditioned in these coordinates, while the raw
-    # (1-s)-representative damps high modes and stalls the ascent
-    precond = (1.0 + lam) ** (1.0 - spec.s)
     basis = frame.basis_samples(m)
     results = []
     for c0 in seeds:
-        c, _ = _project_ball(frame, np.asarray(c0, dtype=float), spec.s, config.gamma_dprime)
-        a, g, gn = _fiber_action_and_gradient(loop, frame, c, spec)
+        c, _ = _project_ball(np.asarray(c0, dtype=float), precond, config.gamma_dprime)
+        a, g, gn = evaluate_at(c)
         eta = 0.5
         converged = False
         for _ in range(iters):
@@ -147,8 +167,8 @@ def fiber_sup(loop, spec, config, rng=None, starts=8, iters=ASCENT_ITERS, tol=AS
                 break
             accepted = False
             for _ in range(40):
-                cand, clipped = _project_ball(frame, c + eta * precond * g, spec.s, config.gamma_dprime)
-                a_new, g_new, gn_new = _fiber_action_and_gradient(loop, frame, cand, spec)
+                cand, clipped = _project_ball(c + eta * precond * g, precond, config.gamma_dprime)
+                a_new, g_new, gn_new = evaluate_at(cand)
                 if a_new >= a - 1e-14:
                     c, a, g, gn = cand, a_new, g_new, gn_new
                     accepted = True
@@ -159,7 +179,8 @@ def fiber_sup(loop, spec, config, rng=None, starts=8, iters=ASCENT_ITERS, tol=AS
             if not accepted:
                 break
         if not converged and gn <= 1e-2:
-            c, a, gn = _vertical_newton(loop, frame, basis, c, spec, config, tol)
+            c, a, gn = _vertical_newton(frame, basis, evaluate_at, c, spec, precond,
+                                        config.gamma_dprime, tol)
             converged = gn <= tol
         results.append(AscentResult(field=FiberField(frame=frame, coefficients=c),
                                     action=a, converged=converged, grad_norm=gn))
@@ -293,6 +314,13 @@ def _sweep_task(payload):
     return minimax_theta(family, spec, config, rng=rng, polish=polish)
 
 
+def pool_size(jobs, points, cpus):
+    """Worker processes for a sweep of `points` r-values on `cpus` CPUs:
+    the requested jobs, but never more than the points or the CPUs, and
+    at least one."""
+    return max(1, min(int(jobs), points, cpus))
+
+
 @dataclass(frozen=True)
 class SweepSummary:
     hit_found: bool
@@ -316,10 +344,11 @@ def orbit_sweep(spec_template, r_grid, config, jobs=1, seed=0, family=None, poli
     """
     payloads = [(spec_template.to_json(), config.to_json(), family, float(r), seed, i, polish)
                 for i, r in enumerate(r_grid)]
-    if jobs <= 1:
+    workers = pool_size(jobs, len(payloads), os.cpu_count() or 1)
+    if workers <= 1:
         records = [_sweep_task(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_sweep_task, payloads))
     alpha = alpha_bound(spec_template, 1.0)
     bound = 2.0 * (alpha + r0_threshold(spec_template))

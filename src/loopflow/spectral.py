@@ -33,7 +33,6 @@ power, so the order relation against the covariant family holds at the
 matrix level for every loop and every r in [0,1].
 """
 
-import json
 import threading
 from dataclasses import dataclass
 
@@ -88,12 +87,22 @@ class SpectralFrame:
         arr = samples.samples if isinstance(samples, TangentFieldSamples) else np.asarray(samples, dtype=float)
         if arr.ndim == 1:
             arr = arr[:, None]
-        a0, a, b = fourier.analyze(arr, self.cutoff)
-        n = a0.shape[0]
-        c = np.empty(self.dim)
+        return self.layout(*fourier.analyze(arr, self.cutoff))
+
+    def layout(self, a0, a, b):
+        """Frame coefficients (D,) of the trig series (a0, a, b).
+
+        The inverse of series; a and b may hold fewer than J modes, the
+        missing ones being zero.
+        """
+        n = self.loop.manifold.dim
+        c = np.zeros(self.dim)
         c[:n] = a0
-        block = np.concatenate([a / SQ2, b / SQ2], axis=1)  # (J, 2n): cos row then sin row per mode
-        c[n:] = block.reshape(-1)
+        block = c[n:].reshape(self.cutoff, 2, n)  # per mode: cos row then sin row
+        k = len(a)
+        block[:k, 0] = a
+        block[:k, 1] = b
+        block[:k] /= SQ2
         return c
 
     def series(self, coefficients):
@@ -414,7 +423,3 @@ def fit_spectrum_bounds(frame):
     per_mode = frame.eigenvalues[n::2 * n]
     ratios = per_mode / jj ** 2
     return float(ratios.min()), float(ratios.max()), 0.0
-
-
-def frame_to_json(frame):
-    return json.dumps(frame.to_json(), sort_keys=True)

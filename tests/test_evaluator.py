@@ -1,0 +1,142 @@
+"""The fused action-and-gradient evaluation against the separate formulas.
+
+The reference functions below are the straightforward per-quantity
+formulas: the action from sampled velocity and one radial_H call per
+derivative order, the vertical gradient from the analysis of the
+sampled defect qdot - dH/dp.  The evaluator must agree with them to
+roundoff on random phase points, and its single H pass must agree with
+the per-order chi/phi formulas bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from loopflow import fourier
+from loopflow.action import (PhasePoint, action, derivative_coefficients, evaluate,
+                             gradient, hamilton_residual, velocity_coefficients)
+from loopflow.geometry import embedded_circle, flat_torus, random_loop
+from loopflow.hamiltonian import chi, default_spec, phi, radial_H, radial_H_jet
+from loopflow.spectral import FiberField, frame_of
+
+
+def reference_radial_H(spec, rho, order):
+    # one branch formula per derivative order, straight from chi and phi
+    lo = spec.rho_star * math.exp(-spec.delta)
+    hi = spec.rho_star * math.exp(spec.delta)
+    out = np.zeros_like(rho)
+    mid = (rho >= lo) & (rho <= hi) & (rho > 0.0)
+    top = rho > spec.rho1
+    sig = np.log(rho[mid] / spec.rho_star)
+    if order == 0:
+        out[mid] = spec.r * chi(spec, sig)
+        out[rho > hi] = spec.r
+        out[top] = spec.r + phi(spec, rho[top])
+    elif order == 1:
+        out[mid] = spec.r * chi(spec, sig, order=1) / rho[mid]
+        out[top] = phi(spec, rho[top], order=1)
+    else:
+        out[mid] = spec.r * (chi(spec, sig, order=2) - chi(spec, sig, order=1)) / rho[mid] ** 2
+        out[top] = phi(spec, rho[top], order=2)
+    return out
+
+
+def reference_terms(x, spec):
+    # (action, vertical gradient) from sampled velocity and fiber
+    frame = x.frame
+    m = fourier.default_samples(frame.cutoff)
+    qdot = x.loop.velocity_samples(m)
+    p = x.fiber.samples(m)
+    rho = np.linalg.norm(p, axis=1)
+    a = frame.coefficients(qdot) @ x.fiber.coefficients - np.mean(reference_radial_H(spec, rho, 0))
+    scale = np.divide(reference_radial_H(spec, rho, 1), rho, out=np.zeros_like(rho),
+                      where=rho > 0.0)
+    dpH = scale[:, None] * p
+    lam = frame.eigenvalues
+    return a, (1.0 + lam) ** (x.s - 1.0) * frame.coefficients(qdot - dpH)
+
+
+def random_point(spec, manifold, winding, modes, rng):
+    loop = random_loop(manifold, winding, modes, rng, amplitude=0.05)
+    frame = frame_of(loop, spec.J)
+    c = 0.3 * rng.standard_normal(frame.dim) / (1.0 + frame.eigenvalues) ** 0.75
+    c[:manifold.dim] += loop.drift / np.linalg.norm(loop.drift) * rng.uniform(0.1, 1.0)
+    return PhasePoint(loop=loop, fiber=FiberField(frame, c), s=spec.s)
+
+
+MODELS = [(flat_torus(2), (1, 0)), (flat_torus(2), (1, 1)), (embedded_circle(), (1,))]
+
+
+@pytest.mark.parametrize("J", [1, 8, 32])
+@pytest.mark.parametrize("model", range(len(MODELS)))
+def test_evaluator_matches_separate_formulas(J, model):
+    spec = default_spec(J=J)
+    manifold, winding = MODELS[model]
+    rng = np.random.default_rng([J, model])
+    for modes in sorted({0, J // 2, J}):
+        for _ in range(3):
+            x = random_point(spec, manifold, winding, modes, rng)
+            a_ref, gv_ref = reference_terms(x, spec)
+            a, gh, gv = evaluate(x, spec)
+            lam = x.frame.eigenvalues
+            gh_ref = -((1.0 + lam) ** (-spec.s)) * derivative_coefficients(
+                x.frame, x.fiber.coefficients)
+            scale = 1.0 + np.max(np.abs(x.fiber.coefficients)) + np.max(np.abs(x.loop.drift))
+            assert abs(a - a_ref) <= 1e-13 * scale
+            np.testing.assert_allclose(gv, gv_ref, rtol=0.0, atol=1e-13 * scale)
+            np.testing.assert_array_equal(gh, gh_ref)
+            # the thin callers read the same evaluation
+            assert action(x, spec) == a
+            grad_h, grad_v = gradient(x, spec)
+            np.testing.assert_array_equal(grad_h.coefficients, gh)
+            np.testing.assert_array_equal(grad_v.coefficients, gv)
+
+
+def test_velocity_coefficients_are_the_analyzed_samples(rng):
+    spec = default_spec(J=8)
+    for manifold, winding in MODELS:
+        for modes in (0, 3, 8):
+            loop = random_loop(manifold, winding, modes, rng)
+            frame = frame_of(loop, spec.J)
+            m = fourier.default_samples(spec.J)
+            np.testing.assert_allclose(velocity_coefficients(loop, frame),
+                                       frame.coefficients(loop.velocity_samples(m)),
+                                       rtol=0.0, atol=1e-13)
+
+
+def test_hamilton_residual_matches_sampled_defect(spec, rng):
+    x = random_point(spec, flat_torus(2), (1, 0), 5, rng)
+    m = fourier.default_samples(spec.J)
+    p = x.fiber.samples(m)
+    rho = np.linalg.norm(p, axis=1)
+    dpH = (reference_radial_H(spec, rho, 1) / rho)[:, None] * p
+    res_q = math.sqrt(np.mean(np.sum((x.loop.velocity_samples(m) - dpH) ** 2, axis=1)))
+    pdot = derivative_coefficients(x.frame, x.fiber.coefficients)
+    np.testing.assert_allclose(hamilton_residual(x, spec), res_q + np.linalg.norm(pdot),
+                               rtol=1e-13)
+
+
+def test_single_H_pass_is_exact_on_every_branch(spec):
+    lo = spec.rho_star * math.exp(-spec.delta)
+    hi = spec.rho_star * math.exp(spec.delta)
+    r1 = spec.rho1
+    branches = {
+        "zero": np.array([0.0, 1e-3, 0.5 * lo, np.nextafter(lo, 0.0)]),
+        "band": np.concatenate([[lo, hi], np.linspace(lo, hi, 17)[1:-1]]),
+        "plateau": np.array([np.nextafter(hi, 1.0), 0.5 * (hi + r1), r1]),
+        "transition": np.concatenate([[np.nextafter(r1, 1.0)], np.linspace(r1, 2 * r1, 9)[1:]]),
+        "quadratic": np.array([2.0 * r1 + 1e-9, 1.0, 3.0, 10.0]),
+    }
+    for rho in [*branches.values(), np.concatenate(list(branches.values()))]:
+        jet = radial_H_jet(spec, rho)
+        for order in (0, 1, 2):
+            np.testing.assert_array_equal(jet[order], reference_radial_H(spec, rho, order))
+            np.testing.assert_array_equal(radial_H(spec, rho, order), jet[order])
+    for value in (0.1, spec.rho_star, 0.35, 0.6, 1.2):
+        for order in (0, 1, 2):
+            out = radial_H(spec, value, order)
+            assert isinstance(out, float)
+            assert out == reference_radial_H(spec, np.array([value]), order)[0]
+    with pytest.raises(ValueError):
+        radial_H(spec, np.array([0.3]), order=3)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -164,3 +165,44 @@ def test_deformation_report(spec):
     assert out["all_reached"]
     assert out["times"][0] < 2.0
     assert out["eps"] == 0.05
+
+
+def test_accepted_step_costs_four_evaluations(small_spec, small_config, rng, monkeypatch):
+    from loopflow.action import random_phase_point
+    flow_mod = importlib.import_module("loopflow.flow")  # the package rebinds .flow
+    calls = []
+    evaluate = flow_mod.evaluate
+
+    def counted(x, spec):
+        calls.append(1)
+        return evaluate(x, spec)
+
+    monkeypatch.setattr(flow_mod, "evaluate", counted)
+    x = random_phase_point(small_spec, rng)
+    traj = flow(x, small_spec, small_config, 0.1)
+    steps = len(traj.times) - 1
+    # no step was halved, so every step took the full dt
+    np.testing.assert_allclose(np.diff(traj.times), small_config.dt, rtol=1e-12)
+    assert steps == 10
+    assert len(calls) == 1 + 4 * steps   # the start, then k2..k4 and the new state
+    calls.clear()
+    flow_step(x, small_spec, small_config)
+    assert len(calls) == 5
+
+
+def test_reused_k1_matches_recomputed_k1(small_spec, small_config, rng, monkeypatch):
+    from loopflow.action import random_phase_point
+    flow_mod = importlib.import_module("loopflow.flow")  # the package rebinds .flow
+    x = random_phase_point(small_spec, rng)
+    reused = flow(x, small_spec, small_config, 0.2)
+    rk4 = flow_mod._rk4
+
+    def recomputing(x, spec, config, dt, k1):
+        return rk4(x, spec, config, dt, flow_mod.flow_velocity(x, spec, config))
+
+    monkeypatch.setattr(flow_mod, "_rk4", recomputing)
+    again = flow(x, small_spec, small_config, 0.2)
+    np.testing.assert_array_equal(reused.times, again.times)
+    for name in ("actions", "gradient_norms", "phi_tilde"):
+        np.testing.assert_allclose(getattr(reused, name), getattr(again, name),
+                                   rtol=0.0, atol=1e-13)

@@ -7,8 +7,9 @@ import oracles
 from loopflow.action import PhasePoint, action, gradient_norm, perturb, straight_orbit
 from loopflow.flow import FlowConfig
 from loopflow.geometry import flat_torus, straight_loop
-from loopflow.minimax import (composite_descent, default_family, fiber_sup,
-                              minimax_theta, orbit_sweep, refine_critical,
+from loopflow.hamiltonian import default_spec, radial_H
+from loopflow.minimax import (composite_descent, default_family, fiber_hessian, fiber_sup,
+                              minimax_theta, orbit_sweep, pool_size, refine_critical,
                               symplectic_action)
 from loopflow.spectral import FiberField, frame_of
 
@@ -129,3 +130,37 @@ def test_orbit_sweep_serial_parallel_identical(config):
     assert rec_a[0].theta > rec_a[1].theta
     for rec in rec_a:
         np.testing.assert_allclose(rec.theta, oracles.theta_oracle(rec.r), atol=1e-6)
+
+
+@pytest.mark.parametrize("J", [8, 32])
+def test_fiber_hessian_matches_dense_einsum(J):
+    spec = default_spec(J=J)
+    rng = np.random.default_rng(J)
+    loop = straight_loop(flat_torus(2), (1, 0))
+    frame = frame_of(loop, J)
+    m = 4 * J + 1
+    basis = frame.basis_samples(m)
+    for rho0 in (0.22, spec.rho_star, 0.6, 1.0):
+        c = 0.02 * rng.standard_normal(frame.dim) / (1.0 + frame.eigenvalues) ** 0.5
+        c[0] += rho0
+        # reference: pointwise fiber Hessian from per-order radial_H, then
+        # the dense three-operand einsum over the sampled eigenfields
+        p = frame.samples(c, m)
+        rho = np.sqrt(np.sum(p ** 2, axis=1))
+        ratio = radial_H(spec, rho, order=1) / rho
+        phat = p / rho[:, None]
+        w = (ratio[:, None, None] * np.eye(2)[None, :, :]
+             + (radial_H(spec, rho, order=2) - ratio)[:, None, None]
+             * phat[:, :, None] * phat[:, None, :])
+        ref = np.einsum("kti,tij,ltj->kl", basis, w, basis) / m
+        hess = fiber_hessian(frame, basis, c, spec)
+        assert np.max(np.abs(hess - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_pool_size_clamps_to_points_and_cpus():
+    assert pool_size(4, 20, 2) == 2
+    assert pool_size(8, 3, 16) == 3
+    assert pool_size(1, 20, 8) == 1
+    assert pool_size(1000, 20, 4) == 4
+    assert pool_size(2, 0, 4) == 1
+    assert pool_size(3, 5, 1) == 1
