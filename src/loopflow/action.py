@@ -45,13 +45,25 @@ class PhasePoint:
     def __post_init__(self):
         if not 0.5 < self.s < 1.0:
             raise ValueError("regularity s must lie strictly in (1/2, 1)")
-        frame_loop = self.fiber.frame.loop
-        if frame_loop is not self.loop and frame_loop.content_key() != self.loop.content_key():
-            raise ValueError("fiber frame is not the frame of the given loop")
+        frame = self.fiber.frame
+        if frame.n != self.loop.manifold.dim or frame.cutoff < self.loop.modes:
+            raise ValueError(f"fiber frame (n={frame.n}, J={frame.cutoff}) does not fit a loop "
+                             f"with n={self.loop.manifold.dim} and {self.loop.modes} modes")
 
     @property
     def frame(self):
         return self.fiber.frame
+
+
+def require_finite(label, loop=None, fiber=None):
+    """Reject a non-finite loop or fiber where a state enters the flow or
+    the ascent; PhasePoint does not check, so an overflowing RK4 stage
+    still reaches the step-halving guard."""
+    if loop is not None and not all(np.isfinite(a).all()
+                                    for a in (loop.base, loop.cos_coeffs, loop.sin_coeffs)):
+        raise ValueError(f"{label} has non-finite loop coefficients")
+    if fiber is not None and not np.isfinite(fiber).all():
+        raise ValueError(f"{label} has non-finite fiber coefficients")
 
 
 def straight_orbit(manifold, winding, spec, momentum=None, base=None):
@@ -76,7 +88,7 @@ def loop_energy(loop):
 
 def derivative_coefficients(frame, c):
     """Frame coefficients of the t-derivative of the field with coefficients c."""
-    n = frame.loop.manifold.dim
+    n = frame.n
     J = frame.cutoff
     out = np.zeros_like(c)
     if J == 0:
@@ -177,9 +189,8 @@ def perturb(x, eps, xi=None, eta=None):
         new_base = np.asarray(loop.base) + eps * (xa0 + xa.sum(axis=0))
         loop = LoopPath(manifold=loop.manifold, winding=loop.winding,
                         base=tuple(new_base), cos_coeffs=new_cos, sin_coeffs=new_sin)
-    new_frame = frame_of(loop, J)
     coeffs = x.fiber.coefficients if eta is None else x.fiber.coefficients + eps * eta.coefficients
-    return PhasePoint(loop=loop, fiber=FiberField(new_frame, coeffs), s=x.s)
+    return PhasePoint(loop=loop, fiber=FiberField(frame, coeffs), s=x.s)
 
 
 def hamilton_residual(x, spec):
@@ -255,8 +266,7 @@ def unpack_coefficients(x, vec):
     sin = vec[k:2 * k].reshape(J, n)
     loop = LoopPath(manifold=x.loop.manifold, winding=x.loop.winding, base=x.loop.base,
                     cos_coeffs=cos, sin_coeffs=sin)
-    frame = frame_of(loop, J)
-    return PhasePoint(loop=loop, fiber=FiberField(frame, vec[2 * k:].copy()), s=x.s)
+    return PhasePoint(loop=loop, fiber=FiberField(x.frame, vec[2 * k:].copy()), s=x.s)
 
 
 def rescale_period(traj, spec, manifold, cutoff=None):

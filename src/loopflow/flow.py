@@ -40,7 +40,7 @@ import numpy as np
 
 from . import fourier
 from .action import (PhasePoint, derivative_coefficients, evaluate, perturb,
-                     velocity_coefficients)
+                     require_finite, velocity_coefficients)
 from .hamiltonian import alpha_bound, smoothstep
 from .spectral import FiberField, adjoint_inclusion, project
 
@@ -153,8 +153,6 @@ def _rk4(x, spec, config, dt, k1):
     k3 = flow_velocity(x3, spec, config)
     x4 = perturb(x, dt, xi=k3.horizontal, eta=k3.vertical)
     k4 = flow_velocity(x4, spec, config)
-    # stage frames sit over different loops but the analytic layout is
-    # loop-independent, so stage fields combine by coefficient transport
     ch = (k1.horizontal.coefficients + 2.0 * k2.horizontal.coefficients
           + 2.0 * k3.horizontal.coefficients + k4.horizontal.coefficients) / 6.0
     cv = (k1.vertical.coefficients + 2.0 * k2.vertical.coefficients
@@ -217,6 +215,7 @@ def flow(x0, spec, config, T):
     """
     if T > config.t_max + 1e-12:
         raise ValueError("flow horizon exceeds the configured t_max budget")
+    require_finite("flow start state", x0.loop, x0.fiber.coefficients)
     k = flow_velocity(x0, spec, config)
     times = [0.0]
     states = [x0]
@@ -269,6 +268,7 @@ def flow_to_critical(x, spec, config, floor=None, sustain=10):
     stops trajectories that have fallen irrecoverably low (they can no
     longer carry a minimax level).
     """
+    require_finite("flow_to_critical start state", x.loop, x.fiber.coefficients)
     t = 0.0
     steps = 0
     consec = 0
@@ -331,7 +331,7 @@ def kolmogorov_width_proxy(frame, s, defect_coefficients, max_mode=None):
     For a genuinely compact defect family the tail widths decay in the
     cutoff; returns the array w[J'] for J' = 0..max_mode.
     """
-    n = frame.loop.manifold.dim
+    n = frame.n
     J = frame.cutoff
     max_mode = J if max_mode is None else min(max_mode, J)
     lam = frame.eigenvalues

@@ -28,6 +28,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# largest mode cutoff J: fiber_sup's dense (D, m, n) eigenfield basis
+# reaches about 67 MB here and grows as J^2
+MAX_MODES = 512
+
 
 def smoothstep(u):
     """Quintic smoothstep and its first three derivatives, clamped.
@@ -73,8 +77,8 @@ class HamiltonianSpec:
             raise ValueError("energy parameter r must be positive")
         if not 0.5 < self.s < 1.0:
             raise ValueError("regularity s must lie in (1/2, 1)")
-        if self.J < 1:
-            raise ValueError("mode cutoff J must be at least 1")
+        if not 1 <= self.J <= MAX_MODES:
+            raise ValueError(f"mode cutoff J must lie in [1, {MAX_MODES}], got {self.J}")
         a = self.thickening_halfwidth
         if not 0.0 < self.delta < a:
             raise ValueError(f"delta must lie in (0, {a:.6g})")

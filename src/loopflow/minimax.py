@@ -22,7 +22,7 @@ from scipy.optimize import least_squares
 
 from . import fourier
 from .action import (PhasePoint, action, classify_critical, fiber_evaluation, gradient,
-                     gradient_norm, loop_energy, pack_coefficients,
+                     gradient_norm, loop_energy, pack_coefficients, require_finite,
                      unpack_coefficients, velocity_coefficients)
 from .flow import FlowConfig, flow_step, flow_to_critical
 from .geometry import flat_torus, straight_loop
@@ -66,7 +66,7 @@ def fiber_hessian(frame, basis, c, spec):
     applied to every eigenfield) and one BLAS product of the flattened
     (D, m n) arrays.
     """
-    n = frame.loop.manifold.dim
+    n = frame.n
     dim, m, _ = basis.shape
     p = frame.samples(c, m)
     rho = np.sqrt(np.sum(p ** 2, axis=1))
@@ -129,6 +129,7 @@ def fiber_sup(loop, spec, config, rng=None, starts=8, iters=ASCENT_ITERS, tol=AS
     and the metric weights are computed once and every line-search try
     is one fiber_evaluation.
     """
+    require_finite("fiber_sup loop", loop)
     rng = np.random.default_rng(0) if rng is None else rng
     frame = frame_of(loop, spec.J)
     lam = frame.eigenvalues
@@ -154,6 +155,9 @@ def fiber_sup(loop, spec, config, rng=None, starts=8, iters=ASCENT_ITERS, tol=AS
         while len(seeds) < starts:
             noise = 0.05 * rng.standard_normal(frame.dim) / (1.0 + lam) ** 0.5
             seeds.append(smooth * spec.rho_star / speed + noise)
+    else:
+        for i, c0 in enumerate(seeds):
+            require_finite(f"fiber_sup seed {i}", fiber=c0)
     basis = frame.basis_samples(m)
     results = []
     for c0 in seeds:

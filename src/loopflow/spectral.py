@@ -1,18 +1,21 @@
 """Spectral frames and fractional Sobolev calculus along loops.
 
-The frame along a loop is the eigendecomposition of 1 + nabla* nabla
-acting on fields in the truncated trigonometric space (modes 0..J per
-coordinate, dimension D = n(2J+1)).  On the flat models every loop
-shares the analytic frame
+The frame is the eigendecomposition of 1 + nabla* nabla acting on
+fields in the truncated trigonometric space (modes 0..J per coordinate,
+dimension D = n(2J+1)).  On the flat models every loop shares the
+analytic frame
 
     eigenvalue 0       (x n)   constant coordinate fields,
     eigenvalue (2 pi j)^2 (x 2n)  sqrt(2) cos / sqrt(2) sin per coordinate,
 
 and frames are stored in that canonical ordering: index k < n is the
 constant field of coordinate k, then per mode j the n cosine fields
-followed by the n sine fields.  A dense collocation eigensolve of the
-same operator is available as an independent path and is used to
-cross-validate the shortcut.
+followed by the n sine fields.  A frame is therefore a value of the
+coordinate dimension n, the cutoff J and the method alone: it carries
+no loop, frame_of keeps one frame per (n, J, method), and fields over
+different loops of the same dimension share it.  A dense collocation
+eigensolve of the same operator is available as an independent path
+and is used to cross-validate the shortcut.
 
 Fractional powers are exact diagonal scalings on the truncated
 spectrum.  Two metric families are provided:
@@ -61,9 +64,9 @@ def _flat_eigenvalues(n, J, per_mode=None):
 
 @dataclass(frozen=True)
 class SpectralFrame:
-    """Eigendata of 1 + nabla* nabla along a loop, canonically ordered."""
+    """Eigendata of 1 + nabla* nabla on n-dimensional fields, canonically ordered."""
 
-    loop: LoopPath
+    n: int
     cutoff: int
     eigenvalues: np.ndarray
     method: str = "analytic"
@@ -76,7 +79,7 @@ class SpectralFrame:
 
     @property
     def dim(self):
-        return self.loop.manifold.dim * (2 * self.cutoff + 1)
+        return self.n * (2 * self.cutoff + 1)
 
     @property
     def kernel_dim(self):
@@ -95,7 +98,7 @@ class SpectralFrame:
         The inverse of series; a and b may hold fewer than J modes, the
         missing ones being zero.
         """
-        n = self.loop.manifold.dim
+        n = self.n
         c = np.zeros(self.dim)
         c[:n] = a0
         block = c[n:].reshape(self.cutoff, 2, n)  # per mode: cos row then sin row
@@ -107,7 +110,7 @@ class SpectralFrame:
 
     def series(self, coefficients):
         """Inverse layout map: (D,) -> trig series (a0, a, b)."""
-        n = self.loop.manifold.dim
+        n = self.n
         J = self.cutoff
         c = np.asarray(coefficients, dtype=float)
         block = c[n:].reshape(J, 2 * n)
@@ -121,7 +124,7 @@ class SpectralFrame:
 
     def basis_samples(self, m=None):
         """All D eigenfields sampled: array (D, m, n)."""
-        n = self.loop.manifold.dim
+        n = self.n
         J = self.cutoff
         m = fourier.default_samples(J) if m is None else m
         t = fourier.grid(m)
@@ -139,18 +142,8 @@ class SpectralFrame:
     def sup_norms(self):
         """Sup norm of each eigenfield: 1 for kernel fields, sqrt(2) above."""
         out = np.full(self.dim, SQ2)
-        out[: self.loop.manifold.dim] = 1.0
+        out[: self.n] = 1.0
         return out
-
-    def to_json(self):
-        return {
-            "cutoff": self.cutoff,
-            "dim": self.dim,
-            "kernel_dim": self.kernel_dim,
-            "method": self.method,
-            "eigenvalues": [float(x) for x in self.eigenvalues],
-            "loop": self.loop.to_json(),
-        }
 
 
 @dataclass(frozen=True)
@@ -174,9 +167,6 @@ class FiberField:
     def samples(self, m=None):
         return self.frame.samples(self.coefficients, m=m)
 
-    def tangent_field(self, m=None):
-        return TangentFieldSamples(loop=self.frame.loop, samples=self.samples(m=m))
-
     def __add__(self, other):
         _check_aligned(self.frame, other.frame)
         return FiberField(self.frame, self.coefficients + other.coefficients)
@@ -197,7 +187,7 @@ class FiberField:
 def _check_aligned(fa, fb):
     if fa is fb:
         return
-    if fa.cutoff != fb.cutoff or fa.loop.content_key() != fb.loop.content_key():
+    if (fa.n, fa.cutoff, fa.method) != (fb.n, fb.cutoff, fb.method):
         raise ValueError("fields live in different frames")
 
 
@@ -235,16 +225,13 @@ def dense_mode_eigenvalues(J):
     return per_mode
 
 
-def eigendecompose(loop, cutoff, method="analytic"):
-    """Spectral frame of 1 + nabla* nabla along the loop, modes 0..J.
+def eigendecompose(n, cutoff, method="analytic"):
+    """Spectral frame of 1 + nabla* nabla on n-dimensional fields, modes 0..J.
 
     method "analytic" uses the flat-model shortcut; "dense" recomputes
     the spectrum by collocation eigensolve and cross-checks it against
     the shortcut before building the frame.
     """
-    n = loop.manifold.dim
-    if cutoff < loop.modes:
-        raise ValueError(f"frame cutoff {cutoff} below loop mode content {loop.modes}")
     if method == "analytic":
         lam = _flat_eigenvalues(n, cutoff)
     elif method == "dense":
@@ -256,20 +243,22 @@ def eigendecompose(loop, cutoff, method="analytic"):
         lam = _flat_eigenvalues(n, cutoff, per_mode=per_mode)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return SpectralFrame(loop=loop, cutoff=cutoff, eigenvalues=lam, method=method)
+    return SpectralFrame(n=n, cutoff=cutoff, eigenvalues=lam, method=method)
 
 
 _FRAME_CACHE = {}
-_EMB_CACHE = {}
 _CACHE_LOCK = threading.Lock()
 
 
 def frame_of(loop, cutoff, method="analytic"):
-    """Cached frame lookup (concurrent reads, exclusive insertion)."""
-    key = (loop.content_key(), cutoff, method)
+    """The frame for fields along the loop, shared by every loop of its
+    dimension (concurrent reads, exclusive insertion)."""
+    if cutoff < loop.modes:
+        raise ValueError(f"frame cutoff {cutoff} below loop mode content {loop.modes}")
+    key = (loop.manifold.dim, cutoff, method)
     frame = _FRAME_CACHE.get(key)
     if frame is None:
-        frame = eigendecompose(loop, cutoff, method=method)
+        frame = eigendecompose(loop.manifold.dim, cutoff, method=method)
         with _CACHE_LOCK:
             frame = _FRAME_CACHE.setdefault(key, frame)
     return frame
@@ -365,17 +354,6 @@ def embedded_metric(loop, cutoff):
     return EmbeddedMetric(loop=loop, cutoff=J, mu=mu, vectors=vecs)
 
 
-def embedded_metric_of(loop, cutoff):
-    """Cached embedded-metric lookup, same discipline as frame_of."""
-    key = (loop.content_key(), cutoff)
-    op = _EMB_CACHE.get(key)
-    if op is None:
-        op = embedded_metric(loop, cutoff)
-        with _CACHE_LOCK:
-            op = _EMB_CACHE.setdefault(key, op)
-    return op
-
-
 def inner_r_emb(loop, r, xi, zeta, cutoff=None):
     """The ambient r-inner-product of two fields along the loop.
 
@@ -393,7 +371,7 @@ def inner_r_emb(loop, r, xi, zeta, cutoff=None):
         zs = zs[:, None]
     if cutoff is None:
         cutoff = max((min(xs.shape[0], zs.shape[0]) - 1) // 2, loop.modes, 1)
-    op = embedded_metric_of(loop, cutoff)
+    op = embedded_metric(loop, cutoff)
     cx = _series_matrix(xs, cutoff)
     cz = _series_matrix(zs, cutoff)
     return float(np.sum(cx * op.apply_power(r, cz)))
@@ -415,7 +393,7 @@ def fit_spectrum_bounds(frame):
     On the flat models the curvature correction vanishes, so d = 0 and
     c, C are the extreme ratios lambda_j / j^2 over the nonzero modes.
     """
-    n = frame.loop.manifold.dim
+    n = frame.n
     J = frame.cutoff
     if J == 0:
         return 4.0 * np.pi ** 2, 4.0 * np.pi ** 2, 0.0

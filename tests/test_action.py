@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 import oracles
-from loopflow.action import (action, classify_critical, directional_derivative_check,
+from loopflow.action import (PhasePoint, action, classify_critical, directional_derivative_check,
                              gradient, gradient_norm, hamilton_residual, loop_energy,
                              metric_pairing, pack_coefficients, perturb,
                              random_direction, random_phase_point, rescale_period,
                              straight_orbit, unpack_coefficients)
-from loopflow.geometry import flat_torus, straight_loop
+from loopflow.geometry import flat_torus, random_loop, straight_loop
 from loopflow.hamiltonian import integrate_hamiltonian, radial_H
-from loopflow.spectral import FiberField, frame_of
+from loopflow.spectral import FiberField, eigendecompose, frame_of
 
 
 def kinetic_orbit(spec, winding=(1, 0)):
@@ -152,6 +152,16 @@ def test_rescale_period_lands_on_hypersurface(spec):
     assert cls.kind == "on-hypersurface"
     np.testing.assert_allclose(cls.sigma, 0.0, atol=1e-9)
     np.testing.assert_allclose(action(x, new_spec), 0.3 - 0.064 * 0.5, atol=1e-10)
+
+
+def test_phase_point_rejects_frames_that_do_not_fit_the_loop(rng):
+    loop = random_loop(flat_torus(2), (1, 0), 4, rng)
+    for frame in (eigendecompose(3, 4), eigendecompose(2, 3)):
+        with pytest.raises(ValueError):
+            PhasePoint(loop=loop, fiber=FiberField(frame, np.zeros(frame.dim)), s=0.75)
+    frame = eigendecompose(2, 6)
+    x = PhasePoint(loop=loop, fiber=FiberField(frame, np.zeros(frame.dim)), s=0.75)
+    assert x.frame is frame
 
 
 def test_rescale_period_rejections(spec):

@@ -1,0 +1,29 @@
+"""The traced benchmark wraps loopflow callables by name.
+
+bench/tracer.py is read here, never installed or edited: every callable
+it lists must still resolve to a loopflow function or class method, and
+the frame cache it sizes must still be a dict, or `bench/run.py --trace 1`
+fails at install.
+"""
+
+import importlib
+from pathlib import Path
+
+from loopflow import spectral
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def test_tracer_layers_resolve_in_loopflow():
+    namespace = {"__name__": "bench_tracer"}
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), namespace)
+    for layer, names in namespace["LAYERS"].items():
+        home = importlib.import_module(f"loopflow.{layer}")
+        for name in names:
+            if "." in name:
+                cls_name, meth = name.split(".")
+                target = vars(getattr(home, cls_name)).get(meth)
+            else:
+                target = getattr(home, name, None)
+            assert callable(target), f"loopflow.{layer}.{name} no longer resolves"
+    assert isinstance(spectral._FRAME_CACHE, dict)

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,20 @@ def test_orbit_sweep_bad_range_exits_2(tmp_path, capsys):
                 "--r-count", "2", "--out", str(out)])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_oversized_modes_exit_2_before_any_allocation(tmp_path, capsys):
+    # one J = 100000 frame would already hold 3.2 MB of eigenvalues
+    tracemalloc.start()
+    try:
+        code = run(["orbit-sweep", "--modes", "100000"] + out_args(tmp_path, "big"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1_000_000
+    assert not (tmp_path / "big").exists()
+    assert "512" in capsys.readouterr().err
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

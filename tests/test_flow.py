@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import math
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 
 import oracles
-from loopflow.action import PhasePoint, action, gradient_norm, straight_orbit
+from loopflow import spectral
+from loopflow.action import (PhasePoint, action, gradient_norm, random_phase_point,
+                             straight_orbit)
 from loopflow.flow import (FlowConfig, config_to_json, deformation_report,
                            divergent_fixture, flow, flow_step, flow_to_critical,
                            kolmogorov_width_proxy, ps_diagnostics,
@@ -77,6 +80,38 @@ def test_flow_horizon_guard(spec, config):
     x = straight_orbit(flat_torus(2), (1, 0), spec)
     with pytest.raises(ValueError):
         flow(x, spec, config, config.t_max + 1.0)
+
+
+def with_nan_fiber(x):
+    c = x.fiber.coefficients.copy()
+    c[3] = np.nan
+    return PhasePoint(loop=x.loop, fiber=FiberField(x.frame, c), s=x.s)
+
+
+def test_flow_rejects_non_finite_start(small_spec, small_config, rng):
+    x = random_phase_point(small_spec, rng)
+    with pytest.raises(ValueError, match="flow start state has non-finite fiber"):
+        flow(with_nan_fiber(x), small_spec, small_config, small_config.dt)
+
+
+def test_flow_to_critical_rejects_non_finite_start(small_spec, small_config, rng):
+    x = random_phase_point(small_spec, rng)
+    cos = x.loop.cos_coeffs.copy()
+    cos[0, 1] = np.inf
+    bad = PhasePoint(loop=dataclasses.replace(x.loop, cos_coeffs=cos), fiber=x.fiber, s=x.s)
+    with pytest.raises(ValueError, match="flow_to_critical start state has non-finite loop"):
+        flow_to_critical(bad, small_spec, small_config)
+    with pytest.raises(ValueError, match="non-finite fiber"):
+        flow_to_critical(with_nan_fiber(x), small_spec, small_config)
+
+
+def test_flow_states_share_one_frame(small_spec, small_config, rng):
+    x = random_phase_point(small_spec, rng)
+    entries = len(spectral._FRAME_CACHE)
+    traj = flow(x, small_spec, small_config, 10 * small_config.dt)
+    assert len(traj.states) >= 11
+    assert len(spectral._FRAME_CACHE) == entries
+    assert all(xk.frame is x.frame for xk in traj.states)
 
 
 def test_stationary_point_stays(spec, config):

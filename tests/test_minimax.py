@@ -51,6 +51,17 @@ def test_fiber_sup_below_crossover_prefers_fake_branch(config):
     np.testing.assert_allclose(best.action, oracles.fake_value(0.25), atol=1e-6)
 
 
+def test_fiber_sup_rejects_non_finite_loop_and_seed(small_spec, small_config):
+    x = straight_orbit(flat_torus(2), (1, 0), small_spec)
+    bad = x.fiber.coefficients.copy()
+    bad[0] = np.nan
+    with pytest.raises(ValueError, match="fiber_sup seed 1 has non-finite fiber"):
+        fiber_sup(x.loop, small_spec, small_config, seeds=[x.fiber.coefficients, bad])
+    loop = straight_loop(flat_torus(2), (1, 0), base=(np.nan, 0.0))
+    with pytest.raises(ValueError, match="fiber_sup loop has non-finite loop"):
+        fiber_sup(loop, small_spec, small_config)
+
+
 def test_fiber_sup_local_seed_stays_in_quadratic_zone(spec, config):
     x = straight_orbit(flat_torus(2), (1, 0), spec)
     res = fiber_sup(x.loop, spec, config, seeds=[x.fiber.coefficients])

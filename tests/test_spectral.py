@@ -26,9 +26,8 @@ def test_analytic_spectrum_against_dense_collocation():
     J = 8
     per_mode = dense_mode_eigenvalues(J)
     np.testing.assert_allclose(per_mode, laplacian_eigenvalues(J), rtol=1e-10, atol=1e-8)
-    loop = straight_loop(flat_torus(2), (1, 0))
-    dense = eigendecompose(loop, J, method="dense")
-    analytic = eigendecompose(loop, J, method="analytic")
+    dense = eigendecompose(2, J, method="dense")
+    analytic = eigendecompose(2, J, method="analytic")
     np.testing.assert_allclose(dense.eigenvalues, analytic.eigenvalues, rtol=1e-10, atol=1e-8)
 
 
@@ -102,21 +101,40 @@ def test_adjoint_inclusion_identity(rng):
 
 
 def test_field_algebra_rejects_mismatched_frames(rng):
+    # fields over different loops share a frame and combine; fields of
+    # another cutoff or another dimension do not
     J = 3
-    fa = frame_of(straight_loop(flat_torus(2), (1, 0)), J)
-    fb = frame_of(straight_loop(flat_torus(2), (0, 1)), J)
     from loopflow.spectral import FiberField
-    va = FiberField(fa, rng.standard_normal(fa.dim))
-    vb = FiberField(fb, rng.standard_normal(fb.dim))
-    with pytest.raises(ValueError):
-        _ = va + vb
+
+    def field(n, winding, cutoff):
+        frame = frame_of(straight_loop(flat_torus(n), winding), cutoff)
+        return FiberField(frame, rng.standard_normal(frame.dim))
+
+    va = field(2, (1, 0), J)
+    vb = field(2, (0, 1), J)
+    np.testing.assert_array_equal((va + vb).coefficients, va.coefficients + vb.coefficients)
+    for other in (field(2, (1, 0), J + 1), field(3, (1, 0, 0), J)):
+        with pytest.raises(ValueError):
+            _ = va + other
+        with pytest.raises(ValueError):
+            _ = va - other
 
 
-def test_frame_cache_by_content():
+def test_frame_cache_by_dimension_cutoff_method(rng):
     J = 4
     a = frame_of(straight_loop(flat_torus(2), (1, 0)), J)
-    b = frame_of(straight_loop(flat_torus(2), (1, 0)), J)
+    b = frame_of(random_loop(flat_torus(2), (1, -1), J, rng), J)
     assert a is b
+    assert (a.n, a.cutoff, a.method) == (2, J, "analytic")
+    assert frame_of(straight_loop(flat_torus(3), (1, 0, 0)), J) is not a
+    assert frame_of(straight_loop(flat_torus(2), (1, 0)), J, method="dense") is not a
+
+
+def test_frame_of_rejects_cutoff_below_loop_modes(rng):
+    loop = random_loop(flat_torus(2), (1, 0), 5, rng)
+    with pytest.raises(ValueError):
+        frame_of(loop, 4)
+    assert frame_of(loop, 5).cutoff == 5
 
 
 def test_embedded_form_on_circle_modes():
