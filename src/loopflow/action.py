@@ -21,7 +21,9 @@ The action and both gradient parts come from one evaluation
 read off the loop's velocity series, with no sampling; the fiber is
 synthesized once; one radial_H_jet pass gives H and dH/drho; and the
 dH/dp samples are analyzed once.  action, gradient and
-hamilton_residual are thin callers of it.
+hamilton_residual are thin callers of it.  The same evaluation takes a
+batch of fibers over one loop, as the fiber ascent does, with every row
+equal bit for bit to that fiber evaluated alone.
 """
 
 from dataclasses import dataclass
@@ -87,17 +89,19 @@ def loop_energy(loop):
 
 
 def derivative_coefficients(frame, c):
-    """Frame coefficients of the t-derivative of the field with coefficients c."""
+    """Frame coefficients of the t-derivative of the field with
+    coefficients c, of shape (D,) or (S, D)."""
     n = frame.n
     J = frame.cutoff
     out = np.zeros_like(c)
     if J == 0:
         return out
-    block = c[n:].reshape(J, 2, n)
+    shape = c.shape[:-1] + (J, 2, n)
+    block = c[..., n:].reshape(shape)
     w = 2.0 * np.pi * np.arange(1, J + 1)[:, None]
-    oblock = out[n:].reshape(J, 2, n)
-    oblock[:, 0, :] = w * block[:, 1, :]
-    oblock[:, 1, :] = -w * block[:, 0, :]
+    oblock = out[..., n:].reshape(shape)
+    oblock[..., 0, :] = w * block[..., 1, :]
+    oblock[..., 1, :] = -w * block[..., 0, :]
     return out
 
 
@@ -116,13 +120,19 @@ def fiber_evaluation(frame, qd, c, spec):
     qd holds the frame coefficients of the loop velocity.  One
     synthesis of the fiber, one radial_H_jet pass and one analysis of
     dH/dp; returns (action, qd - coefficients of dH/dp, dH/dp samples).
+    c may be one state (D,) or a batch (S, D) over the same loop; a batch
+    gives (S,) actions, (S, D) gradients and (S, m, n) samples, each row
+    bit-identical to the call on that row alone.
     """
     p_samp = frame.samples(c)
-    rho = np.sqrt((p_samp * p_samp).sum(axis=1))
-    h0, h1, _ = radial_H_jet(spec, rho)
+    rho = np.sqrt((p_samp * p_samp).sum(axis=-1))
+    h0, h1 = radial_H_jet(spec, rho, order=1)
     scale = np.divide(h1, rho, out=np.zeros_like(rho), where=rho > 0.0)
-    dpH = scale[:, None] * p_samp
-    return float(qd @ c) - float(h0.sum() / h0.size), qd - frame.coefficients(dpH), dpH
+    dpH = scale[..., None] * p_samp
+    # vecdot runs the BLAS dot of qd @ c on each row, so a batch row
+    # equals the single call bit for bit
+    a = np.vecdot(c, qd) - h0.sum(axis=-1) / rho.shape[-1]
+    return (float(a) if a.ndim == 0 else a), qd - frame.coefficients(dpH), dpH
 
 
 def evaluate(x, spec):

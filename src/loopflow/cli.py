@@ -23,8 +23,8 @@ from .geometry import LoopPath, embedded_circle, flat_torus, straight_loop
 from .hamiltonian import HamiltonianSpec, alpha_bound, r0_threshold
 from .manifest import VERSION, RunManifest, write_csv, write_json, write_manifest
 from .minimax import orbit_sweep
-from .spectral import (fit_spectrum_bounds, frame_of, inner_r_emb, norm_r,
-                       project, spectra_rows)
+from .spectral import (embedded_metric, fit_spectrum_bounds, frame_of, norm_r, project,
+                       spectra_rows)
 
 GRAD_CHECK_TOL = 1e-5
 
@@ -180,9 +180,10 @@ def cmd_metrics_compare(args):
         frame = frame_of(loop, spec.J)
         ones = np.ones((m, 1))
         field = project(frame, ones)
+        ambient = embedded_metric(loop, spec.J)
         for r in args.r_list:
             covariant = norm_r(frame, r, field)
-            form = inner_r_emb(loop, r, ones, ones, cutoff=spec.J)
+            form = ambient.inner(r, ones, ones)
             rows.append((n, float(r), covariant, math.sqrt(form), form / covariant ** 2))
     config_payload = {"spec": spec.to_json(), "flow": config.to_json(),
                       "n_max": args.n_max, "r_list": [float(r) for r in args.r_list]}

@@ -28,25 +28,30 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# largest mode cutoff J: fiber_sup's dense (D, m, n) eigenfield basis
-# reaches about 67 MB here and grows as J^2
+# largest mode cutoff J: the dense (D, m, n) eigenfield basis that a
+# frame keeps once the Newton endgame or the exact least-squares
+# Jacobian first reads it (SpectralFrame.basis) reaches about 67 MB here
+# and grows as J^2
 MAX_MODES = 512
 
 
-def smoothstep(u):
-    """Quintic smoothstep and its first three derivatives, clamped.
+def smoothstep(u, order=3):
+    """Quintic smoothstep and its derivatives up to order (at most 3), clamped.
 
     s = 6u^5 - 15u^4 + 10u^3 on [0,1], constant outside; s', s'' vanish
-    at both ends (C^2 joins), s''' does not.
+    at both ends (C^2 joins), s''' does not.  Returns order + 1 arrays.
     """
     u = np.asarray(u, dtype=float)
     uc = np.minimum(np.maximum(u, 0.0), 1.0)
     inside = (u > 0.0) & (u < 1.0)
-    s = uc ** 3 * (10.0 + uc * (-15.0 + 6.0 * uc))
-    s1 = np.where(inside, 30.0 * uc ** 2 * (uc - 1.0) ** 2, 0.0)
-    s2 = np.where(inside, 60.0 * uc * (2.0 * uc - 1.0) * (uc - 1.0), 0.0)
-    s3 = np.where(inside, 60.0 * (6.0 * uc ** 2 - 6.0 * uc + 1.0), 0.0)
-    return s, s1, s2, s3
+    jet = [uc ** 3 * (10.0 + uc * (-15.0 + 6.0 * uc))]
+    if order >= 1:
+        jet.append(np.where(inside, 30.0 * uc ** 2 * (uc - 1.0) ** 2, 0.0))
+    if order >= 2:
+        jet.append(np.where(inside, 60.0 * uc * (2.0 * uc - 1.0) * (uc - 1.0), 0.0))
+    if order >= 3:
+        jet.append(np.where(inside, 60.0 * (6.0 * uc ** 2 - 6.0 * uc + 1.0), 0.0))
+    return tuple(jet)
 
 
 @dataclass(frozen=True)
@@ -137,38 +142,42 @@ def phi(spec, rho, order=0):
 TIE_BAND = 1e-9  # branch boundaries get this much slack before rejecting
 
 
-def radial_H_jet(spec, rho):
-    """H_r and its first two rho-derivatives at the radii rho, one pass.
+def radial_H_jet(spec, rho, order=2):
+    """H_r and its rho-derivatives up to order (1 or 2) at the radii rho,
+    one pass.
 
     One smoothstep per populated branch (the chi band and the phi
-    tail) serves all three orders; the arithmetic is that of chi and
-    phi, so every entry equals the per-order value bit for bit.
-    Returns three arrays shaped like rho (at least 1-d).
+    tail) serves all orders; the arithmetic is that of chi and phi, so
+    every entry equals the per-order value bit for bit.  Returns
+    order + 1 arrays shaped like rho (at least 1-d); the action and its
+    gradient need order 1, the fiber Hessian order 2.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     lo = spec.rho_star * math.exp(-spec.delta)
     hi = spec.rho_star * math.exp(spec.delta)
-    h0, h1, h2 = np.zeros((3,) + rho.shape)
+    jet = np.zeros((order + 1,) + rho.shape)
     mid = (rho >= lo) & (rho <= hi)  # lo > 0, so rho > 0 here
-    if mid.any():
+    if np.count_nonzero(mid):
         rm = rho[mid]
         width = 2.0 * spec.delta
-        s, s1, s2, _ = smoothstep((np.log(rm / spec.rho_star) + spec.delta) / width)
+        s, s1, *s2 = smoothstep((np.log(rm / spec.rho_star) + spec.delta) / width, order)
         c1 = s1 / width
-        h0[mid] = spec.r * s
-        h1[mid] = spec.r * c1 / rm
-        h2[mid] = spec.r * (s2 / width ** 2 - c1) / rm ** 2
-    h0[rho > hi] = spec.r
+        jet[0][mid] = spec.r * s
+        jet[1][mid] = spec.r * c1 / rm
+        if order == 2:
+            jet[2][mid] = spec.r * (s2[0] / width ** 2 - c1) / rm ** 2
+    jet[0][rho > hi] = spec.r
     top = rho > spec.rho1
-    if top.any():
+    if np.count_nonzero(top):
         rt = rho[top]
         r1 = spec.rho1
-        s, s1, s2, _ = smoothstep((rt - r1) / r1)
-        s1, s2 = s1 / r1, s2 / r1 ** 2
-        h0[top] = spec.r + 0.5 * rt ** 2 * s
-        h1[top] = rt * s + 0.5 * rt ** 2 * s1
-        h2[top] = s + 2.0 * rt * s1 + 0.5 * rt ** 2 * s2
-    return h0, h1, h2
+        s, s1, *s2 = smoothstep((rt - r1) / r1, order)
+        s1 = s1 / r1
+        jet[0][top] = spec.r + 0.5 * rt ** 2 * s
+        jet[1][top] = rt * s + 0.5 * rt ** 2 * s1
+        if order == 2:
+            jet[2][top] = s + 2.0 * rt * s1 + 0.5 * rt ** 2 * (s2[0] / r1 ** 2)
+    return tuple(jet)
 
 
 def radial_H(spec, rho, order=0):

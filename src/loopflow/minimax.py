@@ -3,13 +3,15 @@
 theta(r) is estimated in two stages.  The inner supremum of the action
 over the truncated fiber ball {|p|_{1-s} <= gamma''} above each family
 loop is computed by projected gradient ascent from several starts
-(scaled smoothed-velocity fields plus random fields).  The outer
-infimum is monitored along the descent flow: the action is
-non-increasing on every trajectory, so the infimum over time of the
-running maximum equals the maximum of the trajectories' limiting
+(scaled smoothed-velocity fields plus random fields), all ascending
+together as one (S, D) coefficient array: each round is one batched
+fiber_evaluation, and each start keeps its own step size and stopping
+state.  The outer infimum is monitored along the descent flow: the
+action is non-increasing on every trajectory, so the infimum over time
+of the running maximum equals the maximum of the trajectories' limiting
 values, i.e. the largest critical value reached from the tracked
 maximizers.  Witnesses are polished by least squares on the stacked
-gradient coefficients before classification.
+gradient coefficients, with the exact Jacobian, before classification.
 """
 
 import math
@@ -21,9 +23,9 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from . import fourier
-from .action import (PhasePoint, action, classify_critical, fiber_evaluation, gradient,
-                     gradient_norm, loop_energy, pack_coefficients, require_finite,
-                     unpack_coefficients, velocity_coefficients)
+from .action import (PhasePoint, action, classify_critical, derivative_coefficients,
+                     fiber_evaluation, gradient, gradient_norm, loop_energy, pack_coefficients,
+                     require_finite, unpack_coefficients, velocity_coefficients)
 from .flow import FlowConfig, flow_step, flow_to_critical
 from .geometry import flat_torus, straight_loop
 from .hamiltonian import HamiltonianSpec, alpha_bound, r0_threshold, radial_H_jet
@@ -48,25 +50,29 @@ class AscentResult:
 
 
 def _project_ball(coeffs, weights, radius):
-    # weights = (1+lam)^{1-s}: the ball of the (1-s)-norm
-    nrm = math.sqrt(float(np.sum(weights * coeffs ** 2)))
-    if nrm > radius:
-        return coeffs * (radius / nrm), True
-    return coeffs, False
+    """Scale each row of coeffs (D,) or (S, D) back into the ball of the
+    (1-s)-norm (weights = (1+lam)^{1-s}); returns (rows, clipped mask)."""
+    nrm = np.sqrt((weights * coeffs ** 2).sum(axis=-1))
+    clipped = nrm > radius
+    if np.count_nonzero(clipped):
+        # unclipped rows are multiplied by exactly 1.0
+        coeffs = coeffs * (radius / np.where(clipped, nrm, radius))[..., None]
+    return coeffs, clipped
 
 
-def fiber_hessian(frame, basis, c, spec):
+def fiber_hessian(frame, c, spec):
     """Hessian of the H term of the action in the fiber coefficients c.
 
     It is the quadrature compression sum_t basis_k(t)^T W(t) basis_l(t) / m
     of the pointwise fiber Hessian W(t) = h'' phat phat^T
     + (h'/rho)(1 - phat phat^T) of H_r; the action's fiber Hessian is
-    its negative.  basis holds the sampled eigenfields (D, m, n) of
-    frame.basis_samples.  The compression is one two-operand einsum (W
-    applied to every eigenfield) and one BLAS product of the flattened
-    (D, m n) arrays.
+    its negative.  basis holds the sampled eigenfields (D, m, n) that
+    the frame keeps (frame.basis).  The compression is one two-operand
+    einsum (W applied to every eigenfield) and one BLAS product of the
+    flattened (D, m n) arrays.
     """
     n = frame.n
+    basis = frame.basis
     dim, m, _ = basis.shape
     p = frame.samples(c, m)
     rho = np.sqrt(np.sum(p ** 2, axis=1))
@@ -77,28 +83,31 @@ def fiber_hessian(frame, basis, c, spec):
     w = (ratio[:, None, None] * np.eye(n)[None, :, :]
          + (h2 - ratio)[:, None, None] * phat[:, :, None] * phat[:, None, :])
     applied = np.einsum("tij,ltj->lti", w, basis)
-    return basis.reshape(dim, -1) @ applied.reshape(dim, -1).T / m
+    hess = basis.reshape(dim, -1) @ applied.reshape(dim, -1).T
+    hess /= m
+    return hess
 
 
-def _vertical_newton(frame, basis, evaluate_at, c, spec, precond, radius, tol, iters=12):
+def _vertical_newton(frame, evaluate_at, c, spec, precond, radius, tol, iters=12):
     """Endgame for the fiber ascent: damped Newton on the vertical
     stationarity, with the exact quadrature Hessian of the H term.
 
     The action Hessian in the L^2-orthonormal coefficients is the
     quadrature compression of the pointwise fiber Hessian of H_r
-    (fiber_hessian, built by BLAS from the sampled eigenfields), so the
-    solve has none of the mode damping that stalls first-order ascent
-    near the top.  evaluate_at(c) gives (action, vertical gradient, its
-    (1-s)-norm) at fiber coefficients c; precond = (1+lam)^{1-s} turns the
-    vertical gradient into the plain partial gradient, and candidates are
-    projected back into the (1-s)-ball of the given radius.
+    (fiber_hessian, built by BLAS from the frame's sampled eigenfields),
+    so the solve has none of the mode damping that stalls first-order
+    ascent near the top.  evaluate_at(c) gives (action, vertical
+    gradient, its (1-s)-norm) at fiber coefficients c; precond =
+    (1+lam)^{1-s} turns the vertical gradient into the plain partial
+    gradient, and candidates are projected back into the (1-s)-ball of
+    the given radius.
     """
     a, g, gn = evaluate_at(c)
     eye = np.eye(frame.dim)
     for _ in range(iters):
         if gn <= tol:
             break
-        hess = fiber_hessian(frame, basis, c, spec)
+        hess = fiber_hessian(frame, c, spec)
         u = precond * g
         improved = False
         for mu in (0.0, 1e-9, 1e-6, 1e-3, 1.0):
@@ -125,28 +134,37 @@ def fiber_sup(loop, spec, config, rng=None, starts=8, iters=ASCENT_ITERS, tol=AS
     covering the zero branch, the thickening band, and the fake-geodesic
     annulus, topped up with random fields; pass explicit coefficient
     arrays to ascend locally instead.  Returns results sorted by action,
-    best first.  The loop never moves here, so its velocity coefficients
-    and the metric weights are computed once and every line-search try
-    is one fiber_evaluation.
+    best first.
+
+    All seeds ascend together as one (S, D) array.  The loop never
+    moves here, so its velocity coefficients and the metric weights are
+    computed once, and each round is one batched fiber_evaluation: one
+    line-search try for every seed still ascending.  Each seed keeps its
+    own step size, step count and halving count, so it sees exactly the
+    evaluations it would see alone.  A seed stops when its gradient norm
+    reaches tol, after iters accepted steps, or after 40 halvings of one
+    step; a stopped seed that is not converged but has a gradient norm
+    below 1e-2 then gets the Newton endgame.
     """
     require_finite("fiber_sup loop", loop)
     rng = np.random.default_rng(0) if rng is None else rng
     frame = frame_of(loop, spec.J)
     lam = frame.eigenvalues
-    m = fourier.default_samples(spec.J)
     qd = velocity_coefficients(loop, frame)
     to_vertical = (1.0 + lam) ** (spec.s - 1.0)
     # step along the plain partial gradient (1+lam)^{1-s} g: the fiber
     # Hessian is O(1)-conditioned in these coordinates, while the raw
     # (1-s)-representative damps high modes and stalls the ascent
     precond = (1.0 + lam) ** (1.0 - spec.s)
+    radius = config.gamma_dprime
 
     def evaluate_at(c):
         a, dv, _ = fiber_evaluation(frame, qd, c, spec)
         g = to_vertical * dv
-        return a, g, math.sqrt(float(np.sum(precond * g ** 2)))
+        return a, g, np.sqrt((precond * g ** 2).sum(axis=-1))
 
     if seeds is None:
+        m = fourier.default_samples(spec.J)
         smooth = to_vertical * qd
         speed = max(math.sqrt(float(np.max(np.sum(loop.velocity_samples(m) ** 2, axis=1)))), 1e-12)
         lo = spec.rho_star * math.exp(-spec.thickening_halfwidth)
@@ -158,36 +176,66 @@ def fiber_sup(loop, spec, config, rng=None, starts=8, iters=ASCENT_ITERS, tol=AS
     else:
         for i, c0 in enumerate(seeds):
             require_finite(f"fiber_sup seed {i}", fiber=c0)
-    basis = frame.basis_samples(m)
+        if not len(seeds):
+            return []
+    c, _ = _project_ball(np.array(seeds, dtype=float).reshape(len(seeds), frame.dim), precond,
+                         radius)
+    a, g, gn = evaluate_at(c)
+    final_c, final_a, final_gn = np.empty_like(c), np.empty_like(a), np.empty_like(gn)
+    live = np.arange(len(c))                 # seed index of each ascending row
+    eta = np.full(len(c), 0.5)
+    rejected = np.zeros(len(c), dtype=int)   # rejected tries so far
+    halvings = np.zeros(len(c), dtype=int)   # rejected tries of the current step
+    done = (gn <= tol) | (iters <= 0)
+    rounds = 0
+    # every live seed makes one try per round, so its accepted steps are
+    # rounds - rejected; the all-accepted and all-rejected rounds skip the
+    # row selection, which keeps one seed (composite_descent) as cheap as
+    # a scalar loop
+    while True:
+        if np.count_nonzero(done):
+            stopped = live[done]
+            final_c[stopped], final_a[stopped], final_gn[stopped] = c[done], a[done], gn[done]
+            keep = ~done
+            live, c, a, g, gn, eta, rejected, halvings = (
+                arr[keep] for arr in (live, c, a, g, gn, eta, rejected, halvings))
+            if not live.size:
+                break
+        rounds += 1
+        cand, clipped = _project_ball(c + (eta[:, None] * precond) * g, precond, radius)
+        a_new, g_new, gn_new = evaluate_at(cand)
+        accepted = a_new >= a - 1e-14
+        n_accepted = np.count_nonzero(accepted)
+        if n_accepted:
+            grown = np.minimum(eta * 1.3, 2.0)
+            if np.count_nonzero(clipped):
+                grown = np.where(clipped, eta, grown)
+        if n_accepted == len(live):
+            c, a, g, gn, eta = cand, a_new, g_new, gn_new, grown
+            halvings[:] = 0
+            done = gn <= tol
+        elif n_accepted == 0:
+            eta *= 0.5
+            rejected += 1
+            halvings += 1
+            done = halvings >= 40
+        else:
+            c = np.where(accepted[:, None], cand, c)
+            g = np.where(accepted[:, None], g_new, g)
+            a = np.where(accepted, a_new, a)
+            gn = np.where(accepted, gn_new, gn)
+            eta = np.where(accepted, grown, eta * 0.5)
+            rejected += ~accepted
+            halvings = np.where(accepted, 0, halvings + 1)
+            done = (gn <= tol) | (halvings >= 40)
+        if rounds >= iters:
+            done |= rounds - rejected >= iters
     results = []
-    for c0 in seeds:
-        c, _ = _project_ball(np.asarray(c0, dtype=float), precond, config.gamma_dprime)
-        a, g, gn = evaluate_at(c)
-        eta = 0.5
-        converged = False
-        for _ in range(iters):
-            if gn <= tol:
-                converged = True
-                break
-            accepted = False
-            for _ in range(40):
-                cand, clipped = _project_ball(c + eta * precond * g, precond, config.gamma_dprime)
-                a_new, g_new, gn_new = evaluate_at(cand)
-                if a_new >= a - 1e-14:
-                    c, a, g, gn = cand, a_new, g_new, gn_new
-                    accepted = True
-                    if not clipped:
-                        eta = min(eta * 1.3, 2.0)
-                    break
-                eta *= 0.5
-            if not accepted:
-                break
-        if not converged and gn <= 1e-2:
-            c, a, gn = _vertical_newton(frame, basis, evaluate_at, c, spec, precond,
-                                        config.gamma_dprime, tol)
-            converged = gn <= tol
-        results.append(AscentResult(field=FiberField(frame=frame, coefficients=c),
-                                    action=a, converged=converged, grad_norm=gn))
+    for c, a, gn in zip(final_c, final_a, final_gn):
+        if tol < gn <= 1e-2:
+            c, a, gn = _vertical_newton(frame, evaluate_at, c, spec, precond, radius, tol)
+        results.append(AscentResult(field=FiberField(frame=frame, coefficients=c), action=float(a),
+                                    converged=bool(gn <= tol), grad_norm=float(gn)))
     results.sort(key=lambda res: res.action, reverse=True)
     return results
 
@@ -228,13 +276,45 @@ def _gradient_residual(x, spec):
 
 def refine_critical(x, spec, max_nfev=4000):
     """Polish a near-critical state by least squares on the stacked
-    metric-weighted gradient coefficients."""
+    metric-weighted gradient coefficients, with the exact Jacobian.
+
+    The unknowns are the packed loop cos/sin coefficients and the fiber
+    coefficients c (pack_coefficients); the residual is
+    [(1+lam)^{s/2} grad_h, (1+lam)^{(1-s)/2} grad_v].  Its Jacobian has
+    four blocks (least squares with exact Jacobians as in Nocedal &
+    Wright, ch. 10).  The horizontal residual -(1+lam)^{-s/2} (dp/dt
+    coefficients) is linear in c and does not see the loop.  The
+    vertical residual (1+lam)^{(s-1)/2} (qd - dH/dp coefficients) is
+    linear in the loop through its velocity coefficients qd, and its
+    c-block is -(1+lam)^{(s-1)/2} fiber_hessian, the only block that
+    changes from point to point.
+    """
     template = x
+    frame = x.frame
+    n, J, dim = frame.n, frame.cutoff, frame.dim
+    k = 2 * J * n  # packed loop coordinates: cos then sin, each (J, n)
+    lam = frame.eigenvalues
+    vertical = (1.0 + lam) ** (0.5 * (x.s - 1.0))
 
     def fun(vec):
         return _gradient_residual(unpack_coefficients(template, vec), spec)
 
-    sol = least_squares(fun, pack_coefficients(x), method="trf",
+    def jac(vec):
+        # the constant blocks are rebuilt on each call rather than kept:
+        # held, they would add to the peak memory of the factorization
+        out = np.zeros((2 * dim, k + dim))
+        out[:dim, k:] = derivative_coefficients(frame, np.eye(dim)).T
+        out[:dim, k:] *= -((1.0 + lam) ** (-0.5 * x.s))[:, None]
+        unit = np.eye(k).reshape(k, 2, J, n)
+        out[dim:, :k] = frame.layout(
+            *fourier.differentiate(np.zeros((k, n)), unit[:, 0], unit[:, 1])).T
+        out[dim:, :k] *= vertical[:, None]
+        hess = fiber_hessian(frame, vec[k:], spec)
+        hess *= -vertical[:, None]
+        out[dim:, k:] = hess
+        return out
+
+    sol = least_squares(fun, pack_coefficients(x), jac=jac, method="trf",
                         xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=max_nfev)
     refined = unpack_coefficients(template, sol.x)
     return refined if gradient_norm(refined, spec) <= gradient_norm(x, spec) else x

@@ -36,6 +36,7 @@ power, so the order relation against the covariant family holds at the
 matrix level for every loop and every r in [0,1].
 """
 
+import functools
 import threading
 from dataclasses import dataclass
 
@@ -62,6 +63,13 @@ def _flat_eigenvalues(n, J, per_mode=None):
     return lam
 
 
+def _field_samples(field):
+    # (m, n) samples of a TangentFieldSamples or an (m,) / (m, n) array;
+    # a batch (S, m, n) passes through
+    arr = field.samples if isinstance(field, TangentFieldSamples) else np.asarray(field, dtype=float)
+    return arr[:, None] if arr.ndim == 1 else arr
+
+
 @dataclass(frozen=True)
 class SpectralFrame:
     """Eigendata of 1 + nabla* nabla on n-dimensional fields, canonically ordered."""
@@ -86,38 +94,39 @@ class SpectralFrame:
         return int(np.count_nonzero(self.eigenvalues == 0.0))
 
     def coefficients(self, samples):
-        """L^2-orthonormal frame coefficients of sampled field data, (D,)."""
-        arr = samples.samples if isinstance(samples, TangentFieldSamples) else np.asarray(samples, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        return self.layout(*fourier.analyze(arr, self.cutoff))
+        """L^2-orthonormal frame coefficients of sampled field data: (D,)
+        from (m,) or (m, n) samples, (S, D) from a batch (S, m, n)."""
+        return self.layout(*fourier.analyze(_field_samples(samples), self.cutoff))
 
     def layout(self, a0, a, b):
-        """Frame coefficients (D,) of the trig series (a0, a, b).
+        """Frame coefficients (..., D) of the trig series (a0, a, b).
 
         The inverse of series; a and b may hold fewer than J modes, the
-        missing ones being zero.
+        missing ones being zero, and all three may carry a leading batch
+        axis.
         """
         n = self.n
-        c = np.zeros(self.dim)
-        c[:n] = a0
-        block = c[n:].reshape(self.cutoff, 2, n)  # per mode: cos row then sin row
-        k = len(a)
-        block[:k, 0] = a
-        block[:k, 1] = b
-        block[:k] /= SQ2
+        lead = np.shape(a0)[:-1]
+        c = np.zeros(lead + (self.dim,))
+        c[..., :n] = a0
+        block = c[..., n:].reshape(lead + (self.cutoff, 2, n))  # per mode: cos row then sin row
+        k = np.shape(a)[-2]
+        block[..., :k, 0, :] = a
+        block[..., :k, 1, :] = b
+        block[..., :k, :, :] /= SQ2
         return c
 
     def series(self, coefficients):
-        """Inverse layout map: (D,) -> trig series (a0, a, b)."""
+        """Inverse layout map: (..., D) -> trig series (a0, a, b)."""
         n = self.n
         J = self.cutoff
         c = np.asarray(coefficients, dtype=float)
-        block = c[n:].reshape(J, 2 * n)
-        return c[:n].copy(), block[:, :n] * SQ2, block[:, n:] * SQ2
+        block = c[..., n:].reshape(c.shape[:-1] + (J, 2 * n))
+        return c[..., :n].copy(), block[..., :n] * SQ2, block[..., n:] * SQ2
 
     def samples(self, coefficients, m=None):
-        """Field samples on the uniform m-grid from frame coefficients."""
+        """Field samples (m, n) on the uniform m-grid from frame
+        coefficients (D,); (S, m, n) from a batch (S, D)."""
         m = fourier.default_samples(self.cutoff) if m is None else m
         a0, a, b = self.series(coefficients)
         return fourier.synthesize(a0, a, b, m=m)
@@ -138,6 +147,17 @@ class SpectralFrame:
                 out[n + (j - 1) * 2 * n + k, :, k] = c
                 out[n + (j - 1) * 2 * n + n + k, :, k] = s
         return out
+
+    @functools.cached_property
+    def basis(self):
+        """basis_samples() on the default grid, built on first use and
+        kept with the frame; pickling drops it."""
+        return self.basis_samples()
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("basis", None)
+        return state
 
     def sup_norms(self):
         """Sup norm of each eigenfield: 1 for kernel fields, sqrt(2) above."""
@@ -312,6 +332,15 @@ class EmbeddedMetric:
             out[:, k] = V @ (self.mu[k] ** r * (V.T @ series_matrix[:, k]))
         return out
 
+    def inner(self, r, xi, zeta):
+        """The ambient r-inner-product of two sampled fields along the
+        loop, through the r-th power of this form; r in [-1, 1]."""
+        if not -1.0 <= r <= 1.0:
+            raise ValueError("ambient metric exponent must lie in [-1, 1]")
+        cx = _series_matrix(_field_samples(xi), self.cutoff)
+        cz = _series_matrix(_field_samples(zeta), self.cutoff)
+        return float(np.sum(cx * self.apply_power(r, cz)))
+
 
 def _series_matrix(samples, J):
     # per-coordinate canonical coefficients: rows [a0; a/sqrt2; b/sqrt2]
@@ -360,21 +389,14 @@ def inner_r_emb(loop, r, xi, zeta, cutoff=None):
     Fields are pushed to the embedding, paired through the r-th power of
     the ambient first-order Sobolev form, and the result read back on
     the loop; everything happens in the compressed truncated space.
+    This builds and diagonalizes the form on every call; to pair many
+    fields or exponents along one loop, build embedded_metric once and
+    call its inner.
     """
-    if not -1.0 <= r <= 1.0:
-        raise ValueError("ambient metric exponent must lie in [-1, 1]")
-    xs = xi.samples if isinstance(xi, TangentFieldSamples) else np.asarray(xi, dtype=float)
-    zs = zeta.samples if isinstance(zeta, TangentFieldSamples) else np.asarray(zeta, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[:, None]
-    if zs.ndim == 1:
-        zs = zs[:, None]
+    xs, zs = _field_samples(xi), _field_samples(zeta)
     if cutoff is None:
         cutoff = max((min(xs.shape[0], zs.shape[0]) - 1) // 2, loop.modes, 1)
-    op = embedded_metric(loop, cutoff)
-    cx = _series_matrix(xs, cutoff)
-    cz = _series_matrix(zs, cutoff)
-    return float(np.sum(cx * op.apply_power(r, cz)))
+    return embedded_metric(loop, cutoff).inner(r, xs, zs)
 
 
 def norm_r_emb(loop, r, xi, cutoff=None):

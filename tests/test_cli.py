@@ -7,8 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from loopflow import cli
 from loopflow.cli import build_parser, main
 from loopflow.manifest import read_csv, read_manifest
+from loopflow.spectral import embedded_metric
 
 
 def run(argv):
@@ -75,6 +77,22 @@ def test_metrics_compare_ratio_column(tmp_path, capsys):
         np.testing.assert_allclose(cov, 1.0, atol=1e-10)
         np.testing.assert_allclose(ratio, (1.0 + (2.0 * math.pi * n) ** 2) ** r,
                                    rtol=1e-8)
+    capsys.readouterr()
+
+
+def test_metrics_compare_builds_one_ambient_form_per_loop(tmp_path, capsys, monkeypatch):
+    loops = []
+
+    def counting(loop, cutoff):
+        loops.append(loop)
+        return embedded_metric(loop, cutoff)
+
+    monkeypatch.setattr(cli, "embedded_metric", counting)
+    assert run(["metrics-compare", "--modes", "8", "--n-max", "3",
+                "--r-list", "0,0.5,1", "--out", str(tmp_path / "mc")]) == 0
+    _, rows, _ = read_csv(tmp_path / "mc" / "metrics_compare.csv")
+    assert len(rows) == 9
+    assert [loop.winding for loop in loops] == [(1,), (2,), (3,)]
     capsys.readouterr()
 
 

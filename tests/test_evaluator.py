@@ -5,7 +5,8 @@ formulas: the action from sampled velocity and one radial_H call per
 derivative order, the vertical gradient from the analysis of the
 sampled defect qdot - dH/dp.  The evaluator must agree with them to
 roundoff on random phase points, and its single H pass must agree with
-the per-order chi/phi formulas bit for bit.
+the per-order chi/phi formulas bit for bit.  A batch of fibers over one
+loop must give, row by row, exactly what each fiber gives alone.
 """
 
 import math
@@ -15,7 +16,8 @@ import pytest
 
 from loopflow import fourier
 from loopflow.action import (PhasePoint, action, derivative_coefficients, evaluate,
-                             gradient, hamilton_residual, velocity_coefficients)
+                             fiber_evaluation, gradient, hamilton_residual,
+                             velocity_coefficients)
 from loopflow.geometry import embedded_circle, flat_torus, random_loop
 from loopflow.hamiltonian import chi, default_spec, phi, radial_H, radial_H_jet
 from loopflow.spectral import FiberField, frame_of
@@ -91,6 +93,26 @@ def test_evaluator_matches_separate_formulas(J, model):
             grad_h, grad_v = gradient(x, spec)
             np.testing.assert_array_equal(grad_h.coefficients, gh)
             np.testing.assert_array_equal(grad_v.coefficients, gv)
+
+
+@pytest.mark.parametrize("J", [1, 8, 32])
+@pytest.mark.parametrize("model", range(len(MODELS)))
+def test_batched_rows_equal_single_evaluations(J, model):
+    spec = default_spec(J=J)
+    manifold, winding = MODELS[model]
+    rng = np.random.default_rng([J, model, 1])
+    x = random_point(spec, manifold, winding, J // 2, rng)
+    frame = x.frame
+    qd = velocity_coefficients(x.loop, frame)
+    # scalings reach the zero branch, the band, the plateau and the tail
+    batch = np.array([k * x.fiber.coefficients for k in (0.0, 0.3, 1.0, 1.5, 4.0)])
+    a, dv, dpH = fiber_evaluation(frame, qd, batch, spec)
+    assert a.shape == (5,) and dv.shape == batch.shape
+    for k, c in enumerate(batch):
+        a_k, dv_k, dpH_k = fiber_evaluation(frame, qd, c, spec)
+        assert isinstance(a_k, float) and a[k] == a_k
+        np.testing.assert_array_equal(dv[k], dv_k)
+        np.testing.assert_array_equal(dpH[k], dpH_k)
 
 
 def test_velocity_coefficients_are_the_analyzed_samples(rng):

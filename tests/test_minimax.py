@@ -1,17 +1,114 @@
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
+from scipy.optimize._numdiff import approx_derivative
 
 import oracles
-from loopflow.action import PhasePoint, action, gradient_norm, perturb, straight_orbit
+from loopflow import minimax
+from loopflow.action import (PhasePoint, action, gradient_norm, perturb, random_phase_point,
+                             straight_orbit, velocity_coefficients)
 from loopflow.flow import FlowConfig
 from loopflow.geometry import flat_torus, straight_loop
 from loopflow.hamiltonian import default_spec, radial_H
-from loopflow.minimax import (composite_descent, default_family, fiber_hessian, fiber_sup,
-                              minimax_theta, orbit_sweep, pool_size, refine_critical,
+from loopflow.minimax import (ASCENT_TOL, composite_descent, default_family, fiber_hessian,
+                              fiber_sup, minimax_theta, orbit_sweep, pool_size, refine_critical,
                               symplectic_action)
 from loopflow.spectral import FiberField, frame_of
+
+
+def reference_ascent(frame, qd, spec, c0, radius, iters, tol):
+    # one seed at a time, as fiber_sup ascended before its seeds were
+    # batched; returns (coefficients, action, converged, grad_norm) and
+    # what the line search did: how it stopped, its rejected tries and
+    # its accepted steps that the ball clipped
+    lam = frame.eigenvalues
+    to_vertical = (1.0 + lam) ** (spec.s - 1.0)
+    precond = (1.0 + lam) ** (1.0 - spec.s)
+
+    def evaluate_at(c):
+        a, dv, _ = minimax.fiber_evaluation(frame, qd, c, spec)
+        g = to_vertical * dv
+        return a, g, math.sqrt(float(np.sum(precond * g ** 2)))
+
+    def project(c):
+        nrm = math.sqrt(float(np.sum(precond * c ** 2)))
+        return (c * (radius / nrm), True) if nrm > radius else (c, False)
+
+    c, _ = project(np.asarray(c0, dtype=float))
+    a, g, gn = evaluate_at(c)
+    eta = 0.5
+    converged = False
+    trace = {"stop": "iters cap", "rejected": 0, "clipped": 0}
+    for step in range(iters):
+        if gn <= tol:
+            converged = True
+            trace["stop"] = "converged at start" if step == 0 else "converged"
+            break
+        accepted = False
+        for _ in range(40):
+            cand, clipped = project(c + eta * precond * g)
+            a_new, g_new, gn_new = evaluate_at(cand)
+            if a_new >= a - 1e-14:
+                c, a, g, gn = cand, a_new, g_new, gn_new
+                accepted = True
+                trace["clipped"] += clipped
+                if not clipped:
+                    eta = min(eta * 1.3, 2.0)
+                break
+            eta *= 0.5
+            trace["rejected"] += 1
+        if not accepted:
+            trace["stop"] = "40 halvings"
+            break
+    if not converged and gn <= 1e-2:
+        trace["stop"] += ", Newton"
+        c, a, gn = minimax._vertical_newton(frame, evaluate_at, c, spec, precond, radius, tol)
+        converged = gn <= tol
+    return (c, a, converged, gn), trace
+
+
+MARK = 0.4375  # last fiber coefficient of the seed whose gradient is flipped
+
+
+@pytest.fixture()
+def evaluated(monkeypatch):
+    """Every fiber row that fiber_sup (or the reference) evaluates, with
+    the gradient negated on rows ending in MARK: every try of such a
+    seed loses action, so its line search halves 40 times in place."""
+    rows = []
+    evaluation = minimax.fiber_evaluation
+
+    def patched(frame, qd, c, spec):
+        rows.extend(row.tobytes() for row in np.atleast_2d(c))
+        a, dv, dpH = evaluation(frame, qd, c, spec)
+        return a, np.where((c[..., -1] == MARK)[..., None], -dv, dv), dpH
+
+    monkeypatch.setattr(minimax, "fiber_evaluation", patched)
+    return rows
+
+
+def batched_against_reference(loop, spec, config, seeds, iters, evaluated):
+    # the batched results must equal the per-seed ones bit for bit, and
+    # the batch must evaluate exactly the fibers the seeds evaluate alone
+    frame = frame_of(loop, spec.J)
+    qd = velocity_coefficients(loop, frame)
+    evaluated.clear()
+    refs = [reference_ascent(frame, qd, spec, c0, config.gamma_dprime, iters, ASCENT_TOL)
+            for c0 in seeds]
+    alone = Counter(evaluated)
+    evaluated.clear()
+    results = fiber_sup(loop, spec, config, seeds=seeds, iters=iters)
+    assert Counter(evaluated) == alone
+    ordered = sorted((out for out, _ in refs), key=lambda out: out[1], reverse=True)
+    assert len(results) == len(ordered)
+    for res, (c, a, converged, gn) in zip(results, ordered):
+        np.testing.assert_array_equal(res.field.coefficients, c)
+        assert (res.action, res.converged, res.grad_norm) == (a, converged, gn)
+    return [trace for _, trace in refs]
 
 
 def test_symplectic_action_closed_forms(spec):
@@ -76,6 +173,69 @@ def test_fiber_sup_respects_the_ball(spec, config):
     loop = straight_loop(flat_torus(2), (1, 0))
     for res in fiber_sup(loop, spec, config, starts=4, iters=60):
         assert res.field.norm_r(1.0 - spec.s) <= config.gamma_dprime + 1e-9
+
+
+def test_batched_ascent_matches_per_seed_reference(small_spec, small_config, evaluated):
+    x = straight_orbit(flat_torus(2), (1, 0), small_spec)
+    frame = x.frame
+    lam = frame.eigenvalues
+    smooth = (1.0 + lam) ** (small_spec.s - 1.0) * velocity_coefficients(x.loop, frame)
+    noise = 0.05 * np.cos(np.arange(frame.dim)) / (1.0 + lam) ** 0.5
+    radius = small_config.gamma_dprime
+    capped = np.zeros(frame.dim)
+    capped[[0, 10]] = 2.0 * radius * math.cos(0.1), 2.0 * radius * math.sin(0.1)
+    marked = 0.3 * smooth
+    marked[-1] = MARK
+    exact = x.fiber.coefficients
+    seeds = [capped, exact + 1e-7 * np.cos(np.arange(frame.dim)), marked, exact,
+             0.3 * smooth + noise, 0.6 * smooth + noise]
+    traces = batched_against_reference(x.loop, small_spec, small_config, seeds, 30, evaluated)
+    assert [trace["stop"] for trace in traces[:4]] == [
+        "iters cap, Newton", "converged", "40 halvings", "converged at start"]
+    assert all(trace["rejected"] > 0 for trace in traces[4:])
+    # one seed at a time: the all-accepted and all-rejected rounds
+    for seed in seeds:
+        batched_against_reference(x.loop, small_spec, small_config, [seed], 30, evaluated)
+    # more than 40 rejected tries in all: the halving count restarts per step
+    traces = batched_against_reference(x.loop, small_spec, small_config, seeds[4:], 200, evaluated)
+    traces += [batched_against_reference(x.loop, small_spec, small_config, [seed], 200,
+                                         evaluated)[0] for seed in seeds[4:]]
+    assert all(trace["rejected"] > 40 for trace in traces)
+
+
+def test_batched_ascent_matches_reference_on_the_ball(small_spec, small_config, evaluated):
+    # a ball just inside the maximizer p = qdot of a winding-2 loop: the
+    # ascents take free steps first and clipped ones on the sphere
+    config = replace(small_config, gamma=0.5, gamma_prime=0.9, gamma_dprime=1.98)
+    x = straight_orbit(flat_torus(2), (2, 0), small_spec)
+    frame = x.frame
+    rng = np.random.default_rng(3)
+    seeds = [k * x.fiber.coefficients
+             + 0.3 * rng.standard_normal(frame.dim) / (1.0 + frame.eigenvalues) ** 0.5
+             for k in (0.1, 0.2, 0.4)]
+    traces = batched_against_reference(x.loop, small_spec, config, seeds, 40, evaluated)
+    assert any(0 < trace["clipped"] < 40 for trace in traces)
+    for seed in seeds:
+        batched_against_reference(x.loop, small_spec, config, [seed], 40, evaluated)
+
+
+def test_refine_critical_jacobian_matches_finite_differences(monkeypatch):
+    spec = default_spec(J=8)
+    seen = {}
+
+    def spy(fun, x0, jac, **kwargs):
+        seen.update(fun=fun, x0=x0, jac=jac)
+        return least_squares(fun, x0, jac=jac, **kwargs)
+
+    monkeypatch.setattr(minimax, "least_squares", spy)
+    xg = straight_orbit(flat_torus(2), (1, 0), spec)
+    for x in (random_phase_point(spec, np.random.default_rng(8)),
+              perturb(xg, 1e-3, eta=FiberField(xg.frame, np.cos(np.arange(xg.frame.dim))))):
+        refine_critical(x, spec, max_nfev=1)
+        exact = seen["jac"](seen["x0"])
+        fd = approx_derivative(seen["fun"], seen["x0"], method="3-point")
+        assert exact.shape == fd.shape == (2 * x.frame.dim, 2 * spec.J * 2 + x.frame.dim)
+        assert np.max(np.abs(exact - fd)) <= 1e-8 * np.max(np.abs(fd))
 
 
 def test_refine_critical_never_worsens(spec, rng):
@@ -164,7 +324,7 @@ def test_fiber_hessian_matches_dense_einsum(J):
              + (radial_H(spec, rho, order=2) - ratio)[:, None, None]
              * phat[:, :, None] * phat[:, None, :])
         ref = np.einsum("kti,tij,ltj->kl", basis, w, basis) / m
-        hess = fiber_hessian(frame, basis, c, spec)
+        hess = fiber_hessian(frame, c, spec)
         assert np.max(np.abs(hess - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
