@@ -135,19 +135,21 @@ def fiber_evaluation(frame, qd, c, spec):
     return (float(a) if a.ndim == 0 else a), qd - frame.coefficients(dpH), dpH
 
 
-def evaluate(x, spec):
+def evaluate(x, spec, qd=None, c=None):
     """The discrete action at x and its metric gradient, in one evaluation.
 
     Returns (action, horizontal, vertical) with the gradient parts as
     frame coefficient arrays: horizontal = -(1+lam)^{-s} (dp/dt)
     coefficients (the s-metric representative of xi -> <xi_dot, p>),
     vertical = (1+lam)^{s-1} times the coefficients of qdot - dH/dp
-    (the (1-s)-metric representative).
+    (the (1-s)-metric representative).  qd and c, when given, replace x's
+    velocity and fiber coefficients: a state evaluated without its loop.
     """
     frame = x.frame
     lam = frame.eigenvalues
-    c = x.fiber.coefficients
-    a, dv, _ = fiber_evaluation(frame, velocity_coefficients(x.loop, frame), c, spec)
+    qd = velocity_coefficients(x.loop, frame) if qd is None else qd
+    c = x.fiber.coefficients if c is None else c
+    a, dv, _ = fiber_evaluation(frame, qd, c, spec)
     grad_h = -((1.0 + lam) ** (-x.s)) * derivative_coefficients(frame, c)
     return a, grad_h, ((1.0 + lam) ** (x.s - 1.0)) * dv
 

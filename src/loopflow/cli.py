@@ -28,6 +28,10 @@ from .spectral import (embedded_metric, fit_spectrum_bounds, frame_of, norm_r, p
 
 GRAD_CHECK_TOL = 1e-5
 
+# largest orbit-sweep grid: each point is a full minimax (seconds), and
+# the grid itself is allocated before the first one runs
+MAX_R_COUNT = 10_000
+
 SWEEP_COLUMNS = ("r", "theta", "classification", "action", "sigma",
                  "leaf_action", "grad_norm", "steps")
 
@@ -199,8 +203,12 @@ def cmd_orbit_sweep(args):
     r_max = sweep_cfg["r_max"] if args.r_max is None else args.r_max
     count = sweep_cfg["count"] if args.r_count is None else args.r_count
     winding = tuple(int(w) for w in sweep_cfg["winding"])
-    if count < 0 or (count > 0 and not 0.0 < r_min <= r_max):
-        raise ValueError("need 0 < r-min <= r-max and a nonnegative r-count")
+    if not 0 <= count <= MAX_R_COUNT:
+        raise ValueError(f"r-count must lie in [0, {MAX_R_COUNT}], got {count}")
+    if not (math.isfinite(r_min) and math.isfinite(r_max)):
+        raise ValueError(f"r-min and r-max must be finite, got {r_min!r} and {r_max!r}")
+    if count > 0 and not 0.0 < r_min <= r_max:
+        raise ValueError("need 0 < r-min <= r-max")
     grid = np.linspace(r_min, r_max, count)
     family = [straight_loop(flat_torus(len(winding)), winding)]
     records, summary = orbit_sweep(spec, grid, config, jobs=args.jobs,

@@ -8,11 +8,12 @@ a bounded field (norm <= 1): the normalization caps the speed and the
 radial cutoff freezes states whose fiber norm reaches gamma''.  Steps
 are classical RK4 with step-halving whenever a step would raise the
 action by more than the per-step tolerance; since the field is bounded,
-explicit stepping is stable at fixed dt.  One evaluation of the action
-and its gradient (action.evaluate) gives the velocity at a state
-together with its action, so the evaluation that accepts a step also
-supplies the next step's RK4 stage k1: an accepted step costs four
-evaluations (stages k2-k4 and the new state).
+explicit stepping is stable at fixed dt.  The action reads a state only
+through its velocity and fiber coefficients, so the inner RK4 stages
+are evaluated on those arrays and only the state a step returns is
+built as a PhasePoint.  The evaluation that accepts a step is the next
+step's k1: an accepted step costs four evaluations (k2-k4 and the new
+state).
 
 Along a trajectory the vertical component satisfies a linear
 inhomogeneous ODE whose homogeneous weights are hyperbolic in the
@@ -28,21 +29,22 @@ on the flat models, so no transport error enters).
 Palais-Smale diagnostics mirror the four-step bound structure used to
 rule out divergence: the vertical defect norm, the quadratic fiber
 ratio, the derivative norm, and the kernel split, with a growth flag on
-the quadratic ratio.
+the quadratic ratio, computed over the (N, D) stack of a trajectory's
+fiber coefficients.
 """
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from . import fourier
 from .action import (PhasePoint, derivative_coefficients, evaluate, perturb,
                      require_finite, velocity_coefficients)
+from .geometry import flat_torus, straight_loop
 from .hamiltonian import alpha_bound, smoothstep
-from .spectral import FiberField, adjoint_inclusion, project
+from .spectral import FiberField, frame_of
 
 DESCENT_TOL = 1e-8   # allowed per-step action increase before halving
 MAX_HALVINGS = 30
@@ -70,6 +72,9 @@ class FlowConfig:
     t_max: float
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"flow {f.name} must be finite, got {getattr(self, f.name)!r}")
         if not 0.5 < self.s < 1.0:
             raise ValueError("regularity s must lie in (1/2, 1)")
         if not 0.0 < self.gamma < self.gamma_prime < self.gamma_dprime:
@@ -121,43 +126,57 @@ def speed_cutoff(config, fiber_norm):
 
 
 class Velocity(NamedTuple):
-    """V_r at a state, with the action and gradient norm found on the way."""
+    """V_r at a state as frame coefficient arrays, with the gradient norm,
+    phi~ and the action found on the way."""
 
-    horizontal: FiberField
-    vertical: FiberField
+    horizontal: np.ndarray
+    vertical: np.ndarray
     grad_norm: float
     phi_tilde: float
     action: float
 
 
-def flow_velocity(x, spec, config):
+def _norm_r(frame, r, c):
+    """The (1+lam)^r-weighted norm of c, row by row for a stack."""
+    return np.sqrt(np.sum((1.0 + frame.eigenvalues) ** r * c ** 2, axis=-1))
+
+
+def flow_velocity(x, spec, config, qd=None, c=None):
     """V_r at x from one evaluation, as a Velocity.
 
-    phi~ = cut/sqrt(1 + |grad|^2) is the normalized speed weight whose
-    time integral drives the representation coefficients.
+    qd and c, when given, are the velocity and fiber coefficients of a
+    state in x's frame that stand in for x's own (an RK4 stage).  phi~ =
+    cut/sqrt(1 + |grad|^2) is the normalized speed weight whose time
+    integral drives the representation coefficients.
     """
-    a, gh, gv = evaluate(x, spec)
-    grad_h = FiberField(x.frame, gh)
-    grad_v = FiberField(x.frame, gv)
-    gn = math.sqrt(grad_h.norm_r(x.s) ** 2 + grad_v.norm_r(1.0 - x.s) ** 2)
-    cut = speed_cutoff(config, x.fiber.norm_r(1.0 - x.s))
-    phi_tilde = cut / math.sqrt(1.0 + gn * gn)
-    return Velocity(-phi_tilde * grad_h, -phi_tilde * grad_v, gn, phi_tilde, a)
+    a, gh, gv = evaluate(x, spec, qd, c)
+    c = x.fiber.coefficients if c is None else c
+    gn = math.sqrt(_norm_r(x.frame, x.s, gh) ** 2 + _norm_r(x.frame, 1.0 - x.s, gv) ** 2)
+    phi_tilde = speed_cutoff(config, _norm_r(x.frame, 1.0 - x.s, c)) / math.sqrt(1.0 + gn * gn)
+    return Velocity(-phi_tilde * gh, -phi_tilde * gv, gn, phi_tilde, a)
 
 
 def _rk4(x, spec, config, dt, k1):
-    """The RK4 step of size dt from x, whose velocity k1 is given."""
-    x2 = perturb(x, 0.5 * dt, xi=k1.horizontal, eta=k1.vertical)
-    k2 = flow_velocity(x2, spec, config)
-    x3 = perturb(x, 0.5 * dt, xi=k2.horizontal, eta=k2.vertical)
-    k3 = flow_velocity(x3, spec, config)
-    x4 = perturb(x, dt, xi=k3.horizontal, eta=k3.vertical)
-    k4 = flow_velocity(x4, spec, config)
-    ch = (k1.horizontal.coefficients + 2.0 * k2.horizontal.coefficients
-          + 2.0 * k3.horizontal.coefficients + k4.horizontal.coefficients) / 6.0
-    cv = (k1.vertical.coefficients + 2.0 * k2.vertical.coefficients
-          + 2.0 * k3.vertical.coefficients + k4.vertical.coefficients) / 6.0
+    """The RK4 step of size dt from x, whose velocity k1 is given.
+
+    The stages k2-k4 are evaluated at velocity coefficients
+    qd + h d/dt(k.horizontal) and fiber coefficients c + h k.vertical,
+    the coefficients of perturb(x, h, k) up to roundoff; perturb builds
+    only the state returned.
+    """
     frame = x.frame
+    qd = velocity_coefficients(x.loop, frame)
+    c = x.fiber.coefficients
+
+    def stage(h, k):
+        return flow_velocity(x, spec, config, qd + h * derivative_coefficients(frame, k.horizontal),
+                             c + h * k.vertical)
+
+    k2 = stage(0.5 * dt, k1)
+    k3 = stage(0.5 * dt, k2)
+    k4 = stage(dt, k3)
+    ch, cv = ((u1 + 2.0 * u2 + 2.0 * u3 + u4) / 6.0
+              for u1, u2, u3, u4 in zip(k1[:2], k2[:2], k3[:2], k4[:2]))
     return perturb(x, dt, xi=FiberField(frame, ch), eta=FiberField(frame, cv))
 
 
@@ -201,9 +220,17 @@ class FlowTrajectory:
         return self.states[-1]
 
 
-def _ab_from_speed(times, phi_tilde):
+def _trajectory(times, states, records, budget_exhausted=False):
+    """The FlowTrajectory of states whose records are the scalar tails
+    (grad_norm, phi~, action) of their Velocities; (a, b) come from the
+    trapezoidal integral of phi~."""
+    times = np.asarray(times)
+    grad_norms, phi_tilde, actions = np.array(records, dtype=float).reshape(-1, 3).T
     integral = np.concatenate([[0.0], np.cumsum(np.diff(times) * 0.5 * (phi_tilde[1:] + phi_tilde[:-1]))])
-    return np.column_stack([-np.sinh(integral), np.cosh(integral)])
+    return FlowTrajectory(times=times, states=states, actions=actions,
+                          gradient_norms=grad_norms, phi_tilde=phi_tilde,
+                          ab=np.column_stack([-np.sinh(integral), np.cosh(integral)]),
+                          budget_exhausted=budget_exhausted)
 
 
 def flow(x0, spec, config, T):
@@ -217,11 +244,7 @@ def flow(x0, spec, config, T):
         raise ValueError("flow horizon exceeds the configured t_max budget")
     require_finite("flow start state", x0.loop, x0.fiber.coefficients)
     k = flow_velocity(x0, spec, config)
-    times = [0.0]
-    states = [x0]
-    actions = [k.action]
-    grad_norms = [k.grad_norm]
-    speeds = [k.phi_tilde]
+    times, states, records = [0.0], [x0], [k[2:]]
     max_steps = 16 * int(math.ceil(T / config.dt)) + 16
     t = 0.0
     x = x0
@@ -233,15 +256,8 @@ def flow(x0, spec, config, T):
         steps += 1
         times.append(t)
         states.append(x)
-        actions.append(k.action)
-        grad_norms.append(k.grad_norm)
-        speeds.append(k.phi_tilde)
-    times = np.asarray(times)
-    phi_tilde = np.asarray(speeds)
-    return FlowTrajectory(times=times, states=states, actions=np.asarray(actions),
-                          gradient_norms=np.asarray(grad_norms), phi_tilde=phi_tilde,
-                          ab=_ab_from_speed(times, phi_tilde),
-                          budget_exhausted=bool(t < T - 1e-12))
+        records.append(k[2:])
+    return _trajectory(times, states, records, budget_exhausted=bool(t < T - 1e-12))
 
 
 @dataclass(frozen=True)
@@ -294,58 +310,40 @@ def flow_to_critical(x, spec, config, floor=None, sustain=10):
         steps += 1
 
 
-def representation_coefficients(traj):
-    """Per-state (a, b, K-residual): the flowed fiber against the
-    hyperbolic combination of the initial data, residual in the
-    (1-s)-norm."""
-    x0 = traj.states[0]
-    frame0 = x0.frame
-    m = fourier.default_samples(frame0.cutoff)
-    qd0 = project(frame0, x0.loop.velocity_samples(m))
-    jq0 = adjoint_inclusion(frame0, x0.s, qd0)
-    lam = frame0.eigenvalues
-    w = (1.0 + lam) ** (1.0 - x0.s)
-    out = []
-    for k, xk in enumerate(traj.states):
-        a_k, b_k = float(traj.ab[k, 0]), float(traj.ab[k, 1])
-        defect = xk.fiber.coefficients - a_k * jq0.coefficients - b_k * x0.fiber.coefficients
-        out.append((a_k, b_k, float(np.sqrt(np.sum(w * defect ** 2)))))
-    return out
-
-
 def representation_defects(traj):
-    """The K defect fields themselves (coefficients in the shared frame)."""
+    """The defects K(t_k) = p(t_k) - a(t_k) j*qdot(0) - b(t_k) p(0), as an
+    (N, D) array of frame coefficients, one row per state."""
     x0 = traj.states[0]
-    frame0 = x0.frame
-    m = fourier.default_samples(frame0.cutoff)
-    qd0 = project(frame0, x0.loop.velocity_samples(m))
-    jq0 = adjoint_inclusion(frame0, x0.s, qd0)
-    return [xk.fiber.coefficients - float(traj.ab[k, 0]) * jq0.coefficients
-            - float(traj.ab[k, 1]) * x0.fiber.coefficients
-            for k, xk in enumerate(traj.states)]
+    frame = x0.frame
+    jq0 = (1.0 + frame.eigenvalues) ** (x0.s - 1.0) * velocity_coefficients(x0.loop, frame)
+    fibers = np.stack([x.fiber.coefficients for x in traj.states])
+    return fibers - traj.ab[:, :1] * jq0 - traj.ab[:, 1:] * x0.fiber.coefficients
+
+
+def representation_coefficients(traj):
+    """Per-state rows (a, b, K-residual), an (N, 3) array: the flowed fiber
+    against the hyperbolic combination of the initial data, residual in
+    the (1-s)-norm."""
+    x0 = traj.states[0]
+    return np.column_stack([traj.ab, _norm_r(x0.frame, 1.0 - x0.s, representation_defects(traj))])
 
 
 def kolmogorov_width_proxy(frame, s, defect_coefficients, max_mode=None):
     """Width proxy: worst (1-s)-norm of the tail beyond each mode cutoff.
 
-    For a genuinely compact defect family the tail widths decay in the
-    cutoff; returns the array w[J'] for J' = 0..max_mode.
+    defect_coefficients is an (N, D) stack.  For a genuinely compact
+    defect family the tail widths decay in the cutoff; returns the array
+    w[J'] for J' = 0..max_mode.
     """
     n = frame.n
     J = frame.cutoff
     max_mode = J if max_mode is None else min(max_mode, J)
-    lam = frame.eigenvalues
-    w = (1.0 + lam) ** (1.0 - s)
-    mode_index = np.concatenate([np.zeros(n, dtype=int),
-                                 np.repeat(np.arange(1, J + 1), 2 * n)])
-    widths = np.empty(max_mode + 1)
-    for jp in range(max_mode + 1):
-        tail = mode_index > jp
-        worst = 0.0
-        for c in defect_coefficients:
-            worst = max(worst, float(np.sqrt(np.sum(w[tail] * np.asarray(c)[tail] ** 2))))
-        widths[jp] = worst
-    return widths
+    c = np.asarray(defect_coefficients, dtype=float).reshape(-1, frame.dim)
+    w = (1.0 + frame.eigenvalues) ** (1.0 - s)
+    per_mode = (w * c ** 2)[:, n:].reshape(len(c), J, 2 * n).sum(axis=2)
+    # column j - 1: the energy in modes >= j, i.e. beyond cutoff j - 1
+    tails = np.cumsum(per_mode[:, ::-1], axis=1)[:, ::-1]
+    return np.sqrt(np.append(tails.max(axis=0, initial=0.0), 0.0))[:max_mode + 1]
 
 
 @dataclass(frozen=True)
@@ -378,30 +376,20 @@ def ps_diagnostics(traj, spec, config):
     the second half of the trajectory, the signature of a diverging
     fiber that the compactness argument excludes.
     """
-    v1, v2, v3, kpar, ktil = [], [], [], [], []
-    for xk in traj.states:
-        frame = xk.frame
-        n = xk.loop.manifold.dim
-        lam = frame.eigenvalues
-        qd = velocity_coefficients(xk.loop, frame)
-        pc = xk.fiber.coefficients
-        diff = qd - pc
-        v1.append(np.sqrt(np.sum((1.0 + lam) ** (xk.s - 1.0) * diff ** 2)))
-        p_l2 = float(np.sum(pc ** 2))
-        v2.append(p_l2 / (1.0 + xk.fiber.norm_r(1.0 - xk.s)))
-        pdot = derivative_coefficients(frame, pc)
-        v3.append(np.sqrt(np.sum((1.0 + lam) ** (-xk.s) * pdot ** 2)))
-        kpar.append(np.sqrt(np.sum(pc[:n] ** 2)))
-        tail = pc.copy()
-        tail[:n] = 0.0
-        ktil.append(np.sqrt(np.sum((1.0 + lam) ** (1.0 - xk.s) * tail ** 2)))
-    v2 = np.asarray(v2, dtype=float)
+    x0 = traj.states[0]
+    frame, s, n = x0.frame, x0.s, x0.frame.n
+    p = np.stack([x.fiber.coefficients for x in traj.states])
+    qd = np.stack([velocity_coefficients(x.loop, frame) for x in traj.states])
+    tail = p.copy()
+    tail[:, :n] = 0.0
+    v2 = np.sum(p ** 2, axis=1) / (1.0 + _norm_r(frame, 1.0 - s, p))
     mid = len(v2) // 2
     growth = bool(len(v2) >= 4 and v2[-1] > v2[0] + 1e-9
                   and v2[-1] > 1.5 * v2[mid] + 1e-9)
-    return PSReport(vertical_defect=np.asarray(v1), quadratic_ratio=v2,
-                    derivative_norm=np.asarray(v3), kernel_parallel=np.asarray(kpar),
-                    kernel_residual=np.asarray(ktil), growth_flag=growth)
+    return PSReport(vertical_defect=_norm_r(frame, s - 1.0, qd - p), quadratic_ratio=v2,
+                    derivative_norm=_norm_r(frame, -s, derivative_coefficients(frame, p)),
+                    kernel_parallel=np.sqrt(np.sum(p[:, :n] ** 2, axis=1)),
+                    kernel_residual=_norm_r(frame, 1.0 - s, tail), growth_flag=growth)
 
 
 def divergent_fixture(spec, config, steps=24, scale=0.35, winding=(1, 0)):
@@ -413,25 +401,13 @@ def divergent_fixture(spec, config, steps=24, scale=0.35, winding=(1, 0)):
     fiber norm runs away, so the Step 2 ratio grows without bound and
     ps_diagnostics must flag it.
     """
-    from .geometry import flat_torus, straight_loop
-    from .spectral import FiberField, frame_of
     loop = straight_loop(flat_torus(len(winding)), tuple(winding), modes=spec.J)
     frame = frame_of(loop, spec.J)
     qd = velocity_coefficients(loop, frame)
-    states = []
-    for k in range(steps):
-        c = -(1.0 + k) * scale * qd
-        states.append(PhasePoint(loop=loop, fiber=FiberField(frame, c), s=spec.s))
-    times = config.dt * np.arange(steps)
-    actions = np.empty(steps)
-    grads = np.empty(steps)
-    speeds = np.empty(steps)
-    for k, x in enumerate(states):
-        vel = flow_velocity(x, spec, config)
-        actions[k], grads[k], speeds[k] = vel.action, vel.grad_norm, vel.phi_tilde
-    return FlowTrajectory(times=times, states=states, actions=actions,
-                          gradient_norms=grads, phi_tilde=speeds,
-                          ab=_ab_from_speed(times, speeds), budget_exhausted=False)
+    states = [PhasePoint(loop=loop, fiber=FiberField(frame, -(1.0 + k) * scale * qd), s=spec.s)
+              for k in range(steps)]
+    return _trajectory(config.dt * np.arange(steps), states,
+                       [flow_velocity(x, spec, config)[2:] for x in states])
 
 
 def deformation_report(starts, spec, config, level, eps, horizon=None):

@@ -24,7 +24,7 @@ threshold r0, the perturbation envelope beta).
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -74,6 +74,9 @@ class HamiltonianSpec:
     s: float
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"spec {f.name} must be finite, got {getattr(self, f.name)!r}")
         if not 0.0 < self.rho0 < self.rho1:
             raise ValueError("need 0 < rho0 < rho1")
         if not self.rho0 < self.rho_star < self.rho1:

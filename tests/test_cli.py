@@ -145,6 +145,40 @@ def test_oversized_modes_exit_2_before_any_allocation(tmp_path, capsys):
     assert "512" in capsys.readouterr().err
 
 
+def test_infinite_r_max_exits_2_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran on an infinite r")
+
+    monkeypatch.setattr(cli, "orbit_sweep", no_sweep)
+    code = run(["orbit-sweep", "--r-max", "inf", "--r-count", "2"] + out_args(tmp_path, "inf"))
+    assert code == 2
+    assert not (tmp_path / "inf").exists()
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_oversized_r_count_exits_2_before_any_allocation(tmp_path, capsys):
+    # the grid alone would take 8 TB
+    tracemalloc.start()
+    try:
+        code = run(["orbit-sweep", "--r-count", "1000000000000"] + out_args(tmp_path, "many"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1_000_000
+    assert not (tmp_path / "many").exists()
+    assert str(cli.MAX_R_COUNT) in capsys.readouterr().err
+
+
+def test_non_finite_flow_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"flow": {"dt": math.nan}}))  # json writes NaN and reads it
+    code = run(["ps-diagnose", "--modes", "8", "--config", str(cfg)] + out_args(tmp_path, "nan"))
+    assert code == 2
+    assert not (tmp_path / "nan").exists()
+    assert "flow dt must be finite" in capsys.readouterr().err
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     code = run(["spectrum", "--config", str(tmp_path / "nope.json"),
                 "--out", str(tmp_path / "x")])

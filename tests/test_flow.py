@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 
 import oracles
-from loopflow import spectral
-from loopflow.action import (PhasePoint, action, gradient_norm, random_phase_point,
-                             straight_orbit)
+from loopflow import fourier, spectral
+from loopflow.action import (PhasePoint, action, derivative_coefficients, gradient_norm,
+                             perturb, random_phase_point, straight_orbit,
+                             velocity_coefficients)
 from loopflow.flow import (FlowConfig, config_to_json, deformation_report,
                            divergent_fixture, flow, flow_step, flow_to_critical,
-                           kolmogorov_width_proxy, ps_diagnostics,
+                           flow_velocity, kolmogorov_width_proxy, ps_diagnostics,
                            representation_coefficients, representation_defects,
                            speed_cutoff)
-from loopflow.geometry import flat_torus, straight_loop
-from loopflow.spectral import FiberField, frame_of
+from loopflow.geometry import embedded_circle, flat_torus, random_loop, straight_loop
+from loopflow.hamiltonian import default_spec
+from loopflow.spectral import FiberField, adjoint_inclusion, frame_of, project
 
 
 def high_mode_state(spec):
@@ -49,6 +51,14 @@ def test_config_validation(spec):
     with pytest.raises(ValueError):
         FlowConfig(s=spec.s, J=8, gamma=1.0, gamma_prime=2.0, gamma_dprime=3.5,
                    epsilon=0.5, t0=-1.0, dt=0.01, grad_tol=1e-6, t_max=10.0)
+
+
+@pytest.mark.parametrize("field", ["s", "gamma", "gamma_prime", "gamma_dprime", "epsilon",
+                                   "t0", "dt", "grad_tol", "t_max"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_values(config, field, value):
+    with pytest.raises(ValueError, match=f"flow {field} must be finite"):
+        dataclasses.replace(config, **{field: value})
 
 
 def test_config_auto_and_json(spec):
@@ -206,13 +216,19 @@ def test_accepted_step_costs_four_evaluations(small_spec, small_config, rng, mon
     from loopflow.action import random_phase_point
     flow_mod = importlib.import_module("loopflow.flow")  # the package rebinds .flow
     calls = []
-    evaluate = flow_mod.evaluate
+    built = []
+    evaluate, build = flow_mod.evaluate, flow_mod.perturb
 
-    def counted(x, spec):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return evaluate(x, spec)
+        return evaluate(*args, **kwargs)
+
+    def counted_perturb(*args, **kwargs):
+        built.append(1)
+        return build(*args, **kwargs)
 
     monkeypatch.setattr(flow_mod, "evaluate", counted)
+    monkeypatch.setattr(flow_mod, "perturb", counted_perturb)
     x = random_phase_point(small_spec, rng)
     traj = flow(x, small_spec, small_config, 0.1)
     steps = len(traj.times) - 1
@@ -220,6 +236,7 @@ def test_accepted_step_costs_four_evaluations(small_spec, small_config, rng, mon
     np.testing.assert_allclose(np.diff(traj.times), small_config.dt, rtol=1e-12)
     assert steps == 10
     assert len(calls) == 1 + 4 * steps   # the start, then k2..k4 and the new state
+    assert len(built) == steps           # the stages build no state
     calls.clear()
     flow_step(x, small_spec, small_config)
     assert len(calls) == 5
@@ -241,3 +258,157 @@ def test_reused_k1_matches_recomputed_k1(small_spec, small_config, rng, monkeypa
     for name in ("actions", "gradient_norms", "phi_tilde"):
         np.testing.assert_allclose(getattr(reused, name), getattr(again, name),
                                    rtol=0.0, atol=1e-13)
+
+
+# The flow evaluates its RK4 stages and its trajectory diagnostics on
+# frame-coefficient arrays.  The references below compute the same
+# things one object at a time: every stage a PhasePoint built by
+# perturb, and j*qdot(0) by sampling the loop velocity and analyzing it.
+
+def reference_rk4(x, spec, config, dt, k1):
+    frame = x.frame
+
+    def stage(h, k):
+        xk = perturb(x, h, xi=FiberField(frame, k.horizontal), eta=FiberField(frame, k.vertical))
+        return flow_velocity(xk, spec, config)
+
+    k2 = stage(0.5 * dt, k1)
+    k3 = stage(0.5 * dt, k2)
+    k4 = stage(dt, k3)
+    ch = (k1.horizontal + 2.0 * k2.horizontal + 2.0 * k3.horizontal + k4.horizontal) / 6.0
+    cv = (k1.vertical + 2.0 * k2.vertical + 2.0 * k3.vertical + k4.vertical) / 6.0
+    return perturb(x, dt, xi=FiberField(frame, ch), eta=FiberField(frame, cv))
+
+
+def reference_representation(traj):
+    x0 = traj.states[0]
+    frame = x0.frame
+    m = fourier.default_samples(frame.cutoff)
+    jq0 = adjoint_inclusion(frame, x0.s, project(frame, x0.loop.velocity_samples(m)))
+    w = (1.0 + frame.eigenvalues) ** (1.0 - x0.s)
+    defects, rows = [], []
+    for k, xk in enumerate(traj.states):
+        a_k, b_k = float(traj.ab[k, 0]), float(traj.ab[k, 1])
+        defect = xk.fiber.coefficients - a_k * jq0.coefficients - b_k * x0.fiber.coefficients
+        defects.append(defect)
+        rows.append((a_k, b_k, float(np.sqrt(np.sum(w * defect ** 2)))))
+    return defects, rows
+
+
+def reference_widths(frame, s, defects):
+    n, J = frame.n, frame.cutoff
+    w = (1.0 + frame.eigenvalues) ** (1.0 - s)
+    mode_index = np.concatenate([np.zeros(n, dtype=int), np.repeat(np.arange(1, J + 1), 2 * n)])
+    widths = np.empty(J + 1)
+    for jp in range(J + 1):
+        tail = mode_index > jp
+        widths[jp] = max(float(np.sqrt(np.sum(w[tail] * c[tail] ** 2))) for c in defects)
+    return widths
+
+
+def reference_ps(traj):
+    v1, v2, v3, kpar, ktil = [], [], [], [], []
+    for xk in traj.states:
+        frame, n, lam = xk.frame, xk.loop.manifold.dim, xk.frame.eigenvalues
+        pc = xk.fiber.coefficients
+        diff = velocity_coefficients(xk.loop, frame) - pc
+        v1.append(np.sqrt(np.sum((1.0 + lam) ** (xk.s - 1.0) * diff ** 2)))
+        v2.append(float(np.sum(pc ** 2)) / (1.0 + xk.fiber.norm_r(1.0 - xk.s)))
+        pdot = derivative_coefficients(frame, pc)
+        v3.append(np.sqrt(np.sum((1.0 + lam) ** (-xk.s) * pdot ** 2)))
+        kpar.append(np.sqrt(np.sum(pc[:n] ** 2)))
+        tail = pc.copy()
+        tail[:n] = 0.0
+        ktil.append(np.sqrt(np.sum((1.0 + lam) ** (1.0 - xk.s) * tail ** 2)))
+    v2 = np.asarray(v2)
+    mid = len(v2) // 2
+    growth = bool(len(v2) >= 4 and v2[-1] > v2[0] + 1e-9 and v2[-1] > 1.5 * v2[mid] + 1e-9)
+    return [np.asarray(v) for v in (v1, v2, v3, kpar, ktil)], growth
+
+
+def assert_close(got, want, tol=1e-13):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=tol * scale)
+
+
+MODELS = [(flat_torus(2), (1, 0)), (flat_torus(2), (1, 1)), (embedded_circle(), (1,))]
+
+
+def model_point(spec, model, modes, rng):
+    manifold, winding = MODELS[model]
+    loop = random_loop(manifold, winding, modes, rng, amplitude=0.05)
+    frame = frame_of(loop, spec.J)
+    c = 0.3 * rng.standard_normal(frame.dim) / (1.0 + frame.eigenvalues) ** 0.75
+    c[:manifold.dim] += 0.8 * loop.drift / np.linalg.norm(loop.drift)
+    return PhasePoint(loop=loop, fiber=FiberField(frame, c), s=spec.s)
+
+
+@pytest.mark.parametrize("J", [8, 32])
+@pytest.mark.parametrize("model", range(len(MODELS)))
+def test_stage_velocity_coefficients_match_perturbed_loops(J, model):
+    spec = default_spec(J=J)
+    rng = np.random.default_rng([5, J, model])
+    for modes in (0, J // 2, J):
+        x = model_point(spec, model, modes, rng)
+        frame = x.frame
+        qd = velocity_coefficients(x.loop, frame)
+        for h in (0.005, 0.05, 0.7):
+            xi = rng.standard_normal(frame.dim) / (1.0 + frame.eigenvalues) ** 0.5
+            moved = perturb(x, h, xi=FiberField(frame, xi))
+            want = velocity_coefficients(moved.loop, frame)
+            got = qd + h * derivative_coefficients(frame, xi)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("J", [8, 32])
+@pytest.mark.parametrize("model", range(len(MODELS)))
+def test_rk4_matches_stages_built_by_perturb(J, model):
+    spec = default_spec(J=J)
+    config = FlowConfig.auto(spec)
+    flow_mod = importlib.import_module("loopflow.flow")  # the package rebinds .flow
+    rng = np.random.default_rng([6, J, model])
+    for modes in (0, J // 2, J):
+        x = model_point(spec, model, modes, rng)
+        k1 = flow_velocity(x, spec, config)
+        for dt in (config.dt, 0.1):
+            got = flow_mod._rk4(x, spec, config, dt, k1)
+            want = reference_rk4(x, spec, config, dt, k1)
+            assert got.frame is x.frame and got.loop.winding == x.loop.winding
+            for a, b in ((got.fiber.coefficients, want.fiber.coefficients),
+                         (got.loop.cos_coeffs, want.loop.cos_coeffs),
+                         (got.loop.sin_coeffs, want.loop.sin_coeffs),
+                         (got.loop.base, want.loop.base)):
+                np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13)
+
+
+@pytest.fixture(scope="module")
+def diagnosed_trajectories(spec, config):
+    high = flow(high_mode_state(spec), spec, manual_config(spec), 3.0)
+    rand = flow(random_phase_point(spec, np.random.default_rng(77)), spec, config, 1.0)
+    return [high, rand, divergent_fixture(spec, config)]
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_trajectory_diagnostics_match_per_state_references(which, diagnosed_trajectories,
+                                                           spec, config):
+    traj = diagnosed_trajectories[which]
+    x0 = traj.states[0]
+    defects, rows = reference_representation(traj)
+    got_defects = representation_defects(traj)
+    assert got_defects.shape == (len(traj.states), x0.frame.dim)
+    assert_close(got_defects, defects)
+    assert_close(representation_coefficients(traj), rows)
+    assert_close(kolmogorov_width_proxy(x0.frame, x0.s, got_defects),
+                 reference_widths(x0.frame, x0.s, defects))
+    assert_close(kolmogorov_width_proxy(x0.frame, x0.s, got_defects, max_mode=5),
+                 reference_widths(x0.frame, x0.s, defects)[:6])
+    report = ps_diagnostics(traj, spec, config)
+    arrays, growth = reference_ps(traj)
+    for got, want in zip((report.vertical_defect, report.quadratic_ratio,
+                          report.derivative_norm, report.kernel_parallel,
+                          report.kernel_residual), arrays):
+        assert_close(got, want)
+    assert report.growth_flag is growth
+    assert growth is (which == 2)

@@ -104,6 +104,14 @@ def test_spec_validation_and_json(spec):
     np.testing.assert_allclose(spec.thickening_halfwidth, math.log(4.0 / 3.0))
 
 
+@pytest.mark.parametrize("field", ["rho0", "rho1", "rho_star", "delta", "r", "s"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_non_finite_values(field, value):
+    # r = inf and rho1 = inf passed every order check before
+    with pytest.raises(ValueError, match=f"spec {field} must be finite"):
+        default_spec(**{field: value})
+
+
 def test_evaluate_H_domain(spec):
     # annulus points outside the thickening are not classifiable
     with pytest.raises(ValueError):
