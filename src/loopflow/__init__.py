@@ -9,10 +9,8 @@ from .flow import (FlowConfig, FlowTrajectory, PSReport, flow, flow_step,
                    flow_to_critical, kolmogorov_width_proxy, ps_diagnostics,
                    representation_coefficients, speed_cutoff)
 from .fourier import analyze, differentiate, synthesize
-from .geometry import (AliasingError, LoopPath, ModelManifold,
-                       TangentFieldSamples, covariant_derivative,
-                       embedded_circle, evaluate_loop, field_from_function,
-                       flat_torus, random_loop, straight_loop)
+from .geometry import (LoopPath, ModelManifold, embedded_circle, flat_torus,
+                       random_loop, straight_loop)
 from .hamiltonian import (HamiltonianSpec, Trajectory, alpha_bound, chi, default_spec,
                           evaluate_H, hamiltonian_vector_field,
                           integrate_hamiltonian, phi, r0_threshold, radial_H,
@@ -30,20 +28,18 @@ from .spectral import (EmbeddedMetric, FiberField, SpectralFrame,
 __version__ = VERSION
 
 __all__ = [
-    "AliasingError", "CriticalClass", "EmbeddedMetric", "FiberField",
-    "FlowConfig", "FlowTrajectory", "HamiltonianSpec",
-    "LoopPath", "MinimaxRecord", "ModelManifold", "PSReport", "SpectralFrame",
-    "PhasePoint", "RunManifest", "SweepSummary", "TangentFieldSamples",
-    "Trajectory", "action", "adjoint_inclusion", "alpha_bound", "analyze",
-    "chi", "classify_critical", "covariant_derivative", "default_family",
+    "CriticalClass", "EmbeddedMetric", "FiberField", "FlowConfig",
+    "FlowTrajectory", "HamiltonianSpec", "LoopPath", "MinimaxRecord",
+    "ModelManifold", "PSReport", "SpectralFrame", "PhasePoint", "RunManifest",
+    "SweepSummary", "Trajectory", "action", "adjoint_inclusion",
+    "alpha_bound", "analyze", "chi", "classify_critical", "default_family",
     "default_spec", "differentiate", "embedded_circle", "embedded_metric",
-    "evaluate_H", "evaluate_loop", "fiber_sup", "field_from_function",
-    "fit_spectrum_bounds", "flat_torus", "flow", "flow_step",
-    "flow_to_critical", "fractional_apply", "frame_of", "gradient",
-    "gradient_norm", "hamilton_residual", "hamiltonian_vector_field",
-    "inner_r", "inner_r_emb", "integrate_hamiltonian",
-    "kolmogorov_width_proxy", "loop_energy", "metric_pairing",
-    "minimax_theta", "norm_r", "norm_r_emb", "orbit_sweep",
+    "evaluate_H", "fiber_sup", "fit_spectrum_bounds", "flat_torus", "flow",
+    "flow_step", "flow_to_critical", "fractional_apply", "frame_of",
+    "gradient", "gradient_norm", "hamilton_residual",
+    "hamiltonian_vector_field", "inner_r", "inner_r_emb",
+    "integrate_hamiltonian", "kolmogorov_width_proxy", "loop_energy",
+    "metric_pairing", "minimax_theta", "norm_r", "norm_r_emb", "orbit_sweep",
     "pack_coefficients", "perturb", "phi", "project", "ps_diagnostics",
     "r0_threshold", "radial_H", "random_loop", "random_phase_point",
     "read_csv", "read_manifest", "refine_critical",

@@ -146,12 +146,11 @@ def evaluate(x, spec, qd=None, c=None):
     velocity and fiber coefficients: a state evaluated without its loop.
     """
     frame = x.frame
-    lam = frame.eigenvalues
     qd = velocity_coefficients(x.loop, frame) if qd is None else qd
     c = x.fiber.coefficients if c is None else c
     a, dv, _ = fiber_evaluation(frame, qd, c, spec)
-    grad_h = -((1.0 + lam) ** (-x.s)) * derivative_coefficients(frame, c)
-    return a, grad_h, ((1.0 + lam) ** (x.s - 1.0)) * dv
+    grad_h = -frame.weights(-x.s) * derivative_coefficients(frame, c)
+    return a, grad_h, frame.weights(x.s - 1.0) * dv
 
 
 def action(x, spec):
@@ -168,17 +167,17 @@ def gradient(x, spec):
 
 def gradient_norm(x, spec):
     """Norm of the gradient in the mixed (s, 1-s) metric."""
-    grad_h, grad_v = gradient(x, spec)
-    return float(np.sqrt(grad_h.norm_r(x.s) ** 2 + grad_v.norm_r(1.0 - x.s) ** 2))
+    _, grad_h, grad_v = evaluate(x, spec)
+    frame = x.frame
+    return float(np.sqrt(frame.norm(x.s, grad_h) ** 2 + frame.norm(1.0 - x.s, grad_v) ** 2))
 
 
 def metric_pairing(x, pair_a, pair_b):
     """The mixed metric on tangent pairs: <.h,.h>_s + <.v,.v>_{1-s}."""
     ah, av = pair_a
     bh, bv = pair_b
-    lam = x.frame.eigenvalues
-    hs = np.sum((1.0 + lam) ** x.s * ah.coefficients * bh.coefficients)
-    vs = np.sum((1.0 + lam) ** (1.0 - x.s) * av.coefficients * bv.coefficients)
+    hs = np.sum(x.frame.weights(x.s) * ah.coefficients * bh.coefficients)
+    vs = np.sum(x.frame.weights(1.0 - x.s) * av.coefficients * bv.coefficients)
     return float(hs + vs)
 
 
@@ -328,7 +327,7 @@ def random_phase_point(spec, rng, manifold=None, winding=(1, 0),
     manifold = flat_torus(len(winding)) if manifold is None else manifold
     loop = random_loop(manifold, tuple(winding), spec.J, rng, amplitude=loop_amplitude)
     frame = frame_of(loop, spec.J)
-    c = fiber_amplitude * rng.standard_normal(frame.dim) / (1.0 + frame.eigenvalues) ** 0.75
+    c = fiber_amplitude * rng.standard_normal(frame.dim) / frame.weights(0.75)
     c[:manifold.dim] += loop.drift
     return PhasePoint(loop=loop, fiber=FiberField(frame, c), s=spec.s)
 
@@ -336,9 +335,8 @@ def random_phase_point(spec, rng, manifold=None, winding=(1, 0),
 def random_direction(x, rng):
     """A tangent direction (xi, eta) of unit mixed-metric norm at x."""
     frame = x.frame
-    lam = frame.eigenvalues
-    xi = FiberField(frame, rng.standard_normal(frame.dim) / (1.0 + lam) ** 0.75)
-    eta = FiberField(frame, rng.standard_normal(frame.dim) / (1.0 + lam) ** 0.75)
+    xi = FiberField(frame, rng.standard_normal(frame.dim) / frame.weights(0.75))
+    eta = FiberField(frame, rng.standard_normal(frame.dim) / frame.weights(0.75))
     scale = np.sqrt(metric_pairing(x, (xi, eta), (xi, eta)))
     return (1.0 / scale) * xi, (1.0 / scale) * eta
 

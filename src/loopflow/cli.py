@@ -107,20 +107,42 @@ def _load_user_config(path):
     if path is None:
         return {}
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        user = json.load(fh)
+    if not isinstance(user, dict) or not all(isinstance(user.get(section, {}), dict)
+                                             for section in ("spec", "flow", "sweep", "loop")):
+        raise ValueError("config must be a JSON object whose spec, flow, sweep and loop "
+                         "sections are objects")
+    return user
+
+
+def _number(where, value, kind=float):
+    """A config value that must be a JSON number (an integer for kind=int),
+    converted to kind; any other type is a configuration error."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise ValueError(f"{where} must be {'an integer' if kind is int else 'a number'}, "
+                         f"got {value!r}")
+    return kind(value)
+
+
+def _winding(where, value):
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be a list of integers, got {value!r}")
+    return tuple(_number(where, w, int) for w in value)
 
 
 def _settings(args):
     """Defaults <- config file <- flags, resolved to (spec, flow config)."""
     defaults = load_defaults()
     user = _load_user_config(args.config)
-    spec_dict = {**defaults["spec"], **user.get("spec", {})}
+    spec_dict = {key: _number(f"spec {key}", value, int if key == "J" else float)
+                 for key, value in {**defaults["spec"], **user.get("spec", {})}.items()}
     if args.modes is not None:
         spec_dict["J"] = args.modes
     if args.s is not None:
         spec_dict["s"] = args.s
     spec = HamiltonianSpec.from_json(spec_dict)
-    flow_dict = {**defaults["flow"], **user.get("flow", {})}
+    flow_dict = {key: _number(f"flow {key}", value)
+                 for key, value in {**defaults["flow"], **user.get("flow", {})}.items()}
     if {"gamma_prime", "gamma_dprime", "t0"} <= flow_dict.keys():
         config = FlowConfig.from_json({**flow_dict, "s": spec.s, "J": spec.J})
     else:
@@ -132,7 +154,10 @@ def _settings(args):
 
 def _loop_from_config(cfg, default_winding=(1, 0)):
     kind = cfg.get("manifold", "torus")
-    winding = tuple(cfg.get("winding", list(default_winding) if kind == "torus" else [1]))
+    if kind not in ("torus", "circle"):
+        raise ValueError(f"loop manifold must be \"torus\" or \"circle\", got {kind!r}")
+    winding = _winding("loop winding",
+                       cfg.get("winding", list(default_winding) if kind == "torus" else [1]))
     manifold = embedded_circle() if kind == "circle" else flat_torus(len(winding))
     if "cos" in cfg or "sin" in cfg:
         data = {"winding": list(winding), "base": cfg.get("base", [0.0] * manifold.dim),
@@ -199,10 +224,10 @@ def cmd_metrics_compare(args):
 def cmd_orbit_sweep(args):
     defaults, user, spec, config = _settings(args)
     sweep_cfg = {**defaults["sweep"], **user.get("sweep", {})}
-    r_min = sweep_cfg["r_min"] if args.r_min is None else args.r_min
-    r_max = sweep_cfg["r_max"] if args.r_max is None else args.r_max
-    count = sweep_cfg["count"] if args.r_count is None else args.r_count
-    winding = tuple(int(w) for w in sweep_cfg["winding"])
+    r_min = _number("r-min", sweep_cfg["r_min"] if args.r_min is None else args.r_min)
+    r_max = _number("r-max", sweep_cfg["r_max"] if args.r_max is None else args.r_max)
+    count = _number("r-count", sweep_cfg["count"] if args.r_count is None else args.r_count, int)
+    winding = _winding("sweep winding", sweep_cfg["winding"])
     if not 0 <= count <= MAX_R_COUNT:
         raise ValueError(f"r-count must lie in [0, {MAX_R_COUNT}], got {count}")
     if not (math.isfinite(r_min) and math.isfinite(r_max)):

@@ -33,7 +33,6 @@ the quadratic ratio, computed over the (N, D) stack of a trajectory's
 fiber coefficients.
 """
 
-import json
 import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -136,11 +135,6 @@ class Velocity(NamedTuple):
     action: float
 
 
-def _norm_r(frame, r, c):
-    """The (1+lam)^r-weighted norm of c, row by row for a stack."""
-    return np.sqrt(np.sum((1.0 + frame.eigenvalues) ** r * c ** 2, axis=-1))
-
-
 def flow_velocity(x, spec, config, qd=None, c=None):
     """V_r at x from one evaluation, as a Velocity.
 
@@ -151,8 +145,9 @@ def flow_velocity(x, spec, config, qd=None, c=None):
     """
     a, gh, gv = evaluate(x, spec, qd, c)
     c = x.fiber.coefficients if c is None else c
-    gn = math.sqrt(_norm_r(x.frame, x.s, gh) ** 2 + _norm_r(x.frame, 1.0 - x.s, gv) ** 2)
-    phi_tilde = speed_cutoff(config, _norm_r(x.frame, 1.0 - x.s, c)) / math.sqrt(1.0 + gn * gn)
+    frame = x.frame
+    gn = math.sqrt(frame.norm(x.s, gh) ** 2 + frame.norm(1.0 - x.s, gv) ** 2)
+    phi_tilde = speed_cutoff(config, frame.norm(1.0 - x.s, c)) / math.sqrt(1.0 + gn * gn)
     return Velocity(-phi_tilde * gh, -phi_tilde * gv, gn, phi_tilde, a)
 
 
@@ -233,6 +228,12 @@ def _trajectory(times, states, records, budget_exhausted=False):
                           budget_exhausted=budget_exhausted)
 
 
+def step_budget(config, T):
+    """The most steps a flow over time T may take: 16 per nominal step
+    of size dt, plus 16, leaving room for step halving."""
+    return 16 * int(math.ceil(T / config.dt)) + 16
+
+
 def flow(x0, spec, config, T):
     """Run the flow for time T, recording the trajectory.
 
@@ -245,7 +246,7 @@ def flow(x0, spec, config, T):
     require_finite("flow start state", x0.loop, x0.fiber.coefficients)
     k = flow_velocity(x0, spec, config)
     times, states, records = [0.0], [x0], [k[2:]]
-    max_steps = 16 * int(math.ceil(T / config.dt)) + 16
+    max_steps = step_budget(config, T)
     t = 0.0
     x = x0
     steps = 0
@@ -288,7 +289,7 @@ def flow_to_critical(x, spec, config, floor=None, sustain=10):
     t = 0.0
     steps = 0
     consec = 0
-    max_steps = 16 * int(math.ceil(config.t_max / config.dt)) + 16
+    max_steps = step_budget(config, config.t_max)
     k = flow_velocity(x, spec, config)
     while True:
         gn, a = k.grad_norm, k.action
@@ -315,7 +316,7 @@ def representation_defects(traj):
     (N, D) array of frame coefficients, one row per state."""
     x0 = traj.states[0]
     frame = x0.frame
-    jq0 = (1.0 + frame.eigenvalues) ** (x0.s - 1.0) * velocity_coefficients(x0.loop, frame)
+    jq0 = frame.weights(x0.s - 1.0) * velocity_coefficients(x0.loop, frame)
     fibers = np.stack([x.fiber.coefficients for x in traj.states])
     return fibers - traj.ab[:, :1] * jq0 - traj.ab[:, 1:] * x0.fiber.coefficients
 
@@ -325,7 +326,7 @@ def representation_coefficients(traj):
     against the hyperbolic combination of the initial data, residual in
     the (1-s)-norm."""
     x0 = traj.states[0]
-    return np.column_stack([traj.ab, _norm_r(x0.frame, 1.0 - x0.s, representation_defects(traj))])
+    return np.column_stack([traj.ab, x0.frame.norm(1.0 - x0.s, representation_defects(traj))])
 
 
 def kolmogorov_width_proxy(frame, s, defect_coefficients, max_mode=None):
@@ -339,7 +340,7 @@ def kolmogorov_width_proxy(frame, s, defect_coefficients, max_mode=None):
     J = frame.cutoff
     max_mode = J if max_mode is None else min(max_mode, J)
     c = np.asarray(defect_coefficients, dtype=float).reshape(-1, frame.dim)
-    w = (1.0 + frame.eigenvalues) ** (1.0 - s)
+    w = frame.weights(1.0 - s)
     per_mode = (w * c ** 2)[:, n:].reshape(len(c), J, 2 * n).sum(axis=2)
     # column j - 1: the energy in modes >= j, i.e. beyond cutoff j - 1
     tails = np.cumsum(per_mode[:, ::-1], axis=1)[:, ::-1]
@@ -382,14 +383,14 @@ def ps_diagnostics(traj, spec, config):
     qd = np.stack([velocity_coefficients(x.loop, frame) for x in traj.states])
     tail = p.copy()
     tail[:, :n] = 0.0
-    v2 = np.sum(p ** 2, axis=1) / (1.0 + _norm_r(frame, 1.0 - s, p))
+    v2 = np.sum(p ** 2, axis=1) / (1.0 + frame.norm(1.0 - s, p))
     mid = len(v2) // 2
     growth = bool(len(v2) >= 4 and v2[-1] > v2[0] + 1e-9
                   and v2[-1] > 1.5 * v2[mid] + 1e-9)
-    return PSReport(vertical_defect=_norm_r(frame, s - 1.0, qd - p), quadratic_ratio=v2,
-                    derivative_norm=_norm_r(frame, -s, derivative_coefficients(frame, p)),
+    return PSReport(vertical_defect=frame.norm(s - 1.0, qd - p), quadratic_ratio=v2,
+                    derivative_norm=frame.norm(-s, derivative_coefficients(frame, p)),
                     kernel_parallel=np.sqrt(np.sum(p[:, :n] ** 2, axis=1)),
-                    kernel_residual=_norm_r(frame, 1.0 - s, tail), growth_flag=growth)
+                    kernel_residual=frame.norm(1.0 - s, tail), growth_flag=growth)
 
 
 def divergent_fixture(spec, config, steps=24, scale=0.35, winding=(1, 0)):
@@ -408,25 +409,3 @@ def divergent_fixture(spec, config, steps=24, scale=0.35, winding=(1, 0)):
               for k in range(steps)]
     return _trajectory(config.dt * np.arange(steps), states,
                        [flow_velocity(x, spec, config)[2:] for x in states])
-
-
-def deformation_report(starts, spec, config, level, eps, horizon=None):
-    """Empirical deformation check around an isolated critical value.
-
-    Flows each start (assumed to satisfy A <= level + eps and to sit
-    outside the critical neighborhood) and reports the first time its
-    action falls to level - eps, plus whether all starts made it within
-    the horizon (default t0)."""
-    horizon = config.t0 if horizon is None else horizon
-    times = []
-    for x in starts:
-        traj = flow(x, spec, config, horizon)
-        hit = np.nonzero(traj.actions <= level - eps)[0]
-        times.append(float(traj.times[hit[0]]) if hit.size else math.inf)
-    times = np.asarray(times)
-    return {"eps": eps, "horizon": horizon, "times": times,
-            "all_reached": bool(np.all(np.isfinite(times)))}
-
-
-def config_to_json(config):
-    return json.dumps(config.to_json(), sort_keys=True)

@@ -1,4 +1,4 @@
-"""Model manifolds, free loops, and vector fields along loops.
+"""Model manifolds and free loops on them.
 
 Two model families are supported, both flat:
 
@@ -21,23 +21,19 @@ base point is exactly the position at parameter 0:
     q(t) = base + winding * L * t
            + sum_j a_j (cos(2 pi j t) - 1) + b_j sin(2 pi j t).
 
-Fields along a loop are held as coordinate components on a uniform
-parameter grid (TangentFieldSamples); on these models the coordinate
+Fields along a loop are not held here: on these models the coordinate
 components of a tangent field are a complete, metric-orthonormal
-description, and tangency of the embedded samples is automatic.
+description, so a field is its coefficients in the spectral frame
+(spectral.FiberField), and its covariant derivative is the parameter
+derivative of those coefficients (action.derivative_coefficients).
 """
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fourier
-
-
-class AliasingError(ValueError):
-    """Raised when a sample set is too coarse for the requested modes."""
 
 
 @dataclass(frozen=True)
@@ -70,18 +66,6 @@ class ModelManifold:
     def wrap(self, q):
         """Canonical coordinate representative in [0, L_k)."""
         return np.mod(np.asarray(q, dtype=float), np.asarray(self.periods))
-
-    def metric(self, q):
-        """Metric matrix at a point (identity in coordinates)."""
-        return np.eye(self.dim)
-
-    def christoffel(self, q):
-        """Christoffel symbols at a point (zero: flat models)."""
-        return np.zeros((self.dim, self.dim, self.dim))
-
-    def curvature(self, q, x, y, z):
-        """Riemann curvature R(x, y)z at q (zero: flat models)."""
-        return np.zeros(self.dim)
 
     def embed_point(self, q):
         """Isometric embedding of coordinate points into R^{2n}.
@@ -191,7 +175,7 @@ class LoopPath:
         return self.drift.copy(), da, db
 
     def content_key(self):
-        """Stable byte digest of the loop data (frame-cache key)."""
+        """Stable byte digest of the loop data."""
         h = hashlib.sha256()
         h.update(self.manifold.kind.encode())
         h.update(np.asarray(self.manifold.periods, dtype=float).tobytes())
@@ -237,91 +221,3 @@ def random_loop(manifold, winding, J, rng, amplitude=0.05, decay=2.0, base=None)
     if base is None:
         base = rng.uniform(0.0, 1.0, size=n) * np.asarray(manifold.periods)
     return LoopPath(manifold=manifold, winding=tuple(winding), base=tuple(base), cos_coeffs=a, sin_coeffs=b)
-
-
-@dataclass(frozen=True)
-class TangentFieldSamples:
-    """A tangent field along a loop: coordinate components on a uniform grid.
-
-    samples has shape (m, n), row i holding the components at t = i/m.
-    On the flat models coordinate components are exactly the
-    metric-orthonormal description of the field, so pointwise norms are
-    Euclidean row norms.
-    """
-
-    loop: LoopPath
-    samples: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.ndim != 2 or arr.shape[1] != self.loop.manifold.dim:
-            raise ValueError("samples must have shape (m, n)")
-        if arr.shape[0] < 2 * self.loop.modes + 1:
-            raise AliasingError(
-                f"need at least {2 * self.loop.modes + 1} samples along this loop, got {arr.shape[0]}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
-
-    @property
-    def count(self):
-        return self.samples.shape[0]
-
-    def pointwise_norms(self):
-        return np.linalg.norm(self.samples, axis=1)
-
-    def l2_norm(self):
-        """L^2([0,1]) norm by the exact uniform quadrature."""
-        return float(np.sqrt(np.mean(self.pointwise_norms() ** 2)))
-
-
-def field_from_function(loop, fn, m=None):
-    """Sample a coordinate-component function t -> R^n along the loop."""
-    m = fourier.default_samples(loop.modes) if m is None else m
-    t = fourier.grid(m)
-    vals = np.asarray([fn(ti) for ti in t], dtype=float)
-    return TangentFieldSamples(loop=loop, samples=vals)
-
-
-def evaluate_loop(loop, t):
-    """The loop position at parameter t, as a manifold point.
-
-    Flat torus: canonical coordinate representative in [0,1)^n.
-    Embedded circle: the ambient point on the unit circle.
-    At t = 0 this is exactly the stored base point (anchoring).
-    """
-    coords = loop.coordinates(t)
-    if loop.manifold.kind == "embedded-circle":
-        pts = loop.manifold.embed_point(coords)
-        return pts[0] if np.isscalar(t) else pts
-    wrapped = loop.manifold.wrap(coords)
-    return wrapped[0] if np.isscalar(t) else wrapped
-
-
-def covariant_derivative(loop, field, cutoff=None):
-    """The connection derivative of a field along its loop.
-
-    On the flat models (equivalently: tangential projection of the
-    ambient derivative of the embedded field) this is the parameter
-    derivative of the coordinate components, computed spectrally on the
-    field's own grid.  Rejects sample sets too coarse for the requested
-    mode content.
-    """
-    if field.loop is not loop and field.loop.content_key() != loop.content_key():
-        raise ValueError("field is not defined along the given loop")
-    J = loop.modes if cutoff is None else int(cutoff)
-    if field.count < 2 * J + 1:
-        raise AliasingError(
-            f"{field.count} samples cannot resolve derivative content up to mode {J}")
-    half = (field.count - 1) // 2
-    a0, a, b = fourier.analyze(field.samples, half)
-    _, da, db = fourier.differentiate(a0, a, b)
-    out = fourier.synthesize(np.zeros_like(a0), da, db, m=field.count)
-    return TangentFieldSamples(loop=loop, samples=out)
-
-
-def loop_json_roundtrip(loop):
-    """Serialize and re-parse a loop (identity up to float formatting)."""
-    return LoopPath.from_json(json.loads(json.dumps(loop.to_json())), loop.manifold)

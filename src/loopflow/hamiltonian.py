@@ -22,7 +22,6 @@ depends only on the profiles (fake-geodesic action, the exclusion
 threshold r0, the perturbation envelope beta).
 """
 
-import json
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -331,25 +330,8 @@ def alpha_bound(spec, speed):
     return 0.5 * float(speed) ** 2 + envelope_beta(spec)
 
 
-def plateau_weight(spec, rho):
-    """dH_r/dr: 0 in the bounded region, chi(sigma) across, 1 beyond."""
-    rho = np.asarray(rho, dtype=float)
-    lo = spec.rho_star * math.exp(-spec.delta)
-    hi = spec.rho_star * math.exp(spec.delta)
-    out = np.zeros_like(rho)
-    mid = (rho >= lo) & (rho <= hi)
-    if np.any(mid):
-        out[mid] = chi(spec, np.log(rho[mid] / spec.rho_star))
-    out[rho > hi] = 1.0
-    return out
-
-
 def perturbation_sup_diff(spec_a, spec_b, grid=4001):
     """sup_rho |H_{r_a} - H_{r_b}| for two specs sharing their profiles."""
     top = 3.0 * max(spec_a.rho1, spec_b.rho1)
     rho = np.linspace(0.0, top, grid)
     return float(np.max(np.abs(radial_H(spec_a, rho) - radial_H(spec_b, rho))))
-
-
-def spec_to_json(spec):
-    return json.dumps(spec.to_json(), sort_keys=True)

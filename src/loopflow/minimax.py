@@ -49,10 +49,10 @@ class AscentResult:
     grad_norm: float
 
 
-def _project_ball(coeffs, weights, radius):
-    """Scale each row of coeffs (D,) or (S, D) back into the ball of the
-    (1-s)-norm (weights = (1+lam)^{1-s}); returns (rows, clipped mask)."""
-    nrm = np.sqrt((weights * coeffs ** 2).sum(axis=-1))
+def _project_ball(coeffs, frame, r, radius):
+    """Scale each row of coeffs (D,) or (S, D) back into the radius ball
+    of the frame's r-norm; returns (rows, clipped mask)."""
+    nrm = frame.norm(r, coeffs)
     clipped = nrm > radius
     if np.count_nonzero(clipped):
         # unclipped rows are multiplied by exactly 1.0
@@ -88,7 +88,7 @@ def fiber_hessian(frame, c, spec):
     return hess
 
 
-def _vertical_newton(frame, evaluate_at, c, spec, precond, radius, tol, iters=12):
+def _vertical_newton(frame, evaluate_at, c, spec, radius, tol, iters=12):
     """Endgame for the fiber ascent: damped Newton on the vertical
     stationarity, with the exact quadrature Hessian of the H term.
 
@@ -97,11 +97,13 @@ def _vertical_newton(frame, evaluate_at, c, spec, precond, radius, tol, iters=12
     (fiber_hessian, built by BLAS from the frame's sampled eigenfields),
     so the solve has none of the mode damping that stalls first-order
     ascent near the top.  evaluate_at(c) gives (action, vertical
-    gradient, its (1-s)-norm) at fiber coefficients c; precond =
-    (1+lam)^{1-s} turns the vertical gradient into the plain partial
+    gradient, its (1-s)-norm) at fiber coefficients c; the weights
+    (1+lam)^{1-s} turn the vertical gradient into the plain partial
     gradient, and candidates are projected back into the (1-s)-ball of
     the given radius.
     """
+    r = 1.0 - spec.s
+    precond = frame.weights(r)
     a, g, gn = evaluate_at(c)
     eye = np.eye(frame.dim)
     for _ in range(iters):
@@ -115,7 +117,7 @@ def _vertical_newton(frame, evaluate_at, c, spec, precond, radius, tol, iters=12
                 delta = np.linalg.solve(hess + mu * eye, u)
             except np.linalg.LinAlgError:
                 continue
-            cand, _ = _project_ball(c + delta, precond, radius)
+            cand, _ = _project_ball(c + delta, frame, r, radius)
             a2, g2, gn2 = evaluate_at(cand)
             if gn2 < gn:
                 c, a, g, gn = cand, a2, g2, gn2
@@ -149,19 +151,19 @@ def fiber_sup(loop, spec, config, rng=None, starts=8, iters=ASCENT_ITERS, tol=AS
     require_finite("fiber_sup loop", loop)
     rng = np.random.default_rng(0) if rng is None else rng
     frame = frame_of(loop, spec.J)
-    lam = frame.eigenvalues
     qd = velocity_coefficients(loop, frame)
-    to_vertical = (1.0 + lam) ** (spec.s - 1.0)
+    to_vertical = frame.weights(spec.s - 1.0)
     # step along the plain partial gradient (1+lam)^{1-s} g: the fiber
     # Hessian is O(1)-conditioned in these coordinates, while the raw
     # (1-s)-representative damps high modes and stalls the ascent
-    precond = (1.0 + lam) ** (1.0 - spec.s)
+    r = 1.0 - spec.s
+    precond = frame.weights(r)
     radius = config.gamma_dprime
 
     def evaluate_at(c):
         a, dv, _ = fiber_evaluation(frame, qd, c, spec)
         g = to_vertical * dv
-        return a, g, np.sqrt((precond * g ** 2).sum(axis=-1))
+        return a, g, frame.norm(r, g)
 
     if seeds is None:
         m = fourier.default_samples(spec.J)
@@ -171,14 +173,14 @@ def fiber_sup(loop, spec, config, rng=None, starts=8, iters=ASCENT_ITERS, tol=AS
         radii = [0.9 * lo, spec.rho_star, 1.45 * spec.rho1, 1.85 * spec.rho1, 1.0, 2.2 * spec.rho1]
         seeds = [(rho / speed) * smooth for rho in radii[:max(starts - 2, 1)]]
         while len(seeds) < starts:
-            noise = 0.05 * rng.standard_normal(frame.dim) / (1.0 + lam) ** 0.5
+            noise = 0.05 * rng.standard_normal(frame.dim) / frame.weights(0.5)
             seeds.append(smooth * spec.rho_star / speed + noise)
     else:
         for i, c0 in enumerate(seeds):
             require_finite(f"fiber_sup seed {i}", fiber=c0)
         if not len(seeds):
             return []
-    c, _ = _project_ball(np.array(seeds, dtype=float).reshape(len(seeds), frame.dim), precond,
+    c, _ = _project_ball(np.array(seeds, dtype=float).reshape(len(seeds), frame.dim), frame, r,
                          radius)
     a, g, gn = evaluate_at(c)
     final_c, final_a, final_gn = np.empty_like(c), np.empty_like(a), np.empty_like(gn)
@@ -202,7 +204,7 @@ def fiber_sup(loop, spec, config, rng=None, starts=8, iters=ASCENT_ITERS, tol=AS
             if not live.size:
                 break
         rounds += 1
-        cand, clipped = _project_ball(c + (eta[:, None] * precond) * g, precond, radius)
+        cand, clipped = _project_ball(c + (eta[:, None] * precond) * g, frame, r, radius)
         a_new, g_new, gn_new = evaluate_at(cand)
         accepted = a_new >= a - 1e-14
         n_accepted = np.count_nonzero(accepted)
@@ -233,7 +235,7 @@ def fiber_sup(loop, spec, config, rng=None, starts=8, iters=ASCENT_ITERS, tol=AS
     results = []
     for c, a, gn in zip(final_c, final_a, final_gn):
         if tol < gn <= 1e-2:
-            c, a, gn = _vertical_newton(frame, evaluate_at, c, spec, precond, radius, tol)
+            c, a, gn = _vertical_newton(frame, evaluate_at, c, spec, radius, tol)
         results.append(AscentResult(field=FiberField(frame=frame, coefficients=c), action=float(a),
                                     converged=bool(gn <= tol), grad_norm=float(gn)))
     results.sort(key=lambda res: res.action, reverse=True)
@@ -269,9 +271,8 @@ def composite_descent(x, spec, config, rounds=4000, inner_steps=1, tol=None):
 
 def _gradient_residual(x, spec):
     grad_h, grad_v = gradient(x, spec)
-    lam = x.frame.eigenvalues
-    return np.concatenate([(1.0 + lam) ** (0.5 * x.s) * grad_h.coefficients,
-                           (1.0 + lam) ** (0.5 * (1.0 - x.s)) * grad_v.coefficients])
+    return np.concatenate([x.frame.weights(0.5 * x.s) * grad_h.coefficients,
+                           x.frame.weights(0.5 * (1.0 - x.s)) * grad_v.coefficients])
 
 
 def refine_critical(x, spec, max_nfev=4000):
@@ -293,8 +294,7 @@ def refine_critical(x, spec, max_nfev=4000):
     frame = x.frame
     n, J, dim = frame.n, frame.cutoff, frame.dim
     k = 2 * J * n  # packed loop coordinates: cos then sin, each (J, n)
-    lam = frame.eigenvalues
-    vertical = (1.0 + lam) ** (0.5 * (x.s - 1.0))
+    vertical = frame.weights(0.5 * (x.s - 1.0))
 
     def fun(vec):
         return _gradient_residual(unpack_coefficients(template, vec), spec)
@@ -304,7 +304,7 @@ def refine_critical(x, spec, max_nfev=4000):
         # held, they would add to the peak memory of the factorization
         out = np.zeros((2 * dim, k + dim))
         out[:dim, k:] = derivative_coefficients(frame, np.eye(dim)).T
-        out[:dim, k:] *= -((1.0 + lam) ** (-0.5 * x.s))[:, None]
+        out[:dim, k:] *= -frame.weights(-0.5 * x.s)[:, None]
         unit = np.eye(k).reshape(k, 2, J, n)
         out[dim:, :k] = frame.layout(
             *fourier.differentiate(np.zeros((k, n)), unit[:, 0], unit[:, 1])).T

@@ -17,11 +17,15 @@ different loops of the same dimension share it.  A dense collocation
 eigensolve of the same operator is available as an independent path
 and is used to cross-validate the shortcut.
 
+A field along a loop is its frame coefficients (FiberField); sampled
+field data enter only through SpectralFrame.coefficients / project.
 Fractional powers are exact diagonal scalings on the truncated
 spectrum.  Two metric families are provided:
 
 * inner_r: the covariant family, diagonal in the frame with weights
-  (1 + lambda_j)^r;
+  (1 + lambda_j)^r; the frame owns them, computing each exponent's
+  weights once (SpectralFrame.weights) and the weighted norm of a
+  coefficient stack (SpectralFrame.norm);
 * inner_r_emb: the ambient family, the functional calculus of the
   first-order ambient Sobolev form of the embedded fields compressed to
   the truncated field space.  Per coordinate circle this form is
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .geometry import LoopPath, TangentFieldSamples
+from .geometry import LoopPath
 
 ZERO_SNAP = 1e-9
 SQ2 = np.sqrt(2.0)
@@ -64,9 +68,8 @@ def _flat_eigenvalues(n, J, per_mode=None):
 
 
 def _field_samples(field):
-    # (m, n) samples of a TangentFieldSamples or an (m,) / (m, n) array;
-    # a batch (S, m, n) passes through
-    arr = field.samples if isinstance(field, TangentFieldSamples) else np.asarray(field, dtype=float)
+    # (m, n) samples from an (m,) / (m, n) array; a batch (S, m, n) passes through
+    arr = np.asarray(field, dtype=float)
     return arr[:, None] if arr.ndim == 1 else arr
 
 
@@ -154,9 +157,25 @@ class SpectralFrame:
         kept with the frame; pickling drops it."""
         return self.basis_samples()
 
+    def weights(self, r):
+        """The metric weights (1 + lambda)^r of the r-norm, computed once
+        per exponent and kept read-only with the frame; pickling drops them."""
+        cache = self.__dict__.setdefault("_weights", {})
+        w = cache.get(r)
+        if w is None:
+            w = (1.0 + self.eigenvalues) ** r
+            w.flags.writeable = False
+            w = cache.setdefault(r, w)
+        return w
+
+    def norm(self, r, c):
+        """The r-norm of coefficients c, row by row for a stack (..., D)."""
+        return np.sqrt(np.sum(self.weights(r) * c ** 2, axis=-1))
+
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("basis", None)
+        state.pop("_weights", None)
         return state
 
     def sup_norms(self):
@@ -181,8 +200,7 @@ class FiberField:
         object.__setattr__(self, "coefficients", c)
 
     def norm_r(self, r):
-        w = (1.0 + self.frame.eigenvalues) ** r
-        return float(np.sqrt(np.sum(w * self.coefficients ** 2)))
+        return float(self.frame.norm(r, self.coefficients))
 
     def samples(self, m=None):
         return self.frame.samples(self.coefficients, m=m)
@@ -291,24 +309,21 @@ def project(frame, samples):
 
 def fractional_apply(frame, r, field):
     """A^r field, A = (1 + nabla* nabla)^{1/2}: coefficients times (1+lambda)^{r/2}."""
-    w = (1.0 + frame.eigenvalues) ** (0.5 * r)
-    return FiberField(frame, w * field.coefficients)
+    return FiberField(frame, frame.weights(0.5 * r) * field.coefficients)
 
 
 def adjoint_inclusion(frame, s, v):
     """The fiber-side adjoint of the H^{1-s} inclusion: scale by (1+lambda)^{s-1}."""
     if not 0.5 < s < 1.0:
         raise ValueError("regularity parameter must lie in (1/2, 1)")
-    w = (1.0 + frame.eigenvalues) ** (s - 1.0)
-    return FiberField(frame, w * v.coefficients)
+    return FiberField(frame, frame.weights(s - 1.0) * v.coefficients)
 
 
 def inner_r(frame, r, xi, zeta):
     """The covariant r-inner-product: sum (1+lambda_j)^r xi_j zeta_j."""
     cx = xi.coefficients if isinstance(xi, FiberField) else frame.coefficients(xi)
     cz = zeta.coefficients if isinstance(zeta, FiberField) else frame.coefficients(zeta)
-    w = (1.0 + frame.eigenvalues) ** r
-    return float(np.sum(w * cx * cz))
+    return float(np.sum(frame.weights(r) * cx * cz))
 
 
 def norm_r(frame, r, xi):

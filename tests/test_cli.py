@@ -179,6 +179,27 @@ def test_non_finite_flow_config_exits_2(tmp_path, capsys):
     assert "flow dt must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, overlay", [
+    ("orbit-sweep", {"sweep": {"r_max": "2"}}),
+    ("orbit-sweep", {"sweep": {"count": 2.5}}),
+    ("orbit-sweep", {"sweep": {"winding": 3}}),
+    ("ps-diagnose", {"flow": {"epsilon": "0.5"}}),
+    ("ps-diagnose", {"flow": {"dt": "0.01"}}),
+    ("spectrum", {"spec": {"r": None}}),
+    ("spectrum", {"loop": {"winding": 3}}),
+    ("spectrum", {"loop": 3}),
+    ("spectrum", {"loop": {"manifold": "sphere"}}),
+])
+def test_bad_config_value_types_exit_2(tmp_path, capsys, command, overlay):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overlay))
+    code = run([command, "--config", str(cfg)] + out_args(tmp_path, "bad"))
+    assert code == 2
+    assert not (tmp_path / "bad").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("loopflow: error:") and "Traceback" not in err
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     code = run(["spectrum", "--config", str(tmp_path / "nope.json"),
                 "--out", str(tmp_path / "x")])

@@ -11,8 +11,7 @@ from loopflow import fourier, spectral
 from loopflow.action import (PhasePoint, action, derivative_coefficients, gradient_norm,
                              perturb, random_phase_point, straight_orbit,
                              velocity_coefficients)
-from loopflow.flow import (FlowConfig, config_to_json, deformation_report,
-                           divergent_fixture, flow, flow_step, flow_to_critical,
+from loopflow.flow import (FlowConfig, divergent_fixture, flow, flow_step, flow_to_critical,
                            flow_velocity, kolmogorov_width_proxy, ps_diagnostics,
                            representation_coefficients, representation_defects,
                            speed_cutoff)
@@ -70,7 +69,7 @@ def test_config_auto_and_json(spec):
     assert cfg.gamma_dprime == cfg.gamma_prime + 2.0
     again = FlowConfig.from_json(cfg.to_json())
     assert again == cfg
-    payload = json.loads(config_to_json(cfg))
+    payload = json.loads(json.dumps(cfg.to_json()))
     assert payload["J"] == spec.J
 
 
@@ -203,13 +202,26 @@ def test_divergent_fixture_is_flagged(spec, config):
     assert q[-1] > 2.0 * q[0]
 
 
-def test_deformation_report(spec):
+def test_high_mode_state_deforms_below_the_level(spec):
+    # deformation around the level 0 with eps = 0.05: the flow from a
+    # high-mode state reaches action -0.05 within the horizon
     cfg = manual_config(spec)
-    out = deformation_report([high_mode_state(spec)], spec, cfg,
-                             level=0.0, eps=0.05, horizon=2.0)
-    assert out["all_reached"]
-    assert out["times"][0] < 2.0
-    assert out["eps"] == 0.05
+    traj = flow(high_mode_state(spec), spec, cfg, 2.0)
+    hit = np.nonzero(traj.actions <= -0.05)[0]
+    assert hit.size
+    assert traj.times[hit[0]] < 2.0
+
+
+def test_flow_and_flow_to_critical_share_the_step_budget(small_spec, small_config, rng,
+                                                         monkeypatch):
+    flow_mod = importlib.import_module("loopflow.flow")  # the package rebinds .flow
+    assert flow_mod.step_budget(small_config, 1.0) == 16 * 100 + 16
+    monkeypatch.setattr(flow_mod, "step_budget", lambda config, T: 3)
+    x = random_phase_point(small_spec, rng)
+    traj = flow_mod.flow(x, small_spec, small_config, 1.0)
+    assert len(traj.times) == 4 and traj.budget_exhausted
+    search = flow_mod.flow_to_critical(x, small_spec, small_config)
+    assert search.steps == 3 and search.budget_exhausted
 
 
 def test_accepted_step_costs_four_evaluations(small_spec, small_config, rng, monkeypatch):

