@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 import oracles
-from loopflow.action import (PhasePoint, action, classify_critical, derivative_coefficients,
+from loopflow.action import (PhasePoint, action, classify_critical,
                              directional_derivative_check, gradient, gradient_norm, hamilton_residual, loop_energy,
                              metric_pairing, pack_coefficients, perturb,
                              random_direction, random_phase_point, rescale_period,
                              straight_orbit, unpack_coefficients)
-from loopflow.fourier import grid
 from loopflow.geometry import flat_torus, random_loop, straight_loop
 from loopflow.hamiltonian import integrate_hamiltonian, radial_H
 from loopflow.spectral import FiberField, eigendecompose, frame_of
@@ -29,18 +28,6 @@ def constant_momentum_orbit(spec, rho, winding=(1, 0)):
 def test_loop_energy():
     np.testing.assert_allclose(loop_energy(straight_loop(flat_torus(2), (1, 0))), 0.5)
     np.testing.assert_allclose(loop_energy(straight_loop(flat_torus(2), (1, 1))), 1.0)
-
-
-def test_derivative_coefficients_is_the_covariant_derivative():
-    # on the flat models the covariant derivative along a loop is the
-    # parameter derivative: cos(2 pi t) e_1 goes to -2 pi sin(2 pi t) e_1
-    frame = frame_of(straight_loop(flat_torus(2), (1, 0), modes=4), 4)
-    m = 33
-    t = grid(m)
-    field = np.column_stack([np.cos(2.0 * np.pi * t), np.zeros(m)])
-    d = derivative_coefficients(frame, frame.coefficients(field))
-    expect = np.column_stack([-2.0 * np.pi * np.sin(2.0 * np.pi * t), np.zeros(m)])
-    np.testing.assert_allclose(frame.samples(d, m), expect, atol=1e-11)
 
 
 def test_geodesic_action(spec):

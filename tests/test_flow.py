@@ -202,7 +202,7 @@ def test_divergent_fixture_is_flagged(spec, config):
     assert q[-1] > 2.0 * q[0]
 
 
-def test_high_mode_state_deforms_below_the_level(spec):
+def test_deformation_report(spec):
     # deformation around the level 0 with eps = 0.05: the flow from a
     # high-mode state reaches action -0.05 within the horizon
     cfg = manual_config(spec)

@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from loopflow.action import derivative_coefficients
+from loopflow.fourier import grid
 from loopflow.geometry import LoopPath, embedded_circle, flat_torus, random_loop, straight_loop
+from loopflow.spectral import frame_of
 
 
 def test_flat_torus_basics():
@@ -78,3 +81,41 @@ def test_velocity_series_matches_samples(rng):
     from loopflow.fourier import synthesize
     np.testing.assert_allclose(synthesize(a0, a, b, m=m),
                                loop.velocity_samples(m), atol=1e-12)
+
+
+def test_covariant_derivative_exact():
+    # on the flat models the covariant derivative along a loop is the
+    # parameter derivative of the field's frame coefficients:
+    # cos(2 pi t) e_1 goes to -2 pi sin(2 pi t) e_1
+    frame = frame_of(straight_loop(flat_torus(2), (1, 0), modes=4), 4)
+    m = 33
+    t = grid(m)
+    field = np.column_stack([np.cos(2.0 * np.pi * t), np.zeros(m)])
+    d = derivative_coefficients(frame, frame.coefficients(field))
+    expect = np.column_stack([-2.0 * np.pi * np.sin(2.0 * np.pi * t), np.zeros(m)])
+    np.testing.assert_allclose(frame.samples(d, m), expect, atol=1e-11)
+
+
+def test_aliasing_guards():
+    loop = straight_loop(flat_torus(2), (1, 0), modes=6)
+    # too few samples to carry the loop's own mode content
+    with pytest.raises(ValueError):
+        loop.velocity_samples(12)
+    with pytest.raises(ValueError):
+        loop.coordinate_samples(5)
+    field = np.tile([1.0, 0.0], (13, 1))
+    frame = frame_of(loop, 6)
+    c = frame.coefficients(field)
+    with pytest.raises(ValueError):
+        frame.samples(c, 12)
+    # a frame above the sampled content cannot read the field
+    with pytest.raises(ValueError):
+        frame_of(loop, 8).coefficients(field)
+
+
+def test_field_norms():
+    loop = straight_loop(flat_torus(2), (1, 0))
+    frame = frame_of(loop, 4)
+    c = frame.coefficients(np.tile([1.0, 0.0], (9, 1)))
+    np.testing.assert_allclose(np.linalg.norm(frame.samples(c, 9), axis=1), np.ones(9))
+    np.testing.assert_allclose(frame.norm(0.0, c), 1.0)
