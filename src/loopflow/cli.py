@@ -9,10 +9,12 @@ Exit codes: 0 success, 1 usage, 2 numerical or configuration failure.
 """
 
 import argparse
+import inspect
 import json
 import math
 import os
 import sys
+from dataclasses import fields
 from importlib import resources
 
 import numpy as np
@@ -34,6 +36,9 @@ MAX_R_COUNT = 10_000
 
 SWEEP_COLUMNS = ("r", "theta", "classification", "action", "sigma",
                  "leaf_action", "grad_norm", "steps")
+
+FLOW_PINS = frozenset({"gamma_prime", "gamma_dprime"})   # set both, or FlowConfig.auto derives them
+LOOP_KEYS = frozenset({"manifold", "winding", "base", "cos", "sin"})   # what _loop_from_config reads
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,15 +108,24 @@ def load_defaults():
     return json.loads(resources.files("loopflow").joinpath("defaults.json").read_text())
 
 
-def _load_user_config(path):
+def _load_user_config(path, defaults):
     if path is None:
         return {}
     with open(path, encoding="utf-8") as fh:
         user = json.load(fh)
+    # each section's keys are read off where its settings live
+    allowed = {"spec": {f.name for f in fields(HamiltonianSpec)},
+               "flow": set(inspect.signature(FlowConfig.auto).parameters) - {"spec"} | FLOW_PINS,
+               "sweep": set(defaults["sweep"]), "loop": LOOP_KEYS}
     if not isinstance(user, dict) or not all(isinstance(user.get(section, {}), dict)
-                                             for section in ("spec", "flow", "sweep", "loop")):
+                                             for section in allowed):
         raise ValueError("config must be a JSON object whose spec, flow, sweep and loop "
                          "sections are objects")
+    unknown = sorted(user.keys() - allowed.keys() - {"version"})
+    unknown += sorted(f"{section}.{key}" for section, keys in allowed.items()
+                      for key in user.get(section, {}).keys() - keys)
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}")
     return user
 
 
@@ -133,7 +147,7 @@ def _winding(where, value):
 def _settings(args):
     """Defaults <- config file <- flags, resolved to (spec, flow config)."""
     defaults = load_defaults()
-    user = _load_user_config(args.config)
+    user = _load_user_config(args.config, defaults)
     spec_dict = {key: _number(f"spec {key}", value, int if key == "J" else float)
                  for key, value in {**defaults["spec"], **user.get("spec", {})}.items()}
     if args.modes is not None:
@@ -143,12 +157,10 @@ def _settings(args):
     spec = HamiltonianSpec.from_json(spec_dict)
     flow_dict = {key: _number(f"flow {key}", value)
                  for key, value in {**defaults["flow"], **user.get("flow", {})}.items()}
-    if {"gamma_prime", "gamma_dprime", "t0"} <= flow_dict.keys():
-        config = FlowConfig.from_json({**flow_dict, "s": spec.s, "J": spec.J})
-    else:
-        config = FlowConfig.auto(spec, gamma=flow_dict["gamma"], epsilon=flow_dict["epsilon"],
-                                 dt=flow_dict["dt"], grad_tol=flow_dict["grad_tol"],
-                                 t_max=flow_dict["t_max"], margin=flow_dict.get("margin", 2.0))
+    pinned = FLOW_PINS & flow_dict.keys()
+    if pinned and pinned != FLOW_PINS:
+        raise ValueError("flow gamma_prime and gamma_dprime must be set together")
+    config = FlowConfig.from_json(flow_dict) if pinned else FlowConfig.auto(spec, **flow_dict)
     return defaults, user, spec, config
 
 

@@ -47,6 +47,7 @@ from .spectral import FiberField, frame_of
 
 DESCENT_TOL = 1e-8   # allowed per-step action increase before halving
 MAX_HALVINGS = 30
+SUSTAIN_STEPS = 10   # steps below grad_tol that make flow_to_critical converge
 
 
 @dataclass(frozen=True)
@@ -56,60 +57,45 @@ class FlowConfig:
     gamma < gamma' < gamma'' with gamma'' > gamma' + 1 (the cutoff
     plateau must have room to fall); when derived from a Hamiltonian
     spec, gamma' = gamma + alpha/epsilon^2 + 1 with alpha the fiber
-    action bound of the family.
+    action bound of the family.  The regularity s and the cutoff J are
+    the spec's: the flow reads them from its states and their frame.
     """
 
-    s: float
-    J: int
     gamma: float
     gamma_prime: float
     gamma_dprime: float
     epsilon: float
-    t0: float
     dt: float
     grad_tol: float
     t_max: float
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type is float and not math.isfinite(getattr(self, f.name)):
+            if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"flow {f.name} must be finite, got {getattr(self, f.name)!r}")
-        if not 0.5 < self.s < 1.0:
-            raise ValueError("regularity s must lie in (1/2, 1)")
         if not 0.0 < self.gamma < self.gamma_prime < self.gamma_dprime:
             raise ValueError("need 0 < gamma < gamma' < gamma''")
         if not self.gamma_dprime > self.gamma_prime + 1.0:
             raise ValueError("need gamma'' > gamma' + 1")
-        if self.epsilon <= 0.0 or self.dt <= 0.0 or self.t0 <= 0.0:
-            raise ValueError("epsilon, t0, dt must be positive")
+        if self.epsilon <= 0.0 or self.dt <= 0.0:
+            raise ValueError("epsilon and dt must be positive")
         if self.grad_tol <= 0.0 or self.t_max <= 0.0:
             raise ValueError("grad_tol and t_max must be positive")
 
     @staticmethod
-    def auto(spec, speed=1.0, gamma=2.5, epsilon=0.5, dt=1e-2,
-             grad_tol=1e-6, t_max=50.0, margin=2.0):
-        """Derive the radii from the spec's fiber action bound."""
-        alpha = alpha_bound(spec, speed)
-        gamma_prime = gamma + alpha / epsilon ** 2 + 1.0
-        return FlowConfig(s=spec.s, J=spec.J, gamma=gamma, gamma_prime=gamma_prime,
-                          gamma_dprime=gamma_prime + margin, epsilon=epsilon,
-                          t0=alpha / epsilon ** 2 + 1.0, dt=dt,
-                          grad_tol=grad_tol, t_max=t_max)
+    def auto(spec, gamma=2.5, epsilon=0.5, dt=1e-2, grad_tol=1e-6, t_max=50.0, margin=2.0):
+        """Derive the radii from the spec's fiber action bound at unit
+        loop speed."""
+        gamma_prime = gamma + alpha_bound(spec, 1.0) / epsilon ** 2 + 1.0
+        return FlowConfig(gamma=gamma, gamma_prime=gamma_prime, gamma_dprime=gamma_prime + margin,
+                          epsilon=epsilon, dt=dt, grad_tol=grad_tol, t_max=t_max)
 
     def to_json(self):
-        return {"s": self.s, "J": self.J, "gamma": self.gamma,
-                "gamma_prime": self.gamma_prime, "gamma_dprime": self.gamma_dprime,
-                "epsilon": self.epsilon, "t0": self.t0, "dt": self.dt,
-                "grad_tol": self.grad_tol, "t_max": self.t_max}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @staticmethod
     def from_json(data):
-        return FlowConfig(s=float(data["s"]), J=int(data["J"]), gamma=float(data["gamma"]),
-                          gamma_prime=float(data["gamma_prime"]),
-                          gamma_dprime=float(data["gamma_dprime"]),
-                          epsilon=float(data["epsilon"]), t0=float(data["t0"]),
-                          dt=float(data["dt"]), grad_tol=float(data["grad_tol"]),
-                          t_max=float(data["t_max"]))
+        return FlowConfig(**{f.name: float(data[f.name]) for f in fields(FlowConfig)})
 
 
 def speed_cutoff(config, fiber_norm):
@@ -275,8 +261,8 @@ class CriticalSearch:
     budget_exhausted: bool = False
 
 
-def flow_to_critical(x, spec, config, floor=None, sustain=10):
-    """Flow until the gradient norm stays below grad_tol for `sustain` steps.
+def flow_to_critical(x, spec, config, floor=None):
+    """Flow until the gradient norm stays below grad_tol for SUSTAIN_STEPS steps.
 
     A state already two orders below the tolerance is accepted at once:
     critical points of interest are saddles of the descent flow, whose
@@ -295,7 +281,7 @@ def flow_to_critical(x, spec, config, floor=None, sustain=10):
         gn, a = k.grad_norm, k.action
         if gn < config.grad_tol:
             consec += 1
-            if consec >= sustain or gn <= 0.01 * config.grad_tol:
+            if consec >= SUSTAIN_STEPS or gn <= 0.01 * config.grad_tol:
                 return CriticalSearch(state=x, converged=True, escaped=False, steps=steps,
                                       time=t, grad_norm=gn, action=a)
         else:

@@ -102,14 +102,11 @@ class HamiltonianSpec:
         return replace(self, r=float(r))
 
     def to_json(self):
-        return {"rho0": self.rho0, "rho1": self.rho1, "rho_star": self.rho_star,
-                "delta": self.delta, "r": self.r, "J": self.J, "s": self.s}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @staticmethod
     def from_json(data):
-        return HamiltonianSpec(rho0=float(data["rho0"]), rho1=float(data["rho1"]),
-                               rho_star=float(data["rho_star"]), delta=float(data["delta"]),
-                               r=float(data["r"]), J=int(data["J"]), s=float(data["s"]))
+        return HamiltonianSpec(**{f.name: f.type(data[f.name]) for f in fields(HamiltonianSpec)})
 
 
 def default_spec(**overrides):

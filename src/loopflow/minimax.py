@@ -26,13 +26,15 @@ from . import fourier
 from .action import (PhasePoint, action, classify_critical, derivative_coefficients,
                      fiber_evaluation, gradient, gradient_norm, loop_energy, pack_coefficients,
                      require_finite, unpack_coefficients, velocity_coefficients)
-from .flow import FlowConfig, flow_step, flow_to_critical
+from .flow import flow_step, flow_to_critical
 from .geometry import flat_torus, straight_loop
-from .hamiltonian import HamiltonianSpec, alpha_bound, r0_threshold, radial_H_jet
+from .hamiltonian import alpha_bound, r0_threshold, radial_H_jet
 from .spectral import FiberField, frame_of
 
 ASCENT_TOL = 1e-9
 ASCENT_ITERS = 600
+ASCENT_STARTS = 8        # fiber_sup seeds per loop; minimax_theta retries with twice as many
+DESCENT_ROUNDS = 4000    # re-ascend-then-step rounds of composite_descent
 ESCAPE_FLOOR = -0.5
 
 
@@ -128,8 +130,8 @@ def _vertical_newton(frame, evaluate_at, c, spec, radius, tol, iters=12):
     return c, a, gn
 
 
-def fiber_sup(loop, spec, config, rng=None, starts=8, iters=ASCENT_ITERS, tol=ASCENT_TOL,
-              seeds=None):
+def fiber_sup(loop, spec, config, rng=None, starts=ASCENT_STARTS, iters=ASCENT_ITERS,
+              tol=ASCENT_TOL, seeds=None):
     """Projected gradient ascent of the action over the fiber ball.
 
     Default seeds: radial scalings of the smoothed velocity field
@@ -242,9 +244,9 @@ def fiber_sup(loop, spec, config, rng=None, starts=8, iters=ASCENT_ITERS, tol=AS
     return results
 
 
-def composite_descent(x, spec, config, rounds=4000, inner_steps=1, tol=None):
+def composite_descent(x, spec, config):
     """Descend the inner-sup envelope: re-ascend the fiber locally after
-    every few descent steps.
+    every descent step.
 
     Fiber-maximal critical points are saddles of the plain descent flow,
     so a perturbed state never flows back to one directly.  With the
@@ -253,19 +255,18 @@ def composite_descent(x, spec, config, rounds=4000, inner_steps=1, tol=None):
     as a genuine local minimum; letting the fiber go stale instead feeds
     the mixed unstable directions.  Returns (state, converged) with
     convergence declared right after an ascent, where the branch is
-    exact.
+    exact, at a gradient norm two orders below grad_tol.
     """
-    tol = 0.01 * config.grad_tol if tol is None else tol
+    tol = 0.01 * config.grad_tol
     # the envelope is smooth (no shelf stiffness on the maximal branch),
     # so a larger step is stable; the halving guard still protects it
     dt = 5.0 * config.dt
-    for _ in range(rounds):
+    for _ in range(DESCENT_ROUNDS):
         asc = fiber_sup(x.loop, spec, config, seeds=[x.fiber.coefficients])[0]
         x = PhasePoint(loop=x.loop, fiber=asc.field, s=spec.s)
         if gradient_norm(x, spec) <= tol:
             return x, True
-        for _ in range(inner_steps):
-            x = flow_step(x, spec, config, dt=dt)
+        x = flow_step(x, spec, config, dt=dt)
     return x, False
 
 
@@ -329,7 +330,6 @@ class MinimaxRecord:
     theta: float
     witness: PhasePoint
     classification: object
-    action: float
     sigma: float
     leaf_action: float
     symplectic: float
@@ -339,35 +339,37 @@ class MinimaxRecord:
     confident: bool
 
     def to_row(self):
+        # the CSV's action column is the level itself
         return {"r": self.r, "theta": self.theta,
-                "classification": str(self.classification), "action": self.action,
+                "classification": str(self.classification), "action": self.theta,
                 "sigma": self.sigma if self.sigma is not None else math.nan,
                 "leaf_action": self.leaf_action if self.leaf_action is not None else math.nan,
                 "grad_norm": self.grad_norm, "steps": self.steps}
 
 
-def minimax_theta(family, spec, config, rng=None, starts=8, polish=True):
+def minimax_theta(family, spec, config, rng=None):
     """Estimate theta(r) over the fibered family and record the witness.
 
     Non-converged inner ascents trigger one retry with doubled starts;
     a persistent failure only drops the confidence flag, never the
-    record.  The zero-section keeps the level nonnegative; a level
-    below -1e-6 means the estimator itself broke, which raises.
+    record.  A witness with gradient norm below 1e-2 is polished by
+    refine_critical.  The zero-section keeps the level nonnegative; a
+    level below -1e-6 means the estimator itself broke, which raises.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     candidates = []
     confident = True
     for loop in family:
-        sups = fiber_sup(loop, spec, config, rng=rng, starts=starts)
+        sups = fiber_sup(loop, spec, config, rng=rng)
         if not all(res.converged for res in sups):
-            sups = fiber_sup(loop, spec, config, rng=rng, starts=2 * starts)
+            sups = fiber_sup(loop, spec, config, rng=rng, starts=2 * ASCENT_STARTS)
             confident = confident and all(res.converged for res in sups)
         for res in sups:
             x0 = PhasePoint(loop=loop, fiber=res.field, s=spec.s)
             candidates.append(flow_to_critical(x0, spec, config, floor=ESCAPE_FLOOR))
     best = max(candidates, key=lambda c: c.action)
     witness = best.state
-    if polish and best.grad_norm < 1e-2:
+    if best.grad_norm < 1e-2:
         witness = refine_critical(witness, spec)
     theta = action(witness, spec)
     if theta < -1e-6:
@@ -377,7 +379,7 @@ def minimax_theta(family, spec, config, rng=None, starts=8, polish=True):
     sym = symplectic_action(witness)
     leaf = sym if cls.kind == "on-hypersurface" else None
     return MinimaxRecord(r=spec.r, theta=theta, witness=witness, classification=cls,
-                         action=theta, sigma=getattr(cls, "sigma", None), leaf_action=leaf,
+                         sigma=getattr(cls, "sigma", None), leaf_action=leaf,
                          symplectic=sym, grad_norm=gn, steps=best.steps,
                          converged=bool(best.converged), confident=bool(confident))
 
@@ -390,12 +392,11 @@ def default_family(spec, winding=(1, 0)):
 
 
 def _sweep_task(payload):
-    spec_json, config_json, loops, r, seed, idx, polish = payload
-    spec = HamiltonianSpec.from_json(spec_json).with_r(r)
-    config = FlowConfig.from_json(config_json)
+    spec_template, config, loops, r, seed, idx = payload
+    spec = spec_template.with_r(r)
     family = loops if loops is not None else default_family(spec)
     rng = np.random.default_rng([seed, idx])
-    return minimax_theta(family, spec, config, rng=rng, polish=polish)
+    return minimax_theta(family, spec, config, rng=rng)
 
 
 def pool_size(jobs, points, cpus):
@@ -416,7 +417,7 @@ class SweepSummary:
     budget_flagged: tuple
 
 
-def orbit_sweep(spec_template, r_grid, config, jobs=1, seed=0, family=None, polish=True):
+def orbit_sweep(spec_template, r_grid, config, jobs=1, seed=0, family=None):
     """Run minimax_theta over the r grid, in-process or on a pool.
 
     Results merge deterministically in grid order regardless of the
@@ -426,8 +427,7 @@ def orbit_sweep(spec_template, r_grid, config, jobs=1, seed=0, family=None, poli
     loop energies and the r-shifted actions, both constant on a
     plateau.
     """
-    payloads = [(spec_template.to_json(), config.to_json(), family, float(r), seed, i, polish)
-                for i, r in enumerate(r_grid)]
+    payloads = [(spec_template, config, family, float(r), seed, i) for i, r in enumerate(r_grid)]
     workers = pool_size(jobs, len(payloads), os.cpu_count() or 1)
     if workers <= 1:
         records = [_sweep_task(p) for p in payloads]
@@ -446,7 +446,7 @@ def orbit_sweep(spec_template, r_grid, config, jobs=1, seed=0, family=None, poli
         first_hit_leaf_action=(min(hits, key=lambda rec: rec.r).leaf_action if hits else math.nan),
         leaf_bound=bound,
         plateau_energies={rec.r: loop_energy(rec.witness.loop) for rec in plateau},
-        plateau_shifted_actions={rec.r: rec.action + rec.r for rec in plateau},
+        plateau_shifted_actions={rec.r: rec.theta + rec.r for rec in plateau},
         budget_flagged=tuple(rec.r for rec in records if not rec.converged),
     )
     return records, summary

@@ -42,7 +42,7 @@ matrix level for every loop and every r in [0,1].
 
 import functools
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,9 +67,9 @@ def _flat_eigenvalues(n, J, per_mode=None):
     return lam
 
 
-def _field_samples(field):
+def _field_samples(samples):
     # (m, n) samples from an (m,) / (m, n) array; a batch (S, m, n) passes through
-    arr = np.asarray(field, dtype=float)
+    arr = np.asarray(samples, dtype=float)
     return arr[:, None] if arr.ndim == 1 else arr
 
 
@@ -79,7 +79,7 @@ class SpectralFrame:
 
     n: int
     cutoff: int
-    eigenvalues: np.ndarray
+    eigenvalues: np.ndarray = field(compare=False)   # fixed by (n, cutoff, method)
     method: str = "analytic"
 
     def __post_init__(self):
@@ -223,9 +223,7 @@ class FiberField:
 
 
 def _check_aligned(fa, fb):
-    if fa is fb:
-        return
-    if (fa.n, fa.cutoff, fa.method) != (fb.n, fb.cutoff, fb.method):
+    if fa != fb:
         raise ValueError("fields live in different frames")
 
 

@@ -210,7 +210,8 @@ def test_c11_cutoff_robustness(spec, config):
     # the minimax level is cutoff-stable: |theta_32 - theta_64| <= 1e-3
     rec32 = minimax_theta(default_family(spec), spec, config)
     spec64 = default_spec(J=64)
-    rec64 = minimax_theta(default_family(spec64), spec64, FlowConfig.auto(spec64))
+    assert FlowConfig.auto(spec64) == config  # the flow config does not depend on J
+    rec64 = minimax_theta(default_family(spec64), spec64, config)
     gap = abs(rec32.theta - rec64.theta)
     assert gap <= 1e-3
     report(11, "cutoff robustness", f"|theta_32 - theta_64| = {gap:.2e}")

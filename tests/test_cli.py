@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 from loopflow import cli
 from loopflow.cli import build_parser, main
+from loopflow.flow import FlowConfig
 from loopflow.manifest import read_csv, read_manifest
 from loopflow.spectral import embedded_metric
 
@@ -189,6 +191,14 @@ def test_non_finite_flow_config_exits_2(tmp_path, capsys):
     ("spectrum", {"loop": {"winding": 3}}),
     ("spectrum", {"loop": 3}),
     ("spectrum", {"loop": {"manifold": "sphere"}}),
+    ("spectrum", {"flow": {"dtt": 0.5}}),
+    ("spectrum", {"flow": {"gamma_prime": 9.0}}),
+    ("spectrum", {"spec": {"rhostar": 0.25}}),
+    ("spectrum", {"sweep": {"rmax": 1.0}}),
+    ("spectrum", {"loop": {"windng": [2, 0]}}),
+    ("spectrum", {"flow": {"t0": 1.0}}),
+    ("spectrum", {"flow": {"s": 0.6}}),
+    ("spectrum", {"sepc": {"r": 0.5}}),
 ])
 def test_bad_config_value_types_exit_2(tmp_path, capsys, command, overlay):
     cfg = tmp_path / "cfg.json"
@@ -198,6 +208,26 @@ def test_bad_config_value_types_exit_2(tmp_path, capsys, command, overlay):
     assert not (tmp_path / "bad").exists()
     err = capsys.readouterr().err
     assert err.startswith("loopflow: error:") and "Traceback" not in err
+
+
+def test_manifest_flow_section_is_the_flow_config(tmp_path, capsys):
+    out = tmp_path / "spec"
+    assert run(["spectrum", "--out", str(out)]) == 0
+    flow = read_manifest(out / "manifest.json").config["flow"]
+    assert set(flow) == {f.name for f in dataclasses.fields(FlowConfig)}
+    _, _, _, config = cli._settings(build_parser().parse_args(["spectrum"]))
+    assert FlowConfig.from_json(flow) == config
+    capsys.readouterr()
+
+
+def test_config_pins_both_radii(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"flow": {"gamma_prime": 9.0, "gamma_dprime": 11.0}}))
+    out = tmp_path / "pinned"
+    assert run(["spectrum", "--modes", "4", "--config", str(cfg), "--out", str(out)]) == 0
+    flow = read_manifest(out / "manifest.json").config["flow"]
+    assert (flow["gamma_prime"], flow["gamma_dprime"]) == (9.0, 11.0)
+    capsys.readouterr()
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-import oracles
 from loopflow import fourier, spectral
 from loopflow.action import (PhasePoint, action, derivative_coefficients, gradient_norm,
                              perturb, random_phase_point, straight_orbit,
@@ -32,28 +31,22 @@ def high_mode_state(spec):
     return PhasePoint(loop=loop, fiber=FiberField(frame, c), s=spec.s)
 
 
-def manual_config(spec):
-    alpha = oracles.alpha_oracle()
-    return FlowConfig(s=spec.s, J=spec.J, gamma=0.3, gamma_prime=0.5,
-                      gamma_dprime=2.0, epsilon=0.5, t0=alpha / 0.25 + 1.0,
-                      dt=0.01, grad_tol=1e-6, t_max=50.0)
+MANUAL_CONFIG = FlowConfig(gamma=0.3, gamma_prime=0.5, gamma_dprime=2.0, epsilon=0.5,
+                           dt=0.01, grad_tol=1e-6, t_max=50.0)
 
 
-def test_config_validation(spec):
+def test_config_validation():
     with pytest.raises(ValueError):
-        FlowConfig(s=spec.s, J=8, gamma=1.0, gamma_prime=0.5, gamma_dprime=3.0,
-                   epsilon=0.5, t0=1.0, dt=0.01, grad_tol=1e-6, t_max=10.0)
+        FlowConfig(gamma=1.0, gamma_prime=0.5, gamma_dprime=3.0,
+                   epsilon=0.5, dt=0.01, grad_tol=1e-6, t_max=10.0)
     with pytest.raises(ValueError):
         # plateau has no room: gamma'' <= gamma' + 1
-        FlowConfig(s=spec.s, J=8, gamma=1.0, gamma_prime=2.0, gamma_dprime=2.5,
-                   epsilon=0.5, t0=1.0, dt=0.01, grad_tol=1e-6, t_max=10.0)
-    with pytest.raises(ValueError):
-        FlowConfig(s=spec.s, J=8, gamma=1.0, gamma_prime=2.0, gamma_dprime=3.5,
-                   epsilon=0.5, t0=-1.0, dt=0.01, grad_tol=1e-6, t_max=10.0)
+        FlowConfig(gamma=1.0, gamma_prime=2.0, gamma_dprime=2.5,
+                   epsilon=0.5, dt=0.01, grad_tol=1e-6, t_max=10.0)
 
 
-@pytest.mark.parametrize("field", ["s", "gamma", "gamma_prime", "gamma_dprime", "epsilon",
-                                   "t0", "dt", "grad_tol", "t_max"])
+@pytest.mark.parametrize("field", ["gamma", "gamma_prime", "gamma_dprime", "epsilon",
+                                   "dt", "grad_tol", "t_max"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_values(config, field, value):
     with pytest.raises(ValueError, match=f"flow {field} must be finite"):
@@ -65,12 +58,10 @@ def test_config_auto_and_json(spec):
     # oracle: tests/oracles.py::alpha_oracle
     np.testing.assert_allclose(cfg.gamma_prime, 2.5 + 0.613162058098 / 0.25 + 1.0,
                                atol=1e-9)
-    np.testing.assert_allclose(cfg.t0, cfg.gamma_prime - cfg.gamma, atol=1e-12)
     assert cfg.gamma_dprime == cfg.gamma_prime + 2.0
     again = FlowConfig.from_json(cfg.to_json())
     assert again == cfg
-    payload = json.loads(json.dumps(cfg.to_json()))
-    assert payload["J"] == spec.J
+    assert FlowConfig.from_json(json.loads(json.dumps(cfg.to_json()))) == cfg
 
 
 def test_speed_cutoff_profile(config):
@@ -134,7 +125,7 @@ def test_stationary_point_stays(spec, config):
 
 
 def test_descent_run_from_high_mode_state(spec):
-    cfg = manual_config(spec)
+    cfg = MANUAL_CONFIG
     x = high_mode_state(spec)
     assert x.fiber.norm_r(1.0 - spec.s) > cfg.gamma_prime
     m = 4 * spec.J + 1
@@ -178,7 +169,7 @@ def test_flow_to_critical_accepts_exact_landing(spec, config):
 
 
 def test_flow_to_critical_floor(spec):
-    cfg = manual_config(spec)
+    cfg = MANUAL_CONFIG
     x = high_mode_state(spec)
     out = flow_to_critical(x, spec, cfg, floor=-0.5)
     assert out.escaped and not out.converged
@@ -205,7 +196,7 @@ def test_divergent_fixture_is_flagged(spec, config):
 def test_deformation_report(spec):
     # deformation around the level 0 with eps = 0.05: the flow from a
     # high-mode state reaches action -0.05 within the horizon
-    cfg = manual_config(spec)
+    cfg = MANUAL_CONFIG
     traj = flow(high_mode_state(spec), spec, cfg, 2.0)
     hit = np.nonzero(traj.actions <= -0.05)[0]
     assert hit.size
@@ -397,7 +388,7 @@ def test_rk4_matches_stages_built_by_perturb(J, model):
 
 @pytest.fixture(scope="module")
 def diagnosed_trajectories(spec, config):
-    high = flow(high_mode_state(spec), spec, manual_config(spec), 3.0)
+    high = flow(high_mode_state(spec), spec, MANUAL_CONFIG, 3.0)
     rand = flow(random_phase_point(spec, np.random.default_rng(77)), spec, config, 1.0)
     return [high, rand, divergent_fixture(spec, config)]
 

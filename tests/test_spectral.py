@@ -96,6 +96,9 @@ def test_frame_pickle_drops_cached_weights_and_basis():
     assert (again.n, again.cutoff, again.method) == (frame.n, frame.cutoff, frame.method)
     assert np.array_equal(again.eigenvalues, frame.eigenvalues)
     assert np.array_equal(again.weights(0.25), w)
+    assert again == frame and hash(again) == hash(frame)
+    for other in (eigendecompose(1, 4), eigendecompose(2, 5), eigendecompose(2, 4, "dense")):
+        assert other != frame
 
 
 def test_frame_norm_of_a_stack_equals_row_norms(rng):
