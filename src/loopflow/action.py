@@ -36,7 +36,7 @@ from .spectral import FiberField, frame_of
 from .hamiltonian import TIE_BAND, radial_H_jet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhasePoint:
     """A point (q, p) of the bundle, with its regularity parameter."""
 

@@ -77,7 +77,6 @@ def build_parser():
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--modes", type=_positive_int, default=None, help="mode cutoff J")
         p.add_argument("--s", type=float, default=None, help="regularity parameter")
-        p.add_argument("--jobs", type=_positive_int, default=1)
         return p
 
     p = common(sub.add_parser("spectrum", help="eigenvalue table of one loop"))
@@ -91,6 +90,7 @@ def build_parser():
     p.add_argument("--r-min", type=float, default=None)
     p.add_argument("--r-max", type=float, default=None)
     p.add_argument("--r-count", type=int, default=None)
+    p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = common(sub.add_parser("ps-diagnose", help="Palais-Smale bound report along flows"))
     p.add_argument("--count", type=_positive_int, default=4)

@@ -13,7 +13,9 @@ through its velocity and fiber coefficients, so the inner RK4 stages
 are evaluated on those arrays and only the state a step returns is
 built as a PhasePoint.  The evaluation that accepts a step is the next
 step's k1: an accepted step costs four evaluations (k2-k4 and the new
-state).
+state).  One stepping driver serves both flow, which records every
+state, and flow_to_critical, which stops at the first state that
+converges or falls below its floor.
 
 Along a trajectory the vertical component satisfies a linear
 inhomogeneous ODE whose homogeneous weights are hyperbolic in the
@@ -173,14 +175,13 @@ def _step(x, spec, config, dt, k1):
     raise ArithmeticError(f"flow step rejected after {MAX_HALVINGS} halvings (dt={dt:.3e})")
 
 
-def flow_step(x, spec, config, dt=None):
-    """One integrator step of V_r (public form of _step)."""
-    dt = config.dt if dt is None else dt
-    xn, _, _ = _step(x, spec, config, dt, flow_velocity(x, spec, config))
+def flow_step(x, spec, config):
+    """One integrator step of V_r of size config.dt (public form of _step)."""
+    xn, _, _ = _step(x, spec, config, config.dt, flow_velocity(x, spec, config))
     return xn
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowTrajectory:
     """A recorded flow run: states with per-state diagnostics.
 
@@ -220,6 +221,23 @@ def step_budget(config, T):
     return 16 * int(math.ceil(T / config.dt)) + 16
 
 
+def _march(x, spec, config, T):
+    """The flow from x toward time T, one accepted step at a time.
+
+    Yields (t, steps, state, velocity) at x and after each step; stops
+    once t reaches T (to 1e-12) or the steps reach step_budget(config, T).
+    """
+    k = flow_velocity(x, spec, config)
+    t, steps = 0.0, 0
+    max_steps = step_budget(config, T)
+    yield t, steps, x, k
+    while t < T - 1e-12 and steps < max_steps:
+        x, dt_used, k = _step(x, spec, config, min(config.dt, T - t), k)
+        t += dt_used
+        steps += 1
+        yield t, steps, x, k
+
+
 def flow(x0, spec, config, T):
     """Run the flow for time T, recording the trajectory.
 
@@ -230,24 +248,15 @@ def flow(x0, spec, config, T):
     if T > config.t_max + 1e-12:
         raise ValueError("flow horizon exceeds the configured t_max budget")
     require_finite("flow start state", x0.loop, x0.fiber.coefficients)
-    k = flow_velocity(x0, spec, config)
-    times, states, records = [0.0], [x0], [k[2:]]
-    max_steps = step_budget(config, T)
-    t = 0.0
-    x = x0
-    steps = 0
-    while t < T - 1e-12 and steps < max_steps:
-        dt = min(config.dt, T - t)
-        x, dt_used, k = _step(x, spec, config, dt, k)
-        t += dt_used
-        steps += 1
+    times, states, records = [], [], []
+    for t, _, x, k in _march(x0, spec, config, T):
         times.append(t)
         states.append(x)
         records.append(k[2:])
-    return _trajectory(times, states, records, budget_exhausted=bool(t < T - 1e-12))
+    return _trajectory(times, states, records, budget_exhausted=bool(times[-1] < T - 1e-12))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CriticalSearch:
     """Outcome of flowing toward a critical point."""
 
@@ -269,32 +278,20 @@ def flow_to_critical(x, spec, config, floor=None):
     unstable rate would blow such an exact landing past the tolerance
     before any sustained window could close.  An optional action floor
     stops trajectories that have fallen irrecoverably low (they can no
-    longer carry a minimax level).
+    longer carry a minimax level).  A flow that reaches t_max or its
+    step budget first comes back budget-exhausted.
     """
     require_finite("flow_to_critical start state", x.loop, x.fiber.coefficients)
-    t = 0.0
-    steps = 0
     consec = 0
-    max_steps = step_budget(config, config.t_max)
-    k = flow_velocity(x, spec, config)
-    while True:
-        gn, a = k.grad_norm, k.action
-        if gn < config.grad_tol:
-            consec += 1
-            if consec >= SUSTAIN_STEPS or gn <= 0.01 * config.grad_tol:
-                return CriticalSearch(state=x, converged=True, escaped=False, steps=steps,
-                                      time=t, grad_norm=gn, action=a)
-        else:
-            consec = 0
-        if floor is not None and a < floor:
-            return CriticalSearch(state=x, converged=False, escaped=True, steps=steps,
-                                  time=t, grad_norm=gn, action=a)
-        if t >= config.t_max or steps >= max_steps:
-            return CriticalSearch(state=x, converged=False, escaped=False, steps=steps,
-                                  time=t, grad_norm=gn, action=a, budget_exhausted=True)
-        x, dt_used, k = _step(x, spec, config, min(config.dt, config.t_max - t), k)
-        t += dt_used
-        steps += 1
+    for t, steps, x, k in _march(x, spec, config, config.t_max):
+        consec = consec + 1 if k.grad_norm < config.grad_tol else 0
+        converged = consec >= SUSTAIN_STEPS or k.grad_norm <= 0.01 * config.grad_tol
+        escaped = bool(not converged and floor is not None and k.action < floor)
+        if converged or escaped:
+            break
+    return CriticalSearch(state=x, converged=converged, escaped=escaped, steps=steps, time=t,
+                          grad_norm=k.grad_norm, action=k.action,
+                          budget_exhausted=not (converged or escaped))
 
 
 def representation_defects(traj):
@@ -333,7 +330,7 @@ def kolmogorov_width_proxy(frame, s, defect_coefficients, max_mode=None):
     return np.sqrt(np.append(tails.max(axis=0, initial=0.0), 0.0))[:max_mode + 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PSReport:
     """Per-state Palais-Smale quantities along a trajectory, with a
     growth flag on the quadratic fiber ratio."""

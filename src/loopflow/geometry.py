@@ -108,7 +108,7 @@ def embedded_circle():
     return ModelManifold(kind="embedded-circle", periods=(2.0 * np.pi,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoopPath:
     """A free loop: winding class plus anchored truncated Fourier data.
 

@@ -223,7 +223,7 @@ def hamiltonian_vector_field(spec, q, p):
     return qdot, np.zeros_like(p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """An integrated phase trajectory on [0, T], uniform steps."""
 
@@ -271,34 +271,36 @@ def fake_geodesic_action(spec, p0):
     return float(out[0]) if scalar else out
 
 
-def _geodesic_defect(spec, rho):
-    # g(rho) = phi'(rho) rho - phi(rho); r0 = 1 + max g over [0, 2 rho1]
-    return phi(spec, rho, order=1) * rho - phi(spec, rho)
+def _grid_max(f, df, d2f, hi, grid):
+    """max f over [0, hi]: the best of grid uniform nodes, hi among them.
+
+    When the best node is interior and f'' < 0 there, one Newton step on
+    f' gives a candidate that replaces it if f is larger there.
+    """
+    rho = np.linspace(0.0, hi, grid)
+    vals = f(rho)
+    k = int(np.argmax(vals))
+    best = float(vals[k])
+    if 0 < k < grid - 1:
+        node = float(rho[k])
+        curvature = float(d2f(node))
+        if curvature < 0.0:
+            cand = node - float(df(node)) / curvature
+            if 0.0 < cand < hi:
+                best = max(best, float(f(cand)))
+    return best
 
 
 def r0_threshold(spec, grid=10000):
     """The fake-geodesic exclusion threshold r0 = 1 + max g, g = phi' rho - phi.
 
-    Dense grid search over [0, 2 rho1] followed by one Newton step on
-    g' = phi'' rho at the best interior node; the boundary value 2 rho1^2
-    is kept if it wins.  g >= 0 there, so the absolute value is moot.
+    The search runs over [0, 2 rho1] with g' = phi'' rho and
+    g'' = phi''' rho + phi''.  g >= 0 there, so the absolute value is moot.
     """
-    hi = 2.0 * spec.rho1
-    rho = np.linspace(0.0, hi, grid)
-    g = _geodesic_defect(spec, rho)
-    k = int(np.argmax(g))
-    best_rho, best = float(rho[k]), float(g[k])
-    if 0 < k < grid - 1:
-        g1 = float(phi(spec, best_rho, order=2) * best_rho)
-        g2 = float(phi(spec, best_rho, order=3) * best_rho + phi(spec, best_rho, order=2))
-        if g2 < 0.0:  # genuine interior max
-            cand = best_rho - g1 / g2
-            if 0.0 < cand < hi:
-                val = float(_geodesic_defect(spec, cand))
-                if val > best:
-                    best_rho, best = cand, val
-    boundary = float(_geodesic_defect(spec, hi))
-    return 1.0 + max(best, boundary)
+    return 1.0 + _grid_max(lambda rho: phi(spec, rho, order=1) * rho - phi(spec, rho),
+                           lambda rho: phi(spec, rho, order=2) * rho,
+                           lambda rho: phi(spec, rho, order=3) * rho + phi(spec, rho, order=2),
+                           2.0 * spec.rho1, grid)
 
 
 def envelope_beta(spec, grid=10000):
@@ -307,19 +309,10 @@ def envelope_beta(spec, grid=10000):
     phi_ext is the phi-part of H_r (zero through rho1); beyond 2 rho1
     the sup argument is identically zero, so the search stops there.
     """
-    rho = np.linspace(0.0, 2.0 * spec.rho1, grid)
-    vals = 0.5 * rho ** 2 - phi(spec, rho)
-    k = int(np.argmax(vals))
-    best_rho, best = float(rho[k]), float(vals[k])
-    if 0 < k < grid - 1:
-        # one Newton step on the derivative rho - phi'
-        d1 = best_rho - float(phi(spec, best_rho, order=1))
-        d2 = 1.0 - float(phi(spec, best_rho, order=2))
-        if d2 < 0.0:
-            cand = best_rho - d1 / d2
-            if 0.0 < cand < 2.0 * spec.rho1:
-                best = max(best, float(0.5 * cand ** 2 - phi(spec, cand)))
-    return best
+    return _grid_max(lambda rho: 0.5 * rho ** 2 - phi(spec, rho),
+                     lambda rho: rho - phi(spec, rho, order=1),
+                     lambda rho: 1.0 - phi(spec, rho, order=2),
+                     2.0 * spec.rho1, grid)
 
 
 def alpha_bound(spec, speed):

@@ -22,8 +22,6 @@ def format_value(value):
         return "1" if value else "0"
     if isinstance(value, float):
         return "%.17g" % value
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 

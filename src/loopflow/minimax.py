@@ -26,7 +26,7 @@ from . import fourier
 from .action import (PhasePoint, action, classify_critical, derivative_coefficients,
                      fiber_evaluation, gradient, gradient_norm, loop_energy, pack_coefficients,
                      require_finite, unpack_coefficients, velocity_coefficients)
-from .flow import flow_step, flow_to_critical
+from .flow import _step, flow_to_critical, flow_velocity
 from .geometry import flat_torus, straight_loop
 from .hamiltonian import alpha_bound, r0_threshold, radial_H_jet
 from .spectral import FiberField, frame_of
@@ -43,7 +43,7 @@ def symplectic_action(x):
     return float(velocity_coefficients(x.loop, x.frame) @ x.fiber.coefficients)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AscentResult:
     field: FiberField
     action: float
@@ -264,9 +264,10 @@ def composite_descent(x, spec, config):
     for _ in range(DESCENT_ROUNDS):
         asc = fiber_sup(x.loop, spec, config, seeds=[x.fiber.coefficients])[0]
         x = PhasePoint(loop=x.loop, fiber=asc.field, s=spec.s)
-        if gradient_norm(x, spec) <= tol:
+        k = flow_velocity(x, spec, config)   # also the step's k1
+        if k.grad_norm <= tol:
             return x, True
-        x = flow_step(x, spec, config, dt=dt)
+        x, _, _ = _step(x, spec, config, dt, k)
     return x, False
 
 
@@ -321,7 +322,7 @@ def refine_critical(x, spec, max_nfev=4000):
     return refined if gradient_norm(refined, spec) <= gradient_norm(x, spec) else x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MinimaxRecord:
     """One r-slice of the sweep: the level, its witness, and how the
     witness sits relative to the hypersurface."""

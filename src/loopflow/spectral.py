@@ -185,7 +185,7 @@ class SpectralFrame:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiberField:
     """A field along a loop, stored by its frame coefficients."""
 
@@ -328,7 +328,7 @@ def norm_r(frame, r, xi):
     return float(np.sqrt(max(inner_r(frame, r, xi, xi), 0.0)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddedMetric:
     """Per-coordinate eigendata of the compressed ambient Sobolev form."""
 

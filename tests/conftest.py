@@ -1,3 +1,10 @@
+import os
+
+# one BLAS thread, as the benchmark runs: on a small machine the threaded
+# BLAS oversubscribes the cores and roughly doubles the suite's wall time
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

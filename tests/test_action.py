@@ -1,4 +1,6 @@
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -172,3 +174,18 @@ def test_rescale_period_rejections(spec):
                                   T=0.03, steps=16)
     with pytest.raises(ValueError):
         rescale_period(short, spec, flat_torus(2))  # does not close up
+
+
+def test_states_compare_by_identity(spec, rng):
+    # equal-valued copies of array-holding objects are distinct, and
+    # comparing them answers instead of raising
+    x = random_phase_point(spec, rng)
+    for obj in (x.loop, x.fiber, x):
+        copy = replace(obj)
+        assert obj == obj and hash(obj) == hash(obj)
+        assert (obj == copy) is False and obj != copy
+        again = pickle.loads(pickle.dumps(obj))
+        assert type(again) is type(obj) and again != obj
+    again = pickle.loads(pickle.dumps(x))
+    np.testing.assert_array_equal(again.fiber.coefficients, x.fiber.coefficients)
+    assert again.loop.content_key() == x.loop.content_key()

@@ -415,3 +415,63 @@ def test_trajectory_diagnostics_match_per_state_references(which, diagnosed_traj
         assert_close(got, want)
     assert report.growth_flag is growth
     assert growth is (which == 2)
+
+
+# flow and flow_to_critical step through one shared driver.  The
+# reference is flow_to_critical as it was with a stepping loop of its
+# own, whose horizon test read t >= t_max.
+
+def reference_flow_to_critical(x, spec, config, floor=None):
+    flow_mod = importlib.import_module("loopflow.flow")  # the package rebinds .flow
+    t = 0.0
+    steps = 0
+    consec = 0
+    max_steps = flow_mod.step_budget(config, config.t_max)
+    k = flow_mod.flow_velocity(x, spec, config)
+    while True:
+        gn, a = k.grad_norm, k.action
+        if gn < config.grad_tol:
+            consec += 1
+            if consec >= flow_mod.SUSTAIN_STEPS or gn <= 0.01 * config.grad_tol:
+                return x, True, False, steps, t, gn, a, False
+        else:
+            consec = 0
+        if floor is not None and a < floor:
+            return x, False, True, steps, t, gn, a, False
+        if t >= config.t_max or steps >= max_steps:
+            return x, False, False, steps, t, gn, a, True
+        x, dt_used, k = flow_mod._step(x, spec, config, min(config.dt, config.t_max - t), k)
+        t += dt_used
+        steps += 1
+
+
+def state_key(x):
+    return x.loop.content_key(), x.fiber.coefficients.tobytes()
+
+
+@pytest.mark.parametrize("stop", ["floor", "step_budget"])
+def test_flow_to_critical_stops_on_a_flow_trajectory(stop, small_spec, small_config, rng,
+                                                     monkeypatch):
+    # the flow over the same horizon t_max passes through the state
+    # flow_to_critical stops at; a flow over search.time would cap its last
+    # step at search.time - t, which can round below dt
+    flow_mod = importlib.import_module("loopflow.flow")  # the package rebinds .flow
+    if stop == "floor":
+        x, floor = high_mode_state(small_spec), -0.5
+        config = dataclasses.replace(MANUAL_CONFIG, t_max=0.2)
+    else:
+        monkeypatch.setattr(flow_mod, "step_budget", lambda config, T: 5)
+        x, config, floor = random_phase_point(small_spec, rng), small_config, None
+    search = flow_mod.flow_to_critical(x, small_spec, config, floor=floor)
+    assert (search.escaped, search.budget_exhausted) == (stop == "floor", stop == "step_budget")
+    assert search.steps > 0 and not search.converged
+    state, *outcome = reference_flow_to_critical(x, small_spec, config, floor=floor)
+    assert state_key(search.state) == state_key(state)
+    assert [search.converged, search.escaped, search.steps, search.time, search.grad_norm,
+            search.action, search.budget_exhausted] == outcome
+    traj = flow_mod.flow(x, small_spec, config, config.t_max)
+    k = search.steps
+    assert traj.budget_exhausted == search.budget_exhausted
+    assert len(traj.times) > k and traj.times[k] == search.time
+    assert state_key(traj.states[k]) == state_key(search.state)
+    assert traj.actions[k] == search.action and traj.gradient_norms[k] == search.grad_norm

@@ -153,6 +153,59 @@ def test_thresholds_against_oracles(spec):
     np.testing.assert_allclose(alpha_bound(spec, 2.0), 2.0 + envelope_beta(spec))
 
 
+# r0_threshold and envelope_beta share one grid-then-Newton search; the
+# references are the two separate searches they replaced.
+
+def reference_r0_threshold(spec, grid=10000):
+    def defect(rho):
+        return phi(spec, rho, order=1) * rho - phi(spec, rho)
+
+    hi = 2.0 * spec.rho1
+    rho = np.linspace(0.0, hi, grid)
+    g = defect(rho)
+    k = int(np.argmax(g))
+    best_rho, best = float(rho[k]), float(g[k])
+    if 0 < k < grid - 1:
+        g1 = float(phi(spec, best_rho, order=2) * best_rho)
+        g2 = float(phi(spec, best_rho, order=3) * best_rho + phi(spec, best_rho, order=2))
+        if g2 < 0.0:
+            cand = best_rho - g1 / g2
+            if 0.0 < cand < hi:
+                val = float(defect(cand))
+                if val > best:
+                    best_rho, best = cand, val
+    return 1.0 + max(best, float(defect(hi)))
+
+
+def reference_envelope_beta(spec, grid=10000):
+    rho = np.linspace(0.0, 2.0 * spec.rho1, grid)
+    vals = 0.5 * rho ** 2 - phi(spec, rho)
+    k = int(np.argmax(vals))
+    best_rho, best = float(rho[k]), float(vals[k])
+    if 0 < k < grid - 1:
+        d1 = best_rho - float(phi(spec, best_rho, order=1))
+        d2 = 1.0 - float(phi(spec, best_rho, order=2))
+        if d2 < 0.0:
+            cand = best_rho - d1 / d2
+            if 0.0 < cand < 2.0 * spec.rho1:
+                best = max(best, float(0.5 * cand ** 2 - phi(spec, cand)))
+    return best
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    dict(rho0=0.1, rho1=0.5, rho_star=0.25, delta=0.3),
+    dict(rho0=0.5, rho1=2.0, rho_star=1.0, delta=0.6),
+    dict(rho0=0.01, rho1=0.03, rho_star=0.02, delta=0.1),
+    dict(rho1=0.9, rho_star=0.35, delta=0.1),
+])
+@pytest.mark.parametrize("grid", [10000, 101, 7])
+def test_thresholds_match_the_separate_searches(overrides, grid):
+    spec = default_spec(**overrides)
+    assert r0_threshold(spec, grid) == reference_r0_threshold(spec, grid)
+    assert envelope_beta(spec, grid) == reference_envelope_beta(spec, grid)
+
+
 def plateau_weight(spec, rho):
     """dH_r/dr: 0 in the bounded region, chi(sigma) across, 1 beyond."""
     lo = spec.rho_star * math.exp(-spec.delta)

@@ -1,3 +1,4 @@
+import importlib
 import math
 from collections import Counter
 from dataclasses import replace
@@ -9,8 +10,8 @@ from scipy.optimize._numdiff import approx_derivative
 
 import oracles
 from loopflow import minimax
-from loopflow.action import (PhasePoint, action, gradient_norm, perturb, random_phase_point,
-                             straight_orbit, velocity_coefficients)
+from loopflow.action import (PhasePoint, action, gradient_norm, perturb, random_direction,
+                             random_phase_point, straight_orbit, velocity_coefficients)
 from loopflow.flow import FlowConfig
 from loopflow.geometry import flat_torus, straight_loop
 from loopflow.hamiltonian import default_spec, radial_H
@@ -262,13 +263,15 @@ def test_minimax_theta_default_family(spec, config):
     assert row["r"] == spec.r and row["theta"] == rec.theta
 
 
+def perturbed_orbit(spec):
+    xg = straight_orbit(flat_torus(2), (1, 0), spec)
+    xi, eta = random_direction(xg, np.random.default_rng(5))
+    return perturb(xg, 0.1, xi=xi, eta=eta)
+
+
 def test_composite_descent_reconverges(small_spec, small_config):
     # perturb the closed geodesic, then descend the fiber-sup envelope back
-    xg = straight_orbit(flat_torus(2), (1, 0), small_spec)
-    rng = np.random.default_rng(5)
-    from loopflow.action import random_direction
-    xi, eta = random_direction(xg, rng)
-    xp = perturb(xg, 0.1, xi=xi, eta=eta)
+    xp = perturbed_orbit(small_spec)
     assert action(xp, small_spec) != pytest.approx(0.5 - small_spec.r, abs=1e-6)
     xc, ok = composite_descent(xp, small_spec, small_config)
     assert ok
@@ -335,3 +338,57 @@ def test_pool_size_clamps_to_points_and_cpus():
     assert pool_size(1000, 20, 4) == 4
     assert pool_size(2, 0, 4) == 1
     assert pool_size(3, 5, 1) == 1
+
+
+def reference_composite_descent(x, spec, config):
+    """composite_descent as it was: each round evaluated the state for
+    its gradient norm and again for the step's k1."""
+    flow_mod = importlib.import_module("loopflow.flow")  # the package rebinds .flow
+    tol = 0.01 * config.grad_tol
+    for _ in range(minimax.DESCENT_ROUNDS):
+        asc = fiber_sup(x.loop, spec, config, seeds=[x.fiber.coefficients])[0]
+        x = PhasePoint(loop=x.loop, fiber=asc.field, s=spec.s)
+        if gradient_norm(x, spec) <= tol:
+            return x, True
+        x, _, _ = flow_mod._step(x, spec, config, 5.0 * config.dt,
+                                 flow_mod.flow_velocity(x, spec, config))
+    return x, False
+
+
+def test_composite_descent_matches_reference(small_spec, small_config, monkeypatch):
+    monkeypatch.setattr(minimax, "DESCENT_ROUNDS", 6)
+    x = perturbed_orbit(small_spec)
+    got, ok = composite_descent(x, small_spec, small_config)
+    want, ref_ok = reference_composite_descent(x, small_spec, small_config)
+    assert ok == ref_ok
+    assert got.loop.content_key() == want.loop.content_key()
+    assert got.fiber.coefficients.tobytes() == want.fiber.coefficients.tobytes()
+
+
+def test_descent_round_evaluates_its_state_once(small_spec, small_config, monkeypatch):
+    # per round after the ascent: one evaluation of the ascended state,
+    # whose velocity is also the step's k1, then four per RK4 try
+    flow_mod = importlib.import_module("loopflow.flow")
+    action_mod = importlib.import_module("loopflow.action")
+    rounds = []
+
+    def counted(fn, slot):
+        def wrapped(*args, **kwargs):
+            rounds[-1][slot] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def ascend(*args, **kwargs):
+        rounds.append([0, 0])   # evaluations, RK4 tries
+        return sup(*args, **kwargs)
+
+    sup = minimax.fiber_sup
+    monkeypatch.setattr(flow_mod, "evaluate", counted(flow_mod.evaluate, 0))
+    monkeypatch.setattr(action_mod, "evaluate", counted(action_mod.evaluate, 0))
+    monkeypatch.setattr(flow_mod, "_rk4", counted(flow_mod._rk4, 1))
+    monkeypatch.setattr(minimax, "fiber_sup", ascend)
+    monkeypatch.setattr(minimax, "DESCENT_ROUNDS", 4)
+    composite_descent(perturbed_orbit(small_spec), small_spec, small_config)
+    assert len(rounds) == 4
+    assert all(evals == 1 + 4 * tries for evals, tries in rounds)
+    assert [1, 5] in ([tries, evals] for evals, tries in rounds)
