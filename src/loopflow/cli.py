@@ -22,7 +22,7 @@ import numpy as np
 from .action import directional_derivative_check, random_direction, random_phase_point
 from .flow import FlowConfig, divergent_fixture, flow, ps_diagnostics
 from .geometry import LoopPath, embedded_circle, flat_torus, straight_loop
-from .hamiltonian import HamiltonianSpec, alpha_bound, r0_threshold
+from .hamiltonian import HamiltonianSpec, r0_threshold
 from .manifest import VERSION, RunManifest, write_csv, write_json, write_manifest
 from .minimax import orbit_sweep
 from .spectral import (embedded_metric, fit_spectrum_bounds, frame_of, norm_r, project,
@@ -247,7 +247,7 @@ def cmd_orbit_sweep(args):
     if count > 0 and not 0.0 < r_min <= r_max:
         raise ValueError("need 0 < r-min <= r-max")
     grid = np.linspace(r_min, r_max, count)
-    family = [straight_loop(flat_torus(len(winding)), winding)]
+    family = [_loop_from_config(user.get("loop", {}), default_winding=winding)]
     records, summary = orbit_sweep(spec, grid, config, jobs=args.jobs,
                                    seed=args.seed, family=family)
     rows = [tuple(rec.to_row()[k] for k in SWEEP_COLUMNS) for rec in records]
@@ -255,16 +255,18 @@ def cmd_orbit_sweep(args):
                "first_hit_r": summary.first_hit_r,
                "first_hit_leaf_action": summary.first_hit_leaf_action,
                "leaf_bound": summary.leaf_bound,
-               "alpha": alpha_bound(spec, 1.0),
+               "alpha": summary.alpha,
                "r0": r0_threshold(spec),
                "plateau_energies": {"%.17g" % k: v for k, v in summary.plateau_energies.items()},
                "plateau_shifted_actions": {"%.17g" % k: v
                                            for k, v in summary.plateau_shifted_actions.items()},
                "budget_flagged": list(summary.budget_flagged),
-               "winding": list(winding)}
+               "winding": list(family[0].winding)}
     config_payload = {"spec": spec.to_json(), "flow": config.to_json(),
                       "sweep": {"r_min": r_min, "r_max": r_max, "count": count,
                                 "winding": list(winding)}}
+    if "loop" in user:
+        config_payload["loop"] = user["loop"]
     _emit(args, "orbit-sweep", config_payload, rows, SWEEP_COLUMNS,
           "orbit_sweep.csv", "orbit_sweep.json", payload)
     return 0

@@ -226,13 +226,17 @@ def _march(x, spec, config, T):
 
     Yields (t, steps, state, velocity) at x and after each step; stops
     once t reaches T (to 1e-12) or the steps reach step_budget(config, T).
+    A step shrinks to T - t only when that is short of dt by more than
+    the same 1e-12, so a flow to a time that earlier steps summed to
+    retraces those steps.
     """
     k = flow_velocity(x, spec, config)
     t, steps = 0.0, 0
     max_steps = step_budget(config, T)
     yield t, steps, x, k
     while t < T - 1e-12 and steps < max_steps:
-        x, dt_used, k = _step(x, spec, config, min(config.dt, T - t), k)
+        dt = config.dt if T - t >= config.dt - 1e-12 else T - t
+        x, dt_used, k = _step(x, spec, config, dt, k)
         t += dt_used
         steps += 1
         yield t, steps, x, k

@@ -6,12 +6,15 @@ loop is computed by projected gradient ascent from several starts
 (scaled smoothed-velocity fields plus random fields), all ascending
 together as one (S, D) coefficient array: each round is one batched
 fiber_evaluation, and each start keeps its own step size and stopping
-state.  The outer infimum is monitored along the descent flow: the
-action is non-increasing on every trajectory, so the infimum over time
-of the running maximum equals the maximum of the trajectories' limiting
-values, i.e. the largest critical value reached from the tracked
-maximizers.  Witnesses are polished by least squares on the stacked
-gradient coefficients, with the exact Jacobian, before classification.
+state.  The outer infimum is followed by descending the envelope of
+that supremum: each round steps the loop along the flow and re-ascends
+the fiber, so the loop moves along the envelope gradient (Danskin) and
+the action never rises.  The maximizers are descended from the highest
+action down; the level is the largest action a descent ends at, so a
+maximizer below it cannot raise the level, and a copy of a maximizer
+already descended would only repeat its descent.  Witnesses are
+polished by least squares on the stacked gradient coefficients, with
+the exact Jacobian, before classification.
 """
 
 import math
@@ -26,7 +29,7 @@ from . import fourier
 from .action import (PhasePoint, action, classify_critical, derivative_coefficients,
                      fiber_evaluation, gradient, gradient_norm, loop_energy, pack_coefficients,
                      require_finite, unpack_coefficients, velocity_coefficients)
-from .flow import _step, flow_to_critical, flow_velocity
+from .flow import _step, flow_velocity
 from .geometry import flat_torus, straight_loop
 from .hamiltonian import alpha_bound, r0_threshold, radial_H_jet
 from .spectral import FiberField, frame_of
@@ -34,8 +37,9 @@ from .spectral import FiberField, frame_of
 ASCENT_TOL = 1e-9
 ASCENT_ITERS = 600
 ASCENT_STARTS = 8        # fiber_sup seeds per loop; minimax_theta retries with twice as many
-DESCENT_ROUNDS = 4000    # re-ascend-then-step rounds of composite_descent
-ESCAPE_FLOOR = -0.5
+DESCENT_ROUNDS = 4000    # re-ascend-then-step rounds of one envelope descent
+HANDOFF = 1e-2           # gradient norm below which Newton or least squares takes over
+SAME_MAXIMIZER = 1e-6    # (1-s)-distance below which two ascents found one maximizer
 
 
 def symplectic_action(x):
@@ -49,6 +53,12 @@ class AscentResult:
     action: float
     converged: bool
     grad_norm: float
+
+
+def loop_speed(loop, J):
+    """The loop's largest speed |qdot| on the default sample grid of cutoff J."""
+    m = fourier.default_samples(J)
+    return math.sqrt(float(np.max(np.sum(loop.velocity_samples(m) ** 2, axis=1))))
 
 
 def _project_ball(coeffs, frame, r, radius):
@@ -148,7 +158,7 @@ def fiber_sup(loop, spec, config, rng=None, starts=ASCENT_STARTS, iters=ASCENT_I
     evaluations it would see alone.  A seed stops when its gradient norm
     reaches tol, after iters accepted steps, or after 40 halvings of one
     step; a stopped seed that is not converged but has a gradient norm
-    below 1e-2 then gets the Newton endgame.
+    below HANDOFF then gets the Newton endgame.
     """
     require_finite("fiber_sup loop", loop)
     rng = np.random.default_rng(0) if rng is None else rng
@@ -168,9 +178,8 @@ def fiber_sup(loop, spec, config, rng=None, starts=ASCENT_STARTS, iters=ASCENT_I
         return a, g, frame.norm(r, g)
 
     if seeds is None:
-        m = fourier.default_samples(spec.J)
         smooth = to_vertical * qd
-        speed = max(math.sqrt(float(np.max(np.sum(loop.velocity_samples(m) ** 2, axis=1)))), 1e-12)
+        speed = max(loop_speed(loop, spec.J), 1e-12)
         lo = spec.rho_star * math.exp(-spec.thickening_halfwidth)
         radii = [0.9 * lo, spec.rho_star, 1.45 * spec.rho1, 1.85 * spec.rho1, 1.0, 2.2 * spec.rho1]
         seeds = [(rho / speed) * smooth for rho in radii[:max(starts - 2, 1)]]
@@ -236,7 +245,7 @@ def fiber_sup(loop, spec, config, rng=None, starts=ASCENT_STARTS, iters=ASCENT_I
             done |= rounds - rejected >= iters
     results = []
     for c, a, gn in zip(final_c, final_a, final_gn):
-        if tol < gn <= 1e-2:
+        if tol < gn <= HANDOFF:
             c, a, gn = _vertical_newton(frame, evaluate_at, c, spec, radius, tol)
         results.append(AscentResult(field=FiberField(frame=frame, coefficients=c), action=float(a),
                                     converged=bool(gn <= tol), grad_norm=float(gn)))
@@ -244,7 +253,7 @@ def fiber_sup(loop, spec, config, rng=None, starts=ASCENT_STARTS, iters=ASCENT_I
     return results
 
 
-def composite_descent(x, spec, config):
+def _envelope_descent(x, spec, config):
     """Descend the inner-sup envelope: re-ascend the fiber locally after
     every descent step.
 
@@ -253,22 +262,35 @@ def composite_descent(x, spec, config):
     fiber pinned to its local maximizer the loop moves along the exact
     envelope gradient (Danskin), and the envelope has the critical point
     as a genuine local minimum; letting the fiber go stale instead feeds
-    the mixed unstable directions.  Returns (state, converged) with
-    convergence declared right after an ascent, where the branch is
-    exact, at a gradient norm two orders below grad_tol.
+    the mixed unstable directions.
+
+    Yields (rounds, state, velocity) right after each of DESCENT_ROUNDS
+    re-ascents, where the branch is exact; the velocity is also the
+    round's k1.  Last it yields (DESCENT_ROUNDS, state, velocity) for the
+    state the final round stepped to.
     """
-    tol = 0.01 * config.grad_tol
     # the envelope is smooth (no shelf stiffness on the maximal branch),
     # so a larger step is stable; the halving guard still protects it
     dt = 5.0 * config.dt
-    for _ in range(DESCENT_ROUNDS):
+    for rounds in range(DESCENT_ROUNDS):
         asc = fiber_sup(x.loop, spec, config, seeds=[x.fiber.coefficients])[0]
         x = PhasePoint(loop=x.loop, fiber=asc.field, s=spec.s)
-        k = flow_velocity(x, spec, config)   # also the step's k1
-        if k.grad_norm <= tol:
-            return x, True
-        x, _, _ = _step(x, spec, config, dt, k)
-    return x, False
+        k = flow_velocity(x, spec, config)
+        yield rounds, x, k
+        x, _, k = _step(x, spec, config, dt, k)
+    yield DESCENT_ROUNDS, x, k
+
+
+def composite_descent(x, spec, config):
+    """The envelope descent (_envelope_descent) to a gradient norm two
+    orders below grad_tol.  Returns (state, converged); a descent that
+    does not converge within DESCENT_ROUNDS returns the state its last
+    round stepped to.
+    """
+    for rounds, x, k in _envelope_descent(x, spec, config):
+        if k.grad_norm <= 0.01 * config.grad_tol:
+            break
+    return x, rounds < DESCENT_ROUNDS
 
 
 def _gradient_residual(x, spec):
@@ -353,24 +375,46 @@ def minimax_theta(family, spec, config, rng=None):
 
     Non-converged inner ascents trigger one retry with doubled starts;
     a persistent failure only drops the confidence flag, never the
-    record.  A witness with gradient norm below 1e-2 is polished by
-    refine_critical.  The zero-section keeps the level nonnegative; a
-    level below -1e-6 means the estimator itself broke, which raises.
+    record.  The fiber maximizers of all loops are pooled and descended
+    along the envelope, highest action first, each until its gradient
+    norm reaches HANDOFF; the level is the largest action a descent ends
+    at.  The descent never raises the action, so the pool is cut at the
+    first maximizer below that level, and a maximizer within
+    SAME_MAXIMIZER of one already descended on its loop is skipped.  A
+    witness whose descent reached HANDOFF is polished by
+    refine_critical.  H_r vanishes on the zero section, so the fiber
+    supremum over every loop is nonnegative; a level below -1e-6 means
+    the estimator itself broke, which raises.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    candidates = []
+    pool = []
     confident = True
     for loop in family:
         sups = fiber_sup(loop, spec, config, rng=rng)
         if not all(res.converged for res in sups):
             sups = fiber_sup(loop, spec, config, rng=rng, starts=2 * ASCENT_STARTS)
             confident = confident and all(res.converged for res in sups)
-        for res in sups:
-            x0 = PhasePoint(loop=loop, fiber=res.field, s=spec.s)
-            candidates.append(flow_to_critical(x0, spec, config, floor=ESCAPE_FLOOR))
-    best = max(candidates, key=lambda c: c.action)
-    witness = best.state
-    if best.grad_norm < 1e-2:
+        pool += [(loop, res) for res in sups]
+    pool.sort(key=lambda item: item[1].action, reverse=True)
+    best = (-math.inf, None, 0)   # (final action, witness, rounds) of the best descent
+    descended = []                # (loop, start coefficients) of every descent run
+    for loop, res in pool:
+        if res.action < best[0]:
+            break
+        start = res.field.coefficients
+        if any(seen is loop and res.field.frame.norm(1.0 - spec.s, start - c) <= SAME_MAXIMIZER
+               for seen, c in descended):
+            continue
+        descended.append((loop, start))
+        for rounds, x, k in _envelope_descent(PhasePoint(loop=loop, fiber=res.field, s=spec.s),
+                                              spec, config):
+            if k.grad_norm <= HANDOFF:
+                break
+        if k.action > best[0]:
+            best = (k.action, x, rounds)
+    _, witness, rounds = best
+    converged = rounds < DESCENT_ROUNDS
+    if converged:
         witness = refine_critical(witness, spec)
     theta = action(witness, spec)
     if theta < -1e-6:
@@ -381,8 +425,8 @@ def minimax_theta(family, spec, config, rng=None):
     leaf = sym if cls.kind == "on-hypersurface" else None
     return MinimaxRecord(r=spec.r, theta=theta, witness=witness, classification=cls,
                          sigma=getattr(cls, "sigma", None), leaf_action=leaf,
-                         symplectic=sym, grad_norm=gn, steps=best.steps,
-                         converged=bool(best.converged), confident=bool(confident))
+                         symplectic=sym, grad_norm=gn, steps=rounds,
+                         converged=converged, confident=bool(confident))
 
 
 def default_family(spec, winding=(1, 0)):
@@ -412,6 +456,7 @@ class SweepSummary:
     hit_found: bool
     first_hit_r: float
     first_hit_leaf_action: float
+    alpha: float
     leaf_bound: float
     plateau_energies: dict
     plateau_shifted_actions: dict
@@ -423,7 +468,8 @@ def orbit_sweep(spec_template, r_grid, config, jobs=1, seed=0, family=None):
 
     Results merge deterministically in grid order regardless of the
     worker count.  The summary reports the first r whose witness lands
-    on the hypersurface with leaf action inside (0, 2(alpha + r0)), and
+    on the hypersurface with leaf action inside (0, 2(alpha + r0)), with
+    alpha the fiber action bound at the family's largest loop speed, and
     when no hit exists, the closed-geodesic plateau diagnostics: the
     loop energies and the r-shifted actions, both constant on a
     plateau.
@@ -435,7 +481,8 @@ def orbit_sweep(spec_template, r_grid, config, jobs=1, seed=0, family=None):
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_sweep_task, payloads))
-    alpha = alpha_bound(spec_template, 1.0)
+    loops = default_family(spec_template) if family is None else family
+    alpha = alpha_bound(spec_template, max(loop_speed(loop, spec_template.J) for loop in loops))
     bound = 2.0 * (alpha + r0_threshold(spec_template))
     hits = [rec for rec in records
             if rec.classification.kind == "on-hypersurface"
@@ -445,6 +492,7 @@ def orbit_sweep(spec_template, r_grid, config, jobs=1, seed=0, family=None):
         hit_found=bool(hits),
         first_hit_r=min((rec.r for rec in hits), default=math.nan),
         first_hit_leaf_action=(min(hits, key=lambda rec: rec.r).leaf_action if hits else math.nan),
+        alpha=alpha,
         leaf_bound=bound,
         plateau_energies={rec.r: loop_energy(rec.witness.loop) for rec in plateau},
         plateau_shifted_actions={rec.r: rec.theta + rec.r for rec in plateau},

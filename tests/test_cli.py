@@ -8,9 +8,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from loopflow import cli
 from loopflow.cli import build_parser, main
 from loopflow.flow import FlowConfig
+from loopflow.geometry import flat_torus, random_loop
+from loopflow.hamiltonian import alpha_bound, default_spec, r0_threshold
 from loopflow.manifest import read_csv, read_manifest
 from loopflow.spectral import embedded_metric
 
@@ -123,6 +126,36 @@ def test_orbit_sweep_empty_grid(tmp_path, capsys):
     assert rows == []
     payload = json.loads((out / "orbit_sweep.json").read_text())
     assert payload["hit_found"] is False
+    capsys.readouterr()
+
+
+def test_orbit_sweep_reads_the_loop_section(tmp_path, capsys):
+    # a wiggled (1, 0) loop: its fiber maximizers must be descended to
+    # reach the straight loop's level, so steps counts descent rounds
+    loop = random_loop(flat_torus(2), (1, 0), 8, np.random.default_rng(3), amplitude=0.005)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"loop": loop.to_json()}))
+    out = tmp_path / "wiggled"
+    assert run(["orbit-sweep", "--config", str(cfg), "--r-min", "1.0", "--r-max", "1.0",
+                "--r-count", "1", "--out", str(out)]) == 0
+    _, rows, _ = read_csv(out / "orbit_sweep.csv")
+    assert int(rows[0][7]) > 0
+    assert abs(float(rows[0][1]) - oracles.theta_oracle(1.0)) <= 1e-9
+    assert read_manifest(out / "manifest.json").config["loop"] == loop.to_json()
+    capsys.readouterr()
+
+
+def test_orbit_sweep_alpha_at_the_loop_speed(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sweep": {"winding": [1, 1]}}))
+    out = tmp_path / "diagonal"
+    assert run(["orbit-sweep", "--modes", "8", "--config", str(cfg), "--r-count", "0",
+                "--out", str(out)]) == 0
+    payload = json.loads((out / "orbit_sweep.json").read_text())
+    spec = default_spec(J=8)
+    assert payload["alpha"] == alpha_bound(spec, math.sqrt(2.0))
+    assert payload["leaf_bound"] == 2.0 * (payload["alpha"] + r0_threshold(spec))
+    assert "loop" not in read_manifest(out / "manifest.json").config
     capsys.readouterr()
 
 

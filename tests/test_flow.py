@@ -453,8 +453,7 @@ def state_key(x):
 def test_flow_to_critical_stops_on_a_flow_trajectory(stop, small_spec, small_config, rng,
                                                      monkeypatch):
     # the flow over the same horizon t_max passes through the state
-    # flow_to_critical stops at; a flow over search.time would cap its last
-    # step at search.time - t, which can round below dt
+    # flow_to_critical stops at
     flow_mod = importlib.import_module("loopflow.flow")  # the package rebinds .flow
     if stop == "floor":
         x, floor = high_mode_state(small_spec), -0.5
@@ -475,3 +474,18 @@ def test_flow_to_critical_stops_on_a_flow_trajectory(stop, small_spec, small_con
     assert len(traj.times) > k and traj.times[k] == search.time
     assert state_key(traj.states[k]) == state_key(search.state)
     assert traj.actions[k] == search.action and traj.gradient_norms[k] == search.grad_norm
+
+
+def test_flow_to_a_reached_time_retraces_its_steps(small_spec):
+    # 12 steps of 0.01 sum to 0.11999999999999998, an ulp short of 0.12:
+    # a flow over that time must still take 12 full steps, not shrink the
+    # last one to the rounded remainder
+    flow_mod = importlib.import_module("loopflow.flow")  # the package rebinds .flow
+    x = high_mode_state(small_spec)
+    search = flow_mod.flow_to_critical(x, small_spec, MANUAL_CONFIG, floor=-0.5)
+    assert search.escaped and search.steps == 12
+    assert search.time == 0.11999999999999998
+    traj = flow_mod.flow(x, small_spec, MANUAL_CONFIG, search.time)
+    assert not traj.budget_exhausted
+    assert len(traj.times) == search.steps + 1 and traj.times[-1] == search.time
+    assert state_key(traj.final) == state_key(search.state)

@@ -13,7 +13,7 @@ from loopflow import minimax
 from loopflow.action import (PhasePoint, action, gradient_norm, perturb, random_direction,
                              random_phase_point, straight_orbit, velocity_coefficients)
 from loopflow.flow import FlowConfig
-from loopflow.geometry import flat_torus, straight_loop
+from loopflow.geometry import flat_torus, random_loop, straight_loop
 from loopflow.hamiltonian import default_spec, radial_H
 from loopflow.minimax import (ASCENT_TOL, composite_descent, default_family, fiber_hessian,
                               fiber_sup, minimax_theta, orbit_sweep, pool_size, refine_critical,
@@ -261,6 +261,69 @@ def test_minimax_theta_default_family(spec, config):
     assert rec.grad_norm <= 1e-6
     row = rec.to_row()
     assert row["r"] == spec.r and row["theta"] == rec.theta
+
+
+def oracle_level(r):
+    """(level, classification kind) of the straight unit-speed loop:
+    max(fake, shelf, 0), where shelf_value raises below the shelf's
+    first landing and the level is the fake value's."""
+    levels = [(oracles.fake_value(r), "fake-geodesic"), (0.0, "constant")]
+    try:
+        levels.append((oracles.shelf_value(r), "on-hypersurface"))
+    except ValueError:
+        pass
+    return max(levels, key=lambda level: level[0])
+
+
+def wiggled_loop(amplitude):
+    return random_loop(flat_torus(2), (1, 0), 8, np.random.default_rng(3), amplitude=amplitude)
+
+
+# off the straight family the fiber maximizers are saddles of the plain
+# flow; the envelope descent carries them back to the straight loop's
+# critical level.  At J = 8, amplitude 0.02 and r = 0.05 the top maxima
+# descend to the closed-geodesic level 0.45 and only a lower maximum
+# reaches the fake level, so every maximizer down to the level counts.
+@pytest.mark.parametrize("J, amplitude, r", [
+    (32, amplitude, r) for amplitude in (0.005, 0.02)
+    for r in (0.05, 0.35789473684210527, 1.0, 2.0)] + [(8, 0.02, 0.05)])
+def test_minimax_theta_off_the_straight_family(J, amplitude, r):
+    spec = default_spec(J=J, r=r)
+    rec = minimax_theta([wiggled_loop(amplitude)], spec, FlowConfig.auto(spec))
+    level, kind = oracle_level(r)
+    assert abs(rec.theta - level) <= 1e-9
+    assert rec.classification.kind == kind
+    assert rec.converged and rec.steps > 0
+
+
+def test_minimax_theta_descends_once_on_the_straight_loop(spec, config, monkeypatch):
+    # the maximizer copies share the top action and are skipped as the
+    # same start; every other maximizer lies below the level reached
+    ascents, starts = [], []
+    sup, descent = minimax.fiber_sup, minimax._envelope_descent
+
+    def ascend(*args, **kwargs):
+        ascents.append(sup(*args, **kwargs))
+        return ascents[-1]
+
+    def descend(x, *args):
+        starts.append(x.fiber.coefficients)
+        return descent(x, *args)
+
+    monkeypatch.setattr(minimax, "fiber_sup", ascend)
+    monkeypatch.setattr(minimax, "_envelope_descent", descend)
+    rec = minimax_theta(default_family(spec), spec, config)
+    assert len(starts) == 1 and rec.steps == 0 and rec.converged
+    # the pool's ascent (no retry), then the descent's one re-ascent
+    assert rec.confident and len(ascents) == 2
+    results = ascents[0]
+    top = results[0]
+    assert starts[0] is top.field.coefficients
+    copies = [res for res in results[1:] if res.field.frame.norm(
+        1.0 - spec.s, res.field.coefficients - top.field.coefficients) <= minimax.SAME_MAXIMIZER]
+    assert copies and all(res.action >= rec.theta for res in copies)
+    assert len(copies) + 1 < len(results)
+    assert all(res.action < rec.theta for res in results[len(copies) + 1:])
 
 
 def perturbed_orbit(spec):
