@@ -280,43 +280,6 @@ def unpack_coefficients(x, vec):
     return PhasePoint(loop=loop, fiber=FiberField(x.frame, vec[2 * k:].copy()), s=x.s)
 
 
-def rescale_period(traj, spec, manifold, cutoff=None):
-    """Reparametrize a T-periodic orbit to period one, for H_{T r}.
-
-    Returns (PhasePoint, rescaled spec).  The orbit must stay inside
-    the radial thickening and must close up to its winding translation;
-    sampling uses linear interpolation, exact here because every X_H
-    orbit on the flat models has constant momentum and linear position.
-    """
-    J = spec.J if cutoff is None else int(cutoff)
-    rho = np.linalg.norm(traj.momenta, axis=1)
-    if rho.min() <= 0.0:
-        raise ValueError("orbit not contained in the thickening")
-    sig = np.log(rho / spec.rho_star)
-    if float(np.max(np.abs(sig))) >= spec.thickening_halfwidth - TIE_BAND:
-        raise ValueError("orbit not contained in the thickening")
-    periods = np.asarray(manifold.periods)
-    disp = traj.positions[-1] - traj.positions[0]
-    winding = np.round(disp / periods)
-    if float(np.max(np.abs(disp - winding * periods))) > 1e-8:
-        raise ValueError("orbit does not close up over its period")
-    m = fourier.default_samples(J)
-    t01 = fourier.grid(m)
-    tm = t01 * traj.period
-    q_m = np.column_stack([np.interp(tm, traj.times, traj.positions[:, k])
-                           for k in range(manifold.dim)])
-    p_m = np.column_stack([np.interp(tm, traj.times, traj.momenta[:, k])
-                           for k in range(manifold.dim)])
-    periodic = q_m - np.outer(t01, winding * periods)
-    _, a, b = fourier.analyze(periodic, J)
-    loop = LoopPath(manifold=manifold, winding=tuple(int(w) for w in winding),
-                    base=tuple(q_m[0]), cos_coeffs=a, sin_coeffs=b)
-    frame = frame_of(loop, J)
-    fiber = FiberField(frame, frame.coefficients(p_m))
-    new_spec = spec.with_r(traj.period * spec.r)
-    return PhasePoint(loop=loop, fiber=fiber, s=spec.s), new_spec
-
-
 def random_phase_point(spec, rng, manifold=None, winding=(1, 0),
                        loop_amplitude=0.05, fiber_amplitude=0.3):
     """A generic phase point: random loop, kinetic-biased random fiber.

@@ -66,6 +66,13 @@ def _positive_int(text):
     return value
 
 
+def _positive_float(text):
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError("expected a positive finite number")
+    return value
+
+
 def build_parser():
     parser = _Parser(prog="loopflow",
                      description="Loop-space spectral metrics, action flow, and orbit sweeps.")
@@ -94,13 +101,13 @@ def build_parser():
 
     p = common(sub.add_parser("ps-diagnose", help="Palais-Smale bound report along flows"))
     p.add_argument("--count", type=_positive_int, default=4)
-    p.add_argument("--horizon", type=float, default=4.0)
+    p.add_argument("--horizon", type=_positive_float, default=4.0)
     p.add_argument("--fixture", choices=["divergent"], default=None)
 
     p = common(sub.add_parser("gradient-check", help="finite differences against the exact gradient"))
     p.add_argument("--count", type=_positive_int, default=100)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--tol", type=float, default=GRAD_CHECK_TOL)
+    p.add_argument("--step", type=_positive_float, default=1e-5)
+    p.add_argument("--tol", type=_positive_float, default=GRAD_CHECK_TOL)
     return parser
 
 
@@ -307,24 +314,24 @@ def cmd_ps_diagnose(args):
 def cmd_gradient_check(args):
     _, user, spec, config = _settings(args)
     rows = []
-    worst = 0.0
     for k in range(args.count):
         rng = np.random.default_rng([args.seed, k])
         x = random_phase_point(spec, rng)
         xi, eta = random_direction(x, rng)
         fd, exact = directional_derivative_check(x, spec, xi, eta, step=args.step)
-        rel = abs(fd - exact) / max(1.0, abs(exact))
-        worst = max(worst, rel)
-        rows.append((k, fd, exact, rel))
+        rows.append((k, fd, exact, abs(fd - exact) / max(1.0, abs(exact))))
     config_payload = {"spec": spec.to_json(), "flow": config.to_json(),
                       "count": args.count, "step": args.step, "tol": args.tol}
     _emit(args, "gradient-check", config_payload, rows,
           ("case", "fd", "exact", "rel_error"), "gradient_check.csv")
-    if worst > args.tol:
-        print(f"gradient-check: max relative error {worst:.3e} exceeds {args.tol:.1e}",
-              file=sys.stderr)
+    # not rel <= tol, so that a NaN error fails the case
+    failed = [(k, rel) for k, _, _, rel in rows if not rel <= args.tol]
+    if failed:
+        k, rel = failed[0]
+        print(f"gradient-check: case {k} relative error {rel:.3e} exceeds {args.tol:.1e} "
+              f"({len(failed)} of {len(rows)} cases fail)", file=sys.stderr)
         return 2
-    print(f"gradient-check: max relative error {worst:.3e}")
+    print(f"gradient-check: max relative error {max(row[3] for row in rows):.3e}")
     return 0
 
 

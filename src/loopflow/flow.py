@@ -175,12 +175,6 @@ def _step(x, spec, config, dt, k1):
     raise ArithmeticError(f"flow step rejected after {MAX_HALVINGS} halvings (dt={dt:.3e})")
 
 
-def flow_step(x, spec, config):
-    """One integrator step of V_r of size config.dt (public form of _step)."""
-    xn, _, _ = _step(x, spec, config, config.dt, flow_velocity(x, spec, config))
-    return xn
-
-
 @dataclass(frozen=True, eq=False)
 class FlowTrajectory:
     """A recorded flow run: states with per-state diagnostics.
@@ -314,24 +308,6 @@ def representation_coefficients(traj):
     the (1-s)-norm."""
     x0 = traj.states[0]
     return np.column_stack([traj.ab, x0.frame.norm(1.0 - x0.s, representation_defects(traj))])
-
-
-def kolmogorov_width_proxy(frame, s, defect_coefficients, max_mode=None):
-    """Width proxy: worst (1-s)-norm of the tail beyond each mode cutoff.
-
-    defect_coefficients is an (N, D) stack.  For a genuinely compact
-    defect family the tail widths decay in the cutoff; returns the array
-    w[J'] for J' = 0..max_mode.
-    """
-    n = frame.n
-    J = frame.cutoff
-    max_mode = J if max_mode is None else min(max_mode, J)
-    c = np.asarray(defect_coefficients, dtype=float).reshape(-1, frame.dim)
-    w = frame.weights(1.0 - s)
-    per_mode = (w * c ** 2)[:, n:].reshape(len(c), J, 2 * n).sum(axis=2)
-    # column j - 1: the energy in modes >= j, i.e. beyond cutoff j - 1
-    tails = np.cumsum(per_mode[:, ::-1], axis=1)[:, ::-1]
-    return np.sqrt(np.append(tails.max(axis=0, initial=0.0), 0.0))[:max_mode + 1]
 
 
 @dataclass(frozen=True, eq=False)

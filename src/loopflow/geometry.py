@@ -43,7 +43,7 @@ class ModelManifold:
     kind is "flat-torus" or "embedded-circle"; periods holds the
     coordinate period L_k of each factor (1 for the torus, 2 pi for the
     circle).  The isometric embedding sends coordinate k to a circle of
-    radius L_k / (2 pi) in its own R^2 plane, so embedding_dim = 2n.
+    radius L_k / (2 pi) in its own R^2 plane.
     """
 
     kind: str
@@ -52,10 +52,6 @@ class ModelManifold:
     @property
     def dim(self):
         return len(self.periods)
-
-    @property
-    def embedding_dim(self):
-        return 2 * len(self.periods)
 
     # Embedding circle curvatures 1/R_k = 2 pi / L_k; these control the
     # normal part of ambient derivatives of embedded fields.
@@ -66,34 +62,6 @@ class ModelManifold:
     def wrap(self, q):
         """Canonical coordinate representative in [0, L_k)."""
         return np.mod(np.asarray(q, dtype=float), np.asarray(self.periods))
-
-    def embed_point(self, q):
-        """Isometric embedding of coordinate points into R^{2n}.
-
-        q has shape (..., n); result has shape (..., 2n) with the
-        (cos, sin) pair of coordinate k in slots (2k, 2k+1).
-        """
-        q = np.asarray(q, dtype=float)
-        ang = 2.0 * np.pi * q / np.asarray(self.periods)
-        radii = np.asarray(self.periods) / (2.0 * np.pi)
-        out = np.empty(q.shape[:-1] + (2 * self.dim,))
-        out[..., 0::2] = radii * np.cos(ang)
-        out[..., 1::2] = radii * np.sin(ang)
-        return out
-
-    def embed_tangent(self, q, v):
-        """Pushforward of tangent coordinate components through the embedding.
-
-        Norm-preserving pointwise: the image of the unit coordinate
-        vector e_k is the unit tangent of the k-th embedding circle.
-        """
-        q = np.asarray(q, dtype=float)
-        v = np.asarray(v, dtype=float)
-        ang = 2.0 * np.pi * q / np.asarray(self.periods)
-        out = np.empty(v.shape[:-1] + (2 * self.dim,))
-        out[..., 0::2] = -np.sin(ang) * v
-        out[..., 1::2] = np.cos(ang) * v
-        return out
 
 
 def flat_torus(n):

@@ -138,7 +138,7 @@ def phi(spec, rho, order=0):
     raise ValueError("order must be 0..3")
 
 
-TIE_BAND = 1e-9  # branch boundaries get this much slack before rejecting
+TIE_BAND = 1e-9  # branch boundaries get this much slack when classifying
 
 
 def radial_H_jet(spec, rho, order=2):
@@ -182,83 +182,12 @@ def radial_H_jet(spec, rho, order=2):
 def radial_H(spec, rho, order=0):
     """H_r as a function of the fiber radius; order 0, 1, or 2 (d/drho).
 
-    Vectorized; the branches agree on their overlaps so the tie-band
-    only matters for the thickening-domain rejection in evaluate_H.
+    Vectorized; the branches agree on their overlaps.
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1, or 2")
     out = radial_H_jet(spec, rho)[order]
     return float(out[0]) if np.ndim(rho) == 0 else out
-
-
-def thickening_sigma(spec, rho):
-    """The radial thickening coordinate sigma = ln(rho/rho*)."""
-    return np.log(np.asarray(rho, dtype=float) / spec.rho_star)
-
-
-def evaluate_H(spec, q, p):
-    """H_r at a single phase point of the model bundle.
-
-    q is accepted for signature compatibility; the family is radial, so
-    only |p| enters on the flat models.  Points of the annulus whose
-    thickening coordinate falls outside (-a, a) are not classifiable by
-    the construction and are rejected.
-    """
-    p = np.asarray(p, dtype=float)
-    rho = float(np.linalg.norm(p))
-    if spec.rho0 < rho < spec.rho1:
-        sigma = abs(math.log(rho / spec.rho_star))
-        if sigma > spec.thickening_halfwidth + TIE_BAND:
-            raise ValueError("thickening coordinate outside (-a, a) inside the annulus")
-    return radial_H(spec, rho)
-
-
-def hamiltonian_vector_field(spec, q, p):
-    """X_H in coordinates: (dH/drho * p/rho, 0) on the flat models."""
-    p = np.asarray(p, dtype=float)
-    rho = float(np.linalg.norm(p))
-    qdot = np.zeros_like(p)
-    if rho > 0.0:
-        qdot = radial_H(spec, rho, order=1) / rho * p
-    return qdot, np.zeros_like(p)
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """An integrated phase trajectory on [0, T], uniform steps."""
-
-    times: np.ndarray
-    positions: np.ndarray  # (N+1, n) coordinates, unwrapped
-    momenta: np.ndarray    # (N+1, n)
-
-    @property
-    def period(self):
-        return float(self.times[-1])
-
-
-def integrate_hamiltonian(spec, q0, p0, T=1.0, steps=256):
-    """Classical RK4 integration of X_H from (q0, p0) over [0, T].
-
-    On the flat models p is conserved exactly by the field (pdot = 0),
-    so the energy drift of the integrator is zero to roundoff; the
-    integrator is still run in full generality.
-    """
-    q = np.asarray(q0, dtype=float).copy()
-    p = np.asarray(p0, dtype=float).copy()
-    h = T / steps
-    times = np.linspace(0.0, T, steps + 1)
-    qs = np.empty((steps + 1, q.size))
-    ps = np.empty((steps + 1, p.size))
-    qs[0], ps[0] = q, p
-    for i in range(steps):
-        k1q, k1p = hamiltonian_vector_field(spec, q, p)
-        k2q, k2p = hamiltonian_vector_field(spec, q + 0.5 * h * k1q, p + 0.5 * h * k1p)
-        k3q, k3p = hamiltonian_vector_field(spec, q + 0.5 * h * k2q, p + 0.5 * h * k2p)
-        k4q, k4p = hamiltonian_vector_field(spec, q + h * k3q, p + h * k3p)
-        q = q + h / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-        p = p + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        qs[i + 1], ps[i + 1] = q, p
-    return Trajectory(times=times, positions=qs, momenta=ps)
 
 
 def fake_geodesic_action(spec, p0):

@@ -310,13 +310,6 @@ def fractional_apply(frame, r, field):
     return FiberField(frame, frame.weights(0.5 * r) * field.coefficients)
 
 
-def adjoint_inclusion(frame, s, v):
-    """The fiber-side adjoint of the H^{1-s} inclusion: scale by (1+lambda)^{s-1}."""
-    if not 0.5 < s < 1.0:
-        raise ValueError("regularity parameter must lie in (1/2, 1)")
-    return FiberField(frame, frame.weights(s - 1.0) * v.coefficients)
-
-
 def inner_r(frame, r, xi, zeta):
     """The covariant r-inner-product: sum (1+lambda_j)^r xi_j zeta_j."""
     cx = xi.coefficients if isinstance(xi, FiberField) else frame.coefficients(xi)

@@ -9,10 +9,10 @@ import oracles
 from loopflow.action import (PhasePoint, action, classify_critical,
                              directional_derivative_check, gradient, gradient_norm, hamilton_residual, loop_energy,
                              metric_pairing, pack_coefficients, perturb,
-                             random_direction, random_phase_point, rescale_period,
+                             random_direction, random_phase_point,
                              straight_orbit, unpack_coefficients)
 from loopflow.geometry import flat_torus, random_loop, straight_loop
-from loopflow.hamiltonian import integrate_hamiltonian, radial_H
+from loopflow.hamiltonian import radial_H
 from loopflow.spectral import FiberField, eigendecompose, frame_of
 
 
@@ -140,22 +140,6 @@ def test_pack_unpack_roundtrip(spec, rng):
     np.testing.assert_allclose(action(y, spec), action(x, spec), rtol=1e-12)
 
 
-def test_rescale_period_lands_on_hypersurface(spec):
-    # the sigma = 0 orbit: speed r chi'(0)/rho* = 15.625, so T = 0.064
-    traj = integrate_hamiltonian(spec, np.zeros(2), np.array([0.3, 0.0]),
-                                 T=0.064, steps=128)
-    x, new_spec = rescale_period(traj, spec, flat_torus(2))
-    np.testing.assert_allclose(new_spec.r, 0.064 * spec.r, rtol=1e-12)
-    assert x.loop.winding == (1, 0)
-    # the rescaled orbit solves Hamilton's equations for the new spec
-    assert hamilton_residual(x, new_spec) <= 1e-9
-    assert gradient_norm(x, new_spec) <= 1e-9
-    cls = classify_critical(x, new_spec)
-    assert cls.kind == "on-hypersurface"
-    np.testing.assert_allclose(cls.sigma, 0.0, atol=1e-9)
-    np.testing.assert_allclose(action(x, new_spec), 0.3 - 0.064 * 0.5, atol=1e-10)
-
-
 def test_phase_point_rejects_frames_that_do_not_fit_the_loop(rng):
     loop = random_loop(flat_torus(2), (1, 0), 4, rng)
     for frame in (eigendecompose(3, 4), eigendecompose(2, 3)):
@@ -164,16 +148,6 @@ def test_phase_point_rejects_frames_that_do_not_fit_the_loop(rng):
     frame = eigendecompose(2, 6)
     x = PhasePoint(loop=loop, fiber=FiberField(frame, np.zeros(frame.dim)), s=0.75)
     assert x.frame is frame
-
-
-def test_rescale_period_rejections(spec):
-    traj = integrate_hamiltonian(spec, np.zeros(2), np.array([1.0, 0.0]), T=1.0, steps=16)
-    with pytest.raises(ValueError):
-        rescale_period(traj, spec, flat_torus(2))  # outside the thickening
-    short = integrate_hamiltonian(spec, np.zeros(2), np.array([0.3, 0.0]),
-                                  T=0.03, steps=16)
-    with pytest.raises(ValueError):
-        rescale_period(short, spec, flat_torus(2))  # does not close up
 
 
 def test_states_compare_by_identity(spec, rng):

@@ -1,9 +1,11 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +34,12 @@ def test_usage_errors_exit_1(capsys):
     assert run(["orbit-sweep", "--jobs", "0"]) == 1
     assert run(["spectrum", "--jobs", "2"]) == 1   # only orbit-sweep runs workers
     assert run(["metrics-compare", "--r-list", "2.0"]) == 1
-    capsys.readouterr()
+    for flag, value in (("--step", "nan"), ("--step", "inf"), ("--step", "0"),
+                        ("--tol", "nan"), ("--tol", "-1e-5")):
+        assert run(["gradient-check", flag, value]) == 1
+    for value in ("-1", "nan", "inf", "0"):
+        assert run(["ps-diagnose", "--horizon", value]) == 1
+    assert "--horizon: expected a positive finite number" in capsys.readouterr().err
 
 
 def test_spectrum_outputs(tmp_path, capsys):
@@ -318,6 +325,15 @@ def test_gradient_check_passes_and_fails_by_tol(tmp_path, capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+def test_gradient_check_fails_on_nan_error(tmp_path, capsys, monkeypatch):
+    # a NaN error compares false with everything, max() included; it must fail
+    monkeypatch.setattr(cli, "directional_derivative_check",
+                        lambda x, spec, xi, eta, step: (math.nan, 1.0))
+    assert run(["gradient-check", "--modes", "4", "--count", "3",
+                "--out", str(tmp_path / "gc")]) == 2
+    assert "case 0 relative error nan exceeds" in capsys.readouterr().err
+
+
 def test_parser_lists_all_subcommands():
     parser = build_parser()
     text = parser.format_help()
@@ -328,8 +344,13 @@ def test_parser_lists_all_subcommands():
 
 def test_module_entrypoint(tmp_path):
     out = tmp_path / "sub"
+    # the child imports the package under test, also when only pytest's
+    # pythonpath setting put it on sys.path
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-m", "loopflow.cli", "spectrum",
                            "--modes", "4", "--out", str(out)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert (out / "spectrum.csv").exists()

@@ -13,7 +13,6 @@ def test_flat_torus_basics():
     torus = flat_torus(2)
     assert torus.kind == "flat-torus"
     assert torus.dim == 2
-    assert torus.embedding_dim == 4
     np.testing.assert_allclose(torus.periods, [1.0, 1.0])
     q = np.array([[1.3, -0.25]])
     np.testing.assert_allclose(torus.wrap(q), [[0.3, 0.75]], atol=1e-14)
@@ -22,22 +21,8 @@ def test_flat_torus_basics():
 def test_embedded_circle_basics():
     circle = embedded_circle()
     assert circle.dim == 1
-    assert circle.embedding_dim == 2
     np.testing.assert_allclose(circle.periods, [2.0 * np.pi])
     np.testing.assert_allclose(circle.embedding_curvatures, [1.0])
-    # points land on the unit circle
-    theta = np.array([[0.0], [0.5], [2.0]])
-    pts = circle.embed_point(theta)
-    np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-14)
-
-
-def test_embedding_is_isometric(rng):
-    for manifold in (flat_torus(2), embedded_circle()):
-        q = rng.uniform(0.0, 1.0, size=(7, manifold.dim)) * np.asarray(manifold.periods)
-        v = rng.standard_normal((7, manifold.dim))
-        ve = manifold.embed_tangent(q, v)
-        np.testing.assert_allclose(np.linalg.norm(ve, axis=1),
-                                   np.linalg.norm(v, axis=1), atol=1e-12)
 
 
 def test_straight_loop_and_anchoring():

@@ -6,10 +6,9 @@ import pytest
 
 import oracles
 from loopflow.hamiltonian import (HamiltonianSpec, alpha_bound, chi, default_spec,
-                                  envelope_beta, evaluate_H, fake_geodesic_action,
-                                  hamiltonian_vector_field, integrate_hamiltonian,
+                                  envelope_beta, fake_geodesic_action,
                                   perturbation_sup_diff, phi, r0_threshold, radial_H,
-                                  smoothstep, thickening_sigma)
+                                  smoothstep)
 
 
 def test_smoothstep_values_and_joins():
@@ -110,27 +109,6 @@ def test_spec_rejects_non_finite_values(field, value):
     # r = inf and rho1 = inf passed every order check before
     with pytest.raises(ValueError, match=f"spec {field} must be finite"):
         default_spec(**{field: value})
-
-
-def test_evaluate_H_domain(spec):
-    # annulus points outside the thickening are not classifiable
-    with pytest.raises(ValueError):
-        evaluate_H(spec, np.zeros(2), np.array([0.21, 0.0]))
-    val = evaluate_H(spec, np.zeros(2), np.array([0.3, 0.0]))
-    np.testing.assert_allclose(val, 0.5 * spec.r)
-    np.testing.assert_allclose(evaluate_H(spec, np.zeros(2), np.array([0.05, 0.0])), 0.0)
-
-
-def test_vector_field_and_conservation(spec):
-    qdot, pdot = hamiltonian_vector_field(spec, np.zeros(2), np.array([1.0, 0.0]))
-    np.testing.assert_allclose(qdot, [1.0, 0.0], atol=1e-14)  # phi'(1) = 1
-    np.testing.assert_allclose(pdot, 0.0)
-    traj = integrate_hamiltonian(spec, np.zeros(2), np.array([0.3, 0.0]), T=0.064, steps=64)
-    rho = np.linalg.norm(traj.momenta, axis=1)
-    H = radial_H(spec, rho)
-    np.testing.assert_allclose(H, H[0], atol=1e-13)
-    # the sigma = 0 orbit closes after T = 1 / (r chi'(0) / rho*)
-    np.testing.assert_allclose(traj.positions[-1], [1.0, 0.0], atol=1e-10)
 
 
 def test_fake_geodesic_action_against_oracle(spec):
@@ -235,7 +213,3 @@ def test_perturbation_sup_diff(spec):
     np.testing.assert_allclose(perturbation_sup_diff(spec, other), 0.2, atol=1e-12)
     assert perturbation_sup_diff(spec, spec) == 0.0
 
-
-def test_thickening_sigma(spec):
-    np.testing.assert_allclose(thickening_sigma(spec, spec.rho_star), 0.0, atol=1e-15)
-    np.testing.assert_allclose(thickening_sigma(spec, np.array([0.3 * math.e])), [1.0])

@@ -1,8 +1,19 @@
+import importlib
+
 import loopflow
+
+# names deleted from their own modules, by module (ModelManifold: its methods)
+DELETED = {"hamiltonian": ("evaluate_H", "hamiltonian_vector_field", "integrate_hamiltonian",
+                           "Trajectory", "thickening_sigma"),
+           "action": ("rescale_period",),
+           "flow": ("flow_step", "kolmogorov_width_proxy"),
+           "spectral": ("adjoint_inclusion",),
+           "geometry.ModelManifold": ("embed_point", "embed_tangent", "embedding_dim")}
 
 REMOVED = ("AliasingError", "TangentFieldSamples", "covariant_derivative", "evaluate_loop",
            "field_from_function", "loop_json_roundtrip", "deformation_report",
-           "config_to_json", "plateau_weight", "spec_to_json")
+           "config_to_json", "plateau_weight", "spec_to_json",
+           *(name for names in DELETED.values() for name in names))
 
 
 def test_every_exported_name_resolves_once():
@@ -16,3 +27,13 @@ def test_removed_names_are_not_exported():
     for name in REMOVED:
         assert name not in loopflow.__all__
         assert not hasattr(loopflow, name)
+
+
+def test_deleted_names_are_gone_from_their_modules():
+    for owner, names in DELETED.items():
+        module, _, cls = owner.partition(".")
+        obj = importlib.import_module(f"loopflow.{module}")
+        if cls:
+            obj = getattr(obj, cls)
+        for name in names:
+            assert not hasattr(obj, name), f"{owner}.{name}"

@@ -6,9 +6,9 @@ import pytest
 import oracles
 from loopflow.fourier import default_samples, grid
 from loopflow.geometry import embedded_circle, flat_torus, random_loop, straight_loop
-from loopflow.spectral import (FiberField, adjoint_inclusion, dense_mode_eigenvalues,
+from loopflow.spectral import (FiberField, dense_mode_eigenvalues,
                                eigendecompose, embedded_metric, fit_spectrum_bounds,
-                               fractional_apply, frame_of, inner_r, inner_r_emb,
+                               fractional_apply, frame_of, inner_r_emb,
                                laplacian_eigenvalues, norm_r, norm_r_emb, project,
                                spectra_rows)
 
@@ -121,20 +121,6 @@ def test_fractional_apply_composes(rng):
     np.testing.assert_allclose(w.coefficients, direct.coefficients, rtol=1e-12)
     ident = fractional_apply(frame, 0.0, v)
     np.testing.assert_allclose(ident.coefficients, v.coefficients)
-
-
-def test_adjoint_inclusion_identity(rng):
-    # <j* v, w>_{1-s} = <v, w>_{L^2} for every w
-    J, s = 5, 0.75
-    frame = frame_of(straight_loop(flat_torus(2), (1, 0)), J)
-    from loopflow.spectral import FiberField
-    v = FiberField(frame, rng.standard_normal(frame.dim))
-    w = FiberField(frame, rng.standard_normal(frame.dim))
-    lhs = inner_r(frame, 1.0 - s, adjoint_inclusion(frame, s, v), w)
-    rhs = inner_r(frame, 0.0, v, w)
-    np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
-    with pytest.raises(ValueError):
-        adjoint_inclusion(frame, 0.4, v)
 
 
 def test_field_algebra_rejects_mismatched_frames(rng):
