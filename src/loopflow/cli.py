@@ -66,6 +66,13 @@ def _positive_int(text):
     return value
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("expected a non-negative integer")
+    return value
+
+
 def _positive_float(text):
     value = float(text)
     if not 0.0 < value < math.inf:
@@ -81,7 +88,8 @@ def build_parser():
     def common(p):
         p.add_argument("--config", default=None, help="JSON config overlay")
         p.add_argument("--out", default="loopflow-out", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_nonnegative_int, default=0,
+                       help="seed of the random phase points (orbit-sweep draws none)")
         p.add_argument("--modes", type=_positive_int, default=None, help="mode cutoff J")
         p.add_argument("--s", type=float, default=None, help="regularity parameter")
         return p
@@ -255,8 +263,7 @@ def cmd_orbit_sweep(args):
         raise ValueError("need 0 < r-min <= r-max")
     grid = np.linspace(r_min, r_max, count)
     family = [_loop_from_config(user.get("loop", {}), default_winding=winding)]
-    records, summary = orbit_sweep(spec, grid, config, jobs=args.jobs,
-                                   seed=args.seed, family=family)
+    records, summary = orbit_sweep(spec, grid, config, jobs=args.jobs, family=family)
     rows = [tuple(rec.to_row()[k] for k in SWEEP_COLUMNS) for rec in records]
     payload = {"hit_found": summary.hit_found,
                "first_hit_r": summary.first_hit_r,

@@ -2,19 +2,20 @@
 
 theta(r) is estimated in two stages.  The inner supremum of the action
 over the truncated fiber ball {|p|_{1-s} <= gamma''} above each family
-loop is computed by projected gradient ascent from several starts
-(scaled smoothed-velocity fields plus random fields), all ascending
-together as one (S, D) coefficient array: each round is one batched
-fiber_evaluation, and each start keeps its own step size and stopping
-state.  The outer infimum is followed by descending the envelope of
-that supremum: each round steps the loop along the flow and re-ascends
-the fiber, so the loop moves along the envelope gradient (Danskin) and
-the action never rises.  The maximizers are descended from the highest
-action down; the level is the largest action a descent ends at, so a
-maximizer below it cannot raise the level, and a copy of a maximizer
-already descended would only repeat its descent.  Witnesses are
-polished by least squares on the stacked gradient coefficients, with
-the exact Jacobian, before classification.
+loop is computed by projected gradient ascent from deterministic starts
+(the pointwise Legendre branches of the loop's velocity plus one small
+scaled velocity field), all ascending together as one (S, D)
+coefficient array: each round is one batched fiber_evaluation, and each
+start keeps its own step size and stopping state.  The outer infimum is
+followed by descending the envelope of that supremum: each round steps
+the loop along the flow and re-ascends the fiber, so the loop moves
+along the envelope gradient (Danskin) and the action never rises.  The
+maximizers are descended from the highest action down; the level is
+the largest action a descent ends at, so a maximizer below it cannot
+raise the level, and a copy of a maximizer already descended would only
+repeat its descent.  Witnesses are polished by least squares on the
+stacked gradient coefficients, with the exact Jacobian, before
+classification.
 """
 
 import math
@@ -31,12 +32,11 @@ from .action import (PhasePoint, action, classify_critical, derivative_coefficie
                      require_finite, unpack_coefficients, velocity_coefficients)
 from .flow import _step, flow_velocity
 from .geometry import flat_torus, straight_loop
-from .hamiltonian import alpha_bound, r0_threshold, radial_H_jet
+from .hamiltonian import alpha_bound, legendre_radii, r0_threshold, radial_H_jet
 from .spectral import FiberField, frame_of
 
 ASCENT_TOL = 1e-9
 ASCENT_ITERS = 600
-ASCENT_STARTS = 8        # fiber_sup seeds per loop; minimax_theta retries with twice as many
 DESCENT_ROUNDS = 4000    # re-ascend-then-step rounds of one envelope descent
 HANDOFF = 1e-2           # gradient norm below which Newton or least squares takes over
 SAME_MAXIMIZER = 1e-6    # (1-s)-distance below which two ascents found one maximizer
@@ -70,6 +70,21 @@ def _project_ball(coeffs, frame, r, radius):
         # unclipped rows are multiplied by exactly 1.0
         coeffs = coeffs * (radius / np.where(clipped, nrm, radius))[..., None]
     return coeffs, clipped
+
+
+def _seed_radii(spec, speed):
+    """One row of seed radii along the loop per Legendre branch that
+    exists at some t (legendre_radii at the sampled speeds).  Where a
+    branch has no root, the row takes the surviving root nearest the
+    branch's mean radius, and 0 where no root survives (zero speed)."""
+    roots = np.array(legendre_radii(spec, speed))
+    roots = roots[~np.isnan(roots).all(axis=1)]
+    if not len(roots):
+        return roots
+    gap = np.abs(roots[None, :, :] - np.nanmean(roots, axis=1)[:, None, None])
+    pick = np.argmin(np.where(np.isnan(gap), np.inf, gap), axis=1)
+    nearest = np.take_along_axis(roots, pick, axis=0)
+    return np.nan_to_num(np.where(np.isnan(roots), nearest, roots))
 
 
 def fiber_hessian(frame, c, spec):
@@ -140,15 +155,19 @@ def _vertical_newton(frame, evaluate_at, c, spec, radius, tol, iters=12):
     return c, a, gn
 
 
-def fiber_sup(loop, spec, config, rng=None, starts=ASCENT_STARTS, iters=ASCENT_ITERS,
-              tol=ASCENT_TOL, seeds=None):
+def fiber_sup(loop, spec, config, iters=ASCENT_ITERS, tol=ASCENT_TOL, seeds=None):
     """Projected gradient ascent of the action over the fiber ball.
 
-    Default seeds: radial scalings of the smoothed velocity field
-    covering the zero branch, the thickening band, and the fake-geodesic
-    annulus, topped up with random fields; pass explicit coefficient
-    arrays to ascend locally instead.  Returns results sorted by action,
-    best first.
+    The action is pointwise in the fiber, so its fiber critical points
+    are known at each t: p(t) = rho_k(|qdot(t)|) qdot/|qdot|, rho_k the
+    Legendre branch radii (hamiltonian.legendre_radii).  The default
+    seeds are one field per branch (shelf band, fake annulus, kinetic
+    tail) that exists at some t, filled in where it does not
+    (_seed_radii), plus the smoothed velocity field scaled to
+    0.9 rho* e^{-a} at the top speed: off the straight family that small
+    seed can ascend to a maximizer no branch seed reaches.  Pass
+    explicit coefficient arrays to ascend locally instead.  Returns
+    results sorted by action, best first.
 
     All seeds ascend together as one (S, D) array.  The loop never
     moves here, so its velocity coefficients and the metric weights are
@@ -161,7 +180,6 @@ def fiber_sup(loop, spec, config, rng=None, starts=ASCENT_STARTS, iters=ASCENT_I
     below HANDOFF then gets the Newton endgame.
     """
     require_finite("fiber_sup loop", loop)
-    rng = np.random.default_rng(0) if rng is None else rng
     frame = frame_of(loop, spec.J)
     qd = velocity_coefficients(loop, frame)
     to_vertical = frame.weights(spec.s - 1.0)
@@ -178,14 +196,12 @@ def fiber_sup(loop, spec, config, rng=None, starts=ASCENT_STARTS, iters=ASCENT_I
         return a, g, frame.norm(r, g)
 
     if seeds is None:
-        smooth = to_vertical * qd
-        speed = max(loop_speed(loop, spec.J), 1e-12)
+        v = loop.velocity_samples(fourier.default_samples(spec.J))
+        speed = np.sqrt(np.sum(v ** 2, axis=1))
         lo = spec.rho_star * math.exp(-spec.thickening_halfwidth)
-        radii = [0.9 * lo, spec.rho_star, 1.45 * spec.rho1, 1.85 * spec.rho1, 1.0, 2.2 * spec.rho1]
-        seeds = [(rho / speed) * smooth for rho in radii[:max(starts - 2, 1)]]
-        while len(seeds) < starts:
-            noise = 0.05 * rng.standard_normal(frame.dim) / frame.weights(0.5)
-            seeds.append(smooth * spec.rho_star / speed + noise)
+        seeds = [(0.9 * lo / max(float(np.max(speed)), 1e-12)) * (to_vertical * qd)]
+        unit = v / np.where(speed > 0.0, speed, 1.0)[:, None]
+        seeds += [frame.coefficients(rho[:, None] * unit) for rho in _seed_radii(spec, speed)]
     else:
         for i, c0 in enumerate(seeds):
             require_finite(f"fiber_sup seed {i}", fiber=c0)
@@ -373,9 +389,9 @@ class MinimaxRecord:
 def minimax_theta(family, spec, config, rng=None):
     """Estimate theta(r) over the fibered family and record the witness.
 
-    Non-converged inner ascents trigger one retry with doubled starts;
-    a persistent failure only drops the confidence flag, never the
-    record.  The fiber maximizers of all loops are pooled and descended
+    One fiber_sup call per loop; confident says that every seed of every
+    loop converged, and a seed that does not only drops that flag, never
+    the record.  The fiber maximizers of all loops are pooled and descended
     along the envelope, highest action first, each until its gradient
     norm reaches HANDOFF; the level is the largest action a descent ends
     at.  The descent never raises the action, so the pool is cut at the
@@ -385,16 +401,15 @@ def minimax_theta(family, spec, config, rng=None):
     refine_critical.  H_r vanishes on the zero section, so the fiber
     supremum over every loop is nonnegative; a level below -1e-6 means
     the estimator itself broke, which raises.
+
+    rng is accepted and ignored, since the seeds are deterministic.  It
+    stays because callers written for the former random starts pass it
+    (the benchmark's minimax_j64 workload does).
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     pool = []
-    confident = True
     for loop in family:
-        sups = fiber_sup(loop, spec, config, rng=rng)
-        if not all(res.converged for res in sups):
-            sups = fiber_sup(loop, spec, config, rng=rng, starts=2 * ASCENT_STARTS)
-            confident = confident and all(res.converged for res in sups)
-        pool += [(loop, res) for res in sups]
+        pool += [(loop, res) for res in fiber_sup(loop, spec, config)]
+    confident = all(res.converged for _, res in pool)
     pool.sort(key=lambda item: item[1].action, reverse=True)
     best = (-math.inf, None, 0)   # (final action, witness, rounds) of the best descent
     descended = []                # (loop, start coefficients) of every descent run
@@ -437,11 +452,10 @@ def default_family(spec, winding=(1, 0)):
 
 
 def _sweep_task(payload):
-    spec_template, config, loops, r, seed, idx = payload
+    spec_template, config, loops, r = payload
     spec = spec_template.with_r(r)
     family = loops if loops is not None else default_family(spec)
-    rng = np.random.default_rng([seed, idx])
-    return minimax_theta(family, spec, config, rng=rng)
+    return minimax_theta(family, spec, config)
 
 
 def pool_size(jobs, points, cpus):
@@ -463,7 +477,7 @@ class SweepSummary:
     budget_flagged: tuple
 
 
-def orbit_sweep(spec_template, r_grid, config, jobs=1, seed=0, family=None):
+def orbit_sweep(spec_template, r_grid, config, jobs=1, family=None):
     """Run minimax_theta over the r grid, in-process or on a pool.
 
     Results merge deterministically in grid order regardless of the
@@ -474,7 +488,7 @@ def orbit_sweep(spec_template, r_grid, config, jobs=1, seed=0, family=None):
     loop energies and the r-shifted actions, both constant on a
     plateau.
     """
-    payloads = [(spec_template, config, family, float(r), seed, i) for i, r in enumerate(r_grid)]
+    payloads = [(spec_template, config, family, float(r)) for r in r_grid]
     workers = pool_size(jobs, len(payloads), os.cpu_count() or 1)
     if workers <= 1:
         records = [_sweep_task(p) for p in payloads]

@@ -1,4 +1,3 @@
-import math
 import pickle
 from dataclasses import replace
 

@@ -37,6 +37,8 @@ def test_usage_errors_exit_1(capsys):
     for flag, value in (("--step", "nan"), ("--step", "inf"), ("--step", "0"),
                         ("--tol", "nan"), ("--tol", "-1e-5")):
         assert run(["gradient-check", flag, value]) == 1
+    assert run(["gradient-check", "--seed", "-1"]) == 1
+    assert "--seed: expected a non-negative integer" in capsys.readouterr().err
     for value in ("-1", "nan", "inf", "0"):
         assert run(["ps-diagnose", "--horizon", value]) == 1
     assert "--horizon: expected a positive finite number" in capsys.readouterr().err
@@ -149,6 +151,22 @@ def test_orbit_sweep_reads_the_loop_section(tmp_path, capsys):
     assert int(rows[0][7]) > 0
     assert abs(float(rows[0][1]) - oracles.theta_oracle(1.0)) <= 1e-9
     assert read_manifest(out / "manifest.json").config["loop"] == loop.to_json()
+    capsys.readouterr()
+
+
+def test_orbit_sweep_does_not_depend_on_the_seed(tmp_path, capsys):
+    # the fiber seeds are deterministic; only the manifest records --seed,
+    # so only the trailing manifest-hash line may differ
+    lines = []
+    for seed in ("0", "7"):
+        out = tmp_path / f"seed{seed}"
+        assert run(["orbit-sweep", "--modes", "8", "--r-min", "0.05", "--r-max", "1.0",
+                    "--r-count", "2", "--seed", seed, "--out", str(out)]) == 0
+        lines.append((out / "orbit_sweep.csv").read_text().splitlines())
+        assert read_manifest(out / "manifest.json").seed == int(seed)
+    assert len(lines[0]) == 4
+    assert lines[0][:-1] == lines[1][:-1]
+    assert lines[0][-1] != lines[1][-1]
     capsys.readouterr()
 
 

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from loopflow import fourier, spectral
-from loopflow.action import (PhasePoint, action, derivative_coefficients, gradient_norm,
-                             perturb, random_phase_point, straight_orbit,
-                             velocity_coefficients)
+from loopflow.action import (PhasePoint, action, derivative_coefficients, perturb,
+                             random_phase_point, straight_orbit, velocity_coefficients)
 from loopflow.flow import (FlowConfig, divergent_fixture, flow, flow_to_critical,
                            flow_velocity, ps_diagnostics, representation_coefficients,
                            representation_defects, speed_cutoff)

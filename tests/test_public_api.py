@@ -8,6 +8,7 @@ DELETED = {"hamiltonian": ("evaluate_H", "hamiltonian_vector_field", "integrate_
            "action": ("rescale_period",),
            "flow": ("flow_step", "kolmogorov_width_proxy"),
            "spectral": ("adjoint_inclusion",),
+           "minimax": ("ASCENT_STARTS",),
            "geometry.ModelManifold": ("embed_point", "embed_tangent", "embedding_dim")}
 
 REMOVED = ("AliasingError", "TangentFieldSamples", "covariant_derivative", "evaluate_loop",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from loopflow.fourier import default_samples, grid
+from loopflow.fourier import default_samples
 from loopflow.geometry import embedded_circle, flat_torus, random_loop, straight_loop
 from loopflow.spectral import (FiberField, dense_mode_eigenvalues,
                                eigendecompose, embedded_metric, fit_spectrum_bounds,
