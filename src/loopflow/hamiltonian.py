@@ -19,8 +19,7 @@ a = min(ln(rho1/rho*), ln(rho*/rho0)).
 Everything here is a scalar closed form plus its derivatives; the
 module also carries the closed-form critical-point bookkeeping that
 depends only on the profiles (fake-geodesic action, the exclusion
-threshold r0, the perturbation envelope beta, the pointwise fiber
-maxima).
+threshold r0, the perturbation envelope beta).
 """
 
 import math
@@ -219,34 +218,6 @@ def _grid_max(f, df, d2f, hi, grid):
             if 0.0 < cand < hi:
                 best = max(best, float(f(cand)))
     return best
-
-
-def legendre_radii(spec, speeds):
-    """The pointwise fiber maxima of v rho - H_r(rho): the roots of
-    H_r'(rho) = v with H_r'' > 0, for each speed v in speeds.
-
-    H_r' rises exactly on the runs where H_r'' > 0, and each run is one
-    branch; the default profiles have three, in order the shelf band,
-    the fake annulus and the kinetic tail.  The runs are read off 4096 uniform nodes on [0, top],
-    top past 2 rho1 and every speed, so the tail covers them all; on each
-    run np.interp inverts H_r' and three Newton steps on H_r' - v polish
-    the radii.  Returns one array shaped like speeds per run, NaN where
-    the speed lies outside the values H_r' takes on the run.
-    """
-    speeds = np.asarray(speeds, dtype=float)
-    top = 1.25 * max(2.0 * spec.rho1, float(np.max(speeds, initial=0.0)))
-    rho = np.linspace(0.0, top, 4096)
-    _, h1, h2 = radial_H_jet(spec, rho)
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], (h2 > 0.0).astype(int), [0]))))
-    branches = []
-    for a, b in zip(edges[::2], edges[1::2]):
-        root = np.interp(speeds, h1[a:b], rho[a:b], left=np.nan, right=np.nan)
-        for _ in range(3):
-            _, d1, d2 = radial_H_jet(spec, root)
-            step = np.divide(d1 - speeds, d2, out=np.zeros_like(root), where=d2 > 0.0)
-            root = np.clip(root - step, rho[a], rho[b - 1])
-        branches.append(root)
-    return branches
 
 
 def r0_threshold(spec, grid=10000):

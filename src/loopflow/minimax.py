@@ -2,20 +2,19 @@
 
 theta(r) is estimated in two stages.  The inner supremum of the action
 over the truncated fiber ball {|p|_{1-s} <= gamma''} above each family
-loop is computed by projected gradient ascent from deterministic starts
-(the pointwise Legendre branches of the loop's velocity plus one small
-scaled velocity field), all ascending together as one (S, D)
-coefficient array: each round is one batched fiber_evaluation, and each
-start keeps its own step size and stopping state.  The outer infimum is
-followed by descending the envelope of that supremum: each round steps
-the loop along the flow and re-ascends the fiber, so the loop moves
-along the envelope gradient (Danskin) and the action never rises.  The
-maximizers are descended from the highest action down; the level is
-the largest action a descent ends at, so a maximizer below it cannot
-raise the level, and a copy of a maximizer already descended would only
-repeat its descent.  Witnesses are polished by least squares on the
-stacked gradient coefficients, with the exact Jacobian, before
-classification.
+loop is computed by projected gradient ascent from fixed starts (the
+smoothed velocity field scaled to six radii), all ascending together as
+one (S, D) coefficient array: each round is one batched
+fiber_evaluation, and each start keeps its own step size and stopping
+state.  The outer infimum is followed by descending the envelope of
+that supremum: each round steps the loop along the flow and re-ascends
+the fiber, so the loop moves along the envelope gradient (Danskin) and
+the action never rises.  The maximizers are descended from the highest
+action down; the level is the largest action a descent ends at, so a
+maximizer below it cannot raise the level, and a copy of a maximizer
+already descended would only repeat its descent.  Witnesses are
+polished by least squares on the stacked gradient coefficients, with
+the exact Jacobian, before classification.
 """
 
 import math
@@ -32,7 +31,7 @@ from .action import (PhasePoint, action, classify_critical, derivative_coefficie
                      require_finite, unpack_coefficients, velocity_coefficients)
 from .flow import _step, flow_velocity
 from .geometry import flat_torus, straight_loop
-from .hamiltonian import alpha_bound, legendre_radii, r0_threshold, radial_H_jet
+from .hamiltonian import alpha_bound, r0_threshold, radial_H_jet
 from .spectral import FiberField, frame_of
 
 ASCENT_TOL = 1e-9
@@ -70,21 +69,6 @@ def _project_ball(coeffs, frame, r, radius):
         # unclipped rows are multiplied by exactly 1.0
         coeffs = coeffs * (radius / np.where(clipped, nrm, radius))[..., None]
     return coeffs, clipped
-
-
-def _seed_radii(spec, speed):
-    """One row of seed radii along the loop per Legendre branch that
-    exists at some t (legendre_radii at the sampled speeds).  Where a
-    branch has no root, the row takes the surviving root nearest the
-    branch's mean radius, and 0 where no root survives (zero speed)."""
-    roots = np.array(legendre_radii(spec, speed))
-    roots = roots[~np.isnan(roots).all(axis=1)]
-    if not len(roots):
-        return roots
-    gap = np.abs(roots[None, :, :] - np.nanmean(roots, axis=1)[:, None, None])
-    pick = np.argmin(np.where(np.isnan(gap), np.inf, gap), axis=1)
-    nearest = np.take_along_axis(roots, pick, axis=0)
-    return np.nan_to_num(np.where(np.isnan(roots), nearest, roots))
 
 
 def fiber_hessian(frame, c, spec):
@@ -158,16 +142,13 @@ def _vertical_newton(frame, evaluate_at, c, spec, radius, tol, iters=12):
 def fiber_sup(loop, spec, config, iters=ASCENT_ITERS, tol=ASCENT_TOL, seeds=None):
     """Projected gradient ascent of the action over the fiber ball.
 
-    The action is pointwise in the fiber, so its fiber critical points
-    are known at each t: p(t) = rho_k(|qdot(t)|) qdot/|qdot|, rho_k the
-    Legendre branch radii (hamiltonian.legendre_radii).  The default
-    seeds are one field per branch (shelf band, fake annulus, kinetic
-    tail) that exists at some t, filled in where it does not
-    (_seed_radii), plus the smoothed velocity field scaled to
-    0.9 rho* e^{-a} at the top speed: off the straight family that small
-    seed can ascend to a maximizer no branch seed reaches.  Pass
-    explicit coefficient arrays to ascend locally instead.  Returns
-    results sorted by action, best first.
+    Default seeds: the smoothed velocity field scaled, at the loop's top
+    speed, to radii covering the zero branch (0.9 rho* e^{-a}), the
+    thickening band (rho*), the fake-geodesic annulus (1.45 and 1.85
+    rho1), unit radius and the kinetic tail (2.2 rho1).  They are fixed,
+    so equal inputs give equal results.  Pass explicit coefficient
+    arrays to ascend locally instead.  Returns results sorted by action,
+    best first.
 
     All seeds ascend together as one (S, D) array.  The loop never
     moves here, so its velocity coefficients and the metric weights are
@@ -196,12 +177,11 @@ def fiber_sup(loop, spec, config, iters=ASCENT_ITERS, tol=ASCENT_TOL, seeds=None
         return a, g, frame.norm(r, g)
 
     if seeds is None:
-        v = loop.velocity_samples(fourier.default_samples(spec.J))
-        speed = np.sqrt(np.sum(v ** 2, axis=1))
+        smooth = to_vertical * qd
+        speed = max(loop_speed(loop, spec.J), 1e-12)
         lo = spec.rho_star * math.exp(-spec.thickening_halfwidth)
-        seeds = [(0.9 * lo / max(float(np.max(speed)), 1e-12)) * (to_vertical * qd)]
-        unit = v / np.where(speed > 0.0, speed, 1.0)[:, None]
-        seeds += [frame.coefficients(rho[:, None] * unit) for rho in _seed_radii(spec, speed)]
+        radii = (0.9 * lo, spec.rho_star, 1.45 * spec.rho1, 1.85 * spec.rho1, 1.0, 2.2 * spec.rho1)
+        seeds = [(rho / speed) * smooth for rho in radii]
     else:
         for i, c0 in enumerate(seeds):
             require_finite(f"fiber_sup seed {i}", fiber=c0)

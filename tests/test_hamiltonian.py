@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from loopflow.hamiltonian import (HamiltonianSpec, alpha_bound, chi, default_spec,
-                                  envelope_beta, fake_geodesic_action, legendre_radii,
+                                  envelope_beta, fake_geodesic_action,
                                   perturbation_sup_diff, phi, r0_threshold, radial_H,
                                   smoothstep)
 
@@ -182,23 +182,6 @@ def test_thresholds_match_the_separate_searches(overrides, grid):
     spec = default_spec(**overrides)
     assert r0_threshold(spec, grid) == reference_r0_threshold(spec, grid)
     assert envelope_beta(spec, grid) == reference_envelope_beta(spec, grid)
-
-
-# oracle: tests/oracles.py::fake_radii / sigma_landing; past 2 rho1,
-# H_r' = rho, so the tail root is the speed itself
-@pytest.mark.parametrize("r", [0.05, 0.1, 0.35789473684210527, 1.0, 2.0])
-def test_legendre_radii_at_unit_speed(r):
-    shelf, fake, tail = legendre_radii(default_spec(r=r), np.ones(3))
-    np.testing.assert_allclose(fake, oracles.fake_radii()[0], rtol=0.0, atol=1e-13)
-    np.testing.assert_allclose(tail, 1.0, rtol=0.0, atol=1e-13)
-    if r == 0.05:
-        # the shelf band's H_r' peaks below unit speed: no landing, no root
-        with pytest.raises(ValueError):
-            oracles.sigma_landing(r)
-        assert np.isnan(shelf).all()
-    else:
-        np.testing.assert_allclose(shelf, oracles.RHO_STAR * math.exp(oracles.sigma_landing(r)),
-                                   rtol=0.0, atol=1e-13)
 
 
 def plateau_weight(spec, rho):

@@ -14,7 +14,7 @@ from loopflow.action import (PhasePoint, action, gradient_norm, perturb, random_
                              random_phase_point, straight_orbit, velocity_coefficients)
 from loopflow.flow import FlowConfig
 from loopflow.geometry import flat_torus, random_loop, straight_loop
-from loopflow.hamiltonian import default_spec, legendre_radii, radial_H
+from loopflow.hamiltonian import default_spec, radial_H
 from loopflow.minimax import (ASCENT_TOL, composite_descent, default_family, fiber_hessian,
                               fiber_sup, minimax_theta, orbit_sweep, pool_size, refine_critical,
                               symplectic_action)
@@ -170,25 +170,6 @@ def test_fiber_sup_local_seed_stays_in_quadratic_zone(spec, config):
                                atol=1e-8)
 
 
-def test_seed_radii_fill_each_branch_where_it_has_no_root():
-    # at r = 0.05 the shelf band reaches only slow speeds, the fake
-    # annulus misses fast ones and the tail slow ones; speed 0 has no root
-    spec = default_spec(r=0.05)
-    speed = np.array([0.0, 0.5, 1.0, 2.1, 0.7])
-    roots = np.array(legendre_radii(spec, speed))
-    seeds = minimax._seed_radii(spec, speed)
-    assert seeds.shape == roots.shape == (3, 5)
-    own = ~np.isnan(roots)
-    np.testing.assert_array_equal(seeds[own], roots[own])
-    for k, t in zip(*np.nonzero(~own)):
-        alive = roots[own[:, t], t]
-        nearest = alive[np.argmin(np.abs(alive - np.nanmean(roots[k])))] if alive.size else 0.0
-        assert seeds[k, t] == nearest
-    # a branch with no root at any t gives no row
-    assert len(minimax._seed_radii(spec, np.full(3, 2.1))) == 1
-    assert len(minimax._seed_radii(spec, np.zeros(3))) == 0
-
-
 def test_fiber_sup_respects_the_ball(spec, config):
     loop = straight_loop(flat_torus(2), (1, 0))
     for res in fiber_sup(loop, spec, config, iters=60):
@@ -315,12 +296,23 @@ def test_minimax_theta_off_the_straight_family(J, amplitude, r):
     assert rec.converged and rec.steps > 0
 
 
+# at amplitude 0.05 the fake level is reached only from the maximizer the
+# 1.85 rho1 seed ascends to: without that seed, and with seeds at only
+# the Legendre branches present at every t, the level is the
+# closed-geodesic 0.45
+def test_minimax_theta_reaches_the_fake_level_at_amplitude_0_05():
+    spec = default_spec(J=32, r=0.05)
+    rec = minimax_theta([wiggled_loop(0.05)], spec, FlowConfig.auto(spec))
+    level, kind = oracle_level(0.05)
+    assert abs(rec.theta - level) <= 1e-9
+    assert rec.classification.kind == kind
+    assert rec.converged
+
+
 def test_minimax_theta_descends_once_on_the_straight_loop(spec, config, monkeypatch):
-    # the loop listed twice pools each of its maximizers twice: the twin
-    # of the top maximizer ends exactly at the level reached, so the
-    # level does not cut it and it is skipped as the same start; every
-    # other maximizer lies below the level and is cut
-    ascents, starts, levels = [], [], []
+    # the maximizer copies share the top action and are skipped as the
+    # same start; every other maximizer lies below the level reached
+    ascents, starts = [], []
     sup, descent = minimax.fiber_sup, minimax._envelope_descent
 
     def ascend(*args, **kwargs):
@@ -329,25 +321,22 @@ def test_minimax_theta_descends_once_on_the_straight_loop(spec, config, monkeypa
 
     def descend(x, *args):
         starts.append(x.fiber.coefficients)
-        for item in descent(x, *args):
-            levels.append(item[2].action)
-            yield item
+        return descent(x, *args)
 
     monkeypatch.setattr(minimax, "fiber_sup", ascend)
     monkeypatch.setattr(minimax, "_envelope_descent", descend)
-    loop = default_family(spec)[0]
-    rec = minimax_theta([loop, loop], spec, config)
+    rec = minimax_theta(default_family(spec), spec, config)
     assert len(starts) == 1 and rec.steps == 0 and rec.converged
-    # one ascent per listed loop, then the descent's one re-ascent
-    assert rec.confident and len(ascents) == 3
-    pool = sorted(ascents[0] + ascents[1], key=lambda res: res.action, reverse=True)
-    top, level = pool[0], levels[-1]
+    # the pool's one ascent, then the descent's one re-ascent
+    assert rec.confident and len(ascents) == 2
+    results = ascents[0]
+    top = results[0]
     assert starts[0] is top.field.coefficients
-    twins = [res for res in pool[1:] if res.action >= level]
-    assert twins and all(res.field.frame.norm(
-        1.0 - spec.s, res.field.coefficients - top.field.coefficients) <= minimax.SAME_MAXIMIZER
-        for res in twins)
-    assert len(twins) + 1 < len(pool)
+    copies = [res for res in results[1:] if res.field.frame.norm(
+        1.0 - spec.s, res.field.coefficients - top.field.coefficients) <= minimax.SAME_MAXIMIZER]
+    assert copies and all(res.action >= rec.theta for res in copies)
+    assert len(copies) + 1 < len(results)
+    assert all(res.action < rec.theta for res in results[len(copies) + 1:])
 
 
 def perturbed_orbit(spec):
