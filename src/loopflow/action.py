@@ -239,7 +239,7 @@ def classify_critical(x, spec, tol=1e-6):
     """
     frame = x.frame
     m = fourier.default_samples(frame.cutoff)
-    p_samp = x.fiber.samples(m)
+    p_samp = frame.samples(x.fiber.coefficients, m)
     rho = np.linalg.norm(p_samp, axis=1)
     speed = float(np.sqrt(np.mean(np.sum(x.loop.velocity_samples(m) ** 2, axis=1))))
     if speed <= tol:
@@ -301,7 +301,8 @@ def random_direction(x, rng):
     xi = FiberField(frame, rng.standard_normal(frame.dim) / frame.weights(0.75))
     eta = FiberField(frame, rng.standard_normal(frame.dim) / frame.weights(0.75))
     scale = np.sqrt(metric_pairing(x, (xi, eta), (xi, eta)))
-    return (1.0 / scale) * xi, (1.0 / scale) * eta
+    return (FiberField(frame, (1.0 / scale) * xi.coefficients),
+            FiberField(frame, (1.0 / scale) * eta.coefficients))
 
 
 def directional_derivative_check(x, spec, xi, eta, step=1e-5):

@@ -25,8 +25,8 @@ from .geometry import LoopPath, embedded_circle, flat_torus, straight_loop
 from .hamiltonian import HamiltonianSpec, r0_threshold
 from .manifest import VERSION, RunManifest, write_csv, write_json, write_manifest
 from .minimax import orbit_sweep
-from .spectral import (embedded_metric, fit_spectrum_bounds, frame_of, norm_r, project,
-                       spectra_rows)
+from .fourier import default_samples
+from .spectral import dense_eigenvalues, embedded_metric, fit_spectrum_bounds, frame_of, spectra_rows
 
 GRAD_CHECK_TOL = 1e-5
 
@@ -212,13 +212,13 @@ def cmd_spectrum(args):
     _, user, spec, config = _settings(args)
     loop = _loop_from_config(user.get("loop", {}))
     method = "dense" if args.dense else "analytic"
-    frame = frame_of(loop, spec.J, method=method)
-    rows = spectra_rows(frame)
-    c_fit, c_cap, d_fit = fit_spectrum_bounds(frame)
+    frame = frame_of(loop, spec.J)
+    lam = dense_eigenvalues(frame.n, frame.cutoff) if args.dense else frame.eigenvalues
     sup = frame.sup_norms()
-    payload = {"fitted": {"c": c_fit, "C": c_cap, "d": d_fit},
-               "max_sup_norm": float(sup.max()), "kernel_dim": frame.kernel_dim,
-               "dim": frame.dim, "method": method}
+    rows = spectra_rows(lam, sup)
+    c_fit, c_cap, d_fit = fit_spectrum_bounds(lam, frame.n)
+    payload = {"fitted": {"c": c_fit, "C": c_cap, "d": d_fit}, "max_sup_norm": float(sup.max()),
+               "kernel_dim": int(np.count_nonzero(lam == 0.0)), "dim": frame.dim, "method": method}
     config_payload = {"spec": spec.to_json(), "flow": config.to_json(),
                       "loop": user.get("loop", {}), "method": method}
     _emit(args, "spectrum", config_payload, rows,
@@ -229,16 +229,15 @@ def cmd_spectrum(args):
 def cmd_metrics_compare(args):
     _, user, spec, config = _settings(args)
     circle = embedded_circle()
-    m = 4 * spec.J + 1
+    ones = np.ones((default_samples(spec.J), 1))
     rows = []
     for n in range(1, args.n_max + 1):
         loop = straight_loop(circle, (n,))
         frame = frame_of(loop, spec.J)
-        ones = np.ones((m, 1))
-        field = project(frame, ones)
+        c = frame.coefficients(ones)
         ambient = embedded_metric(loop, spec.J)
         for r in args.r_list:
-            covariant = norm_r(frame, r, field)
+            covariant = float(frame.norm(r, c))
             form = ambient.inner(r, ones, ones)
             rows.append((n, float(r), covariant, math.sqrt(form), form / covariant ** 2))
     config_payload = {"spec": spec.to_json(), "flow": config.to_json(),

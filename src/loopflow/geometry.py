@@ -126,12 +126,6 @@ class LoopPath:
         anchor = self.cos_coeffs.sum(axis=0)
         return base[None, :] + np.outer(t, self.drift) + per - anchor[None, :]
 
-    def coordinate_samples(self, m):
-        """Unwrapped coordinates on the uniform m-grid (FFT path)."""
-        per = fourier.synthesize(np.zeros(self.manifold.dim), self.cos_coeffs, self.sin_coeffs, m=m)
-        anchor = self.cos_coeffs.sum(axis=0)
-        return np.asarray(self.base)[None, :] + np.outer(fourier.grid(m), self.drift) + per - anchor[None, :]
-
     def velocity_samples(self, m):
         """Coordinate velocity dq/dt on the uniform m-grid (exact)."""
         _, da, db = fourier.differentiate(np.zeros(self.manifold.dim), self.cos_coeffs, self.sin_coeffs)

@@ -11,22 +11,22 @@ analytic frame
 and frames are stored in that canonical ordering: index k < n is the
 constant field of coordinate k, then per mode j the n cosine fields
 followed by the n sine fields.  A frame is therefore a value of the
-coordinate dimension n, the cutoff J and the method alone: it carries
-no loop, frame_of keeps one frame per (n, J, method), and fields over
-different loops of the same dimension share it.  A dense collocation
-eigensolve of the same operator is available as an independent path
-and is used to cross-validate the shortcut.
+coordinate dimension n and the cutoff J alone: it carries no loop,
+frame_of keeps one frame per (n, J), and fields over different loops of
+the same dimension share it.  A dense collocation eigensolve of the
+same operator (dense_mode_eigenvalues) is an independent reference that
+cross-validates the shortcut.
 
 A field along a loop is its frame coefficients (FiberField); sampled
-field data enter only through SpectralFrame.coefficients / project.
-Fractional powers are exact diagonal scalings on the truncated
-spectrum.  Two metric families are provided:
+field data enter only through SpectralFrame.coefficients.  Fractional
+powers are exact diagonal scalings on the truncated spectrum.  Two
+metric families are provided:
 
-* inner_r: the covariant family, diagonal in the frame with weights
+* the covariant family, diagonal in the frame with weights
   (1 + lambda_j)^r; the frame owns them, computing each exponent's
   weights once (SpectralFrame.weights) and the weighted norm of a
   coefficient stack (SpectralFrame.norm);
-* inner_r_emb: the ambient family, the functional calculus of the
+* the ambient family (embedded_metric), the functional calculus of the
   first-order ambient Sobolev form of the embedded fields compressed to
   the truncated field space.  Per coordinate circle this form is
   (1 - d^2/dt^2) plus multiplication by (kappa_k qdot_k(t))^2, the
@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fourier
-from .geometry import LoopPath
 
 ZERO_SNAP = 1e-9
 SQ2 = np.sqrt(2.0)
@@ -79,22 +78,16 @@ class SpectralFrame:
 
     n: int
     cutoff: int
-    eigenvalues: np.ndarray = field(compare=False)   # fixed by (n, cutoff, method)
-    method: str = "analytic"
+    eigenvalues: np.ndarray = field(init=False, compare=False, repr=False)  # fixed by (n, cutoff)
 
     def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float).copy()
-        lam[np.abs(lam) < ZERO_SNAP] = 0.0
+        lam = _flat_eigenvalues(self.n, self.cutoff)
         lam.flags.writeable = False
         object.__setattr__(self, "eigenvalues", lam)
 
     @property
     def dim(self):
         return self.n * (2 * self.cutoff + 1)
-
-    @property
-    def kernel_dim(self):
-        return int(np.count_nonzero(self.eigenvalues == 0.0))
 
     def coefficients(self, samples):
         """L^2-orthonormal frame coefficients of sampled field data: (D,)
@@ -172,11 +165,10 @@ class SpectralFrame:
         """The r-norm of coefficients c, row by row for a stack (..., D)."""
         return np.sqrt(np.sum(self.weights(r) * c ** 2, axis=-1))
 
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("basis", None)
-        state.pop("_weights", None)
-        return state
+    def __reduce__(self):
+        # a value of (n, cutoff): unpickling rebuilds the read-only
+        # eigenvalues and drops the cached weights and basis
+        return SpectralFrame, (self.n, self.cutoff)
 
     def sup_norms(self):
         """Sup norm of each eigenfield: 1 for kernel fields, sqrt(2) above."""
@@ -198,33 +190,6 @@ class FiberField:
             raise ValueError(f"expected {self.frame.dim} coefficients, got shape {c.shape}")
         c.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
-
-    def norm_r(self, r):
-        return float(self.frame.norm(r, self.coefficients))
-
-    def samples(self, m=None):
-        return self.frame.samples(self.coefficients, m=m)
-
-    def __add__(self, other):
-        _check_aligned(self.frame, other.frame)
-        return FiberField(self.frame, self.coefficients + other.coefficients)
-
-    def __sub__(self, other):
-        _check_aligned(self.frame, other.frame)
-        return FiberField(self.frame, self.coefficients - other.coefficients)
-
-    def __mul__(self, scalar):
-        return FiberField(self.frame, self.coefficients * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FiberField(self.frame, -self.coefficients)
-
-
-def _check_aligned(fa, fb):
-    if fa != fb:
-        raise ValueError("fields live in different frames")
 
 
 def _collocation_derivative_matrix(J):
@@ -261,71 +226,40 @@ def dense_mode_eigenvalues(J):
     return per_mode
 
 
-def eigendecompose(n, cutoff, method="analytic"):
-    """Spectral frame of 1 + nabla* nabla on n-dimensional fields, modes 0..J.
-
-    method "analytic" uses the flat-model shortcut; "dense" recomputes
-    the spectrum by collocation eigensolve and cross-checks it against
-    the shortcut before building the frame.
-    """
-    if method == "analytic":
-        lam = _flat_eigenvalues(n, cutoff)
-    elif method == "dense":
-        per_mode = dense_mode_eigenvalues(cutoff)
-        exact = laplacian_eigenvalues(cutoff)
-        gap = np.abs(per_mode - exact) / (1.0 + exact)
-        if gap.max() > 1e-8:
-            raise ArithmeticError(f"dense spectrum deviates from analytic by {gap.max():.3e}")
-        lam = _flat_eigenvalues(n, cutoff, per_mode=per_mode)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return SpectralFrame(n=n, cutoff=cutoff, eigenvalues=lam, method=method)
+def dense_eigenvalues(n, cutoff):
+    """The canonically ordered (D,) eigenvalue array of the dense
+    collocation reference, after checking it against the analytic
+    spectrum: raises ArithmeticError on a relative gap above 1e-8."""
+    per_mode = dense_mode_eigenvalues(cutoff)
+    exact = laplacian_eigenvalues(cutoff)
+    gap = np.abs(per_mode - exact) / (1.0 + exact)
+    if gap.max() > 1e-8:
+        raise ArithmeticError(f"dense spectrum deviates from analytic by {gap.max():.3e}")
+    return _flat_eigenvalues(n, cutoff, per_mode=per_mode)
 
 
 _FRAME_CACHE = {}
 _CACHE_LOCK = threading.Lock()
 
 
-def frame_of(loop, cutoff, method="analytic"):
+def frame_of(loop, cutoff):
     """The frame for fields along the loop, shared by every loop of its
     dimension (concurrent reads, exclusive insertion)."""
     if cutoff < loop.modes:
         raise ValueError(f"frame cutoff {cutoff} below loop mode content {loop.modes}")
-    key = (loop.manifold.dim, cutoff, method)
+    key = (loop.manifold.dim, cutoff)
     frame = _FRAME_CACHE.get(key)
     if frame is None:
-        frame = eigendecompose(loop.manifold.dim, cutoff, method=method)
+        frame = SpectralFrame(n=loop.manifold.dim, cutoff=cutoff)
         with _CACHE_LOCK:
             frame = _FRAME_CACHE.setdefault(key, frame)
     return frame
-
-
-def project(frame, samples):
-    """L^2-orthogonal projection of sampled data onto the frame's span."""
-    return FiberField(frame, frame.coefficients(samples))
-
-
-def fractional_apply(frame, r, field):
-    """A^r field, A = (1 + nabla* nabla)^{1/2}: coefficients times (1+lambda)^{r/2}."""
-    return FiberField(frame, frame.weights(0.5 * r) * field.coefficients)
-
-
-def inner_r(frame, r, xi, zeta):
-    """The covariant r-inner-product: sum (1+lambda_j)^r xi_j zeta_j."""
-    cx = xi.coefficients if isinstance(xi, FiberField) else frame.coefficients(xi)
-    cz = zeta.coefficients if isinstance(zeta, FiberField) else frame.coefficients(zeta)
-    return float(np.sum(frame.weights(r) * cx * cz))
-
-
-def norm_r(frame, r, xi):
-    return float(np.sqrt(max(inner_r(frame, r, xi, xi), 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
 class EmbeddedMetric:
     """Per-coordinate eigendata of the compressed ambient Sobolev form."""
 
-    loop: LoopPath
     cutoff: int
     mu: np.ndarray      # (n, 2J+1) eigenvalues, all >= 1 up to roundoff
     vectors: np.ndarray  # (n, 2J+1, 2J+1) orthonormal columns
@@ -386,46 +320,25 @@ def embedded_metric(loop, cutoff):
             raise ArithmeticError("compressed ambient form lost positivity")
         mu[k] = vals
         vecs[k] = V
-    return EmbeddedMetric(loop=loop, cutoff=J, mu=mu, vectors=vecs)
+    return EmbeddedMetric(cutoff=J, mu=mu, vectors=vecs)
 
 
-def inner_r_emb(loop, r, xi, zeta, cutoff=None):
-    """The ambient r-inner-product of two fields along the loop.
-
-    Fields are pushed to the embedding, paired through the r-th power of
-    the ambient first-order Sobolev form, and the result read back on
-    the loop; everything happens in the compressed truncated space.
-    This builds and diagonalizes the form on every call; to pair many
-    fields or exponents along one loop, build embedded_metric once and
-    call its inner.
-    """
-    xs, zs = _field_samples(xi), _field_samples(zeta)
-    if cutoff is None:
-        cutoff = max((min(xs.shape[0], zs.shape[0]) - 1) // 2, loop.modes, 1)
-    return embedded_metric(loop, cutoff).inner(r, xs, zs)
-
-
-def norm_r_emb(loop, r, xi, cutoff=None):
-    return float(np.sqrt(max(inner_r_emb(loop, r, xi, xi, cutoff=cutoff), 0.0)))
-
-
-def spectra_rows(frame):
+def spectra_rows(eigenvalues, sup_norms):
     """Rows (j, lambda_j, sup_norm_xi_j) for CSV export."""
-    sup = frame.sup_norms()
-    return [(j, float(frame.eigenvalues[j]), float(sup[j])) for j in range(frame.dim)]
+    return [(j, float(lam), float(sup)) for j, (lam, sup) in enumerate(zip(eigenvalues, sup_norms))]
 
 
-def fit_spectrum_bounds(frame):
-    """Fit (c, C, d) so that c(j^2 - d) <= lambda_j <= C(j^2 + d) per mode.
+def fit_spectrum_bounds(eigenvalues, n):
+    """Fit (c, C, d) so that c(j^2 - d) <= lambda_j <= C(j^2 + d) per mode,
+    from a canonically ordered eigenvalue array of n-dimensional fields.
 
     On the flat models the curvature correction vanishes, so d = 0 and
     c, C are the extreme ratios lambda_j / j^2 over the nonzero modes.
     """
-    n = frame.n
-    J = frame.cutoff
+    J = (len(eigenvalues) // n - 1) // 2
     if J == 0:
         return 4.0 * np.pi ** 2, 4.0 * np.pi ** 2, 0.0
     jj = np.arange(1, J + 1, dtype=float)
-    per_mode = frame.eigenvalues[n::2 * n]
+    per_mode = eigenvalues[n::2 * n]
     ratios = per_mode / jj ** 2
     return float(ratios.min()), float(ratios.max()), 0.0

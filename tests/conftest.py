@@ -7,8 +7,15 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from loopflow import FlowConfig, default_spec
+
+# property tests draw the same few examples on every run and write no
+# example database, so the suite stays deterministic and quick
+settings.register_profile("loopflow", derandomize=True, max_examples=20, database=None,
+                          deadline=None)
+settings.load_profile("loopflow")
 
 
 @pytest.fixture(scope="session")

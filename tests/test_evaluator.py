@@ -49,7 +49,7 @@ def reference_terms(x, spec):
     frame = x.frame
     m = fourier.default_samples(frame.cutoff)
     qdot = x.loop.velocity_samples(m)
-    p = x.fiber.samples(m)
+    p = frame.samples(x.fiber.coefficients, m)
     rho = np.linalg.norm(p, axis=1)
     a = frame.coefficients(qdot) @ x.fiber.coefficients - np.mean(reference_radial_H(spec, rho, 0))
     scale = np.divide(reference_radial_H(spec, rho, 1), rho, out=np.zeros_like(rho),
@@ -130,7 +130,7 @@ def test_velocity_coefficients_are_the_analyzed_samples(rng):
 def test_hamilton_residual_matches_sampled_defect(spec, rng):
     x = random_point(spec, flat_torus(2), (1, 0), 5, rng)
     m = fourier.default_samples(spec.J)
-    p = x.fiber.samples(m)
+    p = x.frame.samples(x.fiber.coefficients, m)
     rho = np.linalg.norm(p, axis=1)
     dpH = (reference_radial_H(spec, rho, 1) / rho)[:, None] * p
     res_q = math.sqrt(np.mean(np.sum((x.loop.velocity_samples(m) - dpH) ** 2, axis=1)))

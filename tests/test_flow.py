@@ -1,11 +1,11 @@
 import dataclasses
-import importlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+import loopflow.flow as flow_mod
 from loopflow import fourier, spectral
 from loopflow.action import (PhasePoint, action, derivative_coefficients, perturb,
                              random_phase_point, straight_orbit, velocity_coefficients)
@@ -14,7 +14,7 @@ from loopflow.flow import (FlowConfig, divergent_fixture, flow, flow_to_critical
                            representation_defects, speed_cutoff)
 from loopflow.geometry import embedded_circle, flat_torus, random_loop, straight_loop
 from loopflow.hamiltonian import default_spec
-from loopflow.spectral import FiberField, frame_of, project
+from loopflow.spectral import FiberField, frame_of
 
 
 def high_mode_state(spec):
@@ -125,9 +125,9 @@ def test_stationary_point_stays(spec, config):
 def test_descent_run_from_high_mode_state(spec):
     cfg = MANUAL_CONFIG
     x = high_mode_state(spec)
-    assert x.fiber.norm_r(1.0 - spec.s) > cfg.gamma_prime
+    assert x.frame.norm(1.0 - spec.s, x.fiber.coefficients) > cfg.gamma_prime
     m = 4 * spec.J + 1
-    assert float(np.max(np.linalg.norm(x.fiber.samples(m), axis=1))) < \
+    assert float(np.max(np.linalg.norm(x.frame.samples(x.fiber.coefficients, m), axis=1))) < \
         spec.rho_star * math.exp(-spec.delta)
     np.testing.assert_allclose(action(x, spec), 0.0, atol=1e-14)
     traj = flow(x, spec, cfg, 3.0)
@@ -190,7 +190,6 @@ def test_deformation_report(spec):
 
 def test_flow_and_flow_to_critical_share_the_step_budget(small_spec, small_config, rng,
                                                          monkeypatch):
-    flow_mod = importlib.import_module("loopflow.flow")  # the package rebinds .flow
     assert flow_mod.step_budget(small_config, 1.0) == 16 * 100 + 16
     monkeypatch.setattr(flow_mod, "step_budget", lambda config, T: 3)
     x = random_phase_point(small_spec, rng)
@@ -202,7 +201,6 @@ def test_flow_and_flow_to_critical_share_the_step_budget(small_spec, small_confi
 
 def test_accepted_step_costs_four_evaluations(small_spec, small_config, rng, monkeypatch):
     from loopflow.action import random_phase_point
-    flow_mod = importlib.import_module("loopflow.flow")  # the package rebinds .flow
     calls = []
     built = []
     evaluate, build = flow_mod.evaluate, flow_mod.perturb
@@ -233,7 +231,6 @@ def test_accepted_step_costs_four_evaluations(small_spec, small_config, rng, mon
 
 def test_reused_k1_matches_recomputed_k1(small_spec, small_config, rng, monkeypatch):
     from loopflow.action import random_phase_point
-    flow_mod = importlib.import_module("loopflow.flow")  # the package rebinds .flow
     x = random_phase_point(small_spec, rng)
     reused = flow(x, small_spec, small_config, 0.2)
     rk4 = flow_mod._rk4
@@ -273,7 +270,7 @@ def reference_representation(traj):
     x0 = traj.states[0]
     frame = x0.frame
     m = fourier.default_samples(frame.cutoff)
-    qd0 = project(frame, x0.loop.velocity_samples(m)).coefficients
+    qd0 = frame.coefficients(x0.loop.velocity_samples(m))
     jq0 = (1.0 + frame.eigenvalues) ** (x0.s - 1.0) * qd0
     w = (1.0 + frame.eigenvalues) ** (1.0 - x0.s)
     defects, rows = [], []
@@ -292,7 +289,7 @@ def reference_ps(traj):
         pc = xk.fiber.coefficients
         diff = velocity_coefficients(xk.loop, frame) - pc
         v1.append(np.sqrt(np.sum((1.0 + lam) ** (xk.s - 1.0) * diff ** 2)))
-        v2.append(float(np.sum(pc ** 2)) / (1.0 + xk.fiber.norm_r(1.0 - xk.s)))
+        v2.append(float(np.sum(pc ** 2)) / (1.0 + frame.norm(1.0 - xk.s, pc)))
         pdot = derivative_coefficients(frame, pc)
         v3.append(np.sqrt(np.sum((1.0 + lam) ** (-xk.s) * pdot ** 2)))
         kpar.append(np.sqrt(np.sum(pc[:n] ** 2)))
@@ -346,7 +343,6 @@ def test_stage_velocity_coefficients_match_perturbed_loops(J, model):
 def test_rk4_matches_stages_built_by_perturb(J, model):
     spec = default_spec(J=J)
     config = FlowConfig.auto(spec)
-    flow_mod = importlib.import_module("loopflow.flow")  # the package rebinds .flow
     rng = np.random.default_rng([6, J, model])
     for modes in (0, J // 2, J):
         x = model_point(spec, model, modes, rng)
@@ -394,7 +390,6 @@ def test_trajectory_diagnostics_match_per_state_references(which, diagnosed_traj
 # own, whose horizon test read t >= t_max.
 
 def reference_flow_to_critical(x, spec, config, floor=None):
-    flow_mod = importlib.import_module("loopflow.flow")  # the package rebinds .flow
     t = 0.0
     steps = 0
     consec = 0
@@ -426,7 +421,6 @@ def test_flow_to_critical_stops_on_a_flow_trajectory(stop, small_spec, small_con
                                                      monkeypatch):
     # the flow over the same horizon t_max passes through the state
     # flow_to_critical stops at
-    flow_mod = importlib.import_module("loopflow.flow")  # the package rebinds .flow
     if stop == "floor":
         x, floor = high_mode_state(small_spec), -0.5
         config = dataclasses.replace(MANUAL_CONFIG, t_max=0.2)
@@ -452,7 +446,6 @@ def test_flow_to_a_reached_time_retraces_its_steps(small_spec):
     # 12 steps of 0.01 sum to 0.11999999999999998, an ulp short of 0.12:
     # a flow over that time must still take 12 full steps, not shrink the
     # last one to the rounded remainder
-    flow_mod = importlib.import_module("loopflow.flow")  # the package rebinds .flow
     x = high_mode_state(small_spec)
     search = flow_mod.flow_to_critical(x, small_spec, MANUAL_CONFIG, floor=-0.5)
     assert search.escaped and search.steps == 12

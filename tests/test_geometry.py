@@ -56,7 +56,8 @@ def test_content_key_and_json_roundtrip(rng):
     assert again.content_key() == loop.content_key()
     np.testing.assert_allclose(again.cos_coeffs, loop.cos_coeffs)
     m = 32
-    np.testing.assert_allclose(again.coordinate_samples(m), loop.coordinate_samples(m))
+    t = grid(m)
+    np.testing.assert_allclose(again.coordinates(t), loop.coordinates(t))
 
 
 def test_velocity_series_matches_samples(rng):
@@ -86,8 +87,6 @@ def test_aliasing_guards():
     # too few samples to carry the loop's own mode content
     with pytest.raises(ValueError):
         loop.velocity_samples(12)
-    with pytest.raises(ValueError):
-        loop.coordinate_samples(5)
     field = np.tile([1.0, 0.0], (13, 1))
     frame = frame_of(loop, 6)
     c = frame.coefficients(field)
