@@ -238,8 +238,8 @@ def cmd_metrics_compare(args):
         ambient = embedded_metric(loop, spec.J)
         for r in args.r_list:
             covariant = float(frame.norm(r, c))
-            form = ambient.inner(r, ones, ones)
-            rows.append((n, float(r), covariant, math.sqrt(form), form / covariant ** 2))
+            emb = float(ambient.norm(r, c))
+            rows.append((n, float(r), covariant, emb, (emb / covariant) ** 2))
     config_payload = {"spec": spec.to_json(), "flow": config.to_json(),
                       "n_max": args.n_max, "r_list": [float(r) for r in args.r_list]}
     _emit(args, "metrics-compare", config_payload, rows,

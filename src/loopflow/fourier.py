@@ -42,23 +42,17 @@ def analyze(samples, J):
     return a0, a, b
 
 
-def synthesize(a0, a, b, m=None, t=None):
-    """Sample the series a0 + sum a_j cos + b_j sin.
-
-    Either on the uniform m-grid (fast, via FFT along the sample axis)
-    or at arbitrary parameter values t (direct evaluation).  Returns
-    shape (m, n), or (S, m, n) for a batch of S series with a0 of shape
-    (S, n) and a, b of shape (S, J, n).
+def synthesize(a0, a, b, m=None):
+    """Sample the series a0 + sum a_j cos + b_j sin on the uniform m-grid,
+    via FFT along the sample axis.  Returns shape (m, n), or (S, m, n)
+    for a batch of S series with a0 of shape (S, n) and a, b of shape
+    (S, J, n).
     """
     a0 = np.atleast_1d(np.asarray(a0, dtype=float))
     lead, n = a0.shape[:-1], a0.shape[-1]
     a = np.asarray(a, dtype=float).reshape(lead + (-1, n))
     b = np.asarray(b, dtype=float).reshape(lead + (-1, n))
     J = a.shape[-2]
-    if t is not None:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        ang = 2.0 * np.pi * np.outer(t, np.arange(1, J + 1))  # (len(t), J)
-        return a0[..., None, :] + np.cos(ang) @ a + np.sin(ang) @ b
     if m is None:
         m = default_samples(J)
     if m < 2 * J + 1:

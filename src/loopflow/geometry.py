@@ -81,7 +81,7 @@ class LoopPath:
     """A free loop: winding class plus anchored truncated Fourier data.
 
     cos_coeffs and sin_coeffs have shape (J, n), mode-major.  The
-    anchoring convention makes position(0) == base exactly, with no
+    anchoring convention makes coordinates(0) == base exactly, with no
     constraint on the coefficients.
     """
 
@@ -108,6 +108,11 @@ class LoopPath:
         object.__setattr__(self, "cos_coeffs", a)
         object.__setattr__(self, "sin_coeffs", b)
 
+    def __reduce__(self):
+        # unpickle through the constructor, which makes the copies read-only
+        return LoopPath, (self.manifold, self.winding, self.base, self.cos_coeffs,
+                          self.sin_coeffs)
+
     @property
     def modes(self):
         return self.cos_coeffs.shape[0]
@@ -120,11 +125,10 @@ class LoopPath:
     def coordinates(self, t):
         """Unwrapped coordinates q(t), shape (len(t), n)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        base = np.asarray(self.base)
-        per = fourier.synthesize(np.zeros(self.manifold.dim), self.cos_coeffs, self.sin_coeffs, t=t)
-        # anchored: subtract the periodic part's value at t = 0
-        anchor = self.cos_coeffs.sum(axis=0)
-        return base[None, :] + np.outer(t, self.drift) + per - anchor[None, :]
+        ang = 2.0 * np.pi * np.outer(t, np.arange(1, self.modes + 1))
+        # anchored: cos - 1 and sin vanish at t = 0 exactly, so coordinates(0) == base
+        per = (np.cos(ang) - 1.0) @ self.cos_coeffs + np.sin(ang) @ self.sin_coeffs
+        return np.asarray(self.base)[None, :] + np.outer(t, self.drift) + per
 
     def velocity_samples(self, m):
         """Coordinate velocity dq/dt on the uniform m-grid (exact)."""

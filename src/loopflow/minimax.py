@@ -389,6 +389,8 @@ def minimax_theta(family, spec, config, rng=None):
     pool = []
     for loop in family:
         pool += [(loop, res) for res in fiber_sup(loop, spec, config)]
+    if not pool:
+        raise ValueError("minimax_theta needs a nonempty family of loops")
     confident = all(res.converged for _, res in pool)
     pool.sort(key=lambda item: item[1].action, reverse=True)
     best = (-math.inf, None, 0)   # (final action, witness, rounds) of the best descent
@@ -468,6 +470,8 @@ def orbit_sweep(spec_template, r_grid, config, jobs=1, family=None):
     loop energies and the r-shifted actions, both constant on a
     plateau.
     """
+    if family is not None and not family:
+        raise ValueError("orbit_sweep needs a nonempty family of loops")
     payloads = [(spec_template, config, family, float(r)) for r in r_grid]
     workers = pool_size(jobs, len(payloads), os.cpu_count() or 1)
     if workers <= 1:

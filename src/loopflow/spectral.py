@@ -30,9 +30,10 @@ metric families are provided:
   first-order ambient Sobolev form of the embedded fields compressed to
   the truncated field space.  Per coordinate circle this form is
   (1 - d^2/dt^2) plus multiplication by (kappa_k qdot_k(t))^2, the
-  normal-curvature correction of the embedding; its matrix is assembled
-  exactly by quadrature and powered through a dense symmetric
-  eigendecomposition.
+  normal-curvature correction of the embedding; its matrix in frame
+  coefficients is assembled exactly by quadrature on the frame's
+  eigenfields and powered through a dense symmetric eigendecomposition,
+  and EmbeddedMetric.norm measures the coefficients SpectralFrame.norm does.
 
 The compressed-form route (rather than a literal diagonal scaling of
 ambient Fourier modes) keeps the ambient family a genuine operator
@@ -191,6 +192,10 @@ class FiberField:
         c.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
 
+    def __reduce__(self):
+        # unpickle through the constructor, which makes the copy read-only
+        return FiberField, (self.frame, self.coefficients)
+
 
 def _collocation_derivative_matrix(J):
     # trig collocation d/dt on 2J+1 uniform nodes of the unit period
@@ -258,69 +263,38 @@ def frame_of(loop, cutoff):
 
 @dataclass(frozen=True, eq=False)
 class EmbeddedMetric:
-    """Per-coordinate eigendata of the compressed ambient Sobolev form."""
+    """Eigendata of the compressed ambient Sobolev form in frame coefficients."""
 
-    cutoff: int
-    mu: np.ndarray      # (n, 2J+1) eigenvalues, all >= 1 up to roundoff
-    vectors: np.ndarray  # (n, 2J+1, 2J+1) orthonormal columns
+    mu: np.ndarray       # (D,) eigenvalues, all >= 1 up to roundoff
+    vectors: np.ndarray  # (D, D) orthonormal columns
 
-    def apply_power(self, r, series_matrix):
-        """E^r applied to per-coordinate series vectors, shape (2J+1, n)."""
-        out = np.empty_like(series_matrix)
-        for k in range(series_matrix.shape[1]):
-            V = self.vectors[k]
-            out[:, k] = V @ (self.mu[k] ** r * (V.T @ series_matrix[:, k]))
-        return out
-
-    def inner(self, r, xi, zeta):
-        """The ambient r-inner-product of two sampled fields along the
-        loop, through the r-th power of this form; r in [-1, 1]."""
+    def norm(self, r, c):
+        """The ambient r-norm of frame coefficients c, row by row for a
+        stack (..., D), through the r-th power of this form; r in [-1, 1]."""
         if not -1.0 <= r <= 1.0:
             raise ValueError("ambient metric exponent must lie in [-1, 1]")
-        cx = _series_matrix(_field_samples(xi), self.cutoff)
-        cz = _series_matrix(_field_samples(zeta), self.cutoff)
-        return float(np.sum(cx * self.apply_power(r, cz)))
-
-
-def _series_matrix(samples, J):
-    # per-coordinate canonical coefficients: rows [a0; a/sqrt2; b/sqrt2]
-    a0, a, b = fourier.analyze(samples, J)
-    return np.concatenate([a0[None, :], a / SQ2, b / SQ2], axis=0)
+        return np.sqrt(np.sum(self.mu ** r * (c @ self.vectors) ** 2, axis=-1))
 
 
 def embedded_metric(loop, cutoff):
-    """Assemble and diagonalize the compressed ambient form, per coordinate.
+    """Assemble and diagonalize the compressed ambient form in the frame.
 
     The form is diag(1 + lambda) plus the Gram matrix of multiplication
-    by (kappa_k qdot_k)^2; with 4J+1 quadrature nodes every entry is an
-    exact integral because the integrand is a trig polynomial of degree
-    at most 4J.
+    by (kappa_k qdot_k)^2 on the frame's eigenfields; on the frame's
+    4J+1 nodes every entry is an exact integral because the integrand is
+    a trig polynomial of degree at most 4J.  It is block diagonal by
+    coordinate, so one eigensolve of the whole form is exact.
     """
-    if cutoff < loop.modes:
-        raise ValueError(f"embedded-metric cutoff {cutoff} below loop mode content {loop.modes}")
-    n = loop.manifold.dim
-    J = cutoff
-    m = fourier.default_samples(J)
-    t = fourier.grid(m)
-    qdot = loop.velocity_samples(m)
-    weight = (loop.manifold.embedding_curvatures[None, :] * qdot) ** 2
-    jj = np.arange(1, J + 1)
-    lam = (2.0 * np.pi * jj) ** 2
-    diag_l = np.concatenate([[1.0], 1.0 + lam, 1.0 + lam])
-    B = np.empty((m, 2 * J + 1))
-    B[:, 0] = 1.0
-    B[:, 1:J + 1] = SQ2 * np.cos(2.0 * np.pi * np.outer(t, jj))
-    B[:, J + 1:] = SQ2 * np.sin(2.0 * np.pi * np.outer(t, jj))
-    mu = np.empty((n, 2 * J + 1))
-    vecs = np.empty((n, 2 * J + 1, 2 * J + 1))
-    for k in range(n):
-        E = np.diag(diag_l) + B.T @ (weight[:, k:k + 1] * B) / m
-        vals, V = np.linalg.eigh(E)
-        if vals.min() <= 0.0:
-            raise ArithmeticError("compressed ambient form lost positivity")
-        mu[k] = vals
-        vecs[k] = V
-    return EmbeddedMetric(cutoff=J, mu=mu, vectors=vecs)
+    frame = frame_of(loop, cutoff)
+    basis = frame.basis
+    D, m, _ = basis.shape
+    weight = (loop.manifold.embedding_curvatures * loop.velocity_samples(m)) ** 2
+    form = (basis * weight).reshape(D, -1) @ basis.reshape(D, -1).T / m
+    form[np.diag_indices(D)] += 1.0 + frame.eigenvalues
+    mu, vectors = np.linalg.eigh(form)
+    if mu.min() <= 0.0:
+        raise ArithmeticError("compressed ambient form lost positivity")
+    return EmbeddedMetric(mu=mu, vectors=vectors)
 
 
 def spectra_rows(eigenvalues, sup_norms):

@@ -162,3 +162,16 @@ def test_states_compare_by_identity(spec, rng):
     again = pickle.loads(pickle.dumps(x))
     np.testing.assert_array_equal(again.fiber.coefficients, x.fiber.coefficients)
     assert again.loop.content_key() == x.loop.content_key()
+
+
+def test_pickled_states_keep_their_arrays_read_only(spec, rng):
+    # a state unpickles through the constructors, which lock their copies
+    x = random_phase_point(spec, rng)
+    again = pickle.loads(pickle.dumps(x))
+    for old, new in ((x.fiber.coefficients, again.fiber.coefficients),
+                     (x.loop.cos_coeffs, again.loop.cos_coeffs),
+                     (x.loop.sin_coeffs, again.loop.sin_coeffs)):
+        np.testing.assert_array_equal(new, old)
+        assert not new.flags.writeable
+        with pytest.raises(ValueError):
+            new[0] = 1.0

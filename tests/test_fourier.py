@@ -38,19 +38,6 @@ def test_roundtrip_random_coefficients(rng):
         np.testing.assert_allclose(br, b, atol=1e-12)
 
 
-def test_synthesize_at_arbitrary_t(rng):
-    J = 5
-    a0 = rng.standard_normal(2)
-    a = rng.standard_normal((J, 2))
-    b = rng.standard_normal((J, 2))
-    t = np.array([0.0, 0.137, 0.5, 0.93])
-    vals = synthesize(a0, a, b, t=t)
-    jj = np.arange(1, J + 1)
-    ang = 2.0 * np.pi * np.outer(t, jj)
-    direct = a0[None, :] + np.cos(ang) @ a + np.sin(ang) @ b
-    np.testing.assert_allclose(vals, direct, atol=1e-13)
-
-
 def test_analyze_rejects_coarse_grid():
     with pytest.raises(ValueError):
         analyze(np.zeros(8), 4)

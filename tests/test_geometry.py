@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from loopflow.action import derivative_coefficients
 from loopflow.fourier import grid
@@ -39,6 +41,17 @@ def test_straight_loop_and_anchoring():
 def test_loop_anchor_is_exact_with_modes(rng):
     loop = random_loop(flat_torus(3), (0, 1, 2), 5, rng)
     np.testing.assert_allclose(loop.coordinates(0.0)[0], loop.base, atol=1e-13)
+
+
+def test_coordinates_at_arbitrary_t(rng):
+    # the anchored series base + t drift + f(t) - f(0), evaluated directly
+    loop = random_loop(flat_torus(2), (1, -2), 5, rng)
+    t = np.array([0.0, 0.137, 0.5, 0.93])
+    ang = 2.0 * np.pi * np.outer(t, np.arange(1, 6))
+    periodic = np.cos(ang) @ loop.cos_coeffs + np.sin(ang) @ loop.sin_coeffs
+    direct = (np.asarray(loop.base) + np.outer(t, loop.drift) + periodic
+              - loop.cos_coeffs.sum(axis=0))
+    np.testing.assert_allclose(loop.coordinates(t), direct, atol=1e-13)
 
 
 def test_loop_validation():
@@ -103,3 +116,18 @@ def test_field_norms():
     c = frame.coefficients(np.tile([1.0, 0.0], (9, 1)))
     np.testing.assert_allclose(np.linalg.norm(frame.samples(c, 9), axis=1), np.ones(9))
     np.testing.assert_allclose(frame.norm(0.0, c), 1.0)
+
+
+@st.composite
+def random_loops(draw):
+    manifold = draw(st.sampled_from([embedded_circle(), flat_torus(1), flat_torus(2),
+                                     flat_torus(3)]))
+    winding = draw(st.lists(st.integers(-3, 3), min_size=manifold.dim, max_size=manifold.dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return random_loop(manifold, winding, draw(st.integers(0, 24)), rng,
+                       amplitude=draw(st.floats(0.0, 1.0)))
+
+
+@given(random_loops())
+def test_coordinates_at_zero_are_the_base_point(loop):
+    assert np.array_equal(loop.coordinates(0.0)[0], loop.base)

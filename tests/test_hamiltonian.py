@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from loopflow.hamiltonian import (HamiltonianSpec, alpha_bound, chi, default_spec,
@@ -213,3 +215,30 @@ def test_perturbation_sup_diff(spec):
     np.testing.assert_allclose(perturbation_sup_diff(spec, other), 0.2, atol=1e-12)
     assert perturbation_sup_diff(spec, spec) == 0.0
 
+
+@st.composite
+def valid_specs(draw):
+    # rho0 < rho* < rho1 and delta below the thickening half-width
+    rho0 = draw(st.floats(0.05, 1.0))
+    rho1 = rho0 * draw(st.floats(1.2, 4.0))
+    rho_star = rho0 * (rho1 / rho0) ** draw(st.floats(0.2, 0.8))
+    a = min(math.log(rho1 / rho_star), math.log(rho_star / rho0))
+    return HamiltonianSpec(rho0=rho0, rho1=rho1, rho_star=rho_star,
+                           delta=a * draw(st.floats(0.1, 0.9)), r=draw(st.floats(0.05, 2.0)),
+                           J=32, s=0.75)
+
+
+@given(valid_specs())
+def test_radial_H_branch_joins_are_C2(spec):
+    # H, H' and H'' agree from both sides of every join: the jump across
+    # a join shrinks at least linearly with the step (a jump of size g
+    # would stay g), up to roundoff in the value at the join
+    joins = (spec.rho_star * math.exp(-spec.delta), spec.rho_star * math.exp(spec.delta),
+             spec.rho1, 2.0 * spec.rho1)
+    steps = np.array([1e-5, 1e-5 / 8.0])
+    for x in joins:
+        for order in (0, 1, 2):
+            jump = np.abs(radial_H(spec, x * (1.0 + steps), order)
+                          - radial_H(spec, x * (1.0 - steps), order))
+            roundoff = 1e-9 * (1.0 + abs(radial_H(spec, x, order)))
+            assert jump[1] <= jump[0] / 4.0 + roundoff, (x, order)

@@ -356,6 +356,16 @@ def test_composite_descent_reconverges(small_spec, small_config):
     assert gradient_norm(xc, small_spec) <= 0.01 * small_config.grad_tol
 
 
+def test_empty_family_is_rejected_before_any_work(spec, config, monkeypatch):
+    monkeypatch.setattr(minimax, "fiber_sup", None)   # any work would fail with TypeError
+    with pytest.raises(ValueError, match="nonempty family"):
+        minimax_theta([], spec, config)
+    with pytest.raises(ValueError, match="nonempty family"):
+        minimax_theta(iter([]), spec, config)
+    with pytest.raises(ValueError, match="nonempty family"):
+        orbit_sweep(spec, [0.5], config, family=[])
+
+
 def test_orbit_sweep_serial_parallel_identical(config):
     from loopflow.hamiltonian import default_spec
     spec16 = default_spec(J=16)
@@ -370,6 +380,10 @@ def test_orbit_sweep_serial_parallel_identical(config):
         assert ra.classification.kind == rb.classification.kind
         np.testing.assert_allclose(ra.witness.fiber.coefficients,
                                    rb.witness.fiber.coefficients)
+        # the pool's witnesses come back through pickle, still read-only
+        for arr in (rb.witness.fiber.coefficients, rb.witness.loop.cos_coeffs,
+                    rb.witness.loop.sin_coeffs):
+            assert not arr.flags.writeable
     assert sum_a == sum_b
     assert sum_a.hit_found
     assert sum_a.first_hit_r == 0.5

@@ -10,11 +10,11 @@ DELETED = {"hamiltonian": ("evaluate_H", "hamiltonian_vector_field", "integrate_
            "flow": ("flow_step", "kolmogorov_width_proxy"),
            "spectral": ("adjoint_inclusion", "eigendecompose", "inner_r", "norm_r",
                         "fractional_apply", "project", "inner_r_emb", "norm_r_emb",
-                        "_check_aligned"),
+                        "_check_aligned", "_series_matrix"),
            "spectral.SpectralFrame": ("method", "kernel_dim"),
            "spectral.FiberField": ("norm_r", "samples", "__add__", "__sub__", "__mul__",
                                    "__rmul__", "__neg__"),
-           "spectral.EmbeddedMetric": ("loop",),
+           "spectral.EmbeddedMetric": ("loop", "cutoff", "apply_power", "inner"),
            "minimax": ("ASCENT_STARTS",),
            "geometry.LoopPath": ("coordinate_samples",),
            "geometry.ModelManifold": ("embed_point", "embed_tangent", "embedding_dim")}

@@ -1,4 +1,3 @@
-import math
 import pickle
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from loopflow import spectral
-from loopflow.fourier import default_samples
+from loopflow.fourier import analyze, default_samples, grid
 from loopflow.geometry import embedded_circle, flat_torus, random_loop, straight_loop
 from loopflow.spectral import (SpectralFrame, dense_eigenvalues, dense_mode_eigenvalues,
                                embedded_metric, fit_spectrum_bounds, frame_of,
@@ -133,18 +132,18 @@ def test_frame_of_rejects_cutoff_below_loop_modes(rng):
 def test_embedded_form_on_circle_modes():
     # constant unit field over the n-fold circle: form value (1 + (2 pi n)^2)^r
     J = 16
-    m = default_samples(J)
-    ones = np.ones((m, 1))
+    ones = np.ones((default_samples(J), 1))
     for n in (1, 3, 5):
         loop = straight_loop(embedded_circle(), (n,))
         frame = frame_of(loop, J)
-        np.testing.assert_allclose(frame.norm(0.7, frame.coefficients(ones)), 1.0, atol=1e-12)
+        c = frame.coefficients(ones)
+        np.testing.assert_allclose(frame.norm(0.7, c), 1.0, atol=1e-12)
         ambient = embedded_metric(loop, J)
         for r in (0.25, 1.0):
-            np.testing.assert_allclose(ambient.inner(r, ones, ones),
+            np.testing.assert_allclose(ambient.norm(r, c) ** 2,
                                        (1.0 + (2.0 * np.pi * n) ** 2) ** r, rtol=1e-9)
     with pytest.raises(ValueError):
-        ambient.inner(1.5, ones, ones)
+        ambient.norm(1.5, c)
 
 
 def test_embedded_metric_positive_and_above_covariant(rng):
@@ -156,11 +155,59 @@ def test_embedded_metric_positive_and_above_covariant(rng):
     op = embedded_metric(loop, J)
     assert op.mu.min() >= 1.0 - 1e-10
     for _ in range(20):
-        v = rng.standard_normal((m, 1))
+        c = frame.coefficients(rng.standard_normal((m, 1)))
         r = rng.uniform(0.0, 1.0)
-        emb = math.sqrt(op.inner(-r, v, v))
-        cov = frame.norm(-r, frame.coefficients(v))
-        assert emb <= cov + 1e-10
+        assert op.norm(-r, c) <= frame.norm(-r, c) + 1e-10
+
+
+def test_embedded_metric_rejects_cutoff_below_loop_modes(rng):
+    loop = random_loop(embedded_circle(), (1,), 5, rng)
+    with pytest.raises(ValueError):
+        embedded_metric(loop, 4)
+
+
+def _reference_ambient_form(loop, J, r, xi):
+    # the former per-coordinate assembly: its own coefficient rows
+    # [a0; a/sqrt2; b/sqrt2], a hand-built cos/sin sample matrix and one
+    # eigensolve per coordinate; returns the r-form of the sampled field xi
+    n = loop.manifold.dim
+    m = default_samples(J)
+    t = grid(m)
+    weight = (loop.manifold.embedding_curvatures[None, :] * loop.velocity_samples(m)) ** 2
+    jj = np.arange(1, J + 1)
+    lam = (2.0 * np.pi * jj) ** 2
+    diag_l = np.concatenate([[1.0], 1.0 + lam, 1.0 + lam])
+    B = np.empty((m, 2 * J + 1))
+    B[:, 0] = 1.0
+    B[:, 1:J + 1] = np.sqrt(2.0) * np.cos(2.0 * np.pi * np.outer(t, jj))
+    B[:, J + 1:] = np.sqrt(2.0) * np.sin(2.0 * np.pi * np.outer(t, jj))
+    a0, a, b = analyze(xi, J)
+    cx = np.concatenate([a0[None, :], a / np.sqrt(2.0), b / np.sqrt(2.0)], axis=0)
+    form = 0.0
+    for k in range(n):
+        vals, V = np.linalg.eigh(np.diag(diag_l) + B.T @ (weight[:, k:k + 1] * B) / m)
+        y = V.T @ cx[:, k]
+        form += float(np.sum(vals ** r * y ** 2))
+    return form
+
+
+def test_ambient_norm_matches_the_per_coordinate_reference():
+    # straight circle loops of winding 1..8, perturbed circle loops and a
+    # perturbed 2-torus loop; a stack of fields measured at once
+    J = 16
+    m = default_samples(J)
+    loops = [straight_loop(embedded_circle(), (w,)) for w in range(1, 9)]
+    loops += [random_loop(embedded_circle(), (1,), J, np.random.default_rng([15, k]),
+                          amplitude=0.1) for k in range(3)]
+    loops.append(random_loop(flat_torus(2), (1, -1), J, np.random.default_rng(15)))
+    for k, loop in enumerate(loops):
+        frame = frame_of(loop, J)
+        ambient = embedded_metric(loop, J)
+        fields = np.random.default_rng([16, k]).standard_normal((3, m, frame.n))
+        c = frame.coefficients(fields)
+        for r in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            ref = [_reference_ambient_form(loop, J, r, xi) for xi in fields]
+            np.testing.assert_allclose(ambient.norm(r, c) ** 2, ref, rtol=1e-12, atol=0.0)
 
 
 def test_fit_spectrum_bounds_flat(rng):
