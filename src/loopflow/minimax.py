@@ -13,8 +13,9 @@ the action never rises.  The maximizers are descended from the highest
 action down; the level is the largest action a descent ends at, so a
 maximizer below it cannot raise the level, and a copy of a maximizer
 already descended would only repeat its descent.  Witnesses are
-polished by least squares on the stacked gradient coefficients, with
-the exact Jacobian, before classification.
+polished before classification by a Levenberg-Marquardt least squares
+on the stacked gradient coefficients, with the exact Jacobian and SVD
+steps; it needs numpy only, so importing the package loads no scipy.
 """
 
 import math
@@ -23,7 +24,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import fourier
 from .action import (PhasePoint, action, classify_critical, derivative_coefficients,
@@ -289,35 +289,27 @@ def composite_descent(x, spec, config):
     return x, rounds < DESCENT_ROUNDS
 
 
-def _gradient_residual(x, spec):
-    grad_h, grad_v = gradient(x, spec)
-    return np.concatenate([x.frame.weights(0.5 * x.s) * grad_h.coefficients,
-                           x.frame.weights(0.5 * (1.0 - x.s)) * grad_v.coefficients])
+def _critical_system(x, spec):
+    """The residual and its exact Jacobian that refine_critical drives
+    to zero, as functions of the packed unknowns (pack_coefficients).
 
-
-def refine_critical(x, spec, max_nfev=4000):
-    """Polish a near-critical state by least squares on the stacked
-    metric-weighted gradient coefficients, with the exact Jacobian.
-
-    The unknowns are the packed loop cos/sin coefficients and the fiber
-    coefficients c (pack_coefficients); the residual is
-    [(1+lam)^{s/2} grad_h, (1+lam)^{(1-s)/2} grad_v].  Its Jacobian has
-    four blocks (least squares with exact Jacobians as in Nocedal &
-    Wright, ch. 10).  The horizontal residual -(1+lam)^{-s/2} (dp/dt
+    The residual is [(1+lam)^{s/2} grad_h, (1+lam)^{(1-s)/2} grad_v],
+    and its Jacobian has four blocks.  The horizontal residual -(1+lam)^{-s/2} (dp/dt
     coefficients) is linear in c and does not see the loop.  The
     vertical residual (1+lam)^{(s-1)/2} (qd - dH/dp coefficients) is
     linear in the loop through its velocity coefficients qd, and its
     c-block is -(1+lam)^{(s-1)/2} fiber_hessian, the only block that
     changes from point to point.
     """
-    template = x
     frame = x.frame
     n, J, dim = frame.n, frame.cutoff, frame.dim
     k = 2 * J * n  # packed loop coordinates: cos then sin, each (J, n)
     vertical = frame.weights(0.5 * (x.s - 1.0))
 
     def fun(vec):
-        return _gradient_residual(unpack_coefficients(template, vec), spec)
+        grad_h, grad_v = gradient(unpack_coefficients(x, vec), spec)
+        return np.concatenate([frame.weights(0.5 * x.s) * grad_h.coefficients,
+                               frame.weights(0.5 * (1.0 - x.s)) * grad_v.coefficients])
 
     def jac(vec):
         # the constant blocks are rebuilt on each call rather than kept:
@@ -334,9 +326,62 @@ def refine_critical(x, spec, max_nfev=4000):
         out[dim:, k:] = hess
         return out
 
-    sol = least_squares(fun, pack_coefficients(x), jac=jac, method="trf",
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=max_nfev)
-    refined = unpack_coefficients(template, sol.x)
+    return fun, jac
+
+
+def _levenberg_marquardt(fun, jac, vec, max_nfev):
+    """Minimize |fun(vec)|^2 by Gauss-Newton steps, damped when they fail
+    (Levenberg-Marquardt; Nocedal & Wright, ch. 10).
+
+    Each Jacobian gets one thin SVD; singular values below 1e-13 of the
+    largest are cut, since the critical set has symmetry directions
+    along which the Jacobian vanishes.  The step with damping mu is
+    -sum_i sv_i (u_i . f) / (sv_i^2 + mu) v_i, and only a step that
+    lowers the cost is taken.  mu starts at 0, where the step (computed
+    as (u_i . f) / (sv_i + mu / sv_i)) is exactly the Gauss-Newton
+    step; a rejected step raises it tenfold, from 1e-6 sv_0^2, and a
+    taken one lowers it tenfold.  The iteration stops when a step is
+    below 1e-15 (1e-15 + |vec|), so that damping cannot find a decrease
+    any more, or after max_nfev residual evaluations.
+    """
+    f = fun(vec)
+    cost, nfev, damping = f @ f, 1, 0.0
+    while nfev < max_nfev:
+        u, sv, vt = np.linalg.svd(jac(vec), full_matrices=False)
+        keep = sv > 1e-13 * sv[0]
+        sv, vt, uf = sv[keep], vt[keep], u[:, keep].T @ f
+        while nfev < max_nfev:
+            step = vt.T @ (uf / (sv + damping / sv))
+            trial = vec - step
+            f_trial = fun(trial)
+            nfev += 1
+            small = np.linalg.norm(step) <= 1e-15 * (1e-15 + np.linalg.norm(vec))
+            if f_trial @ f_trial < cost:
+                vec, f, cost = trial, f_trial, f_trial @ f_trial
+                damping *= 0.1
+                break
+            if small:
+                break
+            damping = 10.0 * damping if damping else 1e-6 * sv[0] ** 2
+        if small:
+            break
+    return vec
+
+
+def refine_critical(x, spec, max_nfev=4000):
+    """Polish a near-critical state by least squares on the stacked
+    metric-weighted gradient coefficients, with the exact Jacobian.
+
+    The unknowns are the packed loop cos/sin coefficients and the fiber
+    coefficients c (pack_coefficients); _critical_system gives the
+    residual and its four-block Jacobian, and _levenberg_marquardt
+    drives the residual to roundoff in numpy alone, spending at most
+    max_nfev residual evaluations.  The polished state is returned only
+    if its gradient norm is no larger than the input's.
+    """
+    fun, jac = _critical_system(x, spec)
+    refined = unpack_coefficients(x, _levenberg_marquardt(fun, jac, pack_coefficients(x),
+                                                          max_nfev))
     return refined if gradient_norm(refined, spec) <= gradient_norm(x, spec) else x
 
 

@@ -123,6 +123,45 @@ def theta_oracle(r):
     return max(fake_value(r), shelf_value(r), 0.0)
 
 
+def legendre_branches(r, speed):
+    """(value, classification kind) of every fiber maximizer over a
+    straight loop of constant speed, plus the zero level.
+
+    On such a loop a fiber of constant direction qdot/|qdot| and radius
+    rho has action rho v - H_r(rho), so the maximizers are the roots of
+    H_r'(rho) = v where H_r' rises through v, one per branch of H_r: the
+    shelf band, the fake annulus (rho1, 2 rho1) and the kinetic tail
+    rho = v >= 2 rho1, where H_r = r + rho^2/2.  Each up-crossing lies
+    between the branch's left end and the peak of H_r' on the branch.
+    """
+    def upcrossing(slope, lo, hi):
+        peak = minimize_scalar(lambda u: -slope(u), bounds=(lo, hi), method="bounded",
+                               options={"xatol": 1e-13}).x
+        if slope(peak) <= speed:
+            return None
+        return float(brentq(lambda u: slope(u) - speed, lo + 1e-12, peak, xtol=1e-14))
+
+    levels = [(0.0, "constant")]
+    # the band in sigma = ln(rho / rho*): H_r' = r chi'(sigma) / rho
+    sigma = upcrossing(lambda u: r * float(chi_d1_oracle(u)) / (RHO_STAR * math.exp(u)),
+                       -DELTA, DELTA)
+    if sigma is not None:
+        levels.append((RHO_STAR * math.exp(sigma) * speed - r * float(chi_oracle(sigma)),
+                       "on-hypersurface"))
+    rho = upcrossing(lambda u: float(phi_d1_oracle(u)), RHO1, 2.0 * RHO1)
+    if rho is not None:
+        levels.append((rho * speed - r - float(phi_oracle(rho)), "fake-geodesic"))
+    if speed >= 2.0 * RHO1:
+        levels.append((0.5 * speed ** 2 - r, "closed-geodesic"))
+    return levels
+
+
+def theta_oracle_at(r, speed):
+    """theta(r) of the straight loop of the given speed: the largest
+    Legendre branch value, and 0 if every branch is negative."""
+    return max(value for value, _ in legendre_branches(r, speed))
+
+
 def fd_laplace_eigenvalues(m):
     """Eigenvalues of 1 - d^2/dt^2 by dense central differences on the
     m-point periodic grid; second-order accurate, fully independent of

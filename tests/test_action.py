@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from loopflow.action import (PhasePoint, action, classify_critical,
@@ -68,6 +70,17 @@ def test_directional_derivative_matches_gradient(spec, rng):
         fd, exact = directional_derivative_check(x, spec, xi, eta)
         worst = max(worst, abs(fd - exact) / max(1.0, abs(exact)))
     assert worst <= 1e-7
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_directional_derivative_matches_gradient_on_random_states(spec, seed):
+    # the bound of test_directional_derivative_matches_gradient, over
+    # states and directions drawn from hypothesis-chosen seeds
+    rng = np.random.default_rng(seed)
+    x = random_phase_point(spec, rng)
+    xi, eta = random_direction(x, rng)
+    fd, exact = directional_derivative_check(x, spec, xi, eta)
+    assert abs(fd - exact) / max(1.0, abs(exact)) <= 1e-7
 
 
 def test_metric_pairing_properties(spec, rng):

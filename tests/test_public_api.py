@@ -1,5 +1,9 @@
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import loopflow
 
@@ -60,3 +64,12 @@ def test_package_attributes_are_its_submodules():
 
 def test_frame_of_takes_no_method():
     assert list(inspect.signature(loopflow.frame_of).parameters) == ["loop", "cutoff"]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # the package needs numpy only; scipy is a test dependency
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, loopflow.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
