@@ -19,11 +19,17 @@ reproduce this gradient to roundoff, not merely to truncation order.
 The action and both gradient parts come from one evaluation
 (fiber_evaluation, wrapped by evaluate): the velocity coefficients are
 read off the loop's velocity series, with no sampling; the fiber is
-synthesized once; one radial_H_jet pass gives H and dH/drho; and the
-dH/dp samples are analyzed once.  action, gradient and
-hamilton_residual are thin callers of it.  The same evaluation takes a
-batch of fibers over one loop, as the fiber ascent does, with every row
-equal bit for bit to that fiber evaluated alone.
+sampled once (SpectralFrame.samples, one irfft of the coefficients
+written straight into their spectrum slots); one radial_H_jet pass
+gives H and dH/drho; the dH/dp samples are analyzed once
+(SpectralFrame.coefficients, one rfft read straight off its slots);
+and the t-derivative of the fiber is one gather and one multiply
+(derivative_coefficients).  Each step keeps the arithmetic of the
+trig-series route through fourier.synthesize and fourier.analyze, so
+the results equal it bit for bit with far fewer numpy calls.  action,
+gradient and hamilton_residual are thin callers of it.  The same
+evaluation takes a batch of fibers over one loop, as the fiber ascent
+does, with every row equal bit for bit to that fiber evaluated alone.
 """
 
 from dataclasses import dataclass
@@ -90,18 +96,12 @@ def loop_energy(loop):
 
 def derivative_coefficients(frame, c):
     """Frame coefficients of the t-derivative of the field with
-    coefficients c, of shape (D,) or (S, D)."""
-    n = frame.n
-    J = frame.cutoff
-    out = np.zeros_like(c)
-    if J == 0:
-        return out
-    shape = c.shape[:-1] + (J, 2, n)
-    block = c[..., n:].reshape(shape)
-    w = 2.0 * np.pi * np.arange(1, J + 1)[:, None]
-    oblock = out[..., n:].reshape(shape)
-    oblock[..., 0, :] = w * block[..., 1, :]
-    oblock[..., 1, :] = -w * block[..., 0, :]
+    coefficients c, of shape (D,) or (S, D): one gather of each cos/sin
+    partner and one multiply by the signed frequencies
+    (SpectralFrame.derivative_map); the kernel entries are +0.0."""
+    partner, frequency = frame.derivative_map
+    out = np.take(c, partner, axis=-1) * frequency
+    out[..., :frame.n] = 0.0
     return out
 
 
@@ -118,8 +118,10 @@ def fiber_evaluation(frame, qd, c, spec):
     """The action at fiber coefficients c and its plain fiber gradient.
 
     qd holds the frame coefficients of the loop velocity.  One
-    synthesis of the fiber, one radial_H_jet pass and one analysis of
-    dH/dp; returns (action, qd - coefficients of dH/dp, dH/dp samples).
+    frame.samples of the fiber (one irfft), one radial_H_jet pass and
+    one frame.coefficients of dH/dp (one rfft), each through the
+    spectrum slots the frame keeps per grid size; returns (action,
+    qd - coefficients of dH/dp, dH/dp samples), all C-contiguous.
     c may be one state (D,) or a batch (S, D) over the same loop; a batch
     gives (S,) actions, (S, D) gradients and (S, m, n) samples, each row
     bit-identical to the call on that row alone.

@@ -114,13 +114,15 @@ def speed_cutoff(config, fiber_norm):
 
 class Velocity(NamedTuple):
     """V_r at a state as frame coefficient arrays, with the gradient norm,
-    phi~ and the action found on the way."""
+    phi~ and the action found on the way, and the velocity coefficients
+    of the state's loop, which the RK4 step from that state reuses."""
 
     horizontal: np.ndarray
     vertical: np.ndarray
     grad_norm: float
     phi_tilde: float
     action: float
+    loop_velocity: np.ndarray
 
 
 def flow_velocity(x, spec, config, qd=None, c=None):
@@ -131,12 +133,13 @@ def flow_velocity(x, spec, config, qd=None, c=None):
     cut/sqrt(1 + |grad|^2) is the normalized speed weight whose time
     integral drives the representation coefficients.
     """
-    a, gh, gv = evaluate(x, spec, qd, c)
-    c = x.fiber.coefficients if c is None else c
     frame = x.frame
+    qd = velocity_coefficients(x.loop, frame) if qd is None else qd
+    c = x.fiber.coefficients if c is None else c
+    a, gh, gv = evaluate(x, spec, qd, c)
     gn = math.sqrt(frame.norm(x.s, gh) ** 2 + frame.norm(1.0 - x.s, gv) ** 2)
     phi_tilde = speed_cutoff(config, frame.norm(1.0 - x.s, c)) / math.sqrt(1.0 + gn * gn)
-    return Velocity(-phi_tilde * gh, -phi_tilde * gv, gn, phi_tilde, a)
+    return Velocity(-phi_tilde * gh, -phi_tilde * gv, gn, phi_tilde, a, qd)
 
 
 def _rk4(x, spec, config, dt, k1):
@@ -144,11 +147,11 @@ def _rk4(x, spec, config, dt, k1):
 
     The stages k2-k4 are evaluated at velocity coefficients
     qd + h d/dt(k.horizontal) and fiber coefficients c + h k.vertical,
-    the coefficients of perturb(x, h, k) up to roundoff; perturb builds
-    only the state returned.
+    the coefficients of perturb(x, h, k) up to roundoff; qd is x's loop
+    velocity as k1 carries it, and perturb builds only the state returned.
     """
     frame = x.frame
-    qd = velocity_coefficients(x.loop, frame)
+    qd = k1.loop_velocity
     c = x.fiber.coefficients
 
     def stage(h, k):
@@ -197,7 +200,7 @@ class FlowTrajectory:
 
 
 def _trajectory(times, states, records, budget_exhausted=False):
-    """The FlowTrajectory of states whose records are the scalar tails
+    """The FlowTrajectory of states whose records are the three scalars
     (grad_norm, phi~, action) of their Velocities; (a, b) come from the
     trapezoidal integral of phi~."""
     times = np.asarray(times)
@@ -250,7 +253,7 @@ def flow(x0, spec, config, T):
     for t, _, x, k in _march(x0, spec, config, T):
         times.append(t)
         states.append(x)
-        records.append(k[2:])
+        records.append(k[2:5])
     return _trajectory(times, states, records, budget_exhausted=bool(times[-1] < T - 1e-12))
 
 
@@ -371,4 +374,4 @@ def divergent_fixture(spec, config, steps=24, scale=0.35, winding=(1, 0)):
     states = [PhasePoint(loop=loop, fiber=FiberField(frame, -(1.0 + k) * scale * qd), s=spec.s)
               for k in range(steps)]
     return _trajectory(config.dt * np.arange(steps), states,
-                       [flow_velocity(x, spec, config)[2:] for x in states])
+                       [flow_velocity(x, spec, config)[2:5] for x in states])

@@ -141,41 +141,60 @@ def phi(spec, rho, order=0):
 TIE_BAND = 1e-9  # branch boundaries get this much slack when classifying
 
 
+def _band_jet(spec, rho, order):
+    # the chi band lo <= rho <= hi (lo > 0, so rho > 0 here)
+    width = 2.0 * spec.delta
+    s, s1, *s2 = smoothstep((np.log(rho / spec.rho_star) + spec.delta) / width, order)
+    c1 = s1 / width
+    jet = [spec.r * s, spec.r * c1 / rho]
+    if order == 2:
+        jet.append(spec.r * (s2[0] / width ** 2 - c1) / rho ** 2)
+    return jet
+
+
+def _tail_jet(spec, rho, order):
+    # the phi tail rho > rho1
+    r1 = spec.rho1
+    s, s1, *s2 = smoothstep((rho - r1) / r1, order)
+    s1 = s1 / r1
+    half_sq = 0.5 * rho ** 2
+    jet = [spec.r + half_sq * s, rho * s + half_sq * s1]
+    if order == 2:
+        jet.append(s + 2.0 * rho * s1 + half_sq * (s2[0] / r1 ** 2))
+    return jet
+
+
 def radial_H_jet(spec, rho, order=2):
     """H_r and its rho-derivatives up to order (1 or 2) at the radii rho,
     one pass.
 
     One smoothstep per populated branch (the chi band and the phi
     tail) serves all orders; the arithmetic is that of chi and phi, so
-    every entry equals the per-order value bit for bit.  Returns
-    order + 1 arrays shaped like rho (at least 1-d); the action and its
-    gradient need order 1, the fiber Hessian order 2.
+    every entry equals the per-order value bit for bit.  A branch that
+    holds every radius is computed on the whole array; otherwise each
+    populated branch is gathered and scattered.  Returns order + 1
+    C-contiguous arrays shaped like rho (at least 1-d); the action and
+    its gradient need order 1, the fiber Hessian order 2.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    top = rho > spec.rho1
+    ntop = np.count_nonzero(top)
+    if ntop == rho.size:
+        return tuple(_tail_jet(spec, rho, order))
     lo = spec.rho_star * math.exp(-spec.delta)
     hi = spec.rho_star * math.exp(spec.delta)
+    mid = (rho >= lo) & (rho <= hi)
+    nmid = np.count_nonzero(mid)
+    if nmid == rho.size:
+        return tuple(_band_jet(spec, rho, order))
     jet = np.zeros((order + 1,) + rho.shape)
-    mid = (rho >= lo) & (rho <= hi)  # lo > 0, so rho > 0 here
-    if np.count_nonzero(mid):
-        rm = rho[mid]
-        width = 2.0 * spec.delta
-        s, s1, *s2 = smoothstep((np.log(rm / spec.rho_star) + spec.delta) / width, order)
-        c1 = s1 / width
-        jet[0][mid] = spec.r * s
-        jet[1][mid] = spec.r * c1 / rm
-        if order == 2:
-            jet[2][mid] = spec.r * (s2[0] / width ** 2 - c1) / rm ** 2
+    if nmid:
+        for row, value in zip(jet, _band_jet(spec, rho[mid], order)):
+            row[mid] = value
     jet[0][rho > hi] = spec.r
-    top = rho > spec.rho1
-    if np.count_nonzero(top):
-        rt = rho[top]
-        r1 = spec.rho1
-        s, s1, *s2 = smoothstep((rt - r1) / r1, order)
-        s1 = s1 / r1
-        jet[0][top] = spec.r + 0.5 * rt ** 2 * s
-        jet[1][top] = rt * s + 0.5 * rt ** 2 * s1
-        if order == 2:
-            jet[2][top] = s + 2.0 * rt * s1 + 0.5 * rt ** 2 * (s2[0] / r1 ** 2)
+    if ntop:
+        for row, value in zip(jet, _tail_jet(spec, rho[top], order)):
+            row[top] = value
     return tuple(jet)
 
 

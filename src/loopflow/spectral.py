@@ -18,7 +18,11 @@ same operator (dense_mode_eigenvalues) is an independent reference that
 cross-validates the shortcut.
 
 A field along a loop is its frame coefficients (FiberField); sampled
-field data enter only through SpectralFrame.coefficients.  Fractional
+field data enter only through SpectralFrame.coefficients.  It and
+SpectralFrame.samples move straight between frame coefficients and the
+rfft spectrum, through per-grid slot and scale vectors the frame keeps
+(SpectralFrame._spectrum), with the arithmetic of the trig-series route
+(series, fourier.synthesize / fourier.analyze, layout).  Fractional
 powers are exact diagonal scalings on the truncated spectrum.  Two
 metric families are provided:
 
@@ -92,8 +96,26 @@ class SpectralFrame:
 
     def coefficients(self, samples):
         """L^2-orthonormal frame coefficients of sampled field data: (D,)
-        from (m,) or (m, n) samples, (S, D) from a batch (S, m, n)."""
-        return self.layout(*fourier.analyze(_field_samples(samples), self.cutoff))
+        from (m,) or (m, n) samples, (S, D) from a batch (S, m, n).
+
+        One rfft of the samples; each coefficient is then read off the
+        real view of the spectrum at its slot and scaled as
+        (F / gain) / root: F/m in the kernel and (F/(+-m/2))/sqrt(2) above
+        it, which equals the ((+-2F)/m)/sqrt(2) of fourier.analyze
+        followed by layout bit for bit, since doubling F and halving m
+        are exact.  The slot and scale vectors come from _spectrum: built
+        on the first call for each m, kept read-only with the frame,
+        dropped by pickling.  The result is C-contiguous.  Raises
+        ValueError when m < 2J+1 or the samples do not have n coordinates.
+        """
+        arr = _field_samples(samples)
+        if arr.shape[-1] != self.n:
+            raise ValueError(f"expected samples of {self.n} coordinates, got shape {arr.shape}")
+        slots, root, gain = self._spectrum(arr.shape[-2])
+        F = np.fft.rfft(arr, axis=-2)
+        # np.take, not F[..., slots]: fancy indexing of a batch returns a
+        # Fortran-ordered (S, D) array, whose norms sum in another order
+        return np.take(F.view(float).reshape(F.shape[:-2] + (-1,)), slots, axis=-1) / gain / root
 
     def layout(self, a0, a, b):
         """Frame coefficients (..., D) of the trig series (a0, a, b).
@@ -123,10 +145,73 @@ class SpectralFrame:
 
     def samples(self, coefficients, m=None):
         """Field samples (m, n) on the uniform m-grid from frame
-        coefficients (D,); (S, m, n) from a batch (S, D)."""
+        coefficients (D,); (S, m, n) from a batch (S, D).
+
+        The coefficients, scaled as (c sqrt(2)) (m/2) (c m in the kernel)
+        like series followed by fourier.synthesize, are written straight
+        into their slots of the real view of the rfft spectrum, and one
+        irfft samples it.  The slot and scale vectors come from _spectrum:
+        built on the first call for each m, kept read-only with the frame,
+        dropped by pickling.  Raises ValueError when m < 2J+1 or
+        the last axis does not hold D coefficients.
+        """
         m = fourier.default_samples(self.cutoff) if m is None else m
-        a0, a, b = self.series(coefficients)
-        return fourier.synthesize(a0, a, b, m=m)
+        slots, root, gain = self._spectrum(m)
+        c = np.asarray(coefficients, dtype=float)
+        if c.shape[-1:] != (self.dim,):
+            raise ValueError(f"expected {self.dim} coefficients, got shape {c.shape}")
+        lead = c.shape[:-1]
+        F = np.zeros(lead + (2 * self.n * (m // 2 + 1),))
+        F[..., slots] = c * root * gain
+        return np.fft.irfft(F.view(complex).reshape(lead + (-1, self.n)), n=m, axis=-2)
+
+    @functools.cached_property
+    def _modes(self):
+        # per coefficient: its mode j and its part, 0 in the kernel, +1 for
+        # cos and -1 for sin
+        n, J = self.n, self.cutoff
+        mode = np.repeat(np.arange(J + 1), [n] + [2 * n] * J)
+        part = np.concatenate([np.zeros(n, dtype=int), np.tile(np.repeat([1, -1], n), J)])
+        return mode, part
+
+    def _spectrum(self, m):
+        """(slots, root, gain) of the m-point grid, computed once per m and
+        kept read-only with the frame; pickling drops them.
+
+        The rfft spectrum of (m, n) samples, (m//2 + 1, n) complex, viewed
+        as 2n(m//2 + 1) reals, holds coefficient k at slots[k]: the real
+        part of mode j in the kernel and for cos, the imaginary part for
+        sin.  root is 1 in the kernel and sqrt(2) above, gain is m in the
+        kernel, m/2 for cos and -m/2 for sin.
+        """
+        cache = self.__dict__.setdefault("_spectra", {})
+        plan = cache.get(m)
+        if plan is None:
+            if m < 2 * self.cutoff + 1:
+                raise ValueError(f"grid of {m} points aliases mode {self.cutoff}")
+            mode, part = self._modes
+            coord = np.arange(self.dim) % self.n
+            slots = 2 * (mode * self.n + coord) + (part < 0)
+            root = np.where(part == 0, 1.0, SQ2)
+            gain = np.where(part == 0, float(m), part * (0.5 * m))
+            for v in (slots, root, gain):
+                v.flags.writeable = False
+            plan = cache.setdefault(m, (slots, root, gain))
+        return plan
+
+    @functools.cached_property
+    def derivative_map(self):
+        """(partner, frequency): the t-derivative of coefficients c is
+        c[..., partner] * frequency outside the kernel, where it is zero.
+        partner swaps each cos coefficient with the sin one of its mode
+        and coordinate; frequency is 2 pi j for cos and -2 pi j for sin.
+        Kept read-only with the frame; pickling drops it."""
+        mode, part = self._modes
+        partner = np.arange(self.dim) + part * self.n
+        frequency = part * (2.0 * np.pi * mode)
+        partner.flags.writeable = False
+        frequency.flags.writeable = False
+        return partner, frequency
 
     def basis_samples(self, m=None):
         """All D eigenfields sampled: array (D, m, n)."""
@@ -164,11 +249,12 @@ class SpectralFrame:
 
     def norm(self, r, c):
         """The r-norm of coefficients c, row by row for a stack (..., D)."""
-        return np.sqrt(np.sum(self.weights(r) * c ** 2, axis=-1))
+        return np.sqrt((self.weights(r) * c ** 2).sum(axis=-1))
 
     def __reduce__(self):
         # a value of (n, cutoff): unpickling rebuilds the read-only
-        # eigenvalues and drops the cached weights and basis
+        # eigenvalues and drops the cached weights, basis, spectrum slots
+        # and derivative map
         return SpectralFrame, (self.n, self.cutoff)
 
     def sup_norms(self):

@@ -119,8 +119,17 @@ def crossover_r():
     return float(brentq(f, 0.1, 0.4, xtol=1e-14))
 
 
+def shelf_lands(r):
+    """Whether the shelf has a maximizer: r chi'(0) > rho*, so that the
+    bracket (-delta, 0) of sigma_landing holds the up-crossing.  It fails
+    for r <= rho* / chi'(0) = 0.064, where shelf_value raises."""
+    return r * float(chi_d1_oracle(0.0)) > RHO_STAR
+
+
 def theta_oracle(r):
-    return max(fake_value(r), shelf_value(r), 0.0)
+    """theta(r) of the unit-speed straight family: the largest of the
+    fake value, the shelf value where the shelf lands, and 0."""
+    return max(fake_value(r), shelf_value(r) if shelf_lands(r) else 0.0, 0.0)
 
 
 def legendre_branches(r, speed):

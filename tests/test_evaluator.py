@@ -20,7 +20,7 @@ from loopflow.action import (PhasePoint, action, derivative_coefficients, evalua
                              velocity_coefficients)
 from loopflow.geometry import embedded_circle, flat_torus, random_loop
 from loopflow.hamiltonian import chi, default_spec, phi, radial_H, radial_H_jet
-from loopflow.spectral import FiberField, frame_of
+from loopflow.spectral import FiberField, SpectralFrame, frame_of
 
 
 def reference_radial_H(spec, rho, order):
@@ -57,6 +57,22 @@ def reference_terms(x, spec):
     dpH = scale[:, None] * p
     lam = frame.eigenvalues
     return a, (1.0 + lam) ** (x.s - 1.0) * frame.coefficients(qdot - dpH)
+
+
+def reference_derivative(frame, c):
+    # the per-mode block formula: cos_j <- 2 pi j sin_j, sin_j <- -2 pi j cos_j
+    n = frame.n
+    J = frame.cutoff
+    out = np.zeros_like(c)
+    if J == 0:
+        return out
+    shape = c.shape[:-1] + (J, 2, n)
+    block = c[..., n:].reshape(shape)
+    w = 2.0 * np.pi * np.arange(1, J + 1)[:, None]
+    oblock = out[..., n:].reshape(shape)
+    oblock[..., 0, :] = w * block[..., 1, :]
+    oblock[..., 1, :] = -w * block[..., 0, :]
+    return out
 
 
 def random_point(spec, manifold, winding, modes, rng):
@@ -115,6 +131,20 @@ def test_batched_rows_equal_single_evaluations(J, model):
         np.testing.assert_array_equal(dpH[k], dpH_k)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("J", [0, 1, 8, 32])
+def test_derivative_coefficients_equal_the_block_formula(n, J):
+    frame = SpectralFrame(n, J)
+    rng = np.random.default_rng([n, J, 2])
+    for c in (rng.standard_normal(frame.dim), rng.standard_normal((4, frame.dim)),
+              np.eye(frame.dim)):
+        got = derivative_coefficients(frame, c)
+        assert got.tobytes() == reference_derivative(frame, c).tobytes()
+        assert got.flags.c_contiguous
+        # the kernel entries are +0.0, whatever the sign of what is gathered there
+        assert not np.signbit(got[..., :n]).any()
+
+
 def test_velocity_coefficients_are_the_analyzed_samples(rng):
     spec = default_spec(J=8)
     for manifold, winding in MODELS:
@@ -162,3 +192,25 @@ def test_single_H_pass_is_exact_on_every_branch(spec):
             assert out == reference_radial_H(spec, np.array([value]), order)[0]
     with pytest.raises(ValueError):
         radial_H(spec, np.array([0.3]), order=3)
+
+
+def test_H_jet_of_whole_branch_batches(spec):
+    # a branch holding every radius is computed on the whole array, a
+    # partial one by gather and scatter; both equal the per-order formulas
+    lo = spec.rho_star * math.exp(-spec.delta)
+    hi = spec.rho_star * math.exp(spec.delta)
+    rng = np.random.default_rng(11)
+    batches = {
+        "top": rng.uniform(np.nextafter(spec.rho1, 1.0), 3.0, (4, 33)),
+        "band": rng.uniform(lo, hi, (4, 33)),
+        "zero": np.zeros((4, 33)),
+        "mixed": np.stack([rng.uniform(0.0, 3.0, 33), rng.uniform(lo, hi, 33),
+                           np.full(33, 2.0), np.zeros(33)]),
+    }
+    for rho in batches.values():
+        for order in (1, 2):
+            jet = radial_H_jet(spec, rho, order=order)
+            assert len(jet) == order + 1
+            for k, values in enumerate(jet):
+                assert values.shape == rho.shape and values.flags.c_contiguous
+                np.testing.assert_array_equal(values, reference_radial_H(spec, rho, k))

@@ -309,12 +309,18 @@ def oracle_level(r):
 
 
 def test_legendre_oracle_at_unit_speed_is_the_closed_form():
-    # oracle_level, not theta_oracle: below the shelf's first landing
-    # (r = 0.05) theta_oracle's shelf root has no bracket
     for r in np.linspace(0.05, 2.0, 20):
-        level, kind = oracle_level(r)
-        assert abs(oracles.theta_oracle_at(r, 1.0) - level) <= 1e-12
-        assert max(oracles.legendre_branches(r, 1.0))[1] == kind
+        assert abs(oracles.theta_oracle_at(r, 1.0) - oracles.theta_oracle(r)) <= 1e-12
+        assert max(oracles.legendre_branches(r, 1.0))[1] == oracle_level(r)[1]
+
+
+def test_theta_oracle_below_the_shelf_landing_is_the_fake_value():
+    # r = 0.05, the first point of the default grid, is below the shelf's
+    # first landing at r = rho* / chi'(0) = 0.064
+    assert not oracles.shelf_lands(0.05) and oracles.shelf_lands(0.065)
+    assert oracles.theta_oracle(0.05) == oracles.fake_value(0.05)
+    with pytest.raises(ValueError):
+        oracles.shelf_value(0.05)
 
 
 # faster straight loops: the kinetic (closed-geodesic) branch wins at
@@ -349,6 +355,20 @@ def test_minimax_theta_off_the_straight_family(J, amplitude, r):
     assert abs(rec.theta - level) <= 1e-9
     assert rec.classification.kind == kind
     assert rec.converged and rec.steps > 0
+
+
+# the perturbed (1, 1) loop descends to the straight (1, 1) geodesic, so
+# its level is the oracle's at speed sqrt 2, not at the loop's top speed
+# 1.4571 (which misses by 0.0615 at r = 0.05).  r = 0.05 reaches the
+# level unconfident, so confident is not gated.
+@pytest.mark.parametrize("r", [0.05, 0.35789473684210527, 1.0])
+def test_minimax_theta_on_a_perturbed_winding_1_1_loop(r):
+    spec = default_spec(J=32, r=r)
+    loop = random_loop(flat_torus(2), (1, 1), 8, np.random.default_rng(3), amplitude=0.005)
+    rec = minimax_theta([loop], spec, FlowConfig.auto(spec))
+    level, kind = max(oracles.legendre_branches(r, math.sqrt(2.0)))
+    assert abs(rec.theta - level) <= 1e-9
+    assert rec.classification.kind == kind
 
 
 # at amplitude 0.05 the fake level is reached only from the maximizer the

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from loopflow import spectral
-from loopflow.fourier import analyze, default_samples, grid
+from loopflow.fourier import analyze, default_samples, grid, synthesize
 from loopflow.geometry import embedded_circle, flat_torus, random_loop, straight_loop
 from loopflow.spectral import (SpectralFrame, dense_eigenvalues, dense_mode_eigenvalues,
                                embedded_metric, fit_spectrum_bounds, frame_of,
@@ -100,8 +100,14 @@ def test_frame_pickle_drops_cached_weights_and_basis():
     frame = SpectralFrame(2, 4)
     w = frame.weights(0.25)
     _ = frame.basis
+    c = np.arange(frame.dim, dtype=float)
+    samples = frame.samples(c)
+    _ = frame.coefficients(samples), frame.derivative_map
+    cached = ("_weights", "basis", "_spectra", "_modes", "derivative_map")
+    assert all(name in frame.__dict__ for name in cached)
     again = pickle.loads(pickle.dumps(frame))
-    assert "_weights" not in again.__dict__ and "basis" not in again.__dict__
+    assert not any(name in again.__dict__ for name in cached)
+    assert again.samples(c).tobytes() == samples.tobytes()
     assert (again.n, again.cutoff) == (frame.n, frame.cutoff)
     assert np.array_equal(again.eigenvalues, frame.eigenvalues)
     assert not again.eigenvalues.flags.writeable
@@ -109,6 +115,37 @@ def test_frame_pickle_drops_cached_weights_and_basis():
     assert again == frame and hash(again) == hash(frame)
     for other in (SpectralFrame(1, 4), SpectralFrame(2, 5)):
         assert other != frame
+
+
+# samples and coefficients index the rfft spectrum directly; the
+# references are the trig-series route through fourier.synthesize and
+# fourier.analyze, which must agree bit for bit
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("J", [1, 8, 32, 64])
+def test_frame_transforms_equal_the_series_route_bit_for_bit(n, J):
+    frame = SpectralFrame(n, J)
+    rng = np.random.default_rng([n, J])
+    for m in (default_samples(J), 2 * J + 2):
+        for shape in ((frame.dim,), (5, frame.dim)):
+            c = rng.standard_normal(shape)
+            got = frame.samples(c, m)
+            assert got.tobytes() == synthesize(*frame.series(c), m=m).tobytes()
+            assert got.shape == shape[:-1] + (m, n) and got.flags.c_contiguous
+            samples = rng.standard_normal(shape[:-1] + (m, n))
+            got = frame.coefficients(samples)
+            assert got.tobytes() == frame.layout(*analyze(samples, J)).tobytes()
+            assert got.shape == shape and got.flags.c_contiguous
+            if got.ndim == 2:
+                for r in (0.25, -0.75):
+                    rows = [frame.norm(r, row) for row in got]
+                    assert frame.norm(r, got).tobytes() == np.array(rows).tobytes()
+    for bad in (lambda: frame.samples(np.zeros(frame.dim), 2 * J),
+                lambda: frame.samples(np.zeros(frame.dim - 1)),
+                lambda: frame.samples(np.zeros(1)),
+                lambda: frame.coefficients(np.zeros((2 * J, n))),
+                lambda: frame.coefficients(np.zeros((4 * J + 1, n + 1)))):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_frame_cache_by_dimension_and_cutoff(rng):
