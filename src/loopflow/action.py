@@ -98,8 +98,8 @@ def derivative_coefficients(frame, c):
     """Frame coefficients of the t-derivative of the field with
     coefficients c, of shape (D,) or (S, D): one gather of each cos/sin
     partner and one multiply by the signed frequencies
-    (SpectralFrame.derivative_map); the kernel entries are +0.0."""
-    partner, frequency = frame.derivative_map
+    (SpectralFrame._derivative_map); the kernel entries are +0.0."""
+    partner, frequency = frame._derivative_map
     out = np.take(c, partner, axis=-1) * frequency
     out[..., :frame.n] = 0.0
     return out

@@ -253,7 +253,7 @@ def flow(x0, spec, config, T):
     for t, _, x, k in _march(x0, spec, config, T):
         times.append(t)
         states.append(x)
-        records.append(k[2:5])
+        records.append((k.grad_norm, k.phi_tilde, k.action))
     return _trajectory(times, states, records, budget_exhausted=bool(times[-1] < T - 1e-12))
 
 
@@ -373,5 +373,6 @@ def divergent_fixture(spec, config, steps=24, scale=0.35, winding=(1, 0)):
     qd = velocity_coefficients(loop, frame)
     states = [PhasePoint(loop=loop, fiber=FiberField(frame, -(1.0 + k) * scale * qd), s=spec.s)
               for k in range(steps)]
+    velocities = [flow_velocity(x, spec, config) for x in states]
     return _trajectory(config.dt * np.arange(steps), states,
-                       [flow_velocity(x, spec, config)[2:5] for x in states])
+                       [(k.grad_norm, k.phi_tilde, k.action) for k in velocities])

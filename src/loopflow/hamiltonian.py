@@ -170,11 +170,12 @@ def radial_H_jet(spec, rho, order=2):
 
     One smoothstep per populated branch (the chi band and the phi
     tail) serves all orders; the arithmetic is that of chi and phi, so
-    every entry equals the per-order value bit for bit.  A branch that
-    holds every radius is computed on the whole array; otherwise each
-    populated branch is gathered and scattered.  Returns order + 1
-    C-contiguous arrays shaped like rho (at least 1-d); the action and
-    its gradient need order 1, the fiber Hessian order 2.
+    every entry equals the per-order value bit for bit.  When every
+    radius lies on the phi tail, as on nearly every flow evaluation, the
+    tail is computed on the whole array; otherwise each populated branch
+    is gathered and scattered.  Returns order + 1 C-contiguous arrays
+    shaped like rho (at least 1-d); the action and its gradient need
+    order 1, the fiber Hessian order 2.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     top = rho > spec.rho1
@@ -183,12 +184,9 @@ def radial_H_jet(spec, rho, order=2):
         return tuple(_tail_jet(spec, rho, order))
     lo = spec.rho_star * math.exp(-spec.delta)
     hi = spec.rho_star * math.exp(spec.delta)
-    mid = (rho >= lo) & (rho <= hi)
-    nmid = np.count_nonzero(mid)
-    if nmid == rho.size:
-        return tuple(_band_jet(spec, rho, order))
     jet = np.zeros((order + 1,) + rho.shape)
-    if nmid:
+    mid = (rho >= lo) & (rho <= hi)
+    if np.count_nonzero(mid):
         for row, value in zip(jet, _band_jet(spec, rho[mid], order)):
             row[mid] = value
     jet[0][rho > hi] = spec.r

@@ -200,7 +200,7 @@ class SpectralFrame:
         return plan
 
     @functools.cached_property
-    def derivative_map(self):
+    def _derivative_map(self):
         """(partner, frequency): the t-derivative of coefficients c is
         c[..., partner] * frequency outside the kernel, where it is zero.
         partner swaps each cos coefficient with the sin one of its mode

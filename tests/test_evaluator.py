@@ -195,8 +195,8 @@ def test_single_H_pass_is_exact_on_every_branch(spec):
 
 
 def test_H_jet_of_whole_branch_batches(spec):
-    # a branch holding every radius is computed on the whole array, a
-    # partial one by gather and scatter; both equal the per-order formulas
+    # an all-tail batch is computed on the whole array, the others by
+    # gather and scatter; both equal the per-order formulas
     lo = spec.rho_star * math.exp(-spec.delta)
     hi = spec.rho_star * math.exp(spec.delta)
     rng = np.random.default_rng(11)

@@ -102,8 +102,8 @@ def test_frame_pickle_drops_cached_weights_and_basis():
     _ = frame.basis
     c = np.arange(frame.dim, dtype=float)
     samples = frame.samples(c)
-    _ = frame.coefficients(samples), frame.derivative_map
-    cached = ("_weights", "basis", "_spectra", "_modes", "derivative_map")
+    _ = frame.coefficients(samples), frame._derivative_map
+    cached = ("_weights", "basis", "_spectra", "_modes", "_derivative_map")
     assert all(name in frame.__dict__ for name in cached)
     again = pickle.loads(pickle.dumps(frame))
     assert not any(name in again.__dict__ for name in cached)
