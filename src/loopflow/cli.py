@@ -14,15 +14,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
-from importlib import resources
+from dataclasses import fields, replace
 
 import numpy as np
 
 from .action import directional_derivative_check, random_direction, random_phase_point
 from .flow import FlowConfig, divergent_fixture, flow, ps_diagnostics
 from .geometry import LoopPath, embedded_circle, flat_torus, straight_loop
-from .hamiltonian import HamiltonianSpec, r0_threshold
+from .hamiltonian import HamiltonianSpec, default_spec, r0_threshold
 from .manifest import VERSION, RunManifest, write_csv, write_json, write_manifest
 from .minimax import orbit_sweep
 from .fourier import default_samples
@@ -36,6 +35,10 @@ MAX_R_COUNT = 10_000
 
 SWEEP_COLUMNS = ("r", "theta", "classification", "action", "sigma",
                  "leaf_action", "grad_norm", "steps")
+
+# the orbit-sweep grid and loop winding; default_spec and FlowConfig.auto
+# supply every spec and flow value a run does not set
+SWEEP_DEFAULTS = {"r_min": 0.05, "r_max": 2.0, "count": 20, "winding": [1, 0]}
 
 FLOW_PINS = frozenset({"gamma_prime", "gamma_dprime"})   # set both, or FlowConfig.auto derives them
 LOOP_KEYS = frozenset({"manifold", "winding", "base", "cos", "sin"})   # what _loop_from_config reads
@@ -119,11 +122,7 @@ def build_parser():
     return parser
 
 
-def load_defaults():
-    return json.loads(resources.files("loopflow").joinpath("defaults.json").read_text())
-
-
-def _load_user_config(path, defaults):
+def _load_user_config(path):
     if path is None:
         return {}
     with open(path, encoding="utf-8") as fh:
@@ -131,7 +130,7 @@ def _load_user_config(path, defaults):
     # each section's keys are read off where its settings live
     allowed = {"spec": {f.name for f in fields(HamiltonianSpec)},
                "flow": set(inspect.signature(FlowConfig.auto).parameters) - {"spec"} | FLOW_PINS,
-               "sweep": set(defaults["sweep"]), "loop": LOOP_KEYS}
+               "sweep": set(SWEEP_DEFAULTS), "loop": LOOP_KEYS}
     if not isinstance(user, dict) or not all(isinstance(user.get(section, {}), dict)
                                              for section in allowed):
         raise ValueError("config must be a JSON object whose spec, flow, sweep and loop "
@@ -153,52 +152,65 @@ def _number(where, value, kind=float):
     return kind(value)
 
 
-def _winding(where, value):
+def _numbers(where, value, kind=float):
+    """A config value that must be a JSON list of numbers (of integers for
+    kind=int), converted to a list of kind."""
     if not isinstance(value, list):
-        raise ValueError(f"{where} must be a list of integers, got {value!r}")
-    return tuple(_number(where, w, int) for w in value)
+        raise ValueError(f"{where} must be a list of {'integers' if kind is int else 'numbers'}, "
+                         f"got {value!r}")
+    return [_number(where, x, kind) for x in value]
+
+
+def _rows(where, value):
+    """A config value that must be a JSON list of rows of numbers."""
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be a list of rows of numbers, got {value!r}")
+    return [_numbers(where, row) for row in value]
 
 
 def _settings(args):
-    """Defaults <- config file <- flags, resolved to (spec, flow config)."""
-    defaults = load_defaults()
-    user = _load_user_config(args.config, defaults)
-    spec_dict = {key: _number(f"spec {key}", value, int if key == "J" else float)
-                 for key, value in {**defaults["spec"], **user.get("spec", {})}.items()}
+    """The config overlay and the flags, checked, resolved to (user config,
+    spec, flow config); default_spec and FlowConfig.auto fill in the rest."""
+    user = _load_user_config(args.config)
+    spec = {key: _number(f"spec {key}", value, int if key == "J" else float)
+            for key, value in user.get("spec", {}).items()}
     if args.modes is not None:
-        spec_dict["J"] = args.modes
+        spec["J"] = args.modes
     if args.s is not None:
-        spec_dict["s"] = args.s
-    spec = HamiltonianSpec.from_json(spec_dict)
-    flow_dict = {key: _number(f"flow {key}", value)
-                 for key, value in {**defaults["flow"], **user.get("flow", {})}.items()}
-    pinned = FLOW_PINS & flow_dict.keys()
-    if pinned and pinned != FLOW_PINS:
+        spec["s"] = args.s
+    spec = default_spec(**spec)
+    flow = {key: _number(f"flow {key}", value) for key, value in user.get("flow", {}).items()}
+    pins = {key: flow.pop(key) for key in FLOW_PINS & flow.keys()}
+    if pins and pins.keys() != FLOW_PINS:
         raise ValueError("flow gamma_prime and gamma_dprime must be set together")
-    config = FlowConfig.from_json(flow_dict) if pinned else FlowConfig.auto(spec, **flow_dict)
-    return defaults, user, spec, config
+    if pins:
+        flow.pop("margin", None)   # the pinned gamma'' takes the margin's place
+    return user, spec, replace(FlowConfig.auto(spec, **flow), **pins)
 
 
-def _loop_from_config(cfg, default_winding=(1, 0)):
+def _loop_from_config(cfg, default_winding=SWEEP_DEFAULTS["winding"]):
     kind = cfg.get("manifold", "torus")
     if kind not in ("torus", "circle"):
         raise ValueError(f"loop manifold must be \"torus\" or \"circle\", got {kind!r}")
-    winding = _winding("loop winding",
-                       cfg.get("winding", list(default_winding) if kind == "torus" else [1]))
+    winding = _numbers("loop winding",
+                       cfg.get("winding", default_winding if kind == "torus" else [1]), int)
     manifold = embedded_circle() if kind == "circle" else flat_torus(len(winding))
+    base = _numbers("loop base", cfg.get("base", [0.0] * manifold.dim))
     if "cos" in cfg or "sin" in cfg:
-        data = {"winding": list(winding), "base": cfg.get("base", [0.0] * manifold.dim),
-                "cos": cfg.get("cos", []), "sin": cfg.get("sin", [])}
+        data = {"winding": winding, "base": base, "cos": _rows("loop cos", cfg.get("cos", [])),
+                "sin": _rows("loop sin", cfg.get("sin", []))}
         return LoopPath.from_json(data, manifold)
-    return straight_loop(manifold, winding, base=cfg.get("base"))
+    return straight_loop(manifold, winding, base=base)
 
 
-def _emit(args, command, config_payload, rows, header, csv_name,
+def _emit(args, command, spec, config, run_config, rows, header, csv_name,
           json_name=None, json_payload=None):
+    """Write the manifest, whose config is the spec, the flow config and
+    the command's own run_config, then the CSV and the JSON payload."""
     os.makedirs(args.out, exist_ok=True)
     artifacts = (csv_name,) + ((json_name,) if json_name else ())
-    man = RunManifest(command=command, config=config_payload, seed=args.seed,
-                      artifacts=artifacts, version=VERSION)
+    man = RunManifest(command=command, seed=args.seed, artifacts=artifacts, version=VERSION,
+                      config={"spec": spec.to_json(), "flow": config.to_json(), **run_config})
     write_manifest(os.path.join(args.out, "manifest.json"), man)
     digest = man.sha256()
     write_csv(os.path.join(args.out, csv_name), header, rows, digest)
@@ -209,7 +221,7 @@ def _emit(args, command, config_payload, rows, header, csv_name,
 
 
 def cmd_spectrum(args):
-    _, user, spec, config = _settings(args)
+    user, spec, config = _settings(args)
     loop = _loop_from_config(user.get("loop", {}))
     method = "dense" if args.dense else "analytic"
     frame = frame_of(loop, spec.J)
@@ -219,15 +231,13 @@ def cmd_spectrum(args):
     c_fit, c_cap, d_fit = fit_spectrum_bounds(lam, frame.n)
     payload = {"fitted": {"c": c_fit, "C": c_cap, "d": d_fit}, "max_sup_norm": float(sup.max()),
                "kernel_dim": int(np.count_nonzero(lam == 0.0)), "dim": frame.dim, "method": method}
-    config_payload = {"spec": spec.to_json(), "flow": config.to_json(),
-                      "loop": user.get("loop", {}), "method": method}
-    _emit(args, "spectrum", config_payload, rows,
+    _emit(args, "spectrum", spec, config, {"loop": user.get("loop", {}), "method": method}, rows,
           ("index", "lambda", "sup_norm"), "spectrum.csv", "spectrum.json", payload)
     return 0
 
 
 def cmd_metrics_compare(args):
-    _, user, spec, config = _settings(args)
+    _, spec, config = _settings(args)
     circle = embedded_circle()
     ones = np.ones((default_samples(spec.J), 1))
     rows = []
@@ -240,20 +250,19 @@ def cmd_metrics_compare(args):
             covariant = float(frame.norm(r, c))
             emb = float(ambient.norm(r, c))
             rows.append((n, float(r), covariant, emb, (emb / covariant) ** 2))
-    config_payload = {"spec": spec.to_json(), "flow": config.to_json(),
-                      "n_max": args.n_max, "r_list": [float(r) for r in args.r_list]}
-    _emit(args, "metrics-compare", config_payload, rows,
+    _emit(args, "metrics-compare", spec, config,
+          {"n_max": args.n_max, "r_list": [float(r) for r in args.r_list]}, rows,
           ("n", "r", "norm_r", "norm_r_emb", "ratio"), "metrics_compare.csv")
     return 0
 
 
 def cmd_orbit_sweep(args):
-    defaults, user, spec, config = _settings(args)
-    sweep_cfg = {**defaults["sweep"], **user.get("sweep", {})}
+    user, spec, config = _settings(args)
+    sweep_cfg = {**SWEEP_DEFAULTS, **user.get("sweep", {})}
     r_min = _number("r-min", sweep_cfg["r_min"] if args.r_min is None else args.r_min)
     r_max = _number("r-max", sweep_cfg["r_max"] if args.r_max is None else args.r_max)
     count = _number("r-count", sweep_cfg["count"] if args.r_count is None else args.r_count, int)
-    winding = _winding("sweep winding", sweep_cfg["winding"])
+    winding = _numbers("sweep winding", sweep_cfg["winding"], int)
     if not 0 <= count <= MAX_R_COUNT:
         raise ValueError(f"r-count must lie in [0, {MAX_R_COUNT}], got {count}")
     if not (math.isfinite(r_min) and math.isfinite(r_max)):
@@ -275,18 +284,16 @@ def cmd_orbit_sweep(args):
                                            for k, v in summary.plateau_shifted_actions.items()},
                "budget_flagged": list(summary.budget_flagged),
                "winding": list(family[0].winding)}
-    config_payload = {"spec": spec.to_json(), "flow": config.to_json(),
-                      "sweep": {"r_min": r_min, "r_max": r_max, "count": count,
-                                "winding": list(winding)}}
+    run_config = {"sweep": {"r_min": r_min, "r_max": r_max, "count": count, "winding": winding}}
     if "loop" in user:
-        config_payload["loop"] = user["loop"]
-    _emit(args, "orbit-sweep", config_payload, rows, SWEEP_COLUMNS,
+        run_config["loop"] = user["loop"]
+    _emit(args, "orbit-sweep", spec, config, run_config, rows, SWEEP_COLUMNS,
           "orbit_sweep.csv", "orbit_sweep.json", payload)
     return 0
 
 
 def cmd_ps_diagnose(args):
-    _, user, spec, config = _settings(args)
+    _, spec, config = _settings(args)
     horizon = min(args.horizon, config.t_max)
     rows = []
     flagged = False
@@ -304,10 +311,8 @@ def cmd_ps_diagnose(args):
         rows.append((k, len(traj.times) - 1, b["vertical_defect"], b["quadratic_ratio"],
                      b["derivative_norm"], b["kernel_parallel"], b["kernel_residual"],
                      float(report.vertical_defect[-1]), report.growth_flag))
-    config_payload = {"spec": spec.to_json(), "flow": config.to_json(),
-                      "count": len(trajs), "horizon": horizon,
-                      "fixture": args.fixture or "none"}
-    _emit(args, "ps-diagnose", config_payload, rows,
+    _emit(args, "ps-diagnose", spec, config,
+          {"count": len(trajs), "horizon": horizon, "fixture": args.fixture or "none"}, rows,
           ("trajectory", "steps", "step1_max", "step2_max", "step3_max",
            "kernel_parallel_max", "kernel_residual_max", "step1_final", "flagged"),
           "ps_diagnose.csv")
@@ -318,7 +323,7 @@ def cmd_ps_diagnose(args):
 
 
 def cmd_gradient_check(args):
-    _, user, spec, config = _settings(args)
+    _, spec, config = _settings(args)
     rows = []
     for k in range(args.count):
         rng = np.random.default_rng([args.seed, k])
@@ -326,9 +331,8 @@ def cmd_gradient_check(args):
         xi, eta = random_direction(x, rng)
         fd, exact = directional_derivative_check(x, spec, xi, eta, step=args.step)
         rows.append((k, fd, exact, abs(fd - exact) / max(1.0, abs(exact))))
-    config_payload = {"spec": spec.to_json(), "flow": config.to_json(),
-                      "count": args.count, "step": args.step, "tol": args.tol}
-    _emit(args, "gradient-check", config_payload, rows,
+    _emit(args, "gradient-check", spec, config,
+          {"count": args.count, "step": args.step, "tol": args.tol}, rows,
           ("case", "fd", "exact", "rel_error"), "gradient_check.csv")
     # not rel <= tol, so that a NaN error fails the case
     failed = [(k, rel) for k, _, _, rel in rows if not rel <= args.tol]

@@ -117,6 +117,8 @@ def default_spec(**overrides):
 
 def chi(spec, sigma, order=0):
     """The sigma-cutoff: 0 below -delta, 1 above delta; order = 0..3."""
+    if order not in (0, 1, 2, 3):
+        raise ValueError("order must be 0..3")
     vals = smoothstep((np.asarray(sigma, dtype=float) + spec.delta) / (2.0 * spec.delta))
     return vals[order] / (2.0 * spec.delta) ** order
 

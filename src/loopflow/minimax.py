@@ -479,10 +479,8 @@ def default_family(spec, winding=(1, 0)):
 
 
 def _sweep_task(payload):
-    spec_template, config, loops, r = payload
-    spec = spec_template.with_r(r)
-    family = loops if loops is not None else default_family(spec)
-    return minimax_theta(family, spec, config)
+    spec_template, config, family, r = payload
+    return minimax_theta(family, spec_template.with_r(r), config)
 
 
 def pool_size(jobs, points, cpus):
@@ -515,7 +513,8 @@ def orbit_sweep(spec_template, r_grid, config, jobs=1, family=None):
     loop energies and the r-shifted actions, both constant on a
     plateau.
     """
-    if family is not None and not family:
+    family = default_family(spec_template) if family is None else family
+    if not family:
         raise ValueError("orbit_sweep needs a nonempty family of loops")
     payloads = [(spec_template, config, family, float(r)) for r in r_grid]
     workers = pool_size(jobs, len(payloads), os.cpu_count() or 1)
@@ -524,8 +523,7 @@ def orbit_sweep(spec_template, r_grid, config, jobs=1, family=None):
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_sweep_task, payloads))
-    loops = default_family(spec_template) if family is None else family
-    alpha = alpha_bound(spec_template, max(loop_speed(loop, spec_template.J) for loop in loops))
+    alpha = alpha_bound(spec_template, max(loop_speed(loop, spec_template.J) for loop in family))
     bound = 2.0 * (alpha + r0_threshold(spec_template))
     hits = [rec for rec in records
             if rec.classification.kind == "on-hypersurface"

@@ -214,20 +214,19 @@ class SpectralFrame:
         return partner, frequency
 
     def basis_samples(self, m=None):
-        """All D eigenfields sampled: array (D, m, n)."""
-        n = self.n
+        """All D eigenfields sampled: array (D, m, n).  Eigenfield k lives
+        in coordinate k % n: 1 in the kernel, sqrt(2) cos or sin of
+        2 pi j t above it, with (j, part) from _modes."""
         J = self.cutoff
         m = fourier.default_samples(J) if m is None else m
-        t = fourier.grid(m)
-        out = np.zeros((self.dim, m, n))
-        for k in range(n):
-            out[k, :, k] = 1.0
-        for j in range(1, J + 1):
-            c = SQ2 * np.cos(2.0 * np.pi * j * t)
-            s = SQ2 * np.sin(2.0 * np.pi * j * t)
-            for k in range(n):
-                out[n + (j - 1) * 2 * n + k, :, k] = c
-                out[n + (j - 1) * 2 * n + n + k, :, k] = s
+        mode, part = self._modes
+        angle = 2.0 * np.pi * np.arange(J + 1)[:, None] * fourier.grid(m)
+        # rows 0..J: cos of mode j (row 0 the kernel's 1), rows J+1..2J+1: sin
+        waves = np.concatenate([SQ2 * np.cos(angle), SQ2 * np.sin(angle)])
+        waves[0] = 1.0
+        k = np.arange(self.dim)
+        out = np.zeros((self.dim, m, self.n))
+        out[k, :, k % self.n] = waves[mode + (part < 0) * (J + 1)]
         return out
 
     @functools.cached_property
@@ -259,9 +258,7 @@ class SpectralFrame:
 
     def sup_norms(self):
         """Sup norm of each eigenfield: 1 for kernel fields, sqrt(2) above."""
-        out = np.full(self.dim, SQ2)
-        out[: self.n] = 1.0
-        return out
+        return np.where(self._modes[1] == 0, 1.0, SQ2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -258,6 +258,11 @@ def test_non_finite_flow_config_exits_2(tmp_path, capsys):
     ("spectrum", {"flow": {"t0": 1.0}}),
     ("spectrum", {"flow": {"s": 0.6}}),
     ("spectrum", {"sepc": {"r": 0.5}}),
+    ("spectrum", {"loop": {"base": {"a": 1}}}),
+    ("spectrum", {"loop": {"cos": {"a": 1}}}),
+    ("spectrum", {"loop": {"cos": [[0.01, 0.0]], "base": None}}),
+    ("spectrum", {"loop": {"base": [True, 0.0]}}),
+    ("spectrum", {"loop": {"sin": [[0.01, "0"]]}}),
 ])
 def test_bad_config_value_types_exit_2(tmp_path, capsys, command, overlay):
     cfg = tmp_path / "cfg.json"
@@ -274,7 +279,7 @@ def test_manifest_flow_section_is_the_flow_config(tmp_path, capsys):
     assert run(["spectrum", "--out", str(out)]) == 0
     flow = read_manifest(out / "manifest.json").config["flow"]
     assert set(flow) == {f.name for f in dataclasses.fields(FlowConfig)}
-    _, _, _, config = cli._settings(build_parser().parse_args(["spectrum"]))
+    _, _, config = cli._settings(build_parser().parse_args(["spectrum"]))
     assert FlowConfig.from_json(flow) == config
     capsys.readouterr()
 
@@ -287,6 +292,15 @@ def test_config_pins_both_radii(tmp_path, capsys):
     flow = read_manifest(out / "manifest.json").config["flow"]
     assert (flow["gamma_prime"], flow["gamma_dprime"]) == (9.0, 11.0)
     capsys.readouterr()
+
+
+def test_pinned_radii_replace_the_derived_ones_and_the_margin(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"flow": {"gamma_prime": 9.0, "gamma_dprime": 11.0,
+                                        "margin": 0.5, "dt": 0.02}}))
+    _, spec, config = cli._settings(build_parser().parse_args(["spectrum", "--config", str(cfg)]))
+    derived = FlowConfig.auto(spec, dt=0.02).to_json()
+    assert config == FlowConfig.from_json({**derived, "gamma_prime": 9.0, "gamma_dprime": 11.0})
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

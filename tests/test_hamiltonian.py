@@ -45,6 +45,12 @@ def test_chi_against_oracle(spec):
     np.testing.assert_allclose(chi(spec, 0.0), 0.5)
 
 
+@pytest.mark.parametrize("order", [-1, 4])
+def test_chi_rejects_an_order_outside_0_to_3(spec, order):
+    with pytest.raises(ValueError, match=r"order must be 0\.\.3"):
+        chi(spec, 0.1, order=order)
+
+
 def test_phi_against_oracle(spec):
     rho = np.linspace(0.0, 1.2, 241)
     np.testing.assert_allclose(phi(spec, rho), oracles.phi_oracle(rho), atol=1e-14)

@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ DELETED = {"hamiltonian": ("evaluate_H", "hamiltonian_vector_field", "integrate_
                                    "__rmul__", "__neg__"),
            "spectral.EmbeddedMetric": ("loop", "cutoff", "apply_power", "inner"),
            "minimax": ("ASCENT_STARTS",),
+           "cli": ("load_defaults", "_winding"),
            "geometry.LoopPath": ("coordinate_samples",),
            "geometry.ModelManifold": ("embed_point", "embed_tangent", "embedding_dim")}
 
@@ -60,6 +62,12 @@ def test_package_attributes_are_its_submodules():
         module = importlib.import_module(f"loopflow.{name}")
         assert getattr(loopflow, name) is module
         assert inspect.ismodule(module)
+
+
+def test_pyproject_version_is_the_package_version():
+    # the version's only two copies; read with a regex, as tomllib needs Python 3.11
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]*)"$', text, re.M).group(1) == loopflow.__version__
 
 
 def test_frame_of_takes_no_method():

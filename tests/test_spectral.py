@@ -74,6 +74,34 @@ def test_sup_norms():
     np.testing.assert_allclose(sup[2:], np.sqrt(2.0))
 
 
+def _basis_samples_by_mode(frame, m):
+    # the per-(mode, coordinate) loop over the canonical ordering that
+    # basis_samples replaced with whole-array indexing
+    n, J = frame.n, frame.cutoff
+    t = grid(m)
+    out = np.zeros((frame.dim, m, n))
+    for k in range(n):
+        out[k, :, k] = 1.0
+    for j in range(1, J + 1):
+        c = spectral.SQ2 * np.cos(2.0 * np.pi * j * t)
+        s = spectral.SQ2 * np.sin(2.0 * np.pi * j * t)
+        for k in range(n):
+            out[n + (j - 1) * 2 * n + k, :, k] = c
+            out[n + (j - 1) * 2 * n + n + k, :, k] = s
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("J", [1, 8, 32, 64])
+def test_basis_samples_and_sup_norms_match_the_mode_loop_bytes(n, J):
+    frame = SpectralFrame(n, J)
+    for m in (4 * J + 1, 2 * J + 2):
+        assert frame.basis_samples(m).tobytes() == _basis_samples_by_mode(frame, m).tobytes()
+    sup = np.full(frame.dim, np.sqrt(2.0))
+    sup[:n] = 1.0
+    assert frame.sup_norms().tobytes() == sup.tobytes()
+
+
 def test_norm_r_single_mode():
     J = 4
     frame = frame_of(straight_loop(flat_torus(2), (1, 0)), J)
