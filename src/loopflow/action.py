@@ -114,7 +114,7 @@ def velocity_coefficients(loop, frame):
     return frame.layout(*loop.velocity_series())
 
 
-def fiber_evaluation(frame, qd, c, spec):
+def fiber_evaluation(frame, qd, c, spec, r=None):
     """The action at fiber coefficients c and its plain fiber gradient.
 
     qd holds the frame coefficients of the loop velocity.  One
@@ -124,11 +124,13 @@ def fiber_evaluation(frame, qd, c, spec):
     qd - coefficients of dH/dp, dH/dp samples), all C-contiguous.
     c may be one state (D,) or a batch (S, D) over the same loop; a batch
     gives (S,) actions, (S, D) gradients and (S, m, n) samples, each row
-    bit-identical to the call on that row alone.
+    bit-identical to the call on that row alone.  r, an (S, 1) column of
+    energies, evaluates each row of a batch at its own r (radial_H_jet);
+    each row then equals the call at spec.with_r of its r bit for bit.
     """
     p_samp = frame.samples(c)
     rho = np.sqrt((p_samp * p_samp).sum(axis=-1))
-    h0, h1 = radial_H_jet(spec, rho, order=1)
+    h0, h1 = radial_H_jet(spec, rho, order=1, r=r)
     scale = np.divide(h1, rho, out=np.zeros_like(rho), where=rho > 0.0)
     dpH = scale[..., None] * p_samp
     # vecdot runs the BLAS dot of qd @ c on each row, so a batch row

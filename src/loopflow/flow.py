@@ -87,7 +87,12 @@ class FlowConfig:
     @staticmethod
     def auto(spec, gamma=2.5, epsilon=0.5, dt=1e-2, grad_tol=1e-6, t_max=50.0, margin=2.0):
         """Derive the radii from the spec's fiber action bound at unit
-        loop speed."""
+        loop speed.  epsilon is checked first, since gamma' divides by
+        its square."""
+        if not math.isfinite(epsilon):
+            raise ValueError(f"flow epsilon must be finite, got {epsilon!r}")
+        if epsilon <= 0.0:
+            raise ValueError("epsilon and dt must be positive")
         gamma_prime = gamma + alpha_bound(spec, 1.0) / epsilon ** 2 + 1.0
         return FlowConfig(gamma=gamma, gamma_prime=gamma_prime, gamma_dprime=gamma_prime + margin,
                           epsilon=epsilon, dt=dt, grad_tol=grad_tol, t_max=t_max)

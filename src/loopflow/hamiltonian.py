@@ -143,30 +143,30 @@ def phi(spec, rho, order=0):
 TIE_BAND = 1e-9  # branch boundaries get this much slack when classifying
 
 
-def _band_jet(spec, rho, order):
+def _band_jet(spec, rho, order, r):
     # the chi band lo <= rho <= hi (lo > 0, so rho > 0 here)
     width = 2.0 * spec.delta
     s, s1, *s2 = smoothstep((np.log(rho / spec.rho_star) + spec.delta) / width, order)
     c1 = s1 / width
-    jet = [spec.r * s, spec.r * c1 / rho]
+    jet = [r * s, r * c1 / rho]
     if order == 2:
-        jet.append(spec.r * (s2[0] / width ** 2 - c1) / rho ** 2)
+        jet.append(r * (s2[0] / width ** 2 - c1) / rho ** 2)
     return jet
 
 
-def _tail_jet(spec, rho, order):
+def _tail_jet(spec, rho, order, r):
     # the phi tail rho > rho1
     r1 = spec.rho1
     s, s1, *s2 = smoothstep((rho - r1) / r1, order)
     s1 = s1 / r1
     half_sq = 0.5 * rho ** 2
-    jet = [spec.r + half_sq * s, rho * s + half_sq * s1]
+    jet = [r + half_sq * s, rho * s + half_sq * s1]
     if order == 2:
         jet.append(s + 2.0 * rho * s1 + half_sq * (s2[0] / r1 ** 2))
     return jet
 
 
-def radial_H_jet(spec, rho, order=2):
+def radial_H_jet(spec, rho, order=2, r=None):
     """H_r and its rho-derivatives up to order (1 or 2) at the radii rho,
     one pass.
 
@@ -178,22 +178,32 @@ def radial_H_jet(spec, rho, order=2):
     is gathered and scattered.  Returns order + 1 C-contiguous arrays
     shaped like rho (at least 1-d); the action and its gradient need
     order 1, the fiber Hessian order 2.
+
+    r, when given, replaces spec.r by an array that broadcasts against
+    rho, such as one energy per row of (S, m) radii as an (S, 1) column.
+    H_r is linear in r (r chi + phi), so every entry equals the one the
+    scalar call at that entry's r gives, bit for bit.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     top = rho > spec.rho1
     ntop = np.count_nonzero(top)
     if ntop == rho.size:
-        return tuple(_tail_jet(spec, rho, order))
+        return tuple(_tail_jet(spec, rho, order, spec.r if r is None else r))
     lo = spec.rho_star * math.exp(-spec.delta)
     hi = spec.rho_star * math.exp(spec.delta)
+    if r is not None:
+        r = np.broadcast_to(r, rho.shape)
     jet = np.zeros((order + 1,) + rho.shape)
     mid = (rho >= lo) & (rho <= hi)
     if np.count_nonzero(mid):
-        for row, value in zip(jet, _band_jet(spec, rho[mid], order)):
+        for row, value in zip(jet, _band_jet(spec, rho[mid], order,
+                                             spec.r if r is None else r[mid])):
             row[mid] = value
-    jet[0][rho > hi] = spec.r
+    above = rho > hi
+    jet[0][above] = spec.r if r is None else r[above]
     if ntop:
-        for row, value in zip(jet, _tail_jet(spec, rho[top], order)):
+        for row, value in zip(jet, _tail_jet(spec, rho[top], order,
+                                             spec.r if r is None else r[top])):
             row[top] = value
     return tuple(jet)
 

@@ -6,7 +6,9 @@ loop is computed by projected gradient ascent from fixed starts (the
 smoothed velocity field scaled to six radii), all ascending together as
 one (S, D) coefficient array: each round is one batched
 fiber_evaluation, and each start keeps its own step size and stopping
-state.  The outer infimum is followed by descending the envelope of
+state.  An r-sweep ascends the seeds of all its r-points as one
+(R S, D) array, each row at its own r, since H_r is linear in r.
+The outer infimum is followed by descending the envelope of
 that supremum: each round steps the loop along the flow and re-ascends
 the fiber, so the loop moves along the envelope gradient (Danskin) and
 the action never rises.  The maximizers are descended from the highest
@@ -158,9 +160,26 @@ def fiber_sup(loop, spec, config, iters=ASCENT_ITERS, tol=ASCENT_TOL, seeds=None
     evaluations it would see alone.  A seed stops when its gradient norm
     reaches tol, after iters accepted steps, or after 40 halvings of one
     step; a stopped seed that is not converged but has a gradient norm
-    below HANDOFF then gets the Newton endgame.
+    below HANDOFF then gets the Newton endgame.  _fiber_sups runs the
+    same ascent for several values of r at once.
+    """
+    return _fiber_sups(loop, [spec], config, iters, tol, seeds)[0]
+
+
+def _fiber_sups(loop, specs, config, iters=ASCENT_ITERS, tol=ASCENT_TOL, seeds=None):
+    """fiber_sup at every spec of specs, which differ only in r, as one
+    ascent; returns one sorted result list per spec.
+
+    The seeds do not depend on r, so with R specs and S seeds the
+    ascent runs one (R S, D) array whose rows carry their own r, and
+    each fiber_evaluation evaluates every live row at its r.  Each row
+    keeps its own step size, halving count and rejected-try count and
+    gets the Newton endgame at its own spec, so every result equals the
+    fiber_sup call at that spec bit for bit.  One spec runs exactly
+    fiber_sup's single-r ascent.
     """
     require_finite("fiber_sup loop", loop)
+    spec = specs[0]
     frame = frame_of(loop, spec.J)
     qd = velocity_coefficients(loop, frame)
     to_vertical = frame.weights(spec.s - 1.0)
@@ -171,8 +190,8 @@ def fiber_sup(loop, spec, config, iters=ASCENT_ITERS, tol=ASCENT_TOL, seeds=None
     precond = frame.weights(r)
     radius = config.gamma_dprime
 
-    def evaluate_at(c):
-        a, dv, _ = fiber_evaluation(frame, qd, c, spec)
+    def evaluate_at(c, spec, energy=None):
+        a, dv, _ = fiber_evaluation(frame, qd, c, spec, energy)
         g = to_vertical * dv
         return a, g, frame.norm(r, g)
 
@@ -186,18 +205,23 @@ def fiber_sup(loop, spec, config, iters=ASCENT_ITERS, tol=ASCENT_TOL, seeds=None
         for i, c0 in enumerate(seeds):
             require_finite(f"fiber_sup seed {i}", fiber=c0)
         if not len(seeds):
-            return []
-    c, _ = _project_ball(np.array(seeds, dtype=float).reshape(len(seeds), frame.dim), frame, r,
+            return [[] for _ in specs]
+    n_seeds = len(seeds)
+    c, _ = _project_ball(np.array(seeds, dtype=float).reshape(n_seeds, frame.dim), frame, r,
                          radius)
-    a, g, gn = evaluate_at(c)
+    energy = None   # the (R S, 1) column of row energies; None runs spec.r
+    if len(specs) > 1:
+        c = np.tile(c, (len(specs), 1))
+        energy = np.repeat([sp.r for sp in specs], n_seeds)[:, None]
+    a, g, gn = evaluate_at(c, spec, energy)
     final_c, final_a, final_gn = np.empty_like(c), np.empty_like(a), np.empty_like(gn)
-    live = np.arange(len(c))                 # seed index of each ascending row
+    live = np.arange(len(c))                 # row index of each ascending row
     eta = np.full(len(c), 0.5)
     rejected = np.zeros(len(c), dtype=int)   # rejected tries so far
     halvings = np.zeros(len(c), dtype=int)   # rejected tries of the current step
     done = (gn <= tol) | (iters <= 0)
     rounds = 0
-    # every live seed makes one try per round, so its accepted steps are
+    # every live row makes one try per round, so its accepted steps are
     # rounds - rejected; the all-accepted and all-rejected rounds skip the
     # row selection, which keeps one seed (composite_descent) as cheap as
     # a scalar loop
@@ -210,9 +234,11 @@ def fiber_sup(loop, spec, config, iters=ASCENT_ITERS, tol=ASCENT_TOL, seeds=None
                 arr[keep] for arr in (live, c, a, g, gn, eta, rejected, halvings))
             if not live.size:
                 break
+            if energy is not None:
+                energy = energy[keep]
         rounds += 1
         cand, clipped = _project_ball(c + (eta[:, None] * precond) * g, frame, r, radius)
-        a_new, g_new, gn_new = evaluate_at(cand)
+        a_new, g_new, gn_new = evaluate_at(cand, spec, energy)
         accepted = a_new >= a - 1e-14
         n_accepted = np.count_nonzero(accepted)
         if n_accepted:
@@ -239,13 +265,16 @@ def fiber_sup(loop, spec, config, iters=ASCENT_ITERS, tol=ASCENT_TOL, seeds=None
             done = (gn <= tol) | (halvings >= 40)
         if rounds >= iters:
             done |= rounds - rejected >= iters
-    results = []
-    for c, a, gn in zip(final_c, final_a, final_gn):
+    results = [[] for _ in specs]
+    for row, (c, a, gn) in enumerate(zip(final_c, final_a, final_gn)):
+        at = specs[row // n_seeds]
         if tol < gn <= HANDOFF:
-            c, a, gn = _vertical_newton(frame, evaluate_at, c, spec, radius, tol)
-        results.append(AscentResult(field=FiberField(frame=frame, coefficients=c), action=float(a),
-                                    converged=bool(gn <= tol), grad_norm=float(gn)))
-    results.sort(key=lambda res: res.action, reverse=True)
+            c, a, gn = _vertical_newton(frame, lambda c: evaluate_at(c, at), c, at, radius, tol)
+        results[row // n_seeds].append(
+            AscentResult(field=FiberField(frame=frame, coefficients=c), action=float(a),
+                         converged=bool(gn <= tol), grad_norm=float(gn)))
+    for out in results:
+        out.sort(key=lambda res: res.action, reverse=True)
     return results
 
 
@@ -425,15 +454,21 @@ def minimax_theta(family, spec, config, rng=None):
     witness whose descent reached HANDOFF is polished by
     refine_critical.  H_r vanishes on the zero section, so the fiber
     supremum over every loop is nonnegative; a level below -1e-6 means
-    the estimator itself broke, which raises.
+    the estimator itself broke, which raises.  orbit_sweep runs the
+    same level (_level) from one ascent across its r grid.
 
     rng is accepted and ignored, since the seeds are deterministic.  It
     stays because callers written for the former random starts pass it
     (the benchmark's minimax_j64 workload does).
     """
-    pool = []
-    for loop in family:
-        pool += [(loop, res) for res in fiber_sup(loop, spec, config)]
+    return _level([(loop, fiber_sup(loop, spec, config)) for loop in family], spec, config)
+
+
+def _level(ascents, spec, config):
+    """The MinimaxRecord at spec from the fiber ascent results of each
+    family loop, given as (loop, fiber_sup results at spec) pairs: the
+    descent, polish and classification of minimax_theta."""
+    pool = [(loop, res) for loop, results in ascents for res in results]
     if not pool:
         raise ValueError("minimax_theta needs a nonempty family of loops")
     confident = all(res.converged for _, res in pool)
@@ -479,8 +514,10 @@ def default_family(spec, winding=(1, 0)):
 
 
 def _sweep_task(payload):
-    spec_template, config, family, r = payload
-    return minimax_theta(family, spec_template.with_r(r), config)
+    # one r-point of orbit_sweep: its spec, the config and the
+    # (loop, fiber ascent results) pairs that the sweep's ascent gave it
+    spec, config, ascents = payload
+    return _level(ascents, spec, config)
 
 
 def pool_size(jobs, points, cpus):
@@ -503,10 +540,15 @@ class SweepSummary:
 
 
 def orbit_sweep(spec_template, r_grid, config, jobs=1, family=None):
-    """Run minimax_theta over the r grid, in-process or on a pool.
+    """minimax_theta at every r of the grid: one fiber ascent over the
+    whole grid, then each r-point's level, in-process or on a pool.
 
-    Results merge deterministically in grid order regardless of the
-    worker count.  The summary reports the first r whose witness lands
+    The fiber seeds of all r-points ascend as one array per family loop
+    (_fiber_sups), in this process; every r-point then descends, polishes
+    and classifies its own pool (_sweep_task), serially or on a pool of
+    jobs workers.  Each record equals minimax_theta at that r bit for
+    bit, and the records merge in grid order regardless of the worker
+    count.  The summary reports the first r whose witness lands
     on the hypersurface with leaf action inside (0, 2(alpha + r0)), with
     alpha the fiber action bound at the family's largest loop speed, and
     when no hit exists, the closed-geodesic plateau diagnostics: the
@@ -516,7 +558,10 @@ def orbit_sweep(spec_template, r_grid, config, jobs=1, family=None):
     family = default_family(spec_template) if family is None else family
     if not family:
         raise ValueError("orbit_sweep needs a nonempty family of loops")
-    payloads = [(spec_template, config, family, float(r)) for r in r_grid]
+    specs = [spec_template.with_r(r) for r in r_grid]
+    per_loop = [_fiber_sups(loop, specs, config) for loop in family] if specs else []
+    payloads = [(spec, config, [(loop, results[k]) for loop, results in zip(family, per_loop)])
+                for k, spec in enumerate(specs)]
     workers = pool_size(jobs, len(payloads), os.cpu_count() or 1)
     if workers <= 1:
         records = [_sweep_task(p) for p in payloads]

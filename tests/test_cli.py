@@ -240,6 +240,18 @@ def test_non_finite_flow_config_exits_2(tmp_path, capsys):
     assert "flow dt must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flow", [{"epsilon": 0}, {"epsilon": -0.5},
+                                  {"epsilon": 0, "gamma_prime": 9.0, "gamma_dprime": 11.0}])
+def test_non_positive_epsilon_exits_2_before_the_radii(tmp_path, capsys, flow):
+    # FlowConfig.auto divides by epsilon squared, so it checks epsilon first
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"flow": flow}))
+    code = run(["spectrum", "--modes", "4", "--config", str(cfg)] + out_args(tmp_path, "eps"))
+    assert code == 2
+    assert not (tmp_path / "eps").exists()
+    assert capsys.readouterr().err == "loopflow: error: epsilon and dt must be positive\n"
+
+
 @pytest.mark.parametrize("command, overlay", [
     ("orbit-sweep", {"sweep": {"r_max": "2"}}),
     ("orbit-sweep", {"sweep": {"count": 2.5}}),

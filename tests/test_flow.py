@@ -62,6 +62,14 @@ def test_config_auto_and_json(spec):
     assert FlowConfig.from_json(json.loads(json.dumps(cfg.to_json()))) == cfg
 
 
+@pytest.mark.parametrize("epsilon, message", [
+    (0.0, "epsilon and dt must be positive"), (-0.5, "epsilon and dt must be positive"),
+    (math.nan, "flow epsilon must be finite"), (math.inf, "flow epsilon must be finite")])
+def test_config_auto_checks_epsilon_before_dividing(spec, epsilon, message):
+    with pytest.raises(ValueError, match=message):
+        FlowConfig.auto(spec, epsilon=epsilon)
+
+
 def test_speed_cutoff_profile(config):
     assert speed_cutoff(config, 0.0) == 1.0
     assert speed_cutoff(config, config.gamma_prime + 1.0) == 1.0

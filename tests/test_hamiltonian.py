@@ -10,7 +10,7 @@ import oracles
 from loopflow.hamiltonian import (HamiltonianSpec, alpha_bound, chi, default_spec,
                                   envelope_beta, fake_geodesic_action,
                                   perturbation_sup_diff, phi, r0_threshold, radial_H,
-                                  smoothstep)
+                                  radial_H_jet, smoothstep)
 
 
 def test_smoothstep_values_and_joins():
@@ -95,6 +95,28 @@ def test_radial_H_derivatives_by_fd(spec):
     np.testing.assert_allclose(d1, radial_H(spec, rho, order=1), atol=1e-6)
     d2 = (radial_H(spec, rho + h, order=1) - radial_H(spec, rho - h, order=1)) / (2.0 * h)
     np.testing.assert_allclose(d2, radial_H(spec, rho, order=2), atol=1e-4)
+
+
+def test_radial_H_jet_per_row_r_equals_each_rows_scalar_call(spec):
+    # each row at its own r: the zero branch, the chi band, the shelf and
+    # the phi tail mixed in every row, and an all-tail batch, which takes
+    # the whole-array path
+    lo = spec.rho_star * math.exp(-spec.delta)
+    hi = spec.rho_star * math.exp(spec.delta)
+    mixed = np.array([0.0, 0.5 * lo, lo, spec.rho_star, hi, np.nextafter(hi, 1.0),
+                      0.5 * (hi + spec.rho1), spec.rho1, 0.55, 0.8, 2.0])
+    tail = np.linspace(np.nextafter(spec.rho1, 1.0), 3.0, 11)
+    rows = np.array([0.05, 0.35789473684210527, 1.0, 2.0])
+    for radii in (mixed, tail):
+        rho = np.stack([np.roll(radii, k) for k in range(len(rows))])
+        for order in (1, 2):
+            jet = radial_H_jet(spec, rho, order, r=rows[:, None])
+            assert len(jet) == order + 1
+            for k, r in enumerate(rows):
+                alone = radial_H_jet(spec.with_r(r), rho[k], order)
+                for values, expected in zip(jet, alone):
+                    assert values.shape == rho.shape and values.flags.c_contiguous
+                    np.testing.assert_array_equal(values[k], expected)
 
 
 def test_spec_validation_and_json(spec):

@@ -79,15 +79,18 @@ MARK = 0.4375  # last fiber coefficient of the seed whose gradient is flipped
 
 @pytest.fixture()
 def evaluated(monkeypatch):
-    """Every fiber row that fiber_sup (or the reference) evaluates, with
-    the gradient negated on rows ending in MARK: every try of such a
-    seed loses action, so its line search halves 40 times in place."""
+    """Every fiber row that fiber_sup (or the reference) evaluates, as
+    (r, row bytes), with the gradient negated on rows ending in MARK:
+    every try of such a seed loses action, so its line search halves 40
+    times in place.  A per-row r column is passed through."""
     rows = []
     evaluation = minimax.fiber_evaluation
 
-    def patched(frame, qd, c, spec):
-        rows.extend(row.tobytes() for row in np.atleast_2d(c))
-        a, dv, dpH = evaluation(frame, qd, c, spec)
+    def patched(frame, qd, c, spec, r=None):
+        batch = np.atleast_2d(c)
+        energies = [spec.r] * len(batch) if r is None else r[:, 0].tolist()
+        rows.extend((e, row.tobytes()) for e, row in zip(energies, batch))
+        a, dv, dpH = evaluation(frame, qd, c, spec, r)
         return a, np.where((c[..., -1] == MARK)[..., None], -dv, dv), dpH
 
     monkeypatch.setattr(minimax, "fiber_evaluation", patched)
@@ -112,6 +115,29 @@ def batched_against_reference(loop, spec, config, seeds, iters, evaluated):
         np.testing.assert_array_equal(res.field.coefficients, c)
         assert (res.action, res.converged, res.grad_norm) == (a, converged, gn)
     return [trace for _, trace in refs]
+
+
+SWEEP_GRID = (0.05, 0.35789473684210527, 1.0, 2.0)
+
+
+def batched_across_r(loop, spec, config, grid, evaluated, **ascent):
+    # the ascent across the r grid must give each r the results of
+    # fiber_sup at that r bit for bit, and evaluate exactly the fiber
+    # rows, each at its r, that the per-r calls evaluate
+    specs = [spec.with_r(r) for r in grid]
+    evaluated.clear()
+    per_r = [fiber_sup(loop, sp, config, **ascent) for sp in specs]
+    alone = Counter(evaluated)
+    evaluated.clear()
+    batched = minimax._fiber_sups(loop, specs, config, **ascent)
+    assert Counter(evaluated) == alone
+    assert len(batched) == len(per_r)
+    for results, single in zip(batched, per_r):
+        assert len(results) == len(single)
+        for res, ref in zip(results, single):
+            np.testing.assert_array_equal(res.field.coefficients, ref.field.coefficients)
+            assert (res.action, res.converged, res.grad_norm) == (
+                ref.action, ref.converged, ref.grad_norm)
 
 
 def test_symplectic_action_closed_forms(spec):
@@ -204,6 +230,31 @@ def test_batched_ascent_matches_per_seed_reference(small_spec, small_config, eva
     traces += [batched_against_reference(x.loop, small_spec, small_config, [seed], 200,
                                          evaluated)[0] for seed in seeds[4:]]
     assert all(trace["rejected"] > 40 for trace in traces)
+    # the same seeds across an r grid: every line-search outcome above,
+    # each row at its own r
+    batched_across_r(x.loop, small_spec, small_config, SWEEP_GRID, evaluated, seeds=seeds,
+                     iters=30)
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 0.02])
+def test_ascent_across_r_matches_fiber_sup_at_each_r(small_spec, small_config, evaluated,
+                                                      monkeypatch, amplitude):
+    # the default seeds across the sweep grid: at r = 0.05 rows ascend
+    # through the chi band, and five or six of each r's six rows stop
+    # short of tol and take the Newton endgame at their own r
+    newton = minimax._vertical_newton
+    endgames = Counter()
+
+    def counted(frame, evaluate_at, c, spec, *args):
+        endgames[spec.r] += 1
+        return newton(frame, evaluate_at, c, spec, *args)
+
+    monkeypatch.setattr(minimax, "_vertical_newton", counted)
+    loop = wiggled_loop(amplitude) if amplitude else straight_loop(flat_torus(2), (1, 0))
+    batched_across_r(loop, small_spec, small_config, SWEEP_GRID, evaluated)
+    # each row's endgame runs once alone and once in the batch
+    assert set(endgames) == set(SWEEP_GRID)
+    assert all(count >= 2 * 5 for count in endgames.values())
 
 
 def test_batched_ascent_matches_reference_on_the_ball(small_spec, small_config, evaluated):
@@ -452,8 +503,8 @@ def test_orbit_sweep_serial_parallel_identical(config):
         assert ra.r == rb.r
         assert ra.theta == rb.theta
         assert ra.classification.kind == rb.classification.kind
-        np.testing.assert_allclose(ra.witness.fiber.coefficients,
-                                   rb.witness.fiber.coefficients)
+        np.testing.assert_array_equal(ra.witness.fiber.coefficients,
+                                      rb.witness.fiber.coefficients)
         # the pool's witnesses come back through pickle, still read-only
         for arr in (rb.witness.fiber.coefficients, rb.witness.loop.cos_coeffs,
                     rb.witness.loop.sin_coeffs):
@@ -469,6 +520,35 @@ def test_orbit_sweep_serial_parallel_identical(config):
     assert rec_a[0].theta > rec_a[1].theta
     for rec in rec_a:
         np.testing.assert_allclose(rec.theta, oracles.theta_oracle(rec.r), atol=1e-6)
+
+
+def test_orbit_sweep_records_equal_minimax_theta_at_each_r(monkeypatch):
+    # one ascent across the grid, then each r-point's level: every field
+    # of every record equals the single-r estimate, and the benchmark's
+    # per-point hook, _sweep_task, runs once per r in grid order
+    spec16 = default_spec(J=16)
+    cfg = FlowConfig.auto(spec16)
+    grid = [0.05, 0.35789473684210527, 1.0]
+    task, points = minimax._sweep_task, []
+
+    def counted(payload):
+        points.append(payload[0].r)
+        return task(payload)
+
+    monkeypatch.setattr(minimax, "_sweep_task", counted)
+    records, _ = orbit_sweep(spec16, grid, cfg, jobs=1)
+    assert points == grid
+    family = default_family(spec16)
+    for r, rec in zip(grid, records):
+        ref = minimax_theta(family, spec16.with_r(r), cfg)
+        assert (rec.r, rec.theta, rec.grad_norm, rec.steps, rec.converged, rec.confident) == (
+            ref.r, ref.theta, ref.grad_norm, ref.steps, ref.converged, ref.confident)
+        assert (str(rec.classification), rec.sigma, rec.leaf_action, rec.symplectic) == (
+            str(ref.classification), ref.sigma, ref.leaf_action, ref.symplectic)
+        # the witness loop and fiber coefficients
+        assert rec.witness.loop.base == ref.witness.loop.base
+        np.testing.assert_array_equal(pack_coefficients(rec.witness),
+                                      pack_coefficients(ref.witness))
 
 
 @pytest.mark.parametrize("J", [8, 32])
