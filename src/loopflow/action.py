@@ -74,13 +74,13 @@ def require_finite(label, loop=None, fiber=None):
         raise ValueError(f"{label} has non-finite fiber coefficients")
 
 
-def straight_orbit(manifold, winding, spec, momentum=None, base=None):
-    """The straight phase orbit: linear loop, constant fiber field.
+def straight_orbit(manifold, winding, spec, momentum=None):
+    """The straight phase orbit: linear loop from the origin, constant fiber field.
 
     momentum defaults to the loop's own velocity (the kinetic case
     p = qdot); a constant field has only kernel-mode coefficients.
     """
-    loop = straight_loop(manifold, tuple(winding), base=base, modes=spec.J)
+    loop = straight_loop(manifold, tuple(winding), modes=spec.J)
     frame = frame_of(loop, spec.J)
     v = loop.drift if momentum is None else np.asarray(momentum, dtype=float)
     c = np.zeros(frame.dim)
@@ -124,9 +124,11 @@ def fiber_evaluation(frame, qd, c, spec, r=None):
     qd - coefficients of dH/dp, dH/dp samples), all C-contiguous.
     c may be one state (D,) or a batch (S, D) over the same loop; a batch
     gives (S,) actions, (S, D) gradients and (S, m, n) samples, each row
-    bit-identical to the call on that row alone.  r, an (S, 1) column of
-    energies, evaluates each row of a batch at its own r (radial_H_jet);
-    each row then equals the call at spec.with_r of its r bit for bit.
+    bit-identical to the call on that row alone.  r replaces spec.r
+    (radial_H_jet): the fiber ascent passes its energy column, an (S, 1)
+    array with one r per row even when all rows share one r, and its
+    Newton endgame one float; each row then equals the call at
+    spec.with_r of its r bit for bit.
     """
     p_samp = frame.samples(c)
     rho = np.sqrt((p_samp * p_samp).sum(axis=-1))
@@ -234,13 +236,14 @@ class CriticalClass:
         return self.kind
 
 
-def classify_critical(x, spec, tol=1e-6):
+def classify_critical(x, spec):
     """Classify a critical point by the H_r branch containing its image.
 
     Assumes the gradient norm at x is already below tol.  Boundaries
     carry the standard tie-band; orbits straddling branches beyond the
     tolerance come back unclassified.
     """
+    tol = 1e-6
     frame = x.frame
     m = fourier.default_samples(frame.cutoff)
     p_samp = frame.samples(x.fiber.coefficients, m)
@@ -256,7 +259,7 @@ def classify_critical(x, spec, tol=1e-6):
         return CriticalClass("closed-geodesic") if gap <= tol else CriticalClass("unclassified")
     if lo > spec.rho1 + TIE_BAND and hi < 2.0 * spec.rho1 + TIE_BAND:
         return CriticalClass("fake-geodesic")
-    if sig_lo - TIE_BAND < lo and hi < sig_hi + TIE_BAND and hi - lo <= max(tol, 1e-7):
+    if sig_lo - TIE_BAND < lo and hi < sig_hi + TIE_BAND and hi - lo <= tol:
         sigma = float(np.log(np.mean(rho) / spec.rho_star))
         return CriticalClass("on-hypersurface", sigma=sigma)
     return CriticalClass("unclassified")
@@ -284,18 +287,18 @@ def unpack_coefficients(x, vec):
     return PhasePoint(loop=loop, fiber=FiberField(x.frame, vec[2 * k:].copy()), s=x.s)
 
 
-def random_phase_point(spec, rng, manifold=None, winding=(1, 0),
-                       loop_amplitude=0.05, fiber_amplitude=0.3):
-    """A generic phase point: random loop, kinetic-biased random fiber.
+def random_phase_point(spec, rng):
+    """A generic phase point on the flat 2-torus: a random loop of
+    winding (1, 0) and amplitude 0.05, and a kinetic-biased random fiber.
 
-    The fiber gets the loop's drift plus decaying random mode content,
-    so samples land near the interesting radii without fine-tuning.
+    The fiber gets the loop's drift plus decaying random mode content of
+    amplitude 0.3, so samples land near the interesting radii without
+    fine-tuning.
     """
-    manifold = flat_torus(len(winding)) if manifold is None else manifold
-    loop = random_loop(manifold, tuple(winding), spec.J, rng, amplitude=loop_amplitude)
+    loop = random_loop(flat_torus(2), (1, 0), spec.J, rng)
     frame = frame_of(loop, spec.J)
-    c = fiber_amplitude * rng.standard_normal(frame.dim) / frame.weights(0.75)
-    c[:manifold.dim] += loop.drift
+    c = 0.3 * rng.standard_normal(frame.dim) / frame.weights(0.75)
+    c[:2] += loop.drift
     return PhasePoint(loop=loop, fiber=FiberField(frame, c), s=spec.s)
 
 

@@ -364,16 +364,18 @@ def ps_diagnostics(traj, spec, config):
                     kernel_residual=frame.norm(1.0 - s, tail), growth_flag=growth)
 
 
-def divergent_fixture(spec, config, steps=24, scale=0.35, winding=(1, 0)):
-    """A synthetic Palais-Smale-violating trajectory.
+def divergent_fixture(spec, config):
+    """A synthetic Palais-Smale-violating trajectory of 24 states on the
+    straight (1, 0) loop of the flat 2-torus.
 
     The fiber is the smoothed velocity scaled by a linearly growing
-    factor against the pairing sign, the sequence that a flow with the
-    radial cutoff disabled can emit: actions still decrease while the
-    fiber norm runs away, so the Step 2 ratio grows without bound and
-    ps_diagnostics must flag it.
+    factor, -0.35 (1 + k) at state k, against the pairing sign: the
+    sequence that a flow with the radial cutoff disabled can emit.
+    Actions still decrease while the fiber norm runs away, so the Step 2
+    ratio grows without bound and ps_diagnostics must flag it.
     """
-    loop = straight_loop(flat_torus(len(winding)), tuple(winding), modes=spec.J)
+    steps, scale = 24, 0.35
+    loop = straight_loop(flat_torus(2), (1, 0), modes=spec.J)
     frame = frame_of(loop, spec.J)
     qd = velocity_coefficients(loop, frame)
     states = [PhasePoint(loop=loop, fiber=FiberField(frame, -(1.0 + k) * scale * qd), s=spec.s)

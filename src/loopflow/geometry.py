@@ -177,13 +177,13 @@ def straight_loop(manifold, winding, base=None, modes=0):
     return LoopPath(manifold=manifold, winding=tuple(winding), base=tuple(base), cos_coeffs=z, sin_coeffs=z.copy())
 
 
-def random_loop(manifold, winding, J, rng, amplitude=0.05, decay=2.0, base=None):
-    """A smooth random loop: coefficients decaying like 1/j^decay."""
+def random_loop(manifold, winding, J, rng, amplitude=0.05):
+    """A smooth random loop: coefficients decaying like 1/j^2, and a
+    uniform random base point."""
     n = manifold.dim
     j = np.arange(1, J + 1, dtype=float)[:, None]
-    scale = amplitude / j ** decay
+    scale = amplitude / j ** 2.0
     a = scale * rng.standard_normal((J, n))
     b = scale * rng.standard_normal((J, n))
-    if base is None:
-        base = rng.uniform(0.0, 1.0, size=n) * np.asarray(manifold.periods)
+    base = rng.uniform(0.0, 1.0, size=n) * np.asarray(manifold.periods)
     return LoopPath(manifold=manifold, winding=tuple(winding), base=tuple(base), cos_coeffs=a, sin_coeffs=b)

@@ -179,31 +179,30 @@ def radial_H_jet(spec, rho, order=2, r=None):
     shaped like rho (at least 1-d); the action and its gradient need
     order 1, the fiber Hessian order 2.
 
-    r, when given, replaces spec.r by an array that broadcasts against
-    rho, such as one energy per row of (S, m) radii as an (S, 1) column.
-    H_r is linear in r (r chi + phi), so every entry equals the one the
-    scalar call at that entry's r gives, bit for bit.
+    r, when given, replaces spec.r: the fiber ascent passes its energy
+    column, one r per row of (S, m) radii as an (S, 1) array, and its
+    Newton endgame one float.  H_r is linear in r (r chi + phi), so
+    every entry equals the one the call at spec.with_r of that entry's r
+    gives, bit for bit.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    r = spec.r if r is None else r
     top = rho > spec.rho1
     ntop = np.count_nonzero(top)
     if ntop == rho.size:
-        return tuple(_tail_jet(spec, rho, order, spec.r if r is None else r))
+        return tuple(_tail_jet(spec, rho, order, r))
     lo = spec.rho_star * math.exp(-spec.delta)
     hi = spec.rho_star * math.exp(spec.delta)
-    if r is not None:
-        r = np.broadcast_to(r, rho.shape)
+    # r at every radius in its own array: gathers from a broadcast view are slower
+    r = np.full(rho.shape, r)
     jet = np.zeros((order + 1,) + rho.shape)
     mid = (rho >= lo) & (rho <= hi)
     if np.count_nonzero(mid):
-        for row, value in zip(jet, _band_jet(spec, rho[mid], order,
-                                             spec.r if r is None else r[mid])):
+        for row, value in zip(jet, _band_jet(spec, rho[mid], order, r[mid])):
             row[mid] = value
-    above = rho > hi
-    jet[0][above] = spec.r if r is None else r[above]
+    np.copyto(jet[0], r, where=rho > hi)
     if ntop:
-        for row, value in zip(jet, _tail_jet(spec, rho[top], order,
-                                             spec.r if r is None else r[top])):
+        for row, value in zip(jet, _tail_jet(spec, rho[top], order, r[top])):
             row[top] = value
     return tuple(jet)
 
@@ -278,8 +277,9 @@ def alpha_bound(spec, speed):
     return 0.5 * float(speed) ** 2 + envelope_beta(spec)
 
 
-def perturbation_sup_diff(spec_a, spec_b, grid=4001):
-    """sup_rho |H_{r_a} - H_{r_b}| for two specs sharing their profiles."""
+def perturbation_sup_diff(spec_a, spec_b):
+    """sup_rho |H_{r_a} - H_{r_b}| for two specs sharing their profiles,
+    over 4001 uniform radii in [0, 3 rho1]."""
     top = 3.0 * max(spec_a.rho1, spec_b.rho1)
-    rho = np.linspace(0.0, top, grid)
+    rho = np.linspace(0.0, top, 4001)
     return float(np.max(np.abs(radial_H(spec_a, rho) - radial_H(spec_b, rho))))

@@ -4,20 +4,20 @@ theta(r) is estimated in two stages.  The inner supremum of the action
 over the truncated fiber ball {|p|_{1-s} <= gamma''} above each family
 loop is computed by projected gradient ascent from fixed starts (the
 smoothed velocity field scaled to six radii), all ascending together as
-one (S, D) coefficient array: each round is one batched
-fiber_evaluation, and each start keeps its own step size and stopping
-state.  An r-sweep ascends the seeds of all its r-points as one
-(R S, D) array, each row at its own r, since H_r is linear in r.
-The outer infimum is followed by descending the envelope of
-that supremum: each round steps the loop along the flow and re-ascends
-the fiber, so the loop moves along the envelope gradient (Danskin) and
-the action never rises.  The maximizers are descended from the highest
-action down; the level is the largest action a descent ends at, so a
-maximizer below it cannot raise the level, and a copy of a maximizer
-already descended would only repeat its descent.  Witnesses are
-polished before classification by a Levenberg-Marquardt least squares
-on the stacked gradient coefficients, with the exact Jacobian and SVD
-steps; it needs numpy only, so importing the package loads no scipy.
+one (R S, D) coefficient array for R values of r, with an (R S, 1)
+energy column (H_r is linear in r); a single estimate has R = 1.  Each
+round is one batched fiber_evaluation, and each row keeps its own step
+size and stopping state.  The outer infimum is followed by descending
+the envelope of that supremum: each round steps the loop along the flow
+and re-ascends the fiber, so the loop moves along the envelope gradient
+(Danskin) and the action never rises.  The maximizers are descended from
+the highest action down; the level is the largest action a descent ends
+at, so a maximizer below it cannot raise the level, and a copy of a
+maximizer already descended would only repeat its descent.  Witnesses
+are polished before classification by a Levenberg-Marquardt least
+squares on the stacked gradient coefficients, with the exact Jacobian
+and SVD steps; it needs numpy only, so importing the package loads no
+scipy.
 """
 
 import math
@@ -101,7 +101,7 @@ def fiber_hessian(frame, c, spec):
     return hess
 
 
-def _vertical_newton(frame, evaluate_at, c, spec, radius, tol, iters=12):
+def _vertical_newton(frame, evaluate_at, c, spec, radius):
     """Endgame for the fiber ascent: damped Newton on the vertical
     stationarity, with the exact quadrature Hessian of the H term.
 
@@ -113,14 +113,15 @@ def _vertical_newton(frame, evaluate_at, c, spec, radius, tol, iters=12):
     gradient, its (1-s)-norm) at fiber coefficients c; the weights
     (1+lam)^{1-s} turn the vertical gradient into the plain partial
     gradient, and candidates are projected back into the (1-s)-ball of
-    the given radius.
+    the given radius.  At most 12 Newton steps, each stopping at
+    ASCENT_TOL.
     """
     r = 1.0 - spec.s
     precond = frame.weights(r)
     a, g, gn = evaluate_at(c)
     eye = np.eye(frame.dim)
-    for _ in range(iters):
-        if gn <= tol:
+    for _ in range(12):
+        if gn <= ASCENT_TOL:
             break
         hess = fiber_hessian(frame, c, spec)
         u = precond * g
@@ -141,7 +142,7 @@ def _vertical_newton(frame, evaluate_at, c, spec, radius, tol, iters=12):
     return c, a, gn
 
 
-def fiber_sup(loop, spec, config, iters=ASCENT_ITERS, tol=ASCENT_TOL, seeds=None):
+def fiber_sup(loop, spec, config, iters=ASCENT_ITERS, seeds=None):
     """Projected gradient ascent of the action over the fiber ball.
 
     Default seeds: the smoothed velocity field scaled, at the loop's top
@@ -158,28 +159,28 @@ def fiber_sup(loop, spec, config, iters=ASCENT_ITERS, tol=ASCENT_TOL, seeds=None
     line-search try for every seed still ascending.  Each seed keeps its
     own step size, step count and halving count, so it sees exactly the
     evaluations it would see alone.  A seed stops when its gradient norm
-    reaches tol, after iters accepted steps, or after 40 halvings of one
-    step; a stopped seed that is not converged but has a gradient norm
-    below HANDOFF then gets the Newton endgame.  _fiber_sups runs the
-    same ascent for several values of r at once.
+    reaches ASCENT_TOL, after iters accepted steps, or after 40 halvings
+    of one step; a stopped seed that is not converged but has a gradient
+    norm below HANDOFF then gets the Newton endgame.  This is _fiber_sups
+    with the one energy spec.r.
     """
-    return _fiber_sups(loop, [spec], config, iters, tol, seeds)[0]
+    return _fiber_sups(loop, spec, [spec.r], config, iters, seeds)[0]
 
 
-def _fiber_sups(loop, specs, config, iters=ASCENT_ITERS, tol=ASCENT_TOL, seeds=None):
-    """fiber_sup at every spec of specs, which differ only in r, as one
-    ascent; returns one sorted result list per spec.
+def _fiber_sups(loop, spec, energies, config, iters=ASCENT_ITERS, seeds=None):
+    """fiber_sup at spec.with_r(r) for every r of energies, as one
+    ascent; returns one sorted result list per energy.
 
-    The seeds do not depend on r, so with R specs and S seeds the
-    ascent runs one (R S, D) array whose rows carry their own r, and
-    each fiber_evaluation evaluates every live row at its r.  Each row
-    keeps its own step size, halving count and rejected-try count and
-    gets the Newton endgame at its own spec, so every result equals the
-    fiber_sup call at that spec bit for bit.  One spec runs exactly
-    fiber_sup's single-r ascent.
+    The seeds do not depend on r, so with R energies and S seeds the
+    ascent runs one (R S, D) array and an (R S, 1) column of row
+    energies, and each fiber_evaluation evaluates every live row at its
+    own r.  Each row keeps its own step size, halving count and
+    rejected-try count and gets the Newton endgame at its own r, so every
+    result equals the one-energy ascent at that r bit for bit.
     """
+    if not len(energies):
+        return []
     require_finite("fiber_sup loop", loop)
-    spec = specs[0]
     frame = frame_of(loop, spec.J)
     qd = velocity_coefficients(loop, frame)
     to_vertical = frame.weights(spec.s - 1.0)
@@ -190,7 +191,7 @@ def _fiber_sups(loop, specs, config, iters=ASCENT_ITERS, tol=ASCENT_TOL, seeds=N
     precond = frame.weights(r)
     radius = config.gamma_dprime
 
-    def evaluate_at(c, spec, energy=None):
+    def evaluate_at(c, energy):
         a, dv, _ = fiber_evaluation(frame, qd, c, spec, energy)
         g = to_vertical * dv
         return a, g, frame.norm(r, g)
@@ -205,40 +206,36 @@ def _fiber_sups(loop, specs, config, iters=ASCENT_ITERS, tol=ASCENT_TOL, seeds=N
         for i, c0 in enumerate(seeds):
             require_finite(f"fiber_sup seed {i}", fiber=c0)
         if not len(seeds):
-            return [[] for _ in specs]
+            return [[] for _ in energies]
     n_seeds = len(seeds)
     c, _ = _project_ball(np.array(seeds, dtype=float).reshape(n_seeds, frame.dim), frame, r,
                          radius)
-    energy = None   # the (R S, 1) column of row energies; None runs spec.r
-    if len(specs) > 1:
-        c = np.tile(c, (len(specs), 1))
-        energy = np.repeat([sp.r for sp in specs], n_seeds)[:, None]
-    a, g, gn = evaluate_at(c, spec, energy)
+    c = np.tile(c, (len(energies), 1))
+    energy = np.repeat(energies, n_seeds)[:, None]
+    a, g, gn = evaluate_at(c, energy)
     final_c, final_a, final_gn = np.empty_like(c), np.empty_like(a), np.empty_like(gn)
     live = np.arange(len(c))                 # row index of each ascending row
     eta = np.full(len(c), 0.5)
     rejected = np.zeros(len(c), dtype=int)   # rejected tries so far
     halvings = np.zeros(len(c), dtype=int)   # rejected tries of the current step
-    done = (gn <= tol) | (iters <= 0)
+    done = (gn <= ASCENT_TOL) | (iters <= 0)
     rounds = 0
     # every live row makes one try per round, so its accepted steps are
     # rounds - rejected; the all-accepted and all-rejected rounds skip the
-    # row selection, which keeps one seed (composite_descent) as cheap as
-    # a scalar loop
+    # row selection, which keeps the envelope descent's one-seed
+    # re-ascents as cheap as a scalar loop
     while True:
         if np.count_nonzero(done):
             stopped = live[done]
             final_c[stopped], final_a[stopped], final_gn[stopped] = c[done], a[done], gn[done]
             keep = ~done
-            live, c, a, g, gn, eta, rejected, halvings = (
-                arr[keep] for arr in (live, c, a, g, gn, eta, rejected, halvings))
+            live, c, a, g, gn, eta, rejected, halvings, energy = (
+                arr[keep] for arr in (live, c, a, g, gn, eta, rejected, halvings, energy))
             if not live.size:
                 break
-            if energy is not None:
-                energy = energy[keep]
         rounds += 1
         cand, clipped = _project_ball(c + (eta[:, None] * precond) * g, frame, r, radius)
-        a_new, g_new, gn_new = evaluate_at(cand, spec, energy)
+        a_new, g_new, gn_new = evaluate_at(cand, energy)
         accepted = a_new >= a - 1e-14
         n_accepted = np.count_nonzero(accepted)
         if n_accepted:
@@ -248,7 +245,7 @@ def _fiber_sups(loop, specs, config, iters=ASCENT_ITERS, tol=ASCENT_TOL, seeds=N
         if n_accepted == len(live):
             c, a, g, gn, eta = cand, a_new, g_new, gn_new, grown
             halvings[:] = 0
-            done = gn <= tol
+            done = gn <= ASCENT_TOL
         elif n_accepted == 0:
             eta *= 0.5
             rejected += 1
@@ -262,23 +259,24 @@ def _fiber_sups(loop, specs, config, iters=ASCENT_ITERS, tol=ASCENT_TOL, seeds=N
             eta = np.where(accepted, grown, eta * 0.5)
             rejected += ~accepted
             halvings = np.where(accepted, 0, halvings + 1)
-            done = (gn <= tol) | (halvings >= 40)
+            done = (gn <= ASCENT_TOL) | (halvings >= 40)
         if rounds >= iters:
             done |= rounds - rejected >= iters
-    results = [[] for _ in specs]
+    results = [[] for _ in energies]
     for row, (c, a, gn) in enumerate(zip(final_c, final_a, final_gn)):
-        at = specs[row // n_seeds]
-        if tol < gn <= HANDOFF:
-            c, a, gn = _vertical_newton(frame, lambda c: evaluate_at(c, at), c, at, radius, tol)
+        e = energies[row // n_seeds]
+        if ASCENT_TOL < gn <= HANDOFF:
+            c, a, gn = _vertical_newton(frame, lambda c: evaluate_at(c, e), c, spec.with_r(e),
+                                        radius)
         results[row // n_seeds].append(
             AscentResult(field=FiberField(frame=frame, coefficients=c), action=float(a),
-                         converged=bool(gn <= tol), grad_norm=float(gn)))
+                         converged=bool(gn <= ASCENT_TOL), grad_norm=float(gn)))
     for out in results:
         out.sort(key=lambda res: res.action, reverse=True)
     return results
 
 
-def _envelope_descent(x, spec, config):
+def _envelope_descent(x, spec, config, tol):
     """Descend the inner-sup envelope: re-ascend the fiber locally after
     every descent step.
 
@@ -289,10 +287,11 @@ def _envelope_descent(x, spec, config):
     as a genuine local minimum; letting the fiber go stale instead feeds
     the mixed unstable directions.
 
-    Yields (rounds, state, velocity) right after each of DESCENT_ROUNDS
-    re-ascents, where the branch is exact; the velocity is also the
-    round's k1.  Last it yields (DESCENT_ROUNDS, state, velocity) for the
-    state the final round stepped to.
+    Returns (rounds, state, velocity) at the first re-ascended state
+    whose gradient norm is at most tol, where the branch is exact; the
+    velocity is the one that round's step would take as k1.  After
+    DESCENT_ROUNDS rounds without that it returns (DESCENT_ROUNDS,
+    state, velocity) for the state the last round stepped to.
     """
     # the envelope is smooth (no shelf stiffness on the maximal branch),
     # so a larger step is stable; the halving guard still protects it
@@ -301,9 +300,10 @@ def _envelope_descent(x, spec, config):
         asc = fiber_sup(x.loop, spec, config, seeds=[x.fiber.coefficients])[0]
         x = PhasePoint(loop=x.loop, fiber=asc.field, s=spec.s)
         k = flow_velocity(x, spec, config)
-        yield rounds, x, k
+        if k.grad_norm <= tol:
+            return rounds, x, k
         x, _, k = _step(x, spec, config, dt, k)
-    yield DESCENT_ROUNDS, x, k
+    return DESCENT_ROUNDS, x, k
 
 
 def composite_descent(x, spec, config):
@@ -312,9 +312,7 @@ def composite_descent(x, spec, config):
     does not converge within DESCENT_ROUNDS returns the state its last
     round stepped to.
     """
-    for rounds, x, k in _envelope_descent(x, spec, config):
-        if k.grad_norm <= 0.01 * config.grad_tol:
-            break
+    rounds, x, _ = _envelope_descent(x, spec, config, 0.01 * config.grad_tol)
     return x, rounds < DESCENT_ROUNDS
 
 
@@ -483,10 +481,8 @@ def _level(ascents, spec, config):
                for seen, c in descended):
             continue
         descended.append((loop, start))
-        for rounds, x, k in _envelope_descent(PhasePoint(loop=loop, fiber=res.field, s=spec.s),
-                                              spec, config):
-            if k.grad_norm <= HANDOFF:
-                break
+        rounds, x, k = _envelope_descent(PhasePoint(loop=loop, fiber=res.field, s=spec.s), spec,
+                                         config, HANDOFF)
         if k.action > best[0]:
             best = (k.action, x, rounds)
     _, witness, rounds = best
@@ -546,9 +542,10 @@ def orbit_sweep(spec_template, r_grid, config, jobs=1, family=None):
     The fiber seeds of all r-points ascend as one array per family loop
     (_fiber_sups), in this process; every r-point then descends, polishes
     and classifies its own pool (_sweep_task), serially or on a pool of
-    jobs workers.  Each record equals minimax_theta at that r bit for
-    bit, and the records merge in grid order regardless of the worker
-    count.  The summary reports the first r whose witness lands
+    jobs workers, capped at the r-points and at the CPUs this process
+    may run on (pool_size).  Each record equals minimax_theta at that r
+    bit for bit, and the records merge in grid order regardless of the
+    worker count.  The summary reports the first r whose witness lands
     on the hypersurface with leaf action inside (0, 2(alpha + r0)), with
     alpha the fiber action bound at the family's largest loop speed, and
     when no hit exists, the closed-geodesic plateau diagnostics: the
@@ -559,10 +556,13 @@ def orbit_sweep(spec_template, r_grid, config, jobs=1, family=None):
     if not family:
         raise ValueError("orbit_sweep needs a nonempty family of loops")
     specs = [spec_template.with_r(r) for r in r_grid]
-    per_loop = [_fiber_sups(loop, specs, config) for loop in family] if specs else []
+    per_loop = [_fiber_sups(loop, spec_template, [sp.r for sp in specs], config)
+                for loop in family]
     payloads = [(spec, config, [(loop, results[k]) for loop, results in zip(family, per_loop)])
                 for k, spec in enumerate(specs)]
-    workers = pool_size(jobs, len(payloads), os.cpu_count() or 1)
+    # the CPUs this process may run on, fewer than the machine's under taskset
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = pool_size(jobs, len(payloads), cpus or 1)
     if workers <= 1:
         records = [_sweep_task(p) for p in payloads]
     else:

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import least_squares
 from scipy.optimize._numdiff import approx_derivative
 
@@ -69,7 +71,7 @@ def reference_ascent(frame, qd, spec, c0, radius, iters, tol):
             break
     if not converged and gn <= 1e-2:
         trace["stop"] += ", Newton"
-        c, a, gn = minimax._vertical_newton(frame, evaluate_at, c, spec, radius, tol)
+        c, a, gn = minimax._vertical_newton(frame, evaluate_at, c, spec, radius)
         converged = gn <= tol
     return (c, a, converged, gn), trace
 
@@ -82,13 +84,14 @@ def evaluated(monkeypatch):
     """Every fiber row that fiber_sup (or the reference) evaluates, as
     (r, row bytes), with the gradient negated on rows ending in MARK:
     every try of such a seed loses action, so its line search halves 40
-    times in place.  A per-row r column is passed through."""
+    times in place.  The ascent's energy column (or the Newton endgame's
+    one r) is passed through."""
     rows = []
     evaluation = minimax.fiber_evaluation
 
     def patched(frame, qd, c, spec, r=None):
         batch = np.atleast_2d(c)
-        energies = [spec.r] * len(batch) if r is None else r[:, 0].tolist()
+        energies = np.broadcast_to(spec.r if r is None else r, (len(batch), 1))[:, 0].tolist()
         rows.extend((e, row.tobytes()) for e, row in zip(energies, batch))
         a, dv, dpH = evaluation(frame, qd, c, spec, r)
         return a, np.where((c[..., -1] == MARK)[..., None], -dv, dv), dpH
@@ -124,12 +127,11 @@ def batched_across_r(loop, spec, config, grid, evaluated, **ascent):
     # the ascent across the r grid must give each r the results of
     # fiber_sup at that r bit for bit, and evaluate exactly the fiber
     # rows, each at its r, that the per-r calls evaluate
-    specs = [spec.with_r(r) for r in grid]
     evaluated.clear()
-    per_r = [fiber_sup(loop, sp, config, **ascent) for sp in specs]
+    per_r = [fiber_sup(loop, spec.with_r(r), config, **ascent) for r in grid]
     alone = Counter(evaluated)
     evaluated.clear()
-    batched = minimax._fiber_sups(loop, specs, config, **ascent)
+    batched = minimax._fiber_sups(loop, spec, grid, config, **ascent)
     assert Counter(evaluated) == alone
     assert len(batched) == len(per_r)
     for results, single in zip(batched, per_r):
@@ -583,6 +585,36 @@ def test_pool_size_clamps_to_points_and_cpus():
     assert pool_size(1000, 20, 4) == 4
     assert pool_size(2, 0, 4) == 1
     assert pool_size(3, 5, 1) == 1
+
+
+def test_orbit_sweep_sizes_its_pool_from_the_usable_cpus(monkeypatch):
+    # under taskset -c 0 the machine may still count two CPUs: --jobs 2
+    # must then run serially instead of starting two workers on one CPU
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a one-CPU sweep started a process pool")
+
+    monkeypatch.setattr(minimax.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(minimax.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(minimax, "ProcessPoolExecutor", NoPool)
+    spec4 = default_spec(J=4)
+    records, _ = orbit_sweep(spec4, [0.5, 1.0], FlowConfig.auto(spec4), jobs=2)
+    assert [rec.r for rec in records] == [0.5, 1.0]
+
+
+@settings(max_examples=8)
+@given(st.lists(st.floats(0.05, 2.0), min_size=1, max_size=3))
+def test_serial_and_pool_sweeps_give_equal_records(grid):
+    spec4 = default_spec(J=4)
+    cfg = FlowConfig.auto(spec4)
+    serial, _ = orbit_sweep(spec4, grid, cfg, jobs=1)
+    pooled, _ = orbit_sweep(spec4, grid, cfg, jobs=2)
+    assert len(serial) == len(pooled) == len(grid)
+    for a, b in zip(serial, pooled):
+        assert (a.r, a.theta, str(a.classification), a.grad_norm, a.steps) == (
+            b.r, b.theta, str(b.classification), b.grad_norm, b.steps)
+        assert a.witness.loop.base == b.witness.loop.base
+        assert pack_coefficients(a.witness).tobytes() == pack_coefficients(b.witness).tobytes()
 
 
 def reference_composite_descent(x, spec, config):
