@@ -33,6 +33,11 @@ GRAD_CHECK_TOL = 1e-5
 # the grid itself is allocated before the first one runs
 MAX_R_COUNT = 10_000
 
+# largest ps-diagnose or gradient-check --count: each case is a flow (a
+# quarter second at the default horizon) or a finite-difference check,
+# and every row is held until the CSV is written
+MAX_COUNT = 10_000
+
 SWEEP_COLUMNS = ("r", "theta", "classification", "action", "sigma",
                  "leaf_action", "grad_norm", "steps")
 
@@ -292,37 +297,44 @@ def cmd_orbit_sweep(args):
     return 0
 
 
+def _check_count(count):
+    if count > MAX_COUNT:
+        raise ValueError(f"count must lie in [1, {MAX_COUNT}], got {count}")
+
+
+def _ps_row(k, traj, spec, config):
+    """The ps-diagnose row of trajectory k: its PS report, taken while it
+    is the only trajectory alive."""
+    report = ps_diagnostics(traj, spec, config)
+    b = report.bounds()
+    return (k, len(traj.times) - 1, b["vertical_defect"], b["quadratic_ratio"],
+            b["derivative_norm"], b["kernel_parallel"], b["kernel_residual"],
+            float(report.vertical_defect[-1]), report.growth_flag)
+
+
 def cmd_ps_diagnose(args):
+    _check_count(args.count)
     _, spec, config = _settings(args)
     horizon = min(args.horizon, config.t_max)
-    rows = []
-    flagged = False
     if args.fixture == "divergent":
-        trajs = [divergent_fixture(spec, config)]
+        rows = [_ps_row(0, divergent_fixture(spec, config), spec, config)]
     else:
-        trajs = []
-        for k in range(args.count):
-            rng = np.random.default_rng([args.seed, k])
-            trajs.append(flow(random_phase_point(spec, rng), spec, config, horizon))
-    for k, traj in enumerate(trajs):
-        report = ps_diagnostics(traj, spec, config)
-        b = report.bounds()
-        flagged = flagged or report.growth_flag
-        rows.append((k, len(traj.times) - 1, b["vertical_defect"], b["quadratic_ratio"],
-                     b["derivative_norm"], b["kernel_parallel"], b["kernel_residual"],
-                     float(report.vertical_defect[-1]), report.growth_flag))
+        rows = [_ps_row(k, flow(random_phase_point(spec, np.random.default_rng([args.seed, k])),
+                                spec, config, horizon), spec, config)
+                for k in range(args.count)]
     _emit(args, "ps-diagnose", spec, config,
-          {"count": len(trajs), "horizon": horizon, "fixture": args.fixture or "none"}, rows,
+          {"count": len(rows), "horizon": horizon, "fixture": args.fixture or "none"}, rows,
           ("trajectory", "steps", "step1_max", "step2_max", "step3_max",
            "kernel_parallel_max", "kernel_residual_max", "step1_final", "flagged"),
           "ps_diagnose.csv")
-    if flagged:
+    if any(row[-1] for row in rows):
         print("ps-diagnose: unbounded fiber growth flagged", file=sys.stderr)
         return 2
     return 0
 
 
 def cmd_gradient_check(args):
+    _check_count(args.count)
     _, spec, config = _settings(args)
     rows = []
     for k in range(args.count):

@@ -31,8 +31,8 @@ on the flat models, so no transport error enters).
 Palais-Smale diagnostics mirror the four-step bound structure used to
 rule out divergence: the vertical defect norm, the quadratic fiber
 ratio, the derivative norm, and the kernel split, with a growth flag on
-the quadratic ratio, computed over the (N, D) stack of a trajectory's
-fiber coefficients.
+the quadratic ratio, computed over the (N, D) stacks of a trajectory's
+fiber coefficients and of its loop velocities.
 """
 
 import math
@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .action import (PhasePoint, derivative_coefficients, evaluate, perturb,
-                     require_finite, velocity_coefficients)
+                     require_finite, velocity_coefficients, velocity_layout)
 from .geometry import flat_torus, straight_loop
 from .hamiltonian import alpha_bound, smoothstep
 from .spectral import FiberField, frame_of
@@ -346,12 +346,22 @@ def ps_diagnostics(traj, spec, config):
     ||p||^2/(1 + ||p||_{1-s}); (iii) ||nabla p||_{-s}; (iv) the kernel
     split of p.  The growth flag trips when (ii) keeps climbing over
     the second half of the trajectory, the signature of a diverging
-    fiber that the compactness argument excludes.
+    fiber that the compactness argument excludes.  The loop velocities
+    of all states come from one velocity_layout over their stacked
+    cos/sin coefficients, padded to J; the stack lives only for this
+    call, the trajectory does not keep it.
     """
     x0 = traj.states[0]
     frame, s, n = x0.frame, x0.s, x0.frame.n
     p = np.stack([x.fiber.coefficients for x in traj.states])
-    qd = np.stack([velocity_coefficients(x.loop, frame) for x in traj.states])
+    # every loop's modes, zero-padded to J (a start loop may carry fewer)
+    drift = np.empty((len(p), n))
+    cos, sin = np.zeros((2, len(p), frame.cutoff, n))
+    for row, x in enumerate(traj.states):
+        drift[row] = x.loop.drift
+        cos[row, :x.loop.modes] = x.loop.cos_coeffs
+        sin[row, :x.loop.modes] = x.loop.sin_coeffs
+    qd = velocity_layout(frame, drift, cos, sin)
     tail = p.copy()
     tail[:, :n] = 0.0
     v2 = np.sum(p ** 2, axis=1) / (1.0 + frame.norm(1.0 - s, p))

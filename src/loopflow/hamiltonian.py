@@ -173,11 +173,14 @@ def radial_H_jet(spec, rho, order=2, r=None):
     One smoothstep per populated branch (the chi band and the phi
     tail) serves all orders; the arithmetic is that of chi and phi, so
     every entry equals the per-order value bit for bit.  When every
-    radius lies on the phi tail, as on nearly every flow evaluation, the
-    tail is computed on the whole array; otherwise each populated branch
-    is gathered and scattered.  Returns order + 1 C-contiguous arrays
-    shaped like rho (at least 1-d); the action and its gradient need
-    order 1, the fiber Hessian order 2.
+    radius lies on the phi tail, the tail is computed on the whole
+    array: on the benchmark's flow workload that is the 24 % of
+    evaluations that are all-tail but not all in the quadratic zone
+    rho >= 2 rho1, which action.fiber_evaluation serves without this
+    pass.  Otherwise each populated branch is gathered and scattered.
+    Returns order + 1 C-contiguous arrays shaped like rho (at least
+    1-d); the action and its gradient need order 1, the fiber Hessian
+    order 2.
 
     r, when given, replaces spec.r: the fiber ascent passes its energy
     column, one r per row of (S, m) radii as an (S, 1) array, and its

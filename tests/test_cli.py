@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,49 @@ def test_oversized_r_count_exits_2_before_any_allocation(tmp_path, capsys):
     assert peak < 1_000_000
     assert not (tmp_path / "many").exists()
     assert str(cli.MAX_R_COUNT) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ps-diagnose", "gradient-check"])
+def test_count_above_the_cap_exits_2(command, tmp_path, capsys, monkeypatch):
+    code = run([command, "--count", str(cli.MAX_COUNT + 1)] + out_args(tmp_path, "many"))
+    assert code == 2
+    assert not (tmp_path / "many").exists()
+    assert f"count must lie in [1, {cli.MAX_COUNT}], got {cli.MAX_COUNT + 1}" in \
+        capsys.readouterr().err
+    # the cap itself is allowed
+    monkeypatch.setattr(cli, "MAX_COUNT", 2)
+    argv = [command, "--modes", "4", "--count"]
+    extra = ["--horizon", "0.05"] if command == "ps-diagnose" else []
+    assert run(argv + ["3"] + extra + out_args(tmp_path, "three")) == 2
+    assert run(argv + ["2"] + extra + out_args(tmp_path, "two")) == 0
+    _, rows, _ = read_csv(tmp_path / "two" / f"{command.replace('-', '_')}.csv")
+    assert len(rows) == 2
+    capsys.readouterr()
+
+
+def test_ps_diagnose_reports_each_trajectory_before_the_next_flow(tmp_path, capsys, monkeypatch):
+    # one trajectory alive at a time: each is reported, then dropped,
+    # before the next flow starts
+    events, alive = [], []
+    flow_, report_ = cli.flow, cli.ps_diagnostics
+
+    def flowed(*args):
+        assert all(ref() is None for ref in alive)
+        events.append("flow")
+        traj = flow_(*args)
+        alive.append(weakref.ref(traj))
+        return traj
+
+    def reported(*args):
+        events.append("report")
+        return report_(*args)
+
+    monkeypatch.setattr(cli, "flow", flowed)
+    monkeypatch.setattr(cli, "ps_diagnostics", reported)
+    assert run(["ps-diagnose", "--modes", "4", "--count", "3", "--horizon", "0.05"]
+               + out_args(tmp_path, "ps")) == 0
+    assert events == ["flow", "report"] * 3
+    capsys.readouterr()
 
 
 def test_non_finite_flow_config_exits_2(tmp_path, capsys):

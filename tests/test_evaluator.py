@@ -6,7 +6,9 @@ derivative order, the vertical gradient from the analysis of the
 sampled defect qdot - dH/dp.  The evaluator must agree with them to
 roundoff on random phase points, and its single H pass must agree with
 the per-order chi/phi formulas bit for bit.  A batch of fibers over one
-loop must give, row by row, exactly what each fiber gives alone.
+loop must give, row by row, exactly what each fiber gives alone.  Where
+every radius lies in the quadratic zone, the evaluation must equal,
+byte for byte, the one that sends every radius through radial_H_jet.
 """
 
 import math
@@ -14,10 +16,13 @@ import math
 import numpy as np
 import pytest
 
+import loopflow.action as action_mod
+import loopflow.flow as flow_mod
 from loopflow import fourier
 from loopflow.action import (PhasePoint, action, derivative_coefficients, evaluate,
                              fiber_evaluation, gradient, hamilton_residual,
-                             velocity_coefficients)
+                             random_phase_point, velocity_coefficients)
+from loopflow.flow import FlowConfig, flow
 from loopflow.geometry import embedded_circle, flat_torus, random_loop
 from loopflow.hamiltonian import chi, default_spec, phi, radial_H, radial_H_jet
 from loopflow.spectral import FiberField, SpectralFrame, frame_of
@@ -214,3 +219,114 @@ def test_H_jet_of_whole_branch_batches(spec):
             for k, values in enumerate(jet):
                 assert values.shape == rho.shape and values.flags.c_contiguous
                 np.testing.assert_array_equal(values, reference_radial_H(spec, rho, k))
+
+
+def reference_fiber_evaluation(frame, qd, c, spec, r=None):
+    # fiber_evaluation without its quadratic zone: every radius goes
+    # through radial_H_jet
+    p_samp = frame.samples(c)
+    rho = np.sqrt((p_samp * p_samp).sum(axis=-1))
+    h0, h1 = radial_H_jet(spec, rho, order=1, r=r)
+    scale = np.divide(h1, rho, out=np.zeros_like(rho), where=rho > 0.0)
+    dpH = scale[..., None] * p_samp
+    a = np.vecdot(c, qd) - h0.sum(axis=-1) / rho.shape[-1]
+    return (float(a) if a.ndim == 0 else a), qd - frame.coefficients(dpH), dpH
+
+
+def sampled_radii(frame, c):
+    p = frame.samples(c)
+    return np.sqrt((p * p).sum(axis=-1))
+
+
+def with_smallest_radius(frame, c, target):
+    """c rescaled so that its smallest sampled radius is near target, then
+    its second kernel coefficient moved an ulp at a time until that
+    radius is exactly target."""
+    c = c * (target / sampled_radii(frame, c).min())
+    for _ in range(400):
+        lo = sampled_radii(frame, c).min()
+        if lo == target:
+            return c
+        c[1] = np.nextafter(c[1], np.inf if lo < target else -np.inf)
+    raise AssertionError(f"no fiber with smallest radius {target!r}")
+
+
+def zone_cases():
+    """The frame and loop velocity of one state, and the cases over them:
+    (name, fiber coefficients, r, whether the zone serves the case)."""
+    spec = default_spec()
+    x = random_phase_point(spec, np.random.default_rng(3))
+    frame = x.frame
+    # a kernel-dominated fiber: its radius varies a little along the loop
+    c = x.fiber.coefficients.copy()
+    c[:2] = (0.7, 0.3)
+    c[2:] *= 0.05
+    two = 2.0 * spec.rho1
+    batch = np.stack([with_smallest_radius(frame, c, rho) for rho in (two, 1.0, 3.0, 10.0)])
+    energies = np.array([[0.05], [0.35789473684210527], [1.0], [2.0]])
+    nan = c.copy()
+    nan[5] = np.nan
+    return frame, velocity_coefficients(x.loop, frame), [
+        ("one state", with_smallest_radius(frame, c, 1.0), None, True),
+        ("batch with an energy column", batch, energies, True),
+        ("a node at 2 rho1", with_smallest_radius(frame, c, two), None, True),
+        ("a node an ulp below 2 rho1", with_smallest_radius(frame, c, np.nextafter(two, 0.0)),
+         None, False),
+        ("phi transition", with_smallest_radius(frame, c, 1.5 * spec.rho1), None, False),
+        ("one batch row below", np.concatenate([batch, with_smallest_radius(frame, c, 0.6)[None]]),
+         np.concatenate([energies, [[1.0]]]), False),
+        ("a NaN coefficient", nan, None, False),
+        ("radii whose squares overflow", 1e200 * c, None, False),
+    ]
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_quadratic_zone_equals_the_jet_path_byte_for_byte(case, monkeypatch):
+    frame, qd, cases = zone_cases()
+    name, c, r, zone = cases[case]
+    spec = default_spec()
+    with np.errstate(over="ignore"):
+        rho = sampled_radii(frame, c)
+    # the case sits where its name says
+    assert bool(rho.min() >= 2.0 * spec.rho1 and rho.max() <= 1e150) is zone
+    jets = []
+    monkeypatch.setattr(action_mod, "radial_H_jet",
+                        lambda *args, **kw: jets.append(1) or radial_H_jet(*args, **kw))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = fiber_evaluation(frame, qd, c, spec, r)
+        want = reference_fiber_evaluation(frame, qd, c, spec, r)
+    assert (not jets) is zone, name
+    assert type(got[0]) is type(want[0])
+    for g, w in zip(got, want):
+        assert np.shape(g) == np.shape(w)
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), name
+    assert got[1].flags.c_contiguous and got[2].flags.c_contiguous
+
+
+def test_quadratic_zone_leaves_flows_and_their_work_unchanged(monkeypatch):
+    # the benchmark's flow starts: the default spec, seeds [1, k], horizon 1
+    spec = default_spec()
+    config = FlowConfig.auto(spec)
+    starts = [random_phase_point(spec, np.random.default_rng([1, k])) for k in range(2)]
+    evaluations, jets = [], []
+    evaluate_, jet = flow_mod.evaluate, action_mod.radial_H_jet
+    monkeypatch.setattr(flow_mod, "evaluate",
+                        lambda *args: evaluations.append(1) or evaluate_(*args))
+    monkeypatch.setattr(action_mod, "radial_H_jet",
+                        lambda *args, **kw: jets.append(1) or jet(*args, **kw))
+    fast = [flow(x, spec, config, 1.0) for x in starts]
+    # 100 steps, none halved: the start, then four evaluations per step
+    assert [len(traj.times) for traj in fast] == [101, 101]
+    assert len(evaluations) == 2 * 401
+    assert 0 < len(jets) < len(evaluations)   # the zone served some evaluations, not all
+    evaluations.clear()
+    monkeypatch.setattr(action_mod, "fiber_evaluation", reference_fiber_evaluation)
+    slow = [flow(x, spec, config, 1.0) for x in starts]
+    assert len(evaluations) == 2 * 401
+    for got, want in zip(fast, slow):
+        assert len(got.states) == len(want.states)
+        for xg, xw in zip(got.states, want.states):
+            assert xg.loop.content_key() == xw.loop.content_key()
+            assert xg.fiber.coefficients.tobytes() == xw.fiber.coefficients.tobytes()
+        for name in ("times", "actions", "gradient_norms", "phi_tilde", "ab"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name

@@ -366,14 +366,34 @@ def test_rk4_matches_stages_built_by_perturb(J, model):
                 np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13)
 
 
+def reference_ps_arrays(traj):
+    # ps_diagnostics' five arrays, with one velocity_coefficients call per state
+    x0 = traj.states[0]
+    frame, s, n = x0.frame, x0.s, x0.frame.n
+    p = np.stack([x.fiber.coefficients for x in traj.states])
+    qd = np.stack([velocity_coefficients(x.loop, frame) for x in traj.states])
+    tail = p.copy()
+    tail[:, :n] = 0.0
+    return (frame.norm(s - 1.0, qd - p), np.sum(p ** 2, axis=1) / (1.0 + frame.norm(1.0 - s, p)),
+            frame.norm(-s, derivative_coefficients(frame, p)),
+            np.sqrt(np.sum(p[:, :n] ** 2, axis=1)), frame.norm(1.0 - s, tail))
+
+
 @pytest.fixture(scope="module")
 def diagnosed_trajectories(spec, config):
     high = flow(high_mode_state(spec), spec, MANUAL_CONFIG, 3.0)
     rand = flow(random_phase_point(spec, np.random.default_rng(77)), spec, config, 1.0)
-    return [high, rand, divergent_fixture(spec, config)]
+    # a start loop with no modes, whose flowed states carry J
+    loop = straight_loop(flat_torus(2), (1, 0), modes=0)
+    frame = frame_of(loop, spec.J)
+    c = 0.3 * np.random.default_rng(6).standard_normal(frame.dim) / frame.weights(0.75)
+    c[:2] += loop.drift
+    bare = flow(PhasePoint(loop=loop, fiber=FiberField(frame, c), s=spec.s), spec, config, 0.5)
+    assert bare.states[0].loop.modes == 0 and bare.final.loop.modes == spec.J
+    return [high, rand, divergent_fixture(spec, config), bare]
 
 
-@pytest.mark.parametrize("which", range(3))
+@pytest.mark.parametrize("which", range(4))
 def test_trajectory_diagnostics_match_per_state_references(which, diagnosed_trajectories,
                                                            spec, config):
     traj = diagnosed_trajectories[which]
@@ -385,10 +405,12 @@ def test_trajectory_diagnostics_match_per_state_references(which, diagnosed_traj
     assert_close(representation_coefficients(traj), rows)
     report = ps_diagnostics(traj, spec, config)
     arrays, growth = reference_ps(traj)
-    for got, want in zip((report.vertical_defect, report.quadratic_ratio,
-                          report.derivative_norm, report.kernel_parallel,
-                          report.kernel_residual), arrays):
+    # the batched loop velocities give the bytes of one velocity_coefficients per state
+    for got, want, want_bytes in zip((report.vertical_defect, report.quadratic_ratio,
+                                      report.derivative_norm, report.kernel_parallel,
+                                      report.kernel_residual), arrays, reference_ps_arrays(traj)):
         assert_close(got, want)
+        assert got.tobytes() == want_bytes.tobytes()
     assert report.growth_flag is growth
     assert growth is (which == 2)
 
