@@ -12,9 +12,11 @@ otherwise).  The gradient returned here is the exact derivative of that
 discrete functional with respect to the coefficients, organized as a
 (horizontal, vertical) pair and measured in the mixed metric: the
 horizontal part lives in the s-metric, the vertical part in the
-(1-s)-metric.  Because the quadrature pairing and the frame analysis
-use identical weights, finite differences of the discrete action
-reproduce this gradient to roundoff, not merely to truncation order.
+(1-s)-metric.  Tangents, the gradient among them, are pairs of (D,)
+frame coefficient arrays; FiberField holds only a state's fiber.
+Because the quadrature pairing and the frame analysis use identical
+weights, finite differences of the discrete action reproduce this
+gradient to roundoff, not merely to truncation order.
 
 The action and both gradient parts come from one evaluation
 (fiber_evaluation, wrapped by evaluate): the velocity coefficients are
@@ -53,15 +55,13 @@ QUADRATIC_TOP = 1e150
 
 @dataclass(frozen=True, eq=False)
 class PhasePoint:
-    """A point (q, p) of the bundle, with its regularity parameter."""
+    """A point (q, p) of the bundle: a loop and its fiber field.  The
+    regularity s is not the state's; (x, spec) functions read spec.s."""
 
     loop: LoopPath
     fiber: FiberField
-    s: float
 
     def __post_init__(self):
-        if not 0.5 < self.s < 1.0:
-            raise ValueError("regularity s must lie strictly in (1/2, 1)")
         frame = self.fiber.frame
         if frame.n != self.loop.manifold.dim or frame.cutoff < self.loop.modes:
             raise ValueError(f"fiber frame (n={frame.n}, J={frame.cutoff}) does not fit a loop "
@@ -94,7 +94,7 @@ def straight_orbit(manifold, winding, spec, momentum=None):
     v = loop.drift if momentum is None else np.asarray(momentum, dtype=float)
     c = np.zeros(frame.dim)
     c[: manifold.dim] = v
-    return PhasePoint(loop=loop, fiber=FiberField(frame, c), s=spec.s)
+    return PhasePoint(loop=loop, fiber=FiberField(frame, c))
 
 
 def loop_energy(loop):
@@ -191,8 +191,8 @@ def evaluate(x, spec, qd=None, c=None):
     qd = velocity_coefficients(x.loop, frame) if qd is None else qd
     c = x.fiber.coefficients if c is None else c
     a, dv, _ = fiber_evaluation(frame, qd, c, spec)
-    grad_h = -frame.weights(-x.s) * derivative_coefficients(frame, c)
-    return a, grad_h, frame.weights(x.s - 1.0) * dv
+    grad_h = -frame.weights(-spec.s) * derivative_coefficients(frame, c)
+    return a, grad_h, frame.weights(spec.s - 1.0) * dv
 
 
 def action(x, spec):
@@ -201,49 +201,57 @@ def action(x, spec):
 
 
 def gradient(x, spec):
-    """The metric gradient of the discrete action, as (horizontal, vertical)
-    FiberFields; see evaluate."""
-    _, grad_h, grad_v = evaluate(x, spec)
-    return FiberField(x.frame, grad_h), FiberField(x.frame, grad_v)
+    """The metric gradient of the discrete action, as a (horizontal,
+    vertical) pair of frame coefficient arrays; see evaluate."""
+    return evaluate(x, spec)[1:]
 
 
 def gradient_norm(x, spec):
     """Norm of the gradient in the mixed (s, 1-s) metric."""
     _, grad_h, grad_v = evaluate(x, spec)
     frame = x.frame
-    return float(np.sqrt(frame.norm(x.s, grad_h) ** 2 + frame.norm(1.0 - x.s, grad_v) ** 2))
+    return float(np.sqrt(frame.norm(spec.s, grad_h) ** 2 + frame.norm(1.0 - spec.s, grad_v) ** 2))
 
 
-def metric_pairing(x, pair_a, pair_b):
-    """The mixed metric on tangent pairs: <.h,.h>_s + <.v,.v>_{1-s}."""
+def metric_pairing(x, spec, pair_a, pair_b):
+    """The mixed metric on tangent pairs (arrays): <.h,.h>_s + <.v,.v>_{1-s}."""
     ah, av = pair_a
     bh, bv = pair_b
-    hs = np.sum(x.frame.weights(x.s) * ah.coefficients * bh.coefficients)
-    vs = np.sum(x.frame.weights(1.0 - x.s) * av.coefficients * bv.coefficients)
+    hs = np.sum(x.frame.weights(spec.s) * ah * bh)
+    vs = np.sum(x.frame.weights(1.0 - spec.s) * av * bv)
     return float(hs + vs)
+
+
+def _padded_modes(loops, J):
+    """The cos and sin coefficients of loops as two (N, J, n) stacks, each
+    loop's rows zero-padded (+0.0) past its modes."""
+    shape = (len(loops), J, loops[0].manifold.dim)
+    cos, sin = np.zeros(shape), np.zeros(shape)
+    for row, loop in enumerate(loops):
+        cos[row, :loop.modes] = loop.cos_coeffs
+        sin[row, :loop.modes] = loop.sin_coeffs
+    return cos, sin
 
 
 def perturb(x, eps, xi=None, eta=None):
     """The phase point (q + eps xi, p + eps eta), exact in coefficients.
 
-    xi and eta are FiberFields in x's frame; the loop's stored base
-    moves by eps xi(0) so the anchoring convention is preserved.  The
-    winding class never changes.
+    xi and eta are (D,) coefficient arrays in x's frame; any other shape
+    raises ValueError.  The loop's stored base moves by eps xi(0) so the
+    anchoring convention is preserved.  The winding class never changes.
     """
     loop = x.loop
     frame = x.frame
-    J = frame.cutoff
-    n = loop.manifold.dim
+    if any(v is not None and np.shape(v) != (frame.dim,) for v in (xi, eta)):
+        raise ValueError(f"tangents need shape ({frame.dim},), got {np.shape(xi)}, {np.shape(eta)}")
     if xi is not None:
-        xa0, xa, xb = frame.series(xi.coefficients)
-        pad = np.zeros((J - loop.modes, n))
-        new_cos = np.vstack([loop.cos_coeffs, pad]) + eps * xa
-        new_sin = np.vstack([loop.sin_coeffs, pad]) + eps * xb
+        xa0, xa, xb = frame.series(xi)
+        cos, sin = _padded_modes([loop], frame.cutoff)
         new_base = np.asarray(loop.base) + eps * (xa0 + xa.sum(axis=0))
-        loop = LoopPath(manifold=loop.manifold, winding=loop.winding,
-                        base=tuple(new_base), cos_coeffs=new_cos, sin_coeffs=new_sin)
-    coeffs = x.fiber.coefficients if eta is None else x.fiber.coefficients + eps * eta.coefficients
-    return PhasePoint(loop=loop, fiber=FiberField(frame, coeffs), s=x.s)
+        loop = LoopPath(manifold=loop.manifold, winding=loop.winding, base=tuple(new_base),
+                        cos_coeffs=cos[0] + eps * xa, sin_coeffs=sin[0] + eps * xb)
+    coeffs = x.fiber.coefficients if eta is None else x.fiber.coefficients + eps * eta
+    return PhasePoint(loop=loop, fiber=FiberField(frame, coeffs))
 
 
 def hamilton_residual(x, spec):
@@ -303,11 +311,7 @@ def classify_critical(x, spec):
 
 def pack_coefficients(x):
     """Flatten the free coordinates (loop cos/sin, fiber) into one vector."""
-    J = x.frame.cutoff
-    n = x.loop.manifold.dim
-    pad = np.zeros((J - x.loop.modes, n))
-    cos = np.vstack([x.loop.cos_coeffs, pad])
-    sin = np.vstack([x.loop.sin_coeffs, pad])
+    cos, sin = _padded_modes([x.loop], x.frame.cutoff)
     return np.concatenate([cos.reshape(-1), sin.reshape(-1), x.fiber.coefficients])
 
 
@@ -320,7 +324,7 @@ def unpack_coefficients(x, vec):
     sin = vec[k:2 * k].reshape(J, n)
     loop = LoopPath(manifold=x.loop.manifold, winding=x.loop.winding, base=x.loop.base,
                     cos_coeffs=cos, sin_coeffs=sin)
-    return PhasePoint(loop=loop, fiber=FiberField(x.frame, vec[2 * k:].copy()), s=x.s)
+    return PhasePoint(loop=loop, fiber=FiberField(x.frame, vec[2 * k:].copy()))
 
 
 def random_phase_point(spec, rng):
@@ -335,17 +339,16 @@ def random_phase_point(spec, rng):
     frame = frame_of(loop, spec.J)
     c = 0.3 * rng.standard_normal(frame.dim) / frame.weights(0.75)
     c[:2] += loop.drift
-    return PhasePoint(loop=loop, fiber=FiberField(frame, c), s=spec.s)
+    return PhasePoint(loop=loop, fiber=FiberField(frame, c))
 
 
-def random_direction(x, rng):
-    """A tangent direction (xi, eta) of unit mixed-metric norm at x."""
+def random_direction(x, spec, rng):
+    """A tangent direction (xi, eta) of arrays, of unit mixed-metric norm at x."""
     frame = x.frame
-    xi = FiberField(frame, rng.standard_normal(frame.dim) / frame.weights(0.75))
-    eta = FiberField(frame, rng.standard_normal(frame.dim) / frame.weights(0.75))
-    scale = np.sqrt(metric_pairing(x, (xi, eta), (xi, eta)))
-    return (FiberField(frame, (1.0 / scale) * xi.coefficients),
-            FiberField(frame, (1.0 / scale) * eta.coefficients))
+    xi = rng.standard_normal(frame.dim) / frame.weights(0.75)
+    eta = rng.standard_normal(frame.dim) / frame.weights(0.75)
+    scale = np.sqrt(metric_pairing(x, spec, (xi, eta), (xi, eta)))
+    return (1.0 / scale) * xi, (1.0 / scale) * eta
 
 
 def directional_derivative_check(x, spec, xi, eta, step=1e-5):
@@ -354,4 +357,4 @@ def directional_derivative_check(x, spec, xi, eta, step=1e-5):
     a_minus = action(perturb(x, -step, xi=xi, eta=eta), spec)
     fd = (a_plus - a_minus) / (2.0 * step)
     grad_h, grad_v = gradient(x, spec)
-    return fd, metric_pairing(x, (grad_h, grad_v), (xi, eta))
+    return fd, metric_pairing(x, spec, (grad_h, grad_v), (xi, eta))

@@ -38,6 +38,11 @@ MAX_R_COUNT = 10_000
 # and every row is held until the CSV is written
 MAX_COUNT = 10_000
 
+# largest metrics-compare --n-max: each winding n is an embedded-metric
+# eigensolve (about 0.7 ms at J = 32), and every row is held until the
+# CSV is written
+MAX_N_MAX = 10_000
+
 SWEEP_COLUMNS = ("r", "theta", "classification", "action", "sigma",
                  "leaf_action", "grad_norm", "steps")
 
@@ -242,6 +247,7 @@ def cmd_spectrum(args):
 
 
 def cmd_metrics_compare(args):
+    _check_count("n-max", args.n_max, MAX_N_MAX)
     _, spec, config = _settings(args)
     circle = embedded_circle()
     ones = np.ones((default_samples(spec.J), 1))
@@ -297,9 +303,9 @@ def cmd_orbit_sweep(args):
     return 0
 
 
-def _check_count(count):
-    if count > MAX_COUNT:
-        raise ValueError(f"count must lie in [1, {MAX_COUNT}], got {count}")
+def _check_count(name, count, cap):
+    if count > cap:
+        raise ValueError(f"{name} must lie in [1, {cap}], got {count}")
 
 
 def _ps_row(k, traj, spec, config):
@@ -313,7 +319,7 @@ def _ps_row(k, traj, spec, config):
 
 
 def cmd_ps_diagnose(args):
-    _check_count(args.count)
+    _check_count("count", args.count, MAX_COUNT)
     _, spec, config = _settings(args)
     horizon = min(args.horizon, config.t_max)
     if args.fixture == "divergent":
@@ -334,13 +340,13 @@ def cmd_ps_diagnose(args):
 
 
 def cmd_gradient_check(args):
-    _check_count(args.count)
+    _check_count("count", args.count, MAX_COUNT)
     _, spec, config = _settings(args)
     rows = []
     for k in range(args.count):
         rng = np.random.default_rng([args.seed, k])
         x = random_phase_point(spec, rng)
-        xi, eta = random_direction(x, rng)
+        xi, eta = random_direction(x, spec, rng)
         fd, exact = directional_derivative_check(x, spec, xi, eta, step=args.step)
         rows.append((k, fd, exact, abs(fd - exact) / max(1.0, abs(exact))))
     _emit(args, "gradient-check", spec, config,

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .action import (PhasePoint, derivative_coefficients, evaluate, perturb,
+from .action import (PhasePoint, _padded_modes, derivative_coefficients, evaluate, perturb,
                      require_finite, velocity_coefficients, velocity_layout)
 from .geometry import flat_torus, straight_loop
 from .hamiltonian import alpha_bound, smoothstep
@@ -60,7 +60,7 @@ class FlowConfig:
     plateau must have room to fall); when derived from a Hamiltonian
     spec, gamma' = gamma + alpha/epsilon^2 + 1 with alpha the fiber
     action bound of the family.  The regularity s and the cutoff J are
-    the spec's: the flow reads them from its states and their frame.
+    the spec's: the flow reads spec.s and its states' frame.
     """
 
     gamma: float
@@ -142,8 +142,8 @@ def flow_velocity(x, spec, config, qd=None, c=None):
     qd = velocity_coefficients(x.loop, frame) if qd is None else qd
     c = x.fiber.coefficients if c is None else c
     a, gh, gv = evaluate(x, spec, qd, c)
-    gn = math.sqrt(frame.norm(x.s, gh) ** 2 + frame.norm(1.0 - x.s, gv) ** 2)
-    phi_tilde = speed_cutoff(config, frame.norm(1.0 - x.s, c)) / math.sqrt(1.0 + gn * gn)
+    gn = math.sqrt(frame.norm(spec.s, gh) ** 2 + frame.norm(1.0 - spec.s, gv) ** 2)
+    phi_tilde = speed_cutoff(config, frame.norm(1.0 - spec.s, c)) / math.sqrt(1.0 + gn * gn)
     return Velocity(-phi_tilde * gh, -phi_tilde * gv, gn, phi_tilde, a, qd)
 
 
@@ -168,7 +168,7 @@ def _rk4(x, spec, config, dt, k1):
     k4 = stage(dt, k3)
     ch, cv = ((u1 + 2.0 * u2 + 2.0 * u3 + u4) / 6.0
               for u1, u2, u3, u4 in zip(k1[:2], k2[:2], k3[:2], k4[:2]))
-    return perturb(x, dt, xi=FiberField(frame, ch), eta=FiberField(frame, cv))
+    return perturb(x, dt, xi=ch, eta=cv)
 
 
 def _step(x, spec, config, dt, k1):
@@ -188,7 +188,7 @@ class FlowTrajectory:
     """A recorded flow run: states with per-state diagnostics.
 
     ab holds the representation pair (a(t), b(t)); phi_tilde the
-    normalized speed weights the pair integrates.
+    normalized speed weights the pair integrates; s the flow's spec.s.
     """
 
     times: np.ndarray
@@ -197,6 +197,7 @@ class FlowTrajectory:
     gradient_norms: np.ndarray
     phi_tilde: np.ndarray
     ab: np.ndarray
+    s: float
     budget_exhausted: bool = False
 
     @property
@@ -204,16 +205,16 @@ class FlowTrajectory:
         return self.states[-1]
 
 
-def _trajectory(times, states, records, budget_exhausted=False):
-    """The FlowTrajectory of states whose records are the three scalars
-    (grad_norm, phi~, action) of their Velocities; (a, b) come from the
-    trapezoidal integral of phi~."""
+def _trajectory(times, states, records, s, budget_exhausted=False):
+    """The FlowTrajectory at regularity s of states whose records are the
+    three scalars (grad_norm, phi~, action) of their Velocities; (a, b)
+    come from the trapezoidal integral of phi~."""
     times = np.asarray(times)
     grad_norms, phi_tilde, actions = np.array(records, dtype=float).reshape(-1, 3).T
     integral = np.concatenate([[0.0], np.cumsum(np.diff(times) * 0.5 * (phi_tilde[1:] + phi_tilde[:-1]))])
     return FlowTrajectory(times=times, states=states, actions=actions,
                           gradient_norms=grad_norms, phi_tilde=phi_tilde,
-                          ab=np.column_stack([-np.sinh(integral), np.cosh(integral)]),
+                          ab=np.column_stack([-np.sinh(integral), np.cosh(integral)]), s=s,
                           budget_exhausted=budget_exhausted)
 
 
@@ -259,7 +260,7 @@ def flow(x0, spec, config, T):
         times.append(t)
         states.append(x)
         records.append((k.grad_norm, k.phi_tilde, k.action))
-    return _trajectory(times, states, records, budget_exhausted=bool(times[-1] < T - 1e-12))
+    return _trajectory(times, states, records, spec.s, bool(times[-1] < T - 1e-12))
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,7 +306,7 @@ def representation_defects(traj):
     (N, D) array of frame coefficients, one row per state."""
     x0 = traj.states[0]
     frame = x0.frame
-    jq0 = frame.weights(x0.s - 1.0) * velocity_coefficients(x0.loop, frame)
+    jq0 = frame.weights(traj.s - 1.0) * velocity_coefficients(x0.loop, frame)
     fibers = np.stack([x.fiber.coefficients for x in traj.states])
     return fibers - traj.ab[:, :1] * jq0 - traj.ab[:, 1:] * x0.fiber.coefficients
 
@@ -315,7 +316,7 @@ def representation_coefficients(traj):
     against the hyperbolic combination of the initial data, residual in
     the (1-s)-norm."""
     x0 = traj.states[0]
-    return np.column_stack([traj.ab, x0.frame.norm(1.0 - x0.s, representation_defects(traj))])
+    return np.column_stack([traj.ab, x0.frame.norm(1.0 - traj.s, representation_defects(traj))])
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,16 +353,12 @@ def ps_diagnostics(traj, spec, config):
     call, the trajectory does not keep it.
     """
     x0 = traj.states[0]
-    frame, s, n = x0.frame, x0.s, x0.frame.n
+    frame, s, n = x0.frame, spec.s, x0.frame.n
     p = np.stack([x.fiber.coefficients for x in traj.states])
     # every loop's modes, zero-padded to J (a start loop may carry fewer)
-    drift = np.empty((len(p), n))
-    cos, sin = np.zeros((2, len(p), frame.cutoff, n))
-    for row, x in enumerate(traj.states):
-        drift[row] = x.loop.drift
-        cos[row, :x.loop.modes] = x.loop.cos_coeffs
-        sin[row, :x.loop.modes] = x.loop.sin_coeffs
-    qd = velocity_layout(frame, drift, cos, sin)
+    loops = [x.loop for x in traj.states]
+    qd = velocity_layout(frame, np.stack([loop.drift for loop in loops]),
+                         *_padded_modes(loops, frame.cutoff))
     tail = p.copy()
     tail[:, :n] = 0.0
     v2 = np.sum(p ** 2, axis=1) / (1.0 + frame.norm(1.0 - s, p))
@@ -388,8 +385,8 @@ def divergent_fixture(spec, config):
     loop = straight_loop(flat_torus(2), (1, 0), modes=spec.J)
     frame = frame_of(loop, spec.J)
     qd = velocity_coefficients(loop, frame)
-    states = [PhasePoint(loop=loop, fiber=FiberField(frame, -(1.0 + k) * scale * qd), s=spec.s)
+    states = [PhasePoint(loop=loop, fiber=FiberField(frame, -(1.0 + k) * scale * qd))
               for k in range(steps)]
     velocities = [flow_velocity(x, spec, config) for x in states]
     return _trajectory(config.dt * np.arange(steps), states,
-                       [(k.grad_norm, k.phi_tilde, k.action) for k in velocities])
+                       [(k.grad_norm, k.phi_tilde, k.action) for k in velocities], spec.s)

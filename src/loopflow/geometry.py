@@ -23,9 +23,10 @@ base point is exactly the position at parameter 0:
 
 Fields along a loop are not held here: on these models the coordinate
 components of a tangent field are a complete, metric-orthonormal
-description, so a field is its coefficients in the spectral frame
-(spectral.FiberField), and its covariant derivative is the parameter
-derivative of those coefficients (action.derivative_coefficients).
+description, so a field is its coefficient array in the spectral frame
+(spectral.FiberField for a state's fiber), and its covariant derivative
+is the parameter derivative of those coefficients
+(action.derivative_coefficients).
 """
 
 import hashlib

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .action import (PhasePoint, action, classify_critical, derivative_coefficients,
-                     fiber_evaluation, gradient, gradient_norm, loop_energy, pack_coefficients,
-                     require_finite, unpack_coefficients, velocity_coefficients)
+from .action import (PhasePoint, classify_critical, derivative_coefficients, fiber_evaluation,
+                     gradient, gradient_norm, loop_energy, pack_coefficients, require_finite,
+                     unpack_coefficients, velocity_coefficients)
 from .flow import _step, flow_velocity
 from .geometry import flat_torus, straight_loop
 from .hamiltonian import alpha_bound, r0_threshold, radial_H_jet
@@ -298,7 +298,7 @@ def _envelope_descent(x, spec, config, tol):
     dt = 5.0 * config.dt
     for rounds in range(DESCENT_ROUNDS):
         asc = fiber_sup(x.loop, spec, config, seeds=[x.fiber.coefficients])[0]
-        x = PhasePoint(loop=x.loop, fiber=asc.field, s=spec.s)
+        x = PhasePoint(loop=x.loop, fiber=asc.field)
         k = flow_velocity(x, spec, config)
         if k.grad_norm <= tol:
             return rounds, x, k
@@ -331,19 +331,19 @@ def _critical_system(x, spec):
     frame = x.frame
     n, J, dim = frame.n, frame.cutoff, frame.dim
     k = 2 * J * n  # packed loop coordinates: cos then sin, each (J, n)
-    vertical = frame.weights(0.5 * (x.s - 1.0))
+    vertical = frame.weights(0.5 * (spec.s - 1.0))
 
     def fun(vec):
         grad_h, grad_v = gradient(unpack_coefficients(x, vec), spec)
-        return np.concatenate([frame.weights(0.5 * x.s) * grad_h.coefficients,
-                               frame.weights(0.5 * (1.0 - x.s)) * grad_v.coefficients])
+        return np.concatenate([frame.weights(0.5 * spec.s) * grad_h,
+                               frame.weights(0.5 * (1.0 - spec.s)) * grad_v])
 
     def jac(vec):
         # the constant blocks are rebuilt on each call rather than kept:
         # held, they would add to the peak memory of the factorization
         out = np.zeros((2 * dim, k + dim))
         out[:dim, k:] = derivative_coefficients(frame, np.eye(dim)).T
-        out[:dim, k:] *= -frame.weights(-0.5 * x.s)[:, None]
+        out[:dim, k:] *= -frame.weights(-0.5 * spec.s)[:, None]
         unit = np.eye(k).reshape(k, 2, J, n)
         out[dim:, :k] = frame.layout(
             *fourier.differentiate(np.zeros((k, n)), unit[:, 0], unit[:, 1])).T
@@ -481,18 +481,19 @@ def _level(ascents, spec, config):
                for seen, c in descended):
             continue
         descended.append((loop, start))
-        rounds, x, k = _envelope_descent(PhasePoint(loop=loop, fiber=res.field, s=spec.s), spec,
-                                         config, HANDOFF)
+        rounds, x, k = _envelope_descent(PhasePoint(loop=loop, fiber=res.field), spec, config,
+                                         HANDOFF)
         if k.action > best[0]:
             best = (k.action, x, rounds)
     _, witness, rounds = best
     converged = rounds < DESCENT_ROUNDS
     if converged:
         witness = refine_critical(witness, spec)
-    theta = action(witness, spec)
+    # one evaluation gives the level and the witness's gradient norm
+    k = flow_velocity(witness, spec, config)
+    theta, gn = k.action, k.grad_norm
     if theta < -1e-6:
         raise ArithmeticError(f"minimax level {theta:.3e} fell below the zero section")
-    gn = gradient_norm(witness, spec)
     cls = classify_critical(witness, spec)
     sym = symplectic_action(witness)
     leaf = sym if cls.kind == "on-hypersurface" else None

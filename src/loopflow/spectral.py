@@ -17,8 +17,10 @@ the same dimension share it.  A dense collocation eigensolve of the
 same operator (dense_mode_eigenvalues) is an independent reference that
 cross-validates the shortcut.
 
-A field along a loop is its frame coefficients (FiberField); sampled
-field data enter only through SpectralFrame.coefficients.  It and
+A field along a loop is its (D,) frame coefficient array; FiberField
+binds a state's fiber to its frame, read-only and shape-checked, and
+tangent vectors stay plain arrays.  Sampled field data enter only
+through SpectralFrame.coefficients.  It and
 SpectralFrame.samples move straight between frame coefficients and the
 rfft spectrum, through per-grid slot and scale vectors the frame keeps
 (SpectralFrame._spectrum), with the arithmetic of the trig-series route
@@ -263,7 +265,8 @@ class SpectralFrame:
 
 @dataclass(frozen=True, eq=False)
 class FiberField:
-    """A field along a loop, stored by its frame coefficients."""
+    """A state's fiber field, stored by its frame coefficients (read-only,
+    shape-checked); tangent vectors are plain coefficient arrays."""
 
     frame: SpectralFrame
     coefficients: np.ndarray

@@ -119,7 +119,7 @@ def test_c05_gradient_finite_difference(spec):
     for k in range(100):
         rng = np.random.default_rng([5, k])
         x = random_phase_point(spec, rng)
-        xi, eta = random_direction(x, rng)
+        xi, eta = random_direction(x, spec, rng)
         fd, exact = directional_derivative_check(x, spec, xi, eta)
         worst = max(worst, abs(fd - exact) / max(1.0, abs(exact)))
     assert worst <= 1e-5
@@ -133,7 +133,7 @@ def test_c06_geodesic_minimum_and_reconvergence(spec, config):
     gn = gradient_norm(xg, spec)
     assert gn <= 1e-8
     rng = np.random.default_rng(5)
-    xi, eta = random_direction(xg, rng)
+    xi, eta = random_direction(xg, spec, rng)
     xp = perturb(xg, 0.1, xi=xi, eta=eta)
     xc, ok = composite_descent(xp, spec, config)
     assert ok

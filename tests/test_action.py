@@ -7,11 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from loopflow.action import (PhasePoint, action, classify_critical,
-                             directional_derivative_check, gradient, gradient_norm, hamilton_residual, loop_energy,
+from loopflow.action import (PhasePoint, action, classify_critical, derivative_coefficients,
+                             directional_derivative_check, evaluate, fiber_evaluation, gradient, gradient_norm, hamilton_residual, loop_energy,
                              metric_pairing, pack_coefficients, perturb,
                              random_direction, random_phase_point,
-                             straight_orbit, unpack_coefficients)
+                             straight_orbit, unpack_coefficients, velocity_coefficients)
+from loopflow.flow import flow_velocity
 from loopflow.geometry import flat_torus, random_loop, straight_loop
 from loopflow.hamiltonian import radial_H
 from loopflow.spectral import FiberField, SpectralFrame, frame_of
@@ -58,7 +59,7 @@ def test_fake_geodesic_is_vertically_critical(spec):
     rho_f1, _ = oracles.fake_radii()
     x = constant_momentum_orbit(spec, rho_f1)
     _, grad_v = gradient(x, spec)
-    assert x.frame.norm(1.0 - spec.s, grad_v.coefficients) <= 1e-9
+    assert x.frame.norm(1.0 - spec.s, grad_v) <= 1e-9
     np.testing.assert_allclose(action(x, spec), oracles.fake_value(spec.r), atol=1e-10)
 
 
@@ -66,7 +67,7 @@ def test_directional_derivative_matches_gradient(spec, rng):
     worst = 0.0
     for _ in range(10):
         x = random_phase_point(spec, rng)
-        xi, eta = random_direction(x, rng)
+        xi, eta = random_direction(x, spec, rng)
         fd, exact = directional_derivative_check(x, spec, xi, eta)
         worst = max(worst, abs(fd - exact) / max(1.0, abs(exact)))
     assert worst <= 1e-7
@@ -78,23 +79,23 @@ def test_directional_derivative_matches_gradient_on_random_states(spec, seed):
     # states and directions drawn from hypothesis-chosen seeds
     rng = np.random.default_rng(seed)
     x = random_phase_point(spec, rng)
-    xi, eta = random_direction(x, rng)
+    xi, eta = random_direction(x, spec, rng)
     fd, exact = directional_derivative_check(x, spec, xi, eta)
     assert abs(fd - exact) / max(1.0, abs(exact)) <= 1e-7
 
 
 def test_metric_pairing_properties(spec, rng):
     x = random_phase_point(spec, rng)
-    da = random_direction(x, rng)
-    db = random_direction(x, rng)
-    np.testing.assert_allclose(metric_pairing(x, da, da), 1.0, rtol=1e-12)
-    np.testing.assert_allclose(metric_pairing(x, da, db), metric_pairing(x, db, da),
+    da = random_direction(x, spec, rng)
+    db = random_direction(x, spec, rng)
+    np.testing.assert_allclose(metric_pairing(x, spec, da, da), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(metric_pairing(x, spec, da, db), metric_pairing(x, spec, db, da),
                                rtol=1e-12)
 
 
 def test_perturb_moves_non_kernel_modes(spec, rng):
     x = random_phase_point(spec, rng)
-    xi, eta = random_direction(x, rng)
+    xi, eta = random_direction(x, spec, rng)
     y = perturb(x, 0.0, xi=xi, eta=eta)
     np.testing.assert_allclose(y.fiber.coefficients, x.fiber.coefficients)
     np.testing.assert_allclose(y.loop.cos_coeffs[: x.loop.modes], x.loop.cos_coeffs)
@@ -104,11 +105,44 @@ def test_perturb_moves_non_kernel_modes(spec, rng):
     np.testing.assert_allclose(z.loop.coordinates(0.0)[0], z.loop.base, atol=1e-12)
 
 
+def test_perturb_rejects_tangents_of_another_shape(spec, rng):
+    # a (1,) eta would broadcast over every fiber coefficient
+    x = random_phase_point(spec, rng)
+    xi, eta = random_direction(x, spec, rng)
+    for bad in ({"eta": np.ones(1)}, {"xi": np.ones(1), "eta": eta}, {"xi": xi[:-1]},
+                {"eta": np.stack([eta, eta])}, {"xi": x.fiber}):
+        with pytest.raises(ValueError, match="tangents need shape"):
+            perturb(x, 1e-3, **bad)
+
+
+def test_the_metric_exponent_is_the_spec_s(spec, config, rng):
+    # a state carries no regularity: evaluated at a spec with another s,
+    # the gradient, its norm and the flow velocity use that spec's weights
+    x = random_phase_point(spec, rng)
+    other = replace(spec, s=0.6)
+    frame, c = x.frame, x.fiber.coefficients
+    a, gh, _ = evaluate(x, spec)
+    a6, gh6, gv6 = evaluate(x, other)
+    assert a6 == a
+    np.testing.assert_array_equal(gh6, -frame.weights(-0.6) * derivative_coefficients(frame, c))
+    _, dv, _ = fiber_evaluation(frame, velocity_coefficients(x.loop, frame), c, spec)
+    np.testing.assert_array_equal(gv6, frame.weights(0.6 - 1.0) * dv)
+    assert not np.allclose(gh6, gh)
+    norm6 = np.sqrt(frame.norm(0.6, gh6) ** 2 + frame.norm(0.4, gv6) ** 2)
+    assert gradient_norm(x, other) == float(norm6) != gradient_norm(x, spec)
+    k6 = flow_velocity(x, other, config)
+    assert k6.grad_norm == gradient_norm(x, other)
+    np.testing.assert_array_equal(k6.vertical, -k6.phi_tilde * gv6)
+    xi, eta = random_direction(x, other, rng)
+    assert metric_pairing(x, other, (xi, eta), (xi, eta)) == pytest.approx(1.0, rel=1e-12)
+    assert metric_pairing(x, spec, (xi, eta), (xi, eta)) != pytest.approx(1.0, rel=1e-3)
+
+
 def test_classify_constant(spec):
     loop = straight_loop(flat_torus(2), (0, 0), modes=spec.J)
     frame = frame_of(loop, spec.J)
     from loopflow.action import PhasePoint
-    x = PhasePoint(loop=loop, fiber=FiberField(frame, np.zeros(frame.dim)), s=spec.s)
+    x = PhasePoint(loop=loop, fiber=FiberField(frame, np.zeros(frame.dim)))
     assert classify_critical(x, spec).kind == "constant"
 
 
@@ -140,7 +174,7 @@ def test_classify_straddling_is_unclassified(spec, rng):
     c[0] = 0.45
     c[2] = 0.3  # cos mode 1: rho(t) varies in [0.15, 0.75] roughly
     from loopflow.action import PhasePoint
-    x = PhasePoint(loop=loop, fiber=FiberField(frame, c), s=spec.s)
+    x = PhasePoint(loop=loop, fiber=FiberField(frame, c))
     assert classify_critical(x, spec).kind == "unclassified"
 
 
@@ -156,9 +190,9 @@ def test_phase_point_rejects_frames_that_do_not_fit_the_loop(rng):
     loop = random_loop(flat_torus(2), (1, 0), 4, rng)
     for frame in (SpectralFrame(3, 4), SpectralFrame(2, 3)):
         with pytest.raises(ValueError):
-            PhasePoint(loop=loop, fiber=FiberField(frame, np.zeros(frame.dim)), s=0.75)
+            PhasePoint(loop=loop, fiber=FiberField(frame, np.zeros(frame.dim)))
     frame = SpectralFrame(2, 6)
-    x = PhasePoint(loop=loop, fiber=FiberField(frame, np.zeros(frame.dim)), s=0.75)
+    x = PhasePoint(loop=loop, fiber=FiberField(frame, np.zeros(frame.dim)))
     assert x.frame is frame
 
 

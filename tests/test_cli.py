@@ -250,6 +250,22 @@ def test_count_above_the_cap_exits_2(command, tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_n_max_above_the_cap_exits_2(tmp_path, capsys, monkeypatch):
+    code = run(["metrics-compare", "--n-max", str(cli.MAX_N_MAX + 1)] + out_args(tmp_path, "many"))
+    assert code == 2
+    assert not (tmp_path / "many").exists()
+    assert f"n-max must lie in [1, {cli.MAX_N_MAX}], got {cli.MAX_N_MAX + 1}" in \
+        capsys.readouterr().err
+    # the cap itself is allowed
+    monkeypatch.setattr(cli, "MAX_N_MAX", 2)
+    argv = ["metrics-compare", "--modes", "4", "--r-list", "0.5", "--n-max"]
+    assert run(argv + ["3"] + out_args(tmp_path, "three")) == 2
+    assert run(argv + ["2"] + out_args(tmp_path, "two")) == 0
+    _, rows, _ = read_csv(tmp_path / "two" / "metrics_compare.csv")
+    assert [row[0] for row in rows] == ["1", "2"]
+    capsys.readouterr()
+
+
 def test_ps_diagnose_reports_each_trajectory_before_the_next_flow(tmp_path, capsys, monkeypatch):
     # one trajectory alive at a time: each is reported, then dropped,
     # before the next flow starts

@@ -61,7 +61,7 @@ def reference_terms(x, spec):
                       where=rho > 0.0)
     dpH = scale[:, None] * p
     lam = frame.eigenvalues
-    return a, (1.0 + lam) ** (x.s - 1.0) * frame.coefficients(qdot - dpH)
+    return a, (1.0 + lam) ** (spec.s - 1.0) * frame.coefficients(qdot - dpH)
 
 
 def reference_derivative(frame, c):
@@ -85,7 +85,7 @@ def random_point(spec, manifold, winding, modes, rng):
     frame = frame_of(loop, spec.J)
     c = 0.3 * rng.standard_normal(frame.dim) / (1.0 + frame.eigenvalues) ** 0.75
     c[:manifold.dim] += loop.drift / np.linalg.norm(loop.drift) * rng.uniform(0.1, 1.0)
-    return PhasePoint(loop=loop, fiber=FiberField(frame, c), s=spec.s)
+    return PhasePoint(loop=loop, fiber=FiberField(frame, c))
 
 
 MODELS = [(flat_torus(2), (1, 0)), (flat_torus(2), (1, 1)), (embedded_circle(), (1,))]
@@ -112,8 +112,8 @@ def test_evaluator_matches_separate_formulas(J, model):
             # the thin callers read the same evaluation
             assert action(x, spec) == a
             grad_h, grad_v = gradient(x, spec)
-            np.testing.assert_array_equal(grad_h.coefficients, gh)
-            np.testing.assert_array_equal(grad_v.coefficients, gv)
+            np.testing.assert_array_equal(grad_h, gh)
+            np.testing.assert_array_equal(grad_v, gv)
 
 
 @pytest.mark.parametrize("J", [1, 8, 32])

@@ -26,7 +26,7 @@ def high_mode_state(spec):
     k = n + (J - 1) * 2 * n
     c[k] = 0.12 * math.sqrt(2.0)          # cos mode J, coordinate 0
     c[k + n + 1] = 0.12 * math.sqrt(2.0)  # sin mode J, coordinate 1
-    return PhasePoint(loop=loop, fiber=FiberField(frame, c), s=spec.s)
+    return PhasePoint(loop=loop, fiber=FiberField(frame, c))
 
 
 MANUAL_CONFIG = FlowConfig(gamma=0.3, gamma_prime=0.5, gamma_dprime=2.0, epsilon=0.5,
@@ -91,7 +91,7 @@ def test_flow_horizon_guard(spec, config):
 def with_nan_fiber(x):
     c = x.fiber.coefficients.copy()
     c[3] = np.nan
-    return PhasePoint(loop=x.loop, fiber=FiberField(x.frame, c), s=x.s)
+    return PhasePoint(loop=x.loop, fiber=FiberField(x.frame, c))
 
 
 def test_flow_rejects_non_finite_start(small_spec, small_config, rng):
@@ -104,7 +104,7 @@ def test_flow_to_critical_rejects_non_finite_start(small_spec, small_config, rng
     x = random_phase_point(small_spec, rng)
     cos = x.loop.cos_coeffs.copy()
     cos[0, 1] = np.inf
-    bad = PhasePoint(loop=dataclasses.replace(x.loop, cos_coeffs=cos), fiber=x.fiber, s=x.s)
+    bad = PhasePoint(loop=dataclasses.replace(x.loop, cos_coeffs=cos), fiber=x.fiber)
     with pytest.raises(ValueError, match="flow_to_critical start state has non-finite loop"):
         flow_to_critical(bad, small_spec, small_config)
     with pytest.raises(ValueError, match="non-finite fiber"):
@@ -123,7 +123,7 @@ def test_flow_states_share_one_frame(small_spec, small_config, rng):
 def test_stationary_point_stays(spec, config):
     loop = straight_loop(flat_torus(2), (0, 0), modes=spec.J)
     frame = frame_of(loop, spec.J)
-    x = PhasePoint(loop=loop, fiber=FiberField(frame, np.zeros(frame.dim)), s=spec.s)
+    x = PhasePoint(loop=loop, fiber=FiberField(frame, np.zeros(frame.dim)))
     traj = flow(x, spec, config, 0.05)
     np.testing.assert_allclose(traj.actions, 0.0, atol=1e-14)
     np.testing.assert_allclose(traj.gradient_norms, 0.0, atol=1e-12)
@@ -260,10 +260,8 @@ def test_reused_k1_matches_recomputed_k1(small_spec, small_config, rng, monkeypa
 # perturb, and j*qdot(0) by sampling the loop velocity and analyzing it.
 
 def reference_rk4(x, spec, config, dt, k1):
-    frame = x.frame
-
     def stage(h, k):
-        xk = perturb(x, h, xi=FiberField(frame, k.horizontal), eta=FiberField(frame, k.vertical))
+        xk = perturb(x, h, xi=k.horizontal, eta=k.vertical)
         return flow_velocity(xk, spec, config)
 
     k2 = stage(0.5 * dt, k1)
@@ -271,7 +269,7 @@ def reference_rk4(x, spec, config, dt, k1):
     k4 = stage(dt, k3)
     ch = (k1.horizontal + 2.0 * k2.horizontal + 2.0 * k3.horizontal + k4.horizontal) / 6.0
     cv = (k1.vertical + 2.0 * k2.vertical + 2.0 * k3.vertical + k4.vertical) / 6.0
-    return perturb(x, dt, xi=FiberField(frame, ch), eta=FiberField(frame, cv))
+    return perturb(x, dt, xi=ch, eta=cv)
 
 
 def reference_representation(traj):
@@ -279,8 +277,8 @@ def reference_representation(traj):
     frame = x0.frame
     m = fourier.default_samples(frame.cutoff)
     qd0 = frame.coefficients(x0.loop.velocity_samples(m))
-    jq0 = (1.0 + frame.eigenvalues) ** (x0.s - 1.0) * qd0
-    w = (1.0 + frame.eigenvalues) ** (1.0 - x0.s)
+    jq0 = (1.0 + frame.eigenvalues) ** (traj.s - 1.0) * qd0
+    w = (1.0 + frame.eigenvalues) ** (1.0 - traj.s)
     defects, rows = [], []
     for k, xk in enumerate(traj.states):
         a_k, b_k = float(traj.ab[k, 0]), float(traj.ab[k, 1])
@@ -296,14 +294,14 @@ def reference_ps(traj):
         frame, n, lam = xk.frame, xk.loop.manifold.dim, xk.frame.eigenvalues
         pc = xk.fiber.coefficients
         diff = velocity_coefficients(xk.loop, frame) - pc
-        v1.append(np.sqrt(np.sum((1.0 + lam) ** (xk.s - 1.0) * diff ** 2)))
-        v2.append(float(np.sum(pc ** 2)) / (1.0 + frame.norm(1.0 - xk.s, pc)))
+        v1.append(np.sqrt(np.sum((1.0 + lam) ** (traj.s - 1.0) * diff ** 2)))
+        v2.append(float(np.sum(pc ** 2)) / (1.0 + frame.norm(1.0 - traj.s, pc)))
         pdot = derivative_coefficients(frame, pc)
-        v3.append(np.sqrt(np.sum((1.0 + lam) ** (-xk.s) * pdot ** 2)))
+        v3.append(np.sqrt(np.sum((1.0 + lam) ** (-traj.s) * pdot ** 2)))
         kpar.append(np.sqrt(np.sum(pc[:n] ** 2)))
         tail = pc.copy()
         tail[:n] = 0.0
-        ktil.append(np.sqrt(np.sum((1.0 + lam) ** (1.0 - xk.s) * tail ** 2)))
+        ktil.append(np.sqrt(np.sum((1.0 + lam) ** (1.0 - traj.s) * tail ** 2)))
     v2 = np.asarray(v2)
     mid = len(v2) // 2
     growth = bool(len(v2) >= 4 and v2[-1] > v2[0] + 1e-9 and v2[-1] > 1.5 * v2[mid] + 1e-9)
@@ -326,7 +324,7 @@ def model_point(spec, model, modes, rng):
     frame = frame_of(loop, spec.J)
     c = 0.3 * rng.standard_normal(frame.dim) / (1.0 + frame.eigenvalues) ** 0.75
     c[:manifold.dim] += 0.8 * loop.drift / np.linalg.norm(loop.drift)
-    return PhasePoint(loop=loop, fiber=FiberField(frame, c), s=spec.s)
+    return PhasePoint(loop=loop, fiber=FiberField(frame, c))
 
 
 @pytest.mark.parametrize("J", [8, 32])
@@ -340,7 +338,7 @@ def test_stage_velocity_coefficients_match_perturbed_loops(J, model):
         qd = velocity_coefficients(x.loop, frame)
         for h in (0.005, 0.05, 0.7):
             xi = rng.standard_normal(frame.dim) / (1.0 + frame.eigenvalues) ** 0.5
-            moved = perturb(x, h, xi=FiberField(frame, xi))
+            moved = perturb(x, h, xi=xi)
             want = velocity_coefficients(moved.loop, frame)
             got = qd + h * derivative_coefficients(frame, xi)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -369,7 +367,7 @@ def test_rk4_matches_stages_built_by_perturb(J, model):
 def reference_ps_arrays(traj):
     # ps_diagnostics' five arrays, with one velocity_coefficients call per state
     x0 = traj.states[0]
-    frame, s, n = x0.frame, x0.s, x0.frame.n
+    frame, s, n = x0.frame, traj.s, x0.frame.n
     p = np.stack([x.fiber.coefficients for x in traj.states])
     qd = np.stack([velocity_coefficients(x.loop, frame) for x in traj.states])
     tail = p.copy()
@@ -388,7 +386,7 @@ def diagnosed_trajectories(spec, config):
     frame = frame_of(loop, spec.J)
     c = 0.3 * np.random.default_rng(6).standard_normal(frame.dim) / frame.weights(0.75)
     c[:2] += loop.drift
-    bare = flow(PhasePoint(loop=loop, fiber=FiberField(frame, c), s=spec.s), spec, config, 0.5)
+    bare = flow(PhasePoint(loop=loop, fiber=FiberField(frame, c)), spec, config, 0.5)
     assert bare.states[0].loop.modes == 0 and bare.final.loop.modes == spec.J
     return [high, rand, divergent_fixture(spec, config), bare]
 

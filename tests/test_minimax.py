@@ -22,7 +22,7 @@ from loopflow.hamiltonian import default_spec, radial_H
 from loopflow.minimax import (ASCENT_TOL, composite_descent, default_family, fiber_hessian,
                               fiber_sup, minimax_theta, orbit_sweep, pool_size, refine_critical,
                               symplectic_action)
-from loopflow.spectral import FiberField, frame_of
+from loopflow.spectral import frame_of
 
 
 def reference_ascent(frame, qd, spec, c0, radius, iters, tol):
@@ -158,7 +158,7 @@ def test_fiber_sup_finds_the_shelf_maximizer(spec, config):
     assert best.converged
     # oracle: tests/oracles.py::shelf_value / sigma_landing
     np.testing.assert_allclose(best.action, 0.249619705159, atol=1e-6)
-    x = PhasePoint(loop=loop, fiber=best.field, s=spec.s)
+    x = PhasePoint(loop=loop, fiber=best.field)
     from loopflow.action import classify_critical
     cls = classify_critical(x, spec)
     assert cls.kind == "on-hypersurface"
@@ -281,7 +281,7 @@ def test_refine_critical_jacobian_matches_finite_differences():
     spec = default_spec(J=8)
     xg = straight_orbit(flat_torus(2), (1, 0), spec)
     for x in (random_phase_point(spec, np.random.default_rng(8)),
-              perturb(xg, 1e-3, eta=FiberField(xg.frame, np.cos(np.arange(xg.frame.dim))))):
+              perturb(xg, 1e-3, eta=np.cos(np.arange(xg.frame.dim)))):
         fun, jac = minimax._critical_system(x, spec)
         x0 = pack_coefficients(x)
         exact = jac(x0)
@@ -292,7 +292,7 @@ def test_refine_critical_jacobian_matches_finite_differences():
 
 def test_refine_critical_never_worsens(spec, rng):
     x = straight_orbit(flat_torus(2), (1, 0), spec)
-    xi, eta = random_direction(x, rng)
+    xi, eta = random_direction(x, spec, rng)
     y = perturb(x, 1e-5, xi=xi, eta=eta)
     z = refine_critical(y, spec, max_nfev=200)
     assert gradient_norm(z, spec) <= gradient_norm(y, spec)
@@ -314,7 +314,7 @@ def test_refine_critical_matches_the_trf_reference(spec, config, rng, monkeypatc
     # those witnesses moved 1e-3 off: there the polish is nonlinear and
     # a single Gauss-Newton step stops at gradient norms of 1e-6 to 1e-3
     x = straight_orbit(flat_torus(2), (1, 0), spec)
-    xi, eta = random_direction(x, rng)
+    xi, eta = random_direction(x, spec, rng)
     states = [(perturb(x, 1e-5, xi=xi, eta=eta), spec)]
     witnesses = []
     monkeypatch.setattr(minimax, "refine_critical",
@@ -324,7 +324,7 @@ def test_refine_critical_matches_the_trf_reference(spec, config, rng, monkeypatc
         minimax_theta(default_family(r_spec), r_spec, config)
     assert len(witnesses) == 4
     for x, x_spec in witnesses:
-        xi, eta = random_direction(x, rng)
+        xi, eta = random_direction(x, x_spec, rng)
         states += [(x, x_spec), (perturb(x, 1e-3, xi=xi, eta=eta), x_spec)]
     monkeypatch.undo()
     for x, x_spec in states:
@@ -345,6 +345,9 @@ def test_minimax_theta_default_family(spec, config):
     np.testing.assert_allclose(rec.leaf_action,
                                spec.rho_star * math.exp(rec.sigma), atol=1e-8)
     assert rec.grad_norm <= 1e-6
+    # the level and gradient norm come from one evaluation of the witness
+    assert (rec.theta, rec.grad_norm) == (action(rec.witness, spec),
+                                          gradient_norm(rec.witness, spec))
     row = rec.to_row()
     assert row["r"] == spec.r and row["theta"] == rec.theta
 
@@ -469,7 +472,7 @@ def test_minimax_theta_descends_once_on_the_straight_loop(spec, config, monkeypa
 
 def perturbed_orbit(spec):
     xg = straight_orbit(flat_torus(2), (1, 0), spec)
-    xi, eta = random_direction(xg, np.random.default_rng(5))
+    xi, eta = random_direction(xg, spec, np.random.default_rng(5))
     return perturb(xg, 0.1, xi=xi, eta=eta)
 
 
@@ -623,7 +626,7 @@ def reference_composite_descent(x, spec, config):
     tol = 0.01 * config.grad_tol
     for _ in range(minimax.DESCENT_ROUNDS):
         asc = fiber_sup(x.loop, spec, config, seeds=[x.fiber.coefficients])[0]
-        x = PhasePoint(loop=x.loop, fiber=asc.field, s=spec.s)
+        x = PhasePoint(loop=x.loop, fiber=asc.field)
         if gradient_norm(x, spec) <= tol:
             return x, True
         x, _, _ = flow_mod._step(x, spec, config, 5.0 * config.dt,

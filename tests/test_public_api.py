@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import loopflow
@@ -68,6 +69,15 @@ def test_pyproject_version_is_the_package_version():
     # the version's only two copies; read with a regex, as tomllib needs Python 3.11
     text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
     assert re.search(r'^version = "([^"]*)"$', text, re.M).group(1) == loopflow.__version__
+
+
+def test_a_phase_point_holds_only_its_loop_and_fiber():
+    # the regularity s is the spec's; a trajectory keeps the s it was flowed at
+    assert [f.name for f in fields(loopflow.PhasePoint)] == ["loop", "fiber"]
+    assert "s" in [f.name for f in fields(loopflow.FlowTrajectory)]
+    assert list(inspect.signature(loopflow.metric_pairing).parameters) == \
+        ["x", "spec", "pair_a", "pair_b"]
+    assert list(inspect.signature(loopflow.action.random_direction).parameters) == ["x", "spec", "rng"]
 
 
 def test_frame_of_takes_no_method():
