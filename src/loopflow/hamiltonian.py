@@ -28,9 +28,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 # largest mode cutoff J: the dense (D, m, n) eigenfield basis that a
-# frame keeps once the Newton endgame, the exact least-squares Jacobian
-# or embedded_metric first reads it (SpectralFrame.basis) reaches about
-# 67 MB here and grows as J^2
+# frame keeps once the fiber ascent's Newton endgame or embedded_metric
+# first reads it (SpectralFrame.basis) reaches about 67 MB here and grows
+# as J^2
 MAX_MODES = 512
 
 

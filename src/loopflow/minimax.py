@@ -14,9 +14,11 @@ and re-ascends the fiber, so the loop moves along the envelope gradient
 the highest action down; the level is the largest action a descent ends
 at, so a maximizer below it cannot raise the level, and a copy of a
 maximizer already descended would only repeat its descent.  Witnesses
-are polished before classification by a Levenberg-Marquardt least
-squares on the stacked gradient coefficients, with the exact Jacobian
-and SVD steps; it needs numpy only, so importing the package loads no
+are polished before classification by Gauss-Newton steps on the
+stacked gradient coefficients, backtracked until the residual falls.
+The Jacobian is block-triangular, so each step is solved through its
+blocks (two scaled permutations and one n x n kernel solve) without
+forming it; it needs numpy only, so importing the package loads no
 scipy.
 """
 
@@ -39,7 +41,7 @@ from .spectral import FiberField, frame_of
 ASCENT_TOL = 1e-9
 ASCENT_ITERS = 600
 DESCENT_ROUNDS = 4000    # re-ascend-then-step rounds of one envelope descent
-HANDOFF = 1e-2           # gradient norm below which Newton or least squares takes over
+HANDOFF = 1e-2           # gradient norm below which the Newton endgame or the polish takes over
 SAME_MAXIMIZER = 1e-6    # (1-s)-distance below which two ascents found one maximizer
 
 
@@ -73,29 +75,33 @@ def _project_ball(coeffs, frame, r, radius):
     return coeffs, clipped
 
 
-def fiber_hessian(frame, c, spec):
-    """Hessian of the H term of the action in the fiber coefficients c.
-
-    It is the quadrature compression sum_t basis_k(t)^T W(t) basis_l(t) / m
-    of the pointwise fiber Hessian W(t) = h'' phat phat^T
-    + (h'/rho)(1 - phat phat^T) of H_r; the action's fiber Hessian is
-    its negative.  basis holds the sampled eigenfields (D, m, n) that
-    the frame keeps (frame.basis).  The compression is one two-operand
-    einsum (W applied to every eigenfield) and one BLAS product of the
-    flattened (D, m n) arrays.
-    """
-    n = frame.n
-    basis = frame.basis
-    dim, m, _ = basis.shape
-    p = frame.samples(c, m)
+def _pointwise_hessian(frame, c, spec):
+    """The pointwise fiber Hessian of H_r at the fiber with coefficients
+    c, on the default grid: W(t) = (h'/rho) I + (h'' - h'/rho) phat phat^T,
+    an (m, n, n) array."""
+    p = frame.samples(c)
     rho = np.sqrt(np.sum(p ** 2, axis=1))
     safe = np.where(rho > 1e-12, rho, 1.0)
     _, h1, h2 = radial_H_jet(spec, rho)
     ratio = h1 / safe
     phat = p / safe[:, None]
-    w = (ratio[:, None, None] * np.eye(n)[None, :, :]
-         + (h2 - ratio)[:, None, None] * phat[:, :, None] * phat[:, None, :])
-    applied = np.einsum("tij,ltj->lti", w, basis)
+    return (ratio[:, None, None] * np.eye(frame.n)[None, :, :]
+            + (h2 - ratio)[:, None, None] * phat[:, :, None] * phat[:, None, :])
+
+
+def fiber_hessian(frame, c, spec):
+    """Hessian of the H term of the action in the fiber coefficients c.
+
+    It is the quadrature compression sum_t basis_k(t)^T W(t) basis_l(t) / m
+    of the pointwise fiber Hessian W(t) of H_r (_pointwise_hessian); the
+    action's fiber Hessian is its negative.  basis holds the sampled
+    eigenfields (D, m, n) that the frame keeps (frame.basis).  The
+    compression is one two-operand einsum (W applied to every
+    eigenfield) and one BLAS product of the flattened (D, m n) arrays.
+    """
+    basis = frame.basis
+    dim, m, _ = basis.shape
+    applied = np.einsum("tij,ltj->lti", _pointwise_hessian(frame, c, spec), basis)
     hess = basis.reshape(dim, -1) @ applied.reshape(dim, -1).T
     hess /= m
     return hess
@@ -317,98 +323,96 @@ def composite_descent(x, spec, config):
 
 
 def _critical_system(x, spec):
-    """The residual and its exact Jacobian that refine_critical drives
-    to zero, as functions of the packed unknowns (pack_coefficients).
+    """The residual that refine_critical drives to zero, as a function of
+    the packed unknowns (pack_coefficients), and its Gauss-Newton step.
 
-    The residual is [(1+lam)^{s/2} grad_h, (1+lam)^{(1-s)/2} grad_v],
-    and its Jacobian has four blocks.  The horizontal residual -(1+lam)^{-s/2} (dp/dt
-    coefficients) is linear in c and does not see the loop.  The
-    vertical residual (1+lam)^{(s-1)/2} (qd - dH/dp coefficients) is
-    linear in the loop through its velocity coefficients qd, and its
-    c-block is -(1+lam)^{(s-1)/2} fiber_hessian, the only block that
-    changes from point to point.
+    The residual is [(1+lam)^{s/2} grad_h, (1+lam)^{(1-s)/2} grad_v] =
+    [f_h, f_v], and its Jacobian is block-triangular, so step(vec, f)
+    solves J delta = f through the blocks without forming J:
+
+    * f_h = -(1+lam)^{-s/2} (dp/dt coefficients) is linear in c alone.
+      Its n kernel rows vanish, and outside them d/dt is an invertible
+      scaled permutation (cos <-> sin partner times +-2 pi j), whose
+      inverse is -d/dt / lam; so the non-kernel fiber step is read off
+      f_h.
+    * f_v = V (qd - dH/dp coefficients), V = (1+lam)^{(s-1)/2}, sees the
+      loop only through its velocity coefficients qd, the t-derivative
+      of its position coefficients; its c-block is -V H, with H the
+      quadrature compression of the pointwise fiber Hessian W(t).
+    * qd is constant in the kernel, so the n kernel rows of f_v give the
+      one coupled solve, H_kk dc_k = -f_v,k / V_k - (H dc_nk)_k with
+      H_kk = mean_t W(t).  It runs by lstsq with rcond 1e-13: on the
+      flat zones of H_r, W = 0.
+    * The loop step is then the antiderivative of f_v / V + H dc.
+
+    H v is applied as frame.coefficients(W frame.samples(v)), one irfft
+    and one rfft: the quadrature that fiber_hessian compresses.
     """
     frame = x.frame
     n, J, dim = frame.n, frame.cutoff, frame.dim
     k = 2 * J * n  # packed loop coordinates: cos then sin, each (J, n)
-    vertical = frame.weights(0.5 * (spec.s - 1.0))
+    scale_h = frame.weights(-0.5 * spec.s)
+    scale_v = frame.weights(0.5 * (spec.s - 1.0))
 
     def fun(vec):
         grad_h, grad_v = gradient(unpack_coefficients(x, vec), spec)
         return np.concatenate([frame.weights(0.5 * spec.s) * grad_h,
                                frame.weights(0.5 * (1.0 - spec.s)) * grad_v])
 
-    def jac(vec):
-        # the constant blocks are rebuilt on each call rather than kept:
-        # held, they would add to the peak memory of the factorization
-        out = np.zeros((2 * dim, k + dim))
-        out[:dim, k:] = derivative_coefficients(frame, np.eye(dim)).T
-        out[:dim, k:] *= -frame.weights(-0.5 * spec.s)[:, None]
-        unit = np.eye(k).reshape(k, 2, J, n)
-        out[dim:, :k] = frame.layout(
-            *fourier.differentiate(np.zeros((k, n)), unit[:, 0], unit[:, 1])).T
-        out[dim:, :k] *= vertical[:, None]
-        hess = fiber_hessian(frame, vec[k:], spec)
-        hess *= -vertical[:, None]
-        out[dim:, k:] = hess
+    def antiderivative(v):
+        # the inverse of d/dt outside the kernel, -d/dt / lam; +0.0 in it
+        out = derivative_coefficients(frame, v)
+        out[n:] /= -frame.eigenvalues[n:]
         return out
 
-    return fun, jac
+    def step(vec, f):
+        w = _pointwise_hessian(frame, vec[k:], spec)
 
+        def hess(v):
+            return frame.coefficients(np.einsum("tij,tj->ti", w, frame.samples(v)))
 
-def _levenberg_marquardt(fun, jac, vec, max_nfev):
-    """Minimize |fun(vec)|^2 by Gauss-Newton steps, damped when they fail
-    (Levenberg-Marquardt; Nocedal & Wright, ch. 10).
+        dc = antiderivative(-f[:dim] / scale_h)
+        rhs = -f[dim:dim + n] / scale_v[:n] - hess(dc)[:n]
+        dc[:n] = np.linalg.lstsq(w.mean(axis=0), rhs, rcond=1e-13)[0]
+        _, da, db = frame.series(antiderivative(f[dim:] / scale_v + hess(dc)))
+        return np.concatenate([da.reshape(-1), db.reshape(-1), dc])
 
-    Each Jacobian gets one thin SVD; singular values below 1e-13 of the
-    largest are cut, since the critical set has symmetry directions
-    along which the Jacobian vanishes.  The step with damping mu is
-    -sum_i sv_i (u_i . f) / (sv_i^2 + mu) v_i, and only a step that
-    lowers the cost is taken.  mu starts at 0, where the step (computed
-    as (u_i . f) / (sv_i + mu / sv_i)) is exactly the Gauss-Newton
-    step; a rejected step raises it tenfold, from 1e-6 sv_0^2, and a
-    taken one lowers it tenfold.  The iteration stops when a step is
-    below 1e-15 (1e-15 + |vec|), so that damping cannot find a decrease
-    any more, or after max_nfev residual evaluations.
-    """
-    f = fun(vec)
-    cost, nfev, damping = f @ f, 1, 0.0
-    while nfev < max_nfev:
-        u, sv, vt = np.linalg.svd(jac(vec), full_matrices=False)
-        keep = sv > 1e-13 * sv[0]
-        sv, vt, uf = sv[keep], vt[keep], u[:, keep].T @ f
-        while nfev < max_nfev:
-            step = vt.T @ (uf / (sv + damping / sv))
-            trial = vec - step
-            f_trial = fun(trial)
-            nfev += 1
-            small = np.linalg.norm(step) <= 1e-15 * (1e-15 + np.linalg.norm(vec))
-            if f_trial @ f_trial < cost:
-                vec, f, cost = trial, f_trial, f_trial @ f_trial
-                damping *= 0.1
-                break
-            if small:
-                break
-            damping = 10.0 * damping if damping else 1e-6 * sv[0] ** 2
-        if small:
-            break
-    return vec
+    return fun, step
 
 
 def refine_critical(x, spec, max_nfev=4000):
-    """Polish a near-critical state by least squares on the stacked
-    metric-weighted gradient coefficients, with the exact Jacobian.
+    """Polish a near-critical state by Gauss-Newton on the stacked
+    metric-weighted gradient coefficients (Nocedal & Wright, ch. 10).
 
     The unknowns are the packed loop cos/sin coefficients and the fiber
     coefficients c (pack_coefficients); _critical_system gives the
-    residual and its four-block Jacobian, and _levenberg_marquardt
-    drives the residual to roundoff in numpy alone, spending at most
-    max_nfev residual evaluations.  The polished state is returned only
-    if its gradient norm is no larger than the input's.
+    residual and the exact Gauss-Newton step, solved through the
+    Jacobian's blocks.  Each step is backtracked: t delta is tried for
+    t = 1, 1/2, 1/4, ... until the residual norm falls.  The polish stops
+    when a tried step is below 1e-15 (1e-15 + |vec|), so that no decrease
+    can be found any more, or after max_nfev residual evaluations.  The
+    polished state is returned only if its gradient norm is no larger
+    than the input's.
     """
-    fun, jac = _critical_system(x, spec)
-    refined = unpack_coefficients(x, _levenberg_marquardt(fun, jac, pack_coefficients(x),
-                                                          max_nfev))
+    fun, step = _critical_system(x, spec)
+    vec = pack_coefficients(x)
+    f = fun(vec)
+    cost, nfev, small = f @ f, 1, False
+    while nfev < max_nfev and not small:
+        delta = step(vec, f)
+        size, t = np.linalg.norm(delta), 1.0
+        while nfev < max_nfev:
+            trial = vec - t * delta
+            f_trial = fun(trial)
+            nfev += 1
+            small = t * size <= 1e-15 * (1e-15 + np.linalg.norm(vec))
+            if f_trial @ f_trial < cost:
+                vec, f, cost = trial, f_trial, f_trial @ f_trial
+                break
+            if small:
+                break
+            t *= 0.5
+    refined = unpack_coefficients(x, vec)
     return refined if gradient_norm(refined, spec) <= gradient_norm(x, spec) else x
 
 

@@ -12,10 +12,10 @@ from scipy.optimize._numdiff import approx_derivative
 import oracles
 import loopflow.action as action_mod
 import loopflow.flow as flow_mod
-from loopflow import minimax
-from loopflow.action import (PhasePoint, action, gradient_norm, pack_coefficients, perturb,
-                             random_direction, random_phase_point, straight_orbit,
-                             unpack_coefficients, velocity_coefficients)
+from loopflow import fourier, minimax
+from loopflow.action import (PhasePoint, action, derivative_coefficients, gradient_norm,
+                             pack_coefficients, perturb, random_direction, random_phase_point,
+                             straight_orbit, unpack_coefficients, velocity_coefficients)
 from loopflow.flow import FlowConfig
 from loopflow.geometry import flat_torus, random_loop, straight_loop
 from loopflow.hamiltonian import default_spec, radial_H
@@ -275,19 +275,91 @@ def test_batched_ascent_matches_reference_on_the_ball(small_spec, small_config, 
         batched_against_reference(x.loop, small_spec, config, [seed], 40, evaluated)
 
 
-def test_refine_critical_jacobian_matches_finite_differences():
-    # the residual and Jacobian refine_critical polishes with, at the
-    # packed unknowns of two states
-    spec = default_spec(J=8)
+def dense_jacobian(x, spec, vec):
+    # the exact four-block Jacobian of _critical_system's residual at vec,
+    # as the polish once formed it for a thin SVD.  The horizontal rows
+    # -(1+lam)^{-s/2} (dp/dt coefficients) are linear in c alone, the
+    # vertical rows (1+lam)^{(s-1)/2} (qd - dH/dp coefficients) are linear
+    # in the loop through qd, and their c-block is -(1+lam)^{(s-1)/2}
+    # fiber_hessian
+    frame = x.frame
+    n, J, dim = frame.n, frame.cutoff, frame.dim
+    k = 2 * J * n
+    vertical = frame.weights(0.5 * (spec.s - 1.0))
+    out = np.zeros((2 * dim, k + dim))
+    out[:dim, k:] = derivative_coefficients(frame, np.eye(dim)).T
+    out[:dim, k:] *= -frame.weights(-0.5 * spec.s)[:, None]
+    unit = np.eye(k).reshape(k, 2, J, n)
+    out[dim:, :k] = frame.layout(
+        *fourier.differentiate(np.zeros((k, n)), unit[:, 0], unit[:, 1])).T
+    out[dim:, :k] *= vertical[:, None]
+    out[dim:, k:] = -vertical[:, None] * fiber_hessian(frame, vec[k:], spec)
+    return out
+
+
+def jacobian_states(spec):
+    # a random phase point and a perturbed straight orbit
     xg = straight_orbit(flat_torus(2), (1, 0), spec)
-    for x in (random_phase_point(spec, np.random.default_rng(8)),
-              perturb(xg, 1e-3, eta=np.cos(np.arange(xg.frame.dim)))):
-        fun, jac = minimax._critical_system(x, spec)
+    return (random_phase_point(spec, np.random.default_rng(8)),
+            perturb(xg, 1e-3, eta=np.cos(np.arange(xg.frame.dim))))
+
+
+def test_refine_critical_jacobian_matches_finite_differences():
+    # the residual refine_critical polishes, against the dense Jacobian
+    # reference, at the packed unknowns of two states
+    spec = default_spec(J=8)
+    for x in jacobian_states(spec):
+        fun, _ = minimax._critical_system(x, spec)
         x0 = pack_coefficients(x)
-        exact = jac(x0)
+        exact = dense_jacobian(x, spec, x0)
         fd = approx_derivative(fun, x0, method="3-point")
         assert exact.shape == fd.shape == (2 * x.frame.dim, 2 * spec.J * 2 + x.frame.dim)
         assert np.max(np.abs(exact - fd)) <= 1e-8 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("J", [8, 32, 64])
+def test_structured_step_is_the_least_squares_step_of_the_dense_jacobian(J):
+    spec = default_spec(J=J)
+    for x in jacobian_states(spec):
+        fun, step = minimax._critical_system(x, spec)
+        x0 = pack_coefficients(x)
+        f = fun(x0)
+        ref = np.linalg.lstsq(dense_jacobian(x, spec, x0), f, rcond=None)[0]
+        got = step(x0, f)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+# constant fibers where H_r is flat, so that W(t) = 0 and the kernel block
+# of the step is zero: the zero section (chi = phi = 0) and the plateau
+# rho* e^delta < rho <= rho1 (H_r = r)
+@pytest.mark.parametrize("rho", [0.1, 0.38])
+@pytest.mark.parametrize("eps", [0.0, 1e-4])
+def test_refine_critical_on_a_singular_kernel_block(spec, rho, eps):
+    x = straight_orbit(flat_torus(2), (1, 0), spec, momentum=(rho, 0.0))
+    wave = np.cos(np.arange(x.frame.dim)) / (1.0 + x.frame.eigenvalues)
+    x = perturb(x, eps, xi=wave, eta=wave)
+    assert not np.any(minimax._pointwise_hessian(x.frame, x.fiber.coefficients, spec))
+    z = refine_critical(x, spec)
+    assert gradient_norm(z, spec) <= gradient_norm(x, spec)
+
+
+def test_refine_critical_forms_no_dense_matrix(monkeypatch):
+    # the unpolished witness of the benchmark's J = 64, r = 1 level,
+    # polished with no SVD and no dense fiber Hessian
+    spec = default_spec(J=64, r=1.0)
+    witnesses = []
+    monkeypatch.setattr(minimax, "refine_critical", lambda x, x_spec: witnesses.append(x) or x)
+    minimax_theta(default_family(spec), spec, FlowConfig.auto(spec))
+    monkeypatch.undo()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the polish formed a dense matrix")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(minimax, "fiber_hessian", refuse)
+    (x,) = witnesses
+    assert gradient_norm(x, spec) > 1e-13
+    assert gradient_norm(refine_critical(x, spec), spec) <= 1e-13
 
 
 def test_refine_critical_never_worsens(spec, rng):
@@ -300,10 +372,10 @@ def test_refine_critical_never_worsens(spec, rng):
 
 def trf_polish(x, spec):
     # the polish as scipy's trust-region reflective least squares ran it,
-    # on the same residual and Jacobian, with the same guard
-    fun, jac = minimax._critical_system(x, spec)
-    sol = least_squares(fun, pack_coefficients(x), jac=jac, method="trf", xtol=1e-15,
-                        ftol=1e-15, gtol=1e-15, max_nfev=4000)
+    # on the same residual and the dense Jacobian, with the same guard
+    fun, _ = minimax._critical_system(x, spec)
+    sol = least_squares(fun, pack_coefficients(x), jac=lambda vec: dense_jacobian(x, spec, vec),
+                        method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=4000)
     refined = unpack_coefficients(x, sol.x)
     return refined if gradient_norm(refined, spec) <= gradient_norm(x, spec) else x
 
