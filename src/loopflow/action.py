@@ -32,19 +32,25 @@ the results equal it bit for bit with far fewer numpy calls.  When
 every sampled radius lies in the quadratic zone rho >= 2 rho1, where
 H_r = r + rho^2/2, H and dH/dp are read off in closed form instead:
 the same bits, without the radial_H_jet pass (see fiber_evaluation).
-action, gradient and hamilton_residual are thin callers of it.  The
+action, gradient and hamilton_residual are thin callers of it.
+gradient_norm and the flow's stage kernel read it through
+metric_gradient, whose horizontal gradient is one gather times a gain
+and whose norm is two weighted dot products, with the arrays of a
+GradientPlan made once per frame and s.  The
 same evaluation takes a batch of fibers over one loop, as the fiber
 ascent does, with every row equal bit for bit to that fiber evaluated
 alone.
 """
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import fourier
 from .geometry import LoopPath, flat_torus, random_loop, straight_loop
-from .spectral import FiberField, frame_of
+from .spectral import FiberField, SpectralFrame, frame_of
 from .hamiltonian import TIE_BAND, radial_H_jet
 
 # top of the quadratic zone of fiber_evaluation: from about 1.34e154 on,
@@ -206,11 +212,58 @@ def gradient(x, spec):
     return evaluate(x, spec)[1:]
 
 
+class GradientPlan(NamedTuple):
+    """The arrays of the metric gradient at one frame and regularity s,
+    made once by gradient_plan and read by metric_gradient.
+
+    The horizontal gradient -(1+lam)^{-s} (dp/dt coefficients) is one
+    gather of the cos/sin partners times gain = -(1+lam)^{-s} (+-2 pi j),
+    +-0.0 in the kernel.  Its own t-derivative is diagonal: rate * c, with
+    rate = -(1+lam)^{-s} lam, since d^2/dt^2 is -lam outside the kernel.
+    weight_h, weight_v and scale_v are (1+lam)^s, (1+lam)^{1-s} and
+    (1+lam)^{s-1}: the weights of the s-norm, of the (1-s)-norm and of the
+    vertical gradient.
+    """
+
+    frame: SpectralFrame
+    partner: np.ndarray
+    gain: np.ndarray
+    rate: np.ndarray
+    weight_h: np.ndarray
+    weight_v: np.ndarray
+    scale_v: np.ndarray
+
+
+def gradient_plan(frame, s):
+    """The GradientPlan of the frame at regularity s."""
+    partner, frequency = frame._derivative_map
+    w = frame.weights(-s)
+    return GradientPlan(frame, partner, -w * frequency, -w * frame.eigenvalues,
+                        frame.weights(s), frame.weights(1.0 - s), frame.weights(s - 1.0))
+
+
+def metric_gradient(plan, qd, c, spec):
+    """(action, grad_h, grad_v, grad_norm) at velocity coefficients qd and
+    fiber coefficients c, from one fiber_evaluation.
+
+    grad_h and grad_v are evaluate's gradient parts up to roundoff
+    (grad_v bit for bit); grad_h is c[partner] * gain.  The norm in the
+    mixed (s, 1-s) metric is the square root of two weighted dot
+    products.  This is the one gradient-norm formula: gradient_norm and
+    the flow's velocity both read it.
+    """
+    a, dv, _ = fiber_evaluation(plan.frame, qd, c, spec)
+    grad_h = c[plan.partner] * plan.gain
+    grad_v = plan.scale_v * dv
+    return a, grad_h, grad_v, math.sqrt(grad_h @ (plan.weight_h * grad_h)
+                                        + grad_v @ (plan.weight_v * grad_v))
+
+
 def gradient_norm(x, spec):
-    """Norm of the gradient in the mixed (s, 1-s) metric."""
-    _, grad_h, grad_v = evaluate(x, spec)
+    """Norm of the gradient in the mixed (s, 1-s) metric (metric_gradient)."""
     frame = x.frame
-    return float(np.sqrt(frame.norm(spec.s, grad_h) ** 2 + frame.norm(1.0 - spec.s, grad_v) ** 2))
+    return metric_gradient(gradient_plan(frame, spec.s), velocity_coefficients(x.loop, frame),
+                           x.fiber.coefficients, spec)[3]
 
 
 def metric_pairing(x, spec, pair_a, pair_b):
@@ -246,10 +299,13 @@ def perturb(x, eps, xi=None, eta=None):
         raise ValueError(f"tangents need shape ({frame.dim},), got {np.shape(xi)}, {np.shape(eta)}")
     if xi is not None:
         xa0, xa, xb = frame.series(xi)
-        cos, sin = _padded_modes([loop], frame.cutoff)
+        if loop.modes == frame.cutoff:
+            cos, sin = loop.cos_coeffs, loop.sin_coeffs
+        else:
+            cos, sin = (a[0] for a in _padded_modes([loop], frame.cutoff))
         new_base = np.asarray(loop.base) + eps * (xa0 + xa.sum(axis=0))
         loop = LoopPath(manifold=loop.manifold, winding=loop.winding, base=tuple(new_base),
-                        cos_coeffs=cos[0] + eps * xa, sin_coeffs=sin[0] + eps * xb)
+                        cos_coeffs=cos + eps * xa, sin_coeffs=sin + eps * xb)
     coeffs = x.fiber.coefficients if eta is None else x.fiber.coefficients + eps * eta
     return PhasePoint(loop=loop, fiber=FiberField(frame, coeffs))
 

@@ -11,11 +11,17 @@ action by more than the per-step tolerance; since the field is bounded,
 explicit stepping is stable at fixed dt.  The action reads a state only
 through its velocity and fiber coefficients, so the inner RK4 stages
 are evaluated on those arrays and only the state a step returns is
-built as a PhasePoint.  The evaluation that accepts a step is the next
-step's k1: an accepted step costs four evaluations (k2-k4 and the new
-state).  One stepping driver serves both flow, which records every
-state, and flow_to_critical, which stops at the first state that
-converges or falls below its floor.
+built as a PhasePoint.  Each march makes one action.gradient_plan of
+its frame and spec.s, and every stage is one kernel call (_velocity):
+one fiber_evaluation, the horizontal gradient as one gather times a
+gain, and the gradient and fiber norms as weighted dot products.  A
+stage's loop velocity needs no gather either, since the t-derivative of
+the horizontal gradient is a diagonal of the plan.  The evaluation that
+accepts a step is the next step's k1: an accepted step costs four
+evaluations (k2-k4 and the new state), eight FFTs in all.  One stepping
+driver serves both flow, which records every state, and
+flow_to_critical, which stops at the first state that converges or
+falls below its floor.
 
 Along a trajectory the vertical component satisfies a linear
 inhomogeneous ODE whose homogeneous weights are hyperbolic in the
@@ -41,8 +47,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .action import (PhasePoint, _padded_modes, derivative_coefficients, evaluate, perturb,
-                     require_finite, velocity_coefficients, velocity_layout)
+from .action import (PhasePoint, _padded_modes, derivative_coefficients, gradient_plan,
+                     metric_gradient, perturb, require_finite, velocity_coefficients,
+                     velocity_layout)
 from .geometry import flat_torus, straight_loop
 from .hamiltonian import alpha_bound, smoothstep
 from .spectral import FiberField, frame_of
@@ -113,70 +120,83 @@ def speed_cutoff(config, fiber_norm):
         return 1.0
     if fiber_norm >= hi:
         return 0.0
-    s, _, _, _ = smoothstep((fiber_norm - lo) / (hi - lo))
+    s, = smoothstep((fiber_norm - lo) / (hi - lo), order=0)
     return float(1.0 - s)
 
 
 class Velocity(NamedTuple):
-    """V_r at a state as frame coefficient arrays, with the gradient norm,
-    phi~ and the action found on the way, and the velocity coefficients
-    of the state's loop, which the RK4 step from that state reuses."""
+    """V_r = -phi~ (grad_h, grad_v) at velocity coefficients loop_velocity
+    and fiber coefficients fiber, kept as the raw metric gradient and
+    phi~, with the gradient norm and the action found on the way.  The
+    RK4 step from a state reuses its loop_velocity and fiber."""
 
-    horizontal: np.ndarray
-    vertical: np.ndarray
+    grad_h: np.ndarray
+    grad_v: np.ndarray
     grad_norm: float
     phi_tilde: float
     action: float
     loop_velocity: np.ndarray
+    fiber: np.ndarray
 
 
-def flow_velocity(x, spec, config, qd=None, c=None):
-    """V_r at x from one evaluation, as a Velocity.
+def _velocity(plan, qd, c, spec, config):
+    """The stage kernel: V_r at velocity coefficients qd and fiber
+    coefficients c from one metric_gradient (one fiber_evaluation).
+    phi~ = cut/sqrt(1 + |grad|^2) is the normalized speed weight whose
+    time integral drives the representation coefficients; the fiber norm
+    the cutoff reads is a weighted dot product."""
+    a, gh, gv, gn = metric_gradient(plan, qd, c, spec)
+    phi_tilde = speed_cutoff(config, math.sqrt(c @ (plan.weight_v * c))) / math.sqrt(1.0 + gn * gn)
+    return Velocity(gh, gv, gn, phi_tilde, a, qd, c)
 
-    qd and c, when given, are the velocity and fiber coefficients of a
-    state in x's frame that stand in for x's own (an RK4 stage).  phi~ =
-    cut/sqrt(1 + |grad|^2) is the normalized speed weight whose time
-    integral drives the representation coefficients.
+
+def _state_velocity(plan, x, spec, config):
+    # the kernel at a state's own coefficients, its loop velocity read off the loop
+    return _velocity(plan, velocity_coefficients(x.loop, plan.frame), x.fiber.coefficients,
+                     spec, config)
+
+
+def flow_velocity(x, spec, config):
+    """V_r at x from one evaluation, as a Velocity: the stage kernel with
+    a plan made for this call."""
+    return _state_velocity(gradient_plan(x.frame, spec.s), x, spec, config)
+
+
+def _rk4(x, spec, config, dt, k1, plan):
+    """The RK4 step of size dt from x, whose velocity k1 is given; plan is
+    x's gradient_plan.
+
+    Stage k_{i+1} is the kernel at fiber c - h phi_i grad_v,i and loop
+    velocity qd + h d/dt(-phi_i grad_h,i) = qd + h phi_i rate * c_i, with
+    c_i the fiber k_i was evaluated at: the t-derivative of the
+    horizontal gradient is diagonal (GradientPlan.rate), so no stage
+    gathers.  These are the coefficients of perturb(x, h, -phi_i grad_i)
+    up to roundoff; qd and c are x's, as k1 carries them.  perturb builds
+    only the state returned, moved by -(phi_1 g_1 + 2 phi_2 g_2 +
+    2 phi_3 g_3 + phi_4 g_4)/6 in each part.
     """
-    frame = x.frame
-    qd = velocity_coefficients(x.loop, frame) if qd is None else qd
-    c = x.fiber.coefficients if c is None else c
-    a, gh, gv = evaluate(x, spec, qd, c)
-    gn = math.sqrt(frame.norm(spec.s, gh) ** 2 + frame.norm(1.0 - spec.s, gv) ** 2)
-    phi_tilde = speed_cutoff(config, frame.norm(1.0 - spec.s, c)) / math.sqrt(1.0 + gn * gn)
-    return Velocity(-phi_tilde * gh, -phi_tilde * gv, gn, phi_tilde, a, qd)
-
-
-def _rk4(x, spec, config, dt, k1):
-    """The RK4 step of size dt from x, whose velocity k1 is given.
-
-    The stages k2-k4 are evaluated at velocity coefficients
-    qd + h d/dt(k.horizontal) and fiber coefficients c + h k.vertical,
-    the coefficients of perturb(x, h, k) up to roundoff; qd is x's loop
-    velocity as k1 carries it, and perturb builds only the state returned.
-    """
-    frame = x.frame
-    qd = k1.loop_velocity
-    c = x.fiber.coefficients
+    qd, c = k1.loop_velocity, k1.fiber
 
     def stage(h, k):
-        return flow_velocity(x, spec, config, qd + h * derivative_coefficients(frame, k.horizontal),
-                             c + h * k.vertical)
+        hp = h * k.phi_tilde
+        return _velocity(plan, qd + hp * (plan.rate * k.fiber), c - hp * k.grad_v, spec, config)
 
     k2 = stage(0.5 * dt, k1)
     k3 = stage(0.5 * dt, k2)
     k4 = stage(dt, k3)
-    ch, cv = ((u1 + 2.0 * u2 + 2.0 * u3 + u4) / 6.0
-              for u1, u2, u3, u4 in zip(k1[:2], k2[:2], k3[:2], k4[:2]))
+    ch, cv = ((k1.phi_tilde * g1 + (2.0 * k2.phi_tilde) * g2 + (2.0 * k3.phi_tilde) * g3
+               + k4.phi_tilde * g4) / -6.0
+              for g1, g2, g3, g4 in zip(k1[:2], k2[:2], k3[:2], k4[:2]))
     return perturb(x, dt, xi=ch, eta=cv)
 
 
-def _step(x, spec, config, dt, k1):
-    """One accepted step from x, whose velocity is k1: halve dt until the
-    action does not increase.  Returns (new state, dt used, its velocity)."""
+def _step(x, spec, config, dt, k1, plan):
+    """One accepted step from x, whose velocity is k1 and gradient_plan
+    plan: halve dt until the action does not increase.  Returns (new
+    state, dt used, its velocity)."""
     for _ in range(MAX_HALVINGS):
-        xn = _rk4(x, spec, config, dt, k1)
-        kn = flow_velocity(xn, spec, config)
+        xn = _rk4(x, spec, config, dt, k1, plan)
+        kn = _state_velocity(plan, xn, spec, config)
         if kn.action <= k1.action + DESCENT_TOL:
             return xn, dt, kn
         dt *= 0.5
@@ -233,13 +253,14 @@ def _march(x, spec, config, T):
     the same 1e-12, so a flow to a time that earlier steps summed to
     retraces those steps.
     """
-    k = flow_velocity(x, spec, config)
+    plan = gradient_plan(x.frame, spec.s)
+    k = _state_velocity(plan, x, spec, config)
     t, steps = 0.0, 0
     max_steps = step_budget(config, T)
     yield t, steps, x, k
     while t < T - 1e-12 and steps < max_steps:
         dt = config.dt if T - t >= config.dt - 1e-12 else T - t
-        x, dt_used, k = _step(x, spec, config, dt, k)
+        x, dt_used, k = _step(x, spec, config, dt, k, plan)
         t += dt_used
         steps += 1
         yield t, steps, x, k

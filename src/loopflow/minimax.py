@@ -31,8 +31,8 @@ import numpy as np
 
 from . import fourier
 from .action import (PhasePoint, classify_critical, derivative_coefficients, fiber_evaluation,
-                     gradient, gradient_norm, loop_energy, pack_coefficients, require_finite,
-                     unpack_coefficients, velocity_coefficients)
+                     gradient, gradient_norm, gradient_plan, loop_energy, pack_coefficients,
+                     require_finite, unpack_coefficients, velocity_coefficients)
 from .flow import _step, flow_velocity
 from .geometry import flat_torus, straight_loop
 from .hamiltonian import alpha_bound, r0_threshold, radial_H_jet
@@ -43,6 +43,7 @@ ASCENT_ITERS = 600
 DESCENT_ROUNDS = 4000    # re-ascend-then-step rounds of one envelope descent
 HANDOFF = 1e-2           # gradient norm below which the Newton endgame or the polish takes over
 SAME_MAXIMIZER = 1e-6    # (1-s)-distance below which two ascents found one maximizer
+POLISH_NFEV = 4000       # residual evaluations one refine_critical polish may spend
 
 
 def symplectic_action(x):
@@ -302,13 +303,14 @@ def _envelope_descent(x, spec, config, tol):
     # the envelope is smooth (no shelf stiffness on the maximal branch),
     # so a larger step is stable; the halving guard still protects it
     dt = 5.0 * config.dt
+    plan = gradient_plan(x.frame, spec.s)
     for rounds in range(DESCENT_ROUNDS):
         asc = fiber_sup(x.loop, spec, config, seeds=[x.fiber.coefficients])[0]
         x = PhasePoint(loop=x.loop, fiber=asc.field)
         k = flow_velocity(x, spec, config)
         if k.grad_norm <= tol:
             return rounds, x, k
-        x, _, k = _step(x, spec, config, dt, k)
+        x, _, k = _step(x, spec, config, dt, k, plan)
     return DESCENT_ROUNDS, x, k
 
 
@@ -380,7 +382,7 @@ def _critical_system(x, spec):
     return fun, step
 
 
-def refine_critical(x, spec, max_nfev=4000):
+def refine_critical(x, spec, max_nfev=POLISH_NFEV):
     """Polish a near-critical state by Gauss-Newton on the stacked
     metric-weighted gradient coefficients (Nocedal & Wright, ch. 10).
 
@@ -394,6 +396,13 @@ def refine_critical(x, spec, max_nfev=4000):
     polished state is returned only if its gradient norm is no larger
     than the input's.
     """
+    refined = _polish(x, spec, max_nfev)
+    return refined if gradient_norm(refined, spec) <= gradient_norm(x, spec) else x
+
+
+def _polish(x, spec, max_nfev):
+    """The state refine_critical's Gauss-Newton iteration ends at, before
+    its gradient-norm guard."""
     fun, step = _critical_system(x, spec)
     vec = pack_coefficients(x)
     f = fun(vec)
@@ -412,8 +421,7 @@ def refine_critical(x, spec, max_nfev=4000):
             if small:
                 break
             t *= 0.5
-    refined = unpack_coefficients(x, vec)
-    return refined if gradient_norm(refined, spec) <= gradient_norm(x, spec) else x
+    return unpack_coefficients(x, vec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,8 +483,8 @@ def _level(ascents, spec, config):
         raise ValueError("minimax_theta needs a nonempty family of loops")
     confident = all(res.converged for _, res in pool)
     pool.sort(key=lambda item: item[1].action, reverse=True)
-    best = (-math.inf, None, 0)   # (final action, witness, rounds) of the best descent
-    descended = []                # (loop, start coefficients) of every descent run
+    best = (-math.inf, None, 0, None)   # (final action, witness, rounds, velocity)
+    descended = []                      # (loop, start coefficients) of every descent run
     for loop, res in pool:
         if res.action < best[0]:
             break
@@ -488,13 +496,16 @@ def _level(ascents, spec, config):
         rounds, x, k = _envelope_descent(PhasePoint(loop=loop, fiber=res.field), spec, config,
                                          HANDOFF)
         if k.action > best[0]:
-            best = (k.action, x, rounds)
-    _, witness, rounds = best
+            best = (k.action, x, rounds, k)
+    _, witness, rounds, k = best
     converged = rounds < DESCENT_ROUNDS
     if converged:
-        witness = refine_critical(witness, spec)
-    # one evaluation gives the level and the witness's gradient norm
-    k = flow_velocity(witness, spec, config)
+        # refine_critical, its guard reading the descent's velocity at the
+        # witness: the polished state is evaluated once
+        refined = _polish(witness, spec, POLISH_NFEV)
+        k_refined = flow_velocity(refined, spec, config)
+        if k_refined.grad_norm <= k.grad_norm:
+            witness, k = refined, k_refined
     theta, gn = k.action, k.grad_norm
     if theta < -1e-6:
         raise ArithmeticError(f"minimax level {theta:.3e} fell below the zero section")

@@ -1,3 +1,4 @@
+import math
 import pickle
 from dataclasses import replace
 
@@ -7,11 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from loopflow.action import (PhasePoint, action, classify_critical, derivative_coefficients,
-                             directional_derivative_check, evaluate, fiber_evaluation, gradient, gradient_norm, hamilton_residual, loop_energy,
-                             metric_pairing, pack_coefficients, perturb,
-                             random_direction, random_phase_point,
-                             straight_orbit, unpack_coefficients, velocity_coefficients)
+from loopflow.action import (PhasePoint, _padded_modes, action, classify_critical,
+                             derivative_coefficients, directional_derivative_check, evaluate,
+                             fiber_evaluation, gradient, gradient_norm, hamilton_residual,
+                             loop_energy, metric_pairing, pack_coefficients, perturb,
+                             random_direction, random_phase_point, straight_orbit,
+                             unpack_coefficients, velocity_coefficients)
 from loopflow.flow import flow_velocity
 from loopflow.geometry import flat_torus, random_loop, straight_loop
 from loopflow.hamiltonian import radial_H
@@ -105,6 +107,29 @@ def test_perturb_moves_non_kernel_modes(spec, rng):
     np.testing.assert_allclose(z.loop.coordinates(0.0)[0], z.loop.base, atol=1e-12)
 
 
+@pytest.mark.parametrize("modes", ["none", "half", "all"])
+def test_perturb_output_is_the_padded_route_byte_for_byte(modes, spec, rng):
+    # a loop that carries all J modes skips the zero-padded copy; the
+    # result must equal the padded route for every mode count
+    J = spec.J
+    k = {"none": 0, "half": J // 2, "all": J}[modes]
+    loop = random_loop(flat_torus(2), (1, 0), k, rng, amplitude=0.05)
+    frame = frame_of(loop, J)
+    x = PhasePoint(loop=loop, fiber=FiberField(frame, rng.standard_normal(frame.dim)))
+    xi, eta = random_direction(x, spec, rng)
+    got = perturb(x, 0.3, xi=xi, eta=eta)
+    _, xa, xb = frame.series(xi)
+    cos, sin = _padded_modes([loop], J)
+    assert got.loop.cos_coeffs.tobytes() == (cos[0] + 0.3 * xa).tobytes()
+    assert got.loop.sin_coeffs.tobytes() == (sin[0] + 0.3 * xb).tobytes()
+    assert got.loop.modes == J
+    want = perturb(PhasePoint(loop=replace(loop, cos_coeffs=cos[0], sin_coeffs=sin[0]),
+                              fiber=x.fiber), 0.3, xi=xi, eta=eta)
+    assert got.loop.base == want.loop.base
+    assert got.loop.content_key() == want.loop.content_key()
+    assert got.fiber.coefficients.tobytes() == want.fiber.coefficients.tobytes()
+
+
 def test_perturb_rejects_tangents_of_another_shape(spec, rng):
     # a (1,) eta would broadcast over every fiber coefficient
     x = random_phase_point(spec, rng)
@@ -128,11 +153,16 @@ def test_the_metric_exponent_is_the_spec_s(spec, config, rng):
     _, dv, _ = fiber_evaluation(frame, velocity_coefficients(x.loop, frame), c, spec)
     np.testing.assert_array_equal(gv6, frame.weights(0.6 - 1.0) * dv)
     assert not np.allclose(gh6, gh)
-    norm6 = np.sqrt(frame.norm(0.6, gh6) ** 2 + frame.norm(0.4, gv6) ** 2)
-    assert gradient_norm(x, other) == float(norm6) != gradient_norm(x, spec)
+    # the one gradient-norm formula (metric_gradient), written out at s = 0.6
+    partner, frequency = frame._derivative_map
+    gh = c[partner] * (-frame.weights(-0.6) * frequency)
+    np.testing.assert_allclose(gh, gh6, rtol=1e-15, atol=0.0)
+    norm6 = math.sqrt(gh @ (frame.weights(0.6) * gh) + gv6 @ (frame.weights(0.4) * gv6))
+    assert gradient_norm(x, other) == norm6 != gradient_norm(x, spec)
     k6 = flow_velocity(x, other, config)
     assert k6.grad_norm == gradient_norm(x, other)
-    np.testing.assert_array_equal(k6.vertical, -k6.phi_tilde * gv6)
+    np.testing.assert_array_equal(k6.grad_v, gv6)
+    np.testing.assert_array_equal(k6.grad_h, gh)
     xi, eta = random_direction(x, other, rng)
     assert metric_pairing(x, other, (xi, eta), (xi, eta)) == pytest.approx(1.0, rel=1e-12)
     assert metric_pairing(x, spec, (xi, eta), (xi, eta)) != pytest.approx(1.0, rel=1e-3)

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 import loopflow.action as action_mod
-import loopflow.flow as flow_mod
 from loopflow import fourier
 from loopflow.action import (PhasePoint, action, derivative_coefficients, evaluate,
                              fiber_evaluation, gradient, hamilton_residual,
@@ -309,9 +308,12 @@ def test_quadratic_zone_leaves_flows_and_their_work_unchanged(monkeypatch):
     config = FlowConfig.auto(spec)
     starts = [random_phase_point(spec, np.random.default_rng([1, k])) for k in range(2)]
     evaluations, jets = [], []
-    evaluate_, jet = flow_mod.evaluate, action_mod.radial_H_jet
-    monkeypatch.setattr(flow_mod, "evaluate",
-                        lambda *args: evaluations.append(1) or evaluate_(*args))
+    jet = action_mod.radial_H_jet
+
+    def counted(evaluation):
+        return lambda *args: evaluations.append(1) or evaluation(*args)
+
+    monkeypatch.setattr(action_mod, "fiber_evaluation", counted(action_mod.fiber_evaluation))
     monkeypatch.setattr(action_mod, "radial_H_jet",
                         lambda *args, **kw: jets.append(1) or jet(*args, **kw))
     fast = [flow(x, spec, config, 1.0) for x in starts]
@@ -320,7 +322,7 @@ def test_quadratic_zone_leaves_flows_and_their_work_unchanged(monkeypatch):
     assert len(evaluations) == 2 * 401
     assert 0 < len(jets) < len(evaluations)   # the zone served some evaluations, not all
     evaluations.clear()
-    monkeypatch.setattr(action_mod, "fiber_evaluation", reference_fiber_evaluation)
+    monkeypatch.setattr(action_mod, "fiber_evaluation", counted(reference_fiber_evaluation))
     slow = [flow(x, spec, config, 1.0) for x in starts]
     assert len(evaluations) == 2 * 401
     for got, want in zip(fast, slow):

@@ -1,14 +1,17 @@
 import dataclasses
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+import loopflow.action as action_mod
 import loopflow.flow as flow_mod
 from loopflow import fourier, spectral
-from loopflow.action import (PhasePoint, action, derivative_coefficients, perturb,
-                             random_phase_point, straight_orbit, velocity_coefficients)
+from loopflow.action import (PhasePoint, action, derivative_coefficients, evaluate,
+                             gradient_plan, perturb, random_phase_point, straight_orbit,
+                             velocity_coefficients)
 from loopflow.flow import (FlowConfig, divergent_fixture, flow, flow_to_critical,
                            flow_velocity, ps_diagnostics, representation_coefficients,
                            representation_defects, speed_cutoff)
@@ -208,20 +211,19 @@ def test_flow_and_flow_to_critical_share_the_step_budget(small_spec, small_confi
 
 
 def test_accepted_step_costs_four_evaluations(small_spec, small_config, rng, monkeypatch):
-    from loopflow.action import random_phase_point
     calls = []
     built = []
-    evaluate, build = flow_mod.evaluate, flow_mod.perturb
+    evaluation, build = action_mod.fiber_evaluation, flow_mod.perturb
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return evaluate(*args, **kwargs)
+        return evaluation(*args, **kwargs)
 
     def counted_perturb(*args, **kwargs):
         built.append(1)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(flow_mod, "evaluate", counted)
+    monkeypatch.setattr(action_mod, "fiber_evaluation", counted)
     monkeypatch.setattr(flow_mod, "perturb", counted_perturb)
     x = random_phase_point(small_spec, rng)
     traj = flow(x, small_spec, small_config, 0.1)
@@ -233,18 +235,38 @@ def test_accepted_step_costs_four_evaluations(small_spec, small_config, rng, mon
     assert len(built) == steps           # the stages build no state
     calls.clear()
     flow_mod._step(x, small_spec, small_config, small_config.dt,
-                   flow_velocity(x, small_spec, small_config))
+                   flow_velocity(x, small_spec, small_config), gradient_plan(x.frame, small_spec.s))
     assert len(calls) == 5
 
 
+def test_accepted_step_makes_eight_ffts_and_no_gather(small_spec, small_config, rng, monkeypatch):
+    # four evaluations of one irfft and one rfft each; the stages take the
+    # t-derivative of the horizontal gradient as a diagonal, not a gather
+    x = random_phase_point(small_spec, rng)
+    plan = gradient_plan(x.frame, small_spec.s)
+    k1 = flow_velocity(x, small_spec, small_config)
+    ffts = []
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, lambda *a, f=getattr(np.fft, name), **kw:
+                            ffts.append(1) or f(*a, **kw))
+
+    def no_gather(*args):
+        raise AssertionError("derivative_coefficients called in a flow step")
+
+    monkeypatch.setattr(action_mod, "derivative_coefficients", no_gather)
+    monkeypatch.setattr(flow_mod, "derivative_coefficients", no_gather)
+    _, dt, _ = flow_mod._step(x, small_spec, small_config, small_config.dt, k1, plan)
+    assert dt == small_config.dt
+    assert len(ffts) == 8
+
+
 def test_reused_k1_matches_recomputed_k1(small_spec, small_config, rng, monkeypatch):
-    from loopflow.action import random_phase_point
     x = random_phase_point(small_spec, rng)
     reused = flow(x, small_spec, small_config, 0.2)
     rk4 = flow_mod._rk4
 
-    def recomputing(x, spec, config, dt, k1):
-        return rk4(x, spec, config, dt, flow_mod.flow_velocity(x, spec, config))
+    def recomputing(x, spec, config, dt, k1, plan):
+        return rk4(x, spec, config, dt, flow_mod.flow_velocity(x, spec, config), plan)
 
     monkeypatch.setattr(flow_mod, "_rk4", recomputing)
     again = flow(x, small_spec, small_config, 0.2)
@@ -261,14 +283,15 @@ def test_reused_k1_matches_recomputed_k1(small_spec, small_config, rng, monkeypa
 
 def reference_rk4(x, spec, config, dt, k1):
     def stage(h, k):
-        xk = perturb(x, h, xi=k.horizontal, eta=k.vertical)
+        xk = perturb(x, h, xi=-k.phi_tilde * k.grad_h, eta=-k.phi_tilde * k.grad_v)
         return flow_velocity(xk, spec, config)
 
     k2 = stage(0.5 * dt, k1)
     k3 = stage(0.5 * dt, k2)
     k4 = stage(dt, k3)
-    ch = (k1.horizontal + 2.0 * k2.horizontal + 2.0 * k3.horizontal + k4.horizontal) / 6.0
-    cv = (k1.vertical + 2.0 * k2.vertical + 2.0 * k3.vertical + k4.vertical) / 6.0
+    ch, cv = (-(k1.phi_tilde * g1 + 2.0 * k2.phi_tilde * g2 + 2.0 * k3.phi_tilde * g3
+                + k4.phi_tilde * g4) / 6.0
+              for g1, g2, g3, g4 in zip(k1[:2], k2[:2], k3[:2], k4[:2]))
     return perturb(x, dt, xi=ch, eta=cv)
 
 
@@ -354,7 +377,7 @@ def test_rk4_matches_stages_built_by_perturb(J, model):
         x = model_point(spec, model, modes, rng)
         k1 = flow_velocity(x, spec, config)
         for dt in (config.dt, 0.1):
-            got = flow_mod._rk4(x, spec, config, dt, k1)
+            got = flow_mod._rk4(x, spec, config, dt, k1, gradient_plan(x.frame, spec.s))
             want = reference_rk4(x, spec, config, dt, k1)
             assert got.frame is x.frame and got.loop.winding == x.loop.winding
             for a, b in ((got.fiber.coefficients, want.fiber.coefficients),
@@ -362,6 +385,125 @@ def test_rk4_matches_stages_built_by_perturb(J, model):
                          (got.loop.sin_coeffs, want.loop.sin_coeffs),
                          (got.loop.base, want.loop.base)):
                 np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13)
+
+
+# The stepping before the stages were fused, kept as the reference of
+# the march: a velocity of -phi~ grad from evaluate and frame norms, and
+# each stage at qd + h d/dt(k.horizontal) through derivative_coefficients.
+
+class ReferenceVelocity(NamedTuple):
+    horizontal: np.ndarray
+    vertical: np.ndarray
+    grad_norm: float
+    phi_tilde: float
+    action: float
+    loop_velocity: np.ndarray
+
+
+def reference_velocity(x, spec, config, qd, c):
+    frame = x.frame
+    a, gh, gv = evaluate(x, spec, qd, c)
+    gn = math.sqrt(frame.norm(spec.s, gh) ** 2 + frame.norm(1.0 - spec.s, gv) ** 2)
+    phi_tilde = speed_cutoff(config, frame.norm(1.0 - spec.s, c)) / math.sqrt(1.0 + gn * gn)
+    return ReferenceVelocity(-phi_tilde * gh, -phi_tilde * gv, gn, phi_tilde, a, qd)
+
+
+def reference_state_velocity(x, spec, config):
+    return reference_velocity(x, spec, config, velocity_coefficients(x.loop, x.frame),
+                              x.fiber.coefficients)
+
+
+def reference_step(x, spec, config, dt, k1):
+    """(new state, dt used, its velocity, RK4 tries) of one accepted step."""
+    frame, qd, c = x.frame, k1.loop_velocity, x.fiber.coefficients
+
+    def stage(h, k):
+        return reference_velocity(x, spec, config,
+                                  qd + h * derivative_coefficients(frame, k.horizontal),
+                                  c + h * k.vertical)
+
+    for tries in range(1, flow_mod.MAX_HALVINGS + 1):
+        k2 = stage(0.5 * dt, k1)
+        k3 = stage(0.5 * dt, k2)
+        k4 = stage(dt, k3)
+        ch, cv = ((u1 + 2.0 * u2 + 2.0 * u3 + u4) / 6.0
+                  for u1, u2, u3, u4 in zip(k1[:2], k2[:2], k3[:2], k4[:2]))
+        xn = perturb(x, dt, xi=ch, eta=cv)
+        kn = reference_state_velocity(xn, spec, config)
+        if kn.action <= k1.action + flow_mod.DESCENT_TOL:
+            return xn, dt, kn, tries
+        dt *= 0.5
+    raise ArithmeticError("reference step rejected")
+
+
+def reference_flow(x, spec, config, T):
+    """(times, states, velocities, RK4 tries) of the flow over time T."""
+    k = reference_state_velocity(x, spec, config)
+    t, times, states, velocities, tries = 0.0, [0.0], [x], [k], 0
+    while t < T - 1e-12:
+        dt = config.dt if T - t >= config.dt - 1e-12 else T - t
+        x, dt_used, k, n = reference_step(x, spec, config, dt, k)
+        t += dt_used
+        tries += n
+        times.append(t)
+        states.append(x)
+        velocities.append(k)
+    return times, states, velocities, tries
+
+
+def ramp_point(spec, config, model, rng):
+    # a model point whose fiber (1-s)-norm sits mid-way up the cutoff ramp
+    x = model_point(spec, model, spec.J, rng)
+    c = x.fiber.coefficients
+    target = 0.5 * (config.gamma_prime + 1.0 + config.gamma_dprime)
+    c = c * (target / x.frame.norm(1.0 - spec.s, c))
+    return PhasePoint(loop=x.loop, fiber=FiberField(x.frame, c))
+
+
+def assert_march_matches_reference(x, spec, config, T, monkeypatch):
+    tries = []
+    rk4 = flow_mod._rk4
+    monkeypatch.setattr(flow_mod, "_rk4", lambda *args: tries.append(1) or rk4(*args))
+    traj = flow(x, spec, config, T)
+    times, states, velocities, ref_tries = reference_flow(x, spec, config, T)
+    assert traj.times.tolist() == times
+    assert len(tries) == ref_tries
+    for got, want in zip(traj.states, states):
+        for a, b in ((got.fiber.coefficients, want.fiber.coefficients),
+                     (got.loop.cos_coeffs, want.loop.cos_coeffs),
+                     (got.loop.sin_coeffs, want.loop.sin_coeffs), (got.loop.base, want.loop.base)):
+            assert_close(a, b)
+    for name, field in (("actions", "action"), ("gradient_norms", "grad_norm"),
+                        ("phi_tilde", "phi_tilde")):
+        assert_close(getattr(traj, name), [getattr(k, field) for k in velocities])
+    return traj, len(tries)
+
+
+@pytest.mark.parametrize("J", [8, 32])
+@pytest.mark.parametrize("model", range(len(MODELS)))
+def test_fused_march_matches_reference_stepping(J, model, monkeypatch):
+    spec = default_spec(J=J)
+    config = FlowConfig.auto(spec)
+    rng = np.random.default_rng([8, J, model])
+    for modes in (0, J // 2, J):
+        x = model_point(spec, model, modes, rng)
+        traj, _ = assert_march_matches_reference(x, spec, config, 5 * config.dt, monkeypatch)
+        assert len(traj.times) == 6
+    # a start on the cutoff ramp gamma' + 1 < |p|_{1-s} < gamma''
+    x = ramp_point(spec, config, model, rng)
+    traj, _ = assert_march_matches_reference(x, spec, config, 5 * config.dt, monkeypatch)
+    ramp = [speed_cutoff(config, xk.frame.norm(1.0 - spec.s, xk.fiber.coefficients))
+            for xk in traj.states]
+    assert all(0.0 < cut < 1.0 for cut in ramp)
+
+
+def test_fused_march_matches_reference_on_a_halved_step(monkeypatch):
+    spec = default_spec(J=32)
+    config = dataclasses.replace(FlowConfig.auto(spec), dt=0.2)
+    x = model_point(spec, 2, spec.J, np.random.default_rng([7, 32, 2]))
+    traj, tries = assert_march_matches_reference(x, spec, config, 1.0, monkeypatch)
+    assert tries > len(traj.times) - 1   # some step was halved
+    assert np.diff(traj.times).min() < config.dt
 
 
 def reference_ps_arrays(traj):
@@ -423,6 +565,7 @@ def reference_flow_to_critical(x, spec, config, floor=None):
     consec = 0
     max_steps = flow_mod.step_budget(config, config.t_max)
     k = flow_mod.flow_velocity(x, spec, config)
+    plan = gradient_plan(x.frame, spec.s)
     while True:
         gn, a = k.grad_norm, k.action
         if gn < config.grad_tol:
@@ -435,7 +578,7 @@ def reference_flow_to_critical(x, spec, config, floor=None):
             return x, False, True, steps, t, gn, a, False
         if t >= config.t_max or steps >= max_steps:
             return x, False, False, steps, t, gn, a, True
-        x, dt_used, k = flow_mod._step(x, spec, config, min(config.dt, config.t_max - t), k)
+        x, dt_used, k = flow_mod._step(x, spec, config, min(config.dt, config.t_max - t), k, plan)
         t += dt_used
         steps += 1
 

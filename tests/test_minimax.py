@@ -14,8 +14,9 @@ import loopflow.action as action_mod
 import loopflow.flow as flow_mod
 from loopflow import fourier, minimax
 from loopflow.action import (PhasePoint, action, derivative_coefficients, gradient_norm,
-                             pack_coefficients, perturb, random_direction, random_phase_point,
-                             straight_orbit, unpack_coefficients, velocity_coefficients)
+                             gradient_plan, pack_coefficients, perturb, random_direction,
+                             random_phase_point, straight_orbit, unpack_coefficients,
+                             velocity_coefficients)
 from loopflow.flow import FlowConfig
 from loopflow.geometry import flat_torus, random_loop, straight_loop
 from loopflow.hamiltonian import default_spec, radial_H
@@ -348,7 +349,7 @@ def test_refine_critical_forms_no_dense_matrix(monkeypatch):
     # polished with no SVD and no dense fiber Hessian
     spec = default_spec(J=64, r=1.0)
     witnesses = []
-    monkeypatch.setattr(minimax, "refine_critical", lambda x, x_spec: witnesses.append(x) or x)
+    monkeypatch.setattr(minimax, "_polish", lambda x, x_spec, nfev: witnesses.append(x) or x)
     minimax_theta(default_family(spec), spec, FlowConfig.auto(spec))
     monkeypatch.undo()
 
@@ -389,8 +390,8 @@ def test_refine_critical_matches_the_trf_reference(spec, config, rng, monkeypatc
     xi, eta = random_direction(x, spec, rng)
     states = [(perturb(x, 1e-5, xi=xi, eta=eta), spec)]
     witnesses = []
-    monkeypatch.setattr(minimax, "refine_critical",
-                        lambda x, x_spec: witnesses.append((x, x_spec)) or x)
+    monkeypatch.setattr(minimax, "_polish",
+                        lambda x, x_spec, nfev: witnesses.append((x, x_spec)) or x)
     for r in np.linspace(0.05, 2.0, 4):
         r_spec = spec.with_r(float(r))
         minimax_theta(default_family(r_spec), r_spec, config)
@@ -702,7 +703,8 @@ def reference_composite_descent(x, spec, config):
         if gradient_norm(x, spec) <= tol:
             return x, True
         x, _, _ = flow_mod._step(x, spec, config, 5.0 * config.dt,
-                                 flow_mod.flow_velocity(x, spec, config))
+                                 flow_mod.flow_velocity(x, spec, config),
+                                 gradient_plan(x.frame, spec.s))
     return x, False
 
 
@@ -732,8 +734,7 @@ def test_descent_round_evaluates_its_state_once(small_spec, small_config, monkey
         return sup(*args, **kwargs)
 
     sup = minimax.fiber_sup
-    monkeypatch.setattr(flow_mod, "evaluate", counted(flow_mod.evaluate, 0))
-    monkeypatch.setattr(action_mod, "evaluate", counted(action_mod.evaluate, 0))
+    monkeypatch.setattr(action_mod, "fiber_evaluation", counted(action_mod.fiber_evaluation, 0))
     monkeypatch.setattr(flow_mod, "_rk4", counted(flow_mod._rk4, 1))
     monkeypatch.setattr(minimax, "fiber_sup", ascend)
     monkeypatch.setattr(minimax, "DESCENT_ROUNDS", 4)
