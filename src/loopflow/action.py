@@ -32,14 +32,22 @@ the results equal it bit for bit with far fewer numpy calls.  When
 every sampled radius lies in the quadratic zone rho >= 2 rho1, where
 H_r = r + rho^2/2, H and dH/dp are read off in closed form instead:
 the same bits, without the radial_H_jet pass (see fiber_evaluation).
-action, gradient and hamilton_residual are thin callers of it.
-gradient_norm and the flow's stage kernel read it through
-metric_gradient, whose horizontal gradient is one gather times a gain
-and whose norm is two weighted dot products, with the arrays of a
-GradientPlan made once per frame and s.  The
+action, gradient and hamilton_residual are thin callers of it.  The
 same evaluation takes a batch of fibers over one loop, as the fiber
 ascent does, with every row equal bit for bit to that fiber evaluated
 alone.
+
+gradient_norm and the flow's stage kernel read the action and gradient
+through metric_gradient, whose horizontal gradient is one gather times
+a gain and whose norm is two weighted dot products, with the arrays of
+a GradientPlan made once per frame and s.  It first certifies the
+quadratic zone from the fiber's coefficients alone
+(quadratic_zone_energy): the lower bound |c0| - sqrt(2) sum_j
+|(u_j, v_j)| on every radius.  Where that holds, Parseval gives the
+action and the plain gradient in closed form with no transform, equal
+to fiber_evaluation's up to the roundoff of its irfft/rfft pair; every
+other call is one fiber_evaluation, whose vertical gradient it keeps
+bit for bit.
 """
 
 import math
@@ -50,12 +58,13 @@ import numpy as np
 
 from . import fourier
 from .geometry import LoopPath, flat_torus, random_loop, straight_loop
-from .spectral import FiberField, SpectralFrame, frame_of
+from .spectral import SQ2, FiberField, SpectralFrame, frame_of
 from .hamiltonian import TIE_BAND, radial_H_jet
 
-# top of the quadratic zone of fiber_evaluation: from about 1.34e154 on,
-# rho ** 2 overflows and radial_H_jet's dH/drho is inf * 0 = NaN, which
-# the zone's closed form would not reproduce
+# top of the quadratic zone of fiber_evaluation and of metric_gradient's
+# certificate: from about 1.34e154 on, rho ** 2 overflows and
+# radial_H_jet's dH/drho is inf * 0 = NaN, which the zone's closed forms
+# would not reproduce
 QUADRATIC_TOP = 1e150
 
 
@@ -132,11 +141,13 @@ def velocity_coefficients(loop, frame):
 def velocity_layout(frame, drift, cos, sin):
     """Frame coefficients of loop velocities from their drifts (..., n)
     and cos/sin coefficients (..., k, n), k <= J, with the same leading
-    axes: one fourier.differentiate and one frame.layout for a whole
-    stack, each row equal to velocity_coefficients of its loop (a mode
-    padded with zeros reads -0.0 where a missing mode reads +0.0)."""
-    _, da, db = fourier.differentiate(drift, cos, sin)
-    return frame.layout(drift, da, db)
+    axes: the derivative's cos and sin coefficients w sin and -w cos, with
+    the frame's mode frequencies w (the bits of fourier.differentiate), and
+    one frame.layout for a whole stack, each row equal to
+    velocity_coefficients of its loop (a mode padded with zeros reads -0.0
+    where a missing mode reads +0.0)."""
+    w = frame._mode_frequencies[:np.shape(cos)[-2]]
+    return frame.layout(drift, w * sin, -w * cos)
 
 
 def fiber_evaluation(frame, qd, c, spec, r=None):
@@ -164,9 +175,11 @@ def fiber_evaluation(frame, qd, c, spec, r=None):
     exactly 0.0, the tail's jet is exactly (r + 0.5 rho^2, rho), and
     dH/drho / rho = 1.0 times p is p.  A NaN radius fails the test and an
     overflowing one exceeds QUADRATIC_TOP, so non-finite input takes the
-    jet path as before.  On the benchmark's flow workload the zone
-    serves 73 % of the evaluations; on the minimax workloads, whose
-    batched fiber ascents carry seeds below 2 rho1, about 1 %.
+    jet path as before.  On the benchmark's flow workload the zone holds
+    73 % of the stage evaluations, but metric_gradient's coefficient
+    certificate serves 61 % of them without calling here, so this zone
+    serves the other 12 %; on the minimax workloads, whose batched fiber
+    ascents carry seeds below 2 rho1, it serves about 1 % of the rows.
     """
     p_samp = frame.samples(c)
     rho = np.sqrt((p_samp * p_samp).sum(axis=-1))
@@ -222,7 +235,9 @@ class GradientPlan(NamedTuple):
     rate = -(1+lam)^{-s} lam, since d^2/dt^2 is -lam outside the kernel.
     weight_h, weight_v and scale_v are (1+lam)^s, (1+lam)^{1-s} and
     (1+lam)^{s-1}: the weights of the s-norm, of the (1-s)-norm and of the
-    vertical gradient.
+    vertical gradient.  blocks holds the starts of the kernel block and of
+    each mode's 2n cos/sin block, for the quadratic-zone certificate
+    (quadratic_zone_energy).
     """
 
     frame: SpectralFrame
@@ -232,6 +247,7 @@ class GradientPlan(NamedTuple):
     weight_h: np.ndarray
     weight_v: np.ndarray
     scale_v: np.ndarray
+    blocks: np.ndarray
 
 
 def gradient_plan(frame, s):
@@ -239,20 +255,53 @@ def gradient_plan(frame, s):
     partner, frequency = frame._derivative_map
     w = frame.weights(-s)
     return GradientPlan(frame, partner, -w * frequency, -w * frame.eigenvalues,
-                        frame.weights(s), frame.weights(1.0 - s), frame.weights(s - 1.0))
+                        frame.weights(s), frame.weights(1.0 - s), frame.weights(s - 1.0),
+                        np.maximum(np.arange(-frame.n, frame.dim, 2 * frame.n), 0))
+
+
+def quadratic_zone_energy(plan, c, rho1):
+    """|c|^2 when the coefficients alone put every radius of the fiber c
+    in the quadratic zone 2 rho1 <= rho <= QUADRATIC_TOP, else None.
+
+    The fiber is p(t) = c0 + sqrt(2) sum_j (u_j cos 2 pi j t + v_j sin
+    2 pi j t) with c0, u_j, v_j in R^n, and |u cos + v sin| <= |(u, v)|,
+    so every radius, at any t, lies within sqrt(2) sum_j |(u_j, v_j)| of
+    |c0|.  The block energies |c0|^2 and |(u_j, v_j)|^2 are one reduceat
+    of c^2 over plan.blocks, and they sum to |c|^2.  The lower end must
+    clear 2 rho1 by a relative 1e-12, so that sampled radii, which carry
+    roundoff, clear it too; the upper end keeps overflowing fibers, whose
+    closed form would read -inf, on the jet path, where they turn NaN.  A
+    NaN coefficient fails both tests.
+    """
+    energy = np.add.reduceat(c * c, plan.blocks)
+    kernel = math.sqrt(energy[0])
+    spread = SQ2 * float(np.add.reduce(np.sqrt(energy[1:])))
+    if kernel - spread >= 2.0 * rho1 * (1.0 + 1e-12) and kernel + spread <= QUADRATIC_TOP:
+        return float(np.add.reduce(energy))
+    return None
 
 
 def metric_gradient(plan, qd, c, spec):
     """(action, grad_h, grad_v, grad_norm) at velocity coefficients qd and
-    fiber coefficients c, from one fiber_evaluation.
+    fiber coefficients c.
 
-    grad_h and grad_v are evaluate's gradient parts up to roundoff
-    (grad_v bit for bit); grad_h is c[partner] * gain.  The norm in the
-    mixed (s, 1-s) metric is the square root of two weighted dot
-    products.  This is the one gradient-norm formula: gradient_norm and
-    the flow's velocity both read it.
+    Where quadratic_zone_energy certifies every radius of c in the
+    quadratic zone, H_r = r + rho^2/2 at every node and Parseval gives the
+    discrete action and plain gradient in closed form, with no transform:
+    the node mean of H is r + |c|^2/2, and dH/dp = p has coefficients c,
+    so the plain gradient is qd - c.  These equal fiber_evaluation's up to
+    the roundoff of its irfft/rfft pair.  Every other call is one
+    fiber_evaluation, and there grad_h and grad_v are evaluate's gradient
+    parts up to roundoff (grad_v bit for bit).  grad_h is c[partner] *
+    gain.  The norm in the mixed (s, 1-s) metric is the square root of two
+    weighted dot products.  This is the one gradient-norm formula:
+    gradient_norm and the flow's velocity both read it.
     """
-    a, dv, _ = fiber_evaluation(plan.frame, qd, c, spec)
+    energy = quadratic_zone_energy(plan, c, spec.rho1)
+    if energy is None:
+        a, dv, _ = fiber_evaluation(plan.frame, qd, c, spec)
+    else:
+        a, dv = float(c @ qd) - (spec.r + 0.5 * energy), qd - c
     grad_h = c[plan.partner] * plan.gain
     grad_v = plan.scale_v * dv
     return a, grad_h, grad_v, math.sqrt(grad_h @ (plan.weight_h * grad_h)
@@ -304,9 +353,13 @@ def perturb(x, eps, xi=None, eta=None):
         else:
             cos, sin = (a[0] for a in _padded_modes([loop], frame.cutoff))
         new_base = np.asarray(loop.base) + eps * (xa0 + xa.sum(axis=0))
+        cos, sin = cos + eps * xa, sin + eps * xb
+        # fresh arrays, sealed here so that the new state keeps them uncopied
+        cos.flags.writeable = sin.flags.writeable = False
         loop = LoopPath(manifold=loop.manifold, winding=loop.winding, base=tuple(new_base),
-                        cos_coeffs=cos + eps * xa, sin_coeffs=sin + eps * xb)
+                        cos_coeffs=cos, sin_coeffs=sin)
     coeffs = x.fiber.coefficients if eta is None else x.fiber.coefficients + eps * eta
+    coeffs.flags.writeable = False
     return PhasePoint(loop=loop, fiber=FiberField(frame, coeffs))
 
 

@@ -77,13 +77,24 @@ def embedded_circle():
     return ModelManifold(kind="embedded-circle", periods=(2.0 * np.pi,))
 
 
+def read_only(a):
+    """a itself when it is read-only and owns its data, as the new arrays
+    that action.perturb hands a state are; otherwise a read-only copy, so
+    that no array a caller can still write ends up in a state."""
+    if a.flags.writeable or a.base is not None:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class LoopPath:
     """A free loop: winding class plus anchored truncated Fourier data.
 
-    cos_coeffs and sin_coeffs have shape (J, n), mode-major.  The
-    anchoring convention makes coordinates(0) == base exactly, with no
-    constraint on the coefficients.
+    cos_coeffs and sin_coeffs have shape (J, n), mode-major, and are
+    stored read-only (read_only).  The anchoring convention makes
+    coordinates(0) == base exactly, with no constraint on the
+    coefficients.
     """
 
     manifold: ModelManifold
@@ -100,17 +111,14 @@ class LoopPath:
         b = np.zeros((0, n)) if self.sin_coeffs is None else np.asarray(self.sin_coeffs, dtype=float)
         if a.ndim != 2 or b.ndim != 2 or a.shape != b.shape or a.shape[1] != n:
             raise ValueError("coefficient arrays must both have shape (J, n)")
-        a = a.copy()
-        b = b.copy()
-        a.flags.writeable = False
-        b.flags.writeable = False
+        a, b = read_only(a), read_only(b)
         object.__setattr__(self, "winding", tuple(int(w) for w in self.winding))
         object.__setattr__(self, "base", tuple(float(x) for x in self.base))
         object.__setattr__(self, "cos_coeffs", a)
         object.__setattr__(self, "sin_coeffs", b)
 
     def __reduce__(self):
-        # unpickle through the constructor, which makes the copies read-only
+        # unpickle through the constructor, which makes the arrays read-only
         return LoopPath, (self.manifold, self.winding, self.base, self.cos_coeffs,
                           self.sin_coeffs)
 

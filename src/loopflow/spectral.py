@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fourier
+from .geometry import read_only
 
 ZERO_SNAP = 1e-9
 SQ2 = np.sqrt(2.0)
@@ -215,6 +216,15 @@ class SpectralFrame:
         frequency.flags.writeable = False
         return partner, frequency
 
+    @functools.cached_property
+    def _mode_frequencies(self):
+        """(J, 1): the angular frequency 2 pi j of each mode j = 1..J, as
+        fourier.differentiate builds it.  Kept read-only with the frame;
+        pickling drops it."""
+        w = 2.0 * np.pi * np.arange(1, self.cutoff + 1)[:, None]
+        w.flags.writeable = False
+        return w
+
     def basis_samples(self, m=None):
         """All D eigenfields sampled: array (D, m, n).  Eigenfield k lives
         in coordinate k % n: 1 in the kernel, sqrt(2) cos or sin of
@@ -254,8 +264,8 @@ class SpectralFrame:
 
     def __reduce__(self):
         # a value of (n, cutoff): unpickling rebuilds the read-only
-        # eigenvalues and drops the cached weights, basis, spectrum slots
-        # and derivative map
+        # eigenvalues and drops the cached weights, basis, spectrum slots,
+        # derivative map and mode frequencies
         return SpectralFrame, (self.n, self.cutoff)
 
     def sup_norms(self):
@@ -265,21 +275,21 @@ class SpectralFrame:
 
 @dataclass(frozen=True, eq=False)
 class FiberField:
-    """A state's fiber field, stored by its frame coefficients (read-only,
-    shape-checked); tangent vectors are plain coefficient arrays."""
+    """A state's fiber field, stored by its frame coefficients (read-only
+    through geometry.read_only, shape-checked); tangent vectors are plain
+    coefficient arrays."""
 
     frame: SpectralFrame
     coefficients: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=float).copy()
+        c = np.asarray(self.coefficients, dtype=float)
         if c.shape != (self.frame.dim,):
             raise ValueError(f"expected {self.frame.dim} coefficients, got shape {c.shape}")
-        c.flags.writeable = False
-        object.__setattr__(self, "coefficients", c)
+        object.__setattr__(self, "coefficients", read_only(c))
 
     def __reduce__(self):
-        # unpickle through the constructor, which makes the copy read-only
+        # unpickle through the constructor, which makes the array read-only
         return FiberField, (self.frame, self.coefficients)
 
 

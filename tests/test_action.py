@@ -15,7 +15,7 @@ from loopflow.action import (PhasePoint, _padded_modes, action, classify_critica
                              random_direction, random_phase_point, straight_orbit,
                              unpack_coefficients, velocity_coefficients)
 from loopflow.flow import flow_velocity
-from loopflow.geometry import flat_torus, random_loop, straight_loop
+from loopflow.geometry import LoopPath, flat_torus, random_loop, straight_loop
 from loopflow.hamiltonian import radial_H
 from loopflow.spectral import FiberField, SpectralFrame, frame_of
 
@@ -252,3 +252,41 @@ def test_pickled_states_keep_their_arrays_read_only(spec, rng):
         assert not new.flags.writeable
         with pytest.raises(ValueError):
             new[0] = 1.0
+
+
+def test_states_copy_what_a_caller_can_still_write(spec, rng):
+    # a writeable array, or a read-only view of one, is copied and locked;
+    # a read-only array that owns its data, as perturb's new arrays are, is
+    # kept as it is.  Either way the shapes are checked.
+    x = random_phase_point(spec, rng)
+    frame, loop = x.frame, x.loop
+
+    def fiber(c):
+        return FiberField(frame, c).coefficients
+
+    def loop_cos(a):
+        return LoopPath(manifold=loop.manifold, winding=loop.winding, base=loop.base,
+                        cos_coeffs=a, sin_coeffs=np.zeros(a.shape)).cos_coeffs
+
+    for build, shape, bad in ((fiber, (frame.dim,), (frame.dim - 1,)),
+                              (loop_cos, (spec.J, 2), (spec.J, 3))):
+        owned = np.ones(shape)
+        owned.flags.writeable = False
+        assert build(owned) is owned
+        writeable = np.ones(shape)
+        view = writeable[:]
+        view.flags.writeable = False
+        for given in (writeable, view):
+            stored = build(given)
+            assert stored is not given and not stored.flags.writeable
+            writeable.flat[0] = 7.0
+            assert stored.flat[0] == 1.0
+            writeable.flat[0] = 1.0
+        sealed_bad = np.ones(bad)
+        sealed_bad.flags.writeable = False
+        with pytest.raises(ValueError):
+            build(sealed_bad)
+    xi = rng.standard_normal(frame.dim)
+    moved = perturb(x, 0.01, xi=xi, eta=xi)
+    for arr in (moved.fiber.coefficients, moved.loop.cos_coeffs, moved.loop.sin_coeffs):
+        assert not arr.flags.writeable and arr.base is None

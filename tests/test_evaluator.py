@@ -9,22 +9,30 @@ the per-order chi/phi formulas bit for bit.  A batch of fibers over one
 loop must give, row by row, exactly what each fiber gives alone.  Where
 every radius lies in the quadratic zone, the evaluation must equal,
 byte for byte, the one that sends every radius through radial_H_jet.
+The flow's kernel (metric_gradient) certifies that zone from the
+coefficients alone and then makes no transform: what it certifies must
+lie in the zone, and its closed form must agree with the jet path to
+roundoff.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import loopflow.action as action_mod
+import loopflow.flow as flow_mod
 from loopflow import fourier
 from loopflow.action import (PhasePoint, action, derivative_coefficients, evaluate,
-                             fiber_evaluation, gradient, hamilton_residual,
-                             random_phase_point, velocity_coefficients)
+                             fiber_evaluation, gradient, gradient_plan, hamilton_residual,
+                             metric_gradient, quadratic_zone_energy, random_phase_point,
+                             velocity_coefficients)
 from loopflow.flow import FlowConfig, flow
 from loopflow.geometry import embedded_circle, flat_torus, random_loop
 from loopflow.hamiltonian import chi, default_spec, phi, radial_H, radial_H_jet
-from loopflow.spectral import FiberField, SpectralFrame, frame_of
+from loopflow.spectral import SQ2, FiberField, SpectralFrame, frame_of
 
 
 def reference_radial_H(spec, rho, order):
@@ -232,8 +240,8 @@ def reference_fiber_evaluation(frame, qd, c, spec, r=None):
     return (float(a) if a.ndim == 0 else a), qd - frame.coefficients(dpH), dpH
 
 
-def sampled_radii(frame, c):
-    p = frame.samples(c)
+def sampled_radii(frame, c, m=None):
+    p = frame.samples(c, m)
     return np.sqrt((p * p).sum(axis=-1))
 
 
@@ -302,33 +310,154 @@ def test_quadratic_zone_equals_the_jet_path_byte_for_byte(case, monkeypatch):
     assert got[1].flags.c_contiguous and got[2].flags.c_contiguous
 
 
+def reference_metric_gradient(plan, qd, c, spec):
+    # metric_gradient with no certificate: every call samples the fiber
+    # and sends every radius through radial_H_jet
+    a, dv, _ = reference_fiber_evaluation(plan.frame, qd, c, spec)
+    grad_h = c[plan.partner] * plan.gain
+    grad_v = plan.scale_v * dv
+    return a, grad_h, grad_v, math.sqrt(grad_h @ (plan.weight_h * grad_h)
+                                        + grad_v @ (plan.weight_v * grad_v))
+
+
+def assert_close(got, want, tol=1e-13):
+    # within tol of the largest magnitude in want (at least 1)
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=tol * scale)
+
+
 def test_quadratic_zone_leaves_flows_and_their_work_unchanged(monkeypatch):
-    # the benchmark's flow starts: the default spec, seeds [1, k], horizon 1
+    # the benchmark's flow starts: the default spec, seeds [1, k], horizon 1.
+    # Certified stages read the action and plain gradient in closed form,
+    # which moves them at roundoff against the jet path, so the flows must
+    # agree within the 1e-13 of the fused-march tests, with the same times
+    # and the same RK4 tries
     spec = default_spec()
     config = FlowConfig.auto(spec)
     starts = [random_phase_point(spec, np.random.default_rng([1, k])) for k in range(2)]
-    evaluations, jets = [], []
-    jet = action_mod.radial_H_jet
+    kernels, evaluations, tries = [], [], []
+    rk4 = flow_mod._rk4
 
-    def counted(evaluation):
-        return lambda *args: evaluations.append(1) or evaluation(*args)
+    def counted(fn, calls):
+        return lambda *args, **kw: calls.append(1) or fn(*args, **kw)
 
-    monkeypatch.setattr(action_mod, "fiber_evaluation", counted(action_mod.fiber_evaluation))
-    monkeypatch.setattr(action_mod, "radial_H_jet",
-                        lambda *args, **kw: jets.append(1) or jet(*args, **kw))
+    monkeypatch.setattr(flow_mod, "_rk4", counted(rk4, tries))
+    monkeypatch.setattr(flow_mod, "metric_gradient", counted(metric_gradient, kernels))
+    monkeypatch.setattr(action_mod, "fiber_evaluation",
+                        counted(action_mod.fiber_evaluation, evaluations))
     fast = [flow(x, spec, config, 1.0) for x in starts]
-    # 100 steps, none halved: the start, then four evaluations per step
+    # 100 steps, none halved: the start, then four kernel calls per step
     assert [len(traj.times) for traj in fast] == [101, 101]
-    assert len(evaluations) == 2 * 401
-    assert 0 < len(jets) < len(evaluations)   # the zone served some evaluations, not all
-    evaluations.clear()
-    monkeypatch.setattr(action_mod, "fiber_evaluation", counted(reference_fiber_evaluation))
+    assert len(kernels) == 2 * 401 and len(tries) == 2 * 100
+    # the certificate served some stages, not all
+    assert 0 < len(evaluations) < len(kernels)
+    kernels.clear()
+    tries.clear()
+    monkeypatch.setattr(flow_mod, "metric_gradient", counted(reference_metric_gradient, kernels))
     slow = [flow(x, spec, config, 1.0) for x in starts]
-    assert len(evaluations) == 2 * 401
+    assert len(kernels) == 2 * 401 and len(tries) == 2 * 100
     for got, want in zip(fast, slow):
+        assert got.times.tobytes() == want.times.tobytes()
         assert len(got.states) == len(want.states)
         for xg, xw in zip(got.states, want.states):
-            assert xg.loop.content_key() == xw.loop.content_key()
-            assert xg.fiber.coefficients.tobytes() == xw.fiber.coefficients.tobytes()
-        for name in ("times", "actions", "gradient_norms", "phi_tilde", "ab"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            for a, b in ((xg.fiber.coefficients, xw.fiber.coefficients),
+                         (xg.loop.cos_coeffs, xw.loop.cos_coeffs),
+                         (xg.loop.sin_coeffs, xw.loop.sin_coeffs), (xg.loop.base, xw.loop.base)):
+                assert_close(a, b)
+        for name in ("actions", "gradient_norms", "phi_tilde", "ab"):
+            assert_close(getattr(got, name), getattr(want, name))
+
+
+# The certificate of the quadratic zone (quadratic_zone_energy) reads
+# only the coefficients.  Whatever it certifies must have every radius
+# in the zone, on the evaluation grid and between its nodes, and the
+# closed form it enables must agree with the jet path to roundoff.
+
+@st.composite
+def kernel_dominated(draw):
+    """(frame, velocity coefficients, fiber coefficients): a random tail
+    decaying like (1 + lam)^{-3/4}, and a kernel part whose norm clears
+    the certificate's lower bound 2 rho1 (1 + 1e-12) + sqrt(2) sum_j
+    |block_j| by the relative slack drawn."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    J = draw(st.sampled_from([0, 1, 8, 32]))
+    tail = draw(st.floats(0.0, 2.0))
+    slack = draw(st.sampled_from([1e-12, 1e-9, 1e-3, 0.1, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    frame = SpectralFrame(n, J)
+    c = tail * rng.standard_normal(frame.dim) / frame.weights(0.75)
+    spread = SQ2 * np.linalg.norm(c[n:].reshape(J, 2 * n), axis=1).sum()
+    u = rng.standard_normal(n)
+    c[:n] = u / np.linalg.norm(u) * (2.0 * default_spec().rho1 * (1.0 + 1e-12) + spread) * (1.0 + slack)
+    qd = rng.standard_normal(frame.dim) / frame.weights(0.75)
+    return frame, qd, c
+
+
+@given(kernel_dominated())
+def test_certified_fibers_have_every_radius_in_the_zone(case):
+    frame, _, c = case
+    spec = default_spec()
+    assert quadratic_zone_energy(gradient_plan(frame, spec.s), c, spec.rho1) is not None
+    m = fourier.default_samples(frame.cutoff)
+    for grid in (m, 16 * m):
+        assert sampled_radii(frame, c, grid).min() >= 2.0 * spec.rho1
+
+
+@pytest.mark.parametrize("J", [1, 8, 32])
+def test_certificate_holds_where_its_bound_is_attained(J):
+    # p(t) = c0 + sqrt(2) c1 cos 2 pi t with c1 < 0 has its smallest radius
+    # c0 + sqrt(2) c1, the certificate's bound, at the node t = 0.  With
+    # that radius swept across 2 rho1 in steps of 1e-13, the sampled
+    # radius falls an ulp short of 2 rho1 where the bound claims it; the
+    # certificate's relative margin of 1e-12 refuses those fibers
+    spec = default_spec()
+    two = 2.0 * spec.rho1
+    frame = SpectralFrame(1, J)
+    plan = gradient_plan(frame, spec.s)
+    m = fourier.default_samples(J)
+    certified = 0
+    for c0 in (1.0, 1.7, 3.0, 5.0, 11.0):
+        for step in range(-30, 31):
+            c = np.zeros(frame.dim)
+            c[0] = c0
+            c[1] = -(c0 - two * (1.0 + step * 1e-13)) / SQ2
+            if quadratic_zone_energy(plan, c, spec.rho1) is not None:
+                certified += 1
+                for grid in (m, 16 * m):
+                    assert sampled_radii(frame, c, grid).min() >= two
+    assert certified > 0
+
+
+@given(kernel_dominated())
+def test_certified_call_agrees_with_the_jet_path(case):
+    # the bound: the action within 1e-14 (|c.qd| + r + |c|^2/2), the sum
+    # of the magnitudes of its terms, and the gradient parts and norm
+    # within 1e-14 of the largest magnitude each holds (at least 1)
+    frame, qd, c = case
+    spec = default_spec()
+    plan = gradient_plan(frame, spec.s)
+    got = metric_gradient(plan, qd, c, spec)
+    want = reference_metric_gradient(plan, qd, c, spec)
+    scale = abs(c @ qd) + spec.r + 0.5 * (c @ c)
+    assert abs(got[0] - want[0]) <= 1e-14 * scale
+    assert got[1].tobytes() == want[1].tobytes()
+    for g, w in zip(got[2:], want[2:]):
+        assert_close(g, w, 1e-14)
+
+
+def test_certificate_refuses_what_it_cannot_vouch_for():
+    frame, qd, cases = zone_cases()
+    spec = default_spec()
+    plan = gradient_plan(frame, spec.s)
+    fibers = {name: c for name, c, _, _ in cases if c.ndim == 1}
+    # a state well inside the zone is certified; the same fiber scaled past
+    # QUADRATIC_TOP is not, though its lower bound clears 2 rho1
+    assert quadratic_zone_energy(plan, fibers["one state"], spec.rho1) is not None
+    refused = {**fibers, "radii above QUADRATIC_TOP": 1e152 * fibers["one state"]}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name in ("a node at 2 rho1", "a node an ulp below 2 rho1", "phi transition",
+                     "a NaN coefficient", "radii whose squares overflow",
+                     "radii above QUADRATIC_TOP"):
+            assert quadratic_zone_energy(plan, refused[name], spec.rho1) is None, name

@@ -10,8 +10,8 @@ import loopflow.action as action_mod
 import loopflow.flow as flow_mod
 from loopflow import fourier, spectral
 from loopflow.action import (PhasePoint, action, derivative_coefficients, evaluate,
-                             gradient_plan, perturb, random_phase_point, straight_orbit,
-                             velocity_coefficients)
+                             gradient_plan, perturb, quadratic_zone_energy, random_phase_point,
+                             straight_orbit, velocity_coefficients)
 from loopflow.flow import (FlowConfig, divergent_fixture, flow, flow_to_critical,
                            flow_velocity, ps_diagnostics, representation_coefficients,
                            representation_defects, speed_cutoff)
@@ -89,6 +89,22 @@ def test_flow_horizon_guard(spec, config):
     x = straight_orbit(flat_torus(2), (1, 0), spec)
     with pytest.raises(ValueError):
         flow(x, spec, config, config.t_max + 1.0)
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, -1.0, -1e-300])
+def test_flow_rejects_a_non_finite_or_negative_horizon(T, spec, config, monkeypatch):
+    def no_march(*args):
+        raise AssertionError("the march started")
+
+    monkeypatch.setattr(flow_mod, "_march", no_march)
+    x = straight_orbit(flat_torus(2), (1, 0), spec)
+    with pytest.raises(ValueError, match="flow horizon T must be finite and non-negative"):
+        flow(x, spec, config, T)
+
+
+def test_flow_over_a_zero_horizon_records_its_start(spec, config):
+    traj = flow(straight_orbit(flat_torus(2), (1, 0), spec), spec, config, 0.0)
+    assert traj.times.tolist() == [0.0] and not traj.budget_exhausted
 
 
 def with_nan_fiber(x):
@@ -211,9 +227,10 @@ def test_flow_and_flow_to_critical_share_the_step_budget(small_spec, small_confi
 
 
 def test_accepted_step_costs_four_evaluations(small_spec, small_config, rng, monkeypatch):
+    # evaluations are stage-kernel calls (metric_gradient), certified or not
     calls = []
     built = []
-    evaluation, build = action_mod.fiber_evaluation, flow_mod.perturb
+    evaluation, build = flow_mod.metric_gradient, flow_mod.perturb
 
     def counted(*args, **kwargs):
         calls.append(1)
@@ -223,7 +240,7 @@ def test_accepted_step_costs_four_evaluations(small_spec, small_config, rng, mon
         built.append(1)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(action_mod, "fiber_evaluation", counted)
+    monkeypatch.setattr(flow_mod, "metric_gradient", counted)
     monkeypatch.setattr(flow_mod, "perturb", counted_perturb)
     x = random_phase_point(small_spec, rng)
     traj = flow(x, small_spec, small_config, 0.1)
@@ -239,12 +256,21 @@ def test_accepted_step_costs_four_evaluations(small_spec, small_config, rng, mon
     assert len(calls) == 5
 
 
-def test_accepted_step_makes_eight_ffts_and_no_gather(small_spec, small_config, rng, monkeypatch):
-    # four evaluations of one irfft and one rfft each; the stages take the
-    # t-derivative of the horizontal gradient as a diagonal, not a gather
-    x = random_phase_point(small_spec, rng)
-    plan = gradient_plan(x.frame, small_spec.s)
-    k1 = flow_velocity(x, small_spec, small_config)
+def kinetic_point(spec, rng):
+    # a random phase point whose fiber is shrunk and moved out to radius
+    # about 3 on the kernel: every radius far inside the quadratic zone
+    x = random_phase_point(spec, rng)
+    c = 0.05 * x.fiber.coefficients
+    c[:2] += (3.0, 0.0)
+    return PhasePoint(loop=x.loop, fiber=FiberField(x.frame, c))
+
+
+def ffts_of_an_accepted_step(x, spec, config, monkeypatch):
+    """The FFT calls of one accepted step from x, whose start is certified
+    in the quadratic zone or not as the second value says."""
+    plan = gradient_plan(x.frame, spec.s)
+    certified = quadratic_zone_energy(plan, x.fiber.coefficients, spec.rho1) is not None
+    k1 = flow_velocity(x, spec, config)
     ffts = []
     for name in ("rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, lambda *a, f=getattr(np.fft, name), **kw:
@@ -255,9 +281,43 @@ def test_accepted_step_makes_eight_ffts_and_no_gather(small_spec, small_config, 
 
     monkeypatch.setattr(action_mod, "derivative_coefficients", no_gather)
     monkeypatch.setattr(flow_mod, "derivative_coefficients", no_gather)
-    _, dt, _ = flow_mod._step(x, small_spec, small_config, small_config.dt, k1, plan)
-    assert dt == small_config.dt
-    assert len(ffts) == 8
+    _, dt, _ = flow_mod._step(x, spec, config, config.dt, k1, plan)
+    monkeypatch.undo()
+    assert dt == config.dt
+    return len(ffts), certified
+
+
+def test_accepted_step_makes_eight_ffts_and_no_gather(small_spec, small_config, rng, monkeypatch):
+    # four kernel calls of one irfft and one rfft each from an uncertified
+    # start; the stages take the t-derivative of the horizontal gradient as
+    # a diagonal, not a gather
+    x = random_phase_point(small_spec, rng)
+    assert ffts_of_an_accepted_step(x, small_spec, small_config, monkeypatch) == (8, False)
+
+
+def test_certified_step_makes_no_fft(small_spec, small_config, rng, monkeypatch):
+    # far inside the quadratic zone every kernel call is certified
+    x = kinetic_point(small_spec, rng)
+    assert ffts_of_an_accepted_step(x, small_spec, small_config, monkeypatch) == (0, True)
+
+
+def test_overflowing_stage_still_halves(small_spec, small_config, rng, monkeypatch):
+    # a k1 whose vertical part throws the k2 stage to about 1e200 times the
+    # fiber at every tried dt: the certificate leaves that stage to
+    # fiber_evaluation, whose NaN makes the guard reject every try, so the
+    # step halves until it gives up
+    x = kinetic_point(small_spec, rng)
+    plan = gradient_plan(x.frame, small_spec.s)
+    k1 = flow_velocity(x, small_spec, small_config)
+    c, dt = x.fiber.coefficients, small_config.dt
+    k1 = k1._replace(grad_v=(c - 1e200 * c) / (0.5 * dt * k1.phi_tilde))
+    tries = []
+    rk4 = flow_mod._rk4
+    monkeypatch.setattr(flow_mod, "_rk4", lambda *args: tries.append(1) or rk4(*args))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ArithmeticError, match="halvings"):
+            flow_mod._step(x, small_spec, small_config, dt, k1, plan)
+    assert len(tries) == flow_mod.MAX_HALVINGS
 
 
 def test_reused_k1_matches_recomputed_k1(small_spec, small_config, rng, monkeypatch):

@@ -10,7 +10,6 @@ from scipy.optimize import least_squares
 from scipy.optimize._numdiff import approx_derivative
 
 import oracles
-import loopflow.action as action_mod
 import loopflow.flow as flow_mod
 from loopflow import fourier, minimax
 from loopflow.action import (PhasePoint, action, derivative_coefficients, gradient_norm,
@@ -719,8 +718,9 @@ def test_composite_descent_matches_reference(small_spec, small_config, monkeypat
 
 
 def test_descent_round_evaluates_its_state_once(small_spec, small_config, monkeypatch):
-    # per round after the ascent: one evaluation of the ascended state,
-    # whose velocity is also the step's k1, then four per RK4 try
+    # per round after the ascent: one kernel call (metric_gradient) at the
+    # ascended state, whose velocity is also the step's k1, then four per
+    # RK4 try
     rounds = []
 
     def counted(fn, slot):
@@ -734,7 +734,7 @@ def test_descent_round_evaluates_its_state_once(small_spec, small_config, monkey
         return sup(*args, **kwargs)
 
     sup = minimax.fiber_sup
-    monkeypatch.setattr(action_mod, "fiber_evaluation", counted(action_mod.fiber_evaluation, 0))
+    monkeypatch.setattr(flow_mod, "metric_gradient", counted(flow_mod.metric_gradient, 0))
     monkeypatch.setattr(flow_mod, "_rk4", counted(flow_mod._rk4, 1))
     monkeypatch.setattr(minimax, "fiber_sup", ascend)
     monkeypatch.setattr(minimax, "DESCENT_ROUNDS", 4)
