@@ -38,16 +38,10 @@ ascent does, with every row equal bit for bit to that fiber evaluated
 alone.
 
 gradient_norm and the flow's stage kernel read the action and gradient
-through metric_gradient, whose horizontal gradient is one gather times
-a gain and whose norm is two weighted dot products, with the arrays of
-a GradientPlan made once per frame and s.  It first certifies the
-quadratic zone from the fiber's coefficients alone
-(quadratic_zone_energy): the lower bound |c0| - sqrt(2) sum_j
-|(u_j, v_j)| on every radius.  Where that holds, Parseval gives the
-action and the plain gradient in closed form with no transform, equal
-to fiber_evaluation's up to the roundoff of its irfft/rfft pair; every
-other call is one fiber_evaluation, whose vertical gradient it keeps
-bit for bit.
+through metric_gradient, with the arrays of a GradientPlan made once per
+frame and s.  Where the fiber's coefficients alone certify the quadratic
+zone (quadratic_zone_energy), it needs no transform; every other call is
+one fiber_evaluation.
 """
 
 import math
@@ -133,21 +127,25 @@ def velocity_coefficients(loop, frame):
     """Frame coefficients of the loop velocity, read off its series.
 
     Exact: the velocity of a loop with at most J modes lies in the
-    frame's span, so no synthesis or analysis is needed.
+    frame's span, so no synthesis or analysis is needed.  Its cos and sin
+    coefficients are w sin and -w cos, with the frame's mode frequencies w
+    (the bits of fourier.differentiate); the slots of modes the loop does
+    not carry read +0.0.
     """
-    return velocity_layout(frame, loop.drift, loop.cos_coeffs, loop.sin_coeffs)
+    w = frame._mode_frequencies[:loop.modes]
+    return frame.layout(loop.drift, w * loop.sin_coeffs, -w * loop.cos_coeffs)
 
 
-def velocity_layout(frame, drift, cos, sin):
-    """Frame coefficients of loop velocities from their drifts (..., n)
-    and cos/sin coefficients (..., k, n), k <= J, with the same leading
-    axes: the derivative's cos and sin coefficients w sin and -w cos, with
-    the frame's mode frequencies w (the bits of fourier.differentiate), and
-    one frame.layout for a whole stack, each row equal to
-    velocity_coefficients of its loop (a mode padded with zeros reads -0.0
-    where a missing mode reads +0.0)."""
-    w = frame._mode_frequencies[:np.shape(cos)[-2]]
-    return frame.layout(drift, w * sin, -w * cos)
+def series_velocity(frame, drift, series):
+    """Frame coefficients of loop velocities from their drift (n,) and
+    their loops' data (..., D) laid out as LoopPath.series: each cos/sin
+    partner gathered times its signed frequency, over sqrt(2), and the
+    drift in the kernel: the bits of velocity_coefficients of each row's
+    loop, but -0.0 in the sin slots of modes padded with +0.0."""
+    partner, frequency = frame._derivative_map
+    out = np.take(series, partner, axis=-1) * frequency / SQ2
+    out[..., :frame.n] = drift
+    return out
 
 
 def fiber_evaluation(frame, qd, c, spec, r=None):
@@ -175,11 +173,7 @@ def fiber_evaluation(frame, qd, c, spec, r=None):
     exactly 0.0, the tail's jet is exactly (r + 0.5 rho^2, rho), and
     dH/drho / rho = 1.0 times p is p.  A NaN radius fails the test and an
     overflowing one exceeds QUADRATIC_TOP, so non-finite input takes the
-    jet path as before.  On the benchmark's flow workload the zone holds
-    73 % of the stage evaluations, but metric_gradient's coefficient
-    certificate serves 61 % of them without calling here, so this zone
-    serves the other 12 %; on the minimax workloads, whose batched fiber
-    ascents carry seeds below 2 rho1, it serves about 1 % of the rows.
+    jet path as before.
     """
     p_samp = frame.samples(c)
     rho = np.sqrt((p_samp * p_samp).sum(axis=-1))
@@ -324,17 +318,6 @@ def metric_pairing(x, spec, pair_a, pair_b):
     return float(hs + vs)
 
 
-def _padded_modes(loops, J):
-    """The cos and sin coefficients of loops as two (N, J, n) stacks, each
-    loop's rows zero-padded (+0.0) past its modes."""
-    shape = (len(loops), J, loops[0].manifold.dim)
-    cos, sin = np.zeros(shape), np.zeros(shape)
-    for row, loop in enumerate(loops):
-        cos[row, :loop.modes] = loop.cos_coeffs
-        sin[row, :loop.modes] = loop.sin_coeffs
-    return cos, sin
-
-
 def perturb(x, eps, xi=None, eta=None):
     """The phase point (q + eps xi, p + eps eta), exact in coefficients.
 
@@ -348,16 +331,14 @@ def perturb(x, eps, xi=None, eta=None):
         raise ValueError(f"tangents need shape ({frame.dim},), got {np.shape(xi)}, {np.shape(eta)}")
     if xi is not None:
         xa0, xa, xb = frame.series(xi)
-        if loop.modes == frame.cutoff:
-            cos, sin = loop.cos_coeffs, loop.sin_coeffs
-        else:
-            cos, sin = (a[0] for a in _padded_modes([loop], frame.cutoff))
+        # the loop's cos and sin rows, zero-padded (+0.0) to J
+        block = loop.series(frame.cutoff)[frame.n:].reshape(-1, 2, frame.n)
         new_base = np.asarray(loop.base) + eps * (xa0 + xa.sum(axis=0))
-        cos, sin = cos + eps * xa, sin + eps * xb
+        cos, sin = block[:, 0] + eps * xa, block[:, 1] + eps * xb
         # fresh arrays, sealed here so that the new state keeps them uncopied
         cos.flags.writeable = sin.flags.writeable = False
-        loop = LoopPath(manifold=loop.manifold, winding=loop.winding, base=tuple(new_base),
-                        cos_coeffs=cos, sin_coeffs=sin)
+        loop = LoopPath(manifold=loop.manifold, winding=loop.winding,
+                        base=tuple(new_base.tolist()), cos_coeffs=cos, sin_coeffs=sin)
     coeffs = x.fiber.coefficients if eta is None else x.fiber.coefficients + eps * eta
     coeffs.flags.writeable = False
     return PhasePoint(loop=loop, fiber=FiberField(frame, coeffs))
@@ -420,8 +401,8 @@ def classify_critical(x, spec):
 
 def pack_coefficients(x):
     """Flatten the free coordinates (loop cos/sin, fiber) into one vector."""
-    cos, sin = _padded_modes([x.loop], x.frame.cutoff)
-    return np.concatenate([cos.reshape(-1), sin.reshape(-1), x.fiber.coefficients])
+    block = x.loop.series(x.frame.cutoff)[x.frame.n:].reshape(-1, 2, x.frame.n)
+    return np.concatenate([block[:, 0].reshape(-1), block[:, 1].reshape(-1), x.fiber.coefficients])
 
 
 def unpack_coefficients(x, vec):

@@ -8,23 +8,18 @@ a bounded field (norm <= 1): the normalization caps the speed and the
 radial cutoff freezes states whose fiber norm reaches gamma''.  Steps
 are classical RK4 with step-halving whenever a step would raise the
 action by more than the per-step tolerance; since the field is bounded,
-explicit stepping is stable at fixed dt.  The action reads a state only
-through its velocity and fiber coefficients, so the inner RK4 stages
-are evaluated on those arrays and only the state a step returns is
-built as a PhasePoint.  Each march makes one action.gradient_plan of
-its frame and spec.s, and every stage is one kernel call (_velocity):
-one action.metric_gradient, the horizontal gradient as one gather times
-a gain, and the gradient and fiber norms as weighted dot products.  A
-stage's loop velocity needs no gather either, since the t-derivative of
-the horizontal gradient is a diagonal of the plan.  The evaluation that
-accepts a step is the next step's k1: an accepted step costs four
-evaluations (k2-k4 and the new state) and at most eight FFTs, one irfft
-and one rfft per evaluation whose fiber metric_gradient cannot certify
-in the quadratic zone from its coefficients.  On the benchmark's flow
-workload it certifies 61 % of them, which make no FFT.  One stepping
-driver serves both flow, which records every state, and
-flow_to_critical, which stops at the first state that converges or
-falls below its floor.
+explicit stepping is stable at fixed dt.
+
+The march builds no PhasePoint: a state is two (D,) arrays, its loop
+data L laid out as LoopPath.series and its fiber coefficients c, and a
+step moves both with the arithmetic of action.perturb.  Each march makes
+one action.gradient_plan, and every stage is one kernel call
+(_velocity): one action.metric_gradient, gathers and weighted dot
+products.  The evaluation that accepts a step is the next step's k1, so
+an accepted step costs four evaluations and at most eight FFTs, none for
+a fiber metric_gradient certifies in the quadratic zone (61 % on the
+benchmark's flow workload).  flow records the (N, D) stacks of L and c;
+flow_to_critical, on the same driver, builds only the state it stops at.
 
 Along a trajectory the vertical component satisfies a linear
 inhomogeneous ODE whose homogeneous weights are hyperbolic in the
@@ -50,12 +45,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .action import (PhasePoint, _padded_modes, derivative_coefficients, gradient_plan,
-                     metric_gradient, perturb, require_finite, velocity_coefficients,
-                     velocity_layout)
+from .action import (PhasePoint, derivative_coefficients, gradient_plan, metric_gradient,
+                     require_finite, series_velocity, velocity_coefficients)
 from .geometry import flat_torus, straight_loop
 from .hamiltonian import alpha_bound, smoothstep
-from .spectral import FiberField, frame_of
+from .spectral import SQ2, FiberField, frame_of
 
 DESCENT_TOL = 1e-8   # allowed per-step action increase before halving
 MAX_HALVINGS = 30
@@ -154,30 +148,27 @@ def _velocity(plan, qd, c, spec, config):
     return Velocity(gh, gv, gn, phi_tilde, a, qd, c)
 
 
-def _state_velocity(plan, x, spec, config):
-    # the kernel at a state's own coefficients, its loop velocity read off the loop
-    return _velocity(plan, velocity_coefficients(x.loop, plan.frame), x.fiber.coefficients,
-                     spec, config)
+def flow_velocity(x, spec, config, plan=None):
+    """V_r at x from one evaluation, as a Velocity: the stage kernel at
+    x's loop velocity and fiber, with plan, x's gradient_plan, made for
+    this call unless given."""
+    plan = gradient_plan(x.frame, spec.s) if plan is None else plan
+    return _velocity(plan, velocity_coefficients(x.loop, x.frame), x.fiber.coefficients, spec,
+                     config)
 
 
-def flow_velocity(x, spec, config):
-    """V_r at x from one evaluation, as a Velocity: the stage kernel with
-    a plan made for this call."""
-    return _state_velocity(gradient_plan(x.frame, spec.s), x, spec, config)
-
-
-def _rk4(x, spec, config, dt, k1, plan):
-    """The RK4 step of size dt from x, whose velocity k1 is given; plan is
-    x's gradient_plan.
+def _rk4(L, spec, config, dt, k1, plan):
+    """The RK4 step of size dt from the state of loop data L
+    (LoopPath.series) and velocity k1, which carries its qd and c; plan is
+    its gradient_plan.  Returns the new state's (L, c).
 
     Stage k_{i+1} is the kernel at fiber c - h phi_i grad_v,i and loop
-    velocity qd + h d/dt(-phi_i grad_h,i) = qd + h phi_i rate * c_i, with
-    c_i the fiber k_i was evaluated at: the t-derivative of the
-    horizontal gradient is diagonal (GradientPlan.rate), so no stage
-    gathers.  These are the coefficients of perturb(x, h, -phi_i grad_i)
-    up to roundoff; qd and c are x's, as k1 carries them.  perturb builds
-    only the state returned, moved by -(phi_1 g_1 + 2 phi_2 g_2 +
-    2 phi_3 g_3 + phi_4 g_4)/6 in each part.
+    velocity qd + h phi_i rate * c_i, c_i the fiber of k_i: the
+    t-derivative of the horizontal gradient is diagonal
+    (GradientPlan.rate).  These are the coefficients of perturb(x, h,
+    -phi_i grad_i) up to roundoff.  The step moves by -(phi_1 g_1 +
+    2 phi_2 g_2 + 2 phi_3 g_3 + phi_4 g_4)/6 with perturb's arithmetic,
+    bit for bit: sqrt(2)-scaled cos/sin rows, the base by their cos sum.
     """
     qd, c = k1.loop_velocity, k1.fiber
 
@@ -191,32 +182,46 @@ def _rk4(x, spec, config, dt, k1, plan):
     ch, cv = ((k1.phi_tilde * g1 + (2.0 * k2.phi_tilde) * g2 + (2.0 * k3.phi_tilde) * g3
                + k4.phi_tilde * g4) / -6.0
               for g1, g2, g3, g4 in zip(k1[:2], k2[:2], k3[:2], k4[:2]))
-    return perturb(x, dt, xi=ch, eta=cv)
+    n = plan.frame.n
+    xs = ch * SQ2
+    Ln = L + dt * xs
+    Ln[:n] = L[:n] + dt * (ch[:n] + xs[n:].reshape(-1, 2 * n)[:, :n].sum(axis=0))
+    return Ln, c + dt * cv
 
 
-def _step(x, spec, config, dt, k1, plan):
-    """One accepted step from x, whose velocity is k1 and gradient_plan
-    plan: halve dt until the action does not increase.  Returns (new
-    state, dt used, its velocity)."""
+def _step(L, spec, config, dt, k1, plan):
+    """One accepted step from the state (L, k1) with gradient_plan plan:
+    halve dt until the action does not increase.  Returns (new L, dt
+    used, its velocity), which carries the new fiber."""
+    drift = k1.loop_velocity[:plan.frame.n]   # the kernel of a loop velocity; no step moves it
     for _ in range(MAX_HALVINGS):
-        xn = _rk4(x, spec, config, dt, k1, plan)
-        kn = _state_velocity(plan, xn, spec, config)
+        Ln, cn = _rk4(L, spec, config, dt, k1, plan)
+        kn = _velocity(plan, series_velocity(plan.frame, drift, Ln), cn, spec, config)
         if kn.action <= k1.action + DESCENT_TOL:
-            return xn, dt, kn
+            return Ln, dt, kn
         dt *= 0.5
     raise ArithmeticError(f"flow step rejected after {MAX_HALVINGS} halvings (dt={dt:.3e})")
 
 
+def _state(x0, L, c):
+    """The PhasePoint of loop data L (LoopPath.series) in x0's loop class
+    and fiber coefficients c in x0's frame."""
+    return PhasePoint(loop=x0.loop.with_series(L), fiber=FiberField(x0.frame, c))
+
+
 @dataclass(frozen=True, eq=False)
 class FlowTrajectory:
-    """A recorded flow run: states with per-state diagnostics.
-
-    ab holds the representation pair (a(t), b(t)); phi_tilde the
-    normalized speed weights the pair integrates; s the flow's spec.s.
+    """A recorded flow run: the start state x0, the read-only (N, D)
+    stacks of the states' loop data (LoopPath.series) and fibers, and
+    per-state diagnostics.  states and final build their PhasePoints
+    (but x0) each time they are read.  ab holds the representation pair
+    (a(t), b(t)); phi_tilde the speed weights it integrates; s is spec.s.
     """
 
+    x0: PhasePoint
+    loops: np.ndarray
+    fibers: np.ndarray
     times: np.ndarray
-    states: list
     actions: np.ndarray
     gradient_norms: np.ndarray
     phi_tilde: np.ndarray
@@ -225,18 +230,23 @@ class FlowTrajectory:
     budget_exhausted: bool = False
 
     @property
+    def states(self):
+        return [self.x0] + [_state(self.x0, L, c) for L, c in zip(self.loops[1:], self.fibers[1:])]
+
+    @property
     def final(self):
-        return self.states[-1]
+        return self.x0 if len(self.times) == 1 else _state(self.x0, self.loops[-1], self.fibers[-1])
 
 
-def _trajectory(times, states, records, s, budget_exhausted=False):
-    """The FlowTrajectory at regularity s of states whose records are the
-    three scalars (grad_norm, phi~, action) of their Velocities; (a, b)
-    come from the trapezoidal integral of phi~."""
+def _trajectory(x0, times, loops, fibers, records, s, budget_exhausted=False):
+    """The FlowTrajectory at regularity s from x0 of the stacks loops and
+    fibers with records (grad_norm, phi~, action); (a, b) come from the
+    trapezoidal integral of phi~."""
     times = np.asarray(times)
+    loops.flags.writeable = fibers.flags.writeable = False
     grad_norms, phi_tilde, actions = np.array(records, dtype=float).reshape(-1, 3).T
     integral = np.concatenate([[0.0], np.cumsum(np.diff(times) * 0.5 * (phi_tilde[1:] + phi_tilde[:-1]))])
-    return FlowTrajectory(times=times, states=states, actions=actions,
+    return FlowTrajectory(x0=x0, loops=loops, fibers=fibers, times=times, actions=actions,
                           gradient_norms=grad_norms, phi_tilde=phi_tilde,
                           ab=np.column_stack([-np.sinh(integral), np.cosh(integral)]), s=s,
                           budget_exhausted=budget_exhausted)
@@ -251,23 +261,25 @@ def step_budget(config, T):
 def _march(x, spec, config, T):
     """The flow from x toward time T, one accepted step at a time.
 
-    Yields (t, steps, state, velocity) at x and after each step; stops
-    once t reaches T (to 1e-12) or the steps reach step_budget(config, T).
+    Yields (t, steps, L, velocity) at x and after each step (the fiber is
+    the velocity's); stops once t reaches T (to 1e-12) or the steps reach
+    step_budget(config, T).
     A step shrinks to T - t only when that is short of dt by more than
     the same 1e-12, so a flow to a time that earlier steps summed to
     retraces those steps.
     """
     plan = gradient_plan(x.frame, spec.s)
-    k = _state_velocity(plan, x, spec, config)
+    L = x.loop.series(x.frame.cutoff)
+    k = flow_velocity(x, spec, config, plan)
     t, steps = 0.0, 0
     max_steps = step_budget(config, T)
-    yield t, steps, x, k
+    yield t, steps, L, k
     while t < T - 1e-12 and steps < max_steps:
         dt = config.dt if T - t >= config.dt - 1e-12 else T - t
-        x, dt_used, k = _step(x, spec, config, dt, k, plan)
+        L, dt_used, k = _step(L, spec, config, dt, k, plan)
         t += dt_used
         steps += 1
-        yield t, steps, x, k
+        yield t, steps, L, k
 
 
 def flow(x0, spec, config, T):
@@ -283,12 +295,10 @@ def flow(x0, spec, config, T):
     if T > config.t_max + 1e-12:
         raise ValueError("flow horizon exceeds the configured t_max budget")
     require_finite("flow start state", x0.loop, x0.fiber.coefficients)
-    times, states, records = [], [], []
-    for t, _, x, k in _march(x0, spec, config, T):
-        times.append(t)
-        states.append(x)
-        records.append((k.grad_norm, k.phi_tilde, k.action))
-    return _trajectory(times, states, records, spec.s, bool(times[-1] < T - 1e-12))
+    times, loops, fibers, records = zip(*[(t, L, k.fiber, (k.grad_norm, k.phi_tilde, k.action))
+                                          for t, _, L, k in _march(x0, spec, config, T)])
+    return _trajectory(x0, times, np.stack(loops), np.stack(fibers), records, spec.s,
+                       bool(times[-1] < T - 1e-12))
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,13 +328,14 @@ def flow_to_critical(x, spec, config, floor=None):
     """
     require_finite("flow_to_critical start state", x.loop, x.fiber.coefficients)
     consec = 0
-    for t, steps, x, k in _march(x, spec, config, config.t_max):
+    for t, steps, L, k in _march(x, spec, config, config.t_max):
         consec = consec + 1 if k.grad_norm < config.grad_tol else 0
         converged = consec >= SUSTAIN_STEPS or k.grad_norm <= 0.01 * config.grad_tol
         escaped = bool(not converged and floor is not None and k.action < floor)
         if converged or escaped:
             break
-    return CriticalSearch(state=x, converged=converged, escaped=escaped, steps=steps, time=t,
+    return CriticalSearch(state=x if steps == 0 else _state(x, L, k.fiber), converged=converged,
+                          escaped=escaped, steps=steps, time=t,
                           grad_norm=k.grad_norm, action=k.action,
                           budget_exhausted=not (converged or escaped))
 
@@ -332,19 +343,18 @@ def flow_to_critical(x, spec, config, floor=None):
 def representation_defects(traj):
     """The defects K(t_k) = p(t_k) - a(t_k) j*qdot(0) - b(t_k) p(0), as an
     (N, D) array of frame coefficients, one row per state."""
-    x0 = traj.states[0]
+    x0 = traj.x0
     frame = x0.frame
     jq0 = frame.weights(traj.s - 1.0) * velocity_coefficients(x0.loop, frame)
-    fibers = np.stack([x.fiber.coefficients for x in traj.states])
-    return fibers - traj.ab[:, :1] * jq0 - traj.ab[:, 1:] * x0.fiber.coefficients
+    return traj.fibers - traj.ab[:, :1] * jq0 - traj.ab[:, 1:] * x0.fiber.coefficients
 
 
 def representation_coefficients(traj):
     """Per-state rows (a, b, K-residual), an (N, 3) array: the flowed fiber
     against the hyperbolic combination of the initial data, residual in
     the (1-s)-norm."""
-    x0 = traj.states[0]
-    return np.column_stack([traj.ab, x0.frame.norm(1.0 - traj.s, representation_defects(traj))])
+    return np.column_stack([traj.ab, traj.x0.frame.norm(1.0 - traj.s,
+                                                        representation_defects(traj))])
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,17 +386,13 @@ def ps_diagnostics(traj, spec, config):
     split of p.  The growth flag trips when (ii) keeps climbing over
     the second half of the trajectory, the signature of a diverging
     fiber that the compactness argument excludes.  The loop velocities
-    of all states come from one velocity_layout over their stacked
-    cos/sin coefficients, padded to J; the stack lives only for this
-    call, the trajectory does not keep it.
+    of all states come from one series_velocity over the trajectory's
+    stack of loop data; that stack lives only for this call, the
+    trajectory does not keep it.
     """
-    x0 = traj.states[0]
-    frame, s, n = x0.frame, spec.s, x0.frame.n
-    p = np.stack([x.fiber.coefficients for x in traj.states])
-    # every loop's modes, zero-padded to J (a start loop may carry fewer)
-    loops = [x.loop for x in traj.states]
-    qd = velocity_layout(frame, np.stack([loop.drift for loop in loops]),
-                         *_padded_modes(loops, frame.cutoff))
+    frame, s, n = traj.x0.frame, spec.s, traj.x0.frame.n
+    p = traj.fibers
+    qd = series_velocity(frame, traj.x0.loop.drift, traj.loops)
     tail = p.copy()
     tail[:, :n] = 0.0
     v2 = np.sum(p ** 2, axis=1) / (1.0 + frame.norm(1.0 - s, p))
@@ -412,9 +418,10 @@ def divergent_fixture(spec, config):
     steps, scale = 24, 0.35
     loop = straight_loop(flat_torus(2), (1, 0), modes=spec.J)
     frame = frame_of(loop, spec.J)
+    plan = gradient_plan(frame, spec.s)
     qd = velocity_coefficients(loop, frame)
-    states = [PhasePoint(loop=loop, fiber=FiberField(frame, -(1.0 + k) * scale * qd))
-              for k in range(steps)]
-    velocities = [flow_velocity(x, spec, config) for x in states]
-    return _trajectory(config.dt * np.arange(steps), states,
-                       [(k.grad_norm, k.phi_tilde, k.action) for k in velocities], spec.s)
+    fibers = (-(1.0 + np.arange(steps)) * scale)[:, None] * qd
+    velocities = [_velocity(plan, qd, c, spec, config) for c in fibers]
+    return _trajectory(PhasePoint(loop=loop, fiber=FiberField(frame, fibers[0])),
+                       config.dt * np.arange(steps), np.tile(loop.series(spec.J), (steps, 1)),
+                       fibers, [(k.grad_norm, k.phi_tilde, k.action) for k in velocities], spec.s)

@@ -112,8 +112,10 @@ class LoopPath:
         if a.ndim != 2 or b.ndim != 2 or a.shape != b.shape or a.shape[1] != n:
             raise ValueError("coefficient arrays must both have shape (J, n)")
         a, b = read_only(a), read_only(b)
-        object.__setattr__(self, "winding", tuple(int(w) for w in self.winding))
-        object.__setattr__(self, "base", tuple(float(x) for x in self.base))
+        for name, kind in (("winding", int), ("base", float)):
+            values = getattr(self, name)   # converted once: a tuple of ints (floats) is kept
+            if type(values) is not tuple or any(type(v) is not kind for v in values):
+                object.__setattr__(self, name, tuple(map(kind, values)))
         object.__setattr__(self, "cos_coeffs", a)
         object.__setattr__(self, "sin_coeffs", b)
 
@@ -148,6 +150,20 @@ class LoopPath:
         """Trig coefficients (a0, a, b) of the velocity field."""
         _, da, db = fourier.differentiate(np.zeros(self.manifold.dim), self.cos_coeffs, self.sin_coeffs)
         return self.drift.copy(), da, db
+
+    def series(self, J):
+        """The loop's data as one (n(2J+1),) array in a spectral frame's
+        slot order: base, then per mode the cos row a_j and the sin row
+        b_j, unscaled, and +0.0 past the loop's modes."""
+        pad = np.zeros(2 * self.manifold.dim * (J - self.modes))
+        return np.concatenate([self.base, np.hstack([self.cos_coeffs, self.sin_coeffs]).ravel(), pad])
+
+    def with_series(self, series):
+        """The loop of this winding whose data is series (LoopPath.series)."""
+        n = self.manifold.dim
+        block = series[n:].reshape(-1, 2, n)
+        return LoopPath(self.manifold, self.winding, tuple(series[:n].tolist()), block[:, 0],
+                        block[:, 1])
 
     def content_key(self):
         """Stable byte digest of the loop data."""

@@ -174,12 +174,7 @@ def radial_H_jet(spec, rho, order=2, r=None):
     tail) serves all orders; the arithmetic is that of chi and phi, so
     every entry equals the per-order value bit for bit.  When every
     radius lies on the phi tail, the tail is computed on the whole
-    array: on the benchmark's flow workload that is 24 % of the stage
-    evaluations, those all-tail but not all in the quadratic zone
-    rho >= 2 rho1, which action.metric_gradient's coefficient
-    certificate (61 %) and action.fiber_evaluation (12 %) serve without
-    this pass; the pass runs on 27 % of them.  Otherwise each populated
-    branch is gathered and scattered.
+    array; otherwise each populated branch is gathered and scattered.
     Returns order + 1 C-contiguous arrays shaped like rho (at least
     1-d); the action and its gradient need order 1, the fiber Hessian
     order 2.

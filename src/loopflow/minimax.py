@@ -33,7 +33,7 @@ from . import fourier
 from .action import (PhasePoint, classify_critical, derivative_coefficients, fiber_evaluation,
                      gradient, gradient_norm, gradient_plan, loop_energy, pack_coefficients,
                      require_finite, unpack_coefficients, velocity_coefficients)
-from .flow import _step, flow_velocity
+from .flow import _state, _step, flow_velocity
 from .geometry import flat_torus, straight_loop
 from .hamiltonian import alpha_bound, r0_threshold, radial_H_jet
 from .spectral import FiberField, frame_of
@@ -307,10 +307,11 @@ def _envelope_descent(x, spec, config, tol):
     for rounds in range(DESCENT_ROUNDS):
         asc = fiber_sup(x.loop, spec, config, seeds=[x.fiber.coefficients])[0]
         x = PhasePoint(loop=x.loop, fiber=asc.field)
-        k = flow_velocity(x, spec, config)
+        k = flow_velocity(x, spec, config, plan)
         if k.grad_norm <= tol:
             return rounds, x, k
-        x, _, k = _step(x, spec, config, dt, k, plan)
+        L, _, k = _step(x.loop.series(x.frame.cutoff), spec, config, dt, k, plan)
+        x = _state(x, L, k.fiber)   # the one state of the round, for its fiber ascent
     return DESCENT_ROUNDS, x, k
 
 

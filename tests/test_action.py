@@ -8,14 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from loopflow.action import (PhasePoint, _padded_modes, action, classify_critical,
+from loopflow.action import (PhasePoint, action, classify_critical,
                              derivative_coefficients, directional_derivative_check, evaluate,
                              fiber_evaluation, gradient, gradient_norm, hamilton_residual,
                              loop_energy, metric_pairing, pack_coefficients, perturb,
-                             random_direction, random_phase_point, straight_orbit,
-                             unpack_coefficients, velocity_coefficients)
+                             random_direction, random_phase_point, series_velocity,
+                             straight_orbit, unpack_coefficients, velocity_coefficients)
 from loopflow.flow import flow_velocity
-from loopflow.geometry import LoopPath, flat_torus, random_loop, straight_loop
+from loopflow.geometry import LoopPath, embedded_circle, flat_torus, random_loop, straight_loop
 from loopflow.hamiltonian import radial_H
 from loopflow.spectral import FiberField, SpectralFrame, frame_of
 
@@ -109,8 +109,8 @@ def test_perturb_moves_non_kernel_modes(spec, rng):
 
 @pytest.mark.parametrize("modes", ["none", "half", "all"])
 def test_perturb_output_is_the_padded_route_byte_for_byte(modes, spec, rng):
-    # a loop that carries all J modes skips the zero-padded copy; the
-    # result must equal the padded route for every mode count
+    # perturb pads the loop's rows with +0.0 to J modes; the result must
+    # equal perturbing the loop padded beforehand, for every mode count
     J = spec.J
     k = {"none": 0, "half": J // 2, "all": J}[modes]
     loop = random_loop(flat_torus(2), (1, 0), k, rng, amplitude=0.05)
@@ -119,11 +119,11 @@ def test_perturb_output_is_the_padded_route_byte_for_byte(modes, spec, rng):
     xi, eta = random_direction(x, spec, rng)
     got = perturb(x, 0.3, xi=xi, eta=eta)
     _, xa, xb = frame.series(xi)
-    cos, sin = _padded_modes([loop], J)
-    assert got.loop.cos_coeffs.tobytes() == (cos[0] + 0.3 * xa).tobytes()
-    assert got.loop.sin_coeffs.tobytes() == (sin[0] + 0.3 * xb).tobytes()
+    cos, sin = (np.pad(a, ((0, J - k), (0, 0))) for a in (loop.cos_coeffs, loop.sin_coeffs))
+    assert got.loop.cos_coeffs.tobytes() == (cos + 0.3 * xa).tobytes()
+    assert got.loop.sin_coeffs.tobytes() == (sin + 0.3 * xb).tobytes()
     assert got.loop.modes == J
-    want = perturb(PhasePoint(loop=replace(loop, cos_coeffs=cos[0], sin_coeffs=sin[0]),
+    want = perturb(PhasePoint(loop=replace(loop, cos_coeffs=cos, sin_coeffs=sin),
                               fiber=x.fiber), 0.3, xi=xi, eta=eta)
     assert got.loop.base == want.loop.base
     assert got.loop.content_key() == want.loop.content_key()
@@ -290,3 +290,20 @@ def test_states_copy_what_a_caller_can_still_write(spec, rng):
     moved = perturb(x, 0.01, xi=xi, eta=xi)
     for arr in (moved.fiber.coefficients, moved.loop.cos_coeffs, moved.loop.sin_coeffs):
         assert not arr.flags.writeable and arr.base is None
+
+
+@pytest.mark.parametrize("modes", [0, 4, 8])
+def test_series_velocity_has_the_bits_of_velocity_coefficients(modes, small_spec, rng):
+    # equal to the loop's velocity coefficients, and bit for bit those of
+    # the loop padded to J modes (its padded sin slots read -0.0), row by
+    # row for a stack
+    J = small_spec.J
+    for manifold, winding in ((flat_torus(2), (1, 1)), (embedded_circle(), (1,))):
+        loop = random_loop(manifold, winding, modes, rng)
+        frame = frame_of(loop, J)
+        got = series_velocity(frame, loop.drift, loop.series(J))
+        assert np.array_equal(got, velocity_coefficients(loop, frame))
+        padded = loop.with_series(loop.series(J))
+        assert got.tobytes() == velocity_coefficients(padded, frame).tobytes()
+        stack = series_velocity(frame, loop.drift, np.stack([padded.series(J), loop.series(J)]))
+        assert stack[0].tobytes() == stack[1].tobytes() == got.tobytes()

@@ -1,6 +1,9 @@
 import dataclasses
+import importlib.util
 import json
 import math
+from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -15,9 +18,11 @@ from loopflow.action import (PhasePoint, action, derivative_coefficients, evalua
 from loopflow.flow import (FlowConfig, divergent_fixture, flow, flow_to_critical,
                            flow_velocity, ps_diagnostics, representation_coefficients,
                            representation_defects, speed_cutoff)
-from loopflow.geometry import embedded_circle, flat_torus, random_loop, straight_loop
+from loopflow.geometry import LoopPath, embedded_circle, flat_torus, random_loop, straight_loop
 from loopflow.hamiltonian import default_spec
 from loopflow.spectral import FiberField, frame_of
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def high_mode_state(spec):
@@ -230,7 +235,7 @@ def test_accepted_step_costs_four_evaluations(small_spec, small_config, rng, mon
     # evaluations are stage-kernel calls (metric_gradient), certified or not
     calls = []
     built = []
-    evaluation, build = flow_mod.metric_gradient, flow_mod.perturb
+    evaluation, build = flow_mod.metric_gradient, action_mod.perturb
 
     def counted(*args, **kwargs):
         calls.append(1)
@@ -241,7 +246,7 @@ def test_accepted_step_costs_four_evaluations(small_spec, small_config, rng, mon
         return build(*args, **kwargs)
 
     monkeypatch.setattr(flow_mod, "metric_gradient", counted)
-    monkeypatch.setattr(flow_mod, "perturb", counted_perturb)
+    monkeypatch.setattr(action_mod, "perturb", counted_perturb)
     x = random_phase_point(small_spec, rng)
     traj = flow(x, small_spec, small_config, 0.1)
     steps = len(traj.times) - 1
@@ -249,11 +254,44 @@ def test_accepted_step_costs_four_evaluations(small_spec, small_config, rng, mon
     np.testing.assert_allclose(np.diff(traj.times), small_config.dt, rtol=1e-12)
     assert steps == 10
     assert len(calls) == 1 + 4 * steps   # the start, then k2..k4 and the new state
-    assert len(built) == steps           # the stages build no state
+    assert len(built) == 0               # the steps move arrays, not states
     calls.clear()
-    flow_mod._step(x, small_spec, small_config, small_config.dt,
+    flow_mod._step(x.loop.series(small_spec.J), small_spec, small_config, small_config.dt,
                    flow_velocity(x, small_spec, small_config), gradient_plan(x.frame, small_spec.s))
     assert len(calls) == 5
+
+
+def test_march_builds_no_state(small_spec, small_config, rng, monkeypatch):
+    # the march carries loop data and fiber arrays: no LoopPath, FiberField
+    # or PhasePoint is built and perturb is not called until a state is read
+    x = random_phase_point(small_spec, rng)
+    built = []
+    for cls in (LoopPath, FiberField, PhasePoint):
+        monkeypatch.setattr(cls, "__post_init__", lambda self, f=cls.__post_init__:
+                            built.append(type(self).__name__) or f(self))
+    monkeypatch.setattr(action_mod, "perturb", lambda *a, **kw: built.append("perturb"))
+    traj = flow(x, small_spec, small_config, 0.1)
+    assert len(traj.times) == 11 and built == []
+    states = traj.states
+    assert states[0] is x
+    assert sorted(built) == sorted(["LoopPath", "FiberField", "PhasePoint"] * 10)
+    built.clear()
+    assert traj.final.loop.modes == small_spec.J
+    assert sorted(built) == ["FiberField", "LoopPath", "PhasePoint"]
+    built.clear()
+    search = flow_to_critical(x, small_spec, dataclasses.replace(small_config, t_max=0.05))
+    assert search.steps == 5 and sorted(built) == ["FiberField", "LoopPath", "PhasePoint"]
+
+
+def test_bench_check_accepts_a_flow_trajectory(spec, config):
+    # the benchmark's flow workload reads a trajectory's states, times,
+    # actions, gradient norms and budget flag through this check
+    checks = importlib.util.spec_from_file_location("bench_checks", BENCH / "checks.py")
+    module = importlib.util.module_from_spec(checks)
+    checks.loader.exec_module(module)
+    x = random_phase_point(spec, np.random.default_rng([5, 0]))
+    traj = flow(x, spec, config, 1.0)
+    assert module.check_trajectory(traj, representation_coefficients(traj)) == []
 
 
 def kinetic_point(spec, rng):
@@ -281,7 +319,7 @@ def ffts_of_an_accepted_step(x, spec, config, monkeypatch):
 
     monkeypatch.setattr(action_mod, "derivative_coefficients", no_gather)
     monkeypatch.setattr(flow_mod, "derivative_coefficients", no_gather)
-    _, dt, _ = flow_mod._step(x, spec, config, config.dt, k1, plan)
+    _, dt, _ = flow_mod._step(x.loop.series(spec.J), spec, config, config.dt, k1, plan)
     monkeypatch.undo()
     assert dt == config.dt
     return len(ffts), certified
@@ -316,7 +354,7 @@ def test_overflowing_stage_still_halves(small_spec, small_config, rng, monkeypat
     monkeypatch.setattr(flow_mod, "_rk4", lambda *args: tries.append(1) or rk4(*args))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ArithmeticError, match="halvings"):
-            flow_mod._step(x, small_spec, small_config, dt, k1, plan)
+            flow_mod._step(x.loop.series(small_spec.J), small_spec, small_config, dt, k1, plan)
     assert len(tries) == flow_mod.MAX_HALVINGS
 
 
@@ -325,8 +363,9 @@ def test_reused_k1_matches_recomputed_k1(small_spec, small_config, rng, monkeypa
     reused = flow(x, small_spec, small_config, 0.2)
     rk4 = flow_mod._rk4
 
-    def recomputing(x, spec, config, dt, k1, plan):
-        return rk4(x, spec, config, dt, flow_mod.flow_velocity(x, spec, config), plan)
+    def recomputing(L, spec, config, dt, k1, plan):
+        xk = flow_mod._state(x, L, k1.fiber)
+        return rk4(L, spec, config, dt, flow_mod.flow_velocity(xk, spec, config), plan)
 
     monkeypatch.setattr(flow_mod, "_rk4", recomputing)
     again = flow(x, small_spec, small_config, 0.2)
@@ -437,7 +476,8 @@ def test_rk4_matches_stages_built_by_perturb(J, model):
         x = model_point(spec, model, modes, rng)
         k1 = flow_velocity(x, spec, config)
         for dt in (config.dt, 0.1):
-            got = flow_mod._rk4(x, spec, config, dt, k1, gradient_plan(x.frame, spec.s))
+            got = flow_mod._state(x, *flow_mod._rk4(x.loop.series(J), spec, config, dt, k1,
+                                                    gradient_plan(x.frame, spec.s)))
             want = reference_rk4(x, spec, config, dt, k1)
             assert got.frame is x.frame and got.loop.winding == x.loop.winding
             for a, b in ((got.fiber.coefficients, want.fiber.coefficients),
@@ -496,13 +536,43 @@ def reference_step(x, spec, config, dt, k1):
     raise ArithmeticError("reference step rejected")
 
 
-def reference_flow(x, spec, config, T):
+# The march as it was before it carried arrays: every state a PhasePoint
+# that perturb built from the fused kernel's RK4 combination.  The march
+# must give the same bits.
+
+def perturb_step(x, spec, config, dt, k1):
+    """(new state, dt used, its velocity, RK4 tries) of one accepted step
+    with flow._velocity's stages, the new state built by perturb."""
+    plan = gradient_plan(x.frame, spec.s)
+    qd, c = k1.loop_velocity, k1.fiber
+
+    def stage(h, k):
+        hp = h * k.phi_tilde
+        return flow_mod._velocity(plan, qd + hp * (plan.rate * k.fiber), c - hp * k.grad_v, spec,
+                                  config)
+
+    for tries in range(1, flow_mod.MAX_HALVINGS + 1):
+        k2 = stage(0.5 * dt, k1)
+        k3 = stage(0.5 * dt, k2)
+        k4 = stage(dt, k3)
+        ch, cv = ((k1.phi_tilde * g1 + (2.0 * k2.phi_tilde) * g2 + (2.0 * k3.phi_tilde) * g3
+                   + k4.phi_tilde * g4) / -6.0
+                  for g1, g2, g3, g4 in zip(k1[:2], k2[:2], k3[:2], k4[:2]))
+        xn = perturb(x, dt, xi=ch, eta=cv)
+        kn = flow_velocity(xn, spec, config)
+        if kn.action <= k1.action + flow_mod.DESCENT_TOL:
+            return xn, dt, kn, tries
+        dt *= 0.5
+    raise ArithmeticError("perturb step rejected")
+
+
+def reference_flow(x, spec, config, T, step=reference_step, velocity=reference_state_velocity):
     """(times, states, velocities, RK4 tries) of the flow over time T."""
-    k = reference_state_velocity(x, spec, config)
+    k = velocity(x, spec, config)
     t, times, states, velocities, tries = 0.0, [0.0], [x], [k], 0
     while t < T - 1e-12:
         dt = config.dt if T - t >= config.dt - 1e-12 else T - t
-        x, dt_used, k, n = reference_step(x, spec, config, dt, k)
+        x, dt_used, k, n = step(x, spec, config, dt, k)
         t += dt_used
         tries += n
         times.append(t)
@@ -536,7 +606,32 @@ def assert_march_matches_reference(x, spec, config, T, monkeypatch):
     for name, field in (("actions", "action"), ("gradient_norms", "grad_norm"),
                         ("phi_tilde", "phi_tilde")):
         assert_close(getattr(traj, name), [getattr(k, field) for k in velocities])
+    assert_march_matches_perturb_stepping(traj, x, spec, config, T)
     return traj, len(tries)
+
+
+def assert_march_matches_perturb_stepping(traj, x, spec, config, T):
+    # bit for bit: the states, their records and (a, b), and the diagnostics
+    times, states, velocities, _ = reference_flow(x, spec, config, T, perturb_step, flow_velocity)
+    assert traj.times.tolist() == times
+    got = traj.states
+    assert len(got) == len(states)
+    assert all(state_key(a) == state_key(b) and a.loop.base == b.loop.base
+               for a, b in zip(got, states))
+    for name, field in (("actions", "action"), ("gradient_norms", "grad_norm"),
+                        ("phi_tilde", "phi_tilde")):
+        assert getattr(traj, name).tobytes() == \
+            np.array([getattr(k, field) for k in velocities]).tobytes()
+    phi = np.array([k.phi_tilde for k in velocities])
+    integral = np.concatenate([[0.0], np.cumsum(np.diff(times) * 0.5 * (phi[1:] + phi[:-1]))])
+    ab = np.column_stack([-np.sinh(integral), np.cosh(integral)])
+    assert traj.ab.tobytes() == ab.tobytes()
+    want = SimpleNamespace(states=states, ab=ab, s=spec.s)
+    report = ps_diagnostics(traj, spec, config)
+    for a, b in zip((report.vertical_defect, report.quadratic_ratio, report.derivative_norm,
+                     report.kernel_parallel, report.kernel_residual), reference_ps_arrays(want)):
+        assert a.tobytes() == b.tobytes()
+    assert representation_coefficients(traj).tobytes() == stacked_representation(want).tobytes()
 
 
 @pytest.mark.parametrize("J", [8, 32])
@@ -564,6 +659,16 @@ def test_fused_march_matches_reference_on_a_halved_step(monkeypatch):
     traj, tries = assert_march_matches_reference(x, spec, config, 1.0, monkeypatch)
     assert tries > len(traj.times) - 1   # some step was halved
     assert np.diff(traj.times).min() < config.dt
+
+
+def stacked_representation(traj):
+    # representation_coefficients as it was, over a list of states
+    x0 = traj.states[0]
+    frame = x0.frame
+    jq0 = frame.weights(traj.s - 1.0) * velocity_coefficients(x0.loop, frame)
+    fibers = np.stack([x.fiber.coefficients for x in traj.states])
+    defects = fibers - traj.ab[:, :1] * jq0 - traj.ab[:, 1:] * x0.fiber.coefficients
+    return np.column_stack([traj.ab, frame.norm(1.0 - traj.s, defects)])
 
 
 def reference_ps_arrays(traj):
@@ -625,7 +730,6 @@ def reference_flow_to_critical(x, spec, config, floor=None):
     consec = 0
     max_steps = flow_mod.step_budget(config, config.t_max)
     k = flow_mod.flow_velocity(x, spec, config)
-    plan = gradient_plan(x.frame, spec.s)
     while True:
         gn, a = k.grad_norm, k.action
         if gn < config.grad_tol:
@@ -638,7 +742,7 @@ def reference_flow_to_critical(x, spec, config, floor=None):
             return x, False, True, steps, t, gn, a, False
         if t >= config.t_max or steps >= max_steps:
             return x, False, False, steps, t, gn, a, True
-        x, dt_used, k = flow_mod._step(x, spec, config, min(config.dt, config.t_max - t), k, plan)
+        x, dt_used, k, _ = perturb_step(x, spec, config, min(config.dt, config.t_max - t), k)
         t += dt_used
         steps += 1
 

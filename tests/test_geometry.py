@@ -131,3 +131,31 @@ def random_loops(draw):
 @given(random_loops())
 def test_coordinates_at_zero_are_the_base_point(loop):
     assert np.array_equal(loop.coordinates(0.0)[0], loop.base)
+
+
+def test_series_lays_out_and_reads_back_a_loop(rng):
+    # base, then each mode's cos row and sin row, unscaled, padded with +0.0
+    # to J modes; with_series reads it back into a loop of the same winding
+    loop = random_loop(flat_torus(2), (1, 0), 3, rng)
+    L = loop.series(5)
+    assert L.shape == (2 * 11,) and L[:2].tolist() == list(loop.base)
+    block = L[2:].reshape(5, 2, 2)
+    assert block[:3, 0].tobytes() == loop.cos_coeffs.tobytes()
+    assert block[:3, 1].tobytes() == loop.sin_coeffs.tobytes()
+    assert not block[3:].any() and not np.signbit(block[3:]).any()
+    back = loop.with_series(L)
+    assert back.modes == 5 and back.winding is loop.winding and back.base == loop.base
+    assert back.cos_coeffs[:3].tobytes() == loop.cos_coeffs.tobytes()
+    full = random_loop(embedded_circle(), (2,), 5, rng)
+    assert full.with_series(full.series(5)).content_key() == full.content_key()
+
+
+def test_loop_converts_winding_and_base_once():
+    # a tuple of ints (floats) is kept as given; anything else is converted
+    winding, base = (1, 0), (0.25, 0.5)
+    loop = LoopPath(manifold=flat_torus(2), winding=winding, base=base)
+    assert loop.winding is winding and loop.base is base
+    for w, b in (((np.int64(1), 0), (np.float64(0.25), 0.5)), (np.array([1, 0]), [0.25, 0.5])):
+        other = LoopPath(manifold=flat_torus(2), winding=w, base=b)
+        assert other.winding == winding and other.base == base
+        assert [type(v) for v in other.winding + other.base] == [int, int, float, float]

@@ -701,9 +701,10 @@ def reference_composite_descent(x, spec, config):
         x = PhasePoint(loop=x.loop, fiber=asc.field)
         if gradient_norm(x, spec) <= tol:
             return x, True
-        x, _, _ = flow_mod._step(x, spec, config, 5.0 * config.dt,
+        L, _, k = flow_mod._step(x.loop.series(spec.J), spec, config, 5.0 * config.dt,
                                  flow_mod.flow_velocity(x, spec, config),
                                  gradient_plan(x.frame, spec.s))
+        x = flow_mod._state(x, L, k.fiber)
     return x, False
 
 
