@@ -2,8 +2,7 @@
 
 from .action import (CriticalClass, PhasePoint, classify_critical, gradient,
                      gradient_norm, hamilton_residual, loop_energy, metric_pairing,
-                     pack_coefficients, perturb, random_phase_point, straight_orbit,
-                     unpack_coefficients)
+                     perturb, random_phase_point, straight_orbit)
 from .flow import (FlowConfig, FlowTrajectory, PSReport, flow_to_critical,
                    ps_diagnostics, representation_coefficients, speed_cutoff)
 from .fourier import analyze, differentiate, synthesize
@@ -29,10 +28,10 @@ __all__ = [
     "embedded_metric", "fiber_sup", "fit_spectrum_bounds", "flat_torus",
     "flow_to_critical", "frame_of", "gradient", "gradient_norm",
     "hamilton_residual", "loop_energy", "metric_pairing", "minimax_theta",
-    "orbit_sweep", "pack_coefficients", "perturb", "phi", "ps_diagnostics",
+    "orbit_sweep", "perturb", "phi", "ps_diagnostics",
     "r0_threshold", "radial_H", "random_loop", "random_phase_point",
     "read_csv", "read_manifest", "refine_critical",
     "representation_coefficients", "smoothstep", "spectra_rows",
     "speed_cutoff", "straight_loop", "straight_orbit", "symplectic_action",
-    "synthesize", "unpack_coefficients", "write_csv", "write_json",
+    "synthesize", "write_csv", "write_json",
 ]

@@ -198,7 +198,8 @@ def evaluate(x, spec, qd=None, c=None):
     coefficients (the s-metric representative of xi -> <xi_dot, p>),
     vertical = (1+lam)^{s-1} times the coefficients of qdot - dH/dp
     (the (1-s)-metric representative).  qd and c, when given, replace x's
-    velocity and fiber coefficients: a state evaluated without its loop.
+    velocity and fiber coefficients: a state evaluated without its loop,
+    as the polish's residual is (minimax._critical_system).
     """
     frame = x.frame
     qd = velocity_coefficients(x.loop, frame) if qd is None else qd
@@ -397,24 +398,6 @@ def classify_critical(x, spec):
         sigma = float(np.log(np.mean(rho) / spec.rho_star))
         return CriticalClass("on-hypersurface", sigma=sigma)
     return CriticalClass("unclassified")
-
-
-def pack_coefficients(x):
-    """Flatten the free coordinates (loop cos/sin, fiber) into one vector."""
-    block = x.loop.series(x.frame.cutoff)[x.frame.n:].reshape(-1, 2, x.frame.n)
-    return np.concatenate([block[:, 0].reshape(-1), block[:, 1].reshape(-1), x.fiber.coefficients])
-
-
-def unpack_coefficients(x, vec):
-    """Rebuild a PhasePoint from pack_coefficients output (base, winding kept)."""
-    J = x.frame.cutoff
-    n = x.loop.manifold.dim
-    k = J * n
-    cos = vec[:k].reshape(J, n)
-    sin = vec[k:2 * k].reshape(J, n)
-    loop = LoopPath(manifold=x.loop.manifold, winding=x.loop.winding, base=x.loop.base,
-                    cos_coeffs=cos, sin_coeffs=sin)
-    return PhasePoint(loop=loop, fiber=FiberField(x.frame, vec[2 * k:].copy()))
 
 
 def random_phase_point(spec, rng):

@@ -115,6 +115,9 @@ class LoopPath:
         for name, kind in (("winding", int), ("base", float)):
             values = getattr(self, name)   # converted once: a tuple of ints (floats) is kept
             if type(values) is not tuple or any(type(v) is not kind for v in values):
+                if kind is int and not all(float(w).is_integer() for w in values):
+                    # int() would truncate 1.5 to 1 (and fail on inf or NaN)
+                    raise ValueError(f"loop winding must be integral, got {values!r}")
                 object.__setattr__(self, name, tuple(map(kind, values)))
         object.__setattr__(self, "cos_coeffs", a)
         object.__setattr__(self, "sin_coeffs", b)

@@ -14,8 +14,9 @@ and re-ascends the fiber, so the loop moves along the envelope gradient
 the highest action down; the level is the largest action a descent ends
 at, so a maximizer below it cannot raise the level, and a copy of a
 maximizer already descended would only repeat its descent.  Witnesses
-are polished before classification by Gauss-Newton steps on the
-stacked gradient coefficients, backtracked until the residual falls.
+are polished before classification by Gauss-Newton steps that move the
+loop's series arrays and the fiber to zero the stacked gradient
+coefficients, backtracked until the residual falls.
 The Jacobian is block-triangular, so each step is solved through its
 blocks (two scaled permutations and one n x n kernel solve) without
 forming it; it needs numpy only, so importing the package loads no
@@ -30,13 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .action import (PhasePoint, classify_critical, derivative_coefficients, fiber_evaluation,
-                     gradient, gradient_norm, gradient_plan, loop_energy, pack_coefficients,
-                     require_finite, unpack_coefficients, velocity_coefficients)
+from .action import (PhasePoint, classify_critical, derivative_coefficients, evaluate,
+                     fiber_evaluation, gradient_norm, gradient_plan, loop_energy, require_finite,
+                     series_velocity, velocity_coefficients)
 from .flow import _state, _step, flow_velocity
 from .geometry import flat_torus, straight_loop
 from .hamiltonian import alpha_bound, r0_threshold, radial_H_jet
-from .spectral import FiberField, frame_of
+from .spectral import SQ2, FiberField, frame_of
 
 ASCENT_TOL = 1e-9
 ASCENT_ITERS = 600
@@ -326,8 +327,9 @@ def composite_descent(x, spec, config):
 
 
 def _critical_system(x, spec):
-    """The residual that refine_critical drives to zero, as a function of
-    the packed unknowns (pack_coefficients), and its Gauss-Newton step.
+    """The residual that refine_critical drives to zero and its
+    Gauss-Newton step, as functions of the unknowns [L[n:], c]: the loop
+    data L (LoopPath.series) past the fixed base, and the fiber c.
 
     The residual is [(1+lam)^{s/2} grad_h, (1+lam)^{(1-s)/2} grad_v] =
     [f_h, f_v], and its Jacobian is block-triangular, so step(vec, f)
@@ -346,19 +348,22 @@ def _critical_system(x, spec):
       one coupled solve, H_kk dc_k = -f_v,k / V_k - (H dc_nk)_k with
       H_kk = mean_t W(t).  It runs by lstsq with rcond 1e-13: on the
       flat zones of H_r, W = 0.
-    * The loop step is then the antiderivative of f_v / V + H dc.
+    * The loop step is then the antiderivative of f_v / V + H dc, times
+      sqrt(2) outside the kernel to turn frame coefficients into rows.
 
     H v is applied as frame.coefficients(W frame.samples(v)), one irfft
     and one rfft: the quadrature that fiber_hessian compresses.
     """
     frame = x.frame
     n, J, dim = frame.n, frame.cutoff, frame.dim
-    k = 2 * J * n  # packed loop coordinates: cos then sin, each (J, n)
+    k = 2 * J * n  # loop coordinates: per mode the cos row, then the sin row
+    base, drift = np.asarray(x.loop.base), x.loop.drift
     scale_h = frame.weights(-0.5 * spec.s)
     scale_v = frame.weights(0.5 * (spec.s - 1.0))
 
     def fun(vec):
-        grad_h, grad_v = gradient(unpack_coefficients(x, vec), spec)
+        qd = series_velocity(frame, drift, np.concatenate([base, vec[:k]]))
+        _, grad_h, grad_v = evaluate(x, spec, qd, vec[k:])
         return np.concatenate([frame.weights(0.5 * spec.s) * grad_h,
                                frame.weights(0.5 * (1.0 - spec.s)) * grad_v])
 
@@ -377,8 +382,7 @@ def _critical_system(x, spec):
         dc = antiderivative(-f[:dim] / scale_h)
         rhs = -f[dim:dim + n] / scale_v[:n] - hess(dc)[:n]
         dc[:n] = np.linalg.lstsq(w.mean(axis=0), rhs, rcond=1e-13)[0]
-        _, da, db = frame.series(antiderivative(f[dim:] / scale_v + hess(dc)))
-        return np.concatenate([da.reshape(-1), db.reshape(-1), dc])
+        return np.concatenate([antiderivative(f[dim:] / scale_v + hess(dc))[n:] * SQ2, dc])
 
     return fun, step
 
@@ -387,15 +391,15 @@ def refine_critical(x, spec, max_nfev=POLISH_NFEV):
     """Polish a near-critical state by Gauss-Newton on the stacked
     metric-weighted gradient coefficients (Nocedal & Wright, ch. 10).
 
-    The unknowns are the packed loop cos/sin coefficients and the fiber
-    coefficients c (pack_coefficients); _critical_system gives the
-    residual and the exact Gauss-Newton step, solved through the
-    Jacobian's blocks.  Each step is backtracked: t delta is tried for
-    t = 1, 1/2, 1/4, ... until the residual norm falls.  The polish stops
-    when a tried step is below 1e-15 (1e-15 + |vec|), so that no decrease
-    can be found any more, or after max_nfev residual evaluations.  The
-    polished state is returned only if its gradient norm is no larger
-    than the input's.
+    The unknowns are the loop's cos/sin rows in the series layout
+    (LoopPath.series past its base) and the fiber coefficients c;
+    _critical_system gives the residual and the exact Gauss-Newton step,
+    solved through the Jacobian's blocks.  Each step is backtracked:
+    t delta is tried for t = 1, 1/2, 1/4, ... until the residual norm
+    falls.  The polish stops when a tried step is below 1e-15 (1e-15 +
+    |vec|), so that no decrease can be found any more, or after max_nfev
+    residual evaluations.  The polished state is returned only if its
+    gradient norm is no larger than the input's.
     """
     refined = _polish(x, spec, max_nfev)
     return refined if gradient_norm(refined, spec) <= gradient_norm(x, spec) else x
@@ -403,9 +407,10 @@ def refine_critical(x, spec, max_nfev=POLISH_NFEV):
 
 def _polish(x, spec, max_nfev):
     """The state refine_critical's Gauss-Newton iteration ends at, before
-    its gradient-norm guard."""
+    its gradient-norm guard; the one state it builds."""
     fun, step = _critical_system(x, spec)
-    vec = pack_coefficients(x)
+    n, L = x.frame.n, x.loop.series(x.frame.cutoff)
+    vec = np.concatenate([L[n:], x.fiber.coefficients])
     f = fun(vec)
     cost, nfev, small = f @ f, 1, False
     while nfev < max_nfev and not small:
@@ -422,7 +427,8 @@ def _polish(x, spec, max_nfev):
             if small:
                 break
             t *= 0.5
-    return unpack_coefficients(x, vec)
+    L[n:] = vec[:L.size - n]
+    return _state(x, L, vec[L.size - n:])
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,9 +11,9 @@ import oracles
 from loopflow.action import (PhasePoint, action, classify_critical,
                              derivative_coefficients, directional_derivative_check, evaluate,
                              fiber_evaluation, gradient, gradient_norm, hamilton_residual,
-                             loop_energy, metric_pairing, pack_coefficients, perturb,
-                             random_direction, random_phase_point, series_velocity,
-                             straight_orbit, unpack_coefficients, velocity_coefficients)
+                             loop_energy, metric_pairing, perturb, random_direction,
+                             random_phase_point, series_velocity, straight_orbit,
+                             velocity_coefficients)
 from loopflow.flow import flow_velocity
 from loopflow.geometry import LoopPath, embedded_circle, flat_torus, random_loop, straight_loop
 from loopflow.hamiltonian import radial_H
@@ -206,14 +206,6 @@ def test_classify_straddling_is_unclassified(spec, rng):
     from loopflow.action import PhasePoint
     x = PhasePoint(loop=loop, fiber=FiberField(frame, c))
     assert classify_critical(x, spec).kind == "unclassified"
-
-
-def test_pack_unpack_roundtrip(spec, rng):
-    x = random_phase_point(spec, rng)
-    vec = pack_coefficients(x)
-    y = unpack_coefficients(x, vec)
-    np.testing.assert_allclose(pack_coefficients(y), vec)
-    np.testing.assert_allclose(action(y, spec), action(x, spec), rtol=1e-12)
 
 
 def test_phase_point_rejects_frames_that_do_not_fit_the_loop(rng):

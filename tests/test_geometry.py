@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -159,3 +160,18 @@ def test_loop_converts_winding_and_base_once():
         other = LoopPath(manifold=flat_torus(2), winding=w, base=b)
         assert other.winding == winding and other.base == base
         assert [type(v) for v in other.winding + other.base] == [int, int, float, float]
+
+
+def test_loop_rejects_a_winding_that_is_not_integral():
+    # int() would truncate it: (1.5, 0) once read as winding and drift (1, 0)
+    for w in ((1.5, 0), (np.float64(2.7), 0), np.array([0.0, -0.5]), (math.inf, 0), (1, math.nan)):
+        with pytest.raises(ValueError, match="winding must be integral") as info:
+            LoopPath(manifold=flat_torus(2), winding=w, base=(0.0, 0.0))
+        assert repr(w) in str(info.value)
+    with pytest.raises(ValueError, match=r"got \(1\.5, 0\)"):
+        straight_loop(flat_torus(2), (1.5, 0))
+    # integral floats and numpy ints are windings, read as Python ints
+    for w in ((1.0, -2.0), (np.int32(1), np.int64(-2)), np.array([1.0, -2.0])):
+        loop = LoopPath(manifold=flat_torus(2), winding=w, base=(0.0, 0.0))
+        assert loop.winding == (1, -2) and [type(v) for v in loop.winding] == [int, int]
+        np.testing.assert_array_equal(loop.drift, [1.0, -2.0])

@@ -10,19 +10,19 @@ from scipy.optimize import least_squares
 from scipy.optimize._numdiff import approx_derivative
 
 import oracles
+import loopflow.action as action_mod
 import loopflow.flow as flow_mod
 from loopflow import fourier, minimax
-from loopflow.action import (PhasePoint, action, derivative_coefficients, gradient_norm,
-                             gradient_plan, pack_coefficients, perturb, random_direction,
-                             random_phase_point, straight_orbit, unpack_coefficients,
-                             velocity_coefficients)
+from loopflow.action import (PhasePoint, action, derivative_coefficients, gradient,
+                             gradient_norm, gradient_plan, perturb, random_direction,
+                             random_phase_point, straight_orbit, velocity_coefficients)
 from loopflow.flow import FlowConfig
-from loopflow.geometry import flat_torus, random_loop, straight_loop
+from loopflow.geometry import LoopPath, flat_torus, random_loop, straight_loop
 from loopflow.hamiltonian import default_spec, radial_H
 from loopflow.minimax import (ASCENT_TOL, composite_descent, default_family, fiber_hessian,
                               fiber_sup, minimax_theta, orbit_sweep, pool_size, refine_critical,
                               symplectic_action)
-from loopflow.spectral import frame_of
+from loopflow.spectral import FiberField, frame_of
 
 
 def reference_ascent(frame, qd, spec, c0, radius, iters, tol):
@@ -289,12 +289,24 @@ def dense_jacobian(x, spec, vec):
     out = np.zeros((2 * dim, k + dim))
     out[:dim, k:] = derivative_coefficients(frame, np.eye(dim)).T
     out[:dim, k:] *= -frame.weights(-0.5 * spec.s)[:, None]
-    unit = np.eye(k).reshape(k, 2, J, n)
+    unit = np.eye(k).reshape(k, J, 2, n)   # the unknowns' series order: per mode cos, then sin
     out[dim:, :k] = frame.layout(
-        *fourier.differentiate(np.zeros((k, n)), unit[:, 0], unit[:, 1])).T
+        *fourier.differentiate(np.zeros((k, n)), unit[:, :, 0], unit[:, :, 1])).T
     out[dim:, :k] *= vertical[:, None]
     out[dim:, k:] = -vertical[:, None] * fiber_hessian(frame, vec[k:], spec)
     return out
+
+
+def unknowns(x):
+    # the polish's unknowns at x: the loop's cos/sin rows in the series
+    # layout (past its base), then the fiber coefficients
+    return np.concatenate([x.loop.series(x.frame.cutoff)[x.frame.n:], x.fiber.coefficients])
+
+
+def at_unknowns(x, vec):
+    # the state of x's loop class and frame at the polish's unknowns vec
+    k = vec.size - x.frame.dim
+    return flow_mod._state(x, np.concatenate([x.loop.base, vec[:k]]), vec[k:])
 
 
 def jacobian_states(spec):
@@ -306,11 +318,11 @@ def jacobian_states(spec):
 
 def test_refine_critical_jacobian_matches_finite_differences():
     # the residual refine_critical polishes, against the dense Jacobian
-    # reference, at the packed unknowns of two states
+    # reference, at the unknowns of two states
     spec = default_spec(J=8)
     for x in jacobian_states(spec):
         fun, _ = minimax._critical_system(x, spec)
-        x0 = pack_coefficients(x)
+        x0 = unknowns(x)
         exact = dense_jacobian(x, spec, x0)
         fd = approx_derivative(fun, x0, method="3-point")
         assert exact.shape == fd.shape == (2 * x.frame.dim, 2 * spec.J * 2 + x.frame.dim)
@@ -322,7 +334,7 @@ def test_structured_step_is_the_least_squares_step_of_the_dense_jacobian(J):
     spec = default_spec(J=J)
     for x in jacobian_states(spec):
         fun, step = minimax._critical_system(x, spec)
-        x0 = pack_coefficients(x)
+        x0 = unknowns(x)
         f = fun(x0)
         ref = np.linalg.lstsq(dense_jacobian(x, spec, x0), f, rcond=None)[0]
         got = step(x0, f)
@@ -351,13 +363,14 @@ def test_refine_critical_forms_no_dense_matrix(monkeypatch):
     monkeypatch.setattr(minimax, "_polish", lambda x, x_spec, nfev: witnesses.append(x) or x)
     minimax_theta(default_family(spec), spec, FlowConfig.auto(spec))
     monkeypatch.undo()
+    (x,) = witnesses
+    assert_polish_matches_packed(x, spec, monkeypatch)   # the c11 J = 64 witness
 
     def refuse(*args, **kwargs):
         raise AssertionError("the polish formed a dense matrix")
 
     monkeypatch.setattr(np.linalg, "svd", refuse)
     monkeypatch.setattr(minimax, "fiber_hessian", refuse)
-    (x,) = witnesses
     assert gradient_norm(x, spec) > 1e-13
     assert gradient_norm(refine_critical(x, spec), spec) <= 1e-13
 
@@ -370,13 +383,128 @@ def test_refine_critical_never_worsens(spec, rng):
     assert gradient_norm(z, spec) <= gradient_norm(y, spec)
 
 
+# The polish as it was before it stepped series arrays: its unknowns were
+# packed as every cos row, then every sin row, then the fiber, and each
+# residual evaluation built the state they stood for and called gradient.
+# The polish must give the same bits.
+
+def packed(x):
+    block = x.loop.series(x.frame.cutoff)[x.frame.n:].reshape(-1, 2, x.frame.n)
+    return np.concatenate([block[:, 0].reshape(-1), block[:, 1].reshape(-1), x.fiber.coefficients])
+
+
+def unpacked(x, vec):
+    J, n = x.frame.cutoff, x.frame.n
+    k = J * n
+    loop = LoopPath(manifold=x.loop.manifold, winding=x.loop.winding, base=x.loop.base,
+                    cos_coeffs=vec[:k].reshape(J, n), sin_coeffs=vec[k:2 * k].reshape(J, n))
+    return PhasePoint(loop=loop, fiber=FiberField(x.frame, vec[2 * k:].copy()))
+
+
+def packed_polish(x, spec):
+    """(state, residual evaluations) of minimax._polish on the packed
+    unknowns."""
+    max_nfev = minimax.POLISH_NFEV
+    frame = x.frame
+    n, J, dim = frame.n, frame.cutoff, frame.dim
+    k = 2 * J * n
+    scale_h = frame.weights(-0.5 * spec.s)
+    scale_v = frame.weights(0.5 * (spec.s - 1.0))
+
+    def fun(vec):
+        grad_h, grad_v = gradient(unpacked(x, vec), spec)
+        return np.concatenate([frame.weights(0.5 * spec.s) * grad_h,
+                               frame.weights(0.5 * (1.0 - spec.s)) * grad_v])
+
+    def antiderivative(v):
+        out = derivative_coefficients(frame, v)
+        out[n:] /= -frame.eigenvalues[n:]
+        return out
+
+    def step(vec, f):
+        w = minimax._pointwise_hessian(frame, vec[k:], spec)
+
+        def hess(v):
+            return frame.coefficients(np.einsum("tij,tj->ti", w, frame.samples(v)))
+
+        dc = antiderivative(-f[:dim] / scale_h)
+        rhs = -f[dim:dim + n] / scale_v[:n] - hess(dc)[:n]
+        dc[:n] = np.linalg.lstsq(w.mean(axis=0), rhs, rcond=1e-13)[0]
+        _, da, db = frame.series(antiderivative(f[dim:] / scale_v + hess(dc)))
+        return np.concatenate([da.reshape(-1), db.reshape(-1), dc])
+
+    vec = packed(x)
+    f = fun(vec)
+    cost, nfev, small = f @ f, 1, False
+    while nfev < max_nfev and not small:
+        delta = step(vec, f)
+        size, t = np.linalg.norm(delta), 1.0
+        while nfev < max_nfev:
+            trial = vec - t * delta
+            f_trial = fun(trial)
+            nfev += 1
+            small = t * size <= 1e-15 * (1e-15 + np.linalg.norm(vec))
+            if f_trial @ f_trial < cost:
+                vec, f, cost = trial, f_trial, f_trial @ f_trial
+                break
+            if small:
+                break
+            t *= 0.5
+    return unpacked(x, vec), nfev
+
+
+def assert_polish_matches_packed(x, spec, monkeypatch):
+    """minimax._polish at x against packed_polish: the same loop series
+    and fiber bytes from the same number of residual evaluations, which
+    it returns."""
+    evaluations = []
+    with monkeypatch.context() as m:
+        m.setattr(minimax, "evaluate", lambda *a, f=minimax.evaluate: evaluations.append(1) or f(*a))
+        ours = minimax._polish(x, spec, minimax.POLISH_NFEV)
+    ref, nfev = packed_polish(x, spec)
+    J = x.frame.cutoff
+    assert ours.loop.winding == ref.loop.winding
+    assert ours.loop.series(J).tobytes() == ref.loop.series(J).tobytes()
+    assert ours.fiber.coefficients.tobytes() == ref.fiber.coefficients.tobytes()
+    assert len(evaluations) == nfev
+    return nfev
+
+
+@pytest.mark.parametrize("J", [8, 32])
+def test_polish_matches_the_packed_polish(J, monkeypatch):
+    for x in jacobian_states(default_spec(J=J)):
+        assert assert_polish_matches_packed(x, default_spec(J=J), monkeypatch) > 1
+
+
+def test_polish_builds_one_state(monkeypatch):
+    # the polish steps arrays: however many residuals it evaluates, it
+    # builds only the state it returns, and calls neither gradient nor perturb
+    spec8 = default_spec(J=8)
+    built, evaluations = [], []
+    for x in jacobian_states(spec8):
+        with monkeypatch.context() as m:
+            for cls in (LoopPath, FiberField, PhasePoint):
+                m.setattr(cls, "__post_init__", lambda self, f=cls.__post_init__:
+                          built.append(type(self).__name__) or f(self))
+            for name in ("gradient", "perturb"):
+                m.setattr(action_mod, name, lambda *a, name=name, **kw: built.append(name))
+            m.setattr(minimax, "evaluate",
+                      lambda *a, f=minimax.evaluate: evaluations.append(1) or f(*a))
+            minimax._polish(x, spec8, minimax.POLISH_NFEV)
+        assert len(evaluations) > 1
+        assert sorted(built) == ["FiberField", "LoopPath", "PhasePoint"]
+        built.clear()
+        evaluations.clear()
+    assert not any(hasattr(minimax, name) for name in ("gradient", "perturb"))
+
+
 def trf_polish(x, spec):
     # the polish as scipy's trust-region reflective least squares ran it,
     # on the same residual and the dense Jacobian, with the same guard
     fun, _ = minimax._critical_system(x, spec)
-    sol = least_squares(fun, pack_coefficients(x), jac=lambda vec: dense_jacobian(x, spec, vec),
+    sol = least_squares(fun, unknowns(x), jac=lambda vec: dense_jacobian(x, spec, vec),
                         method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=4000)
-    refined = unpack_coefficients(x, sol.x)
+    refined = at_unknowns(x, sol.x)
     return refined if gradient_norm(refined, spec) <= gradient_norm(x, spec) else x
 
 
@@ -400,6 +528,7 @@ def test_refine_critical_matches_the_trf_reference(spec, config, rng, monkeypatc
         states += [(x, x_spec), (perturb(x, 1e-3, xi=xi, eta=eta), x_spec)]
     monkeypatch.undo()
     for x, x_spec in states:
+        assert_polish_matches_packed(x, x_spec, monkeypatch)
         ours, ref = refine_critical(x, x_spec), trf_polish(x, x_spec)
         assert abs(action(ours, x_spec) - action(ref, x_spec)) <= 1e-12
         if gradient_norm(ref, x_spec) <= 1e-13:
@@ -624,8 +753,9 @@ def test_orbit_sweep_records_equal_minimax_theta_at_each_r(monkeypatch):
             str(ref.classification), ref.sigma, ref.leaf_action, ref.symplectic)
         # the witness loop and fiber coefficients
         assert rec.witness.loop.base == ref.witness.loop.base
-        np.testing.assert_array_equal(pack_coefficients(rec.witness),
-                                      pack_coefficients(ref.witness))
+        np.testing.assert_array_equal(rec.witness.loop.series(16), ref.witness.loop.series(16))
+        np.testing.assert_array_equal(rec.witness.fiber.coefficients,
+                                      ref.witness.fiber.coefficients)
 
 
 @pytest.mark.parametrize("J", [8, 32])
@@ -689,7 +819,8 @@ def test_serial_and_pool_sweeps_give_equal_records(grid):
         assert (a.r, a.theta, str(a.classification), a.grad_norm, a.steps) == (
             b.r, b.theta, str(b.classification), b.grad_norm, b.steps)
         assert a.witness.loop.base == b.witness.loop.base
-        assert pack_coefficients(a.witness).tobytes() == pack_coefficients(b.witness).tobytes()
+        assert a.witness.loop.series(4).tobytes() == b.witness.loop.series(4).tobytes()
+        assert a.witness.fiber.coefficients.tobytes() == b.witness.fiber.coefficients.tobytes()
 
 
 def reference_composite_descent(x, spec, config):

@@ -12,7 +12,8 @@ import loopflow
 # names deleted from their own modules, by module (Module.Class: its methods)
 DELETED = {"hamiltonian": ("evaluate_H", "hamiltonian_vector_field", "integrate_hamiltonian",
                            "Trajectory", "thickening_sigma"),
-           "action": ("rescale_period", "velocity_layout", "_padded_modes"),
+           "action": ("rescale_period", "velocity_layout", "_padded_modes", "pack_coefficients",
+                      "unpack_coefficients"),
            "flow": ("flow_step", "kolmogorov_width_proxy", "_state_velocity"),
            "spectral": ("adjoint_inclusion", "eigendecompose", "inner_r", "norm_r",
                         "fractional_apply", "project", "inner_r_emb", "norm_r_emb",
