@@ -155,7 +155,9 @@ def fiber_evaluation(frame, qd, c, spec, r=None):
     frame.samples of the fiber (one irfft), one radial_H_jet pass and
     one frame.coefficients of dH/dp (one rfft), each through the
     spectrum slots the frame keeps per grid size; returns (action,
-    qd - coefficients of dH/dp, dH/dp samples), all C-contiguous.
+    qd - coefficients of dH/dp, dH/dp samples).  The gradient is
+    C-contiguous; the dH/dp samples are coordinate-major, as
+    frame.samples returns them.
     c may be one state (D,) or a batch (S, D) over the same loop; a batch
     gives (S,) actions, (S, D) gradients and (S, m, n) samples, each row
     bit-identical to the call on that row alone.  r replaces spec.r

@@ -24,9 +24,12 @@ through SpectralFrame.coefficients.  It and
 SpectralFrame.samples move straight between frame coefficients and the
 rfft spectrum, through per-grid slot and scale vectors the frame keeps
 (SpectralFrame._spectrum), with the arithmetic of the trig-series route
-(series, fourier.synthesize / fourier.analyze, layout).  Fractional
-powers are exact diagonal scalings on the truncated spectrum.  Two
-metric families are provided:
+(series, fourier.synthesize / fourier.analyze, layout).  Sampled fields
+are held coordinate-major: an (..., m, n) array of samples is a view of
+(..., n, m) memory, so both transforms run along the contiguous axis,
+which pocketfft does faster than along the interleaved one and with the
+same bits.  Fractional powers are exact diagonal scalings on the
+truncated spectrum.  Two metric families are provided:
 
 * the covariant family, diagonal in the frame with weights
   (1 + lambda_j)^r; the frame owns them, computing each exponent's
@@ -101,21 +104,27 @@ class SpectralFrame:
         """L^2-orthonormal frame coefficients of sampled field data: (D,)
         from (m,) or (m, n) samples, (S, D) from a batch (S, m, n).
 
-        One rfft of the samples; each coefficient is then read off the
-        real view of the spectrum at its slot and scaled as
-        (F / gain) / root: F/m in the kernel and (F/(+-m/2))/sqrt(2) above
-        it, which equals the ((+-2F)/m)/sqrt(2) of fourier.analyze
-        followed by layout bit for bit, since doubling F and halving m
-        are exact.  The slot and scale vectors come from _spectrum: built
-        on the first call for each m, kept read-only with the frame,
-        dropped by pickling.  The result is C-contiguous.  Raises
-        ValueError when m < 2J+1 or the samples do not have n coordinates.
+        One rfft along the last axis of the samples' (..., n, m)
+        transpose, contiguous when the samples are coordinate-major as
+        samples() returns them, written into a fresh C-ordered
+        (..., n, m//2 + 1) spectrum whatever the samples' layout.  Each
+        coefficient is then read off the real view of the spectrum at its
+        slot and scaled as (F / gain) / root: F/m in the kernel and
+        (F/(+-m/2))/sqrt(2) above it, which equals the ((+-2F)/m)/sqrt(2)
+        of fourier.analyze followed by layout bit for bit, since doubling
+        F and halving m are exact.  The slot and scale vectors come from
+        _spectrum: built on the first call for each m, kept read-only
+        with the frame, dropped by pickling.  The result is C-contiguous.
+        Raises ValueError when m < 2J+1 or the samples do not have n
+        coordinates.
         """
         arr = _field_samples(samples)
         if arr.shape[-1] != self.n:
             raise ValueError(f"expected samples of {self.n} coordinates, got shape {arr.shape}")
-        slots, root, gain = self._spectrum(arr.shape[-2])
-        F = np.fft.rfft(arr, axis=-2)
+        m = arr.shape[-2]
+        slots, root, gain = self._spectrum(m)
+        F = np.empty(arr.shape[:-2] + (self.n, m // 2 + 1), dtype=complex)
+        np.fft.rfft(np.swapaxes(arr, -1, -2), axis=-1, out=F)
         # np.take, not F[..., slots]: fancy indexing of a batch returns a
         # Fortran-ordered (S, D) array, whose norms sum in another order
         return np.take(F.view(float).reshape(F.shape[:-2] + (-1,)), slots, axis=-1) / gain / root
@@ -152,10 +161,15 @@ class SpectralFrame:
 
         The coefficients, scaled as (c sqrt(2)) (m/2) (c m in the kernel)
         like series followed by fourier.synthesize, are written straight
-        into their slots of the real view of the rfft spectrum, and one
-        irfft samples it.  The slot and scale vectors come from _spectrum:
-        built on the first call for each m, kept read-only with the frame,
-        dropped by pickling.  Raises ValueError when m < 2J+1 or
+        into their slots of the real view of an (..., n, m//2 + 1) rfft
+        spectrum, and one irfft along its last axis samples it.  The
+        result is the (..., m, n) transpose of that C-ordered (..., n, m)
+        array, a view with no copy: its memory is coordinate-major.
+        Elementwise arithmetic on it keeps that layout, so the rfft of
+        coefficients() on a field computed from it runs along contiguous
+        memory too.  The slot and scale vectors come from _spectrum:
+        built on the first call for each m, kept read-only with the
+        frame, dropped by pickling.  Raises ValueError when m < 2J+1 or
         the last axis does not hold D coefficients.
         """
         m = fourier.default_samples(self.cutoff) if m is None else m
@@ -166,7 +180,8 @@ class SpectralFrame:
         lead = c.shape[:-1]
         F = np.zeros(lead + (2 * self.n * (m // 2 + 1),))
         F[..., slots] = c * root * gain
-        return np.fft.irfft(F.view(complex).reshape(lead + (-1, self.n)), n=m, axis=-2)
+        out = np.fft.irfft(F.view(complex).reshape(lead + (self.n, -1)), n=m, axis=-1)
+        return np.swapaxes(out, -1, -2)
 
     @functools.cached_property
     def _modes(self):
@@ -181,10 +196,12 @@ class SpectralFrame:
         """(slots, root, gain) of the m-point grid, computed once per m and
         kept read-only with the frame; pickling drops them.
 
-        The rfft spectrum of (m, n) samples, (m//2 + 1, n) complex, viewed
-        as 2n(m//2 + 1) reals, holds coefficient k at slots[k]: the real
-        part of mode j in the kernel and for cos, the imaginary part for
-        sin.  root is 1 in the kernel and sqrt(2) above, gain is m in the
+        The rfft spectrum of the coordinate-major samples, (n, m//2 + 1)
+        complex, viewed as 2n(m//2 + 1) reals, holds coefficient k, of
+        coordinate k % n and mode j, at slots[k] =
+        (k % n) 2(m//2 + 1) + 2j + (part < 0): the real part of mode j in
+        the kernel and for cos, the imaginary part for sin.
+        root is 1 in the kernel and sqrt(2) above, gain is m in the
         kernel, m/2 for cos and -m/2 for sin.
         """
         cache = self.__dict__.setdefault("_spectra", {})
@@ -194,7 +211,7 @@ class SpectralFrame:
                 raise ValueError(f"grid of {m} points aliases mode {self.cutoff}")
             mode, part = self._modes
             coord = np.arange(self.dim) % self.n
-            slots = 2 * (mode * self.n + coord) + (part < 0)
+            slots = 2 * (coord * (m // 2 + 1) + mode) + (part < 0)
             root = np.where(part == 0, 1.0, SQ2)
             gain = np.where(part == 0, float(m), part * (0.5 * m))
             for v in (slots, root, gain):

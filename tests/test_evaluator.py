@@ -307,7 +307,7 @@ def test_quadratic_zone_equals_the_jet_path_byte_for_byte(case, monkeypatch):
     for g, w in zip(got, want):
         assert np.shape(g) == np.shape(w)
         assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), name
-    assert got[1].flags.c_contiguous and got[2].flags.c_contiguous
+    assert got[1].flags.c_contiguous and np.swapaxes(got[2], -1, -2).flags.c_contiguous
 
 
 def reference_metric_gradient(plan, qd, c, spec):

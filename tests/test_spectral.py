@@ -8,8 +8,10 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from loopflow import spectral
+from loopflow.action import fiber_evaluation, velocity_coefficients
 from loopflow.fourier import analyze, default_samples, grid, synthesize
 from loopflow.geometry import embedded_circle, flat_torus, random_loop, straight_loop
+from loopflow.hamiltonian import default_spec
 from loopflow.spectral import (SpectralFrame, dense_eigenvalues, dense_mode_eigenvalues,
                                embedded_metric, fit_spectrum_bounds, frame_of,
                                laplacian_eigenvalues, spectra_rows)
@@ -158,7 +160,7 @@ def test_frame_transforms_equal_the_series_route_bit_for_bit(n, J):
             c = rng.standard_normal(shape)
             got = frame.samples(c, m)
             assert got.tobytes() == synthesize(*frame.series(c), m=m).tobytes()
-            assert got.shape == shape[:-1] + (m, n) and got.flags.c_contiguous
+            assert got.shape == shape[:-1] + (m, n) and np.swapaxes(got, -1, -2).flags.c_contiguous
             samples = rng.standard_normal(shape[:-1] + (m, n))
             got = frame.coefficients(samples)
             assert got.tobytes() == frame.layout(*analyze(samples, J)).tobytes()
@@ -174,6 +176,42 @@ def test_frame_transforms_equal_the_series_route_bit_for_bit(n, J):
                 lambda: frame.coefficients(np.zeros((4 * J + 1, n + 1)))):
         with pytest.raises(ValueError):
             bad()
+
+
+# samples are held coordinate-major, (..., n, m) in memory behind an
+# (..., m, n) view, so both transforms run along contiguous memory; the
+# coefficients do not depend on the layout of the samples they are given
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("J", [1, 8, 32, 64])
+def test_frame_transforms_run_along_the_coordinate_major_layout(n, J):
+    frame = SpectralFrame(n, J)
+    rng = np.random.default_rng([n, J, 2])
+    for m in (default_samples(J), 2 * J + 2):
+        for S in (1, 5, 20):
+            c = rng.standard_normal((S, frame.dim))
+            got = frame.samples(c, m)
+            assert got.tobytes() == synthesize(*frame.series(c), m=m).tobytes()
+            assert got.shape == (S, m, n) and np.swapaxes(got, -1, -2).flags.c_contiguous
+            values = rng.standard_normal((S, m, n))
+            held = np.swapaxes(np.ascontiguousarray(np.swapaxes(values, -1, -2)), -1, -2)
+            assert np.array_equal(held, values) and np.swapaxes(held, -1, -2).flags.c_contiguous
+            want = frame.coefficients(values)
+            assert want.tobytes() == frame.layout(*analyze(values, J)).tobytes()
+            got = frame.coefficients(held)
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous and want.flags.c_contiguous
+    if J == 64:
+        # batch rows of the fiber evaluation equal the one-row call
+        spec = default_spec(J=J)
+        qd = velocity_coefficients(straight_loop(flat_torus(n), (1,) + (0,) * (n - 1)), frame)
+        c = rng.standard_normal(frame.dim) / (1.0 + frame.eigenvalues) ** 0.75
+        batch = np.array([k * c for k in (0.0, 0.3, 1.0, 1.5, 4.0, 12.0)])
+        a, dv, dpH = fiber_evaluation(frame, qd, batch, spec)
+        assert np.swapaxes(dpH, -1, -2).flags.c_contiguous and dv.flags.c_contiguous
+        for k, row in enumerate(batch):
+            a_k, dv_k, dpH_k = fiber_evaluation(frame, qd, row, spec)
+            assert a[k] == a_k
+            assert dv[k].tobytes() == dv_k.tobytes() and dpH[k].tobytes() == dpH_k.tobytes()
 
 
 def test_frame_cache_by_dimension_and_cutoff(rng):
