@@ -124,27 +124,37 @@ def derivative_coefficients(frame, c):
 
 
 def velocity_coefficients(loop, frame):
-    """Frame coefficients of the loop velocity, read off its series.
+    """Frame coefficients of the loop velocity: series_velocity of its
+    series padded to the frame's J.
 
     Exact: the velocity of a loop with at most J modes lies in the
-    frame's span, so no synthesis or analysis is needed.  Its cos and sin
-    coefficients are w sin and -w cos, with the frame's mode frequencies w
-    (the bits of fourier.differentiate); the slots of modes the loop does
-    not carry read +0.0.
+    frame's span, so no synthesis or analysis is needed.  The sin slots
+    of modes the loop does not carry read -0.0, their cos slots +0.0.
     """
-    w = frame._mode_frequencies[:loop.modes]
-    return frame.layout(loop.drift, w * loop.sin_coeffs, -w * loop.cos_coeffs)
+    return series_velocity(frame, loop.drift, loop.series(frame.cutoff))
 
 
 def series_velocity(frame, drift, series):
     """Frame coefficients of loop velocities from their drift (n,) and
     their loops' data (..., D) laid out as LoopPath.series: each cos/sin
     partner gathered times its signed frequency, over sqrt(2), and the
-    drift in the kernel: the bits of velocity_coefficients of each row's
-    loop, but -0.0 in the sin slots of modes padded with +0.0."""
+    drift in the kernel."""
     partner, frequency = frame._derivative_map
     out = np.take(series, partner, axis=-1) * frequency / SQ2
     out[..., :frame.n] = drift
+    return out
+
+
+def move_series(frame, L, eps, xi):
+    """Loop data L (LoopPath.series) moved by eps along the frame tangent
+    xi (D,), exact in coefficients: the cos/sin rows by eps sqrt(2) xi,
+    and the base by eps times (xi's kernel plus the sum of its cos rows),
+    which is xi(0), so that the moved loop stays anchored.  A fresh array.
+    """
+    n = frame.n
+    xs = xi * SQ2
+    out = L + eps * xs
+    out[:n] = L[:n] + eps * (xi[:n] + xs[n:].reshape(-1, 2 * n)[:, :n].sum(axis=0))
     return out
 
 
@@ -325,23 +335,16 @@ def perturb(x, eps, xi=None, eta=None):
     """The phase point (q + eps xi, p + eps eta), exact in coefficients.
 
     xi and eta are (D,) coefficient arrays in x's frame; any other shape
-    raises ValueError.  The loop's stored base moves by eps xi(0) so the
-    anchoring convention is preserved.  The winding class never changes.
+    raises ValueError.  The loop moves by move_series, which keeps the
+    anchoring convention and pads it to the frame's J modes; the winding
+    class never changes.
     """
     loop = x.loop
     frame = x.frame
     if any(v is not None and np.shape(v) != (frame.dim,) for v in (xi, eta)):
         raise ValueError(f"tangents need shape ({frame.dim},), got {np.shape(xi)}, {np.shape(eta)}")
     if xi is not None:
-        xa0, xa, xb = frame.series(xi)
-        # the loop's cos and sin rows, zero-padded (+0.0) to J
-        block = loop.series(frame.cutoff)[frame.n:].reshape(-1, 2, frame.n)
-        new_base = np.asarray(loop.base) + eps * (xa0 + xa.sum(axis=0))
-        cos, sin = block[:, 0] + eps * xa, block[:, 1] + eps * xb
-        # fresh arrays, sealed here so that the new state keeps them uncopied
-        cos.flags.writeable = sin.flags.writeable = False
-        loop = LoopPath(manifold=loop.manifold, winding=loop.winding,
-                        base=tuple(new_base.tolist()), cos_coeffs=cos, sin_coeffs=sin)
+        loop = loop.with_series(move_series(frame, loop.series(frame.cutoff), eps, xi))
     coeffs = x.fiber.coefficients if eta is None else x.fiber.coefficients + eps * eta
     coeffs.flags.writeable = False
     return PhasePoint(loop=loop, fiber=FiberField(frame, coeffs))

@@ -12,14 +12,15 @@ explicit stepping is stable at fixed dt.
 
 The march builds no PhasePoint: a state is two (D,) arrays, its loop
 data L laid out as LoopPath.series and its fiber coefficients c, and a
-step moves both with the arithmetic of action.perturb.  Each march makes
-one action.gradient_plan, and every stage is one kernel call
-(_velocity): one action.metric_gradient, gathers and weighted dot
-products.  The evaluation that accepts a step is the next step's k1, so
-an accepted step costs four evaluations and at most eight FFTs, none for
-a fiber metric_gradient certifies in the quadratic zone (61 % on the
-benchmark's flow workload).  flow records the (N, D) stacks of L and c;
-flow_to_critical, on the same driver, builds only the state it stops at.
+step moves L by action.move_series, the loop step of action.perturb.
+Each march makes one action.gradient_plan, and every stage is one
+kernel call (_velocity): one action.metric_gradient, gathers and
+weighted dot products.  The evaluation that accepts a step is the next
+step's k1, so an accepted step costs four evaluations and at most eight
+FFTs, none for a fiber metric_gradient certifies in the quadratic zone
+(61 % on the benchmark's flow workload).  flow records the (N, D)
+stacks of L and c; flow_to_critical, on the same driver, builds only
+the state it stops at.
 
 Along a trajectory the vertical component satisfies a linear
 inhomogeneous ODE whose homogeneous weights are hyperbolic in the
@@ -46,10 +47,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .action import (PhasePoint, derivative_coefficients, gradient_plan, metric_gradient,
-                     require_finite, series_velocity, velocity_coefficients)
+                     move_series, require_finite, series_velocity, velocity_coefficients)
 from .geometry import flat_torus, straight_loop
 from .hamiltonian import alpha_bound, smoothstep
-from .spectral import SQ2, FiberField, frame_of
+from .spectral import FiberField, frame_of
 
 DESCENT_TOL = 1e-8   # allowed per-step action increase before halving
 MAX_HALVINGS = 30
@@ -166,9 +167,9 @@ def _rk4(L, spec, config, dt, k1, plan):
     velocity qd + h phi_i rate * c_i, c_i the fiber of k_i: the
     t-derivative of the horizontal gradient is diagonal
     (GradientPlan.rate).  These are the coefficients of perturb(x, h,
-    -phi_i grad_i) up to roundoff.  The step moves by -(phi_1 g_1 +
-    2 phi_2 g_2 + 2 phi_3 g_3 + phi_4 g_4)/6 with perturb's arithmetic,
-    bit for bit: sqrt(2)-scaled cos/sin rows, the base by their cos sum.
+    -phi_i grad_i) up to roundoff.  The step moves L by -(phi_1 g_1 +
+    2 phi_2 g_2 + 2 phi_3 g_3 + phi_4 g_4)/6 through action.move_series,
+    as perturb does, and c by the same combination of the grad_v.
     """
     qd, c = k1.loop_velocity, k1.fiber
 
@@ -182,11 +183,7 @@ def _rk4(L, spec, config, dt, k1, plan):
     ch, cv = ((k1.phi_tilde * g1 + (2.0 * k2.phi_tilde) * g2 + (2.0 * k3.phi_tilde) * g3
                + k4.phi_tilde * g4) / -6.0
               for g1, g2, g3, g4 in zip(k1[:2], k2[:2], k3[:2], k4[:2]))
-    n = plan.frame.n
-    xs = ch * SQ2
-    Ln = L + dt * xs
-    Ln[:n] = L[:n] + dt * (ch[:n] + xs[n:].reshape(-1, 2 * n)[:, :n].sum(axis=0))
-    return Ln, c + dt * cv
+    return move_series(plan.frame, L, dt, ch), c + dt * cv
 
 
 def _step(L, spec, config, dt, k1, plan):

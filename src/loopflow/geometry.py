@@ -78,9 +78,9 @@ def embedded_circle():
 
 
 def read_only(a):
-    """a itself when it is read-only and owns its data, as the new arrays
-    that action.perturb hands a state are; otherwise a read-only copy, so
-    that no array a caller can still write ends up in a state."""
+    """a itself when it is read-only and owns its data, as the fiber
+    arrays that action.perturb hands a state are; otherwise a read-only
+    copy, so that no array a caller can still write ends up in a state."""
     if a.flags.writeable or a.base is not None:
         a = a.copy()
         a.flags.writeable = False

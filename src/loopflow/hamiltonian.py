@@ -124,20 +124,11 @@ def chi(spec, sigma, order=0):
 
 
 def phi(spec, rho, order=0):
-    """The radial profile phi and derivatives, any real rho; order = 0..3."""
-    rho = np.asarray(rho, dtype=float)
-    r1 = spec.rho1
-    s, s1, s2, s3 = smoothstep((rho - r1) / r1)
-    s1, s2, s3 = s1 / r1, s2 / r1 ** 2, s3 / r1 ** 3
-    if order == 0:
-        return 0.5 * rho ** 2 * s
-    if order == 1:
-        return rho * s + 0.5 * rho ** 2 * s1
-    if order == 2:
-        return s + 2.0 * rho * s1 + 0.5 * rho ** 2 * s2
-    if order == 3:
-        return 3.0 * s1 + 3.0 * rho * s2 + 0.5 * rho ** 2 * s3
-    raise ValueError("order must be 0..3")
+    """The radial profile phi and derivatives, any real rho; order = 0..3:
+    the tail jet of H_r at r = 0.0 (_tail_jet), whose addition moves no bit."""
+    if order not in (0, 1, 2, 3):
+        raise ValueError("order must be 0..3")
+    return _tail_jet(spec, np.asarray(rho, dtype=float), max(order, 1), 0.0)[order]
 
 
 TIE_BAND = 1e-9  # branch boundaries get this much slack when classifying
@@ -155,14 +146,18 @@ def _band_jet(spec, rho, order, r):
 
 
 def _tail_jet(spec, rho, order, r):
-    # the phi tail rho > rho1
+    # the phi tail rho > rho1, r + phi and its derivatives up to order
+    # (1..3); phi itself is the jet at r = 0 for any real rho
     r1 = spec.rho1
-    s, s1, *s2 = smoothstep((rho - r1) / r1, order)
+    s, s1, *high = smoothstep((rho - r1) / r1, order)
     s1 = s1 / r1
     half_sq = 0.5 * rho ** 2
     jet = [r + half_sq * s, rho * s + half_sq * s1]
-    if order == 2:
-        jet.append(s + 2.0 * rho * s1 + half_sq * (s2[0] / r1 ** 2))
+    if order >= 2:
+        s2 = high[0] / r1 ** 2
+        jet.append(s + 2.0 * rho * s1 + half_sq * s2)
+    if order == 3:
+        jet.append(3.0 * s1 + 3.0 * rho * s2 + half_sq * (high[1] / r1 ** 3))
     return jet
 
 
@@ -171,10 +166,11 @@ def radial_H_jet(spec, rho, order=2, r=None):
     one pass.
 
     One smoothstep per populated branch (the chi band and the phi
-    tail) serves all orders; the arithmetic is that of chi and phi, so
-    every entry equals the per-order value bit for bit.  When every
-    radius lies on the phi tail, the tail is computed on the whole
-    array; otherwise each populated branch is gathered and scattered.
+    tail) serves all orders; the band's arithmetic is that of chi, and
+    the tail's jet is the one phi reads at r = 0, so every entry equals
+    the per-order value bit for bit.  When every radius lies on the phi
+    tail, the tail is computed on the whole array; otherwise each
+    populated branch is gathered and scattered.
     Returns order + 1 C-contiguous arrays shaped like rho (at least
     1-d); the action and its gradient need order 1, the fiber Hessian
     order 2.

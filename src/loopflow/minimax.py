@@ -507,12 +507,10 @@ def _level(ascents, spec, config):
     _, witness, rounds, k = best
     converged = rounds < DESCENT_ROUNDS
     if converged:
-        # refine_critical, its guard reading the descent's velocity at the
-        # witness: the polished state is evaluated once
-        refined = _polish(witness, spec, POLISH_NFEV)
-        k_refined = flow_velocity(refined, spec, config)
-        if k_refined.grad_norm <= k.grad_norm:
-            witness, k = refined, k_refined
+        # the level and its gradient norm are read at the state the
+        # polish returns, the polished one or the witness itself
+        witness = refine_critical(witness, spec)
+        k = flow_velocity(witness, spec, config)
     theta, gn = k.action, k.grad_norm
     if theta < -1e-6:
         raise ArithmeticError(f"minimax level {theta:.3e} fell below the zero section")

@@ -71,10 +71,7 @@ def laplacian_eigenvalues(J):
 def _flat_eigenvalues(n, J, per_mode=None):
     """Canonically ordered (D,) eigenvalue array from per-mode values."""
     per_mode = laplacian_eigenvalues(J) if per_mode is None else np.asarray(per_mode, dtype=float)
-    lam = np.empty(n * (2 * J + 1))
-    lam[:n] = per_mode[0]
-    lam[n:] = np.repeat(per_mode[1:], 2 * n)
-    return lam
+    return np.repeat(per_mode, [n] + [2 * n] * J)
 
 
 def _field_samples(samples):
@@ -233,15 +230,6 @@ class SpectralFrame:
         frequency.flags.writeable = False
         return partner, frequency
 
-    @functools.cached_property
-    def _mode_frequencies(self):
-        """(J, 1): the angular frequency 2 pi j of each mode j = 1..J, as
-        fourier.differentiate builds it.  Kept read-only with the frame;
-        pickling drops it."""
-        w = 2.0 * np.pi * np.arange(1, self.cutoff + 1)[:, None]
-        w.flags.writeable = False
-        return w
-
     def basis_samples(self, m=None):
         """All D eigenfields sampled: array (D, m, n).  Eigenfield k lives
         in coordinate k % n: 1 in the kernel, sqrt(2) cos or sin of
@@ -282,7 +270,7 @@ class SpectralFrame:
     def __reduce__(self):
         # a value of (n, cutoff): unpickling rebuilds the read-only
         # eigenvalues and drops the cached weights, basis, spectrum slots,
-        # derivative map and mode frequencies
+        # modes and derivative map
         return SpectralFrame, (self.n, self.cutoff)
 
     def sup_norms(self):

@@ -12,8 +12,8 @@ from loopflow.action import (PhasePoint, action, classify_critical,
                              derivative_coefficients, directional_derivative_check, evaluate,
                              fiber_evaluation, gradient, gradient_norm, hamilton_residual,
                              loop_energy, metric_pairing, perturb, random_direction,
-                             random_phase_point, series_velocity, straight_orbit,
-                             velocity_coefficients)
+                             move_series, random_phase_point, series_velocity,
+                             straight_orbit, velocity_coefficients)
 from loopflow.flow import flow_velocity
 from loopflow.geometry import LoopPath, embedded_circle, flat_torus, random_loop, straight_loop
 from loopflow.hamiltonian import radial_H
@@ -118,11 +118,15 @@ def test_perturb_output_is_the_padded_route_byte_for_byte(modes, spec, rng):
     x = PhasePoint(loop=loop, fiber=FiberField(frame, rng.standard_normal(frame.dim)))
     xi, eta = random_direction(x, spec, rng)
     got = perturb(x, 0.3, xi=xi, eta=eta)
-    _, xa, xb = frame.series(xi)
+    # perturb's series arithmetic as it was before move_series: frame.series
+    # of the tangent, and the base moved by eps (xa0 + sum xa)
+    xa0, xa, xb = frame.series(xi)
     cos, sin = (np.pad(a, ((0, J - k), (0, 0))) for a in (loop.cos_coeffs, loop.sin_coeffs))
     assert got.loop.cos_coeffs.tobytes() == (cos + 0.3 * xa).tobytes()
     assert got.loop.sin_coeffs.tobytes() == (sin + 0.3 * xb).tobytes()
+    assert got.loop.base == tuple((np.asarray(loop.base) + 0.3 * (xa0 + xa.sum(axis=0))).tolist())
     assert got.loop.modes == J
+    assert move_series(frame, loop.series(J), 0.3, xi).tobytes() == got.loop.series(J).tobytes()
     want = perturb(PhasePoint(loop=replace(loop, cos_coeffs=cos, sin_coeffs=sin),
                               fiber=x.fiber), 0.3, xi=xi, eta=eta)
     assert got.loop.base == want.loop.base
@@ -284,18 +288,36 @@ def test_states_copy_what_a_caller_can_still_write(spec, rng):
         assert not arr.flags.writeable and arr.base is None
 
 
+# velocity_coefficients as it was before it read series_velocity: the
+# frame layout of the series w sin and -w cos, with w = 2 pi j as
+# fourier.differentiate builds it, and +0.0 in the slots of modes the
+# loop does not carry
+
+def layout_velocity(loop, frame):
+    w = 2.0 * np.pi * np.arange(1, frame.cutoff + 1)[:, None]
+    w = w[:loop.modes]
+    return frame.layout(loop.drift, w * loop.sin_coeffs, -w * loop.cos_coeffs)
+
+
 @pytest.mark.parametrize("modes", [0, 4, 8])
-def test_series_velocity_has_the_bits_of_velocity_coefficients(modes, small_spec, rng):
-    # equal to the loop's velocity coefficients, and bit for bit those of
-    # the loop padded to J modes (its padded sin slots read -0.0), row by
-    # row for a stack
-    J = small_spec.J
+def test_series_velocity_has_the_bits_of_the_layout_formula(modes, small_spec, rng):
+    # velocity_coefficients, series_velocity of the padded series, equals
+    # the layout formula by value, and by bytes that of the loop padded to
+    # J = 8 modes (its padded sin slots read -0.0, the unpadded layout's
+    # +0.0); row by row for a stack
+    J, k = small_spec.J, modes
     for manifold, winding in ((flat_torus(2), (1, 1)), (embedded_circle(), (1,))):
-        loop = random_loop(manifold, winding, modes, rng)
+        loop = random_loop(manifold, winding, k, rng)
         frame = frame_of(loop, J)
-        got = series_velocity(frame, loop.drift, loop.series(J))
-        assert np.array_equal(got, velocity_coefficients(loop, frame))
+        n = frame.n
+        got = velocity_coefficients(loop, frame)
+        want = layout_velocity(loop, frame)
+        assert np.array_equal(got, want)
         padded = loop.with_series(loop.series(J))
-        assert got.tobytes() == velocity_coefficients(padded, frame).tobytes()
+        assert got.tobytes() == layout_velocity(padded, frame).tobytes()
+        # the one difference: the sign of zero in the padded sin slots
+        pad = got[n:].reshape(J, 2, n)[k:]
+        assert np.signbit(pad[:, 1]).all() and not np.signbit(pad[:, 0]).any()
+        assert not np.signbit(want[n:].reshape(J, 2, n)[k:]).any()
         stack = series_velocity(frame, loop.drift, np.stack([padded.series(J), loop.series(J)]))
         assert stack[0].tobytes() == stack[1].tobytes() == got.tobytes()

@@ -466,6 +466,30 @@ def test_stage_velocity_coefficients_match_perturbed_loops(J, model):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+# flow._rk4 as it was before action.move_series, with the loop step
+# written out: sqrt(2)-scaled cos/sin rows, the base by their cos sum
+
+def inline_rk4(L, spec, config, dt, k1, plan):
+    qd, c = k1.loop_velocity, k1.fiber
+
+    def stage(h, k):
+        hp = h * k.phi_tilde
+        return flow_mod._velocity(plan, qd + hp * (plan.rate * k.fiber), c - hp * k.grad_v, spec,
+                                  config)
+
+    k2 = stage(0.5 * dt, k1)
+    k3 = stage(0.5 * dt, k2)
+    k4 = stage(dt, k3)
+    ch, cv = ((k1.phi_tilde * g1 + (2.0 * k2.phi_tilde) * g2 + (2.0 * k3.phi_tilde) * g3
+               + k4.phi_tilde * g4) / -6.0
+              for g1, g2, g3, g4 in zip(k1[:2], k2[:2], k3[:2], k4[:2]))
+    n = plan.frame.n
+    xs = ch * spectral.SQ2
+    Ln = L + dt * xs
+    Ln[:n] = L[:n] + dt * (ch[:n] + xs[n:].reshape(-1, 2 * n)[:, :n].sum(axis=0))
+    return Ln, c + dt * cv
+
+
 @pytest.mark.parametrize("J", [8, 32])
 @pytest.mark.parametrize("model", range(len(MODELS)))
 def test_rk4_matches_stages_built_by_perturb(J, model):
@@ -475,9 +499,12 @@ def test_rk4_matches_stages_built_by_perturb(J, model):
     for modes in (0, J // 2, J):
         x = model_point(spec, model, modes, rng)
         k1 = flow_velocity(x, spec, config)
+        plan = gradient_plan(x.frame, spec.s)
         for dt in (config.dt, 0.1):
-            got = flow_mod._state(x, *flow_mod._rk4(x.loop.series(J), spec, config, dt, k1,
-                                                    gradient_plan(x.frame, spec.s)))
+            stepped = flow_mod._rk4(x.loop.series(J), spec, config, dt, k1, plan)
+            assert [a.tobytes() for a in stepped] == \
+                [a.tobytes() for a in inline_rk4(x.loop.series(J), spec, config, dt, k1, plan)]
+            got = flow_mod._state(x, *stepped)
             want = reference_rk4(x, spec, config, dt, k1)
             assert got.frame is x.frame and got.loop.winding == x.loop.winding
             for a, b in ((got.fiber.coefficients, want.fiber.coefficients),

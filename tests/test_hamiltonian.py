@@ -63,6 +63,28 @@ def test_phi_against_oracle(spec):
         phi(spec, rho, order=4)
 
 
+def closed_form_phi(spec, rho, order):
+    # phi as it was before it read the tail jet: one closed form per order
+    rho = np.asarray(rho, dtype=float)
+    r1 = spec.rho1
+    s, s1, s2, s3 = smoothstep((rho - r1) / r1)
+    s1, s2, s3 = s1 / r1, s2 / r1 ** 2, s3 / r1 ** 3
+    return (0.5 * rho ** 2 * s, rho * s + 0.5 * rho ** 2 * s1,
+            s + 2.0 * rho * s1 + 0.5 * rho ** 2 * s2,
+            3.0 * s1 + 3.0 * rho * s2 + 0.5 * rho ** 2 * s3)[order]
+
+
+@pytest.mark.parametrize("order", range(4))
+def test_phi_has_the_bits_of_its_closed_forms(spec, order):
+    # negative radii, 0, the joins rho1 and 2 rho1, far out, and a dense grid
+    rho = np.concatenate([[-0.7, -1e-300, -0.0, 0.0, spec.rho1, 2.0 * spec.rho1, 1e10],
+                          np.linspace(-1.0, 3.0, 4001)])
+    assert phi(spec, rho, order).tobytes() == closed_form_phi(spec, rho, order).tobytes()
+    for one in (-0.7, 0.0, spec.rho1, 0.5, 2.0 * spec.rho1, 1e10):
+        got, want = phi(spec, one, order), closed_form_phi(spec, one, order)
+        assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_phi_higher_orders_by_fd(spec):
     rho = np.linspace(0.45, 0.75, 31)
     h = 1e-6

@@ -1,13 +1,18 @@
 """Static checks on the source tree, by `ast` alone: no linter is needed.
 
-Two checks:
+Three checks:
 
 * no module in src/ or tests/ imports a name it never uses (a package
   __init__ re-exports, so a name listed in its __all__ counts as used);
 * every defaulted parameter of a loopflow function is set by at least
   one call in src/, tests/ or bench/.  A parameter that only its default
   ever reaches is a constant, and belongs in the body or a module
-  constant.
+  constant;
+* every function, method and class of loopflow is referenced by name
+  somewhere in src/, tests/ or bench/: as a name, an attribute, an
+  imported name or a word of a string constant (bench/tracer.py names
+  the callables it wraps in strings).  Docstrings do not count, and
+  dunder methods, which Python calls itself, are not checked.
 
 Calls are matched to functions by name (a plain name or the last part
 of an attribute), so a call to another function of the same name also
@@ -17,6 +22,7 @@ parameter.
 """
 
 import ast
+import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -120,9 +126,75 @@ def unset_defaults():
             if not any(_sets(call, name, index) for call in calls[func])]
 
 
+def _docstrings(tree):
+    """The ids of the docstring constants of tree's module, classes and functions."""
+    nodes = [tree] + [node for node in ast.walk(tree)
+                      if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+    return {id(node.body[0].value) for node in nodes
+            if ast.get_docstring(node, clean=False) is not None}
+
+
+def _references(tree):
+    """Every name tree refers to: names, attributes, imported names and
+    the words of its string constants but its docstrings."""
+    docstrings = _docstrings(tree)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            found.update(re.findall(r"\w+", node.value))
+    return found
+
+
+def unreferenced(definitions, references):
+    """"where: name" for each function, method or class defined in the
+    files definitions whose name no file of references refers to."""
+    names = set()
+    for path in references:
+        names |= _references(_tree(path))
+    return [f"{path.relative_to(ROOT) if path.is_relative_to(ROOT) else path}:{node.lineno}: "
+            f"{node.name}" for path in definitions for node in ast.walk(_tree(path))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and node.name not in names]
+
+
 def test_no_unused_imports_in_src_or_tests():
     assert [line for path in _files("src", "tests") for line in unused_imports(path)] == []
 
 
 def test_every_defaulted_parameter_is_set_by_some_call():
     assert unset_defaults() == []
+
+
+def test_every_loopflow_definition_is_referenced():
+    assert unreferenced(_files("src/loopflow"), _files("src", "tests", "bench")) == []
+
+
+def test_a_definition_named_only_in_a_docstring_is_unreferenced(tmp_path):
+    # a method left behind when its last caller goes, as
+    # SpectralFrame._mode_frequencies would have been, is named in
+    # docstrings and comments only; a string constant or an attribute counts
+    module = tmp_path / "module.py"
+    module.write_text(
+        'class Frame:\n'
+        '    def _left_behind(self):\n'
+        '        """Like _left_behind before it."""\n'
+        '        return 1  # _left_behind\n\n'
+        '    def _spectrum(self):\n'
+        '        return 2\n\n'
+        '    def weights(self):\n'
+        '        return 3\n\n\n'
+        'def user(frame):\n'
+        '    """Reads frame._left_behind."""\n'
+        '    return frame.weights(), ("Frame._spectrum",)\n')
+    caller = tmp_path / "caller.py"
+    caller.write_text("from module import user\n")
+    got = [line.rsplit(": ", 1)[1] for line in unreferenced([module], [module, caller])]
+    assert got == ["_left_behind"]

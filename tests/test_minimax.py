@@ -16,7 +16,7 @@ from loopflow import fourier, minimax
 from loopflow.action import (PhasePoint, action, derivative_coefficients, gradient,
                              gradient_norm, gradient_plan, perturb, random_direction,
                              random_phase_point, straight_orbit, velocity_coefficients)
-from loopflow.flow import FlowConfig
+from loopflow.flow import FlowConfig, flow_velocity
 from loopflow.geometry import LoopPath, flat_torus, random_loop, straight_loop
 from loopflow.hamiltonian import default_spec, radial_H
 from loopflow.minimax import (ASCENT_TOL, composite_descent, default_family, fiber_hessian,
@@ -373,6 +373,30 @@ def test_refine_critical_forms_no_dense_matrix(monkeypatch):
     monkeypatch.setattr(minimax, "fiber_hessian", refuse)
     assert gradient_norm(x, spec) > 1e-13
     assert gradient_norm(refine_critical(x, spec), spec) <= 1e-13
+
+
+def test_minimax_theta_polishes_through_refine_critical_once_per_converged_level(monkeypatch):
+    # the level and its gradient norm are read at the state refine_critical
+    # returns; a level whose descent did not converge is not polished
+    spec8 = default_spec(J=8)
+    config8 = FlowConfig.auto(spec8)
+    returned = []
+    polish = minimax.refine_critical
+    monkeypatch.setattr(minimax, "refine_critical",
+                        lambda *args: returned.append(polish(*args)) or returned[-1])
+    rec = minimax_theta(default_family(spec8), spec8, config8)
+    assert rec.converged and len(returned) == 1 and rec.witness is returned[0]
+    k = flow_velocity(rec.witness, spec8, config8)
+    assert (rec.theta, rec.grad_norm) == (k.action, k.grad_norm)
+    returned.clear()
+    records, _ = orbit_sweep(spec8, [0.05, 0.5, 1.0], config8)
+    assert len(returned) == sum(r.converged for r in records) == 3
+    assert all(r.witness is x for r, x in zip(records, returned))
+    returned.clear()
+    monkeypatch.setattr(minimax, "HANDOFF", -1.0)
+    monkeypatch.setattr(minimax, "DESCENT_ROUNDS", 1)
+    rec = minimax_theta(default_family(spec8), spec8, config8)
+    assert not rec.converged and returned == []
 
 
 def test_refine_critical_never_worsens(spec, rng):

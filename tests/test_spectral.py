@@ -17,6 +17,14 @@ from loopflow.spectral import (SpectralFrame, dense_eigenvalues, dense_mode_eige
                                laplacian_eigenvalues, spectra_rows)
 
 
+def filled_eigenvalues(n, J, per_mode):
+    # the (D,) eigenvalue fill as it was: the kernel, then each mode 2n times
+    lam = np.empty(n * (2 * J + 1))
+    lam[:n] = per_mode[0]
+    lam[n:] = np.repeat(per_mode[1:], 2 * n)
+    return lam
+
+
 def test_frame_layout_and_eigenvalues():
     J, n = 6, 2
     frame = frame_of(straight_loop(flat_torus(n), (1, 0)), J)
@@ -26,6 +34,11 @@ def test_frame_layout_and_eigenvalues():
     np.testing.assert_allclose(lam[:n], 0.0)
     jj = np.repeat(np.arange(1, J + 1), 2 * n)
     np.testing.assert_allclose(lam[n:], (2.0 * np.pi * jj) ** 2, rtol=1e-13)
+    for n in (1, 2, 3):
+        for J in (1, 8, 32):
+            exact = laplacian_eigenvalues(J)
+            assert SpectralFrame(n, J).eigenvalues.tobytes() == \
+                filled_eigenvalues(n, J, exact).tobytes()
 
 
 def test_analytic_spectrum_against_dense_collocation():
@@ -34,6 +47,10 @@ def test_analytic_spectrum_against_dense_collocation():
     np.testing.assert_allclose(per_mode, laplacian_eigenvalues(J), rtol=1e-10, atol=1e-8)
     np.testing.assert_allclose(dense_eigenvalues(2, J), SpectralFrame(2, J).eigenvalues,
                                rtol=1e-10, atol=1e-8)
+    for J in (1, 8, 32):
+        dense = dense_mode_eigenvalues(J)
+        for n in (1, 2, 3):
+            assert dense_eigenvalues(n, J).tobytes() == filled_eigenvalues(n, J, dense).tobytes()
 
 
 def test_dense_eigenvalues_reject_a_gap_to_the_analytic_spectrum(monkeypatch):
