@@ -27,10 +27,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-# largest mode cutoff J: the dense (D, m, n) eigenfield basis that a
-# frame keeps once the fiber ascent's Newton endgame or embedded_metric
-# first reads it (SpectralFrame.basis) reaches about 67 MB here and grows
-# as J^2
+# largest mode cutoff J: the dense (D, D) matrices, the Newton endgame's
+# fiber Hessian and embedded_metric's ambient form, grow as J^2 and reach
+# about 33.6 MB each here at n = 2
 MAX_MODES = 512
 
 

@@ -91,47 +91,28 @@ def _pointwise_hessian(frame, c, spec):
             + (h2 - ratio)[:, None, None] * phat[:, :, None] * phat[:, None, :])
 
 
-def fiber_hessian(frame, c, spec):
-    """Hessian of the H term of the action in the fiber coefficients c.
-
-    It is the quadrature compression sum_t basis_k(t)^T W(t) basis_l(t) / m
-    of the pointwise fiber Hessian W(t) of H_r (_pointwise_hessian); the
-    action's fiber Hessian is its negative.  basis holds the sampled
-    eigenfields (D, m, n) that the frame keeps (frame.basis).  The
-    compression is one two-operand einsum (W applied to every
-    eigenfield) and one BLAS product of the flattened (D, m n) arrays.
-    """
-    basis = frame.basis
-    dim, m, _ = basis.shape
-    applied = np.einsum("tij,ltj->lti", _pointwise_hessian(frame, c, spec), basis)
-    hess = basis.reshape(dim, -1) @ applied.reshape(dim, -1).T
-    hess /= m
-    return hess
-
-
-def _vertical_newton(frame, evaluate_at, c, spec, radius):
+def _vertical_newton(frame, evaluate_at, c, a, g, gn, spec, radius):
     """Endgame for the fiber ascent: damped Newton on the vertical
     stationarity, with the exact quadrature Hessian of the H term.
 
-    The action Hessian in the L^2-orthonormal coefficients is the
-    quadrature compression of the pointwise fiber Hessian of H_r
-    (fiber_hessian, built by BLAS from the frame's sampled eigenfields),
-    so the solve has none of the mode damping that stalls first-order
-    ascent near the top.  evaluate_at(c) gives (action, vertical
-    gradient, its (1-s)-norm) at fiber coefficients c; the weights
-    (1+lam)^{1-s} turn the vertical gradient into the plain partial
-    gradient, and candidates are projected back into the (1-s)-ball of
-    the given radius.  At most 12 Newton steps, each stopping at
-    ASCENT_TOL.
+    The action Hessian in the L^2-orthonormal coefficients is minus the
+    frame's compression (SpectralFrame.compress) of the pointwise fiber
+    Hessian of H_r (_pointwise_hessian), so the solve has none of the
+    mode damping that stalls first-order ascent near the top.
+    evaluate_at(c) gives (action, vertical gradient, its (1-s)-norm) at
+    fiber coefficients c, and (a, g, gn) are its values at the start c;
+    the weights (1+lam)^{1-s} turn the vertical gradient into the plain
+    partial gradient, and candidates are projected back into the
+    (1-s)-ball of the given radius.  At most 12 Newton steps, each
+    stopping at ASCENT_TOL.
     """
     r = 1.0 - spec.s
     precond = frame.weights(r)
-    a, g, gn = evaluate_at(c)
     eye = np.eye(frame.dim)
     for _ in range(12):
         if gn <= ASCENT_TOL:
             break
-        hess = fiber_hessian(frame, c, spec)
+        hess = frame.compress(_pointwise_hessian(frame, c, spec))
         u = precond * g
         improved = False
         for mu in (0.0, 1e-9, 1e-6, 1e-3, 1.0):
@@ -221,7 +202,7 @@ def _fiber_sups(loop, spec, energies, config, iters=ASCENT_ITERS, seeds=None):
     c = np.tile(c, (len(energies), 1))
     energy = np.repeat(energies, n_seeds)[:, None]
     a, g, gn = evaluate_at(c, energy)
-    final_c, final_a, final_gn = np.empty_like(c), np.empty_like(a), np.empty_like(gn)
+    final_c, final_a, final_g, final_gn = (np.empty_like(v) for v in (c, a, g, gn))
     live = np.arange(len(c))                 # row index of each ascending row
     eta = np.full(len(c), 0.5)
     rejected = np.zeros(len(c), dtype=int)   # rejected tries so far
@@ -235,7 +216,8 @@ def _fiber_sups(loop, spec, energies, config, iters=ASCENT_ITERS, seeds=None):
     while True:
         if np.count_nonzero(done):
             stopped = live[done]
-            final_c[stopped], final_a[stopped], final_gn[stopped] = c[done], a[done], gn[done]
+            final_c[stopped], final_a[stopped] = c[done], a[done]
+            final_g[stopped], final_gn[stopped] = g[done], gn[done]
             keep = ~done
             live, c, a, g, gn, eta, rejected, halvings, energy = (
                 arr[keep] for arr in (live, c, a, g, gn, eta, rejected, halvings, energy))
@@ -271,11 +253,11 @@ def _fiber_sups(loop, spec, energies, config, iters=ASCENT_ITERS, seeds=None):
         if rounds >= iters:
             done |= rounds - rejected >= iters
     results = [[] for _ in energies]
-    for row, (c, a, gn) in enumerate(zip(final_c, final_a, final_gn)):
+    for row, (c, a, g, gn) in enumerate(zip(final_c, final_a, final_g, final_gn)):
         e = energies[row // n_seeds]
         if ASCENT_TOL < gn <= HANDOFF:
-            c, a, gn = _vertical_newton(frame, lambda c: evaluate_at(c, e), c, spec.with_r(e),
-                                        radius)
+            c, a, gn = _vertical_newton(frame, lambda c: evaluate_at(c, e), c, a, g, gn,
+                                        spec.with_r(e), radius)
         results[row // n_seeds].append(
             AscentResult(field=FiberField(frame=frame, coefficients=c), action=float(a),
                          converged=bool(gn <= ASCENT_TOL), grad_norm=float(gn)))
@@ -352,7 +334,8 @@ def _critical_system(x, spec):
       sqrt(2) outside the kernel to turn frame coefficients into rows.
 
     H v is applied as frame.coefficients(W frame.samples(v)), one irfft
-    and one rfft: the quadrature that fiber_hessian compresses.
+    and one rfft: the quadrature that SpectralFrame.compress assembles
+    into the (D, D) matrix H, applied here to one vector without it.
     """
     frame = x.frame
     n, J, dim = frame.n, frame.cutoff, frame.dim

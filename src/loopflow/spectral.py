@@ -230,27 +230,39 @@ class SpectralFrame:
         frequency.flags.writeable = False
         return partner, frequency
 
+    def _waves(self, m):
+        """The 2J+1 scalar waves on the m-point grid, (2J+1, m): 1, then
+        per mode j = 1..J sqrt(2) cos and sqrt(2) sin of 2 pi j t, the
+        canonical order, so eigenfield k is wave k // n in coordinate
+        k % n."""
+        angle = 2.0 * np.pi * np.arange(self.cutoff + 1)[:, None] * fourier.grid(m)
+        waves = np.empty((2 * self.cutoff + 1, m))
+        waves[0] = 1.0
+        waves[1::2] = SQ2 * np.cos(angle[1:])
+        waves[2::2] = SQ2 * np.sin(angle[1:])
+        return waves
+
     def basis_samples(self, m=None):
         """All D eigenfields sampled: array (D, m, n).  Eigenfield k lives
-        in coordinate k % n: 1 in the kernel, sqrt(2) cos or sin of
-        2 pi j t above it, with (j, part) from _modes."""
-        J = self.cutoff
-        m = fourier.default_samples(J) if m is None else m
-        mode, part = self._modes
-        angle = 2.0 * np.pi * np.arange(J + 1)[:, None] * fourier.grid(m)
-        # rows 0..J: cos of mode j (row 0 the kernel's 1), rows J+1..2J+1: sin
-        waves = np.concatenate([SQ2 * np.cos(angle), SQ2 * np.sin(angle)])
-        waves[0] = 1.0
+        in coordinate k % n, where it is wave k // n of _waves."""
+        m = fourier.default_samples(self.cutoff) if m is None else m
         k = np.arange(self.dim)
         out = np.zeros((self.dim, m, self.n))
-        out[k, :, k % self.n] = waves[mode + (part < 0) * (J + 1)]
+        out[k, :, k % self.n] = self._waves(m)[k // self.n]
         return out
 
-    @functools.cached_property
-    def basis(self):
-        """basis_samples() on the default grid, built on first use and
-        kept with the frame; pickling drops it."""
-        return self.basis_samples()
+    def compress(self, W):
+        """The (D, D) quadrature compression (1/m) sum_t e_k(t)^T W(t) e_l(t)
+        onto the eigenfields e_k of a pointwise multiplier W, (m, n, n)
+        samples on the m-point grid.  Rows a::n and columns b::n are the
+        entries of coordinates (a, b): the Gram matrix of _waves weighted
+        by W[:, a, b]."""
+        m, n = len(W), self.n
+        waves = self._waves(m)
+        out = np.empty((self.dim, self.dim))
+        for a, b in np.ndindex(n, n):
+            out[a::n, b::n] = (waves * W[:, a, b]) @ waves.T / m
+        return out
 
     def weights(self, r):
         """The metric weights (1 + lambda)^r of the r-norm, computed once
@@ -269,8 +281,8 @@ class SpectralFrame:
 
     def __reduce__(self):
         # a value of (n, cutoff): unpickling rebuilds the read-only
-        # eigenvalues and drops the cached weights, basis, spectrum slots,
-        # modes and derivative map
+        # eigenvalues and drops the cached weights, spectrum slots, modes
+        # and derivative map
         return SpectralFrame, (self.n, self.cutoff)
 
     def sup_norms(self):
@@ -381,17 +393,18 @@ def embedded_metric(loop, cutoff):
     """Assemble and diagonalize the compressed ambient form in the frame.
 
     The form is diag(1 + lambda) plus the Gram matrix of multiplication
-    by (kappa_k qdot_k)^2 on the frame's eigenfields; on the frame's
-    4J+1 nodes every entry is an exact integral because the integrand is
-    a trig polynomial of degree at most 4J.  It is block diagonal by
-    coordinate, so one eigensolve of the whole form is exact.
+    by (kappa_k qdot_k)^2 on the frame's eigenfields, the frame's
+    compression (SpectralFrame.compress) of that diagonal multiplier;
+    on the frame's 4J+1 nodes every entry is an exact integral because
+    the integrand is a trig polynomial of degree at most 4J.  It is
+    block diagonal by coordinate, so one eigensolve of the whole form is
+    exact.
     """
     frame = frame_of(loop, cutoff)
-    basis = frame.basis
-    D, m, _ = basis.shape
+    m = fourier.default_samples(cutoff)
     weight = (loop.manifold.embedding_curvatures * loop.velocity_samples(m)) ** 2
-    form = (basis * weight).reshape(D, -1) @ basis.reshape(D, -1).T / m
-    form[np.diag_indices(D)] += 1.0 + frame.eigenvalues
+    form = frame.compress(weight[:, :, None] * np.eye(frame.n))
+    form[np.diag_indices(frame.dim)] += 1.0 + frame.eigenvalues
     mu, vectors = np.linalg.eigh(form)
     if mu.min() <= 0.0:
         raise ArithmeticError("compressed ambient form lost positivity")

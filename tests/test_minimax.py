@@ -19,10 +19,10 @@ from loopflow.action import (PhasePoint, action, derivative_coefficients, gradie
 from loopflow.flow import FlowConfig, flow_velocity
 from loopflow.geometry import LoopPath, flat_torus, random_loop, straight_loop
 from loopflow.hamiltonian import default_spec, radial_H
-from loopflow.minimax import (ASCENT_TOL, composite_descent, default_family, fiber_hessian,
-                              fiber_sup, minimax_theta, orbit_sweep, pool_size, refine_critical,
+from loopflow.minimax import (ASCENT_TOL, composite_descent, default_family, fiber_sup,
+                              minimax_theta, orbit_sweep, pool_size, refine_critical,
                               symplectic_action)
-from loopflow.spectral import FiberField, frame_of
+from loopflow.spectral import FiberField, SpectralFrame, embedded_metric, frame_of
 
 
 def reference_ascent(frame, qd, spec, c0, radius, iters, tol):
@@ -71,7 +71,7 @@ def reference_ascent(frame, qd, spec, c0, radius, iters, tol):
             break
     if not converged and gn <= 1e-2:
         trace["stop"] += ", Newton"
-        c, a, gn = minimax._vertical_newton(frame, evaluate_at, c, spec, radius)
+        c, a, gn = minimax._vertical_newton(frame, evaluate_at, c, a, g, gn, spec, radius)
         converged = gn <= tol
     return (c, a, converged, gn), trace
 
@@ -247,9 +247,9 @@ def test_ascent_across_r_matches_fiber_sup_at_each_r(small_spec, small_config, e
     newton = minimax._vertical_newton
     endgames = Counter()
 
-    def counted(frame, evaluate_at, c, spec, *args):
+    def counted(frame, evaluate_at, c, a, g, gn, spec, *args):
         endgames[spec.r] += 1
-        return newton(frame, evaluate_at, c, spec, *args)
+        return newton(frame, evaluate_at, c, a, g, gn, spec, *args)
 
     monkeypatch.setattr(minimax, "_vertical_newton", counted)
     loop = wiggled_loop(amplitude) if amplitude else straight_loop(flat_torus(2), (1, 0))
@@ -281,7 +281,7 @@ def dense_jacobian(x, spec, vec):
     # -(1+lam)^{-s/2} (dp/dt coefficients) are linear in c alone, the
     # vertical rows (1+lam)^{(s-1)/2} (qd - dH/dp coefficients) are linear
     # in the loop through qd, and their c-block is -(1+lam)^{(s-1)/2}
-    # fiber_hessian
+    # times the compressed pointwise fiber Hessian
     frame = x.frame
     n, J, dim = frame.n, frame.cutoff, frame.dim
     k = 2 * J * n
@@ -293,7 +293,8 @@ def dense_jacobian(x, spec, vec):
     out[dim:, :k] = frame.layout(
         *fourier.differentiate(np.zeros((k, n)), unit[:, :, 0], unit[:, :, 1])).T
     out[dim:, :k] *= vertical[:, None]
-    out[dim:, k:] = -vertical[:, None] * fiber_hessian(frame, vec[k:], spec)
+    out[dim:, k:] = -vertical[:, None] * frame.compress(
+        minimax._pointwise_hessian(frame, vec[k:], spec))
     return out
 
 
@@ -370,7 +371,7 @@ def test_refine_critical_forms_no_dense_matrix(monkeypatch):
         raise AssertionError("the polish formed a dense matrix")
 
     monkeypatch.setattr(np.linalg, "svd", refuse)
-    monkeypatch.setattr(minimax, "fiber_hessian", refuse)
+    monkeypatch.setattr(SpectralFrame, "compress", refuse)
     assert gradient_norm(x, spec) > 1e-13
     assert gradient_norm(refine_critical(x, spec), spec) <= 1e-13
 
@@ -803,8 +804,58 @@ def test_fiber_hessian_matches_dense_einsum(J):
              + (radial_H(spec, rho, order=2) - ratio)[:, None, None]
              * phat[:, :, None] * phat[:, None, :])
         ref = np.einsum("kti,tij,ltj->kl", basis, w, basis) / m
-        hess = fiber_hessian(frame, c, spec)
+        hess = frame.compress(minimax._pointwise_hessian(frame, c, spec))
         assert np.max(np.abs(hess - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("J", [1, 8, 32])
+def test_compress_matches_dense_einsum_for_a_random_symmetric_multiplier(n, J):
+    # every (a, b) block of the strided writes, against the three-operand
+    # einsum over the sampled eigenfields
+    frame = SpectralFrame(n, J)
+    rng = np.random.default_rng([n, J])
+    for m in (4 * J + 1, 2 * J + 2):
+        w = rng.standard_normal((m, n, n))
+        w = w + np.swapaxes(w, 1, 2)
+        basis = frame.basis_samples(m)
+        ref = np.einsum("kti,tij,ltj->kl", basis, w, basis) / m
+        assert np.max(np.abs(frame.compress(w) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def frame_arrays(frame):
+    # every array the frame keeps: its attributes, and the values of its
+    # dict caches and tuples, recursively
+    stack, out = list(vars(frame).values()), []
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            stack.extend(value.values())
+        elif isinstance(value, tuple):
+            stack.extend(value)
+        elif isinstance(value, np.ndarray):
+            out.append(value)
+    return out
+
+
+def test_a_frame_keeps_no_array_larger_than_its_dimension(monkeypatch):
+    # after a J = 16 minimax_theta whose fiber ascents take the Newton
+    # endgame, and after embedded_metric on a frame of the same shape
+    spec = default_spec(J=16, r=1.0)
+    newton, endgames = minimax._vertical_newton, []
+
+    def counted(*args):
+        endgames.append(args[0])
+        return newton(*args)
+
+    monkeypatch.setattr(minimax, "_vertical_newton", counted)
+    family = default_family(spec)
+    minimax_theta(family, spec, FlowConfig.auto(spec))
+    frame = frame_of(family[0], spec.J)
+    assert endgames and all(f is frame for f in endgames)
+    assert {v.shape for v in frame_arrays(frame)} == {(frame.dim,)}
+    embedded_metric(random_loop(flat_torus(2), (1, 1), 4, np.random.default_rng(2)), spec.J)
+    assert {v.shape for v in frame_arrays(frame)} == {(frame.dim,)}
 
 
 def test_pool_size_clamps_to_points_and_cpus():

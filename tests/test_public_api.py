@@ -18,11 +18,11 @@ DELETED = {"hamiltonian": ("evaluate_H", "hamiltonian_vector_field", "integrate_
            "spectral": ("adjoint_inclusion", "eigendecompose", "inner_r", "norm_r",
                         "fractional_apply", "project", "inner_r_emb", "norm_r_emb",
                         "_check_aligned", "_series_matrix"),
-           "spectral.SpectralFrame": ("method", "kernel_dim"),
+           "spectral.SpectralFrame": ("method", "kernel_dim", "basis"),
            "spectral.FiberField": ("norm_r", "samples", "__add__", "__sub__", "__mul__",
                                    "__rmul__", "__neg__"),
            "spectral.EmbeddedMetric": ("loop", "cutoff", "apply_power", "inner"),
-           "minimax": ("ASCENT_STARTS",),
+           "minimax": ("ASCENT_STARTS", "fiber_hessian"),
            "cli": ("load_defaults", "_winding"),
            "geometry.LoopPath": ("coordinate_samples",),
            "geometry.ModelManifold": ("embed_point", "embed_tangent", "embedding_dim")}

@@ -121,6 +121,33 @@ def test_basis_samples_and_sup_norms_match_the_mode_loop_bytes(n, J):
     assert frame.sup_norms().tobytes() == sup.tobytes()
 
 
+def dense_ambient_form(loop, cutoff):
+    # the compressed ambient form as embedded_metric once assembled it:
+    # one BLAS product of the weighted and plain (D, m n) eigenfield samples
+    frame = frame_of(loop, cutoff)
+    basis = frame.basis_samples()
+    D, m, _ = basis.shape
+    weight = (loop.manifold.embedding_curvatures * loop.velocity_samples(m)) ** 2
+    form = (basis * weight).reshape(D, -1) @ basis.reshape(D, -1).T / m
+    form[np.diag_indices(D)] += 1.0 + frame.eigenvalues
+    return form
+
+
+def test_embedded_metric_form_matches_the_dense_basis_product(monkeypatch):
+    # the form embedded_metric diagonalizes, caught at its eigensolve
+    forms = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: forms.append(a) or eigh(a))
+    J = 8
+    loops = [straight_loop(embedded_circle(), (k,)) for k in range(1, 9)]
+    loops.append(random_loop(flat_torus(2), (1, 0), J, np.random.default_rng(3), amplitude=0.05))
+    for loop in loops:
+        embedded_metric(loop, J)
+        ref = dense_ambient_form(loop, J)
+        assert forms[-1].shape == ref.shape
+        assert np.max(np.abs(forms[-1] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_norm_r_single_mode():
     J = 4
     frame = frame_of(straight_loop(flat_torus(2), (1, 0)), J)
@@ -143,14 +170,13 @@ def test_frame_weights_are_computed_once_and_read_only():
             w[0] = 2.0
 
 
-def test_frame_pickle_drops_cached_weights_and_basis():
+def test_frame_pickle_drops_cached_weights():
     frame = SpectralFrame(2, 4)
     w = frame.weights(0.25)
-    _ = frame.basis
     c = np.arange(frame.dim, dtype=float)
     samples = frame.samples(c)
     _ = frame.coefficients(samples), frame._derivative_map
-    cached = ("_weights", "basis", "_spectra", "_modes", "_derivative_map")
+    cached = ("_weights", "_spectra", "_modes", "_derivative_map")
     assert all(name in frame.__dict__ for name in cached)
     again = pickle.loads(pickle.dumps(frame))
     assert not any(name in again.__dict__ for name in cached)
