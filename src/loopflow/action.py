@@ -33,9 +33,8 @@ every sampled radius lies in the quadratic zone rho >= 2 rho1, where
 H_r = r + rho^2/2, H and dH/dp are read off in closed form instead:
 the same bits, without the radial_H_jet pass (see fiber_evaluation).
 action, gradient and hamilton_residual are thin callers of it.  The
-same evaluation takes a batch of fibers over one loop, as the fiber
-ascent does, with every row equal bit for bit to that fiber evaluated
-alone.
+same evaluation takes a batch of fibers over one loop, with every row
+equal bit for bit to that fiber evaluated alone.
 
 gradient_norm and the flow's stage kernel read the action and gradient
 through metric_gradient, with the arrays of a GradientPlan made once per
@@ -158,7 +157,7 @@ def move_series(frame, L, eps, xi):
     return out
 
 
-def fiber_evaluation(frame, qd, c, spec, r=None):
+def fiber_evaluation(frame, qd, c, spec):
     """The action at fiber coefficients c and its plain fiber gradient.
 
     qd holds the frame coefficients of the loop velocity.  One
@@ -170,11 +169,7 @@ def fiber_evaluation(frame, qd, c, spec, r=None):
     frame.samples returns them.
     c may be one state (D,) or a batch (S, D) over the same loop; a batch
     gives (S,) actions, (S, D) gradients and (S, m, n) samples, each row
-    bit-identical to the call on that row alone.  r replaces spec.r
-    (radial_H_jet): the fiber ascent passes its energy column, an (S, 1)
-    array with one r per row even when all rows share one r, and its
-    Newton endgame one float; each row then equals the call at
-    spec.with_r of its r bit for bit.
+    bit-identical to the call on that row alone.
 
     When every radius lies in the quadratic zone 2 rho1 <= rho <=
     QUADRATIC_TOP, H is r + 0.5 rho^2 and dH/dp is the p samples
@@ -190,10 +185,10 @@ def fiber_evaluation(frame, qd, c, spec, r=None):
     p_samp = frame.samples(c)
     rho = np.sqrt((p_samp * p_samp).sum(axis=-1))
     if rho.min() >= 2.0 * spec.rho1 and rho.max() <= QUADRATIC_TOP:
-        h0 = (spec.r if r is None else r) + 0.5 * rho ** 2
+        h0 = spec.r + 0.5 * rho ** 2
         dpH = p_samp
     else:
-        h0, h1 = radial_H_jet(spec, rho, order=1, r=r)
+        h0, h1 = radial_H_jet(spec, rho, order=1)
         scale = np.divide(h1, rho, out=np.zeros_like(rho), where=rho > 0.0)
         dpH = scale[..., None] * p_samp
     # vecdot runs the BLAS dot of qd @ c on each row, so a batch row

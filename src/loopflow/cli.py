@@ -282,7 +282,7 @@ def cmd_orbit_sweep(args):
         raise ValueError("need 0 < r-min <= r-max")
     grid = np.linspace(r_min, r_max, count)
     family = [_loop_from_config(user.get("loop", {}), default_winding=winding)]
-    records, summary = orbit_sweep(spec, grid, config, jobs=args.jobs, family=family)
+    records, summary = orbit_sweep(spec, grid, config, family=family)
     rows = [tuple(rec.to_row()[k] for k in SWEEP_COLUMNS) for rec in records]
     payload = {"hit_found": summary.hit_found,
                "first_hit_r": summary.first_hit_r,

@@ -27,9 +27,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-# largest mode cutoff J: the dense (D, D) matrices, the Newton endgame's
-# fiber Hessian and embedded_metric's ambient form, grow as J^2 and reach
-# about 33.6 MB each here at n = 2
+# largest mode cutoff J: embedded_metric's dense (D, D) ambient form grows
+# as J^2 and reaches about 33.6 MB here at n = 2
 MAX_MODES = 512
 
 
@@ -160,7 +159,7 @@ def _tail_jet(spec, rho, order, r):
     return jet
 
 
-def radial_H_jet(spec, rho, order=2, r=None):
+def radial_H_jet(spec, rho, order=2):
     """H_r and its rho-derivatives up to order (1 or 2) at the radii rho,
     one pass.
 
@@ -173,31 +172,23 @@ def radial_H_jet(spec, rho, order=2, r=None):
     Returns order + 1 C-contiguous arrays shaped like rho (at least
     1-d); the action and its gradient need order 1, the fiber Hessian
     order 2.
-
-    r, when given, replaces spec.r: the fiber ascent passes its energy
-    column, one r per row of (S, m) radii as an (S, 1) array, and its
-    Newton endgame one float.  H_r is linear in r (r chi + phi), so
-    every entry equals the one the call at spec.with_r of that entry's r
-    gives, bit for bit.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    r = spec.r if r is None else r
+    r = spec.r
     top = rho > spec.rho1
     ntop = np.count_nonzero(top)
     if ntop == rho.size:
         return tuple(_tail_jet(spec, rho, order, r))
     lo = spec.rho_star * math.exp(-spec.delta)
     hi = spec.rho_star * math.exp(spec.delta)
-    # r at every radius in its own array: gathers from a broadcast view are slower
-    r = np.full(rho.shape, r)
     jet = np.zeros((order + 1,) + rho.shape)
     mid = (rho >= lo) & (rho <= hi)
     if np.count_nonzero(mid):
-        for row, value in zip(jet, _band_jet(spec, rho[mid], order, r[mid])):
+        for row, value in zip(jet, _band_jet(spec, rho[mid], order, r)):
             row[mid] = value
     np.copyto(jet[0], r, where=rho > hi)
     if ntop:
-        for row, value in zip(jet, _tail_jet(spec, rho[top], order, r[top])):
+        for row, value in zip(jet, _tail_jet(spec, rho[top], order, r)):
             row[top] = value
     return tuple(jet)
 

@@ -2,30 +2,34 @@
 
 theta(r) is estimated in two stages.  The inner supremum of the action
 over the truncated fiber ball {|p|_{1-s} <= gamma''} above each family
-loop is computed by projected gradient ascent from fixed starts (the
-smoothed velocity field scaled to six radii), all ascending together as
-one (R S, D) coefficient array for R values of r, with an (R S, 1)
-energy column (H_r is linear in r); a single estimate has R = 1.  Each
-round is one batched fiber_evaluation, and each row keeps its own step
-size and stopping state.  The outer infimum is followed by descending
-the envelope of that supremum: each round steps the loop along the flow
-and re-ascends the fiber, so the loop moves along the envelope gradient
-(Danskin) and the action never rises.  The maximizers are descended from
-the highest action down; the level is the largest action a descent ends
-at, so a maximizer below it cannot raise the level, and a copy of a
-maximizer already descended would only repeat its descent.  Witnesses
-are polished before classification by Gauss-Newton steps that move the
-loop's series arrays and the fiber to zero the stacked gradient
-coefficients, backtracked until the residual falls.
+loop is computed from fixed starts (the smoothed velocity field scaled to
+six radii) by one fiber solver: trust-region Newton with Steihaug's
+truncated conjugate gradients (Nocedal & Wright, Alg. 4.1 and 7.2).  Its
+model is the action's second-order expansion in the fiber, whose Hessian
+is minus the quadrature compression of the pointwise fiber Hessian of
+H_r; that matrix is applied to one vector at a time by one irfft and one
+rfft (_hessian_product) and never formed.  Conjugate gradients stop at
+the trust-region boundary on non-positive curvature, so no step heads
+for a fiber saddle.  The outer infimum is followed by descending the
+envelope of that supremum: each round steps the loop along the flow and
+re-ascends the fiber by the same solver, so the loop moves along the
+envelope gradient (Danskin) and the action never rises.  The maximizers
+are descended from the highest action down; the level is the largest
+action a descent ends at, so a maximizer below it cannot raise the
+level, and a copy of a maximizer already descended would only repeat its
+descent.  Witnesses are polished before classification by Gauss-Newton
+steps that move the loop's series arrays and the fiber to zero the
+stacked gradient coefficients, backtracked until the residual falls.
 The Jacobian is block-triangular, so each step is solved through its
 blocks (two scaled permutations and one n x n kernel solve) without
 forming it; it needs numpy only, so importing the package loads no
-scipy.
+scipy.  The level is a minimax, so the seeds ascend once more on the
+polished witness's loop, and a fiber maximizer above the level there is
+descended in turn.  orbit_sweep runs one level per r-point, in grid
+order.
 """
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +44,11 @@ from .hamiltonian import alpha_bound, r0_threshold, radial_H_jet
 from .spectral import SQ2, FiberField, frame_of
 
 ASCENT_TOL = 1e-9
-ASCENT_ITERS = 600
+TRUST_ITERS = 600        # trust-region iterations of one fiber ascent
 DESCENT_ROUNDS = 4000    # re-ascend-then-step rounds of one envelope descent
-HANDOFF = 1e-2           # gradient norm below which the Newton endgame or the polish takes over
+HANDOFF = 1e-2           # gradient norm at which the descent stops and the polish takes over
 SAME_MAXIMIZER = 1e-6    # (1-s)-distance below which two ascents found one maximizer
+ABOVE_LEVEL = 1e-9       # fiber action above the level that sends the witness loop down again
 POLISH_NFEV = 4000       # residual evaluations one refine_critical polish may spend
 
 
@@ -66,15 +71,10 @@ def loop_speed(loop, J):
     return math.sqrt(float(np.max(np.sum(loop.velocity_samples(m) ** 2, axis=1))))
 
 
-def _project_ball(coeffs, frame, r, radius):
-    """Scale each row of coeffs (D,) or (S, D) back into the radius ball
-    of the frame's r-norm; returns (rows, clipped mask)."""
-    nrm = frame.norm(r, coeffs)
-    clipped = nrm > radius
-    if np.count_nonzero(clipped):
-        # unclipped rows are multiplied by exactly 1.0
-        coeffs = coeffs * (radius / np.where(clipped, nrm, radius))[..., None]
-    return coeffs, clipped
+def _project_ball(c, frame, r, radius):
+    """c scaled back into the radius ball of the frame's r-norm."""
+    nrm = frame.norm(r, c)
+    return c * (radius / nrm) if nrm > radius else c
 
 
 def _pointwise_hessian(frame, c, spec):
@@ -91,102 +91,119 @@ def _pointwise_hessian(frame, c, spec):
             + (h2 - ratio)[:, None, None] * phat[:, :, None] * phat[:, None, :])
 
 
-def _vertical_newton(frame, evaluate_at, c, a, g, gn, spec, radius):
-    """Endgame for the fiber ascent: damped Newton on the vertical
-    stationarity, with the exact quadrature Hessian of the H term.
+def _hessian_product(frame, w, v):
+    """H v for the quadrature compression H = (1/m) sum_t e_k(t)^T w(t)
+    e_l(t) of a pointwise multiplier w, (m, n, n) samples on the default
+    grid: one irfft of v, the pointwise product and one rfft, with no
+    (D, D) matrix.  With w = _pointwise_hessian, H is minus the action's
+    fiber Hessian."""
+    return frame.coefficients(np.einsum("tij,tj->ti", w, frame.samples(v)))
 
-    The action Hessian in the L^2-orthonormal coefficients is minus the
-    frame's compression (SpectralFrame.compress) of the pointwise fiber
-    Hessian of H_r (_pointwise_hessian), so the solve has none of the
-    mode damping that stalls first-order ascent near the top.
-    evaluate_at(c) gives (action, vertical gradient, its (1-s)-norm) at
-    fiber coefficients c, and (a, g, gn) are its values at the start c;
-    the weights (1+lam)^{1-s} turn the vertical gradient into the plain
-    partial gradient, and candidates are projected back into the
-    (1-s)-ball of the given radius.  At most 12 Newton steps, each
-    stopping at ASCENT_TOL.
+
+def _steihaug(g, hess, radius):
+    """Steihaug's truncated conjugate gradients (Nocedal & Wright,
+    Alg. 7.2) for the model gain g.d - d.H d / 2 over |d| <= radius,
+    with hess(v) = H v.  Returns (d, model gain of d).
+
+    CG runs from d = 0 and stops at relative residual min(0.5, sqrt|g|),
+    so the steps become Newton steps as g vanishes.  On a direction of
+    non-positive curvature, or where the next iterate would leave the
+    region, d goes to the boundary along the current direction, which
+    raises the model: no step heads for a saddle of the model.
+    """
+    gnorm = math.sqrt(g @ g)
+    tol = min(0.5, math.sqrt(gnorm)) * gnorm
+    d, hd_sum = np.zeros_like(g), np.zeros_like(g)
+    res = g.copy()             # the model gradient g - H d
+    direction, rr = res.copy(), res @ res
+    for _ in range(len(g)):
+        hd = hess(direction)
+        curvature = direction @ hd
+        if curvature > 0.0:
+            alpha = rr / curvature
+            trial = d + alpha * direction
+            if trial @ trial < radius * radius:
+                d, hd_sum, res = trial, hd_sum + alpha * hd, res - alpha * hd
+                rr, rr_old = res @ res, rr
+                if math.sqrt(rr) <= tol:
+                    break
+                direction = res + (rr / rr_old) * direction
+                continue
+        # to the boundary: the root tau >= 0 of |d + tau direction| = radius
+        dd, dp = direction @ direction, d @ direction
+        tau = (math.sqrt(dp * dp + dd * (radius * radius - d @ d)) - dp) / dd
+        d, hd_sum = d + tau * direction, hd_sum + tau * hd
+        break
+    return d, g @ d - 0.5 * (d @ hd_sum)
+
+
+def _ascend(frame, qd, c, spec, radius):
+    """The fiber solver: trust-region Newton ascent of the action from
+    fiber coefficients c over the (1-s)-ball of the given radius, on the
+    loop whose velocity coefficients are qd; returns an AscentResult.
+
+    Each iteration is one fiber_evaluation, one _pointwise_hessian and
+    the H v products of one _steihaug step on the model a + dv.d -
+    d.H d / 2 in the Euclidean coefficient ball |d| <= size, with dv the
+    plain fiber gradient; the candidate is projected into the fiber ball.
+    It is accepted when the action holds (falls by at most 1e-14) and
+    either the gain ratio rho = actual / model gain exceeds 1e-4 or the
+    (1-s)-norm of the vertical gradient falls, which decides where both
+    gains are roundoff.  size starts at max(1e-3, |dv|), becomes a
+    quarter of the step when rho < 0.25 and doubles, up to 1e3, when
+    rho > 0.75 on the boundary.  The ascent stops when the gradient norm
+    reaches ASCENT_TOL (converged), after TRUST_ITERS iterations, or when
+    size falls below 1e-15.
     """
     r = 1.0 - spec.s
-    precond = frame.weights(r)
-    eye = np.eye(frame.dim)
-    for _ in range(12):
-        if gn <= ASCENT_TOL:
+    to_vertical = frame.weights(spec.s - 1.0)
+
+    def evaluate_at(c):
+        a, dv, _ = fiber_evaluation(frame, qd, c, spec)
+        return a, dv, frame.norm(r, to_vertical * dv)
+
+    c = _project_ball(c, frame, r, radius)
+    a, dv, gn = evaluate_at(c)
+    size = max(1e-3, math.sqrt(dv @ dv))
+    for _ in range(TRUST_ITERS):
+        if gn <= ASCENT_TOL or size < 1e-15:
             break
-        hess = frame.compress(_pointwise_hessian(frame, c, spec))
-        u = precond * g
-        improved = False
-        for mu in (0.0, 1e-9, 1e-6, 1e-3, 1.0):
-            try:
-                delta = np.linalg.solve(hess + mu * eye, u)
-            except np.linalg.LinAlgError:
-                continue
-            cand, _ = _project_ball(c + delta, frame, r, radius)
-            a2, g2, gn2 = evaluate_at(cand)
-            if gn2 < gn:
-                c, a, g, gn = cand, a2, g2, gn2
-                improved = True
-                break
-        if not improved:
-            break
-    return c, a, gn
+        w = _pointwise_hessian(frame, c, spec)
+        step, gain = _steihaug(dv, lambda v: _hessian_product(frame, w, v), size)
+        cand = _project_ball(c + step, frame, r, radius)
+        a_new, dv_new, gn_new = evaluate_at(cand)
+        rho = (a_new - a) / gain if gain > 0.0 else -1.0
+        length = math.sqrt(step @ step)
+        if rho < 0.25:
+            size = 0.25 * length
+        elif rho > 0.75 and length >= (1.0 - 1e-12) * size:
+            size = min(2.0 * size, 1e3)
+        if a_new >= a - 1e-14 and (rho > 1e-4 or gn_new < gn):
+            c, a, dv, gn = cand, a_new, dv_new, gn_new
+    return AscentResult(field=FiberField(frame=frame, coefficients=c), action=float(a),
+                        converged=bool(gn <= ASCENT_TOL), grad_norm=float(gn))
 
 
-def fiber_sup(loop, spec, config, iters=ASCENT_ITERS, seeds=None):
-    """Projected gradient ascent of the action over the fiber ball.
+def fiber_sup(loop, spec, config, seeds=None):
+    """The supremum of the action over the fiber ball above the loop,
+    from each seed by the fiber solver (_ascend).
 
     Default seeds: the smoothed velocity field scaled, at the loop's top
     speed, to radii covering the zero branch (0.9 rho* e^{-a}), the
     thickening band (rho*), the fake-geodesic annulus (1.45 and 1.85
     rho1), unit radius and the kinetic tail (2.2 rho1).  They are fixed,
     so equal inputs give equal results.  Pass explicit coefficient
-    arrays to ascend locally instead.  Returns results sorted by action,
-    best first.
-
-    All seeds ascend together as one (S, D) array.  The loop never
-    moves here, so its velocity coefficients and the metric weights are
-    computed once, and each round is one batched fiber_evaluation: one
-    line-search try for every seed still ascending.  Each seed keeps its
-    own step size, step count and halving count, so it sees exactly the
-    evaluations it would see alone.  A seed stops when its gradient norm
-    reaches ASCENT_TOL, after iters accepted steps, or after 40 halvings
-    of one step; a stopped seed that is not converged but has a gradient
-    norm below HANDOFF then gets the Newton endgame.  This is _fiber_sups
-    with the one energy spec.r.
+    arrays to ascend locally instead.  The loop never moves here, so its
+    velocity coefficients are computed once; each seed then ascends on
+    its own, one fiber row at a time.  Returns one AscentResult per seed,
+    sorted by action, best first; converged says that the seed's
+    vertical gradient norm reached ASCENT_TOL.
     """
-    return _fiber_sups(loop, spec, [spec.r], config, iters, seeds)[0]
-
-
-def _fiber_sups(loop, spec, energies, config, iters=ASCENT_ITERS, seeds=None):
-    """fiber_sup at spec.with_r(r) for every r of energies, as one
-    ascent; returns one sorted result list per energy.
-
-    The seeds do not depend on r, so with R energies and S seeds the
-    ascent runs one (R S, D) array and an (R S, 1) column of row
-    energies, and each fiber_evaluation evaluates every live row at its
-    own r.  Each row keeps its own step size, halving count and
-    rejected-try count and gets the Newton endgame at its own r, so every
-    result equals the one-energy ascent at that r bit for bit.
-    """
-    if not len(energies):
-        return []
     require_finite("fiber_sup loop", loop)
     frame = frame_of(loop, spec.J)
     qd = velocity_coefficients(loop, frame)
-    to_vertical = frame.weights(spec.s - 1.0)
-    # step along the plain partial gradient (1+lam)^{1-s} g: the fiber
-    # Hessian is O(1)-conditioned in these coordinates, while the raw
-    # (1-s)-representative damps high modes and stalls the ascent
-    r = 1.0 - spec.s
-    precond = frame.weights(r)
-    radius = config.gamma_dprime
-
-    def evaluate_at(c, energy):
-        a, dv, _ = fiber_evaluation(frame, qd, c, spec, energy)
-        g = to_vertical * dv
-        return a, g, frame.norm(r, g)
-
     if seeds is None:
-        smooth = to_vertical * qd
+        smooth = frame.weights(spec.s - 1.0) * qd
         speed = max(loop_speed(loop, spec.J), 1e-12)
         lo = spec.rho_star * math.exp(-spec.thickening_halfwidth)
         radii = (0.9 * lo, spec.rho_star, 1.45 * spec.rho1, 1.85 * spec.rho1, 1.0, 2.2 * spec.rho1)
@@ -194,75 +211,9 @@ def _fiber_sups(loop, spec, energies, config, iters=ASCENT_ITERS, seeds=None):
     else:
         for i, c0 in enumerate(seeds):
             require_finite(f"fiber_sup seed {i}", fiber=c0)
-        if not len(seeds):
-            return [[] for _ in energies]
-    n_seeds = len(seeds)
-    c, _ = _project_ball(np.array(seeds, dtype=float).reshape(n_seeds, frame.dim), frame, r,
-                         radius)
-    c = np.tile(c, (len(energies), 1))
-    energy = np.repeat(energies, n_seeds)[:, None]
-    a, g, gn = evaluate_at(c, energy)
-    final_c, final_a, final_g, final_gn = (np.empty_like(v) for v in (c, a, g, gn))
-    live = np.arange(len(c))                 # row index of each ascending row
-    eta = np.full(len(c), 0.5)
-    rejected = np.zeros(len(c), dtype=int)   # rejected tries so far
-    halvings = np.zeros(len(c), dtype=int)   # rejected tries of the current step
-    done = (gn <= ASCENT_TOL) | (iters <= 0)
-    rounds = 0
-    # every live row makes one try per round, so its accepted steps are
-    # rounds - rejected; the all-accepted and all-rejected rounds skip the
-    # row selection, which keeps the envelope descent's one-seed
-    # re-ascents as cheap as a scalar loop
-    while True:
-        if np.count_nonzero(done):
-            stopped = live[done]
-            final_c[stopped], final_a[stopped] = c[done], a[done]
-            final_g[stopped], final_gn[stopped] = g[done], gn[done]
-            keep = ~done
-            live, c, a, g, gn, eta, rejected, halvings, energy = (
-                arr[keep] for arr in (live, c, a, g, gn, eta, rejected, halvings, energy))
-            if not live.size:
-                break
-        rounds += 1
-        cand, clipped = _project_ball(c + (eta[:, None] * precond) * g, frame, r, radius)
-        a_new, g_new, gn_new = evaluate_at(cand, energy)
-        accepted = a_new >= a - 1e-14
-        n_accepted = np.count_nonzero(accepted)
-        if n_accepted:
-            grown = np.minimum(eta * 1.3, 2.0)
-            if np.count_nonzero(clipped):
-                grown = np.where(clipped, eta, grown)
-        if n_accepted == len(live):
-            c, a, g, gn, eta = cand, a_new, g_new, gn_new, grown
-            halvings[:] = 0
-            done = gn <= ASCENT_TOL
-        elif n_accepted == 0:
-            eta *= 0.5
-            rejected += 1
-            halvings += 1
-            done = halvings >= 40
-        else:
-            c = np.where(accepted[:, None], cand, c)
-            g = np.where(accepted[:, None], g_new, g)
-            a = np.where(accepted, a_new, a)
-            gn = np.where(accepted, gn_new, gn)
-            eta = np.where(accepted, grown, eta * 0.5)
-            rejected += ~accepted
-            halvings = np.where(accepted, 0, halvings + 1)
-            done = (gn <= ASCENT_TOL) | (halvings >= 40)
-        if rounds >= iters:
-            done |= rounds - rejected >= iters
-    results = [[] for _ in energies]
-    for row, (c, a, g, gn) in enumerate(zip(final_c, final_a, final_g, final_gn)):
-        e = energies[row // n_seeds]
-        if ASCENT_TOL < gn <= HANDOFF:
-            c, a, gn = _vertical_newton(frame, lambda c: evaluate_at(c, e), c, a, g, gn,
-                                        spec.with_r(e), radius)
-        results[row // n_seeds].append(
-            AscentResult(field=FiberField(frame=frame, coefficients=c), action=float(a),
-                         converged=bool(gn <= ASCENT_TOL), grad_norm=float(gn)))
-    for out in results:
-        out.sort(key=lambda res: res.action, reverse=True)
+    results = [_ascend(frame, qd, np.asarray(c0, dtype=float), spec, config.gamma_dprime)
+               for c0 in seeds]
+    results.sort(key=lambda res: res.action, reverse=True)
     return results
 
 
@@ -288,7 +239,8 @@ def _envelope_descent(x, spec, config, tol):
     dt = 5.0 * config.dt
     plan = gradient_plan(x.frame, spec.s)
     for rounds in range(DESCENT_ROUNDS):
-        asc = fiber_sup(x.loop, spec, config, seeds=[x.fiber.coefficients])[0]
+        asc = _ascend(x.frame, velocity_coefficients(x.loop, x.frame), x.fiber.coefficients,
+                      spec, config.gamma_dprime)
         x = PhasePoint(loop=x.loop, fiber=asc.field)
         k = flow_velocity(x, spec, config, plan)
         if k.grad_norm <= tol:
@@ -333,9 +285,8 @@ def _critical_system(x, spec):
     * The loop step is then the antiderivative of f_v / V + H dc, times
       sqrt(2) outside the kernel to turn frame coefficients into rows.
 
-    H v is applied as frame.coefficients(W frame.samples(v)), one irfft
-    and one rfft: the quadrature that SpectralFrame.compress assembles
-    into the (D, D) matrix H, applied here to one vector without it.
+    H v is applied by _hessian_product, one irfft and one rfft, as in
+    the fiber solver, with no (D, D) matrix.
     """
     frame = x.frame
     n, J, dim = frame.n, frame.cutoff, frame.dim
@@ -358,14 +309,11 @@ def _critical_system(x, spec):
 
     def step(vec, f):
         w = _pointwise_hessian(frame, vec[k:], spec)
-
-        def hess(v):
-            return frame.coefficients(np.einsum("tij,tj->ti", w, frame.samples(v)))
-
         dc = antiderivative(-f[:dim] / scale_h)
-        rhs = -f[dim:dim + n] / scale_v[:n] - hess(dc)[:n]
+        rhs = -f[dim:dim + n] / scale_v[:n] - _hessian_product(frame, w, dc)[:n]
         dc[:n] = np.linalg.lstsq(w.mean(axis=0), rhs, rcond=1e-13)[0]
-        return np.concatenate([antiderivative(f[dim:] / scale_v + hess(dc))[n:] * SQ2, dc])
+        hdc = _hessian_product(frame, w, dc)
+        return np.concatenate([antiderivative(f[dim:] / scale_v + hdc)[n:] * SQ2, dc])
 
     return fun, step
 
@@ -445,34 +393,57 @@ def minimax_theta(family, spec, config, rng=None):
 
     One fiber_sup call per loop; confident says that every seed of every
     loop converged, and a seed that does not only drops that flag, never
-    the record.  The fiber maximizers of all loops are pooled and descended
-    along the envelope, highest action first, each until its gradient
-    norm reaches HANDOFF; the level is the largest action a descent ends
-    at.  The descent never raises the action, so the pool is cut at the
-    first maximizer below that level, and a maximizer within
-    SAME_MAXIMIZER of one already descended on its loop is skipped.  A
-    witness whose descent reached HANDOFF is polished by
-    refine_critical.  H_r vanishes on the zero section, so the fiber
-    supremum over every loop is nonnegative; a level below -1e-6 means
-    the estimator itself broke, which raises.  orbit_sweep runs the
-    same level (_level) from one ascent across its r grid.
+    the record.  The fiber maximizers of all loops are pooled and
+    descended (_descend).  The level is a minimax, so on the loop of a
+    converged witness no fiber maximizer may lie above it: fiber_sup runs
+    once more on that loop, and a maximizer more than ABOVE_LEVEL above
+    the level is descended in turn; its level replaces the record's when
+    it is higher, and its rounds add to the witness's.  H_r vanishes on
+    the zero section, so the fiber supremum over every loop is
+    nonnegative; a level below -1e-6 means the estimator itself broke,
+    which raises.
 
     rng is accepted and ignored, since the seeds are deterministic.  It
     stays because callers written for the former random starts pass it
     (the benchmark's minimax_j64 workload does).
     """
-    return _level([(loop, fiber_sup(loop, spec, config)) for loop in family], spec, config)
-
-
-def _level(ascents, spec, config):
-    """The MinimaxRecord at spec from the fiber ascent results of each
-    family loop, given as (loop, fiber_sup results at spec) pairs: the
-    descent, polish and classification of minimax_theta."""
-    pool = [(loop, res) for loop, results in ascents for res in results]
+    pool = [(loop, res) for loop in family for res in fiber_sup(loop, spec, config)]
     if not pool:
         raise ValueError("minimax_theta needs a nonempty family of loops")
     confident = all(res.converged for _, res in pool)
-    pool.sort(key=lambda item: item[1].action, reverse=True)
+    witness, rounds, k = _descend(pool, spec, config)
+    converged = rounds < DESCENT_ROUNDS
+    while converged:
+        top = fiber_sup(witness.loop, spec, config)[0]
+        if top.action <= k.action + ABOVE_LEVEL:
+            break
+        x, more, k_top = _descend([(witness.loop, top)], spec, config)
+        if more >= DESCENT_ROUNDS or k_top.action <= k.action:
+            break
+        witness, rounds, k = x, rounds + more, k_top
+    theta, gn = k.action, k.grad_norm
+    if theta < -1e-6:
+        raise ArithmeticError(f"minimax level {theta:.3e} fell below the zero section")
+    cls = classify_critical(witness, spec)
+    sym = symplectic_action(witness)
+    leaf = sym if cls.kind == "on-hypersurface" else None
+    return MinimaxRecord(r=spec.r, theta=theta, witness=witness, classification=cls,
+                         sigma=getattr(cls, "sigma", None), leaf_action=leaf,
+                         symplectic=sym, grad_norm=gn, steps=rounds,
+                         converged=converged, confident=bool(confident))
+
+
+def _descend(pool, spec, config):
+    """(witness, rounds, velocity) of the level over a pool of (loop,
+    fiber maximizer) pairs: each maximizer is descended along the
+    envelope, highest action first, until its gradient norm reaches
+    HANDOFF, and the witness is the state with the largest action a
+    descent ends at.  The descent never raises the action, so the pool is
+    cut at the first maximizer below that level, and a maximizer within
+    SAME_MAXIMIZER of one already descended on its loop is skipped.  A
+    witness whose descent reached HANDOFF is polished by refine_critical,
+    and the velocity is read at the state the polish returns."""
+    pool = sorted(pool, key=lambda item: item[1].action, reverse=True)
     best = (-math.inf, None, 0, None)   # (final action, witness, rounds, velocity)
     descended = []                      # (loop, start coefficients) of every descent run
     for loop, res in pool:
@@ -488,22 +459,10 @@ def _level(ascents, spec, config):
         if k.action > best[0]:
             best = (k.action, x, rounds, k)
     _, witness, rounds, k = best
-    converged = rounds < DESCENT_ROUNDS
-    if converged:
-        # the level and its gradient norm are read at the state the
-        # polish returns, the polished one or the witness itself
+    if rounds < DESCENT_ROUNDS:
         witness = refine_critical(witness, spec)
         k = flow_velocity(witness, spec, config)
-    theta, gn = k.action, k.grad_norm
-    if theta < -1e-6:
-        raise ArithmeticError(f"minimax level {theta:.3e} fell below the zero section")
-    cls = classify_critical(witness, spec)
-    sym = symplectic_action(witness)
-    leaf = sym if cls.kind == "on-hypersurface" else None
-    return MinimaxRecord(r=spec.r, theta=theta, witness=witness, classification=cls,
-                         sigma=getattr(cls, "sigma", None), leaf_action=leaf,
-                         symplectic=sym, grad_norm=gn, steps=rounds,
-                         converged=converged, confident=bool(confident))
+    return witness, rounds, k
 
 
 def default_family(spec, winding=(1, 0)):
@@ -513,18 +472,9 @@ def default_family(spec, winding=(1, 0)):
     return [straight_loop(manifold, winding)]
 
 
-def _sweep_task(payload):
-    # one r-point of orbit_sweep: its spec, the config and the
-    # (loop, fiber ascent results) pairs that the sweep's ascent gave it
-    spec, config, ascents = payload
-    return _level(ascents, spec, config)
-
-
-def pool_size(jobs, points, cpus):
-    """Worker processes for a sweep of `points` r-values on `cpus` CPUs:
-    the requested jobs, but never more than the points or the CPUs, and
-    at least one."""
-    return max(1, min(int(jobs), points, cpus))
+def _sweep_task(family, spec, config):
+    # one r-point of orbit_sweep, called once per r in grid order
+    return minimax_theta(family, spec, config)
 
 
 @dataclass(frozen=True)
@@ -539,39 +489,21 @@ class SweepSummary:
     budget_flagged: tuple
 
 
-def orbit_sweep(spec_template, r_grid, config, jobs=1, family=None):
-    """minimax_theta at every r of the grid: one fiber ascent over the
-    whole grid, then each r-point's level, in-process or on a pool.
+def orbit_sweep(spec_template, r_grid, config, family=None):
+    """minimax_theta at every r of the grid, one r-point after another.
 
-    The fiber seeds of all r-points ascend as one array per family loop
-    (_fiber_sups), in this process; every r-point then descends, polishes
-    and classifies its own pool (_sweep_task), serially or on a pool of
-    jobs workers, capped at the r-points and at the CPUs this process
-    may run on (pool_size).  Each record equals minimax_theta at that r
-    bit for bit, and the records merge in grid order regardless of the
-    worker count.  The summary reports the first r whose witness lands
-    on the hypersurface with leaf action inside (0, 2(alpha + r0)), with
-    alpha the fiber action bound at the family's largest loop speed, and
-    when no hit exists, the closed-geodesic plateau diagnostics: the
-    loop energies and the r-shifted actions, both constant on a
-    plateau.
+    Each r-point runs through _sweep_task, in grid order, so each record
+    is minimax_theta at that r.  The summary reports the first r whose
+    witness lands on the hypersurface with leaf action inside
+    (0, 2(alpha + r0)), with alpha the fiber action bound at the family's
+    largest loop speed, and when no hit exists, the closed-geodesic
+    plateau diagnostics: the loop energies and the r-shifted actions,
+    both constant on a plateau.
     """
     family = default_family(spec_template) if family is None else family
     if not family:
         raise ValueError("orbit_sweep needs a nonempty family of loops")
-    specs = [spec_template.with_r(r) for r in r_grid]
-    per_loop = [_fiber_sups(loop, spec_template, [sp.r for sp in specs], config)
-                for loop in family]
-    payloads = [(spec, config, [(loop, results[k]) for loop, results in zip(family, per_loop)])
-                for k, spec in enumerate(specs)]
-    # the CPUs this process may run on, fewer than the machine's under taskset
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = pool_size(jobs, len(payloads), cpus or 1)
-    if workers <= 1:
-        records = [_sweep_task(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_sweep_task, payloads))
+    records = [_sweep_task(family, spec_template.with_r(r), config) for r in r_grid]
     alpha = alpha_bound(spec_template, max(loop_speed(loop, spec_template.J) for loop in family))
     bound = 2.0 * (alpha + r0_threshold(spec_template))
     hits = [rec for rec in records

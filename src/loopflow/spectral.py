@@ -251,17 +251,18 @@ class SpectralFrame:
         out[k, :, k % self.n] = self._waves(m)[k // self.n]
         return out
 
-    def compress(self, W):
+    def compress(self, weight):
         """The (D, D) quadrature compression (1/m) sum_t e_k(t)^T W(t) e_l(t)
-        onto the eigenfields e_k of a pointwise multiplier W, (m, n, n)
-        samples on the m-point grid.  Rows a::n and columns b::n are the
-        entries of coordinates (a, b): the Gram matrix of _waves weighted
-        by W[:, a, b]."""
-        m, n = len(W), self.n
+        onto the eigenfields e_k of a diagonal pointwise multiplier W(t) =
+        diag(weight(t)), weight given as (m, n) samples on the m-point grid.
+        Eigenfields of different coordinates do not meet, so only the n
+        diagonal blocks, rows and columns a::n, are nonzero: the Gram
+        matrix of _waves weighted by weight[:, a]."""
+        m, n = len(weight), self.n
         waves = self._waves(m)
-        out = np.empty((self.dim, self.dim))
-        for a, b in np.ndindex(n, n):
-            out[a::n, b::n] = (waves * W[:, a, b]) @ waves.T / m
+        out = np.zeros((self.dim, self.dim))
+        for a in range(n):
+            out[a::n, a::n] = (waves * weight[:, a]) @ waves.T / m
         return out
 
     def weights(self, r):
@@ -403,7 +404,7 @@ def embedded_metric(loop, cutoff):
     frame = frame_of(loop, cutoff)
     m = fourier.default_samples(cutoff)
     weight = (loop.manifold.embedding_curvatures * loop.velocity_samples(m)) ** 2
-    form = frame.compress(weight[:, :, None] * np.eye(frame.n))
+    form = frame.compress(weight)
     form[np.diag_indices(frame.dim)] += 1.0 + frame.eigenvalues
     mu, vectors = np.linalg.eigh(form)
     if mu.min() <= 0.0:

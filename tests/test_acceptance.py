@@ -32,7 +32,7 @@ def report(num, name, detail):
 @pytest.fixture(scope="module")
 def sweep(spec, config):
     grid = np.linspace(0.05, 2.0, 20)
-    records, summary = orbit_sweep(spec, grid, config, jobs=4)
+    records, summary = orbit_sweep(spec, grid, config)
     return grid, records, summary
 
 

@@ -33,7 +33,7 @@ def test_usage_errors_exit_1(capsys):
     assert run([]) == 1
     assert run(["no-such-command"]) == 1
     assert run(["orbit-sweep", "--jobs", "0"]) == 1
-    assert run(["spectrum", "--jobs", "2"]) == 1   # only orbit-sweep runs workers
+    assert run(["spectrum", "--jobs", "2"]) == 1   # only orbit-sweep accepts --jobs
     assert run(["metrics-compare", "--r-list", "2.0"]) == 1
     for flag, value in (("--step", "nan"), ("--step", "inf"), ("--step", "0"),
                         ("--tol", "nan"), ("--tol", "-1e-5")):

@@ -228,12 +228,12 @@ def test_H_jet_of_whole_branch_batches(spec):
                 np.testing.assert_array_equal(values, reference_radial_H(spec, rho, k))
 
 
-def reference_fiber_evaluation(frame, qd, c, spec, r=None):
+def reference_fiber_evaluation(frame, qd, c, spec):
     # fiber_evaluation without its quadratic zone: every radius goes
     # through radial_H_jet
     p_samp = frame.samples(c)
     rho = np.sqrt((p_samp * p_samp).sum(axis=-1))
-    h0, h1 = radial_H_jet(spec, rho, order=1, r=r)
+    h0, h1 = radial_H_jet(spec, rho, order=1)
     scale = np.divide(h1, rho, out=np.zeros_like(rho), where=rho > 0.0)
     dpH = scale[..., None] * p_samp
     a = np.vecdot(c, qd) - h0.sum(axis=-1) / rho.shape[-1]
@@ -260,7 +260,8 @@ def with_smallest_radius(frame, c, target):
 
 def zone_cases():
     """The frame and loop velocity of one state, and the cases over them:
-    (name, fiber coefficients, r, whether the zone serves the case)."""
+    (name, fiber coefficients, r or None for the default spec's, whether
+    the zone serves the case)."""
     spec = default_spec()
     x = random_phase_point(spec, np.random.default_rng(3))
     frame = x.frame
@@ -270,18 +271,17 @@ def zone_cases():
     c[2:] *= 0.05
     two = 2.0 * spec.rho1
     batch = np.stack([with_smallest_radius(frame, c, rho) for rho in (two, 1.0, 3.0, 10.0)])
-    energies = np.array([[0.05], [0.35789473684210527], [1.0], [2.0]])
     nan = c.copy()
     nan[5] = np.nan
     return frame, velocity_coefficients(x.loop, frame), [
         ("one state", with_smallest_radius(frame, c, 1.0), None, True),
-        ("batch with an energy column", batch, energies, True),
+        ("batch at r = 0.05", batch, 0.05, True),
         ("a node at 2 rho1", with_smallest_radius(frame, c, two), None, True),
         ("a node an ulp below 2 rho1", with_smallest_radius(frame, c, np.nextafter(two, 0.0)),
          None, False),
         ("phi transition", with_smallest_radius(frame, c, 1.5 * spec.rho1), None, False),
         ("one batch row below", np.concatenate([batch, with_smallest_radius(frame, c, 0.6)[None]]),
-         np.concatenate([energies, [[1.0]]]), False),
+         2.0, False),
         ("a NaN coefficient", nan, None, False),
         ("radii whose squares overflow", 1e200 * c, None, False),
     ]
@@ -291,7 +291,7 @@ def zone_cases():
 def test_quadratic_zone_equals_the_jet_path_byte_for_byte(case, monkeypatch):
     frame, qd, cases = zone_cases()
     name, c, r, zone = cases[case]
-    spec = default_spec()
+    spec = default_spec() if r is None else default_spec(r=r)
     with np.errstate(over="ignore"):
         rho = sampled_radii(frame, c)
     # the case sits where its name says
@@ -300,8 +300,8 @@ def test_quadratic_zone_equals_the_jet_path_byte_for_byte(case, monkeypatch):
     monkeypatch.setattr(action_mod, "radial_H_jet",
                         lambda *args, **kw: jets.append(1) or radial_H_jet(*args, **kw))
     with np.errstate(over="ignore", invalid="ignore"):
-        got = fiber_evaluation(frame, qd, c, spec, r)
-        want = reference_fiber_evaluation(frame, qd, c, spec, r)
+        got = fiber_evaluation(frame, qd, c, spec)
+        want = reference_fiber_evaluation(frame, qd, c, spec)
     assert (not jets) is zone, name
     assert type(got[0]) is type(want[0])
     for g, w in zip(got, want):

@@ -119,10 +119,10 @@ def test_radial_H_derivatives_by_fd(spec):
     np.testing.assert_allclose(d2, radial_H(spec, rho, order=2), atol=1e-4)
 
 
-def test_radial_H_jet_per_row_r_equals_each_rows_scalar_call(spec):
-    # each row at its own r: the zero branch, the chi band, the shelf and
-    # the phi tail mixed in every row, and an all-tail batch, which takes
-    # the whole-array path
+def test_radial_H_jet_on_a_batch_equals_each_rows_call(spec):
+    # each row of (S, m) radii at each r: the zero branch, the chi band,
+    # the shelf and the phi tail mixed in every row, and an all-tail
+    # batch, which takes the whole-array path
     lo = spec.rho_star * math.exp(-spec.delta)
     hi = spec.rho_star * math.exp(spec.delta)
     mixed = np.array([0.0, 0.5 * lo, lo, spec.rho_star, hi, np.nextafter(hi, 1.0),
@@ -132,13 +132,14 @@ def test_radial_H_jet_per_row_r_equals_each_rows_scalar_call(spec):
     for radii in (mixed, tail):
         rho = np.stack([np.roll(radii, k) for k in range(len(rows))])
         for order in (1, 2):
-            jet = radial_H_jet(spec, rho, order, r=rows[:, None])
-            assert len(jet) == order + 1
-            for k, r in enumerate(rows):
-                alone = radial_H_jet(spec.with_r(r), rho[k], order)
-                for values, expected in zip(jet, alone):
-                    assert values.shape == rho.shape and values.flags.c_contiguous
-                    np.testing.assert_array_equal(values[k], expected)
+            for r in rows:
+                jet = radial_H_jet(spec.with_r(r), rho, order)
+                assert len(jet) == order + 1
+                for k in range(len(rho)):
+                    alone = radial_H_jet(spec.with_r(r), rho[k], order)
+                    for values, expected in zip(jet, alone):
+                        assert values.shape == rho.shape and values.flags.c_contiguous
+                        np.testing.assert_array_equal(values[k], expected)
 
 
 def test_spec_validation_and_json(spec):

@@ -22,7 +22,8 @@ DELETED = {"hamiltonian": ("evaluate_H", "hamiltonian_vector_field", "integrate_
            "spectral.FiberField": ("norm_r", "samples", "__add__", "__sub__", "__mul__",
                                    "__rmul__", "__neg__"),
            "spectral.EmbeddedMetric": ("loop", "cutoff", "apply_power", "inner"),
-           "minimax": ("ASCENT_STARTS", "fiber_hessian"),
+           "minimax": ("ASCENT_STARTS", "fiber_hessian", "ASCENT_ITERS", "_vertical_newton",
+                       "_fiber_sups", "_level", "pool_size"),
            "cli": ("load_defaults", "_winding"),
            "geometry.LoopPath": ("coordinate_samples",),
            "geometry.ModelManifold": ("embed_point", "embed_tangent", "embedding_dim")}
