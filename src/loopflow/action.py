@@ -18,29 +18,20 @@ Because the quadrature pairing and the frame analysis use identical
 weights, finite differences of the discrete action reproduce this
 gradient to roundoff, not merely to truncation order.
 
-The action and both gradient parts come from one evaluation
-(fiber_evaluation, wrapped by evaluate): the velocity coefficients are
-read off the loop's velocity series, with no sampling; the fiber is
-sampled once (SpectralFrame.samples, one irfft of the coefficients
-written straight into their spectrum slots); one radial_H_jet pass
-gives H and dH/drho; the dH/dp samples are analyzed once
-(SpectralFrame.coefficients, one rfft read straight off its slots);
-and the t-derivative of the fiber is one gather and one multiply
-(derivative_coefficients).  Each step keeps the arithmetic of the
-trig-series route through fourier.synthesize and fourier.analyze, so
-the results equal it bit for bit with far fewer numpy calls.  When
-every sampled radius lies in the quadratic zone rho >= 2 rho1, where
-H_r = r + rho^2/2, H and dH/dp are read off in closed form instead:
-the same bits, without the radial_H_jet pass (see fiber_evaluation).
-action, gradient and hamilton_residual are thin callers of it.  The
-same evaluation takes a batch of fibers over one loop, with every row
-equal bit for bit to that fiber evaluated alone.
-
-gradient_norm and the flow's stage kernel read the action and gradient
-through metric_gradient, with the arrays of a GradientPlan made once per
-frame and s.  Where the fiber's coefficients alone certify the quadratic
-zone (quadratic_zone_energy), it needs no transform; every other call is
-one fiber_evaluation.
+The action and both gradient parts come from one evaluation,
+metric_gradient, on the arrays of a GradientPlan made once per frame and
+s: action, gradient and gradient_norm return the parts of one call, and
+the flow's stage kernel and the polish's residual call it on coefficient
+arrays.  The horizontal gradient is one gather of the fiber coefficients
+times a gain.  Where the coefficients alone certify every radius in the
+quadratic zone rho >= 2 rho1 (quadratic_zone_energy), the action and the
+vertical gradient come in closed form with no transform.  Every other
+call is one fiber_evaluation: one frame.samples of the fiber (one
+irfft), one radial_H_jet pass and one frame.coefficients of dH/dp (one
+rfft), bit for bit the trig-series route through fourier.synthesize and
+fourier.analyze, with H and dH/dp in closed form where every sampled
+radius lies in the zone.  Velocity coefficients are read off the loop's
+series, with no sampling.
 """
 
 import math
@@ -106,9 +97,11 @@ def straight_orbit(manifold, winding, spec, momentum=None):
 
 
 def loop_energy(loop):
-    """E(q) = 1/2 integral |qdot|^2, exactly from the velocity series."""
-    a0, a, b = loop.velocity_series()
-    return float(0.5 * (np.sum(a0 ** 2) + 0.5 * np.sum(a ** 2) + 0.5 * np.sum(b ** 2)))
+    """E(q) = 1/2 integral |qdot|^2, exactly by Parseval: the drift, and
+    2 pi j times the sin and cos coefficients of each mode j."""
+    w = 2.0 * np.pi * np.arange(1, loop.modes + 1)[:, None]
+    return float(0.5 * (np.sum(loop.drift ** 2) + 0.5 * np.sum((w * loop.sin_coeffs) ** 2)
+                        + 0.5 * np.sum((w * loop.cos_coeffs) ** 2)))
 
 
 def derivative_coefficients(frame, c):
@@ -164,12 +157,9 @@ def fiber_evaluation(frame, qd, c, spec):
     frame.samples of the fiber (one irfft), one radial_H_jet pass and
     one frame.coefficients of dH/dp (one rfft), each through the
     spectrum slots the frame keeps per grid size; returns (action,
-    qd - coefficients of dH/dp, dH/dp samples).  The gradient is
-    C-contiguous; the dH/dp samples are coordinate-major, as
-    frame.samples returns them.
-    c may be one state (D,) or a batch (S, D) over the same loop; a batch
-    gives (S,) actions, (S, D) gradients and (S, m, n) samples, each row
-    bit-identical to the call on that row alone.
+    qd - coefficients of dH/dp, dH/dp samples) for the (D,) fiber c.
+    The gradient is C-contiguous; the (m, n) dH/dp samples are
+    coordinate-major, as frame.samples returns them.
 
     When every radius lies in the quadratic zone 2 rho1 <= rho <=
     QUADRATIC_TOP, H is r + 0.5 rho^2 and dH/dp is the p samples
@@ -190,41 +180,9 @@ def fiber_evaluation(frame, qd, c, spec):
     else:
         h0, h1 = radial_H_jet(spec, rho, order=1)
         scale = np.divide(h1, rho, out=np.zeros_like(rho), where=rho > 0.0)
-        dpH = scale[..., None] * p_samp
-    # vecdot runs the BLAS dot of qd @ c on each row, so a batch row
-    # equals the single call bit for bit
-    a = np.vecdot(c, qd) - h0.sum(axis=-1) / rho.shape[-1]
-    return (float(a) if a.ndim == 0 else a), qd - frame.coefficients(dpH), dpH
-
-
-def evaluate(x, spec, qd=None, c=None):
-    """The discrete action at x and its metric gradient, in one evaluation.
-
-    Returns (action, horizontal, vertical) with the gradient parts as
-    frame coefficient arrays: horizontal = -(1+lam)^{-s} (dp/dt)
-    coefficients (the s-metric representative of xi -> <xi_dot, p>),
-    vertical = (1+lam)^{s-1} times the coefficients of qdot - dH/dp
-    (the (1-s)-metric representative).  qd and c, when given, replace x's
-    velocity and fiber coefficients: a state evaluated without its loop,
-    as the polish's residual is (minimax._critical_system).
-    """
-    frame = x.frame
-    qd = velocity_coefficients(x.loop, frame) if qd is None else qd
-    c = x.fiber.coefficients if c is None else c
-    a, dv, _ = fiber_evaluation(frame, qd, c, spec)
-    grad_h = -frame.weights(-spec.s) * derivative_coefficients(frame, c)
-    return a, grad_h, frame.weights(spec.s - 1.0) * dv
-
-
-def action(x, spec):
-    """The discrete action A(q,p) at the frame's native quadrature."""
-    return evaluate(x, spec)[0]
-
-
-def gradient(x, spec):
-    """The metric gradient of the discrete action, as a (horizontal,
-    vertical) pair of frame coefficient arrays; see evaluate."""
-    return evaluate(x, spec)[1:]
+        dpH = scale[:, None] * p_samp
+    a = np.vecdot(c, qd) - h0.sum() / rho.size
+    return float(a), qd - frame.coefficients(dpH), dpH
 
 
 class GradientPlan(NamedTuple):
@@ -293,11 +251,14 @@ def metric_gradient(plan, qd, c, spec):
     the node mean of H is r + |c|^2/2, and dH/dp = p has coefficients c,
     so the plain gradient is qd - c.  These equal fiber_evaluation's up to
     the roundoff of its irfft/rfft pair.  Every other call is one
-    fiber_evaluation, and there grad_h and grad_v are evaluate's gradient
-    parts up to roundoff (grad_v bit for bit).  grad_h is c[partner] *
-    gain.  The norm in the mixed (s, 1-s) metric is the square root of two
-    weighted dot products.  This is the one gradient-norm formula:
-    gradient_norm and the flow's velocity both read it.
+    fiber_evaluation.  grad_h is c[partner] * gain, the s-metric
+    representative -(1+lam)^{-s} (dp/dt coefficients) of xi -> <xi_dot,
+    p>; grad_v is (1+lam)^{s-1} times the plain gradient, the
+    (1-s)-metric representative of the coefficients of qdot - dH/dp.  The
+    norm in the mixed (s, 1-s) metric is the square root of two weighted
+    dot products.  This is the one gradient formula: action, gradient,
+    gradient_norm, the flow's velocity and the polish's residual all read
+    it.
     """
     energy = quadratic_zone_energy(plan, c, spec.rho1)
     if energy is None:
@@ -310,11 +271,27 @@ def metric_gradient(plan, qd, c, spec):
                                         + grad_v @ (plan.weight_v * grad_v))
 
 
-def gradient_norm(x, spec):
-    """Norm of the gradient in the mixed (s, 1-s) metric (metric_gradient)."""
+def _state_gradient(x, spec):
+    """metric_gradient at the state x, with a plan made for this call."""
     frame = x.frame
     return metric_gradient(gradient_plan(frame, spec.s), velocity_coefficients(x.loop, frame),
-                           x.fiber.coefficients, spec)[3]
+                           x.fiber.coefficients, spec)
+
+
+def action(x, spec):
+    """The discrete action A(q,p) at the frame's native quadrature."""
+    return _state_gradient(x, spec)[0]
+
+
+def gradient(x, spec):
+    """The metric gradient of the discrete action, as a (horizontal,
+    vertical) pair of frame coefficient arrays (metric_gradient)."""
+    return _state_gradient(x, spec)[1:3]
+
+
+def gradient_norm(x, spec):
+    """Norm of the gradient in the mixed (s, 1-s) metric (metric_gradient)."""
+    return _state_gradient(x, spec)[3]
 
 
 def metric_pairing(x, spec, pair_a, pair_b):
@@ -381,10 +358,9 @@ def classify_critical(x, spec):
     tol = 1e-6
     frame = x.frame
     m = fourier.default_samples(frame.cutoff)
-    p_samp = frame.samples(x.fiber.coefficients, m)
-    rho = np.linalg.norm(p_samp, axis=1)
-    speed = float(np.sqrt(np.mean(np.sum(x.loop.velocity_samples(m) ** 2, axis=1))))
-    if speed <= tol:
+    rho = np.linalg.norm(frame.samples(x.fiber.coefficients, m), axis=1)
+    # the RMS speed, by Parseval
+    if math.sqrt(2.0 * loop_energy(x.loop)) <= tol:
         return CriticalClass("constant")
     lo, hi = float(rho.min()), float(rho.max())
     sig_lo = spec.rho_star * np.exp(-spec.delta)

@@ -149,11 +149,6 @@ class LoopPath:
         _, da, db = fourier.differentiate(np.zeros(self.manifold.dim), self.cos_coeffs, self.sin_coeffs)
         return self.drift[None, :] + fourier.synthesize(np.zeros(self.manifold.dim), da, db, m=m)
 
-    def velocity_series(self):
-        """Trig coefficients (a0, a, b) of the velocity field."""
-        _, da, db = fourier.differentiate(np.zeros(self.manifold.dim), self.cos_coeffs, self.sin_coeffs)
-        return self.drift.copy(), da, db
-
     def series(self, J):
         """The loop's data as one (n(2J+1),) array in a spectral frame's
         slot order: base, then per mode the cos row a_j and the sin row

@@ -73,9 +73,15 @@ def write_csv(path, header, rows, manifest_hash):
 
 
 def write_json(path, payload):
+    """The payload as strict JSON (RFC 8259): a non-finite float raises
+    ValueError naming the file before it is opened, since NaN and
+    Infinity are not JSON."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_csv(path):

@@ -19,14 +19,16 @@ action a descent ends at, so a maximizer below it cannot raise the
 level, and a copy of a maximizer already descended would only repeat its
 descent.  Witnesses are polished before classification by Gauss-Newton
 steps that move the loop's series arrays and the fiber to zero the
-stacked gradient coefficients, backtracked until the residual falls.
-The Jacobian is block-triangular, so each step is solved through its
-blocks (two scaled permutations and one n x n kernel solve) without
-forming it; it needs numpy only, so importing the package loads no
-scipy.  The level is a minimax, so the seeds ascend once more on the
-polished witness's loop, and a fiber maximizer above the level there is
-descended in turn.  orbit_sweep runs one level per r-point, in grid
-order.
+stacked metric gradient coefficients, backtracked until the residual
+falls.  The residual is action.metric_gradient of those arrays, with a
+plan made once per polish, so the polish drives to zero the gradient the
+flow steps along and gradient_norm reports.  The Jacobian is
+block-triangular, so each step is solved through its blocks (two scaled
+permutations and one n x n kernel solve) without forming it; it needs
+numpy only, so importing the package loads no scipy.  The level is a
+minimax, so the seeds ascend once more on the polished witness's loop,
+and a fiber maximizer above the level there is descended in turn.
+orbit_sweep runs one level per r-point, in grid order.
 """
 
 import math
@@ -35,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .action import (PhasePoint, classify_critical, derivative_coefficients, evaluate,
-                     fiber_evaluation, gradient_norm, gradient_plan, loop_energy, require_finite,
+from .action import (PhasePoint, classify_critical, derivative_coefficients, fiber_evaluation,
+                     gradient_norm, gradient_plan, loop_energy, metric_gradient, require_finite,
                      series_velocity, velocity_coefficients)
 from .flow import _state, _step, flow_velocity
 from .geometry import flat_torus, straight_loop
@@ -184,35 +186,29 @@ def _ascend(frame, qd, c, spec, radius):
                         converged=bool(gn <= ASCENT_TOL), grad_norm=float(gn))
 
 
-def fiber_sup(loop, spec, config, seeds=None):
+def fiber_sup(loop, spec, config):
     """The supremum of the action over the fiber ball above the loop,
-    from each seed by the fiber solver (_ascend).
+    from six fixed seeds by the fiber solver (_ascend).
 
-    Default seeds: the smoothed velocity field scaled, at the loop's top
+    The seeds are the smoothed velocity field scaled, at the loop's top
     speed, to radii covering the zero branch (0.9 rho* e^{-a}), the
     thickening band (rho*), the fake-geodesic annulus (1.45 and 1.85
-    rho1), unit radius and the kinetic tail (2.2 rho1).  They are fixed,
-    so equal inputs give equal results.  Pass explicit coefficient
-    arrays to ascend locally instead.  The loop never moves here, so its
-    velocity coefficients are computed once; each seed then ascends on
-    its own, one fiber row at a time.  Returns one AscentResult per seed,
-    sorted by action, best first; converged says that the seed's
-    vertical gradient norm reached ASCENT_TOL.
+    rho1), unit radius and the kinetic tail (2.2 rho1), so equal inputs
+    give equal results.  The loop never moves here, so its velocity
+    coefficients are computed once; each seed then ascends on its own.
+    Returns one AscentResult per seed, sorted by action, best first;
+    converged says that the seed's vertical gradient norm reached
+    ASCENT_TOL.
     """
     require_finite("fiber_sup loop", loop)
     frame = frame_of(loop, spec.J)
     qd = velocity_coefficients(loop, frame)
-    if seeds is None:
-        smooth = frame.weights(spec.s - 1.0) * qd
-        speed = max(loop_speed(loop, spec.J), 1e-12)
-        lo = spec.rho_star * math.exp(-spec.thickening_halfwidth)
-        radii = (0.9 * lo, spec.rho_star, 1.45 * spec.rho1, 1.85 * spec.rho1, 1.0, 2.2 * spec.rho1)
-        seeds = [(rho / speed) * smooth for rho in radii]
-    else:
-        for i, c0 in enumerate(seeds):
-            require_finite(f"fiber_sup seed {i}", fiber=c0)
-    results = [_ascend(frame, qd, np.asarray(c0, dtype=float), spec, config.gamma_dprime)
-               for c0 in seeds]
+    smooth = frame.weights(spec.s - 1.0) * qd
+    speed = max(loop_speed(loop, spec.J), 1e-12)
+    lo = spec.rho_star * math.exp(-spec.thickening_halfwidth)
+    radii = (0.9 * lo, spec.rho_star, 1.45 * spec.rho1, 1.85 * spec.rho1, 1.0, 2.2 * spec.rho1)
+    results = [_ascend(frame, qd, (rho / speed) * smooth, spec, config.gamma_dprime)
+               for rho in radii]
     results.sort(key=lambda res: res.action, reverse=True)
     return results
 
@@ -266,10 +262,14 @@ def _critical_system(x, spec):
     data L (LoopPath.series) past the fixed base, and the fiber c.
 
     The residual is [(1+lam)^{s/2} grad_h, (1+lam)^{(1-s)/2} grad_v] =
-    [f_h, f_v], and its Jacobian is block-triangular, so step(vec, f)
-    solves J delta = f through the blocks without forming J:
+    [f_h, f_v], with grad_h and grad_v from one metric_gradient at the
+    velocity coefficients of L and at c, on a plan made once here: the
+    gradient the flow steps along and gradient_norm measures.  Its
+    Jacobian is block-triangular, so step(vec, f) solves J delta = f
+    through the blocks without forming J:
 
-    * f_h = -(1+lam)^{-s/2} (dp/dt coefficients) is linear in c alone.
+    * f_h = -(1+lam)^{-s/2} (dp/dt coefficients), a gather of c times a
+      gain, is linear in c alone.
       Its n kernel rows vanish, and outside them d/dt is an invertible
       scaled permutation (cos <-> sin partner times +-2 pi j), whose
       inverse is -d/dt / lam; so the non-kernel fiber step is read off
@@ -292,12 +292,13 @@ def _critical_system(x, spec):
     n, J, dim = frame.n, frame.cutoff, frame.dim
     k = 2 * J * n  # loop coordinates: per mode the cos row, then the sin row
     base, drift = np.asarray(x.loop.base), x.loop.drift
+    plan = gradient_plan(frame, spec.s)
     scale_h = frame.weights(-0.5 * spec.s)
     scale_v = frame.weights(0.5 * (spec.s - 1.0))
 
     def fun(vec):
         qd = series_velocity(frame, drift, np.concatenate([base, vec[:k]]))
-        _, grad_h, grad_v = evaluate(x, spec, qd, vec[k:])
+        _, grad_h, grad_v, _ = metric_gradient(plan, qd, vec[k:], spec)
         return np.concatenate([frame.weights(0.5 * spec.s) * grad_h,
                                frame.weights(0.5 * (1.0 - spec.s)) * grad_v])
 
@@ -496,7 +497,8 @@ def orbit_sweep(spec_template, r_grid, config, family=None):
     is minimax_theta at that r.  The summary reports the first r whose
     witness lands on the hypersurface with leaf action inside
     (0, 2(alpha + r0)), with alpha the fiber action bound at the family's
-    largest loop speed, and when no hit exists, the closed-geodesic
+    largest loop speed (first_hit_r and first_hit_leaf_action are None
+    when no r hits), and when no hit exists, the closed-geodesic
     plateau diagnostics: the loop energies and the r-shifted actions,
     both constant on a plateau.
     """
@@ -509,11 +511,12 @@ def orbit_sweep(spec_template, r_grid, config, family=None):
     hits = [rec for rec in records
             if rec.classification.kind == "on-hypersurface"
             and rec.leaf_action is not None and 0.0 < rec.leaf_action < bound]
+    first = min(hits, key=lambda rec: rec.r, default=None)
     plateau = [rec for rec in records if rec.classification.kind == "closed-geodesic"]
     summary = SweepSummary(
         hit_found=bool(hits),
-        first_hit_r=min((rec.r for rec in hits), default=math.nan),
-        first_hit_leaf_action=(min(hits, key=lambda rec: rec.r).leaf_action if hits else math.nan),
+        first_hit_r=None if first is None else first.r,
+        first_hit_leaf_action=None if first is None else first.leaf_action,
         alpha=alpha,
         leaf_bound=bound,
         plateau_energies={rec.r: loop_energy(rec.witness.loop) for rec in plateau},

@@ -74,12 +74,6 @@ def _flat_eigenvalues(n, J, per_mode=None):
     return np.repeat(per_mode, [n] + [2 * n] * J)
 
 
-def _field_samples(samples):
-    # (m, n) samples from an (m,) / (m, n) array; a batch (S, m, n) passes through
-    arr = np.asarray(samples, dtype=float)
-    return arr[:, None] if arr.ndim == 1 else arr
-
-
 @dataclass(frozen=True)
 class SpectralFrame:
     """Eigendata of 1 + nabla* nabla on n-dimensional fields, canonically ordered."""
@@ -99,7 +93,7 @@ class SpectralFrame:
 
     def coefficients(self, samples):
         """L^2-orthonormal frame coefficients of sampled field data: (D,)
-        from (m,) or (m, n) samples, (S, D) from a batch (S, m, n).
+        from (m, n) samples, (S, D) from a batch (S, m, n).
 
         One rfft along the last axis of the samples' (..., n, m)
         transpose, contiguous when the samples are coordinate-major as
@@ -115,7 +109,7 @@ class SpectralFrame:
         Raises ValueError when m < 2J+1 or the samples do not have n
         coordinates.
         """
-        arr = _field_samples(samples)
+        arr = np.asarray(samples, dtype=float)
         if arr.shape[-1] != self.n:
             raise ValueError(f"expected samples of {self.n} coordinates, got shape {arr.shape}")
         m = arr.shape[-2]

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 import oracles
 from loopflow.action import (PhasePoint, action, classify_critical,
-                             derivative_coefficients, directional_derivative_check, evaluate,
-                             fiber_evaluation, gradient, gradient_norm, hamilton_residual,
+                             derivative_coefficients, directional_derivative_check,
+                             fiber_evaluation, gradient, gradient_norm, gradient_plan,
+                             hamilton_residual,
                              loop_energy, metric_pairing, perturb, random_direction,
                              move_series, random_phase_point, series_velocity,
                              straight_orbit, velocity_coefficients)
@@ -150,23 +151,25 @@ def test_the_metric_exponent_is_the_spec_s(spec, config, rng):
     x = random_phase_point(spec, rng)
     other = replace(spec, s=0.6)
     frame, c = x.frame, x.fiber.coefficients
-    a, gh, _ = evaluate(x, spec)
-    a6, gh6, gv6 = evaluate(x, other)
-    assert a6 == a
-    np.testing.assert_array_equal(gh6, -frame.weights(-0.6) * derivative_coefficients(frame, c))
+    gh, _ = gradient(x, spec)
+    gh6, gv6 = gradient(x, other)
+    assert action(x, other) == action(x, spec)
+    # the horizontal gradient is the plan's gather times gain at s = 0.6,
+    # the dp/dt formula -(1+lam)^{-0.6} (dp/dt coefficients) up to roundoff
+    plan6 = gradient_plan(frame, 0.6)
+    assert gh6.tobytes() == (c[plan6.partner] * plan6.gain).tobytes()
+    np.testing.assert_allclose(gh6, -frame.weights(-0.6) * derivative_coefficients(frame, c),
+                               rtol=1e-15, atol=0.0)
     _, dv, _ = fiber_evaluation(frame, velocity_coefficients(x.loop, frame), c, spec)
     np.testing.assert_array_equal(gv6, frame.weights(0.6 - 1.0) * dv)
     assert not np.allclose(gh6, gh)
     # the one gradient-norm formula (metric_gradient), written out at s = 0.6
-    partner, frequency = frame._derivative_map
-    gh = c[partner] * (-frame.weights(-0.6) * frequency)
-    np.testing.assert_allclose(gh, gh6, rtol=1e-15, atol=0.0)
-    norm6 = math.sqrt(gh @ (frame.weights(0.6) * gh) + gv6 @ (frame.weights(0.4) * gv6))
+    norm6 = math.sqrt(gh6 @ (frame.weights(0.6) * gh6) + gv6 @ (frame.weights(0.4) * gv6))
     assert gradient_norm(x, other) == norm6 != gradient_norm(x, spec)
     k6 = flow_velocity(x, other, config)
     assert k6.grad_norm == gradient_norm(x, other)
     np.testing.assert_array_equal(k6.grad_v, gv6)
-    np.testing.assert_array_equal(k6.grad_h, gh)
+    np.testing.assert_array_equal(k6.grad_h, gh6)
     xi, eta = random_direction(x, other, rng)
     assert metric_pairing(x, other, (xi, eta), (xi, eta)) == pytest.approx(1.0, rel=1e-12)
     assert metric_pairing(x, spec, (xi, eta), (xi, eta)) != pytest.approx(1.0, rel=1e-3)

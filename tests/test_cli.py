@@ -139,6 +139,30 @@ def test_orbit_sweep_empty_grid(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_orbit_sweep_without_a_hit_writes_strict_json(tmp_path, capsys):
+    # no r of the grid hits the hypersurface: the first-hit keys are null,
+    # and the file is RFC 8259 JSON, which has no NaN or Infinity
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    for name, argv in (("low", ["--r-min", "0.05", "--r-max", "0.1", "--r-count", "2"]),
+                       ("empty", ["--r-count", "0"])):
+        out = tmp_path / name
+        assert run(["orbit-sweep", *argv, "--out", str(out)]) == 0
+        payload = json.loads((out / "orbit_sweep.json").read_text(), parse_constant=refuse)
+        assert payload["hit_found"] is False
+        assert payload["first_hit_r"] is None and payload["first_hit_leaf_action"] is None
+    capsys.readouterr()
+
+
+def test_non_finite_json_value_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "r0_threshold", lambda spec: math.nan)
+    assert run(["orbit-sweep", "--r-count", "0"] + out_args(tmp_path, "nan")) == 2
+    assert "orbit_sweep.json: Out of range float values are not JSON compliant" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "nan" / "orbit_sweep.json").exists()
+
+
 def test_orbit_sweep_reads_the_loop_section(tmp_path, capsys):
     # a wiggled (1, 0) loop: its fiber maximizers must be descended to
     # reach the straight loop's level, so steps counts descent rounds

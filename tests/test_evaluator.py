@@ -3,16 +3,16 @@
 The reference functions below are the straightforward per-quantity
 formulas: the action from sampled velocity and one radial_H call per
 derivative order, the vertical gradient from the analysis of the
-sampled defect qdot - dH/dp.  The evaluator must agree with them to
-roundoff on random phase points, and its single H pass must agree with
-the per-order chi/phi formulas bit for bit.  A batch of fibers over one
-loop must give, row by row, exactly what each fiber gives alone.  Where
-every radius lies in the quadratic zone, the evaluation must equal,
-byte for byte, the one that sends every radius through radial_H_jet.
-The flow's kernel (metric_gradient) certifies that zone from the
-coefficients alone and then makes no transform: what it certifies must
-lie in the zone, and its closed form must agree with the jet path to
-roundoff.
+sampled defect qdot - dH/dp.  The evaluation (metric_gradient) must
+agree with them to roundoff on random phase points, and its single H
+pass must agree with the per-order chi/phi formulas bit for bit.
+action, gradient and gradient_norm are the parts of one metric_gradient
+call, byte for byte.  Where every radius lies in the quadratic zone,
+fiber_evaluation must equal, byte for byte, the evaluation that sends
+every radius through radial_H_jet.  metric_gradient certifies that zone
+from the coefficients alone and then makes no transform: what it
+certifies must lie in the zone, and its closed form must agree with the
+jet path to roundoff.
 """
 
 import math
@@ -25,12 +25,12 @@ from hypothesis import strategies as st
 import loopflow.action as action_mod
 import loopflow.flow as flow_mod
 from loopflow import fourier
-from loopflow.action import (PhasePoint, action, derivative_coefficients, evaluate,
-                             fiber_evaluation, gradient, gradient_plan, hamilton_residual,
-                             metric_gradient, quadratic_zone_energy, random_phase_point,
-                             velocity_coefficients)
+from loopflow.action import (PhasePoint, action, derivative_coefficients, fiber_evaluation,
+                             gradient, gradient_norm, gradient_plan, hamilton_residual,
+                             loop_energy, metric_gradient, quadratic_zone_energy,
+                             random_phase_point, velocity_coefficients)
 from loopflow.flow import FlowConfig, flow
-from loopflow.geometry import embedded_circle, flat_torus, random_loop
+from loopflow.geometry import embedded_circle, flat_torus, random_loop, straight_loop
 from loopflow.hamiltonian import chi, default_spec, phi, radial_H, radial_H_jet
 from loopflow.spectral import SQ2, FiberField, SpectralFrame, frame_of
 
@@ -108,39 +108,64 @@ def test_evaluator_matches_separate_formulas(J, model):
         for _ in range(3):
             x = random_point(spec, manifold, winding, modes, rng)
             a_ref, gv_ref = reference_terms(x, spec)
-            a, gh, gv = evaluate(x, spec)
-            lam = x.frame.eigenvalues
-            gh_ref = -((1.0 + lam) ** (-spec.s)) * derivative_coefficients(
-                x.frame, x.fiber.coefficients)
-            scale = 1.0 + np.max(np.abs(x.fiber.coefficients)) + np.max(np.abs(x.loop.drift))
+            frame, c = x.frame, x.fiber.coefficients
+            plan = gradient_plan(frame, spec.s)
+            a, gh, gv, _ = metric_gradient(plan, velocity_coefficients(x.loop, frame), c, spec)
+            scale = 1.0 + np.max(np.abs(c)) + np.max(np.abs(x.loop.drift))
             assert abs(a - a_ref) <= 1e-13 * scale
             np.testing.assert_allclose(gv, gv_ref, rtol=0.0, atol=1e-13 * scale)
-            np.testing.assert_array_equal(gh, gh_ref)
-            # the thin callers read the same evaluation
+            # the horizontal gradient is the plan's gather times gain, the
+            # dp/dt formula -(1+lam)^{-s} (dp/dt coefficients) up to roundoff
+            assert gh.tobytes() == (c[plan.partner] * plan.gain).tobytes()
+            np.testing.assert_allclose(
+                gh, -((1.0 + frame.eigenvalues) ** (-spec.s)) * derivative_coefficients(frame, c),
+                rtol=1e-15, atol=0.0)
+            # the callers read the same evaluation
             assert action(x, spec) == a
             grad_h, grad_v = gradient(x, spec)
             np.testing.assert_array_equal(grad_h, gh)
             np.testing.assert_array_equal(grad_v, gv)
 
 
-@pytest.mark.parametrize("J", [1, 8, 32])
-@pytest.mark.parametrize("model", range(len(MODELS)))
-def test_batched_rows_equal_single_evaluations(J, model):
-    spec = default_spec(J=J)
-    manifold, winding = MODELS[model]
-    rng = np.random.default_rng([J, model, 1])
-    x = random_point(spec, manifold, winding, J // 2, rng)
+def test_action_gradient_and_norm_are_one_metric_gradient(monkeypatch, rng):
+    # on an uncertified state and on one whose fiber the certificate puts
+    # in the quadratic zone, action, gradient and gradient_norm each make
+    # one metric_gradient call and return its parts, byte for byte
+    spec = default_spec()
+    x = random_phase_point(spec, np.random.default_rng(5))
     frame = x.frame
-    qd = velocity_coefficients(x.loop, frame)
-    # scalings reach the zero branch, the band, the plateau and the tail
-    batch = np.array([k * x.fiber.coefficients for k in (0.0, 0.3, 1.0, 1.5, 4.0)])
-    a, dv, dpH = fiber_evaluation(frame, qd, batch, spec)
-    assert a.shape == (5,) and dv.shape == batch.shape
-    for k, c in enumerate(batch):
-        a_k, dv_k, dpH_k = fiber_evaluation(frame, qd, c, spec)
-        assert isinstance(a_k, float) and a[k] == a_k
-        np.testing.assert_array_equal(dv[k], dv_k)
-        np.testing.assert_array_equal(dpH[k], dpH_k)
+    plan = gradient_plan(frame, spec.s)
+    states = []
+    for kernel in ((0.5, 0.1), (3.0, 1.0)):
+        c = x.fiber.coefficients.copy()
+        c[:2] = kernel
+        states.append(PhasePoint(loop=x.loop, fiber=FiberField(frame, c)))
+    for state, certified in zip(states, (False, True)):
+        c = state.fiber.coefficients
+        assert (quadratic_zone_energy(plan, c, spec.rho1) is not None) is certified
+        a, gh, gv, gn = metric_gradient(plan, velocity_coefficients(state.loop, frame), c, spec)
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(action_mod, "metric_gradient",
+                      lambda *args: calls.append(1) or metric_gradient(*args))
+            got_a = action(state, spec)
+            assert len(calls) == 1
+            got_h, got_v = gradient(state, spec)
+            assert len(calls) == 2
+            got_n = gradient_norm(state, spec)
+            assert len(calls) == 3
+        assert type(got_a) is float and got_a == a
+        assert got_h.tobytes() == gh.tobytes() and got_v.tobytes() == gv.tobytes()
+        assert got_n == gn
+    # loop_energy, the kinetic energy by Parseval, is half the grid mean of
+    # |qdot|^2: over 4J+1 nodes that mean is exact for the degree-2J square
+    nodes = fourier.default_samples(8)
+    loops = [straight_loop(flat_torus(2), (0, 0)), straight_loop(flat_torus(2), (2, -1))]
+    for manifold, winding in MODELS:
+        loops += [random_loop(manifold, winding, modes, rng) for modes in (1, 3, 8)]
+    for loop in loops:
+        want = 0.5 * np.mean(np.sum(loop.velocity_samples(nodes) ** 2, axis=1))
+        assert abs(loop_energy(loop) - want) <= 1e-14 * want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -235,9 +260,9 @@ def reference_fiber_evaluation(frame, qd, c, spec):
     rho = np.sqrt((p_samp * p_samp).sum(axis=-1))
     h0, h1 = radial_H_jet(spec, rho, order=1)
     scale = np.divide(h1, rho, out=np.zeros_like(rho), where=rho > 0.0)
-    dpH = scale[..., None] * p_samp
-    a = np.vecdot(c, qd) - h0.sum(axis=-1) / rho.shape[-1]
-    return (float(a) if a.ndim == 0 else a), qd - frame.coefficients(dpH), dpH
+    dpH = scale[:, None] * p_samp
+    a = np.vecdot(c, qd) - h0.sum() / rho.size
+    return float(a), qd - frame.coefficients(dpH), dpH
 
 
 def sampled_radii(frame, c, m=None):
@@ -270,18 +295,16 @@ def zone_cases():
     c[:2] = (0.7, 0.3)
     c[2:] *= 0.05
     two = 2.0 * spec.rho1
-    batch = np.stack([with_smallest_radius(frame, c, rho) for rho in (two, 1.0, 3.0, 10.0)])
     nan = c.copy()
     nan[5] = np.nan
     return frame, velocity_coefficients(x.loop, frame), [
         ("one state", with_smallest_radius(frame, c, 1.0), None, True),
-        ("batch at r = 0.05", batch, 0.05, True),
+        ("a node at 3 with r = 0.05", with_smallest_radius(frame, c, 3.0), 0.05, True),
         ("a node at 2 rho1", with_smallest_radius(frame, c, two), None, True),
         ("a node an ulp below 2 rho1", with_smallest_radius(frame, c, np.nextafter(two, 0.0)),
          None, False),
         ("phi transition", with_smallest_radius(frame, c, 1.5 * spec.rho1), None, False),
-        ("one batch row below", np.concatenate([batch, with_smallest_radius(frame, c, 0.6)[None]]),
-         2.0, False),
+        ("a node at 0.6 with r = 2", with_smallest_radius(frame, c, 0.6), 2.0, False),
         ("a NaN coefficient", nan, None, False),
         ("radii whose squares overflow", 1e200 * c, None, False),
     ]
@@ -451,7 +474,7 @@ def test_certificate_refuses_what_it_cannot_vouch_for():
     frame, qd, cases = zone_cases()
     spec = default_spec()
     plan = gradient_plan(frame, spec.s)
-    fibers = {name: c for name, c, _, _ in cases if c.ndim == 1}
+    fibers = {name: c for name, c, _, _ in cases}
     # a state well inside the zone is certified; the same fiber scaled past
     # QUADRATIC_TOP is not, though its lower bound clears 2 rho1
     assert quadratic_zone_energy(plan, fibers["one state"], spec.rho1) is not None

@@ -12,7 +12,7 @@ import pytest
 import loopflow.action as action_mod
 import loopflow.flow as flow_mod
 from loopflow import fourier, spectral
-from loopflow.action import (PhasePoint, action, derivative_coefficients, evaluate,
+from loopflow.action import (PhasePoint, action, derivative_coefficients, fiber_evaluation,
                              gradient_plan, perturb, quadratic_zone_energy, random_phase_point,
                              straight_orbit, velocity_coefficients)
 from loopflow.flow import (FlowConfig, divergent_fixture, flow, flow_to_critical,
@@ -515,8 +515,9 @@ def test_rk4_matches_stages_built_by_perturb(J, model):
 
 
 # The stepping before the stages were fused, kept as the reference of
-# the march: a velocity of -phi~ grad from evaluate and frame norms, and
-# each stage at qd + h d/dt(k.horizontal) through derivative_coefficients.
+# the march: a velocity of -phi~ grad and frame norms, the gradient
+# written out from fiber_evaluation and derivative_coefficients, and each
+# stage at qd + h d/dt(k.horizontal) through derivative_coefficients.
 
 class ReferenceVelocity(NamedTuple):
     horizontal: np.ndarray
@@ -529,7 +530,9 @@ class ReferenceVelocity(NamedTuple):
 
 def reference_velocity(x, spec, config, qd, c):
     frame = x.frame
-    a, gh, gv = evaluate(x, spec, qd, c)
+    a, dv, _ = fiber_evaluation(frame, qd, c, spec)
+    gh = -frame.weights(-spec.s) * derivative_coefficients(frame, c)
+    gv = frame.weights(spec.s - 1.0) * dv
     gn = math.sqrt(frame.norm(spec.s, gh) ** 2 + frame.norm(1.0 - spec.s, gv) ** 2)
     phi_tilde = speed_cutoff(config, frame.norm(1.0 - spec.s, c)) / math.sqrt(1.0 + gn * gn)
     return ReferenceVelocity(-phi_tilde * gh, -phi_tilde * gv, gn, phi_tilde, a, qd)

@@ -74,15 +74,6 @@ def test_content_key_and_json_roundtrip(rng):
     np.testing.assert_allclose(again.coordinates(t), loop.coordinates(t))
 
 
-def test_velocity_series_matches_samples(rng):
-    loop = random_loop(flat_torus(2), (2, -1), 6, rng)
-    m = 25
-    a0, a, b = loop.velocity_series()
-    from loopflow.fourier import synthesize
-    np.testing.assert_allclose(synthesize(a0, a, b, m=m),
-                               loop.velocity_samples(m), atol=1e-12)
-
-
 def test_covariant_derivative_exact():
     # on the flat models the covariant derivative along a loop is the
     # parameter derivative of the field's frame coefficients:

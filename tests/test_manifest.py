@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -61,3 +62,13 @@ def test_write_json_is_order_independent(tmp_path):
     write_json(p2, {"a": 0.25, "b": [1, 2]})
     assert p1.read_bytes() == p2.read_bytes()
     assert json.loads(p1.read_text()) == {"a": 0.25, "b": [1, 2]}
+
+
+def test_write_json_refuses_non_finite_values(tmp_path):
+    # NaN and Infinity are not JSON (RFC 8259): no file, and a message
+    # that names it
+    path = tmp_path / "bad.json"
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="bad.json"):
+            write_json(path, {"nested": [1.0, {"x": value}]})
+        assert not path.exists()

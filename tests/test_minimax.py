@@ -118,16 +118,26 @@ def evaluated(monkeypatch):
     return rows
 
 
+def ascend_seeds(loop, spec, config, seeds):
+    # the fiber solver (minimax._ascend) from each of the given seeds over
+    # the fiber ball, as fiber_sup runs it from its own: sorted by
+    # action, best first
+    frame = frame_of(loop, spec.J)
+    qd = velocity_coefficients(loop, frame)
+    results = [minimax._ascend(frame, qd, c0, spec, config.gamma_dprime) for c0 in seeds]
+    return sorted(results, key=lambda res: res.action, reverse=True)
+
+
 def solver_against_reference(loop, spec, config, seeds, evaluated):
-    # fiber_sup's results must equal the per-seed references bit for bit,
-    # and fiber_sup must evaluate exactly the fibers the references do
+    # the solver's results must equal the per-seed references bit for bit,
+    # and the solver must evaluate exactly the fibers the references do
     frame = frame_of(loop, spec.J)
     qd = velocity_coefficients(loop, frame)
     evaluated.clear()
     refs = [reference_ascent(frame, qd, spec, c0, config.gamma_dprime) for c0 in seeds]
     alone = Counter(evaluated)
     evaluated.clear()
-    results = fiber_sup(loop, spec, config, seeds=seeds)
+    results = ascend_seeds(loop, spec, config, seeds)
     assert Counter(evaluated) == alone
     ordered = sorted((out for out, _ in refs), key=lambda out: out[1], reverse=True)
     assert len(results) == len(ordered)
@@ -188,11 +198,7 @@ def test_fiber_sup_below_crossover_prefers_fake_branch(config):
 
 
 def test_fiber_sup_rejects_non_finite_loop_and_seed(small_spec, small_config):
-    x = straight_orbit(flat_torus(2), (1, 0), small_spec)
-    bad = x.fiber.coefficients.copy()
-    bad[0] = np.nan
-    with pytest.raises(ValueError, match="fiber_sup seed 1 has non-finite fiber"):
-        fiber_sup(x.loop, small_spec, small_config, seeds=[x.fiber.coefficients, bad])
+    # the seeds are computed from the loop, so the loop check covers them
     loop = straight_loop(flat_torus(2), (1, 0), base=(np.nan, 0.0))
     with pytest.raises(ValueError, match="fiber_sup loop has non-finite loop"):
         fiber_sup(loop, small_spec, small_config)
@@ -200,7 +206,7 @@ def test_fiber_sup_rejects_non_finite_loop_and_seed(small_spec, small_config):
 
 def test_fiber_sup_local_seed_stays_in_quadratic_zone(spec, config):
     x = straight_orbit(flat_torus(2), (1, 0), spec)
-    res = fiber_sup(x.loop, spec, config, seeds=[x.fiber.coefficients])
+    res = ascend_seeds(x.loop, spec, config, [x.fiber.coefficients])
     assert len(res) == 1
     assert res[0].converged
     np.testing.assert_allclose(res[0].action, 0.5 - spec.r, atol=1e-10)
@@ -498,11 +504,12 @@ def packed_polish(x, spec):
 
 def assert_polish_matches_packed(x, spec, monkeypatch):
     """minimax._polish at x against packed_polish: the same loop series
-    and fiber bytes from the same number of residual evaluations, which
-    it returns."""
+    and fiber bytes from the same number of residual evaluations, one
+    metric_gradient each, which it returns."""
     evaluations = []
     with monkeypatch.context() as m:
-        m.setattr(minimax, "evaluate", lambda *a, f=minimax.evaluate: evaluations.append(1) or f(*a))
+        m.setattr(minimax, "metric_gradient",
+                  lambda *a, f=minimax.metric_gradient: evaluations.append(1) or f(*a))
         ours = minimax._polish(x, spec, minimax.POLISH_NFEV)
     ref, nfev = packed_polish(x, spec)
     J = x.frame.cutoff
@@ -531,8 +538,8 @@ def test_polish_builds_one_state(monkeypatch):
                           built.append(type(self).__name__) or f(self))
             for name in ("gradient", "perturb"):
                 m.setattr(action_mod, name, lambda *a, name=name, **kw: built.append(name))
-            m.setattr(minimax, "evaluate",
-                      lambda *a, f=minimax.evaluate: evaluations.append(1) or f(*a))
+            m.setattr(minimax, "metric_gradient",
+                      lambda *a, f=minimax.metric_gradient: evaluations.append(1) or f(*a))
             minimax._polish(x, spec8, minimax.POLISH_NFEV)
         assert len(evaluations) > 1
         assert sorted(built) == ["FiberField", "LoopPath", "PhasePoint"]
@@ -737,7 +744,7 @@ def test_fiber_solver_climbs_off_a_fiber_saddle(small_spec, small_config, kick):
     seed = saddle.fiber.coefficients + 1e-3 * direction / np.linalg.norm(direction)
     np.testing.assert_allclose(bare_newton(frame, qd, seed, small_spec, 8),
                                saddle.fiber.coefficients, atol=1e-12)
-    (res,) = fiber_sup(saddle.loop, small_spec, small_config, seeds=[seed])
+    (res,) = ascend_seeds(saddle.loop, small_spec, small_config, [seed])
     assert res.converged
     assert res.action > action(saddle, small_spec) + 1e-6
 
@@ -954,7 +961,7 @@ def reference_composite_descent(x, spec, config):
     its gradient norm and again for the step's k1."""
     tol = 0.01 * config.grad_tol
     for _ in range(minimax.DESCENT_ROUNDS):
-        asc = fiber_sup(x.loop, spec, config, seeds=[x.fiber.coefficients])[0]
+        asc = ascend_seeds(x.loop, spec, config, [x.fiber.coefficients])[0]
         x = PhasePoint(loop=x.loop, fiber=asc.field)
         if gradient_norm(x, spec) <= tol:
             return x, True

@@ -13,11 +13,11 @@ import loopflow
 DELETED = {"hamiltonian": ("evaluate_H", "hamiltonian_vector_field", "integrate_hamiltonian",
                            "Trajectory", "thickening_sigma"),
            "action": ("rescale_period", "velocity_layout", "_padded_modes", "pack_coefficients",
-                      "unpack_coefficients"),
+                      "unpack_coefficients", "evaluate"),
            "flow": ("flow_step", "kolmogorov_width_proxy", "_state_velocity"),
            "spectral": ("adjoint_inclusion", "eigendecompose", "inner_r", "norm_r",
                         "fractional_apply", "project", "inner_r_emb", "norm_r_emb",
-                        "_check_aligned", "_series_matrix"),
+                        "_check_aligned", "_series_matrix", "_field_samples"),
            "spectral.SpectralFrame": ("method", "kernel_dim", "basis"),
            "spectral.FiberField": ("norm_r", "samples", "__add__", "__sub__", "__mul__",
                                    "__rmul__", "__neg__"),
@@ -25,8 +25,11 @@ DELETED = {"hamiltonian": ("evaluate_H", "hamiltonian_vector_field", "integrate_
            "minimax": ("ASCENT_STARTS", "fiber_hessian", "ASCENT_ITERS", "_vertical_newton",
                        "_fiber_sups", "_level", "pool_size"),
            "cli": ("load_defaults", "_winding"),
-           "geometry.LoopPath": ("coordinate_samples",),
+           "geometry.LoopPath": ("coordinate_samples", "velocity_series"),
            "geometry.ModelManifold": ("embed_point", "embed_tangent", "embedding_dim")}
+
+# parameters deleted from functions that stay, by "module.function"
+DELETED_PARAMETERS = {"minimax.fiber_sup": ("seeds", "iters")}
 
 REMOVED = ("AliasingError", "TangentFieldSamples", "covariant_derivative", "evaluate_loop",
            "field_from_function", "loop_json_roundtrip", "deformation_report",
@@ -58,6 +61,14 @@ def test_deleted_names_are_gone_from_their_modules():
             obj = getattr(obj, cls)
         for name in names:
             assert not hasattr(obj, name), f"{owner}.{name}"
+
+
+def test_deleted_parameters_are_gone_from_their_functions():
+    for owner, names in DELETED_PARAMETERS.items():
+        module, _, name = owner.partition(".")
+        signature = inspect.signature(getattr(importlib.import_module(f"loopflow.{module}"), name))
+        for param in names:
+            assert param not in signature.parameters, f"{owner}({param})"
 
 
 def test_package_attributes_are_its_submodules():

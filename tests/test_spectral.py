@@ -8,10 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from loopflow import spectral
-from loopflow.action import fiber_evaluation, velocity_coefficients
 from loopflow.fourier import analyze, default_samples, grid, synthesize
 from loopflow.geometry import embedded_circle, flat_torus, random_loop, straight_loop
-from loopflow.hamiltonian import default_spec
 from loopflow.spectral import (SpectralFrame, dense_eigenvalues, dense_mode_eigenvalues,
                                embedded_metric, fit_spectrum_bounds, frame_of,
                                laplacian_eigenvalues, spectra_rows)
@@ -243,18 +241,6 @@ def test_frame_transforms_run_along_the_coordinate_major_layout(n, J):
             got = frame.coefficients(held)
             assert got.tobytes() == want.tobytes()
             assert got.flags.c_contiguous and want.flags.c_contiguous
-    if J == 64:
-        # batch rows of the fiber evaluation equal the one-row call
-        spec = default_spec(J=J)
-        qd = velocity_coefficients(straight_loop(flat_torus(n), (1,) + (0,) * (n - 1)), frame)
-        c = rng.standard_normal(frame.dim) / (1.0 + frame.eigenvalues) ** 0.75
-        batch = np.array([k * c for k in (0.0, 0.3, 1.0, 1.5, 4.0, 12.0)])
-        a, dv, dpH = fiber_evaluation(frame, qd, batch, spec)
-        assert np.swapaxes(dpH, -1, -2).flags.c_contiguous and dv.flags.c_contiguous
-        for k, row in enumerate(batch):
-            a_k, dv_k, dpH_k = fiber_evaluation(frame, qd, row, spec)
-            assert a[k] == a_k
-            assert dv[k].tobytes() == dv_k.tobytes() and dpH[k].tobytes() == dpH_k.tobytes()
 
 
 def test_frame_cache_by_dimension_and_cutoff(rng):
