@@ -18,20 +18,19 @@ Because the quadrature pairing and the frame analysis use identical
 weights, finite differences of the discrete action reproduce this
 gradient to roundoff, not merely to truncation order.
 
-The action and both gradient parts come from one evaluation,
-metric_gradient, on the arrays of a GradientPlan made once per frame and
-s: action, gradient and gradient_norm return the parts of one call, and
-the flow's stage kernel and the polish's residual call it on coefficient
-arrays.  The horizontal gradient is one gather of the fiber coefficients
-times a gain.  Where the coefficients alone certify every radius in the
-quadratic zone rho >= 2 rho1 (quadratic_zone_energy), the action and the
-vertical gradient come in closed form with no transform.  Every other
-call is one fiber_evaluation: one frame.samples of the fiber (one
-irfft), one radial_H_jet pass and one frame.coefficients of dH/dp (one
-rfft), bit for bit the trig-series route through fourier.synthesize and
-fourier.analyze, with H and dH/dp in closed form where every sampled
-radius lies in the zone.  Velocity coefficients are read off the loop's
-series, with no sampling.
+The action, the vertical gradient and the gradient norm come from one
+evaluation, metric_gradient, on the arrays of a GradientPlan made once
+per frame and s; action, gradient_norm, the flow's stage kernel and the
+polish's residual all read it.  The horizontal gradient is linear in the
+fiber (horizontal_gradient, a gather times a gain), so metric_gradient
+reads its norm off the fiber and the callers that need the vector gather
+it.  Where the coefficients alone certify every radius in the quadratic
+zone rho >= 2 rho1 (quadratic_zone_energy), the action and the plain
+gradient come in closed form (quadratic_zone_terms) with no transform.
+Every other call is one fiber_evaluation: one irfft of the fiber, then
+that closed form, or one H pass and one rfft of dH/dp, bit for bit the
+trig-series route through fourier.synthesize and fourier.analyze.
+Velocity coefficients are read off the loop's series, with no sampling.
 """
 
 import math
@@ -43,12 +42,12 @@ import numpy as np
 from . import fourier
 from .geometry import LoopPath, flat_torus, random_loop, straight_loop
 from .spectral import SQ2, FiberField, SpectralFrame, frame_of
-from .hamiltonian import TIE_BAND, radial_H_jet
+from .hamiltonian import TIE_BAND, radial_H_jet, tail_jet
 
 # top of the quadratic zone of fiber_evaluation and of metric_gradient's
-# certificate: from about 1.34e154 on, rho ** 2 overflows and
-# radial_H_jet's dH/drho is inf * 0 = NaN, which the zone's closed forms
-# would not reproduce
+# certificate: from about 1.34e154 on, rho ** 2 overflows and the tail
+# jet's dH/drho is inf * 0 = NaN, which the zone's closed form would not
+# reproduce
 QUADRATIC_TOP = 1e150
 
 
@@ -150,37 +149,50 @@ def move_series(frame, L, eps, xi):
     return out
 
 
+def quadratic_zone_terms(qd, c, energy, spec):
+    """(action, plain gradient) at velocity coefficients qd of a fiber c
+    with every radius in the quadratic zone and energy |c|^2: H_r = r +
+    rho^2/2 at every node, whose mean is r + |c|^2/2 by Parseval on the
+    4J+1 nodes, and dH/dp = p has coefficients c.  Exact in exact
+    arithmetic; the sampled route's FFTs differ from it at roundoff."""
+    return float(c @ qd) - (spec.r + 0.5 * energy), qd - c
+
+
 def fiber_evaluation(frame, qd, c, spec):
     """The action at fiber coefficients c and its plain fiber gradient.
 
-    qd holds the frame coefficients of the loop velocity.  One
-    frame.samples of the fiber (one irfft), one radial_H_jet pass and
-    one frame.coefficients of dH/dp (one rfft), each through the
-    spectrum slots the frame keeps per grid size; returns (action,
-    qd - coefficients of dH/dp, dH/dp samples) for the (D,) fiber c.
-    The gradient is C-contiguous; the (m, n) dH/dp samples are
-    coordinate-major, as frame.samples returns them.
+    qd holds the frame coefficients of the loop velocity.  Returns
+    (action, qd - coefficients of dH/dp, dH/dp samples) for the (D,)
+    fiber c, from one frame.samples of the fiber (one irfft).  The
+    gradient is C-contiguous; the (m, n) dH/dp samples are
+    coordinate-major, as frame.samples returns them.  The sampled radii
+    choose the rest:
 
-    When every radius lies in the quadratic zone 2 rho1 <= rho <=
-    QUADRATIC_TOP, H is r + 0.5 rho^2 and dH/dp is the p samples
-    themselves, with no radial_H_jet pass, no divide and no multiply.
-    This is exact: 2 rho1 is exact in floating point and rounding is
-    monotone, so rho >= 2 rho1 gives u = (rho - rho1)/rho1 >= 1; the
-    smoothstep of the phi tail is then exactly 1.0 and its derivative
-    exactly 0.0, the tail's jet is exactly (r + 0.5 rho^2, rho), and
-    dH/drho / rho = 1.0 times p is p.  A NaN radius fails the test and an
-    overflowing one exceeds QUADRATIC_TOP, so non-finite input takes the
-    jet path as before.
+    * all in the quadratic zone 2 rho1 <= rho <= QUADRATIC_TOP:
+      quadratic_zone_terms, and dH/dp is p itself, with no rfft.  2 rho1
+      is exact and rounding is monotone, so u = (rho - rho1)/rho1 >= 1
+      there, where the tail's smoothstep is exactly 1.0 and its
+      derivative exactly 0.0.
+    * all above rho1: tail_jet on the whole array and dH/dp = (dH/drho /
+      rho) p with no guard, the bits of the branch below; one rfft.
+    * otherwise: radial_H_jet's branch gather, dH/drho / rho set to 0 at
+      rho = 0, and one rfft.
+
+    A NaN radius fails every comparison and takes the last branch; an
+    overflowing one exceeds QUADRATIC_TOP, and the tail jet's dH/drho is
+    NaN there.
     """
     p_samp = frame.samples(c)
     rho = np.sqrt((p_samp * p_samp).sum(axis=-1))
-    if rho.min() >= 2.0 * spec.rho1 and rho.max() <= QUADRATIC_TOP:
-        h0 = spec.r + 0.5 * rho ** 2
-        dpH = p_samp
+    lo = rho.min()
+    if lo >= 2.0 * spec.rho1 and rho.max() <= QUADRATIC_TOP:
+        return (*quadratic_zone_terms(qd, c, float(c @ c), spec), p_samp)
+    if lo > spec.rho1:
+        h0, h1 = tail_jet(spec, rho, 1, spec.r)
+        dpH = (h1 / rho)[:, None] * p_samp
     else:
         h0, h1 = radial_H_jet(spec, rho, order=1)
-        scale = np.divide(h1, rho, out=np.zeros_like(rho), where=rho > 0.0)
-        dpH = scale[:, None] * p_samp
+        dpH = np.divide(h1, rho, out=np.zeros_like(rho), where=rho > 0.0)[:, None] * p_samp
     a = np.vecdot(c, qd) - h0.sum() / rho.size
     return float(a), qd - frame.coefficients(dpH), dpH
 
@@ -191,20 +203,22 @@ class GradientPlan(NamedTuple):
 
     The horizontal gradient -(1+lam)^{-s} (dp/dt coefficients) is one
     gather of the cos/sin partners times gain = -(1+lam)^{-s} (+-2 pi j),
-    +-0.0 in the kernel.  Its own t-derivative is diagonal: rate * c, with
-    rate = -(1+lam)^{-s} lam, since d^2/dt^2 is -lam outside the kernel.
-    weight_h, weight_v and scale_v are (1+lam)^s, (1+lam)^{1-s} and
-    (1+lam)^{s-1}: the weights of the s-norm, of the (1-s)-norm and of the
-    vertical gradient.  blocks holds the starts of the kernel block and of
-    each mode's 2n cos/sin block, for the quadratic-zone certificate
-    (quadratic_zone_energy).
+    +-0.0 in the kernel (horizontal_gradient).  Its own t-derivative is
+    diagonal: rate * c, with rate = -(1+lam)^{-s} lam, since d^2/dt^2 is
+    -lam outside the kernel.  Its squared s-norm is c . (norm_h * c) with
+    norm_h = (1+lam)^s gain^2: partner keeps the mode, and gain and the
+    weight depend on the mode alone.  weight_v and scale_v are
+    (1+lam)^{1-s} and (1+lam)^{s-1}: the weights of the (1-s)-norm and of
+    the vertical gradient.  blocks holds the starts of the kernel block
+    and of each mode's 2n cos/sin block, for the quadratic-zone
+    certificate (quadratic_zone_energy).
     """
 
     frame: SpectralFrame
     partner: np.ndarray
     gain: np.ndarray
     rate: np.ndarray
-    weight_h: np.ndarray
+    norm_h: np.ndarray
     weight_v: np.ndarray
     scale_v: np.ndarray
     blocks: np.ndarray
@@ -214,9 +228,18 @@ def gradient_plan(frame, s):
     """The GradientPlan of the frame at regularity s."""
     partner, frequency = frame._derivative_map
     w = frame.weights(-s)
-    return GradientPlan(frame, partner, -w * frequency, -w * frame.eigenvalues,
-                        frame.weights(s), frame.weights(1.0 - s), frame.weights(s - 1.0),
+    gain = -w * frequency
+    return GradientPlan(frame, partner, gain, -w * frame.eigenvalues,
+                        frame.weights(s) * gain ** 2, frame.weights(1.0 - s),
+                        frame.weights(s - 1.0),
                         np.maximum(np.arange(-frame.n, frame.dim, 2 * frame.n), 0))
+
+
+def horizontal_gradient(plan, c):
+    """The horizontal gradient at fiber coefficients c, the s-metric
+    representative -(1+lam)^{-s} (dp/dt coefficients) of xi -> <xi_dot,
+    p>: one gather of c's cos/sin partners times the plan's gain."""
+    return c[plan.partner] * plan.gain
 
 
 def quadratic_zone_energy(plan, c, rho1):
@@ -242,56 +265,53 @@ def quadratic_zone_energy(plan, c, rho1):
 
 
 def metric_gradient(plan, qd, c, spec):
-    """(action, grad_h, grad_v, grad_norm) at velocity coefficients qd and
-    fiber coefficients c.
+    """(action, grad_v, grad_norm) at velocity coefficients qd and fiber
+    coefficients c.
 
     Where quadratic_zone_energy certifies every radius of c in the
-    quadratic zone, H_r = r + rho^2/2 at every node and Parseval gives the
-    discrete action and plain gradient in closed form, with no transform:
-    the node mean of H is r + |c|^2/2, and dH/dp = p has coefficients c,
-    so the plain gradient is qd - c.  These equal fiber_evaluation's up to
-    the roundoff of its irfft/rfft pair.  Every other call is one
-    fiber_evaluation.  grad_h is c[partner] * gain, the s-metric
-    representative -(1+lam)^{-s} (dp/dt coefficients) of xi -> <xi_dot,
-    p>; grad_v is (1+lam)^{s-1} times the plain gradient, the
-    (1-s)-metric representative of the coefficients of qdot - dH/dp.  The
-    norm in the mixed (s, 1-s) metric is the square root of two weighted
-    dot products.  This is the one gradient formula: action, gradient,
-    gradient_norm, the flow's velocity and the polish's residual all read
-    it.
+    quadratic zone, the action and plain gradient are
+    quadratic_zone_terms of the certificate's |c|^2, with no transform;
+    every other call is one fiber_evaluation.  grad_v is (1+lam)^{s-1}
+    times the plain gradient, the (1-s)-metric representative of the
+    coefficients of qdot - dH/dp.  The horizontal gradient is not formed:
+    its squared s-norm is c . (norm_h * c), and the mixed-metric norm adds
+    the weighted dot product of grad_v.  This is the one gradient formula:
+    action, gradient, gradient_norm, the flow's velocity and the polish's
+    residual all read it.
     """
     energy = quadratic_zone_energy(plan, c, spec.rho1)
     if energy is None:
         a, dv, _ = fiber_evaluation(plan.frame, qd, c, spec)
     else:
-        a, dv = float(c @ qd) - (spec.r + 0.5 * energy), qd - c
-    grad_h = c[plan.partner] * plan.gain
+        a, dv = quadratic_zone_terms(qd, c, energy, spec)
     grad_v = plan.scale_v * dv
-    return a, grad_h, grad_v, math.sqrt(grad_h @ (plan.weight_h * grad_h)
-                                        + grad_v @ (plan.weight_v * grad_v))
+    return a, grad_v, math.sqrt(c @ (plan.norm_h * c) + grad_v @ (plan.weight_v * grad_v))
 
 
 def _state_gradient(x, spec):
-    """metric_gradient at the state x, with a plan made for this call."""
+    """(plan, metric_gradient at the state x), on a plan made for this call."""
     frame = x.frame
-    return metric_gradient(gradient_plan(frame, spec.s), velocity_coefficients(x.loop, frame),
-                           x.fiber.coefficients, spec)
+    plan = gradient_plan(frame, spec.s)
+    return plan, metric_gradient(plan, velocity_coefficients(x.loop, frame),
+                                 x.fiber.coefficients, spec)
 
 
 def action(x, spec):
     """The discrete action A(q,p) at the frame's native quadrature."""
-    return _state_gradient(x, spec)[0]
+    return _state_gradient(x, spec)[1][0]
 
 
 def gradient(x, spec):
     """The metric gradient of the discrete action, as a (horizontal,
-    vertical) pair of frame coefficient arrays (metric_gradient)."""
-    return _state_gradient(x, spec)[1:3]
+    vertical) pair of frame coefficient arrays: horizontal_gradient of the
+    fiber and metric_gradient's grad_v."""
+    plan, (_, grad_v, _) = _state_gradient(x, spec)
+    return horizontal_gradient(plan, x.fiber.coefficients), grad_v
 
 
 def gradient_norm(x, spec):
     """Norm of the gradient in the mixed (s, 1-s) metric (metric_gradient)."""
-    return _state_gradient(x, spec)[3]
+    return _state_gradient(x, spec)[1][2]
 
 
 def metric_pairing(x, spec, pair_a, pair_b):

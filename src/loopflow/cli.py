@@ -215,18 +215,20 @@ def _loop_from_config(cfg, default_winding=SWEEP_DEFAULTS["winding"]):
 
 def _emit(args, command, spec, config, run_config, rows, header, csv_name,
           json_name=None, json_payload=None):
-    """Write the manifest, whose config is the spec, the flow config and
-    the command's own run_config, then the CSV and the JSON payload."""
+    """Write the JSON payload, then the manifest, whose config is the
+    spec, the flow config and the command's own run_config, then the CSV.
+    write_json serializes before it opens the file, so a payload it
+    refuses leaves args.out without files."""
     os.makedirs(args.out, exist_ok=True)
     artifacts = (csv_name,) + ((json_name,) if json_name else ())
     man = RunManifest(command=command, seed=args.seed, artifacts=artifacts, version=VERSION,
                       config={"spec": spec.to_json(), "flow": config.to_json(), **run_config})
-    write_manifest(os.path.join(args.out, "manifest.json"), man)
     digest = man.sha256()
-    write_csv(os.path.join(args.out, csv_name), header, rows, digest)
     if json_name is not None:
         write_json(os.path.join(args.out, json_name),
                    {**json_payload, "manifest_sha256": digest})
+    write_manifest(os.path.join(args.out, "manifest.json"), man)
+    write_csv(os.path.join(args.out, csv_name), header, rows, digest)
     print(f"{command}: wrote {', '.join(artifacts)} to {args.out} (manifest {digest[:12]})")
 
 

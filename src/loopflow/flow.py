@@ -14,13 +14,17 @@ The march builds no PhasePoint: a state is two (D,) arrays, its loop
 data L laid out as LoopPath.series and its fiber coefficients c, and a
 step moves L by action.move_series, the loop step of action.perturb.
 Each march makes one action.gradient_plan, and every stage is one
-kernel call (_velocity): one action.metric_gradient, gathers and
-weighted dot products.  The evaluation that accepts a step is the next
-step's k1, so an accepted step costs four evaluations and at most eight
-FFTs, none for a fiber metric_gradient certifies in the quadratic zone
-(61 % on the benchmark's flow workload).  flow records the (N, D)
-stacks of L and c; flow_to_critical, on the same driver, builds only
-the state it stops at.
+kernel call (_velocity): one action.metric_gradient and weighted dot
+products, with no horizontal gradient formed; the step gathers it once,
+from the RK4 combination of its stage fibers.  The evaluation that
+accepts a step is the next step's k1, so an accepted step costs four
+evaluations and at most eight FFTs: none for a fiber metric_gradient
+certifies in the quadratic zone, one irfft where only the samples put it
+there, two otherwise.  The shares depend on the start: over the
+benchmark's 40 flows (default spec, T = 1, 16 040 evaluations) 46.4 % are
+certified on seed 1 and 60.4 % on seed 7, with 13 295 and 10 510 FFTs.
+flow records the (N, D) stacks of L and c; flow_to_critical, on the same
+driver, builds only the state it stops at.
 
 Along a trajectory the vertical component satisfies a linear
 inhomogeneous ODE whose homogeneous weights are hyperbolic in the
@@ -46,8 +50,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .action import (PhasePoint, derivative_coefficients, gradient_plan, metric_gradient,
-                     move_series, require_finite, series_velocity, velocity_coefficients)
+from .action import (PhasePoint, derivative_coefficients, gradient_plan, horizontal_gradient,
+                     metric_gradient, move_series, require_finite, series_velocity,
+                     velocity_coefficients)
 from .geometry import flat_torus, straight_loop
 from .hamiltonian import alpha_bound, smoothstep
 from .spectral import FiberField, frame_of
@@ -124,11 +129,11 @@ def speed_cutoff(config, fiber_norm):
 
 class Velocity(NamedTuple):
     """V_r = -phi~ (grad_h, grad_v) at velocity coefficients loop_velocity
-    and fiber coefficients fiber, kept as the raw metric gradient and
-    phi~, with the gradient norm and the action found on the way.  The
-    RK4 step from a state reuses its loop_velocity and fiber."""
+    and fiber coefficients fiber, kept as the raw grad_v and phi~ (grad_h
+    is the fiber's horizontal_gradient), with the gradient norm and the
+    action found on the way.  The RK4 step from a state reuses its
+    loop_velocity and fiber."""
 
-    grad_h: np.ndarray
     grad_v: np.ndarray
     grad_norm: float
     phi_tilde: float
@@ -140,13 +145,14 @@ class Velocity(NamedTuple):
 def _velocity(plan, qd, c, spec, config):
     """The stage kernel: V_r at velocity coefficients qd and fiber
     coefficients c from one metric_gradient (no transform where it
-    certifies the quadratic zone, else one fiber_evaluation).
-    phi~ = cut/sqrt(1 + |grad|^2) is the normalized speed weight whose
-    time integral drives the representation coefficients; the fiber norm
-    the cutoff reads is a weighted dot product."""
-    a, gh, gv, gn = metric_gradient(plan, qd, c, spec)
+    certifies the quadratic zone, else one fiber_evaluation), with no
+    horizontal gradient formed.  phi~ = cut/sqrt(1 + |grad|^2) is the
+    normalized speed weight whose time integral drives the representation
+    coefficients; the fiber norm the cutoff reads is a weighted dot
+    product."""
+    a, gv, gn = metric_gradient(plan, qd, c, spec)
     phi_tilde = speed_cutoff(config, math.sqrt(c @ (plan.weight_v * c))) / math.sqrt(1.0 + gn * gn)
-    return Velocity(gh, gv, gn, phi_tilde, a, qd, c)
+    return Velocity(gv, gn, phi_tilde, a, qd, c)
 
 
 def flow_velocity(x, spec, config, plan=None):
@@ -167,9 +173,11 @@ def _rk4(L, spec, config, dt, k1, plan):
     velocity qd + h phi_i rate * c_i, c_i the fiber of k_i: the
     t-derivative of the horizontal gradient is diagonal
     (GradientPlan.rate).  These are the coefficients of perturb(x, h,
-    -phi_i grad_i) up to roundoff.  The step moves L by -(phi_1 g_1 +
-    2 phi_2 g_2 + 2 phi_3 g_3 + phi_4 g_4)/6 through action.move_series,
-    as perturb does, and c by the same combination of the grad_v.
+    -phi_i grad_i) up to roundoff.  The step moves c by -(phi_1 g_1 +
+    2 phi_2 g_2 + 2 phi_3 g_3 + phi_4 g_4)/6 of the grad_v, and L by that
+    combination of the horizontal gradients through action.move_series,
+    as perturb does: by linearity, horizontal_gradient of the same
+    combination of the stage fibers c_i, one gather per step.
     """
     qd, c = k1.loop_velocity, k1.fiber
 
@@ -180,10 +188,11 @@ def _rk4(L, spec, config, dt, k1, plan):
     k2 = stage(0.5 * dt, k1)
     k3 = stage(0.5 * dt, k2)
     k4 = stage(dt, k3)
-    ch, cv = ((k1.phi_tilde * g1 + (2.0 * k2.phi_tilde) * g2 + (2.0 * k3.phi_tilde) * g3
+    cc, cv = ((k1.phi_tilde * g1 + (2.0 * k2.phi_tilde) * g2 + (2.0 * k3.phi_tilde) * g3
                + k4.phi_tilde * g4) / -6.0
-              for g1, g2, g3, g4 in zip(k1[:2], k2[:2], k3[:2], k4[:2]))
-    return move_series(plan.frame, L, dt, ch), c + dt * cv
+              for g1, g2, g3, g4 in ((k1.fiber, k2.fiber, k3.fiber, k4.fiber),
+                                     (k1.grad_v, k2.grad_v, k3.grad_v, k4.grad_v)))
+    return move_series(plan.frame, L, dt, horizontal_gradient(plan, cc)), c + dt * cv
 
 
 def _step(L, spec, config, dt, k1, plan):

@@ -37,17 +37,19 @@ def smoothstep(u, order=3):
 
     s = 6u^5 - 15u^4 + 10u^3 on [0,1], constant outside; s', s'' vanish
     at both ends (C^2 joins), s''' does not.  Returns order + 1 arrays.
+    Only s''' is masked to the open band 0 < u < 1: at the clamps uc = 0
+    and uc = 1 the polynomials of s' and s'' are exactly +0.0 for every
+    finite u, so they need no mask (a NaN u gives NaN in both).
     """
     u = np.asarray(u, dtype=float)
     uc = np.minimum(np.maximum(u, 0.0), 1.0)
-    inside = (u > 0.0) & (u < 1.0)
     jet = [uc ** 3 * (10.0 + uc * (-15.0 + 6.0 * uc))]
     if order >= 1:
-        jet.append(np.where(inside, 30.0 * uc ** 2 * (uc - 1.0) ** 2, 0.0))
+        jet.append(30.0 * uc ** 2 * (uc - 1.0) ** 2)
     if order >= 2:
-        jet.append(np.where(inside, 60.0 * uc * (2.0 * uc - 1.0) * (uc - 1.0), 0.0))
+        jet.append(60.0 * uc * (2.0 * uc - 1.0) * (uc - 1.0))
     if order >= 3:
-        jet.append(np.where(inside, 60.0 * (6.0 * uc ** 2 - 6.0 * uc + 1.0), 0.0))
+        jet.append(np.where((u > 0.0) & (u < 1.0), 60.0 * (6.0 * uc ** 2 - 6.0 * uc + 1.0), 0.0))
     return tuple(jet)
 
 
@@ -123,10 +125,10 @@ def chi(spec, sigma, order=0):
 
 def phi(spec, rho, order=0):
     """The radial profile phi and derivatives, any real rho; order = 0..3:
-    the tail jet of H_r at r = 0.0 (_tail_jet), whose addition moves no bit."""
+    the tail jet of H_r at r = 0.0 (tail_jet), whose addition moves no bit."""
     if order not in (0, 1, 2, 3):
         raise ValueError("order must be 0..3")
-    return _tail_jet(spec, np.asarray(rho, dtype=float), max(order, 1), 0.0)[order]
+    return tail_jet(spec, np.asarray(rho, dtype=float), max(order, 1), 0.0)[order]
 
 
 TIE_BAND = 1e-9  # branch boundaries get this much slack when classifying
@@ -143,9 +145,10 @@ def _band_jet(spec, rho, order, r):
     return jet
 
 
-def _tail_jet(spec, rho, order, r):
-    # the phi tail rho > rho1, r + phi and its derivatives up to order
-    # (1..3); phi itself is the jet at r = 0 for any real rho
+def tail_jet(spec, rho, order, r):
+    """r + phi and its rho-derivatives up to order (1..3) on the whole
+    array rho, with no branch dispatch: H_r's jet where every radius lies
+    on the phi tail rho > rho1, and phi's at r = 0 for any real rho."""
     r1 = spec.rho1
     s, s1, *high = smoothstep((rho - r1) / r1, order)
     s1 = s1 / r1
@@ -178,7 +181,7 @@ def radial_H_jet(spec, rho, order=2):
     top = rho > spec.rho1
     ntop = np.count_nonzero(top)
     if ntop == rho.size:
-        return tuple(_tail_jet(spec, rho, order, r))
+        return tuple(tail_jet(spec, rho, order, r))
     lo = spec.rho_star * math.exp(-spec.delta)
     hi = spec.rho_star * math.exp(spec.delta)
     jet = np.zeros((order + 1,) + rho.shape)
@@ -188,7 +191,7 @@ def radial_H_jet(spec, rho, order=2):
             row[mid] = value
     np.copyto(jet[0], r, where=rho > hi)
     if ntop:
-        for row, value in zip(jet, _tail_jet(spec, rho[top], order, r)):
+        for row, value in zip(jet, tail_jet(spec, rho[top], order, r)):
             row[top] = value
     return tuple(jet)
 

@@ -20,14 +20,15 @@ level, and a copy of a maximizer already descended would only repeat its
 descent.  Witnesses are polished before classification by Gauss-Newton
 steps that move the loop's series arrays and the fiber to zero the
 stacked metric gradient coefficients, backtracked until the residual
-falls.  The residual is action.metric_gradient of those arrays, with a
-plan made once per polish, so the polish drives to zero the gradient the
-flow steps along and gradient_norm reports.  The Jacobian is
-block-triangular, so each step is solved through its blocks (two scaled
-permutations and one n x n kernel solve) without forming it; it needs
-numpy only, so importing the package loads no scipy.  The level is a
-minimax, so the seeds ascend once more on the polished witness's loop,
-and a fiber maximizer above the level there is descended in turn.
+falls.  The residual is action.metric_gradient's vertical part and the
+horizontal_gradient of those arrays, with a plan made once per polish,
+so the polish drives to zero the gradient the flow steps along and
+gradient_norm reports.  The Jacobian is block-triangular, so each step
+is solved through its blocks (two scaled permutations and one n x n
+kernel solve) without forming it; it needs numpy only, so importing
+the package loads no scipy.  The level is a minimax, so the seeds ascend
+once more on the polished witness's loop, and a fiber maximizer above
+the level there is descended in turn.
 orbit_sweep runs one level per r-point, in grid order.
 """
 
@@ -38,8 +39,8 @@ import numpy as np
 
 from . import fourier
 from .action import (PhasePoint, classify_critical, derivative_coefficients, fiber_evaluation,
-                     gradient_norm, gradient_plan, loop_energy, metric_gradient, require_finite,
-                     series_velocity, velocity_coefficients)
+                     gradient_norm, gradient_plan, horizontal_gradient, loop_energy,
+                     metric_gradient, require_finite, series_velocity, velocity_coefficients)
 from .flow import _state, _step, flow_velocity
 from .geometry import flat_torus, straight_loop
 from .hamiltonian import alpha_bound, r0_threshold, radial_H_jet
@@ -262,11 +263,11 @@ def _critical_system(x, spec):
     data L (LoopPath.series) past the fixed base, and the fiber c.
 
     The residual is [(1+lam)^{s/2} grad_h, (1+lam)^{(1-s)/2} grad_v] =
-    [f_h, f_v], with grad_h and grad_v from one metric_gradient at the
-    velocity coefficients of L and at c, on a plan made once here: the
-    gradient the flow steps along and gradient_norm measures.  Its
-    Jacobian is block-triangular, so step(vec, f) solves J delta = f
-    through the blocks without forming J:
+    [f_h, f_v], with grad_v from one metric_gradient at the velocity
+    coefficients of L and at c, and grad_h the horizontal_gradient of c,
+    on a plan made once here: the gradient the flow steps along and
+    gradient_norm measures.  Its Jacobian is block-triangular, so
+    step(vec, f) solves J delta = f through the blocks without forming J:
 
     * f_h = -(1+lam)^{-s/2} (dp/dt coefficients), a gather of c times a
       gain, is linear in c alone.
@@ -298,8 +299,8 @@ def _critical_system(x, spec):
 
     def fun(vec):
         qd = series_velocity(frame, drift, np.concatenate([base, vec[:k]]))
-        _, grad_h, grad_v, _ = metric_gradient(plan, qd, vec[k:], spec)
-        return np.concatenate([frame.weights(0.5 * spec.s) * grad_h,
+        _, grad_v, _ = metric_gradient(plan, qd, vec[k:], spec)
+        return np.concatenate([frame.weights(0.5 * spec.s) * horizontal_gradient(plan, vec[k:]),
                                frame.weights(0.5 * (1.0 - spec.s)) * grad_v])
 
     def antiderivative(v):

@@ -21,12 +21,13 @@ A field along a loop is its (D,) frame coefficient array; FiberField
 binds a state's fiber to its frame, read-only and shape-checked, and
 tangent vectors stay plain arrays.  Sampled field data enter only
 through SpectralFrame.coefficients.  It and
-SpectralFrame.samples move straight between frame coefficients and the
-rfft spectrum, through per-grid slot and scale vectors the frame keeps
-(SpectralFrame._spectrum), with the arithmetic of the trig-series route
-(series, fourier.synthesize / fourier.analyze, layout).  Sampled fields
-are held coordinate-major: an (..., m, n) array of samples is a view of
-(..., n, m) memory, so both transforms run along the contiguous axis,
+SpectralFrame.samples move one field at a time straight between its
+(D,) frame coefficients and its rfft spectrum, through per-grid slot and
+scale vectors the frame keeps (SpectralFrame._spectrum), with the
+arithmetic of the trig-series route (series, fourier.synthesize /
+fourier.analyze, layout); neither takes a stack of fields.  Sampled
+fields are held coordinate-major: an (m, n) array of samples is a view
+of (n, m) memory, so both transforms run along the contiguous axis,
 which pocketfft does faster than along the interleaved one and with the
 same bits.  Fractional powers are exact diagonal scalings on the
 truncated spectrum.  Two metric families are provided:
@@ -92,33 +93,31 @@ class SpectralFrame:
         return self.n * (2 * self.cutoff + 1)
 
     def coefficients(self, samples):
-        """L^2-orthonormal frame coefficients of sampled field data: (D,)
-        from (m, n) samples, (S, D) from a batch (S, m, n).
+        """L^2-orthonormal frame coefficients (D,) of one field's (m, n)
+        samples.
 
-        One rfft along the last axis of the samples' (..., n, m)
-        transpose, contiguous when the samples are coordinate-major as
-        samples() returns them, written into a fresh C-ordered
-        (..., n, m//2 + 1) spectrum whatever the samples' layout.  Each
-        coefficient is then read off the real view of the spectrum at its
-        slot and scaled as (F / gain) / root: F/m in the kernel and
-        (F/(+-m/2))/sqrt(2) above it, which equals the ((+-2F)/m)/sqrt(2)
-        of fourier.analyze followed by layout bit for bit, since doubling
-        F and halving m are exact.  The slot and scale vectors come from
-        _spectrum: built on the first call for each m, kept read-only
-        with the frame, dropped by pickling.  The result is C-contiguous.
-        Raises ValueError when m < 2J+1 or the samples do not have n
-        coordinates.
+        One rfft along the last axis of the samples' (n, m) transpose,
+        contiguous when the samples are coordinate-major as samples()
+        returns them, written into a fresh C-ordered (n, m//2 + 1)
+        spectrum whatever the samples' layout.  Each coefficient is then
+        read off the flat real view of the spectrum at its slot and scaled
+        as (F / gain) / root: F/m in the kernel and (F/(+-m/2))/sqrt(2)
+        above it, which equals the ((+-2F)/m)/sqrt(2) of fourier.analyze
+        followed by layout bit for bit, since doubling F and halving m are
+        exact.  The slot and scale vectors come from _spectrum: built on
+        the first call for each m, kept read-only with the frame, dropped
+        by pickling.  The samples are read as given, with no conversion.
+        Raises ValueError when m < 2J+1 or the samples are not an (m, n)
+        array.
         """
-        arr = np.asarray(samples, dtype=float)
-        if arr.shape[-1] != self.n:
-            raise ValueError(f"expected samples of {self.n} coordinates, got shape {arr.shape}")
-        m = arr.shape[-2]
+        if samples.ndim != 2 or samples.shape[1] != self.n:
+            raise ValueError(f"expected (m, {self.n}) samples, got shape {samples.shape}")
+        m = len(samples)
         slots, root, gain = self._spectrum(m)
-        F = np.empty(arr.shape[:-2] + (self.n, m // 2 + 1), dtype=complex)
-        np.fft.rfft(np.swapaxes(arr, -1, -2), axis=-1, out=F)
-        # np.take, not F[..., slots]: fancy indexing of a batch returns a
-        # Fortran-ordered (S, D) array, whose norms sum in another order
-        return np.take(F.view(float).reshape(F.shape[:-2] + (-1,)), slots, axis=-1) / gain / root
+        # C-ordered: rfft of the transposed view would allocate it F-ordered
+        F = np.empty((self.n, m // 2 + 1), dtype=complex)
+        np.fft.rfft(samples.T, axis=-1, out=F)
+        return F.view(float).reshape(-1)[slots] / gain / root
 
     def layout(self, a0, a, b):
         """Frame coefficients (..., D) of the trig series (a0, a, b).
@@ -147,32 +146,29 @@ class SpectralFrame:
         return c[..., :n].copy(), block[..., :n] * SQ2, block[..., n:] * SQ2
 
     def samples(self, coefficients, m=None):
-        """Field samples (m, n) on the uniform m-grid from frame
-        coefficients (D,); (S, m, n) from a batch (S, D).
+        """Samples (m, n) on the uniform m-grid of one field's frame
+        coefficients (D,).
 
         The coefficients, scaled as (c sqrt(2)) (m/2) (c m in the kernel)
         like series followed by fourier.synthesize, are written straight
-        into their slots of the real view of an (..., n, m//2 + 1) rfft
+        into their slots of the flat real view of an (n, m//2 + 1) rfft
         spectrum, and one irfft along its last axis samples it.  The
-        result is the (..., m, n) transpose of that C-ordered (..., n, m)
-        array, a view with no copy: its memory is coordinate-major.
-        Elementwise arithmetic on it keeps that layout, so the rfft of
-        coefficients() on a field computed from it runs along contiguous
-        memory too.  The slot and scale vectors come from _spectrum:
-        built on the first call for each m, kept read-only with the
-        frame, dropped by pickling.  Raises ValueError when m < 2J+1 or
-        the last axis does not hold D coefficients.
+        result is the (m, n) transpose of that C-ordered (n, m) array, a
+        view with no copy: its memory is coordinate-major.  Elementwise
+        arithmetic on it keeps that layout, so the rfft of coefficients()
+        on a field computed from it runs along contiguous memory too.  The
+        slot and scale vectors come from _spectrum: built on the first
+        call for each m, kept read-only with the frame, dropped by
+        pickling.  Raises ValueError when m < 2J+1 or the coefficients are
+        not a (D,) array.
         """
         m = fourier.default_samples(self.cutoff) if m is None else m
         slots, root, gain = self._spectrum(m)
-        c = np.asarray(coefficients, dtype=float)
-        if c.shape[-1:] != (self.dim,):
-            raise ValueError(f"expected {self.dim} coefficients, got shape {c.shape}")
-        lead = c.shape[:-1]
-        F = np.zeros(lead + (2 * self.n * (m // 2 + 1),))
-        F[..., slots] = c * root * gain
-        out = np.fft.irfft(F.view(complex).reshape(lead + (self.n, -1)), n=m, axis=-1)
-        return np.swapaxes(out, -1, -2)
+        if coefficients.shape != (self.dim,):
+            raise ValueError(f"expected {self.dim} coefficients, got shape {coefficients.shape}")
+        F = np.zeros(2 * self.n * (m // 2 + 1))
+        F[slots] = coefficients * root * gain
+        return np.fft.irfft(F.view(complex).reshape(self.n, -1), n=m).T
 
     @functools.cached_property
     def _modes(self):

@@ -11,7 +11,7 @@ import oracles
 from loopflow.action import (PhasePoint, action, classify_critical,
                              derivative_coefficients, directional_derivative_check,
                              fiber_evaluation, gradient, gradient_norm, gradient_plan,
-                             hamilton_residual,
+                             hamilton_residual, horizontal_gradient,
                              loop_energy, metric_pairing, perturb, random_direction,
                              move_series, random_phase_point, series_velocity,
                              straight_orbit, velocity_coefficients)
@@ -163,13 +163,18 @@ def test_the_metric_exponent_is_the_spec_s(spec, config, rng):
     _, dv, _ = fiber_evaluation(frame, velocity_coefficients(x.loop, frame), c, spec)
     np.testing.assert_array_equal(gv6, frame.weights(0.6 - 1.0) * dv)
     assert not np.allclose(gh6, gh)
-    # the one gradient-norm formula (metric_gradient), written out at s = 0.6
-    norm6 = math.sqrt(gh6 @ (frame.weights(0.6) * gh6) + gv6 @ (frame.weights(0.4) * gv6))
+    # the one gradient-norm formula (metric_gradient), written out at s = 0.6:
+    # the s-norm of grad_h read on c through the plan's norm_h, and the
+    # same norm through grad_h itself up to roundoff
+    norm6 = math.sqrt(c @ ((frame.weights(0.6) * plan6.gain ** 2) * c)
+                      + gv6 @ (frame.weights(0.4) * gv6))
     assert gradient_norm(x, other) == norm6 != gradient_norm(x, spec)
+    assert norm6 == pytest.approx(math.sqrt(gh6 @ (frame.weights(0.6) * gh6)
+                                            + gv6 @ (frame.weights(0.4) * gv6)), rel=1e-15)
     k6 = flow_velocity(x, other, config)
     assert k6.grad_norm == gradient_norm(x, other)
     np.testing.assert_array_equal(k6.grad_v, gv6)
-    np.testing.assert_array_equal(k6.grad_h, gh6)
+    np.testing.assert_array_equal(horizontal_gradient(plan6, k6.fiber), gh6)
     xi, eta = random_direction(x, other, rng)
     assert metric_pairing(x, other, (xi, eta), (xi, eta)) == pytest.approx(1.0, rel=1e-12)
     assert metric_pairing(x, spec, (xi, eta), (xi, eta)) != pytest.approx(1.0, rel=1e-3)

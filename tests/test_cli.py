@@ -160,7 +160,10 @@ def test_non_finite_json_value_exits_2(tmp_path, capsys, monkeypatch):
     assert run(["orbit-sweep", "--r-count", "0"] + out_args(tmp_path, "nan")) == 2
     assert "orbit_sweep.json: Out of range float values are not JSON compliant" in \
         capsys.readouterr().err
-    assert not (tmp_path / "nan" / "orbit_sweep.json").exists()
+    # the payload is refused before any file is written: no JSON, and no
+    # manifest or CSV whose hash names it
+    for name in ("orbit_sweep.json", "manifest.json", "orbit_sweep.csv"):
+        assert not (tmp_path / "nan" / name).exists(), name
 
 
 def test_orbit_sweep_reads_the_loop_section(tmp_path, capsys):

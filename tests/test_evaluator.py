@@ -7,15 +7,21 @@ sampled defect qdot - dH/dp.  The evaluation (metric_gradient) must
 agree with them to roundoff on random phase points, and its single H
 pass must agree with the per-order chi/phi formulas bit for bit.
 action, gradient and gradient_norm are the parts of one metric_gradient
-call, byte for byte.  Where every radius lies in the quadratic zone,
-fiber_evaluation must equal, byte for byte, the evaluation that sends
-every radius through radial_H_jet.  metric_gradient certifies that zone
-from the coefficients alone and then makes no transform: what it
-certifies must lie in the zone, and its closed form must agree with the
-jet path to roundoff.
+call, byte for byte.  Where every sampled radius lies in the quadratic
+zone, fiber_evaluation's closed form must agree with the evaluation that
+sends every radius through radial_H_jet to roundoff, and where every
+radius lies on the phi tail it must equal that evaluation byte for byte.
+metric_gradient certifies the zone from the coefficients alone and then
+makes no transform: what it certifies must lie in the zone, and its
+closed form must agree with the jet path to roundoff.  The evaluation as
+it was before the stage kernel went lean (former_fiber_evaluation,
+former_metric_gradient and the flow kernel around them) is kept as a
+reference, and the lean stage must agree with it on every branch, on
+flows and on the work the flows do.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -24,12 +30,13 @@ from hypothesis import strategies as st
 
 import loopflow.action as action_mod
 import loopflow.flow as flow_mod
-from loopflow import fourier
-from loopflow.action import (PhasePoint, action, derivative_coefficients, fiber_evaluation,
-                             gradient, gradient_norm, gradient_plan, hamilton_residual,
-                             loop_energy, metric_gradient, quadratic_zone_energy,
+from loopflow import fourier, spectral
+from loopflow.action import (QUADRATIC_TOP, PhasePoint, action, derivative_coefficients,
+                             fiber_evaluation, gradient, gradient_norm, gradient_plan,
+                             hamilton_residual, horizontal_gradient, loop_energy,
+                             metric_gradient, move_series, quadratic_zone_energy,
                              random_phase_point, velocity_coefficients)
-from loopflow.flow import FlowConfig, flow
+from loopflow.flow import FlowConfig, flow, speed_cutoff
 from loopflow.geometry import embedded_circle, flat_torus, random_loop, straight_loop
 from loopflow.hamiltonian import chi, default_spec, phi, radial_H, radial_H_jet
 from loopflow.spectral import SQ2, FiberField, SpectralFrame, frame_of
@@ -110,7 +117,8 @@ def test_evaluator_matches_separate_formulas(J, model):
             a_ref, gv_ref = reference_terms(x, spec)
             frame, c = x.frame, x.fiber.coefficients
             plan = gradient_plan(frame, spec.s)
-            a, gh, gv, _ = metric_gradient(plan, velocity_coefficients(x.loop, frame), c, spec)
+            a, gv, _ = metric_gradient(plan, velocity_coefficients(x.loop, frame), c, spec)
+            gh = horizontal_gradient(plan, c)
             scale = 1.0 + np.max(np.abs(c)) + np.max(np.abs(x.loop.drift))
             assert abs(a - a_ref) <= 1e-13 * scale
             np.testing.assert_allclose(gv, gv_ref, rtol=0.0, atol=1e-13 * scale)
@@ -143,7 +151,8 @@ def test_action_gradient_and_norm_are_one_metric_gradient(monkeypatch, rng):
     for state, certified in zip(states, (False, True)):
         c = state.fiber.coefficients
         assert (quadratic_zone_energy(plan, c, spec.rho1) is not None) is certified
-        a, gh, gv, gn = metric_gradient(plan, velocity_coefficients(state.loop, frame), c, spec)
+        a, gv, gn = metric_gradient(plan, velocity_coefficients(state.loop, frame), c, spec)
+        gh = horizontal_gradient(plan, c)
         calls = []
         with monkeypatch.context() as m:
             m.setattr(action_mod, "metric_gradient",
@@ -254,8 +263,8 @@ def test_H_jet_of_whole_branch_batches(spec):
 
 
 def reference_fiber_evaluation(frame, qd, c, spec):
-    # fiber_evaluation without its quadratic zone: every radius goes
-    # through radial_H_jet
+    # fiber_evaluation without its quadratic zone and its tail branch:
+    # every radius goes through radial_H_jet
     p_samp = frame.samples(c)
     rho = np.sqrt((p_samp * p_samp).sum(axis=-1))
     h0, h1 = radial_H_jet(spec, rho, order=1)
@@ -263,6 +272,51 @@ def reference_fiber_evaluation(frame, qd, c, spec):
     dpH = scale[:, None] * p_samp
     a = np.vecdot(c, qd) - h0.sum() / rho.size
     return float(a), qd - frame.coefficients(dpH), dpH
+
+
+def former_fiber_evaluation(frame, qd, c, spec):
+    # fiber_evaluation as it was before the lean stage kernel: in the
+    # sampled quadratic zone H = r + rho^2/2 at every node and dH/dp = p,
+    # analyzed by an rfft; every other fiber through radial_H_jet
+    p_samp = frame.samples(c)
+    rho = np.sqrt((p_samp * p_samp).sum(axis=-1))
+    if rho.min() >= 2.0 * spec.rho1 and rho.max() <= QUADRATIC_TOP:
+        h0 = spec.r + 0.5 * rho ** 2
+        dpH = p_samp
+    else:
+        h0, h1 = radial_H_jet(spec, rho, order=1)
+        scale = np.divide(h1, rho, out=np.zeros_like(rho), where=rho > 0.0)
+        dpH = scale[:, None] * p_samp
+    a = np.vecdot(c, qd) - h0.sum() / rho.size
+    return float(a), qd - frame.coefficients(dpH), dpH
+
+
+def formed_gradient(plan, spec, a, c, dv):
+    # (action, grad_h, grad_v, grad_norm) as metric_gradient returned them
+    # before the lean stage kernel: grad_h formed, the norm measured on it
+    grad_h = c[plan.partner] * plan.gain
+    grad_v = plan.scale_v * dv
+    weight_h = plan.frame.weights(spec.s)
+    return a, grad_h, grad_v, math.sqrt(grad_h @ (weight_h * grad_h)
+                                        + grad_v @ (plan.weight_v * grad_v))
+
+
+def former_metric_gradient(plan, qd, c, spec):
+    # metric_gradient as it was before the lean stage kernel: the
+    # certificate's closed form, else former_fiber_evaluation
+    energy = quadratic_zone_energy(plan, c, spec.rho1)
+    if energy is None:
+        a, dv, _ = former_fiber_evaluation(plan.frame, qd, c, spec)
+    else:
+        a, dv = float(c @ qd) - (spec.r + 0.5 * energy), qd - c
+    return formed_gradient(plan, spec, a, c, dv)
+
+
+def reference_metric_gradient(plan, qd, c, spec):
+    # metric_gradient with no certificate: every call samples the fiber
+    # and sends every radius through radial_H_jet
+    a, dv, _ = reference_fiber_evaluation(plan.frame, qd, c, spec)
+    return formed_gradient(plan, spec, a, c, dv)
 
 
 def sampled_radii(frame, c, m=None):
@@ -285,8 +339,9 @@ def with_smallest_radius(frame, c, target):
 
 def zone_cases():
     """The frame and loop velocity of one state, and the cases over them:
-    (name, fiber coefficients, r or None for the default spec's, whether
-    the zone serves the case)."""
+    (name, fiber coefficients, r or None for the default spec's, the
+    branch of fiber_evaluation its sampled radii choose: "zone", "tail"
+    or "jet")."""
     spec = default_spec()
     x = random_phase_point(spec, np.random.default_rng(3))
     frame = x.frame
@@ -298,49 +353,17 @@ def zone_cases():
     nan = c.copy()
     nan[5] = np.nan
     return frame, velocity_coefficients(x.loop, frame), [
-        ("one state", with_smallest_radius(frame, c, 1.0), None, True),
-        ("a node at 3 with r = 0.05", with_smallest_radius(frame, c, 3.0), 0.05, True),
-        ("a node at 2 rho1", with_smallest_radius(frame, c, two), None, True),
+        ("one state", with_smallest_radius(frame, c, 1.0), None, "zone"),
+        ("a node at 3 with r = 0.05", with_smallest_radius(frame, c, 3.0), 0.05, "zone"),
+        ("a node at 2 rho1", with_smallest_radius(frame, c, two), None, "zone"),
         ("a node an ulp below 2 rho1", with_smallest_radius(frame, c, np.nextafter(two, 0.0)),
-         None, False),
-        ("phi transition", with_smallest_radius(frame, c, 1.5 * spec.rho1), None, False),
-        ("a node at 0.6 with r = 2", with_smallest_radius(frame, c, 0.6), 2.0, False),
-        ("a NaN coefficient", nan, None, False),
-        ("radii whose squares overflow", 1e200 * c, None, False),
+         None, "tail"),
+        ("phi transition", with_smallest_radius(frame, c, 1.5 * spec.rho1), None, "tail"),
+        ("a node at 0.6 with r = 2", with_smallest_radius(frame, c, 0.6), 2.0, "tail"),
+        ("a NaN coefficient", nan, None, "jet"),
+        ("radii whose squares overflow", 1e200 * c, None, "tail"),
+        ("a node in the chi band", with_smallest_radius(frame, c, spec.rho_star), None, "jet"),
     ]
-
-
-@pytest.mark.parametrize("case", range(8))
-def test_quadratic_zone_equals_the_jet_path_byte_for_byte(case, monkeypatch):
-    frame, qd, cases = zone_cases()
-    name, c, r, zone = cases[case]
-    spec = default_spec() if r is None else default_spec(r=r)
-    with np.errstate(over="ignore"):
-        rho = sampled_radii(frame, c)
-    # the case sits where its name says
-    assert bool(rho.min() >= 2.0 * spec.rho1 and rho.max() <= 1e150) is zone
-    jets = []
-    monkeypatch.setattr(action_mod, "radial_H_jet",
-                        lambda *args, **kw: jets.append(1) or radial_H_jet(*args, **kw))
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = fiber_evaluation(frame, qd, c, spec)
-        want = reference_fiber_evaluation(frame, qd, c, spec)
-    assert (not jets) is zone, name
-    assert type(got[0]) is type(want[0])
-    for g, w in zip(got, want):
-        assert np.shape(g) == np.shape(w)
-        assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), name
-    assert got[1].flags.c_contiguous and np.swapaxes(got[2], -1, -2).flags.c_contiguous
-
-
-def reference_metric_gradient(plan, qd, c, spec):
-    # metric_gradient with no certificate: every call samples the fiber
-    # and sends every radius through radial_H_jet
-    a, dv, _ = reference_fiber_evaluation(plan.frame, qd, c, spec)
-    grad_h = c[plan.partner] * plan.gain
-    grad_v = plan.scale_v * dv
-    return a, grad_h, grad_v, math.sqrt(grad_h @ (plan.weight_h * grad_h)
-                                        + grad_v @ (plan.weight_v * grad_v))
 
 
 def assert_close(got, want, tol=1e-13):
@@ -351,36 +374,177 @@ def assert_close(got, want, tol=1e-13):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=tol * scale)
 
 
-def test_quadratic_zone_leaves_flows_and_their_work_unchanged(monkeypatch):
-    # the benchmark's flow starts: the default spec, seeds [1, k], horizon 1.
-    # Certified stages read the action and plain gradient in closed form,
-    # which moves them at roundoff against the jet path, so the flows must
-    # agree within the 1e-13 of the fused-march tests, with the same times
-    # and the same RK4 tries
+def zone_scale(spec, qd, c):
+    # the magnitudes of the closed form's terms, |c.qd| + r + |c|^2/2
+    return abs(c @ qd) + spec.r + 0.5 * (c @ c)
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_quadratic_zone_equals_the_jet_path_byte_for_byte(case, monkeypatch):
+    # byte for byte where the sampled radii leave the zone: on the phi
+    # tail through tail_jet with no radial_H_jet call, elsewhere through
+    # radial_H_jet.  In the zone the closed form (quadratic_zone_terms)
+    # moves the action and the gradient at roundoff, within 1e-14 of the
+    # magnitudes of their terms, and the dH/dp samples are p's bytes
+    frame, qd, cases = zone_cases()
+    name, c, r, branch = cases[case]
+    spec = default_spec() if r is None else default_spec(r=r)
+    with np.errstate(over="ignore"):
+        rho = sampled_radii(frame, c)
+    # the case sits where its name says
+    assert branch == ("zone" if rho.min() >= 2.0 * spec.rho1 and rho.max() <= 1e150
+                      else "tail" if rho.min() > spec.rho1 else "jet")
+    jets = []
+    monkeypatch.setattr(action_mod, "radial_H_jet",
+                        lambda *args, **kw: jets.append(1) or radial_H_jet(*args, **kw))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = fiber_evaluation(frame, qd, c, spec)
+        want = reference_fiber_evaluation(frame, qd, c, spec)
+    assert bool(jets) is (branch == "jet"), name
+    assert type(got[0]) is type(want[0])
+    for g, w in zip(got, want):
+        assert np.shape(g) == np.shape(w)
+    if branch == "zone":
+        assert abs(got[0] - want[0]) <= 1e-14 * zone_scale(spec, qd, c), name
+        assert_close(got[1], want[1], 1e-14)
+        assert got[2].tobytes() == want[2].tobytes()
+    else:
+        for g, w in zip(got, want):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), name
+    assert got[1].flags.c_contiguous and got[2].T.flags.c_contiguous
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_lean_stage_agrees_with_the_former_evaluation(case):
+    # one fiber of each branch, certified by the coefficients or not:
+    # metric_gradient and horizontal_gradient against the evaluation as it
+    # was.  grad_h has the former bytes, and the norm, read through the
+    # plan's norm_h, agrees within 1e-14.  The action and grad_v have the
+    # former bytes, except on a fiber that only its samples put in the
+    # zone, where the closed form moves them at roundoff (1e-14)
+    frame, qd, cases = zone_cases()
+    name, c, r, branch = cases[case]
+    spec = default_spec() if r is None else default_spec(r=r)
+    plan = gradient_plan(frame, spec.s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, gv, gn = metric_gradient(plan, qd, c, spec)
+        gh = horizontal_gradient(plan, c)
+        want = former_metric_gradient(plan, qd, c, spec)
+    assert type(a) is float
+    assert gh.tobytes() == want[1].tobytes()
+    assert_close(gn, want[3], 1e-14)
+    if branch == "zone" and quadratic_zone_energy(plan, c, spec.rho1) is None:
+        assert abs(a - want[0]) <= 1e-14 * zone_scale(spec, qd, c), name
+        assert_close(gv, want[2], 1e-14)
+    else:
+        assert np.float64(a).tobytes() == np.float64(want[0]).tobytes(), name
+        assert gv.tobytes() == want[2].tobytes(), name
+
+
+def test_stage_kernel_work_on_every_branch(monkeypatch):
+    # the transforms of one stage, counted through spectral's namespace: a
+    # certified stage runs none, a fiber its samples put in the zone one
+    # irfft, an all-tail fiber an irfft and an rfft with no radial_H_jet
+    # call, and a fiber with a radius in the chi band both around
+    # radial_H_jet.  No stage gathers grad_h: the plan holds no partner or
+    # gain, so a gather would raise; the step gathers it once
+    frame, qd, cases = zone_cases()
     spec = default_spec()
     config = FlowConfig.auto(spec)
-    starts = [random_phase_point(spec, np.random.default_rng([1, k])) for k in range(2)]
-    kernels, evaluations, tries = [], [], []
-    rk4 = flow_mod._rk4
+    plan = gradient_plan(frame, spec.s)
+    lean = plan._replace(partner=None, gain=None)
+    calls = []
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(spectral.np.fft, name, lambda *a, name=name,
+                            f=getattr(spectral.np.fft, name), **kw: calls.append(name) or f(*a, **kw))
+    monkeypatch.setattr(action_mod, "radial_H_jet", lambda *a, **kw: calls.append("jet")
+                        or radial_H_jet(*a, **kw))
+    work = {"one state": [], "a node at 2 rho1": ["irfft"], "phi transition": ["irfft", "rfft"],
+            "a node in the chi band": ["irfft", "jet", "rfft"]}
+    fibers = {name: c for name, c, _, _ in cases}
+    for name, want in work.items():
+        c = fibers[name]
+        assert (quadratic_zone_energy(plan, c, spec.rho1) is not None) is (name == "one state")
+        calls.clear()
+        flow_mod._velocity(lean, qd, c, spec, config)
+        assert calls == want, name
+    gathers = []
+    monkeypatch.setattr(flow_mod, "horizontal_gradient",
+                        lambda *a: gathers.append(1) or horizontal_gradient(*a))
+    x = random_phase_point(spec, np.random.default_rng([1, 0]))
+    k1 = flow_mod.flow_velocity(x, spec, config, lean)
+    steps = []
+    monkeypatch.setattr(flow_mod, "_rk4", lambda *a, f=flow_mod._rk4: steps.append(1) or
+                        f(*a[:-1], plan))
+    flow_mod._step(x.loop.series(spec.J), spec, config, config.dt, k1, lean)
+    assert len(gathers) == len(steps) == 1
+
+
+class FormerVelocity(NamedTuple):
+    # flow.Velocity as it was before the lean stage kernel: it carried grad_h
+    grad_h: np.ndarray
+    grad_v: np.ndarray
+    grad_norm: float
+    phi_tilde: float
+    action: float
+    loop_velocity: np.ndarray
+    fiber: np.ndarray
+
+
+def former_kernel(metric):
+    """flow's (_velocity, _rk4) as they were before the lean stage kernel,
+    on the metric gradient given: every stage formed grad_h, and the step
+    combined the four stages' grad_h.  The stages call flow._velocity, so
+    that a patched one sees them."""
+
+    def velocity(plan, qd, c, spec, config):
+        a, gh, gv, gn = metric(plan, qd, c, spec)
+        phi_tilde = (speed_cutoff(config, math.sqrt(c @ (plan.weight_v * c)))
+                     / math.sqrt(1.0 + gn * gn))
+        return FormerVelocity(gh, gv, gn, phi_tilde, a, qd, c)
+
+    def rk4(L, spec, config, dt, k1, plan):
+        qd, c = k1.loop_velocity, k1.fiber
+
+        def stage(h, k):
+            hp = h * k.phi_tilde
+            return flow_mod._velocity(plan, qd + hp * (plan.rate * k.fiber), c - hp * k.grad_v,
+                                      spec, config)
+
+        k2 = stage(0.5 * dt, k1)
+        k3 = stage(0.5 * dt, k2)
+        k4 = stage(dt, k3)
+        ch, cv = ((k1.phi_tilde * g1 + (2.0 * k2.phi_tilde) * g2 + (2.0 * k3.phi_tilde) * g3
+                   + k4.phi_tilde * g4) / -6.0
+                  for g1, g2, g3, g4 in zip(k1[:2], k2[:2], k3[:2], k4[:2]))
+        return move_series(plan.frame, L, dt, ch), c + dt * cv
+
+    return velocity, rk4
+
+
+def flows_and_work(monkeypatch, starts, kernel):
+    """The default spec's flows over time 1 from starts with the stage
+    kernel (velocity, rk4), and their work: (stage kernel calls, RK4
+    tries, fiber samplings)."""
+    spec = default_spec()
+    config = FlowConfig.auto(spec)
+    kernels, tries, sampled = [], [], []
+    velocity, rk4 = kernel
 
     def counted(fn, calls):
         return lambda *args, **kw: calls.append(1) or fn(*args, **kw)
 
-    monkeypatch.setattr(flow_mod, "_rk4", counted(rk4, tries))
-    monkeypatch.setattr(flow_mod, "metric_gradient", counted(metric_gradient, kernels))
-    monkeypatch.setattr(action_mod, "fiber_evaluation",
-                        counted(action_mod.fiber_evaluation, evaluations))
-    fast = [flow(x, spec, config, 1.0) for x in starts]
-    # 100 steps, none halved: the start, then four kernel calls per step
-    assert [len(traj.times) for traj in fast] == [101, 101]
-    assert len(kernels) == 2 * 401 and len(tries) == 2 * 100
-    # the certificate served some stages, not all
-    assert 0 < len(evaluations) < len(kernels)
-    kernels.clear()
-    tries.clear()
-    monkeypatch.setattr(flow_mod, "metric_gradient", counted(reference_metric_gradient, kernels))
-    slow = [flow(x, spec, config, 1.0) for x in starts]
-    assert len(kernels) == 2 * 401 and len(tries) == 2 * 100
+    with monkeypatch.context() as m:
+        m.setattr(flow_mod, "_velocity", counted(velocity, kernels))
+        m.setattr(flow_mod, "_rk4", counted(rk4, tries))
+        m.setattr(spectral.SpectralFrame, "samples",
+                  counted(spectral.SpectralFrame.samples, sampled))
+        trajectories = [flow(x, spec, config, 1.0) for x in starts]
+    return trajectories, (len(kernels), len(tries), len(sampled))
+
+
+def assert_flows_close(fast, slow):
+    # the same times, and states and records within 1e-13
     for got, want in zip(fast, slow):
         assert got.times.tobytes() == want.times.tobytes()
         assert len(got.states) == len(want.states)
@@ -391,6 +555,44 @@ def test_quadratic_zone_leaves_flows_and_their_work_unchanged(monkeypatch):
                 assert_close(a, b)
         for name in ("actions", "gradient_norms", "phi_tilde", "ab"):
             assert_close(getattr(got, name), getattr(want, name))
+
+
+def benchmark_starts(count):
+    # the benchmark's flow starts: the default spec, seeds [1, k]
+    return [random_phase_point(default_spec(), np.random.default_rng([1, k]))
+            for k in range(count)]
+
+
+def test_quadratic_zone_leaves_flows_and_their_work_unchanged(monkeypatch):
+    # Certified stages and fibers whose samples lie in the zone read the
+    # action and plain gradient in closed form, which moves them at
+    # roundoff against the jet path, so the flows must agree with flows
+    # whose every stage takes the jet path within the 1e-13 of the
+    # fused-march tests, with the same times and the same RK4 tries
+    starts = benchmark_starts(2)
+    lean, (kernels, tries, sampled) = flows_and_work(monkeypatch, starts,
+                                                     (flow_mod._velocity, flow_mod._rk4))
+    # 100 steps, none halved: the start, then four kernel calls per step
+    assert [len(traj.times) for traj in lean] == [101, 101]
+    assert kernels == 2 * 401 and tries == 2 * 100
+    # the certificate served some stages, not all
+    assert 0 < sampled < kernels
+    jet, work = flows_and_work(monkeypatch, starts, former_kernel(reference_metric_gradient))
+    assert work == (2 * 401, 2 * 100, 2 * 401)
+    assert_flows_close(lean, jet)
+
+
+def test_lean_stage_flows_match_the_former_kernel(monkeypatch):
+    # the benchmark's first three flows: the lean kernel and the kernel as
+    # it was take the same steps, make the same number of stage
+    # evaluations and sample the same stages, and their trajectories
+    # agree within 1e-13
+    starts = benchmark_starts(3)
+    lean, work = flows_and_work(monkeypatch, starts, (flow_mod._velocity, flow_mod._rk4))
+    former, former_work = flows_and_work(monkeypatch, starts,
+                                         former_kernel(former_metric_gradient))
+    assert work == former_work and work[:2] == (3 * 401, 3 * 100)
+    assert_flows_close(lean, former)
 
 
 # The certificate of the quadratic zone (quadratic_zone_energy) reads
@@ -461,12 +663,11 @@ def test_certified_call_agrees_with_the_jet_path(case):
     frame, qd, c = case
     spec = default_spec()
     plan = gradient_plan(frame, spec.s)
-    got = metric_gradient(plan, qd, c, spec)
+    a, gv, gn = metric_gradient(plan, qd, c, spec)
     want = reference_metric_gradient(plan, qd, c, spec)
-    scale = abs(c @ qd) + spec.r + 0.5 * (c @ c)
-    assert abs(got[0] - want[0]) <= 1e-14 * scale
-    assert got[1].tobytes() == want[1].tobytes()
-    for g, w in zip(got[2:], want[2:]):
+    assert abs(a - want[0]) <= 1e-14 * zone_scale(spec, qd, c)
+    assert horizontal_gradient(plan, c).tobytes() == want[1].tobytes()
+    for g, w in zip((gv, gn), want[2:]):
         assert_close(g, w, 1e-14)
 
 

@@ -13,8 +13,8 @@ import loopflow.action as action_mod
 import loopflow.flow as flow_mod
 from loopflow import fourier, spectral
 from loopflow.action import (PhasePoint, action, derivative_coefficients, fiber_evaluation,
-                             gradient_plan, perturb, quadratic_zone_energy, random_phase_point,
-                             straight_orbit, velocity_coefficients)
+                             gradient_plan, horizontal_gradient, perturb, quadratic_zone_energy,
+                             random_phase_point, straight_orbit, velocity_coefficients)
 from loopflow.flow import (FlowConfig, divergent_fixture, flow, flow_to_critical,
                            flow_velocity, ps_diagnostics, representation_coefficients,
                            representation_defects, speed_cutoff)
@@ -381,8 +381,13 @@ def test_reused_k1_matches_recomputed_k1(small_spec, small_config, rng, monkeypa
 # perturb, and j*qdot(0) by sampling the loop velocity and analyzing it.
 
 def reference_rk4(x, spec, config, dt, k1):
+    # each stage's horizontal gradient formed from its fiber, and the four
+    # combined
+    plan = gradient_plan(x.frame, spec.s)
+
     def stage(h, k):
-        xk = perturb(x, h, xi=-k.phi_tilde * k.grad_h, eta=-k.phi_tilde * k.grad_v)
+        xk = perturb(x, h, xi=-k.phi_tilde * horizontal_gradient(plan, k.fiber),
+                     eta=-k.phi_tilde * k.grad_v)
         return flow_velocity(xk, spec, config)
 
     k2 = stage(0.5 * dt, k1)
@@ -390,7 +395,8 @@ def reference_rk4(x, spec, config, dt, k1):
     k4 = stage(dt, k3)
     ch, cv = (-(k1.phi_tilde * g1 + 2.0 * k2.phi_tilde * g2 + 2.0 * k3.phi_tilde * g3
                 + k4.phi_tilde * g4) / 6.0
-              for g1, g2, g3, g4 in zip(k1[:2], k2[:2], k3[:2], k4[:2]))
+              for g1, g2, g3, g4 in ([horizontal_gradient(plan, k.fiber) for k in (k1, k2, k3, k4)],
+                                     [k.grad_v for k in (k1, k2, k3, k4)]))
     return perturb(x, dt, xi=ch, eta=cv)
 
 
@@ -466,8 +472,10 @@ def test_stage_velocity_coefficients_match_perturbed_loops(J, model):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-# flow._rk4 as it was before action.move_series, with the loop step
-# written out: sqrt(2)-scaled cos/sin rows, the base by their cos sum
+# flow._rk4 with the loop step written out as it was before
+# action.move_series: sqrt(2)-scaled cos/sin rows, the base by their cos
+# sum; the step's horizontal gradient is gathered once from the RK4
+# combination of the stage fibers
 
 def inline_rk4(L, spec, config, dt, k1, plan):
     qd, c = k1.loop_velocity, k1.fiber
@@ -480,9 +488,11 @@ def inline_rk4(L, spec, config, dt, k1, plan):
     k2 = stage(0.5 * dt, k1)
     k3 = stage(0.5 * dt, k2)
     k4 = stage(dt, k3)
-    ch, cv = ((k1.phi_tilde * g1 + (2.0 * k2.phi_tilde) * g2 + (2.0 * k3.phi_tilde) * g3
+    cc, cv = ((k1.phi_tilde * g1 + (2.0 * k2.phi_tilde) * g2 + (2.0 * k3.phi_tilde) * g3
                + k4.phi_tilde * g4) / -6.0
-              for g1, g2, g3, g4 in zip(k1[:2], k2[:2], k3[:2], k4[:2]))
+              for g1, g2, g3, g4 in ((k1.fiber, k2.fiber, k3.fiber, k4.fiber),
+                                     (k1.grad_v, k2.grad_v, k3.grad_v, k4.grad_v)))
+    ch = horizontal_gradient(plan, cc)
     n = plan.frame.n
     xs = ch * spectral.SQ2
     Ln = L + dt * xs
@@ -585,10 +595,11 @@ def perturb_step(x, spec, config, dt, k1):
         k2 = stage(0.5 * dt, k1)
         k3 = stage(0.5 * dt, k2)
         k4 = stage(dt, k3)
-        ch, cv = ((k1.phi_tilde * g1 + (2.0 * k2.phi_tilde) * g2 + (2.0 * k3.phi_tilde) * g3
+        cc, cv = ((k1.phi_tilde * g1 + (2.0 * k2.phi_tilde) * g2 + (2.0 * k3.phi_tilde) * g3
                    + k4.phi_tilde * g4) / -6.0
-                  for g1, g2, g3, g4 in zip(k1[:2], k2[:2], k3[:2], k4[:2]))
-        xn = perturb(x, dt, xi=ch, eta=cv)
+                  for g1, g2, g3, g4 in ((k1.fiber, k2.fiber, k3.fiber, k4.fiber),
+                                         (k1.grad_v, k2.grad_v, k3.grad_v, k4.grad_v)))
+        xn = perturb(x, dt, xi=horizontal_gradient(plan, cc), eta=cv)
         kn = flow_velocity(xn, spec, config)
         if kn.action <= k1.action + flow_mod.DESCENT_TOL:
             return xn, dt, kn, tries

@@ -22,6 +22,26 @@ def test_smoothstep_values_and_joins():
     np.testing.assert_allclose(s1[2], 1.875)  # 30/16
 
 
+def test_smoothstep_derivatives_need_no_mask_on_finite_input():
+    # s' and s'' are their polynomials at the clamped u, with no mask: on
+    # finite u, infinite u and both clamps they have the bits of the masked
+    # formulas (+0.0 outside the open band 0 < u < 1); only the third
+    # derivative keeps its mask
+    rng = np.random.default_rng(4)
+    u = np.concatenate([[-np.inf, -1e300, -1.0, -0.0, 0.0, 5e-324, 0.5, np.nextafter(1.0, 0.0),
+                         1.0, np.nextafter(1.0, 2.0), 2.0, 1e300, np.inf],
+                        rng.uniform(-1.0, 2.0, 200)])
+    uc = np.minimum(np.maximum(u, 0.0), 1.0)
+    inside = (u > 0.0) & (u < 1.0)
+    masked = (np.where(inside, 30.0 * uc ** 2 * (uc - 1.0) ** 2, 0.0),
+              np.where(inside, 60.0 * uc * (2.0 * uc - 1.0) * (uc - 1.0), 0.0),
+              np.where(inside, 60.0 * (6.0 * uc ** 2 - 6.0 * uc + 1.0), 0.0))
+    for got, want in zip(smoothstep(u)[1:], masked):
+        assert got.tobytes() == want.tobytes()
+    at_nan = smoothstep(np.nan)
+    assert all(np.isnan(v) for v in at_nan[:3]) and at_nan[3] == 0.0
+
+
 def test_smoothstep_derivatives_by_fd():
     u = np.linspace(0.05, 0.95, 19)
     s, s1, s2, s3 = smoothstep(u)

@@ -11,10 +11,12 @@ import loopflow
 
 # names deleted from their own modules, by module (Module.Class: its methods)
 DELETED = {"hamiltonian": ("evaluate_H", "hamiltonian_vector_field", "integrate_hamiltonian",
-                           "Trajectory", "thickening_sigma"),
+                           "Trajectory", "thickening_sigma", "_tail_jet"),
            "action": ("rescale_period", "velocity_layout", "_padded_modes", "pack_coefficients",
                       "unpack_coefficients", "evaluate"),
+           "action.GradientPlan": ("weight_h",),
            "flow": ("flow_step", "kolmogorov_width_proxy", "_state_velocity"),
+           "flow.Velocity": ("grad_h",),
            "spectral": ("adjoint_inclusion", "eigendecompose", "inner_r", "norm_r",
                         "fractional_apply", "project", "inner_r_emb", "norm_r_emb",
                         "_check_aligned", "_series_matrix", "_field_samples"),
