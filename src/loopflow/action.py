@@ -23,14 +23,16 @@ evaluation, metric_gradient, on the arrays of a GradientPlan made once
 per frame and s; action, gradient_norm, the flow's stage kernel and the
 polish's residual all read it.  The horizontal gradient is linear in the
 fiber (horizontal_gradient, a gather times a gain), so metric_gradient
-reads its norm off the fiber and the callers that need the vector gather
-it.  Where the coefficients alone certify every radius in the quadratic
-zone rho >= 2 rho1 (quadratic_zone_energy), the action and the plain
-gradient come in closed form (quadratic_zone_terms) with no transform.
+reads its norm, and the fiber's, off the fiber's block energies, and the
+callers that need the vector gather it.  Where the coefficients alone
+certify every radius in the quadratic zone rho >= 2 rho1
+(quadratic_zone_energy), the action and the plain gradient come in
+closed form (quadratic_zone_terms) with no transform.
 Every other call is one fiber_evaluation: one irfft of the fiber, then
 that closed form, or one H pass and one rfft of dH/dp, bit for bit the
 trig-series route through fourier.synthesize and fourier.analyze.
-Velocity coefficients are read off the loop's series, with no sampling.
+Velocity coefficients are read off the loop's series, with no sampling,
+and rebuild_series turns them back into a series on the loop's class.
 """
 
 import math
@@ -136,6 +138,27 @@ def series_velocity(frame, drift, series):
     return out
 
 
+def rebuild_series(frame, L0, qd0, qd):
+    """Loop data (LoopPath.series), (..., D), of loops with velocity
+    coefficients qd (..., D), reached from the loop of data L0 and
+    velocity coefficients qd0 by move_series steps along tangents with
+    zero kernel, the inverse of series_velocity on that class.
+
+    Each cos/sin row moves by sqrt(2) times the change of the velocity
+    over its frequency, read at its partner slot, and the base by the
+    change of the cos rows' sum, since move_series keeps base - sum_j
+    cos_j fixed; qd = qd0 gives L0's bits.  The drift is the class's.
+    """
+    partner, frequency = frame._derivative_map
+    n = frame.n
+    out = np.empty(np.shape(qd))
+    out[..., n:] = np.take(qd - qd0, partner[n:], axis=-1) * (SQ2 / frequency[partner[n:]])
+    cos_moves = out[..., n:].reshape(*out.shape[:-1], -1, 2 * n)[..., :n].sum(axis=-2)
+    out[..., n:] += L0[n:]
+    out[..., :n] = L0[:n] + cos_moves
+    return out
+
+
 def move_series(frame, L, eps, xi):
     """Loop data L (LoopPath.series) moved by eps along the frame tangent
     xi (D,), exact in coefficients: the cos/sin rows by eps sqrt(2) xi,
@@ -158,12 +181,20 @@ def quadratic_zone_terms(qd, c, energy, spec):
     return float(c @ qd) - (spec.r + 0.5 * energy), qd - c
 
 
-def fiber_evaluation(frame, qd, c, spec):
+def fiber_samples(frame, c):
+    """(samples, radii) of the (D,) fiber c: frame.samples (one irfft),
+    (m, n) and coordinate-major, and their pointwise norms."""
+    p_samp = frame.samples(c)
+    return p_samp, np.sqrt((p_samp * p_samp).sum(axis=-1))
+
+
+def fiber_evaluation(frame, qd, c, spec, samples=None):
     """The action at fiber coefficients c and its plain fiber gradient.
 
     qd holds the frame coefficients of the loop velocity.  Returns
     (action, qd - coefficients of dH/dp, dH/dp samples) for the (D,)
-    fiber c, from one frame.samples of the fiber (one irfft).  The
+    fiber c, from its fiber_samples (one irfft), or from samples, c's
+    fiber_samples, where the caller keeps them.  The
     gradient is C-contiguous; the (m, n) dH/dp samples are
     coordinate-major, as frame.samples returns them.  The sampled radii
     choose the rest:
@@ -182,8 +213,11 @@ def fiber_evaluation(frame, qd, c, spec):
     overflowing one exceeds QUADRATIC_TOP, and the tail jet's dH/drho is
     NaN there.
     """
-    p_samp = frame.samples(c)
-    rho = np.sqrt((p_samp * p_samp).sum(axis=-1))
+    if samples is None:   # fiber_samples, written out on the flow's hot path
+        p_samp = frame.samples(c)
+        rho = np.sqrt((p_samp * p_samp).sum(axis=-1))
+    else:
+        p_samp, rho = samples
     lo = rho.min()
     if lo >= 2.0 * spec.rho1 and rho.max() <= QUADRATIC_TOP:
         return (*quadratic_zone_terms(qd, c, float(c @ c), spec), p_samp)
@@ -205,23 +239,24 @@ class GradientPlan(NamedTuple):
     gather of the cos/sin partners times gain = -(1+lam)^{-s} (+-2 pi j),
     +-0.0 in the kernel (horizontal_gradient).  Its own t-derivative is
     diagonal: rate * c, with rate = -(1+lam)^{-s} lam, since d^2/dt^2 is
-    -lam outside the kernel.  Its squared s-norm is c . (norm_h * c) with
-    norm_h = (1+lam)^s gain^2: partner keeps the mode, and gain and the
-    weight depend on the mode alone.  weight_v and scale_v are
-    (1+lam)^{1-s} and (1+lam)^{s-1}: the weights of the (1-s)-norm and of
-    the vertical gradient.  blocks holds the starts of the kernel block
-    and of each mode's 2n cos/sin block, for the quadratic-zone
-    certificate (quadratic_zone_energy).
+    -lam outside the kernel.  scale_v = (1+lam)^{s-1} turns the plain
+    fiber gradient into the vertical one.  blocks holds the starts of the
+    kernel block and of each mode's 2n cos/sin block, over which one
+    reduceat gives the block energies of a fiber (quadratic_zone_energy).
+    The weights of the norms depend on the mode alone, so they are kept
+    per block: block_h = (1+lam)^s gain^2, for the squared s-norm of the
+    horizontal gradient (partner keeps the mode), and block_v =
+    (1+lam)^{1-s}, the weight of the (1-s)-norm.
     """
 
     frame: SpectralFrame
     partner: np.ndarray
     gain: np.ndarray
     rate: np.ndarray
-    norm_h: np.ndarray
-    weight_v: np.ndarray
     scale_v: np.ndarray
     blocks: np.ndarray
+    block_h: np.ndarray
+    block_v: np.ndarray
 
 
 def gradient_plan(frame, s):
@@ -229,10 +264,10 @@ def gradient_plan(frame, s):
     partner, frequency = frame._derivative_map
     w = frame.weights(-s)
     gain = -w * frequency
-    return GradientPlan(frame, partner, gain, -w * frame.eigenvalues,
-                        frame.weights(s) * gain ** 2, frame.weights(1.0 - s),
-                        frame.weights(s - 1.0),
-                        np.maximum(np.arange(-frame.n, frame.dim, 2 * frame.n), 0))
+    blocks = np.maximum(np.arange(-frame.n, frame.dim, 2 * frame.n), 0)
+    return GradientPlan(frame, partner, gain, -w * frame.eigenvalues, frame.weights(s - 1.0),
+                        blocks, (frame.weights(s) * gain ** 2)[blocks],
+                        frame.weights(1.0 - s)[blocks])
 
 
 def horizontal_gradient(plan, c):
@@ -244,19 +279,27 @@ def horizontal_gradient(plan, c):
 
 def quadratic_zone_energy(plan, c, rho1):
     """|c|^2 when the coefficients alone put every radius of the fiber c
-    in the quadratic zone 2 rho1 <= rho <= QUADRATIC_TOP, else None.
+    in the quadratic zone 2 rho1 <= rho <= QUADRATIC_TOP, else None: the
+    certificate (_certified_energy) of c's block energies, the one
+    metric_gradient reads."""
+    return _certified_energy(np.add.reduceat(c * c, plan.blocks), rho1)
+
+
+def _certified_energy(energy, rho1):
+    """The sum of the block energies energy of a fiber when they put
+    every radius in the quadratic zone 2 rho1 <= rho <= QUADRATIC_TOP,
+    else None.
 
     The fiber is p(t) = c0 + sqrt(2) sum_j (u_j cos 2 pi j t + v_j sin
     2 pi j t) with c0, u_j, v_j in R^n, and |u cos + v sin| <= |(u, v)|,
     so every radius, at any t, lies within sqrt(2) sum_j |(u_j, v_j)| of
     |c0|.  The block energies |c0|^2 and |(u_j, v_j)|^2 are one reduceat
-    of c^2 over plan.blocks, and they sum to |c|^2.  The lower end must
-    clear 2 rho1 by a relative 1e-12, so that sampled radii, which carry
-    roundoff, clear it too; the upper end keeps overflowing fibers, whose
-    closed form would read -inf, on the jet path, where they turn NaN.  A
-    NaN coefficient fails both tests.
+    of c^2 over GradientPlan.blocks, and they sum to |c|^2.  The lower
+    end must clear 2 rho1 by a relative 1e-12, so that sampled radii,
+    which carry roundoff, clear it too; the upper end keeps overflowing
+    fibers, whose closed form would read -inf, on the jet path, where
+    they turn NaN.  A NaN coefficient fails both tests.
     """
-    energy = np.add.reduceat(c * c, plan.blocks)
     kernel = math.sqrt(energy[0])
     spread = SQ2 * float(np.add.reduce(np.sqrt(energy[1:])))
     if kernel - spread >= 2.0 * rho1 * (1.0 + 1e-12) and kernel + spread <= QUADRATIC_TOP:
@@ -265,27 +308,31 @@ def quadratic_zone_energy(plan, c, rho1):
 
 
 def metric_gradient(plan, qd, c, spec):
-    """(action, grad_v, grad_norm) at velocity coefficients qd and fiber
-    coefficients c.
+    """(action, grad_v, grad_norm, fiber_norm) at velocity coefficients
+    qd and fiber coefficients c.
 
-    Where quadratic_zone_energy certifies every radius of c in the
-    quadratic zone, the action and plain gradient are
-    quadratic_zone_terms of the certificate's |c|^2, with no transform;
-    every other call is one fiber_evaluation.  grad_v is (1+lam)^{s-1}
-    times the plain gradient, the (1-s)-metric representative of the
-    coefficients of qdot - dH/dp.  The horizontal gradient is not formed:
-    its squared s-norm is c . (norm_h * c), and the mixed-metric norm adds
-    the weighted dot product of grad_v.  This is the one gradient formula:
-    action, gradient, gradient_norm, the flow's velocity and the polish's
-    residual all read it.
+    One reduceat gives c's block energies E.  Where _certified_energy
+    certifies every radius of c in the quadratic zone, the action and
+    plain gradient dv are quadratic_zone_terms of the certificate's
+    |c|^2, with no transform; every other call is one fiber_evaluation.
+    grad_v = (1+lam)^{s-1} dv is the (1-s)-metric representative of the
+    coefficients of qdot - dH/dp.  The norms are read off E, since their
+    weights depend on the mode alone: the fiber's (1-s)-norm squared is
+    E . block_v, and the horizontal gradient, not formed, has squared
+    s-norm E . block_h; the mixed-metric norm adds grad_v . dv, grad_v's
+    squared (1-s)-norm, as (1+lam)^{1-s} scale_v^2 = scale_v.  This is
+    the one gradient and norm formula: action, gradient, gradient_norm,
+    the flow's velocity and the polish's residual all read it.
     """
-    energy = quadratic_zone_energy(plan, c, spec.rho1)
-    if energy is None:
+    energy = np.add.reduceat(c * c, plan.blocks)
+    zone = _certified_energy(energy, spec.rho1)
+    if zone is None:
         a, dv, _ = fiber_evaluation(plan.frame, qd, c, spec)
     else:
-        a, dv = quadratic_zone_terms(qd, c, energy, spec)
+        a, dv = quadratic_zone_terms(qd, c, zone, spec)
     grad_v = plan.scale_v * dv
-    return a, grad_v, math.sqrt(c @ (plan.norm_h * c) + grad_v @ (plan.weight_v * grad_v))
+    return (a, grad_v, math.sqrt(energy @ plan.block_h + grad_v @ dv),
+            math.sqrt(energy @ plan.block_v))
 
 
 def _state_gradient(x, spec):
@@ -305,7 +352,7 @@ def gradient(x, spec):
     """The metric gradient of the discrete action, as a (horizontal,
     vertical) pair of frame coefficient arrays: horizontal_gradient of the
     fiber and metric_gradient's grad_v."""
-    plan, (_, grad_v, _) = _state_gradient(x, spec)
+    plan, (_, grad_v, _, _) = _state_gradient(x, spec)
     return horizontal_gradient(plan, x.fiber.coefficients), grad_v
 
 

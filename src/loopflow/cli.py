@@ -21,7 +21,7 @@ import numpy as np
 from .action import directional_derivative_check, random_direction, random_phase_point
 from .flow import FlowConfig, divergent_fixture, flow, ps_diagnostics
 from .geometry import LoopPath, embedded_circle, flat_torus, straight_loop
-from .hamiltonian import HamiltonianSpec, default_spec, r0_threshold
+from .hamiltonian import HamiltonianSpec, default_spec
 from .manifest import VERSION, RunManifest, write_csv, write_json, write_manifest
 from .minimax import orbit_sweep
 from .fourier import default_samples
@@ -291,7 +291,7 @@ def cmd_orbit_sweep(args):
                "first_hit_leaf_action": summary.first_hit_leaf_action,
                "leaf_bound": summary.leaf_bound,
                "alpha": summary.alpha,
-               "r0": r0_threshold(spec),
+               "r0": summary.r0,
                "plateau_energies": {"%.17g" % k: v for k, v in summary.plateau_energies.items()},
                "plateau_shifted_actions": {"%.17g" % k: v
                                            for k, v in summary.plateau_shifted_actions.items()},

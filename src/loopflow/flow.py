@@ -10,21 +10,26 @@ are classical RK4 with step-halving whenever a step would raise the
 action by more than the per-step tolerance; since the field is bounded,
 explicit stepping is stable at fixed dt.
 
-The march builds no PhasePoint: a state is two (D,) arrays, its loop
-data L laid out as LoopPath.series and its fiber coefficients c, and a
-step moves L by action.move_series, the loop step of action.perturb.
-Each march makes one action.gradient_plan, and every stage is one
-kernel call (_velocity): one action.metric_gradient and weighted dot
-products, with no horizontal gradient formed; the step gathers it once,
-from the RK4 combination of its stage fibers.  The evaluation that
-accepts a step is the next step's k1, so an accepted step costs four
+The march builds no PhasePoint and no loop data: on the flat models the
+action sees the loop only through its velocity coefficients qd, so a
+state is one (2, D) array z = [qd, c], c the fiber coefficients, and a
+step is textbook RK4 on z.  Each stage is one kernel call (_velocity):
+one action.metric_gradient, whose block energies also give the norms,
+and the direction d = [rate * c, -grad_v], in which the loop step -grad_h
+enters through its t-derivative (GradientPlan.rate), so no horizontal
+gradient is formed; rate is +-0 in the kernel, so the drift stays exact.
+Each march makes one action.gradient_plan.  The evaluation that accepts
+a step is the next step's k1, so an accepted step costs four
 evaluations and at most eight FFTs: none for a fiber metric_gradient
 certifies in the quadratic zone, one irfft where only the samples put it
 there, two otherwise.  The shares depend on the start: over the
 benchmark's 40 flows (default spec, T = 1, 16 040 evaluations) 46.4 % are
 certified on seed 1 and 60.4 % on seed 7, with 13 295 and 10 510 FFTs.
-flow records the (N, D) stacks of L and c; flow_to_critical, on the same
-driver, builds only the state it stops at.
+The loop data L (LoopPath.series) are rebuilt from the velocities after
+the march, anchored on its start (action.rebuild_series): flow rebuilds
+its (N, D) stack of L in one call and records it with the stack of c;
+flow_to_critical, on the same driver, rebuilds only the state it stops
+at.
 
 Along a trajectory the vertical component satisfies a linear
 inhomogeneous ODE whose homogeneous weights are hyperbolic in the
@@ -50,9 +55,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .action import (PhasePoint, derivative_coefficients, gradient_plan, horizontal_gradient,
-                     metric_gradient, move_series, require_finite, series_velocity,
-                     velocity_coefficients)
+from .action import (PhasePoint, derivative_coefficients, gradient_plan, metric_gradient,
+                     rebuild_series, require_finite, series_velocity, velocity_coefficients)
 from .geometry import flat_torus, straight_loop
 from .hamiltonian import alpha_bound, smoothstep
 from .spectral import FiberField, frame_of
@@ -128,85 +132,80 @@ def speed_cutoff(config, fiber_norm):
 
 
 class Velocity(NamedTuple):
-    """V_r = -phi~ (grad_h, grad_v) at velocity coefficients loop_velocity
-    and fiber coefficients fiber, kept as the raw grad_v and phi~ (grad_h
-    is the fiber's horizontal_gradient), with the gradient norm and the
-    action found on the way.  The RK4 step from a state reuses its
-    loop_velocity and fiber."""
+    """V_r = -phi~ (grad_h, grad_v) at the state z = [qd, c], a (2, D)
+    array of velocity coefficients qd and fiber coefficients c, kept as
+    the normalized speed weight phi~ and the direction d = [rate * c,
+    -grad_v]: the t-derivative of z along -grad (the loop velocity moves
+    by d/dt of the loop step -grad_h, GradientPlan.rate), so z moves by
+    phi~ d.  It carries the gradient norm and the action found on the
+    way, and z, from which the RK4 step starts."""
 
-    grad_v: np.ndarray
+    direction: np.ndarray
     grad_norm: float
     phi_tilde: float
     action: float
-    loop_velocity: np.ndarray
-    fiber: np.ndarray
+    state: np.ndarray
 
 
-def _velocity(plan, qd, c, spec, config):
-    """The stage kernel: V_r at velocity coefficients qd and fiber
-    coefficients c from one metric_gradient (no transform where it
-    certifies the quadratic zone, else one fiber_evaluation), with no
-    horizontal gradient formed.  phi~ = cut/sqrt(1 + |grad|^2) is the
-    normalized speed weight whose time integral drives the representation
-    coefficients; the fiber norm the cutoff reads is a weighted dot
-    product."""
-    a, gv, gn = metric_gradient(plan, qd, c, spec)
-    phi_tilde = speed_cutoff(config, math.sqrt(c @ (plan.weight_v * c))) / math.sqrt(1.0 + gn * gn)
-    return Velocity(gv, gn, phi_tilde, a, qd, c)
+def _velocity(plan, z, spec, config):
+    """The stage kernel: V_r at the state z = [qd, c] from one
+    metric_gradient (no transform where it certifies the quadratic zone,
+    else one fiber_evaluation), with no horizontal gradient formed.
+    phi~ = cut/sqrt(1 + |grad|^2) weighs the speed; its time integral
+    drives the representation coefficients, and the cutoff reads the
+    fiber norm that metric_gradient returns."""
+    c = z[1]
+    a, gv, gn, fiber_norm = metric_gradient(plan, z[0], c, spec)
+    d = np.empty_like(z)
+    np.multiply(plan.rate, c, out=d[0])
+    np.negative(gv, out=d[1])
+    return Velocity(d, gn, speed_cutoff(config, fiber_norm) / math.sqrt(1.0 + gn * gn), a, z)
+
+
+def _start(x):
+    """The state [qd, c] of the phase point x, a fresh (2, D) array."""
+    return np.stack((velocity_coefficients(x.loop, x.frame), x.fiber.coefficients))
 
 
 def flow_velocity(x, spec, config, plan=None):
     """V_r at x from one evaluation, as a Velocity: the stage kernel at
-    x's loop velocity and fiber, with plan, x's gradient_plan, made for
-    this call unless given."""
+    x's state, with plan, x's gradient_plan, made for this call unless
+    given."""
     plan = gradient_plan(x.frame, spec.s) if plan is None else plan
-    return _velocity(plan, velocity_coefficients(x.loop, x.frame), x.fiber.coefficients, spec,
-                     config)
+    return _velocity(plan, _start(x), spec, config)
 
 
-def _rk4(L, spec, config, dt, k1, plan):
-    """The RK4 step of size dt from the state of loop data L
-    (LoopPath.series) and velocity k1, which carries its qd and c; plan is
-    its gradient_plan.  Returns the new state's (L, c).
-
-    Stage k_{i+1} is the kernel at fiber c - h phi_i grad_v,i and loop
-    velocity qd + h phi_i rate * c_i, c_i the fiber of k_i: the
-    t-derivative of the horizontal gradient is diagonal
-    (GradientPlan.rate).  These are the coefficients of perturb(x, h,
-    -phi_i grad_i) up to roundoff.  The step moves c by -(phi_1 g_1 +
-    2 phi_2 g_2 + 2 phi_3 g_3 + phi_4 g_4)/6 of the grad_v, and L by that
-    combination of the horizontal gradients through action.move_series,
-    as perturb does: by linearity, horizontal_gradient of the same
-    combination of the stage fibers c_i, one gather per step.
-    """
-    qd, c = k1.loop_velocity, k1.fiber
-
-    def stage(h, k):
-        hp = h * k.phi_tilde
-        return _velocity(plan, qd + hp * (plan.rate * k.fiber), c - hp * k.grad_v, spec, config)
-
-    k2 = stage(0.5 * dt, k1)
-    k3 = stage(0.5 * dt, k2)
-    k4 = stage(dt, k3)
-    cc, cv = ((k1.phi_tilde * g1 + (2.0 * k2.phi_tilde) * g2 + (2.0 * k3.phi_tilde) * g3
-               + k4.phi_tilde * g4) / -6.0
-              for g1, g2, g3, g4 in ((k1.fiber, k2.fiber, k3.fiber, k4.fiber),
-                                     (k1.grad_v, k2.grad_v, k3.grad_v, k4.grad_v)))
-    return move_series(plan.frame, L, dt, horizontal_gradient(plan, cc)), c + dt * cv
+def _rk4(spec, config, dt, k1, plan):
+    """The classical RK4 step of size dt from the state k1.state, k1 its
+    velocity and plan its gradient_plan; returns the new state z.  Stage
+    k_{i+1} is the kernel at z + (h phi~_i) d_i, and z moves by dt (phi~_1
+    d_1 + 2 phi~_2 d_2 + 2 phi~_3 d_3 + phi~_4 d_4)/6.  rate is +-0 in
+    the kernel, so the drift row of qd does not move."""
+    z = k1.state
+    k2 = _velocity(plan, z + (0.5 * dt * k1.phi_tilde) * k1.direction, spec, config)
+    k3 = _velocity(plan, z + (0.5 * dt * k2.phi_tilde) * k2.direction, spec, config)
+    k4 = _velocity(plan, z + (dt * k3.phi_tilde) * k3.direction, spec, config)
+    return z + dt * ((k1.phi_tilde * k1.direction + (2.0 * k2.phi_tilde) * k2.direction
+                      + (2.0 * k3.phi_tilde) * k3.direction + k4.phi_tilde * k4.direction) / 6.0)
 
 
-def _step(L, spec, config, dt, k1, plan):
-    """One accepted step from the state (L, k1) with gradient_plan plan:
-    halve dt until the action does not increase.  Returns (new L, dt
-    used, its velocity), which carries the new fiber."""
-    drift = k1.loop_velocity[:plan.frame.n]   # the kernel of a loop velocity; no step moves it
+def _step(spec, config, dt, k1, plan):
+    """One accepted step from the state of velocity k1 with gradient_plan
+    plan: halve dt until the action does not increase.  Returns (dt used,
+    the new state's velocity)."""
     for _ in range(MAX_HALVINGS):
-        Ln, cn = _rk4(L, spec, config, dt, k1, plan)
-        kn = _velocity(plan, series_velocity(plan.frame, drift, Ln), cn, spec, config)
+        kn = _velocity(plan, _rk4(spec, config, dt, k1, plan), spec, config)
         if kn.action <= k1.action + DESCENT_TOL:
-            return Ln, dt, kn
+            return dt, kn
         dt *= 0.5
     raise ArithmeticError(f"flow step rejected after {MAX_HALVINGS} halvings (dt={dt:.3e})")
+
+
+def _states(x0, qd0, qd):
+    """Loop data (LoopPath.series) of the states with velocity
+    coefficients qd (..., D) on the trajectory from x0, whose velocity
+    coefficients are qd0: action.rebuild_series anchored on x0."""
+    return rebuild_series(x0.frame, x0.loop.series(x0.frame.cutoff), qd0, qd)
 
 
 def _state(x0, L, c):
@@ -218,10 +217,11 @@ def _state(x0, L, c):
 @dataclass(frozen=True, eq=False)
 class FlowTrajectory:
     """A recorded flow run: the start state x0, the read-only (N, D)
-    stacks of the states' loop data (LoopPath.series) and fibers, and
-    per-state diagnostics.  states and final build their PhasePoints
-    (but x0) each time they are read.  ab holds the representation pair
-    (a(t), b(t)); phi_tilde the speed weights it integrates; s is spec.s.
+    stacks of the states' loop data (LoopPath.series, rebuilt once from
+    the march's loop velocities) and fibers, and per-state diagnostics.
+    states and final build their PhasePoints (but x0) each time they are
+    read.  ab holds the representation pair (a(t), b(t)); phi_tilde the
+    speed weights it integrates; s is spec.s.
     """
 
     x0: PhasePoint
@@ -267,7 +267,7 @@ def step_budget(config, T):
 def _march(x, spec, config, T):
     """The flow from x toward time T, one accepted step at a time.
 
-    Yields (t, steps, L, velocity) at x and after each step (the fiber is
+    Yields (t, steps, velocity) at x and after each step (the state is
     the velocity's); stops once t reaches T (to 1e-12) or the steps reach
     step_budget(config, T).
     A step shrinks to T - t only when that is short of dt by more than
@@ -275,17 +275,16 @@ def _march(x, spec, config, T):
     retraces those steps.
     """
     plan = gradient_plan(x.frame, spec.s)
-    L = x.loop.series(x.frame.cutoff)
     k = flow_velocity(x, spec, config, plan)
     t, steps = 0.0, 0
     max_steps = step_budget(config, T)
-    yield t, steps, L, k
+    yield t, steps, k
     while t < T - 1e-12 and steps < max_steps:
         dt = config.dt if T - t >= config.dt - 1e-12 else T - t
-        L, dt_used, k = _step(L, spec, config, dt, k, plan)
+        dt_used, k = _step(spec, config, dt, k, plan)
         t += dt_used
         steps += 1
-        yield t, steps, L, k
+        yield t, steps, k
 
 
 def flow(x0, spec, config, T):
@@ -294,17 +293,19 @@ def flow(x0, spec, config, T):
     T must be finite, non-negative and not above the configured budget
     t_max, or ValueError is raised before the march starts; if
     step-halving eats the step budget before reaching T, the partial
-    trajectory comes back flagged.
+    trajectory comes back flagged.  The loop data of all states are
+    rebuilt from their velocities in one call after the march.
     """
     if not (math.isfinite(T) and T >= 0.0):
         raise ValueError(f"flow horizon T must be finite and non-negative, got {T!r}")
     if T > config.t_max + 1e-12:
         raise ValueError("flow horizon exceeds the configured t_max budget")
     require_finite("flow start state", x0.loop, x0.fiber.coefficients)
-    times, loops, fibers, records = zip(*[(t, L, k.fiber, (k.grad_norm, k.phi_tilde, k.action))
-                                          for t, _, L, k in _march(x0, spec, config, T)])
-    return _trajectory(x0, times, np.stack(loops), np.stack(fibers), records, spec.s,
-                       bool(times[-1] < T - 1e-12))
+    times, velocities, fibers, records = zip(*[
+        (t, k.state[0], k.state[1], (k.grad_norm, k.phi_tilde, k.action))
+        for t, _, k in _march(x0, spec, config, T)])
+    return _trajectory(x0, times, _states(x0, velocities[0], np.stack(velocities)),
+                       np.stack(fibers), records, spec.s, bool(times[-1] < T - 1e-12))
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,13 +335,15 @@ def flow_to_critical(x, spec, config, floor=None):
     """
     require_finite("flow_to_critical start state", x.loop, x.fiber.coefficients)
     consec = 0
-    for t, steps, L, k in _march(x, spec, config, config.t_max):
+    for t, steps, k in _march(x, spec, config, config.t_max):
         consec = consec + 1 if k.grad_norm < config.grad_tol else 0
         converged = consec >= SUSTAIN_STEPS or k.grad_norm <= 0.01 * config.grad_tol
         escaped = bool(not converged and floor is not None and k.action < floor)
         if converged or escaped:
             break
-    return CriticalSearch(state=x if steps == 0 else _state(x, L, k.fiber), converged=converged,
+    qd0 = velocity_coefficients(x.loop, x.frame)
+    state = x if steps == 0 else _state(x, _states(x, qd0, k.state[0]), k.state[1])
+    return CriticalSearch(state=state, converged=converged,
                           escaped=escaped, steps=steps, time=t,
                           grad_norm=k.grad_norm, action=k.action,
                           budget_exhausted=not (converged or escaped))
@@ -427,7 +430,7 @@ def divergent_fixture(spec, config):
     plan = gradient_plan(frame, spec.s)
     qd = velocity_coefficients(loop, frame)
     fibers = (-(1.0 + np.arange(steps)) * scale)[:, None] * qd
-    velocities = [_velocity(plan, qd, c, spec, config) for c in fibers]
+    velocities = [_velocity(plan, np.stack((qd, c)), spec, config) for c in fibers]
     return _trajectory(PhasePoint(loop=loop, fiber=FiberField(frame, fibers[0])),
                        config.dt * np.arange(steps), np.tile(loop.series(spec.J), (steps, 1)),
                        fibers, [(k.grad_norm, k.phi_tilde, k.action) for k in velocities], spec.s)

@@ -39,9 +39,10 @@ import numpy as np
 
 from . import fourier
 from .action import (PhasePoint, classify_critical, derivative_coefficients, fiber_evaluation,
-                     gradient_norm, gradient_plan, horizontal_gradient, loop_energy,
-                     metric_gradient, require_finite, series_velocity, velocity_coefficients)
-from .flow import _state, _step, flow_velocity
+                     fiber_samples, gradient_norm, gradient_plan, horizontal_gradient,
+                     loop_energy, metric_gradient, require_finite, series_velocity,
+                     velocity_coefficients)
+from .flow import _state, _states, _step, _velocity, flow_velocity
 from .geometry import flat_torus, straight_loop
 from .hamiltonian import alpha_bound, r0_threshold, radial_H_jet
 from .spectral import SQ2, FiberField, frame_of
@@ -80,12 +81,12 @@ def _project_ball(c, frame, r, radius):
     return c * (radius / nrm) if nrm > radius else c
 
 
-def _pointwise_hessian(frame, c, spec):
+def _pointwise_hessian(frame, c, spec, samples=None):
     """The pointwise fiber Hessian of H_r at the fiber with coefficients
     c, on the default grid: W(t) = (h'/rho) I + (h'' - h'/rho) phat phat^T,
-    an (m, n, n) array."""
-    p = frame.samples(c)
-    rho = np.sqrt(np.sum(p ** 2, axis=1))
+    an (m, n, n) array, from c's fiber_samples, or from samples where the
+    caller kept them."""
+    p, rho = fiber_samples(frame, c) if samples is None else samples
     safe = np.where(rho > 1e-12, rho, 1.0)
     _, h1, h2 = radial_H_jet(spec, rho)
     ratio = h1 / safe
@@ -145,10 +146,12 @@ def _ascend(frame, qd, c, spec, radius):
     fiber coefficients c over the (1-s)-ball of the given radius, on the
     loop whose velocity coefficients are qd; returns an AscentResult.
 
-    Each iteration is one fiber_evaluation, one _pointwise_hessian and
-    the H v products of one _steihaug step on the model a + dv.d -
-    d.H d / 2 in the Euclidean coefficient ball |d| <= size, with dv the
-    plain fiber gradient; the candidate is projected into the fiber ball.
+    Each iteration is one fiber_evaluation, of the candidate, and the H
+    v products of one _steihaug step on the model a + dv.d - d.H d / 2 in
+    the Euclidean coefficient ball |d| <= size, with dv the plain fiber
+    gradient; the candidate is projected into the fiber ball.  The
+    model's _pointwise_hessian is built from the samples and radii that
+    the accepted fiber's evaluation kept, so no fiber is sampled twice.
     It is accepted when the action holds (falls by at most 1e-14) and
     either the gain ratio rho = actual / model gain exceeds 1e-4 or the
     (1-s)-norm of the vertical gradient falls, which decides where both
@@ -162,19 +165,20 @@ def _ascend(frame, qd, c, spec, radius):
     to_vertical = frame.weights(spec.s - 1.0)
 
     def evaluate_at(c):
-        a, dv, _ = fiber_evaluation(frame, qd, c, spec)
-        return a, dv, frame.norm(r, to_vertical * dv)
+        samples = fiber_samples(frame, c)
+        a, dv, _ = fiber_evaluation(frame, qd, c, spec, samples)
+        return a, dv, frame.norm(r, to_vertical * dv), samples
 
     c = _project_ball(c, frame, r, radius)
-    a, dv, gn = evaluate_at(c)
+    a, dv, gn, samples = evaluate_at(c)
     size = max(1e-3, math.sqrt(dv @ dv))
     for _ in range(TRUST_ITERS):
         if gn <= ASCENT_TOL or size < 1e-15:
             break
-        w = _pointwise_hessian(frame, c, spec)
+        w = _pointwise_hessian(frame, c, spec, samples)
         step, gain = _steihaug(dv, lambda v: _hessian_product(frame, w, v), size)
         cand = _project_ball(c + step, frame, r, radius)
-        a_new, dv_new, gn_new = evaluate_at(cand)
+        a_new, dv_new, gn_new, samples_new = evaluate_at(cand)
         rho = (a_new - a) / gain if gain > 0.0 else -1.0
         length = math.sqrt(step @ step)
         if rho < 0.25:
@@ -182,7 +186,7 @@ def _ascend(frame, qd, c, spec, radius):
         elif rho > 0.75 and length >= (1.0 - 1e-12) * size:
             size = min(2.0 * size, 1e3)
         if a_new >= a - 1e-14 and (rho > 1e-4 or gn_new < gn):
-            c, a, dv, gn = cand, a_new, dv_new, gn_new
+            c, a, dv, gn, samples = cand, a_new, dv_new, gn_new, samples_new
     return AscentResult(field=FiberField(frame=frame, coefficients=c), action=float(a),
                         converged=bool(gn <= ASCENT_TOL), grad_norm=float(gn))
 
@@ -225,26 +229,31 @@ def _envelope_descent(x, spec, config, tol):
     as a genuine local minimum; letting the fiber go stale instead feeds
     the mixed unstable directions.
 
-    Returns (rounds, state, velocity) at the first re-ascended state
-    whose gradient norm is at most tol, where the branch is exact; the
-    velocity is the one that round's step would take as k1.  After
+    The rounds carry the state [qd, c] as the flow's march does, and
+    each fiber ascent reads qd directly; only the state returned is
+    built.  Returns (rounds, state, velocity) at the first re-ascended
+    state whose gradient norm is at most tol, where the branch is exact;
+    the velocity is the one that round's step would take as k1.  After
     DESCENT_ROUNDS rounds without that it returns (DESCENT_ROUNDS,
     state, velocity) for the state the last round stepped to.
     """
     # the envelope is smooth (no shelf stiffness on the maximal branch),
     # so a larger step is stable; the halving guard still protects it
     dt = 5.0 * config.dt
-    plan = gradient_plan(x.frame, spec.s)
+    frame = x.frame
+    plan = gradient_plan(frame, spec.s)
+    qd0 = velocity_coefficients(x.loop, frame)
+    qd, c = qd0, x.fiber.coefficients
     for rounds in range(DESCENT_ROUNDS):
-        asc = _ascend(x.frame, velocity_coefficients(x.loop, x.frame), x.fiber.coefficients,
-                      spec, config.gamma_dprime)
-        x = PhasePoint(loop=x.loop, fiber=asc.field)
-        k = flow_velocity(x, spec, config, plan)
+        c = _ascend(frame, qd, c, spec, config.gamma_dprime).field.coefficients
+        k = _velocity(plan, np.stack((qd, c)), spec, config)
         if k.grad_norm <= tol:
-            return rounds, x, k
-        L, _, k = _step(x.loop.series(x.frame.cutoff), spec, config, dt, k, plan)
-        x = _state(x, L, k.fiber)   # the one state of the round, for its fiber ascent
-    return DESCENT_ROUNDS, x, k
+            break
+        _, k = _step(spec, config, dt, k, plan)
+        qd, c = k.state
+    else:
+        rounds = DESCENT_ROUNDS
+    return rounds, _state(x, _states(x, qd0, qd), c), k
 
 
 def composite_descent(x, spec, config):
@@ -299,7 +308,7 @@ def _critical_system(x, spec):
 
     def fun(vec):
         qd = series_velocity(frame, drift, np.concatenate([base, vec[:k]]))
-        _, grad_v, _ = metric_gradient(plan, qd, vec[k:], spec)
+        grad_v = metric_gradient(plan, qd, vec[k:], spec)[1]
         return np.concatenate([frame.weights(0.5 * spec.s) * horizontal_gradient(plan, vec[k:]),
                                frame.weights(0.5 * (1.0 - spec.s)) * grad_v])
 
@@ -485,6 +494,7 @@ class SweepSummary:
     first_hit_r: float
     first_hit_leaf_action: float
     alpha: float
+    r0: float
     leaf_bound: float
     plateau_energies: dict
     plateau_shifted_actions: dict
@@ -508,7 +518,8 @@ def orbit_sweep(spec_template, r_grid, config, family=None):
         raise ValueError("orbit_sweep needs a nonempty family of loops")
     records = [_sweep_task(family, spec_template.with_r(r), config) for r in r_grid]
     alpha = alpha_bound(spec_template, max(loop_speed(loop, spec_template.J) for loop in family))
-    bound = 2.0 * (alpha + r0_threshold(spec_template))
+    r0 = r0_threshold(spec_template)
+    bound = 2.0 * (alpha + r0)
     hits = [rec for rec in records
             if rec.classification.kind == "on-hypersurface"
             and rec.leaf_action is not None and 0.0 < rec.leaf_action < bound]
@@ -519,6 +530,7 @@ def orbit_sweep(spec_template, r_grid, config, family=None):
         first_hit_r=None if first is None else first.r,
         first_hit_leaf_action=None if first is None else first.leaf_action,
         alpha=alpha,
+        r0=r0,
         leaf_bound=bound,
         plateau_energies={rec.r: loop_energy(rec.witness.loop) for rec in plateau},
         plateau_shifted_actions={rec.r: rec.theta + rec.r for rec in plateau},

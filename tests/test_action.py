@@ -164,17 +164,18 @@ def test_the_metric_exponent_is_the_spec_s(spec, config, rng):
     np.testing.assert_array_equal(gv6, frame.weights(0.6 - 1.0) * dv)
     assert not np.allclose(gh6, gh)
     # the one gradient-norm formula (metric_gradient), written out at s = 0.6:
-    # the s-norm of grad_h read on c through the plan's norm_h, and the
-    # same norm through grad_h itself up to roundoff
-    norm6 = math.sqrt(c @ ((frame.weights(0.6) * plan6.gain ** 2) * c)
-                      + gv6 @ (frame.weights(0.4) * gv6))
+    # the s-norm of grad_h read off the block energies of c through the
+    # plan's block_h, the vertical part as grad_v . dv, and the same norm
+    # through grad_h itself up to roundoff
+    energy = np.add.reduceat(c * c, plan6.blocks)
+    norm6 = math.sqrt(energy @ (frame.weights(0.6) * plan6.gain ** 2)[plan6.blocks] + gv6 @ dv)
     assert gradient_norm(x, other) == norm6 != gradient_norm(x, spec)
     assert norm6 == pytest.approx(math.sqrt(gh6 @ (frame.weights(0.6) * gh6)
                                             + gv6 @ (frame.weights(0.4) * gv6)), rel=1e-15)
     k6 = flow_velocity(x, other, config)
     assert k6.grad_norm == gradient_norm(x, other)
-    np.testing.assert_array_equal(k6.grad_v, gv6)
-    np.testing.assert_array_equal(horizontal_gradient(plan6, k6.fiber), gh6)
+    np.testing.assert_array_equal(-k6.direction[1], gv6)
+    np.testing.assert_array_equal(horizontal_gradient(plan6, k6.state[1]), gh6)
     xi, eta = random_direction(x, other, rng)
     assert metric_pairing(x, other, (xi, eta), (xi, eta)) == pytest.approx(1.0, rel=1e-12)
     assert metric_pairing(x, spec, (xi, eta), (xi, eta)) != pytest.approx(1.0, rel=1e-3)

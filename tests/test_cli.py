@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from loopflow import cli
+from loopflow import cli, minimax
 from loopflow.cli import build_parser, main
 from loopflow.flow import FlowConfig
 from loopflow.geometry import flat_torus, random_loop
@@ -156,7 +156,7 @@ def test_orbit_sweep_without_a_hit_writes_strict_json(tmp_path, capsys):
 
 
 def test_non_finite_json_value_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "r0_threshold", lambda spec: math.nan)
+    monkeypatch.setattr(minimax, "r0_threshold", lambda spec: math.nan)
     assert run(["orbit-sweep", "--r-count", "0"] + out_args(tmp_path, "nan")) == 2
     assert "orbit_sweep.json: Out of range float values are not JSON compliant" in \
         capsys.readouterr().err

@@ -21,7 +21,6 @@ flows and on the work the flows do.
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ from loopflow import fourier, spectral
 from loopflow.action import (QUADRATIC_TOP, PhasePoint, action, derivative_coefficients,
                              fiber_evaluation, gradient, gradient_norm, gradient_plan,
                              hamilton_residual, horizontal_gradient, loop_energy,
-                             metric_gradient, move_series, quadratic_zone_energy,
+                             metric_gradient, quadratic_zone_energy,
                              random_phase_point, velocity_coefficients)
 from loopflow.flow import FlowConfig, flow, speed_cutoff
 from loopflow.geometry import embedded_circle, flat_torus, random_loop, straight_loop
@@ -117,7 +116,7 @@ def test_evaluator_matches_separate_formulas(J, model):
             a_ref, gv_ref = reference_terms(x, spec)
             frame, c = x.frame, x.fiber.coefficients
             plan = gradient_plan(frame, spec.s)
-            a, gv, _ = metric_gradient(plan, velocity_coefficients(x.loop, frame), c, spec)
+            a, gv, _, _ = metric_gradient(plan, velocity_coefficients(x.loop, frame), c, spec)
             gh = horizontal_gradient(plan, c)
             scale = 1.0 + np.max(np.abs(c)) + np.max(np.abs(x.loop.drift))
             assert abs(a - a_ref) <= 1e-13 * scale
@@ -151,7 +150,7 @@ def test_action_gradient_and_norm_are_one_metric_gradient(monkeypatch, rng):
     for state, certified in zip(states, (False, True)):
         c = state.fiber.coefficients
         assert (quadratic_zone_energy(plan, c, spec.rho1) is not None) is certified
-        a, gv, gn = metric_gradient(plan, velocity_coefficients(state.loop, frame), c, spec)
+        a, gv, gn, _ = metric_gradient(plan, velocity_coefficients(state.loop, frame), c, spec)
         gh = horizontal_gradient(plan, c)
         calls = []
         with monkeypatch.context() as m:
@@ -298,7 +297,7 @@ def formed_gradient(plan, spec, a, c, dv):
     grad_v = plan.scale_v * dv
     weight_h = plan.frame.weights(spec.s)
     return a, grad_h, grad_v, math.sqrt(grad_h @ (weight_h * grad_h)
-                                        + grad_v @ (plan.weight_v * grad_v))
+                                        + grad_v @ (plan.frame.weights(1.0 - spec.s) * grad_v))
 
 
 def former_metric_gradient(plan, qd, c, spec):
@@ -427,7 +426,7 @@ def test_lean_stage_agrees_with_the_former_evaluation(case):
     spec = default_spec() if r is None else default_spec(r=r)
     plan = gradient_plan(frame, spec.s)
     with np.errstate(over="ignore", invalid="ignore"):
-        a, gv, gn = metric_gradient(plan, qd, c, spec)
+        a, gv, gn, _ = metric_gradient(plan, qd, c, spec)
         gh = horizontal_gradient(plan, c)
         want = former_metric_gradient(plan, qd, c, spec)
     assert type(a) is float
@@ -446,8 +445,8 @@ def test_stage_kernel_work_on_every_branch(monkeypatch):
     # certified stage runs none, a fiber its samples put in the zone one
     # irfft, an all-tail fiber an irfft and an rfft with no radial_H_jet
     # call, and a fiber with a radius in the chi band both around
-    # radial_H_jet.  No stage gathers grad_h: the plan holds no partner or
-    # gain, so a gather would raise; the step gathers it once
+    # radial_H_jet.  Neither a stage nor the step gathers grad_h: the plan
+    # holds no partner or gain, so a gather would raise
     frame, qd, cases = zone_cases()
     spec = default_spec()
     config = FlowConfig.auto(spec)
@@ -466,60 +465,29 @@ def test_stage_kernel_work_on_every_branch(monkeypatch):
         c = fibers[name]
         assert (quadratic_zone_energy(plan, c, spec.rho1) is not None) is (name == "one state")
         calls.clear()
-        flow_mod._velocity(lean, qd, c, spec, config)
+        flow_mod._velocity(lean, np.stack((qd, c)), spec, config)
         assert calls == want, name
-    gathers = []
-    monkeypatch.setattr(flow_mod, "horizontal_gradient",
-                        lambda *a: gathers.append(1) or horizontal_gradient(*a))
     x = random_phase_point(spec, np.random.default_rng([1, 0]))
     k1 = flow_mod.flow_velocity(x, spec, config, lean)
     steps = []
-    monkeypatch.setattr(flow_mod, "_rk4", lambda *a, f=flow_mod._rk4: steps.append(1) or
-                        f(*a[:-1], plan))
-    flow_mod._step(x.loop.series(spec.J), spec, config, config.dt, k1, lean)
-    assert len(gathers) == len(steps) == 1
-
-
-class FormerVelocity(NamedTuple):
-    # flow.Velocity as it was before the lean stage kernel: it carried grad_h
-    grad_h: np.ndarray
-    grad_v: np.ndarray
-    grad_norm: float
-    phi_tilde: float
-    action: float
-    loop_velocity: np.ndarray
-    fiber: np.ndarray
+    monkeypatch.setattr(flow_mod, "_rk4", lambda *a, f=flow_mod._rk4: steps.append(1) or f(*a))
+    dt, _ = flow_mod._step(spec, config, config.dt, k1, lean)
+    assert dt == config.dt and len(steps) == 1
 
 
 def former_kernel(metric):
-    """flow's (_velocity, _rk4) as they were before the lean stage kernel,
-    on the metric gradient given: every stage formed grad_h, and the step
-    combined the four stages' grad_h.  The stages call flow._velocity, so
-    that a patched one sees them."""
+    """flow._velocity on the metric gradient given, with the fiber norm
+    read as it was before the norms came from the block energies: c .
+    ((1+lam)^{1-s} c)."""
 
-    def velocity(plan, qd, c, spec, config):
-        a, gh, gv, gn = metric(plan, qd, c, spec)
-        phi_tilde = (speed_cutoff(config, math.sqrt(c @ (plan.weight_v * c)))
+    def velocity(plan, z, spec, config):
+        qd, c = z
+        a, _, gv, gn = metric(plan, qd, c, spec)
+        phi_tilde = (speed_cutoff(config, math.sqrt(c @ (plan.frame.weights(1.0 - spec.s) * c)))
                      / math.sqrt(1.0 + gn * gn))
-        return FormerVelocity(gh, gv, gn, phi_tilde, a, qd, c)
+        return flow_mod.Velocity(np.stack((plan.rate * c, -gv)), gn, phi_tilde, a, z)
 
-    def rk4(L, spec, config, dt, k1, plan):
-        qd, c = k1.loop_velocity, k1.fiber
-
-        def stage(h, k):
-            hp = h * k.phi_tilde
-            return flow_mod._velocity(plan, qd + hp * (plan.rate * k.fiber), c - hp * k.grad_v,
-                                      spec, config)
-
-        k2 = stage(0.5 * dt, k1)
-        k3 = stage(0.5 * dt, k2)
-        k4 = stage(dt, k3)
-        ch, cv = ((k1.phi_tilde * g1 + (2.0 * k2.phi_tilde) * g2 + (2.0 * k3.phi_tilde) * g3
-                   + k4.phi_tilde * g4) / -6.0
-                  for g1, g2, g3, g4 in zip(k1[:2], k2[:2], k3[:2], k4[:2]))
-        return move_series(plan.frame, L, dt, ch), c + dt * cv
-
-    return velocity, rk4
+    return velocity, flow_mod._rk4
 
 
 def flows_and_work(monkeypatch, starts, kernel):
@@ -663,7 +631,7 @@ def test_certified_call_agrees_with_the_jet_path(case):
     frame, qd, c = case
     spec = default_spec()
     plan = gradient_plan(frame, spec.s)
-    a, gv, gn = metric_gradient(plan, qd, c, spec)
+    a, gv, gn, _ = metric_gradient(plan, qd, c, spec)
     want = reference_metric_gradient(plan, qd, c, spec)
     assert abs(a - want[0]) <= 1e-14 * zone_scale(spec, qd, c)
     assert horizontal_gradient(plan, c).tobytes() == want[1].tobytes()

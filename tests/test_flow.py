@@ -13,8 +13,10 @@ import loopflow.action as action_mod
 import loopflow.flow as flow_mod
 from loopflow import fourier, spectral
 from loopflow.action import (PhasePoint, action, derivative_coefficients, fiber_evaluation,
-                             gradient_plan, horizontal_gradient, perturb, quadratic_zone_energy,
-                             random_phase_point, straight_orbit, velocity_coefficients)
+                             gradient_plan, horizontal_gradient, metric_gradient, move_series,
+                             perturb, quadratic_zone_energy, random_phase_point,
+                             rebuild_series, series_velocity, straight_orbit,
+                             velocity_coefficients)
 from loopflow.flow import (FlowConfig, divergent_fixture, flow, flow_to_critical,
                            flow_velocity, ps_diagnostics, representation_coefficients,
                            representation_defects, speed_cutoff)
@@ -256,7 +258,7 @@ def test_accepted_step_costs_four_evaluations(small_spec, small_config, rng, mon
     assert len(calls) == 1 + 4 * steps   # the start, then k2..k4 and the new state
     assert len(built) == 0               # the steps move arrays, not states
     calls.clear()
-    flow_mod._step(x.loop.series(small_spec.J), small_spec, small_config, small_config.dt,
+    flow_mod._step(small_spec, small_config, small_config.dt,
                    flow_velocity(x, small_spec, small_config), gradient_plan(x.frame, small_spec.s))
     assert len(calls) == 5
 
@@ -319,7 +321,7 @@ def ffts_of_an_accepted_step(x, spec, config, monkeypatch):
 
     monkeypatch.setattr(action_mod, "derivative_coefficients", no_gather)
     monkeypatch.setattr(flow_mod, "derivative_coefficients", no_gather)
-    _, dt, _ = flow_mod._step(x.loop.series(spec.J), spec, config, config.dt, k1, plan)
+    dt, _ = flow_mod._step(spec, config, config.dt, k1, plan)
     monkeypatch.undo()
     assert dt == config.dt
     return len(ffts), certified
@@ -348,13 +350,15 @@ def test_overflowing_stage_still_halves(small_spec, small_config, rng, monkeypat
     plan = gradient_plan(x.frame, small_spec.s)
     k1 = flow_velocity(x, small_spec, small_config)
     c, dt = x.fiber.coefficients, small_config.dt
-    k1 = k1._replace(grad_v=(c - 1e200 * c) / (0.5 * dt * k1.phi_tilde))
+    direction = k1.direction.copy()
+    direction[1] = -(c - 1e200 * c) / (0.5 * dt * k1.phi_tilde)
+    k1 = k1._replace(direction=direction)
     tries = []
     rk4 = flow_mod._rk4
     monkeypatch.setattr(flow_mod, "_rk4", lambda *args: tries.append(1) or rk4(*args))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ArithmeticError, match="halvings"):
-            flow_mod._step(x.loop.series(small_spec.J), small_spec, small_config, dt, k1, plan)
+            flow_mod._step(small_spec, small_config, dt, k1, plan)
     assert len(tries) == flow_mod.MAX_HALVINGS
 
 
@@ -363,9 +367,10 @@ def test_reused_k1_matches_recomputed_k1(small_spec, small_config, rng, monkeypa
     reused = flow(x, small_spec, small_config, 0.2)
     rk4 = flow_mod._rk4
 
-    def recomputing(L, spec, config, dt, k1, plan):
-        xk = flow_mod._state(x, L, k1.fiber)
-        return rk4(L, spec, config, dt, flow_mod.flow_velocity(xk, spec, config), plan)
+    def recomputing(spec, config, dt, k1, plan):
+        qd, c = k1.state
+        xk = flow_mod._state(x, flow_mod._states(x, velocity_coefficients(x.loop, x.frame), qd), c)
+        return rk4(spec, config, dt, flow_mod.flow_velocity(xk, spec, config), plan)
 
     monkeypatch.setattr(flow_mod, "_rk4", recomputing)
     again = flow(x, small_spec, small_config, 0.2)
@@ -386,8 +391,8 @@ def reference_rk4(x, spec, config, dt, k1):
     plan = gradient_plan(x.frame, spec.s)
 
     def stage(h, k):
-        xk = perturb(x, h, xi=-k.phi_tilde * horizontal_gradient(plan, k.fiber),
-                     eta=-k.phi_tilde * k.grad_v)
+        xk = perturb(x, h, xi=-k.phi_tilde * horizontal_gradient(plan, k.state[1]),
+                     eta=k.phi_tilde * k.direction[1])
         return flow_velocity(xk, spec, config)
 
     k2 = stage(0.5 * dt, k1)
@@ -395,8 +400,9 @@ def reference_rk4(x, spec, config, dt, k1):
     k4 = stage(dt, k3)
     ch, cv = (-(k1.phi_tilde * g1 + 2.0 * k2.phi_tilde * g2 + 2.0 * k3.phi_tilde * g3
                 + k4.phi_tilde * g4) / 6.0
-              for g1, g2, g3, g4 in ([horizontal_gradient(plan, k.fiber) for k in (k1, k2, k3, k4)],
-                                     [k.grad_v for k in (k1, k2, k3, k4)]))
+              for g1, g2, g3, g4 in ([horizontal_gradient(plan, k.state[1])
+                                      for k in (k1, k2, k3, k4)],
+                                     [-k.direction[1] for k in (k1, k2, k3, k4)]))
     return perturb(x, dt, xi=ch, eta=cv)
 
 
@@ -472,32 +478,62 @@ def test_stage_velocity_coefficients_match_perturbed_loops(J, model):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-# flow._rk4 with the loop step written out as it was before
-# action.move_series: sqrt(2)-scaled cos/sin rows, the base by their cos
-# sum; the step's horizontal gradient is gathered once from the RK4
-# combination of the stage fibers
+# The march on the state [qd, c] written out on its two rows: the loop
+# velocity qd and the fiber c stepped as separate (D,) arrays, each
+# stage's kernel read off metric_gradient and speed_cutoff, its
+# direction [rate * c, -grad_v].  The march must give the same bits.
 
-def inline_rk4(L, spec, config, dt, k1, plan):
-    qd, c = k1.loop_velocity, k1.fiber
+class RowVelocity(NamedTuple):
+    phi_tilde: float
+    dq: np.ndarray
+    dc: np.ndarray
+    action: float
+    grad_norm: float
+    qd: np.ndarray
+    c: np.ndarray
+
+
+def row_velocity(plan, spec, config, qd, c):
+    a, gv, gn, fiber_norm = metric_gradient(plan, qd, c, spec)
+    phi_tilde = speed_cutoff(config, fiber_norm) / math.sqrt(1.0 + gn * gn)
+    return RowVelocity(phi_tilde, plan.rate * c, -gv, a, gn, qd, c)
+
+
+def row_rk4(plan, spec, config, dt, k1):
+    qd, c = k1.qd, k1.c
 
     def stage(h, k):
-        hp = h * k.phi_tilde
-        return flow_mod._velocity(plan, qd + hp * (plan.rate * k.fiber), c - hp * k.grad_v, spec,
-                                  config)
+        return row_velocity(plan, spec, config, qd + (h * k.phi_tilde) * k.dq,
+                            c + (h * k.phi_tilde) * k.dc)
 
     k2 = stage(0.5 * dt, k1)
     k3 = stage(0.5 * dt, k2)
     k4 = stage(dt, k3)
-    cc, cv = ((k1.phi_tilde * g1 + (2.0 * k2.phi_tilde) * g2 + (2.0 * k3.phi_tilde) * g3
-               + k4.phi_tilde * g4) / -6.0
-              for g1, g2, g3, g4 in ((k1.fiber, k2.fiber, k3.fiber, k4.fiber),
-                                     (k1.grad_v, k2.grad_v, k3.grad_v, k4.grad_v)))
-    ch = horizontal_gradient(plan, cc)
-    n = plan.frame.n
-    xs = ch * spectral.SQ2
-    Ln = L + dt * xs
-    Ln[:n] = L[:n] + dt * (ch[:n] + xs[n:].reshape(-1, 2 * n)[:, :n].sum(axis=0))
-    return Ln, c + dt * cv
+    return [row + dt * ((k1.phi_tilde * g1 + (2.0 * k2.phi_tilde) * g2 + (2.0 * k3.phi_tilde) * g3
+                         + k4.phi_tilde * g4) / 6.0)
+            for row, g1, g2, g3, g4 in ((qd, k1.dq, k2.dq, k3.dq, k4.dq),
+                                        (c, k1.dc, k2.dc, k3.dc, k4.dc))]
+
+
+def row_step(plan, spec, config, dt, k1):
+    """(dt used, new velocity, RK4 tries) of one accepted step on the rows."""
+    for tries in range(1, flow_mod.MAX_HALVINGS + 1):
+        kn = row_velocity(plan, spec, config, *row_rk4(plan, spec, config, dt, k1))
+        if kn.action <= k1.action + flow_mod.DESCENT_TOL:
+            return dt, kn, tries
+        dt *= 0.5
+    raise ArithmeticError("row step rejected")
+
+
+def row_start(x, spec, config, plan):
+    return row_velocity(plan, spec, config, velocity_coefficients(x.loop, x.frame),
+                        x.fiber.coefficients)
+
+
+def row_state(x0, k):
+    # the PhasePoint of the row velocity k on x0's trajectory
+    qd0 = velocity_coefficients(x0.loop, x0.frame)
+    return flow_mod._state(x0, flow_mod._states(x0, qd0, k.qd), k.c)
 
 
 @pytest.mark.parametrize("J", [8, 32])
@@ -511,10 +547,11 @@ def test_rk4_matches_stages_built_by_perturb(J, model):
         k1 = flow_velocity(x, spec, config)
         plan = gradient_plan(x.frame, spec.s)
         for dt in (config.dt, 0.1):
-            stepped = flow_mod._rk4(x.loop.series(J), spec, config, dt, k1, plan)
-            assert [a.tobytes() for a in stepped] == \
-                [a.tobytes() for a in inline_rk4(x.loop.series(J), spec, config, dt, k1, plan)]
-            got = flow_mod._state(x, *stepped)
+            stepped = flow_mod._rk4(spec, config, dt, k1, plan)
+            assert stepped.shape == (2, x.frame.dim)
+            rows = row_rk4(plan, spec, config, dt, row_start(x, spec, config, plan))
+            assert [a.tobytes() for a in stepped] == [a.tobytes() for a in rows]
+            got = flow_mod._state(x, flow_mod._states(x, k1.state[0], stepped[0]), stepped[1])
             want = reference_rk4(x, spec, config, dt, k1)
             assert got.frame is x.frame and got.loop.winding == x.loop.winding
             for a, b in ((got.fiber.coefficients, want.fiber.coefficients),
@@ -576,50 +613,78 @@ def reference_step(x, spec, config, dt, k1):
     raise ArithmeticError("reference step rejected")
 
 
-# The march as it was before it carried arrays: every state a PhasePoint
-# that perturb built from the fused kernel's RK4 combination.  The march
-# must give the same bits.
-
-def perturb_step(x, spec, config, dt, k1):
-    """(new state, dt used, its velocity, RK4 tries) of one accepted step
-    with flow._velocity's stages, the new state built by perturb."""
-    plan = gradient_plan(x.frame, spec.s)
-    qd, c = k1.loop_velocity, k1.fiber
-
-    def stage(h, k):
-        hp = h * k.phi_tilde
-        return flow_mod._velocity(plan, qd + hp * (plan.rate * k.fiber), c - hp * k.grad_v, spec,
-                                  config)
-
-    for tries in range(1, flow_mod.MAX_HALVINGS + 1):
-        k2 = stage(0.5 * dt, k1)
-        k3 = stage(0.5 * dt, k2)
-        k4 = stage(dt, k3)
-        cc, cv = ((k1.phi_tilde * g1 + (2.0 * k2.phi_tilde) * g2 + (2.0 * k3.phi_tilde) * g3
-                   + k4.phi_tilde * g4) / -6.0
-                  for g1, g2, g3, g4 in ((k1.fiber, k2.fiber, k3.fiber, k4.fiber),
-                                         (k1.grad_v, k2.grad_v, k3.grad_v, k4.grad_v)))
-        xn = perturb(x, dt, xi=horizontal_gradient(plan, cc), eta=cv)
-        kn = flow_velocity(xn, spec, config)
-        if kn.action <= k1.action + flow_mod.DESCENT_TOL:
-            return xn, dt, kn, tries
-        dt *= 0.5
-    raise ArithmeticError("perturb step rejected")
-
-
-def reference_flow(x, spec, config, T, step=reference_step, velocity=reference_state_velocity):
+def reference_flow(x, spec, config, T):
     """(times, states, velocities, RK4 tries) of the flow over time T."""
-    k = velocity(x, spec, config)
+    k = reference_state_velocity(x, spec, config)
     t, times, states, velocities, tries = 0.0, [0.0], [x], [k], 0
     while t < T - 1e-12:
         dt = config.dt if T - t >= config.dt - 1e-12 else T - t
-        x, dt_used, k, n = step(x, spec, config, dt, k)
+        x, dt_used, k, n = reference_step(x, spec, config, dt, k)
         t += dt_used
         tries += n
         times.append(t)
         states.append(x)
         velocities.append(k)
     return times, states, velocities, tries
+
+
+# The march as it was before it stepped the state [qd, c] (former_march):
+# loop data L moved by action.move_series along the horizontal gradient of
+# the RK4 combination of the stage fibers, and each new state's loop
+# velocity read back from L by series_velocity.
+
+def former_rk4(plan, spec, config, dt, k1, L):
+    qd, c = k1.qd, k1.c
+
+    def stage(h, k):
+        hp = h * k.phi_tilde
+        return row_velocity(plan, spec, config, qd + hp * (plan.rate * k.c), c - hp * -k.dc)
+
+    k2 = stage(0.5 * dt, k1)
+    k3 = stage(0.5 * dt, k2)
+    k4 = stage(dt, k3)
+    cc, cv = ((k1.phi_tilde * g1 + (2.0 * k2.phi_tilde) * g2 + (2.0 * k3.phi_tilde) * g3
+               + k4.phi_tilde * g4) / -6.0
+              for g1, g2, g3, g4 in ((k1.c, k2.c, k3.c, k4.c), (-k1.dc, -k2.dc, -k3.dc, -k4.dc)))
+    return move_series(plan.frame, L, dt, horizontal_gradient(plan, cc)), c + dt * cv
+
+
+def former_march(x, spec, config, T):
+    """(times, states, velocities, RK4 tries) of the flow over time T as the
+    march stepped it before: L by move_series, qd read back from L."""
+    plan = gradient_plan(x.frame, spec.s)
+    drift = x.loop.drift
+    L, k = x.loop.series(spec.J), row_start(x, spec, config, plan)
+    t, times, states, velocities, tries = 0.0, [0.0], [x], [k], 0
+    while t < T - 1e-12:
+        dt = config.dt if T - t >= config.dt - 1e-12 else T - t
+        for n in range(1, flow_mod.MAX_HALVINGS + 1):
+            Ln, cn = former_rk4(plan, spec, config, dt, k, L)
+            kn = row_velocity(plan, spec, config, series_velocity(x.frame, drift, Ln), cn)
+            if kn.action <= k.action + flow_mod.DESCENT_TOL:
+                break
+            dt *= 0.5
+        L, k = Ln, kn
+        t += dt
+        tries += n
+        times.append(t)
+        states.append(flow_mod._state(x, L, k.c))
+        velocities.append(k)
+    return times, states, velocities, tries
+
+
+def row_flow(x, spec, config, T):
+    """(times, velocities) of the flow over time T stepped on the rows."""
+    plan = gradient_plan(x.frame, spec.s)
+    k = row_start(x, spec, config, plan)
+    t, times, velocities = 0.0, [0.0], [k]
+    while t < T - 1e-12:
+        dt = config.dt if T - t >= config.dt - 1e-12 else T - t
+        dt_used, k, _ = row_step(plan, spec, config, dt, k)
+        t += dt_used
+        times.append(t)
+        velocities.append(k)
+    return times, velocities
 
 
 def ramp_point(spec, config, model, rng):
@@ -631,15 +696,11 @@ def ramp_point(spec, config, model, rng):
     return PhasePoint(loop=x.loop, fiber=FiberField(x.frame, c))
 
 
-def assert_march_matches_reference(x, spec, config, T, monkeypatch):
-    tries = []
-    rk4 = flow_mod._rk4
-    monkeypatch.setattr(flow_mod, "_rk4", lambda *args: tries.append(1) or rk4(*args))
-    traj = flow(x, spec, config, T)
-    times, states, velocities, ref_tries = reference_flow(x, spec, config, T)
+def assert_trajectory_close(traj, times, states, velocities, tries, ref_tries):
+    # the same times and RK4 tries; states and records within 1e-13
     assert traj.times.tolist() == times
-    assert len(tries) == ref_tries
-    for got, want in zip(traj.states, states):
+    assert tries == ref_tries
+    for got, want in zip(traj.states, states, strict=True):
         for a, b in ((got.fiber.coefficients, want.fiber.coefficients),
                      (got.loop.cos_coeffs, want.loop.cos_coeffs),
                      (got.loop.sin_coeffs, want.loop.sin_coeffs), (got.loop.base, want.loop.base)):
@@ -647,13 +708,23 @@ def assert_march_matches_reference(x, spec, config, T, monkeypatch):
     for name, field in (("actions", "action"), ("gradient_norms", "grad_norm"),
                         ("phi_tilde", "phi_tilde")):
         assert_close(getattr(traj, name), [getattr(k, field) for k in velocities])
-    assert_march_matches_perturb_stepping(traj, x, spec, config, T)
+
+
+def assert_march_matches_reference(x, spec, config, T, monkeypatch):
+    tries = []
+    rk4 = flow_mod._rk4
+    monkeypatch.setattr(flow_mod, "_rk4", lambda *args: tries.append(1) or rk4(*args))
+    traj = flow(x, spec, config, T)
+    assert_trajectory_close(traj, *reference_flow(x, spec, config, T), len(tries))
+    assert_trajectory_close(traj, *former_march(x, spec, config, T), len(tries))
+    assert_march_matches_row_stepping(traj, x, spec, config, T)
     return traj, len(tries)
 
 
-def assert_march_matches_perturb_stepping(traj, x, spec, config, T):
+def assert_march_matches_row_stepping(traj, x, spec, config, T):
     # bit for bit: the states, their records and (a, b), and the diagnostics
-    times, states, velocities, _ = reference_flow(x, spec, config, T, perturb_step, flow_velocity)
+    times, velocities = row_flow(x, spec, config, T)
+    states = [x] + [row_state(x, k) for k in velocities[1:]]
     assert traj.times.tolist() == times
     got = traj.states
     assert len(got) == len(states)
@@ -770,20 +841,22 @@ def reference_flow_to_critical(x, spec, config, floor=None):
     steps = 0
     consec = 0
     max_steps = flow_mod.step_budget(config, config.t_max)
-    k = flow_mod.flow_velocity(x, spec, config)
+    plan = gradient_plan(x.frame, spec.s)
+    k = row_start(x, spec, config, plan)
     while True:
         gn, a = k.grad_norm, k.action
+        state = x if steps == 0 else row_state(x, k)
         if gn < config.grad_tol:
             consec += 1
             if consec >= flow_mod.SUSTAIN_STEPS or gn <= 0.01 * config.grad_tol:
-                return x, True, False, steps, t, gn, a, False
+                return state, True, False, steps, t, gn, a, False
         else:
             consec = 0
         if floor is not None and a < floor:
-            return x, False, True, steps, t, gn, a, False
+            return state, False, True, steps, t, gn, a, False
         if t >= config.t_max or steps >= max_steps:
-            return x, False, False, steps, t, gn, a, True
-        x, dt_used, k, _ = perturb_step(x, spec, config, min(config.dt, config.t_max - t), k)
+            return state, False, False, steps, t, gn, a, True
+        dt_used, k, _ = row_step(plan, spec, config, min(config.dt, config.t_max - t), k)
         t += dt_used
         steps += 1
 
@@ -830,3 +903,77 @@ def test_flow_to_a_reached_time_retraces_its_steps(small_spec):
     assert not traj.budget_exhausted
     assert len(traj.times) == search.steps + 1 and traj.times[-1] == search.time
     assert state_key(traj.final) == state_key(search.state)
+
+
+# The march steps loop velocities, and the loop data come back once per
+# trajectory through action.rebuild_series.
+
+@pytest.mark.parametrize("model", range(len(MODELS)))
+def test_rebuild_series_inverts_series_velocity(model):
+    # L0 and a loop L of L0's class with base - sum_j cos_j kept, as
+    # move_series keeps it: the series rebuilt from series_velocity(L) is
+    # L within 1e-15 relative, base included, and qd = qd0 gives L0's bits
+    spec = default_spec(J=32)
+    J = spec.J
+    manifold, winding = MODELS[model]
+    rng = np.random.default_rng([9, model])
+    n = manifold.dim
+    for start_modes in (0, J // 2, J):
+        start = random_loop(manifold, winding, start_modes, rng)
+        frame = frame_of(start, J)
+        L0, qd0 = start.series(J), velocity_coefficients(start, frame)
+        assert rebuild_series(frame, L0, qd0, qd0).tobytes() == L0.tobytes()
+        for modes in (0, J // 2, J):
+            rows = np.zeros((J, 2, n))
+            other = random_loop(manifold, winding, J, rng).series(J)
+            rows[:modes] = other[n:].reshape(J, 2, n)[:modes]
+            L = np.concatenate([L0[:n] + rows[:, 0].sum(axis=0)
+                                - L0[n:].reshape(J, 2, n)[:, 0].sum(axis=0), rows.ravel()])
+            qd = series_velocity(frame, start.drift, L)
+            got = rebuild_series(frame, L0, qd0, qd)
+            assert np.max(np.abs(got - L)) <= 1e-15 * np.max(np.abs(L))
+            stack = rebuild_series(frame, L0, qd0, np.stack([qd0, qd]))
+            assert stack[0].tobytes() == L0.tobytes() and stack[1].tobytes() == got.tobytes()
+
+
+def test_march_work_on_the_benchmark_flows(monkeypatch):
+    # the benchmark's flow inputs (default spec, 40 flows of T = 1 from
+    # default_rng([1, k])): 16 040 stage evaluations, 4000 steps, none
+    # halved, 13 295 FFTs; no step moves loop data, reads a loop velocity
+    # off it or gathers a horizontal gradient: series_velocity runs once
+    # per flow, for the start's velocity, and rebuild_series once per flow
+    spec = default_spec()
+    config = FlowConfig.auto(spec)
+    counts = {name: 0 for name in ("metric_gradient", "_rk4", "fft", "move_series",
+                                   "series_velocity", "horizontal_gradient", "rebuild_series")}
+
+    def counted(module, name, key=None):
+        fn = getattr(module, name)
+        key = key or name
+
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+    for name in ("metric_gradient", "_rk4", "rebuild_series"):
+        counted(flow_mod, name)
+    for name in ("move_series", "series_velocity", "horizontal_gradient"):
+        counted(action_mod, name)
+    for name in ("rfft", "irfft"):
+        counted(spectral.np.fft, name, "fft")
+    steps = 0
+    for k in range(40):
+        traj = flow(random_phase_point(spec, np.random.default_rng([1, k])), spec, config, 1.0)
+        steps += len(traj.times) - 1
+    assert steps == 4000 and counts["_rk4"] == steps   # no step halved
+    assert counts["metric_gradient"] == 16040 and counts["fft"] == 13295
+    assert counts["move_series"] == counts["horizontal_gradient"] == 0
+    assert counts["series_velocity"] == counts["rebuild_series"] == 40
+
+
+def test_trajectory_keeps_no_state_stack(small_spec, small_config, rng):
+    # the recorded fibers own their data: no view keeps the march's states alive
+    traj = flow(random_phase_point(small_spec, rng), small_spec, small_config, 0.1)
+    assert traj.fibers.base is None and traj.loops.base is None
+    assert traj.fibers.shape == traj.loops.shape == (11, traj.x0.frame.dim)

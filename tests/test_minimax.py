@@ -109,9 +109,9 @@ def evaluated(monkeypatch):
     rows = []
     evaluation = minimax.fiber_evaluation
 
-    def patched(frame, qd, c, spec):
+    def patched(frame, qd, c, spec, *samples):
         rows.append(c.tobytes())
-        a, dv, dpH = evaluation(frame, qd, c, spec)
+        a, dv, dpH = evaluation(frame, qd, c, spec, *samples)
         return a, -dv if c[-1] == MARK else dv, dpH
 
     monkeypatch.setattr(minimax, "fiber_evaluation", patched)
@@ -958,18 +958,23 @@ def test_a_frame_keeps_no_array_larger_than_its_dimension(monkeypatch):
 
 def reference_composite_descent(x, spec, config):
     """composite_descent as it was: each round evaluated the state for
-    its gradient norm and again for the step's k1."""
+    its gradient norm and again for the step's k1.  The rounds carry the
+    state [qd, c], as the flow's march does."""
     tol = 0.01 * config.grad_tol
+    frame = x.frame
+    qd0 = velocity_coefficients(x.loop, frame)
+    qd, c = qd0, x.fiber.coefficients
     for _ in range(minimax.DESCENT_ROUNDS):
-        asc = ascend_seeds(x.loop, spec, config, [x.fiber.coefficients])[0]
-        x = PhasePoint(loop=x.loop, fiber=asc.field)
-        if gradient_norm(x, spec) <= tol:
-            return x, True
-        L, _, k = flow_mod._step(x.loop.series(spec.J), spec, config, 5.0 * config.dt,
-                                 flow_mod.flow_velocity(x, spec, config),
-                                 gradient_plan(x.frame, spec.s))
-        x = flow_mod._state(x, L, k.fiber)
-    return x, False
+        c = minimax._ascend(frame, qd, c, spec, config.gamma_dprime).field.coefficients
+        state = flow_mod._state(x, flow_mod._states(x, qd0, qd), c)
+        if gradient_norm(state, spec) <= tol:
+            return state, True
+        _, k = flow_mod._step(spec, config, 5.0 * config.dt,
+                              flow_mod._velocity(gradient_plan(frame, spec.s), np.stack((qd, c)),
+                                                 spec, config),
+                              gradient_plan(frame, spec.s))
+        qd, c = k.state
+    return flow_mod._state(x, flow_mod._states(x, qd0, qd), c), False
 
 
 def test_composite_descent_matches_reference(small_spec, small_config, monkeypatch):

@@ -14,9 +14,9 @@ DELETED = {"hamiltonian": ("evaluate_H", "hamiltonian_vector_field", "integrate_
                            "Trajectory", "thickening_sigma", "_tail_jet"),
            "action": ("rescale_period", "velocity_layout", "_padded_modes", "pack_coefficients",
                       "unpack_coefficients", "evaluate"),
-           "action.GradientPlan": ("weight_h",),
+           "action.GradientPlan": ("weight_h", "norm_h", "weight_v"),
            "flow": ("flow_step", "kolmogorov_width_proxy", "_state_velocity"),
-           "flow.Velocity": ("grad_h",),
+           "flow.Velocity": ("grad_h", "grad_v", "loop_velocity", "fiber"),
            "spectral": ("adjoint_inclusion", "eigendecompose", "inner_r", "norm_r",
                         "fractional_apply", "project", "inner_r_emb", "norm_r_emb",
                         "_check_aligned", "_series_matrix", "_field_samples"),
