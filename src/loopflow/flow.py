@@ -214,6 +214,12 @@ def _state(x0, L, c):
     return PhasePoint(loop=x0.loop.with_series(L), fiber=FiberField(x0.frame, c))
 
 
+def _at(x0, z):
+    """The PhasePoint of the state z = [qd, c] in x0's loop class and
+    frame: its loop data rebuilt from qd, anchored on x0 (_states)."""
+    return _state(x0, _states(x0, velocity_coefficients(x0.loop, x0.frame), z[0]), z[1])
+
+
 @dataclass(frozen=True, eq=False)
 class FlowTrajectory:
     """A recorded flow run: the start state x0, the read-only (N, D)
@@ -341,12 +347,9 @@ def flow_to_critical(x, spec, config, floor=None):
         escaped = bool(not converged and floor is not None and k.action < floor)
         if converged or escaped:
             break
-    qd0 = velocity_coefficients(x.loop, x.frame)
-    state = x if steps == 0 else _state(x, _states(x, qd0, k.state[0]), k.state[1])
-    return CriticalSearch(state=state, converged=converged,
-                          escaped=escaped, steps=steps, time=t,
-                          grad_norm=k.grad_norm, action=k.action,
-                          budget_exhausted=not (converged or escaped))
+    return CriticalSearch(state=x if steps == 0 else _at(x, k.state), converged=converged,
+                          escaped=escaped, steps=steps, time=t, grad_norm=k.grad_norm,
+                          action=k.action, budget_exhausted=not (converged or escaped))
 
 
 def representation_defects(traj):

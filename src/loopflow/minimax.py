@@ -13,22 +13,23 @@ the trust-region boundary on non-positive curvature, so no step heads
 for a fiber saddle.  The outer infimum is followed by descending the
 envelope of that supremum: each round steps the loop along the flow and
 re-ascends the fiber by the same solver, so the loop moves along the
-envelope gradient (Danskin) and the action never rises.  The maximizers
-are descended from the highest action down; the level is the largest
-action a descent ends at, so a maximizer below it cannot raise the
-level, and a copy of a maximizer already descended would only repeat its
-descent.  Witnesses are polished before classification by Gauss-Newton
-steps that move the loop's series arrays and the fiber to zero the
-stacked metric gradient coefficients, backtracked until the residual
-falls.  The residual is action.metric_gradient's vertical part and the
-horizontal_gradient of those arrays, with a plan made once per polish,
-so the polish drives to zero the gradient the flow steps along and
-gradient_norm reports.  The Jacobian is block-triangular, so each step
-is solved through its blocks (two scaled permutations and one n x n
-kernel solve) without forming it; it needs numpy only, so importing
-the package loads no scipy.  The level is a minimax, so the seeds ascend
-once more on the polished witness's loop, and a fiber maximizer above
-the level there is descended in turn.
+envelope gradient (Danskin).  The maximizers are descended from the
+highest action down; the level is the largest action a descent ends at.
+The pool is cut at the first maximizer that starts below that level,
+which assumes that no descent ends above its start, and the witness is
+chosen by the descents' actions at HANDOFF, which assumes that none
+rises after it: a re-ascent that hops to a higher fiber branch can
+break both.  Witnesses are polished by
+Gauss-Newton steps that move the descent's state z = [qd, c] (loop
+velocity and fiber coefficients) to zero the stacked metric gradient
+coefficients, action.metric_gradient's vertical part and the
+horizontal_gradient of c, backtracked until the residual falls: the
+gradient the flow steps along and gradient_norm reports.  The Jacobian
+is block-triangular, so each step is solved through its blocks without
+forming it; it needs numpy only, so importing the package loads no
+scipy.  The level is a minimax, so the seeds ascend once more on the
+polished witness's loop, and a fiber maximizer above the level there is
+descended in turn.
 orbit_sweep runs one level per r-point, in grid order.
 """
 
@@ -40,12 +41,11 @@ import numpy as np
 from . import fourier
 from .action import (PhasePoint, classify_critical, derivative_coefficients, fiber_evaluation,
                      fiber_samples, gradient_norm, gradient_plan, horizontal_gradient,
-                     loop_energy, metric_gradient, require_finite, series_velocity,
-                     velocity_coefficients)
-from .flow import _state, _states, _step, _velocity, flow_velocity
+                     loop_energy, metric_gradient, require_finite, velocity_coefficients)
+from .flow import _at, _start, _step, _velocity, flow_velocity
 from .geometry import flat_torus, straight_loop
 from .hamiltonian import alpha_bound, r0_threshold, radial_H_jet
-from .spectral import SQ2, FiberField, frame_of
+from .spectral import FiberField, frame_of
 
 ASCENT_TOL = 1e-9
 TRUST_ITERS = 600        # trust-region iterations of one fiber ascent
@@ -229,21 +229,20 @@ def _envelope_descent(x, spec, config, tol):
     as a genuine local minimum; letting the fiber go stale instead feeds
     the mixed unstable directions.
 
-    The rounds carry the state [qd, c] as the flow's march does, and
-    each fiber ascent reads qd directly; only the state returned is
-    built.  Returns (rounds, state, velocity) at the first re-ascended
-    state whose gradient norm is at most tol, where the branch is exact;
-    the velocity is the one that round's step would take as k1.  After
+    The rounds carry the state z = [qd, c] as the flow's march does,
+    and each fiber ascent reads qd directly; no state is built.  Returns
+    (rounds, velocity) at the first re-ascended state whose gradient norm
+    is at most tol, where the branch is exact; the velocity is the one
+    that round's step would take as k1, and its state is z.  After
     DESCENT_ROUNDS rounds without that it returns (DESCENT_ROUNDS,
-    state, velocity) for the state the last round stepped to.
+    velocity) of the state the last round stepped to.
     """
     # the envelope is smooth (no shelf stiffness on the maximal branch),
     # so a larger step is stable; the halving guard still protects it
     dt = 5.0 * config.dt
     frame = x.frame
     plan = gradient_plan(frame, spec.s)
-    qd0 = velocity_coefficients(x.loop, frame)
-    qd, c = qd0, x.fiber.coefficients
+    qd, c = velocity_coefficients(x.loop, frame), x.fiber.coefficients
     for rounds in range(DESCENT_ROUNDS):
         c = _ascend(frame, qd, c, spec, config.gamma_dprime).field.coefficients
         k = _velocity(plan, np.stack((qd, c)), spec, config)
@@ -253,78 +252,70 @@ def _envelope_descent(x, spec, config, tol):
         qd, c = k.state
     else:
         rounds = DESCENT_ROUNDS
-    return rounds, _state(x, _states(x, qd0, qd), c), k
+    return rounds, k
 
 
 def composite_descent(x, spec, config):
     """The envelope descent (_envelope_descent) to a gradient norm two
-    orders below grad_tol.  Returns (state, converged); a descent that
-    does not converge within DESCENT_ROUNDS returns the state its last
-    round stepped to.
+    orders below grad_tol.  Returns (state, converged), the state built
+    from the descent's z anchored on x (flow._at); a descent that does
+    not converge within DESCENT_ROUNDS returns the state its last round
+    stepped to.
     """
-    rounds, x, _ = _envelope_descent(x, spec, config, 0.01 * config.grad_tol)
-    return x, rounds < DESCENT_ROUNDS
+    rounds, k = _envelope_descent(x, spec, config, 0.01 * config.grad_tol)
+    return _at(x, k.state), rounds < DESCENT_ROUNDS
 
 
-def _critical_system(x, spec):
+def _critical_system(plan, spec):
     """The residual that refine_critical drives to zero and its
-    Gauss-Newton step, as functions of the unknowns [L[n:], c]: the loop
-    data L (LoopPath.series) past the fixed base, and the fiber c.
+    Gauss-Newton step, as functions of the state z = [qd, c] in the
+    frame of plan, a gradient_plan at spec.s: the loop's velocity
+    coefficients qd, whose n kernel entries, the drift, stay fixed, and
+    the fiber c.
 
     The residual is [(1+lam)^{s/2} grad_h, (1+lam)^{(1-s)/2} grad_v] =
-    [f_h, f_v], with grad_v from one metric_gradient at the velocity
-    coefficients of L and at c, and grad_h the horizontal_gradient of c,
-    on a plan made once here: the gradient the flow steps along and
+    [f_h, f_v], with grad_v from one metric_gradient at z and grad_h the
+    horizontal_gradient of c: the gradient the flow steps along and
     gradient_norm measures.  Its Jacobian is block-triangular, so
-    step(vec, f) solves J delta = f through the blocks without forming J:
+    step(z, f) solves J delta = f through the blocks without forming J:
 
     * f_h = -(1+lam)^{-s/2} (dp/dt coefficients), a gather of c times a
-      gain, is linear in c alone.
-      Its n kernel rows vanish, and outside them d/dt is an invertible
-      scaled permutation (cos <-> sin partner times +-2 pi j), whose
-      inverse is -d/dt / lam; so the non-kernel fiber step is read off
-      f_h.
-    * f_v = V (qd - dH/dp coefficients), V = (1+lam)^{(s-1)/2}, sees the
-      loop only through its velocity coefficients qd, the t-derivative
-      of its position coefficients; its c-block is -V H, with H the
+      gain, is linear in c alone.  Its n kernel rows vanish, and outside
+      them d/dt is an invertible scaled permutation (cos <-> sin partner
+      times +-2 pi j), whose inverse is -d/dt / lam; so the non-kernel
+      fiber step is read off f_h.
+    * f_v = V (qd - dH/dp coefficients), V = (1+lam)^{(s-1)/2}: its
+      qd-block is V itself, and its c-block is -V H, with H the
       quadrature compression of the pointwise fiber Hessian W(t).
-    * qd is constant in the kernel, so the n kernel rows of f_v give the
-      one coupled solve, H_kk dc_k = -f_v,k / V_k - (H dc_nk)_k with
-      H_kk = mean_t W(t).  It runs by lstsq with rcond 1e-13: on the
-      flat zones of H_r, W = 0.
-    * The loop step is then the antiderivative of f_v / V + H dc, times
-      sqrt(2) outside the kernel to turn frame coefficients into rows.
+    * The n kernel rows of f_v give the one coupled solve, H_kk dc_k =
+      -f_v,k / V_k - (H dc_nk)_k with H_kk = mean_t W(t), by lstsq with
+      rcond 1e-13: W = 0 on the flat zones of H_r.
+    * The loop step is then f_v / V + H dc outside the kernel and +0.0
+      in it, so the drift stays exact.
 
     H v is applied by _hessian_product, one irfft and one rfft, as in
     the fiber solver, with no (D, D) matrix.
     """
-    frame = x.frame
-    n, J, dim = frame.n, frame.cutoff, frame.dim
-    k = 2 * J * n  # loop coordinates: per mode the cos row, then the sin row
-    base, drift = np.asarray(x.loop.base), x.loop.drift
-    plan = gradient_plan(frame, spec.s)
+    frame = plan.frame
+    n, dim = frame.n, frame.dim
     scale_h = frame.weights(-0.5 * spec.s)
     scale_v = frame.weights(0.5 * (spec.s - 1.0))
 
-    def fun(vec):
-        qd = series_velocity(frame, drift, np.concatenate([base, vec[:k]]))
-        grad_v = metric_gradient(plan, qd, vec[k:], spec)[1]
-        return np.concatenate([frame.weights(0.5 * spec.s) * horizontal_gradient(plan, vec[k:]),
+    def fun(z):
+        grad_v = metric_gradient(plan, z[0], z[1], spec)[1]
+        return np.concatenate([frame.weights(0.5 * spec.s) * horizontal_gradient(plan, z[1]),
                                frame.weights(0.5 * (1.0 - spec.s)) * grad_v])
 
-    def antiderivative(v):
-        # the inverse of d/dt outside the kernel, -d/dt / lam; +0.0 in it
-        out = derivative_coefficients(frame, v)
-        out[n:] /= -frame.eigenvalues[n:]
-        return out
-
-    def step(vec, f):
-        w = _pointwise_hessian(frame, vec[k:], spec)
-        dc = antiderivative(-f[:dim] / scale_h)
+    def step(z, f):
+        w = _pointwise_hessian(frame, z[1], spec)
+        # the inverse of d/dt outside the kernel is -d/dt / lam
+        dc = derivative_coefficients(frame, -f[:dim] / scale_h)
+        dc[n:] /= -frame.eigenvalues[n:]
         rhs = -f[dim:dim + n] / scale_v[:n] - _hessian_product(frame, w, dc)[:n]
         dc[:n] = np.linalg.lstsq(w.mean(axis=0), rhs, rcond=1e-13)[0]
-        hdc = _hessian_product(frame, w, dc)
-        return np.concatenate([antiderivative(f[dim:] / scale_v + hdc)[n:] * SQ2, dc])
+        dqd = f[dim:] / scale_v + _hessian_product(frame, w, dc)
+        dqd[:n] = 0.0
+        return np.stack((dqd, dc))
 
     return fun, step
 
@@ -333,44 +324,41 @@ def refine_critical(x, spec, max_nfev=POLISH_NFEV):
     """Polish a near-critical state by Gauss-Newton on the stacked
     metric-weighted gradient coefficients (Nocedal & Wright, ch. 10).
 
-    The unknowns are the loop's cos/sin rows in the series layout
-    (LoopPath.series past its base) and the fiber coefficients c;
-    _critical_system gives the residual and the exact Gauss-Newton step,
-    solved through the Jacobian's blocks.  Each step is backtracked:
-    t delta is tried for t = 1, 1/2, 1/4, ... until the residual norm
-    falls.  The polish stops when a tried step is below 1e-15 (1e-15 +
-    |vec|), so that no decrease can be found any more, or after max_nfev
-    residual evaluations.  The polished state is returned only if its
+    _polish steps x's state z = [qd, c] (flow._start) by the exact
+    Gauss-Newton step of _critical_system.  The polished state is built
+    once from its z, anchored on x (flow._at), so the loop keeps x's
+    mean position base - sum_j cos_j.  It is returned only if its
     gradient norm is no larger than the input's.
     """
-    refined = _polish(x, spec, max_nfev)
+    refined = _at(x, _polish(gradient_plan(x.frame, spec.s), _start(x), spec, max_nfev))
     return refined if gradient_norm(refined, spec) <= gradient_norm(x, spec) else x
 
 
-def _polish(x, spec, max_nfev):
-    """The state refine_critical's Gauss-Newton iteration ends at, before
-    its gradient-norm guard; the one state it builds."""
-    fun, step = _critical_system(x, spec)
-    n, L = x.frame.n, x.loop.series(x.frame.cutoff)
-    vec = np.concatenate([L[n:], x.fiber.coefficients])
-    f = fun(vec)
+def _polish(plan, z, spec, max_nfev):
+    """The state z = [qd, c] that refine_critical's Gauss-Newton
+    iteration ends at from z, before its gradient-norm guard; it builds
+    no state.  Each step is backtracked: t delta is tried for t = 1, 1/2,
+    1/4, ... until the residual norm falls.  The iteration stops when a
+    tried step is below 1e-15 (1e-15 + |z|), so that no decrease can be
+    found any more, or after max_nfev residual evaluations."""
+    fun, step = _critical_system(plan, spec)
+    f = fun(z)
     cost, nfev, small = f @ f, 1, False
     while nfev < max_nfev and not small:
-        delta = step(vec, f)
+        delta = step(z, f)
         size, t = np.linalg.norm(delta), 1.0
         while nfev < max_nfev:
-            trial = vec - t * delta
+            trial = z - t * delta
             f_trial = fun(trial)
             nfev += 1
-            small = t * size <= 1e-15 * (1e-15 + np.linalg.norm(vec))
+            small = t * size <= 1e-15 * (1e-15 + np.linalg.norm(z))
             if f_trial @ f_trial < cost:
-                vec, f, cost = trial, f_trial, f_trial @ f_trial
+                z, f, cost = trial, f_trial, f_trial @ f_trial
                 break
             if small:
                 break
             t *= 0.5
-    L[n:] = vec[:L.size - n]
-    return _state(x, L, vec[L.size - n:])
+    return z
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,14 +436,18 @@ def _descend(pool, spec, config):
     """(witness, rounds, velocity) of the level over a pool of (loop,
     fiber maximizer) pairs: each maximizer is descended along the
     envelope, highest action first, until its gradient norm reaches
-    HANDOFF, and the witness is the state with the largest action a
-    descent ends at.  The descent never raises the action, so the pool is
-    cut at the first maximizer below that level, and a maximizer within
-    SAME_MAXIMIZER of one already descended on its loop is skipped.  A
-    witness whose descent reached HANDOFF is polished by refine_critical,
-    and the velocity is read at the state the polish returns."""
+    HANDOFF; the level is the largest action a descent ends at, read
+    there before any polish.  The pool is cut at the first maximizer
+    that starts below that level, and a maximizer within SAME_MAXIMIZER
+    of one already descended on its loop is skipped.  The cut assumes
+    that no descent ends above its start, and the comparison at HANDOFF
+    that none rises after it; a re-ascent that hops to a higher fiber
+    branch breaks both.  The witness is built once from the best
+    descent's start and velocity (flow._at); if its descent reached
+    HANDOFF it is polished by refine_critical, and the velocity is read
+    at the state the polish returns."""
     pool = sorted(pool, key=lambda item: item[1].action, reverse=True)
-    best = (-math.inf, None, 0, None)   # (final action, witness, rounds, velocity)
+    best = (-math.inf, None, 0, None)   # (final action, start, rounds, velocity)
     descended = []                      # (loop, start coefficients) of every descent run
     for loop, res in pool:
         if res.action < best[0]:
@@ -465,11 +457,12 @@ def _descend(pool, spec, config):
                for seen, c in descended):
             continue
         descended.append((loop, start))
-        rounds, x, k = _envelope_descent(PhasePoint(loop=loop, fiber=res.field), spec, config,
-                                         HANDOFF)
+        x = PhasePoint(loop=loop, fiber=res.field)
+        rounds, k = _envelope_descent(x, spec, config, HANDOFF)
         if k.action > best[0]:
             best = (k.action, x, rounds, k)
-    _, witness, rounds, k = best
+    _, x, rounds, k = best
+    witness = _at(x, k.state)
     if rounds < DESCENT_ROUNDS:
         witness = refine_critical(witness, spec)
         k = flow_velocity(witness, spec, config)

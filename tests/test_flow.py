@@ -368,8 +368,7 @@ def test_reused_k1_matches_recomputed_k1(small_spec, small_config, rng, monkeypa
     rk4 = flow_mod._rk4
 
     def recomputing(spec, config, dt, k1, plan):
-        qd, c = k1.state
-        xk = flow_mod._state(x, flow_mod._states(x, velocity_coefficients(x.loop, x.frame), qd), c)
+        xk = flow_mod._at(x, k1.state)
         return rk4(spec, config, dt, flow_mod.flow_velocity(xk, spec, config), plan)
 
     monkeypatch.setattr(flow_mod, "_rk4", recomputing)
@@ -532,8 +531,7 @@ def row_start(x, spec, config, plan):
 
 def row_state(x0, k):
     # the PhasePoint of the row velocity k on x0's trajectory
-    qd0 = velocity_coefficients(x0.loop, x0.frame)
-    return flow_mod._state(x0, flow_mod._states(x0, qd0, k.qd), k.c)
+    return flow_mod._at(x0, (k.qd, k.c))
 
 
 @pytest.mark.parametrize("J", [8, 32])
@@ -551,7 +549,7 @@ def test_rk4_matches_stages_built_by_perturb(J, model):
             assert stepped.shape == (2, x.frame.dim)
             rows = row_rk4(plan, spec, config, dt, row_start(x, spec, config, plan))
             assert [a.tobytes() for a in stepped] == [a.tobytes() for a in rows]
-            got = flow_mod._state(x, flow_mod._states(x, k1.state[0], stepped[0]), stepped[1])
+            got = flow_mod._at(x, stepped)
             want = reference_rk4(x, spec, config, dt, k1)
             assert got.frame is x.frame and got.loop.winding == x.loop.winding
             for a, b in ((got.fiber.coefficients, want.fiber.coefficients),

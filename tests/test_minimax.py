@@ -11,16 +11,17 @@ from scipy.optimize._numdiff import approx_derivative
 import oracles
 import loopflow.action as action_mod
 import loopflow.flow as flow_mod
-from loopflow import fourier, minimax
+from loopflow import minimax
 from loopflow.action import (PhasePoint, action, derivative_coefficients, gradient,
-                             gradient_norm, gradient_plan, perturb, random_direction,
-                             random_phase_point, straight_orbit, velocity_coefficients)
+                             gradient_norm, gradient_plan, horizontal_gradient, perturb,
+                             random_direction, random_phase_point, straight_orbit,
+                             velocity_coefficients)
 from loopflow.flow import FlowConfig, flow_velocity
 from loopflow.geometry import LoopPath, flat_torus, random_loop, straight_loop
 from loopflow.hamiltonian import default_spec, radial_H
 from loopflow.minimax import (ASCENT_TOL, composite_descent, default_family, fiber_sup,
                               minimax_theta, orbit_sweep, refine_critical, symplectic_action)
-from loopflow.spectral import FiberField, SpectralFrame, embedded_metric, frame_of
+from loopflow.spectral import SQ2, FiberField, SpectralFrame, embedded_metric, frame_of
 
 
 def reference_ascent(frame, qd, spec, c0, radius):
@@ -289,26 +290,23 @@ def test_batched_ascent_matches_reference_on_the_ball(small_spec, small_config, 
         "radius collapsed", "radius collapsed", "converged"]
 
 
-def dense_jacobian(x, spec, vec):
-    # the exact four-block Jacobian of _critical_system's residual at vec,
-    # as the polish once formed it for a thin SVD.  The horizontal rows
+def dense_jacobian(plan, spec, z):
+    # the exact Jacobian of _critical_system's residual at the state z =
+    # [qd, c], with columns [qd, c]: the horizontal rows
     # -(1+lam)^{-s/2} (dp/dt coefficients) are linear in c alone, the
-    # vertical rows (1+lam)^{(s-1)/2} (qd - dH/dp coefficients) are linear
-    # in the loop through qd, and their c-block is -(1+lam)^{(s-1)/2}
-    # times the compressed pointwise fiber Hessian
-    frame = x.frame
-    n, J, dim = frame.n, frame.cutoff, frame.dim
-    k = 2 * J * n
+    # vertical rows (1+lam)^{(s-1)/2} (qd - dH/dp coefficients) have the
+    # qd-block (1+lam)^{(s-1)/2} and the c-block -(1+lam)^{(s-1)/2} times
+    # the compressed pointwise fiber Hessian.  The n qd kernel columns
+    # are zero: the drift is the loop class's, not an unknown
+    frame = plan.frame
+    n, dim = frame.n, frame.dim
     vertical = frame.weights(0.5 * (spec.s - 1.0))
-    out = np.zeros((2 * dim, k + dim))
-    out[:dim, k:] = derivative_coefficients(frame, np.eye(dim)).T
-    out[:dim, k:] *= -frame.weights(-0.5 * spec.s)[:, None]
-    unit = np.eye(k).reshape(k, J, 2, n)   # the unknowns' series order: per mode cos, then sin
-    out[dim:, :k] = frame.layout(
-        *fourier.differentiate(np.zeros((k, n)), unit[:, :, 0], unit[:, :, 1])).T
-    out[dim:, :k] *= vertical[:, None]
-    out[dim:, k:] = -vertical[:, None] * dense_compression(
-        frame, minimax._pointwise_hessian(frame, vec[k:], spec))
+    out = np.zeros((2 * dim, 2 * dim))
+    out[:dim, dim:] = derivative_coefficients(frame, np.eye(dim)).T
+    out[:dim, dim:] *= -frame.weights(-0.5 * spec.s)[:, None]
+    out[dim:, n:dim] = np.diag(vertical)[:, n:]
+    out[dim:, dim:] = -vertical[:, None] * dense_compression(
+        frame, minimax._pointwise_hessian(frame, z[1], spec))
     return out
 
 
@@ -317,18 +315,6 @@ def dense_compression(frame, w):
     # n, n) samples: the three-operand einsum over the sampled eigenfields
     basis = frame.basis_samples(len(w))
     return np.einsum("kti,tij,ltj->kl", basis, w, basis) / len(w)
-
-
-def unknowns(x):
-    # the polish's unknowns at x: the loop's cos/sin rows in the series
-    # layout (past its base), then the fiber coefficients
-    return np.concatenate([x.loop.series(x.frame.cutoff)[x.frame.n:], x.fiber.coefficients])
-
-
-def at_unknowns(x, vec):
-    # the state of x's loop class and frame at the polish's unknowns vec
-    k = vec.size - x.frame.dim
-    return flow_mod._state(x, np.concatenate([x.loop.base, vec[:k]]), vec[k:])
 
 
 def jacobian_states(spec):
@@ -340,27 +326,32 @@ def jacobian_states(spec):
 
 def test_refine_critical_jacobian_matches_finite_differences():
     # the residual refine_critical polishes, against the dense Jacobian
-    # reference, at the unknowns of two states
+    # reference, at the states z = [qd, c] of two phase points; the
+    # finite differences are taken in every column but the drift's
     spec = default_spec(J=8)
     for x in jacobian_states(spec):
-        fun, _ = minimax._critical_system(x, spec)
-        x0 = unknowns(x)
-        exact = dense_jacobian(x, spec, x0)
-        fd = approx_derivative(fun, x0, method="3-point")
-        assert exact.shape == fd.shape == (2 * x.frame.dim, 2 * spec.J * 2 + x.frame.dim)
-        assert np.max(np.abs(exact - fd)) <= 1e-8 * np.max(np.abs(fd))
+        plan = gradient_plan(x.frame, spec.s)
+        fun, _ = minimax._critical_system(plan, spec)
+        z, n, dim = flow_mod._start(x), x.frame.n, x.frame.dim
+        exact = dense_jacobian(plan, spec, z)
+        fd = approx_derivative(lambda v: fun(v.reshape(2, dim)), z.ravel(), method="3-point")
+        assert exact.shape == fd.shape == (2 * dim, 2 * dim)
+        assert not np.any(exact[:, :n])
+        assert np.max(np.abs(exact[:, n:] - fd[:, n:])) <= 1e-8 * np.max(np.abs(fd))
 
 
 @pytest.mark.parametrize("J", [8, 32, 64])
 def test_structured_step_is_the_least_squares_step_of_the_dense_jacobian(J):
     spec = default_spec(J=J)
     for x in jacobian_states(spec):
-        fun, step = minimax._critical_system(x, spec)
-        x0 = unknowns(x)
-        f = fun(x0)
-        ref = np.linalg.lstsq(dense_jacobian(x, spec, x0), f, rcond=None)[0]
-        got = step(x0, f)
-        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        plan = gradient_plan(x.frame, spec.s)
+        fun, step = minimax._critical_system(plan, spec)
+        z = flow_mod._start(x)
+        f = fun(z)
+        ref = np.linalg.lstsq(dense_jacobian(plan, spec, z), f, rcond=None)[0]
+        got = step(z, f)
+        assert got.shape == z.shape and not np.any(got[0, :x.frame.n])
+        assert np.linalg.norm(got.ravel() - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 # constant fibers where H_r is flat, so that W(t) = 0 and the kernel block
@@ -383,11 +374,11 @@ def test_refine_critical_forms_no_dense_matrix(monkeypatch):
     # polished with no SVD and no dense fiber Hessian
     spec = default_spec(J=64, r=1.0)
     witnesses = []
-    monkeypatch.setattr(minimax, "_polish", lambda x, x_spec, nfev: witnesses.append(x) or x)
+    monkeypatch.setattr(minimax, "refine_critical", lambda x, x_spec: witnesses.append(x) or x)
     minimax_theta(default_family(spec), spec, FlowConfig.auto(spec))
     monkeypatch.undo()
     (x,) = witnesses
-    assert_polish_matches_packed(x, spec, monkeypatch)   # the c11 J = 64 witness
+    assert_polish_matches_series(x, spec, monkeypatch)   # the c11 J = 64 witness
     xi, eta = random_direction(x, spec, np.random.default_rng(64))
     x = perturb(x, 1e-6, xi=xi, eta=eta)
 
@@ -435,7 +426,6 @@ def test_refine_critical_never_worsens(spec, rng):
 # The polish as it was before it stepped series arrays: its unknowns were
 # packed as every cos row, then every sin row, then the fiber, and each
 # residual evaluation built the state they stood for and called gradient.
-# The polish must give the same bits.
 
 def packed(x):
     block = x.loop.series(x.frame.cutoff)[x.frame.n:].reshape(-1, 2, x.frame.n)
@@ -450,39 +440,11 @@ def unpacked(x, vec):
     return PhasePoint(loop=loop, fiber=FiberField(x.frame, vec[2 * k:].copy()))
 
 
-def packed_polish(x, spec):
-    """(state, residual evaluations) of minimax._polish on the packed
-    unknowns."""
-    max_nfev = minimax.POLISH_NFEV
-    frame = x.frame
-    n, J, dim = frame.n, frame.cutoff, frame.dim
-    k = 2 * J * n
-    scale_h = frame.weights(-0.5 * spec.s)
-    scale_v = frame.weights(0.5 * (spec.s - 1.0))
-
-    def fun(vec):
-        grad_h, grad_v = gradient(unpacked(x, vec), spec)
-        return np.concatenate([frame.weights(0.5 * spec.s) * grad_h,
-                               frame.weights(0.5 * (1.0 - spec.s)) * grad_v])
-
-    def antiderivative(v):
-        out = derivative_coefficients(frame, v)
-        out[n:] /= -frame.eigenvalues[n:]
-        return out
-
-    def step(vec, f):
-        w = minimax._pointwise_hessian(frame, vec[k:], spec)
-
-        def hess(v):
-            return frame.coefficients(np.einsum("tij,tj->ti", w, frame.samples(v)))
-
-        dc = antiderivative(-f[:dim] / scale_h)
-        rhs = -f[dim:dim + n] / scale_v[:n] - hess(dc)[:n]
-        dc[:n] = np.linalg.lstsq(w.mean(axis=0), rhs, rcond=1e-13)[0]
-        _, da, db = frame.series(antiderivative(f[dim:] / scale_v + hess(dc)))
-        return np.concatenate([da.reshape(-1), db.reshape(-1), dc])
-
-    vec = packed(x)
+def backtracked(fun, step, vec, max_nfev):
+    """(unknowns, residual evaluations) of the polish's backtracked
+    Gauss-Newton iteration from vec: t delta is tried for t = 1, 1/2, ...
+    until the residual norm falls, and it stops at a tried step below
+    1e-15 (1e-15 + |vec|) or after max_nfev evaluations."""
     f = fun(vec)
     cost, nfev, small = f @ f, 1, False
     while nfev < max_nfev and not small:
@@ -499,39 +461,133 @@ def packed_polish(x, spec):
             if small:
                 break
             t *= 0.5
+    return vec, nfev
+
+
+def antiderivative(frame, v):
+    # the inverse of d/dt outside the kernel, -d/dt / lam; +0.0 in it
+    out = derivative_coefficients(frame, v)
+    out[frame.n:] /= -frame.eigenvalues[frame.n:]
+    return out
+
+
+def packed_polish(x, spec):
+    """(state, residual evaluations) of the polish on the packed
+    unknowns."""
+    frame = x.frame
+    n, J, dim = frame.n, frame.cutoff, frame.dim
+    k = 2 * J * n
+    scale_h = frame.weights(-0.5 * spec.s)
+    scale_v = frame.weights(0.5 * (spec.s - 1.0))
+
+    def fun(vec):
+        grad_h, grad_v = gradient(unpacked(x, vec), spec)
+        return np.concatenate([frame.weights(0.5 * spec.s) * grad_h,
+                               frame.weights(0.5 * (1.0 - spec.s)) * grad_v])
+
+    def step(vec, f):
+        w = minimax._pointwise_hessian(frame, vec[k:], spec)
+
+        def hess(v):
+            return frame.coefficients(np.einsum("tij,tj->ti", w, frame.samples(v)))
+
+        dc = antiderivative(frame, -f[:dim] / scale_h)
+        rhs = -f[dim:dim + n] / scale_v[:n] - hess(dc)[:n]
+        dc[:n] = np.linalg.lstsq(w.mean(axis=0), rhs, rcond=1e-13)[0]
+        _, da, db = frame.series(antiderivative(frame, f[dim:] / scale_v + hess(dc)))
+        return np.concatenate([da.reshape(-1), db.reshape(-1), dc])
+
+    vec, nfev = backtracked(fun, step, packed(x), minimax.POLISH_NFEV)
     return unpacked(x, vec), nfev
 
 
-def assert_polish_matches_packed(x, spec, monkeypatch):
-    """minimax._polish at x against packed_polish: the same loop series
-    and fiber bytes from the same number of residual evaluations, one
-    metric_gradient each, which it returns."""
+def series_polish(x, spec):
+    """(state, residual evaluations) of the polish as it stepped the
+    loop's series rows L[n:] (LoopPath.series past its base) and the
+    fiber: the residual read the loop velocity by series_velocity, and
+    the loop step was the antiderivative of f_v / V + H dc, times
+    sqrt(2).  It pins the base q(0).  Bit for bit the packed polish."""
+    frame = x.frame
+    n, dim = frame.n, frame.dim
+    k = dim - n
+    L = x.loop.series(frame.cutoff)
+    plan = gradient_plan(frame, spec.s)
+    scale_h = frame.weights(-0.5 * spec.s)
+    scale_v = frame.weights(0.5 * (spec.s - 1.0))
+
+    def fun(vec):
+        qd = action_mod.series_velocity(frame, x.loop.drift, np.concatenate([L[:n], vec[:k]]))
+        grad_v = minimax.metric_gradient(plan, qd, vec[k:], spec)[1]
+        return np.concatenate([frame.weights(0.5 * spec.s) * horizontal_gradient(plan, vec[k:]),
+                               frame.weights(0.5 * (1.0 - spec.s)) * grad_v])
+
+    def step(vec, f):
+        w = minimax._pointwise_hessian(frame, vec[k:], spec)
+        dc = antiderivative(frame, -f[:dim] / scale_h)
+        rhs = -f[dim:dim + n] / scale_v[:n] - minimax._hessian_product(frame, w, dc)[:n]
+        dc[:n] = np.linalg.lstsq(w.mean(axis=0), rhs, rcond=1e-13)[0]
+        hdc = minimax._hessian_product(frame, w, dc)
+        return np.concatenate([antiderivative(frame, f[dim:] / scale_v + hdc)[n:] * SQ2, dc])
+
+    vec, nfev = backtracked(fun, step, np.concatenate([L[n:], x.fiber.coefficients]),
+                            minimax.POLISH_NFEV)
+    L[n:] = vec[:k]
+    return flow_mod._state(x, L, vec[k:]), nfev
+
+
+def mean_position(loop):
+    # the loop's mean position base - sum_j cos_j, which move_series, the
+    # descent and the polish keep
+    return np.asarray(loop.base) - loop.cos_coeffs.sum(axis=0)
+
+
+POLISH_AGREEMENT = 1e-15   # the polish on z against series_polish, per coefficient
+
+
+def assert_polish_matches_series(x, spec, monkeypatch):
+    """minimax._polish at x's state against series_polish, which must
+    give packed_polish's bits.  The fibers and the loop velocities agree
+    within POLISH_AGREEMENT and the residual evaluations, one
+    metric_gradient each, within 1; the loops differ only by the
+    anchoring translation, since series_polish pins the base and the
+    polish keeps the mean position.  Returns series_polish's count."""
     evaluations = []
+    plan = gradient_plan(x.frame, spec.s)
     with monkeypatch.context() as m:
         m.setattr(minimax, "metric_gradient",
                   lambda *a, f=minimax.metric_gradient: evaluations.append(1) or f(*a))
-        ours = minimax._polish(x, spec, minimax.POLISH_NFEV)
-    ref, nfev = packed_polish(x, spec)
-    J = x.frame.cutoff
-    assert ours.loop.winding == ref.loop.winding
-    assert ours.loop.series(J).tobytes() == ref.loop.series(J).tobytes()
-    assert ours.fiber.coefficients.tobytes() == ref.fiber.coefficients.tobytes()
-    assert len(evaluations) == nfev
+        z = minimax._polish(plan, flow_mod._start(x), spec, minimax.POLISH_NFEV)
+    ref, nfev = series_polish(x, spec)
+    packed_ref, packed_nfev = packed_polish(x, spec)
+    J, n = x.frame.cutoff, x.frame.n
+    assert ref.loop.series(J).tobytes() == packed_ref.loop.series(J).tobytes()
+    assert ref.fiber.coefficients.tobytes() == packed_ref.fiber.coefficients.tobytes()
+    assert nfev == packed_nfev and abs(len(evaluations) - nfev) <= 1
+    assert np.max(np.abs(z[1] - ref.fiber.coefficients)) <= POLISH_AGREEMENT
+    assert np.max(np.abs(z[0] - velocity_coefficients(ref.loop, x.frame))) <= POLISH_AGREEMENT
+    ours = flow_mod._at(x, z)
+    assert ours.loop.winding == ref.loop.winding and ref.loop.base == x.loop.base
+    np.testing.assert_allclose(ours.loop.series(J)[n:], ref.loop.series(J)[n:], rtol=0.0,
+                               atol=POLISH_AGREEMENT)
+    np.testing.assert_allclose(mean_position(ours.loop), mean_position(x.loop), rtol=0.0,
+                               atol=POLISH_AGREEMENT)
     return nfev
 
 
 @pytest.mark.parametrize("J", [8, 32])
 def test_polish_matches_the_packed_polish(J, monkeypatch):
     for x in jacobian_states(default_spec(J=J)):
-        assert assert_polish_matches_packed(x, default_spec(J=J), monkeypatch) > 1
+        assert assert_polish_matches_series(x, default_spec(J=J), monkeypatch) > 1
 
 
 def test_polish_builds_one_state(monkeypatch):
-    # the polish steps arrays: however many residuals it evaluates, it
-    # builds only the state it returns, and calls neither gradient nor perturb
+    # the polish steps the state z = [qd, c] and builds nothing, however
+    # many residuals it evaluates; refine_critical builds only the state
+    # it returns, and neither calls gradient nor perturb
     spec8 = default_spec(J=8)
     built, evaluations = [], []
     for x in jacobian_states(spec8):
+        plan = gradient_plan(x.frame, spec8.s)
         with monkeypatch.context() as m:
             for cls in (LoopPath, FiberField, PhasePoint):
                 m.setattr(cls, "__post_init__", lambda self, f=cls.__post_init__:
@@ -540,21 +596,44 @@ def test_polish_builds_one_state(monkeypatch):
                 m.setattr(action_mod, name, lambda *a, name=name, **kw: built.append(name))
             m.setattr(minimax, "metric_gradient",
                       lambda *a, f=minimax.metric_gradient: evaluations.append(1) or f(*a))
-            minimax._polish(x, spec8, minimax.POLISH_NFEV)
-        assert len(evaluations) > 1
+            minimax._polish(plan, flow_mod._start(x), spec8, minimax.POLISH_NFEV)
+            assert len(evaluations) > 1 and built == []
+            refine_critical(x, spec8)
         assert sorted(built) == ["FiberField", "LoopPath", "PhasePoint"]
         built.clear()
         evaluations.clear()
     assert not any(hasattr(minimax, name) for name in ("gradient", "perturb"))
 
 
+def test_polish_keeps_the_mean_position(small_spec, small_config):
+    # refine_critical and composite_descent rebuild the loop from its
+    # velocity with one anchoring: base - sum_j cos_j stays the input's,
+    # where pinning the base would move it by up to 0.116
+    x, xp = random_phase_point(small_spec, np.random.default_rng(8)), perturbed_orbit(small_spec)
+    pairs = [(x, refine_critical(x, small_spec)), (xp, refine_critical(xp, small_spec)),
+             (xp, composite_descent(xp, small_spec, small_config)[0])]
+    for x, y in pairs:
+        assert np.max(np.abs(y.loop.cos_coeffs - x.loop.cos_coeffs)) > 1e-9
+        np.testing.assert_allclose(mean_position(y.loop), mean_position(x.loop), rtol=0.0,
+                                   atol=1e-15)
+
+
 def trf_polish(x, spec):
     # the polish as scipy's trust-region reflective least squares ran it,
-    # on the same residual and the dense Jacobian, with the same guard
-    fun, _ = minimax._critical_system(x, spec)
-    sol = least_squares(fun, unknowns(x), jac=lambda vec: dense_jacobian(x, spec, vec),
+    # on the same residual and the dense Jacobian, in the unknowns
+    # [qd[n:], c], with the same guard
+    plan = gradient_plan(x.frame, spec.s)
+    fun, _ = minimax._critical_system(plan, spec)
+    z, n = flow_mod._start(x), x.frame.n
+
+    def state(vec):
+        return np.stack((np.concatenate([z[0, :n], vec[:z.shape[1] - n]]),
+                         vec[z.shape[1] - n:]))
+
+    sol = least_squares(lambda vec: fun(state(vec)), z.ravel()[n:],
+                        jac=lambda vec: dense_jacobian(plan, spec, state(vec))[:, n:],
                         method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=4000)
-    refined = at_unknowns(x, sol.x)
+    refined = flow_mod._at(x, state(sol.x))
     return refined if gradient_norm(refined, spec) <= gradient_norm(x, spec) else x
 
 
@@ -567,8 +646,8 @@ def test_refine_critical_matches_the_trf_reference(spec, config, rng, monkeypatc
     xi, eta = random_direction(x, spec, rng)
     states = [(perturb(x, 1e-5, xi=xi, eta=eta), spec)]
     witnesses = []
-    monkeypatch.setattr(minimax, "_polish",
-                        lambda x, x_spec, nfev: witnesses.append((x, x_spec)) or x)
+    monkeypatch.setattr(minimax, "refine_critical",
+                        lambda x, x_spec: witnesses.append((x, x_spec)) or x)
     for r in np.linspace(0.05, 2.0, 4):
         r_spec = spec.with_r(float(r))
         minimax_theta(default_family(r_spec), r_spec, config)
@@ -578,7 +657,7 @@ def test_refine_critical_matches_the_trf_reference(spec, config, rng, monkeypatc
         states += [(x, x_spec), (perturb(x, 1e-3, xi=xi, eta=eta), x_spec)]
     monkeypatch.undo()
     for x, x_spec in states:
-        assert_polish_matches_packed(x, x_spec, monkeypatch)
+        assert_polish_matches_series(x, x_spec, monkeypatch)
         ours, ref = refine_critical(x, x_spec), trf_polish(x, x_spec)
         assert abs(action(ours, x_spec) - action(ref, x_spec)) <= 1e-12
         if gradient_norm(ref, x_spec) <= 1e-13:
@@ -662,6 +741,37 @@ def test_minimax_theta_off_the_straight_family(J, amplitude, r):
     assert abs(rec.theta - level) <= 1e-9
     assert rec.classification.kind == kind
     assert rec.converged and rec.steps > 0
+
+
+def sweep_levels(s):
+    # (theta, classification string) at each point of the default 20-point
+    # orbit sweep of the straight family at regularity s
+    s_spec = default_spec(s=s)
+    records, _ = orbit_sweep(s_spec, np.linspace(0.05, 2.0, 20), FlowConfig.auto(s_spec))
+    return [(rec.theta, str(rec.classification)) for rec in records]
+
+
+@pytest.fixture(scope="module")
+def default_levels():
+    return sweep_levels(0.75)
+
+
+# the critical points and values of the action do not depend on the
+# metric: s only chooses which gradient the flow and the polish follow,
+# so theta(r) and its kind at any s in (1/2, 1) are those at s = 0.75
+@pytest.mark.parametrize("s", [0.55, 0.6, 0.9])
+def test_the_level_does_not_depend_on_s_on_the_straight_family(s, default_levels):
+    assert sweep_levels(s) == default_levels
+
+
+@pytest.mark.parametrize("s", [0.65, 0.9])
+def test_the_level_does_not_depend_on_s_off_the_straight_family(s):
+    spec = default_spec(J=32, r=1.0, s=s)
+    rec = minimax_theta([wiggled_loop(0.02)], spec, FlowConfig.auto(spec))
+    level, kind = oracle_level(1.0)
+    assert abs(rec.theta - level) <= 1e-9
+    assert rec.classification.kind == kind
+    assert rec.converged
 
 
 # J = 8, amplitude 0.02, r = 0.05: the maximizers the seeds find on the
@@ -1012,3 +1122,36 @@ def test_descent_round_evaluates_its_state_once(small_spec, small_config, monkey
     assert len(rounds) == 4
     assert all(evals == 1 + 4 * tries for evals, tries in rounds)
     assert [1, 5] in ([tries, evals] for evals, tries in rounds)
+
+
+def test_envelope_descent_builds_no_state(small_spec, small_config, monkeypatch):
+    # the rounds step the state z = [qd, c] and build no LoopPath or
+    # PhasePoint (each fiber ascent still returns its FiberField);
+    # composite_descent builds its state from the velocity's z
+    x = perturbed_orbit(small_spec)
+    built = []
+    with monkeypatch.context() as m:
+        for cls in (LoopPath, PhasePoint):
+            m.setattr(cls, "__post_init__", lambda self, f=cls.__post_init__:
+                      built.append(type(self).__name__) or f(self))
+        rounds, k = minimax._envelope_descent(x, small_spec, small_config,
+                                              0.01 * small_config.grad_tol)
+    assert built == [] and 0 < rounds < minimax.DESCENT_ROUNDS
+    xc, ok = composite_descent(x, small_spec, small_config)
+    assert ok and xc.fiber.coefficients.tobytes() == k.state[1].tobytes()
+    assert flow_mod._at(x, k.state).loop.content_key() == xc.loop.content_key()
+
+
+def test_minimax_theta_builds_one_witness_per_descend(spec, config, monkeypatch):
+    # _descend builds the best descent's state once (flow._at) and hands
+    # it to refine_critical, which builds only the state it returns
+    descents, built, polished = [], [], []
+    monkeypatch.setattr(minimax, "_descend",
+                        lambda *args, f=minimax._descend: descents.append(1) or f(*args))
+    monkeypatch.setattr(minimax, "_at", lambda x, z, f=minimax._at: built.append(f(x, z))
+                        or built[-1])
+    monkeypatch.setattr(minimax, "refine_critical", lambda x, x_spec, f=minimax.refine_critical:
+                        polished.append((x, len(built))) or f(x, x_spec))
+    rec = minimax_theta(default_family(spec), spec, config)
+    assert len(descents) == 1 and len(built) == 2
+    assert polished == [(built[0], 1)] and rec.witness in built
