@@ -25,11 +25,11 @@ certifies in the quadratic zone, one irfft where only the samples put it
 there, two otherwise.  The shares depend on the start: over the
 benchmark's 40 flows (default spec, T = 1, 16 040 evaluations) 46.4 % are
 certified on seed 1 and 60.4 % on seed 7, with 13 295 and 10 510 FFTs.
-The loop data L (LoopPath.series) are rebuilt from the velocities after
-the march, anchored on its start (action.rebuild_series): flow rebuilds
-its (N, D) stack of L in one call and records it with the stack of c;
-flow_to_critical, on the same driver, rebuilds only the state it stops
-at.
+flow records the (N, D) stacks of qd and c as the march yields them;
+loop data L (LoopPath.series) are rebuilt from qd, anchored on the
+start (action.rebuild_series), only where a PhasePoint is read:
+FlowTrajectory.states rebuilds all rows in one call, and
+flow_to_critical, on the same driver, only the state it stops at.
 
 Along a trajectory the vertical component satisfies a linear
 inhomogeneous ODE whose homogeneous weights are hyperbolic in the
@@ -45,8 +45,8 @@ on the flat models, so no transport error enters).
 Palais-Smale diagnostics mirror the four-step bound structure used to
 rule out divergence: the vertical defect norm, the quadratic fiber
 ratio, the derivative norm, and the kernel split, with a growth flag on
-the quadratic ratio, computed over the (N, D) stacks of a trajectory's
-fiber coefficients and of its loop velocities.
+the quadratic ratio, computed over a trajectory's (N, D) stacks of fiber
+coefficients and loop velocities as recorded.
 """
 
 import math
@@ -56,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .action import (PhasePoint, derivative_coefficients, gradient_plan, metric_gradient,
-                     rebuild_series, require_finite, series_velocity, velocity_coefficients)
+                     rebuild_series, require_finite, velocity_coefficients)
 from .geometry import flat_torus, straight_loop
 from .hamiltonian import alpha_bound, smoothstep
 from .spectral import FiberField, frame_of
@@ -167,12 +167,10 @@ def _start(x):
     return np.stack((velocity_coefficients(x.loop, x.frame), x.fiber.coefficients))
 
 
-def flow_velocity(x, spec, config, plan=None):
+def flow_velocity(x, spec, config):
     """V_r at x from one evaluation, as a Velocity: the stage kernel at
-    x's state, with plan, x's gradient_plan, made for this call unless
-    given."""
-    plan = gradient_plan(x.frame, spec.s) if plan is None else plan
-    return _velocity(plan, _start(x), spec, config)
+    x's state, on a gradient_plan made for this call."""
+    return _velocity(gradient_plan(x.frame, spec.s), _start(x), spec, config)
 
 
 def _rk4(spec, config, dt, k1, plan):
@@ -201,37 +199,33 @@ def _step(spec, config, dt, k1, plan):
     raise ArithmeticError(f"flow step rejected after {MAX_HALVINGS} halvings (dt={dt:.3e})")
 
 
-def _states(x0, qd0, qd):
-    """Loop data (LoopPath.series) of the states with velocity
-    coefficients qd (..., D) on the trajectory from x0, whose velocity
-    coefficients are qd0: action.rebuild_series anchored on x0."""
-    return rebuild_series(x0.frame, x0.loop.series(x0.frame.cutoff), qd0, qd)
-
-
-def _state(x0, L, c):
-    """The PhasePoint of loop data L (LoopPath.series) in x0's loop class
-    and fiber coefficients c in x0's frame."""
-    return PhasePoint(loop=x0.loop.with_series(L), fiber=FiberField(x0.frame, c))
-
-
-def _at(x0, z):
-    """The PhasePoint of the state z = [qd, c] in x0's loop class and
-    frame: its loop data rebuilt from qd, anchored on x0 (_states)."""
-    return _state(x0, _states(x0, velocity_coefficients(x0.loop, x0.frame), z[0]), z[1])
+def _at(loop, frame, z):
+    """The PhasePoint of the state z = [qd, c] in the loop's class and the
+    frame, or the list of them for stacks qd and c of shape (N, D): the
+    loop data of all rows rebuilt from qd in one action.rebuild_series
+    call, anchored on the loop, so qd = the loop's velocity coefficients
+    gives its bits."""
+    loops = rebuild_series(frame, loop.series(frame.cutoff), velocity_coefficients(loop, frame),
+                           z[0])
+    points = [PhasePoint(loop=loop.with_series(L), fiber=FiberField(frame, c))
+              for L, c in zip(np.atleast_2d(loops), np.atleast_2d(z[1]))]
+    return points[0] if loops.ndim == 1 else points
 
 
 @dataclass(frozen=True, eq=False)
 class FlowTrajectory:
     """A recorded flow run: the start state x0, the read-only (N, D)
-    stacks of the states' loop data (LoopPath.series, rebuilt once from
-    the march's loop velocities) and fibers, and per-state diagnostics.
-    states and final build their PhasePoints (but x0) each time they are
-    read.  ab holds the representation pair (a(t), b(t)); phi_tilde the
-    speed weights it integrates; s is spec.s.
+    stacks of the states' loop velocity coefficients qd and fiber
+    coefficients c, exactly as the march stepped them, and per-state
+    diagnostics.  states and final build their PhasePoints (but x0) each
+    time they are read, with loop data rebuilt from qd anchored on x0
+    (_at); states rebuilds all rows in one call.  ab holds the
+    representation pair (a(t), b(t)); phi_tilde the speed weights it
+    integrates; s is spec.s.
     """
 
     x0: PhasePoint
-    loops: np.ndarray
+    velocities: np.ndarray
     fibers: np.ndarray
     times: np.ndarray
     actions: np.ndarray
@@ -243,23 +237,25 @@ class FlowTrajectory:
 
     @property
     def states(self):
-        return [self.x0] + [_state(self.x0, L, c) for L, c in zip(self.loops[1:], self.fibers[1:])]
+        return [self.x0] + _at(self.x0.loop, self.x0.frame, (self.velocities[1:], self.fibers[1:]))
 
     @property
     def final(self):
-        return self.x0 if len(self.times) == 1 else _state(self.x0, self.loops[-1], self.fibers[-1])
+        if len(self.times) == 1:
+            return self.x0
+        return _at(self.x0.loop, self.x0.frame, (self.velocities[-1], self.fibers[-1]))
 
 
-def _trajectory(x0, times, loops, fibers, records, s, budget_exhausted=False):
-    """The FlowTrajectory at regularity s from x0 of the stacks loops and
-    fibers with records (grad_norm, phi~, action); (a, b) come from the
-    trapezoidal integral of phi~."""
+def _trajectory(x0, times, velocities, fibers, records, s, budget_exhausted=False):
+    """The FlowTrajectory at regularity s from x0 of the stacks velocities
+    and fibers with records (grad_norm, phi~, action); (a, b) come from
+    the trapezoidal integral of phi~."""
     times = np.asarray(times)
-    loops.flags.writeable = fibers.flags.writeable = False
+    velocities.flags.writeable = fibers.flags.writeable = False
     grad_norms, phi_tilde, actions = np.array(records, dtype=float).reshape(-1, 3).T
     integral = np.concatenate([[0.0], np.cumsum(np.diff(times) * 0.5 * (phi_tilde[1:] + phi_tilde[:-1]))])
-    return FlowTrajectory(x0=x0, loops=loops, fibers=fibers, times=times, actions=actions,
-                          gradient_norms=grad_norms, phi_tilde=phi_tilde,
+    return FlowTrajectory(x0=x0, velocities=velocities, fibers=fibers, times=times,
+                          actions=actions, gradient_norms=grad_norms, phi_tilde=phi_tilde,
                           ab=np.column_stack([-np.sinh(integral), np.cosh(integral)]), s=s,
                           budget_exhausted=budget_exhausted)
 
@@ -281,7 +277,7 @@ def _march(x, spec, config, T):
     retraces those steps.
     """
     plan = gradient_plan(x.frame, spec.s)
-    k = flow_velocity(x, spec, config, plan)
+    k = _velocity(plan, _start(x), spec, config)
     t, steps = 0.0, 0
     max_steps = step_budget(config, T)
     yield t, steps, k
@@ -299,8 +295,8 @@ def flow(x0, spec, config, T):
     T must be finite, non-negative and not above the configured budget
     t_max, or ValueError is raised before the march starts; if
     step-halving eats the step budget before reaching T, the partial
-    trajectory comes back flagged.  The loop data of all states are
-    rebuilt from their velocities in one call after the march.
+    trajectory comes back flagged.  The trajectory keeps the march's
+    velocity and fiber stacks; no loop data are built.
     """
     if not (math.isfinite(T) and T >= 0.0):
         raise ValueError(f"flow horizon T must be finite and non-negative, got {T!r}")
@@ -310,8 +306,8 @@ def flow(x0, spec, config, T):
     times, velocities, fibers, records = zip(*[
         (t, k.state[0], k.state[1], (k.grad_norm, k.phi_tilde, k.action))
         for t, _, k in _march(x0, spec, config, T)])
-    return _trajectory(x0, times, _states(x0, velocities[0], np.stack(velocities)),
-                       np.stack(fibers), records, spec.s, bool(times[-1] < T - 1e-12))
+    return _trajectory(x0, times, np.stack(velocities), np.stack(fibers), records, spec.s,
+                       bool(times[-1] < T - 1e-12))
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,17 +343,17 @@ def flow_to_critical(x, spec, config, floor=None):
         escaped = bool(not converged and floor is not None and k.action < floor)
         if converged or escaped:
             break
-    return CriticalSearch(state=x if steps == 0 else _at(x, k.state), converged=converged,
-                          escaped=escaped, steps=steps, time=t, grad_norm=k.grad_norm,
-                          action=k.action, budget_exhausted=not (converged or escaped))
+    return CriticalSearch(state=x if steps == 0 else _at(x.loop, x.frame, k.state),
+                          converged=converged, escaped=escaped, steps=steps, time=t,
+                          grad_norm=k.grad_norm, action=k.action,
+                          budget_exhausted=not (converged or escaped))
 
 
 def representation_defects(traj):
     """The defects K(t_k) = p(t_k) - a(t_k) j*qdot(0) - b(t_k) p(0), as an
     (N, D) array of frame coefficients, one row per state."""
     x0 = traj.x0
-    frame = x0.frame
-    jq0 = frame.weights(traj.s - 1.0) * velocity_coefficients(x0.loop, frame)
+    jq0 = x0.frame.weights(traj.s - 1.0) * traj.velocities[0]
     return traj.fibers - traj.ab[:, :1] * jq0 - traj.ab[:, 1:] * x0.fiber.coefficients
 
 
@@ -397,14 +393,11 @@ def ps_diagnostics(traj, spec, config):
     ||p||^2/(1 + ||p||_{1-s}); (iii) ||nabla p||_{-s}; (iv) the kernel
     split of p.  The growth flag trips when (ii) keeps climbing over
     the second half of the trajectory, the signature of a diverging
-    fiber that the compactness argument excludes.  The loop velocities
-    of all states come from one series_velocity over the trajectory's
-    stack of loop data; that stack lives only for this call, the
-    trajectory does not keep it.
+    fiber that the compactness argument excludes.  (i) reads the loop
+    velocities the trajectory recorded, with no loop data built.
     """
     frame, s, n = traj.x0.frame, spec.s, traj.x0.frame.n
-    p = traj.fibers
-    qd = series_velocity(frame, traj.x0.loop.drift, traj.loops)
+    p, qd = traj.fibers, traj.velocities
     tail = p.copy()
     tail[:, :n] = 0.0
     v2 = np.sum(p ** 2, axis=1) / (1.0 + frame.norm(1.0 - s, p))
@@ -435,5 +428,5 @@ def divergent_fixture(spec, config):
     fibers = (-(1.0 + np.arange(steps)) * scale)[:, None] * qd
     velocities = [_velocity(plan, np.stack((qd, c)), spec, config) for c in fibers]
     return _trajectory(PhasePoint(loop=loop, fiber=FiberField(frame, fibers[0])),
-                       config.dt * np.arange(steps), np.tile(loop.series(spec.J), (steps, 1)),
+                       config.dt * np.arange(steps), np.tile(qd, (steps, 1)),
                        fibers, [(k.grad_norm, k.phi_tilde, k.action) for k in velocities], spec.s)

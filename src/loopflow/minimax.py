@@ -19,15 +19,15 @@ The pool is cut at the first maximizer that starts below that level,
 which assumes that no descent ends above its start, and the witness is
 chosen by the descents' actions at HANDOFF, which assumes that none
 rises after it: a re-ascent that hops to a higher fiber branch can
-break both.  Witnesses are polished by
-Gauss-Newton steps that move the descent's state z = [qd, c] (loop
-velocity and fiber coefficients) to zero the stacked metric gradient
-coefficients, action.metric_gradient's vertical part and the
-horizontal_gradient of c, backtracked until the residual falls: the
-gradient the flow steps along and gradient_norm reports.  The Jacobian
-is block-triangular, so each step is solved through its blocks without
-forming it; it needs numpy only, so importing the package loads no
-scipy.  The level is a minimax, so the seeds ascend once more on the
+break both.  The descent's own state z = [qd, c] (loop velocity and
+fiber coefficients) is polished by Gauss-Newton steps that zero the
+stacked metric gradient coefficients, action.metric_gradient's vertical
+part and the horizontal_gradient of c, backtracked until the residual
+falls: the gradient the flow steps along and gradient_norm reports.  The
+Jacobian is block-triangular, so each step is solved through its blocks
+without forming it; it needs numpy only, so importing the package loads
+no scipy.  Only the witness is built as a PhasePoint, once, from the z
+kept.  The level is a minimax, so the seeds ascend once more on the
 polished witness's loop, and a fiber maximizer above the level there is
 descended in turn.
 orbit_sweep runs one level per r-point, in grid order.
@@ -40,9 +40,9 @@ import numpy as np
 
 from . import fourier
 from .action import (PhasePoint, classify_critical, derivative_coefficients, fiber_evaluation,
-                     fiber_samples, gradient_norm, gradient_plan, horizontal_gradient,
-                     loop_energy, metric_gradient, require_finite, velocity_coefficients)
-from .flow import _at, _start, _step, _velocity, flow_velocity
+                     fiber_samples, gradient_plan, horizontal_gradient, loop_energy,
+                     metric_gradient, require_finite, velocity_coefficients)
+from .flow import _at, _start, _step, _velocity
 from .geometry import flat_torus, straight_loop
 from .hamiltonian import alpha_bound, r0_threshold, radial_H_jet
 from .spectral import FiberField, frame_of
@@ -218,9 +218,10 @@ def fiber_sup(loop, spec, config):
     return results
 
 
-def _envelope_descent(x, spec, config, tol):
-    """Descend the inner-sup envelope: re-ascend the fiber locally after
-    every descent step.
+def _envelope_descent(plan, z, spec, config, tol):
+    """Descend the inner-sup envelope from the state z = [qd, c] in the
+    frame of plan, a gradient_plan at spec.s: re-ascend the fiber locally
+    after every descent step.
 
     Fiber-maximal critical points are saddles of the plain descent flow,
     so a perturbed state never flows back to one directly.  With the
@@ -229,20 +230,19 @@ def _envelope_descent(x, spec, config, tol):
     as a genuine local minimum; letting the fiber go stale instead feeds
     the mixed unstable directions.
 
-    The rounds carry the state z = [qd, c] as the flow's march does,
-    and each fiber ascent reads qd directly; no state is built.  Returns
-    (rounds, velocity) at the first re-ascended state whose gradient norm
-    is at most tol, where the branch is exact; the velocity is the one
-    that round's step would take as k1, and its state is z.  After
-    DESCENT_ROUNDS rounds without that it returns (DESCENT_ROUNDS,
-    velocity) of the state the last round stepped to.
+    The rounds carry z as the flow's march does, and each fiber ascent
+    reads qd directly; no state is built.  Returns (rounds, velocity) at
+    the first re-ascended state whose gradient norm is at most tol, where
+    the branch is exact; the velocity is the one that round's step would
+    take as k1, and its state is z there.  After DESCENT_ROUNDS rounds
+    without that it returns (DESCENT_ROUNDS, velocity) of the state the
+    last round stepped to.
     """
     # the envelope is smooth (no shelf stiffness on the maximal branch),
     # so a larger step is stable; the halving guard still protects it
     dt = 5.0 * config.dt
-    frame = x.frame
-    plan = gradient_plan(frame, spec.s)
-    qd, c = velocity_coefficients(x.loop, frame), x.fiber.coefficients
+    frame = plan.frame
+    qd, c = z
     for rounds in range(DESCENT_ROUNDS):
         c = _ascend(frame, qd, c, spec, config.gamma_dprime).field.coefficients
         k = _velocity(plan, np.stack((qd, c)), spec, config)
@@ -256,14 +256,15 @@ def _envelope_descent(x, spec, config, tol):
 
 
 def composite_descent(x, spec, config):
-    """The envelope descent (_envelope_descent) to a gradient norm two
-    orders below grad_tol.  Returns (state, converged), the state built
-    from the descent's z anchored on x (flow._at); a descent that does
-    not converge within DESCENT_ROUNDS returns the state its last round
-    stepped to.
+    """The envelope descent (_envelope_descent) from x's state to a
+    gradient norm two orders below grad_tol.  Returns (state, converged),
+    the state built from the descent's z anchored on x (flow._at); a
+    descent that does not converge within DESCENT_ROUNDS returns the
+    state its last round stepped to.
     """
-    rounds, k = _envelope_descent(x, spec, config, 0.01 * config.grad_tol)
-    return _at(x, k.state), rounds < DESCENT_ROUNDS
+    rounds, k = _envelope_descent(gradient_plan(x.frame, spec.s), _start(x), spec, config,
+                                  0.01 * config.grad_tol)
+    return _at(x.loop, x.frame, k.state), rounds < DESCENT_ROUNDS
 
 
 def _critical_system(plan, spec):
@@ -325,13 +326,15 @@ def refine_critical(x, spec, max_nfev=POLISH_NFEV):
     metric-weighted gradient coefficients (Nocedal & Wright, ch. 10).
 
     _polish steps x's state z = [qd, c] (flow._start) by the exact
-    Gauss-Newton step of _critical_system.  The polished state is built
-    once from its z, anchored on x (flow._at), so the loop keeps x's
-    mean position base - sum_j cos_j.  It is returned only if its
-    gradient norm is no larger than the input's.
+    Gauss-Newton step of _critical_system.  If its gradient norm, one
+    metric_gradient, is no larger than z's, the polished z is built once,
+    anchored on x (flow._at), so the loop keeps x's mean position
+    base - sum_j cos_j; otherwise x itself comes back.
     """
-    refined = _at(x, _polish(gradient_plan(x.frame, spec.s), _start(x), spec, max_nfev))
-    return refined if gradient_norm(refined, spec) <= gradient_norm(x, spec) else x
+    plan, z = gradient_plan(x.frame, spec.s), _start(x)
+    polished = _polish(plan, z, spec, max_nfev)
+    better = metric_gradient(plan, *polished, spec)[2] <= metric_gradient(plan, *z, spec)[2]
+    return _at(x.loop, x.frame, polished) if better else x
 
 
 def _polish(plan, z, spec, max_nfev):
@@ -435,20 +438,21 @@ def minimax_theta(family, spec, config, rng=None):
 def _descend(pool, spec, config):
     """(witness, rounds, velocity) of the level over a pool of (loop,
     fiber maximizer) pairs: each maximizer is descended along the
-    envelope, highest action first, until its gradient norm reaches
-    HANDOFF; the level is the largest action a descent ends at, read
-    there before any polish.  The pool is cut at the first maximizer
-    that starts below that level, and a maximizer within SAME_MAXIMIZER
-    of one already descended on its loop is skipped.  The cut assumes
-    that no descent ends above its start, and the comparison at HANDOFF
-    that none rises after it; a re-ascent that hops to a higher fiber
-    branch breaks both.  The witness is built once from the best
-    descent's start and velocity (flow._at); if its descent reached
-    HANDOFF it is polished by refine_critical, and the velocity is read
-    at the state the polish returns."""
+    envelope from its state z = [qd, c], highest action first, until its
+    gradient norm reaches HANDOFF; the level is the largest action a
+    descent ends at, read there before any polish.  The pool is cut at
+    the first maximizer that starts below that level, and a maximizer
+    within SAME_MAXIMIZER of one already descended on its loop is
+    skipped.  The cut assumes that no descent ends above its start, and
+    the comparison at HANDOFF that none rises after it; a re-ascent that
+    hops to a higher fiber branch breaks both.  Each frame in the pool
+    gets one gradient_plan.  If the best descent reached HANDOFF, its z
+    is polished (_polish), kept when that raises no gradient norm; the
+    velocity is read at the z kept, and the witness built once (_at)."""
     pool = sorted(pool, key=lambda item: item[1].action, reverse=True)
-    best = (-math.inf, None, 0, None)   # (final action, start, rounds, velocity)
-    descended = []                      # (loop, start coefficients) of every descent run
+    plans = {frame: gradient_plan(frame, spec.s) for frame in {res.field.frame for _, res in pool}}
+    best = (-math.inf, None, None, 0, None)   # (final action, loop, plan, rounds, velocity)
+    descended = []                            # (loop, start coefficients) of every descent run
     for loop, res in pool:
         if res.action < best[0]:
             break
@@ -457,16 +461,17 @@ def _descend(pool, spec, config):
                for seen, c in descended):
             continue
         descended.append((loop, start))
-        x = PhasePoint(loop=loop, fiber=res.field)
-        rounds, k = _envelope_descent(x, spec, config, HANDOFF)
+        plan = plans[res.field.frame]
+        z = np.stack((velocity_coefficients(loop, plan.frame), start))
+        rounds, k = _envelope_descent(plan, z, spec, config, HANDOFF)
         if k.action > best[0]:
-            best = (k.action, x, rounds, k)
-    _, x, rounds, k = best
-    witness = _at(x, k.state)
+            best = (k.action, loop, plan, rounds, k)
+    _, loop, plan, rounds, k = best
     if rounds < DESCENT_ROUNDS:
-        witness = refine_critical(witness, spec)
-        k = flow_velocity(witness, spec, config)
-    return witness, rounds, k
+        polished = _velocity(plan, _polish(plan, k.state, spec, POLISH_NFEV), spec, config)
+        if polished.grad_norm <= k.grad_norm:
+            k = polished
+    return _at(loop, plan.frame, k.state), rounds, k
 
 
 def default_family(spec, winding=(1, 0)):

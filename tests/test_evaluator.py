@@ -468,7 +468,7 @@ def test_stage_kernel_work_on_every_branch(monkeypatch):
         flow_mod._velocity(lean, np.stack((qd, c)), spec, config)
         assert calls == want, name
     x = random_phase_point(spec, np.random.default_rng([1, 0]))
-    k1 = flow_mod.flow_velocity(x, spec, config, lean)
+    k1 = flow_mod._velocity(lean, flow_mod._start(x), spec, config)
     steps = []
     monkeypatch.setattr(flow_mod, "_rk4", lambda *a, f=flow_mod._rk4: steps.append(1) or f(*a))
     dt, _ = flow_mod._step(spec, config, config.dt, k1, lean)

@@ -368,7 +368,7 @@ def test_reused_k1_matches_recomputed_k1(small_spec, small_config, rng, monkeypa
     rk4 = flow_mod._rk4
 
     def recomputing(spec, config, dt, k1, plan):
-        xk = flow_mod._at(x, k1.state)
+        xk = flow_mod._at(x.loop, x.frame, k1.state)
         return rk4(spec, config, dt, flow_mod.flow_velocity(xk, spec, config), plan)
 
     monkeypatch.setattr(flow_mod, "_rk4", recomputing)
@@ -531,7 +531,7 @@ def row_start(x, spec, config, plan):
 
 def row_state(x0, k):
     # the PhasePoint of the row velocity k on x0's trajectory
-    return flow_mod._at(x0, (k.qd, k.c))
+    return flow_mod._at(x0.loop, x0.frame, (k.qd, k.c))
 
 
 @pytest.mark.parametrize("J", [8, 32])
@@ -549,7 +549,7 @@ def test_rk4_matches_stages_built_by_perturb(J, model):
             assert stepped.shape == (2, x.frame.dim)
             rows = row_rk4(plan, spec, config, dt, row_start(x, spec, config, plan))
             assert [a.tobytes() for a in stepped] == [a.tobytes() for a in rows]
-            got = flow_mod._at(x, stepped)
+            got = flow_mod._at(x.loop, x.frame, stepped)
             want = reference_rk4(x, spec, config, dt, k1)
             assert got.frame is x.frame and got.loop.winding == x.loop.winding
             for a, b in ((got.fiber.coefficients, want.fiber.coefficients),
@@ -666,7 +666,7 @@ def former_march(x, spec, config, T):
         t += dt
         tries += n
         times.append(t)
-        states.append(flow_mod._state(x, L, k.c))
+        states.append(PhasePoint(loop=x.loop.with_series(L), fiber=FiberField(x.frame, k.c)))
         velocities.append(k)
     return times, states, velocities, tries
 
@@ -720,10 +720,13 @@ def assert_march_matches_reference(x, spec, config, T, monkeypatch):
 
 
 def assert_march_matches_row_stepping(traj, x, spec, config, T):
-    # bit for bit: the states, their records and (a, b), and the diagnostics
+    # bit for bit: the rows and states, their records and (a, b), and the
+    # diagnostics
     times, velocities = row_flow(x, spec, config, T)
     states = [x] + [row_state(x, k) for k in velocities[1:]]
     assert traj.times.tolist() == times
+    qd, c = (np.stack([getattr(k, row) for k in velocities]) for row in ("qd", "c"))
+    assert traj.velocities.tobytes() == qd.tobytes() and traj.fibers.tobytes() == c.tobytes()
     got = traj.states
     assert len(got) == len(states)
     assert all(state_key(a) == state_key(b) and a.loop.base == b.loop.base
@@ -738,9 +741,14 @@ def assert_march_matches_row_stepping(traj, x, spec, config, T):
     assert traj.ab.tobytes() == ab.tobytes()
     want = SimpleNamespace(states=states, ab=ab, s=spec.s)
     report = ps_diagnostics(traj, spec, config)
-    for a, b in zip((report.vertical_defect, report.quadratic_ratio, report.derivative_norm,
-                     report.kernel_parallel, report.kernel_residual), reference_ps_arrays(want)):
+    per_state = reference_ps_arrays(want)
+    for a, b in zip((report.quadratic_ratio, report.derivative_norm, report.kernel_parallel,
+                     report.kernel_residual), per_state[1:]):
         assert a.tobytes() == b.tobytes()
+    # the vertical defect of the rows' own qd; the states rebuilt from it
+    # give qd back within roundoff
+    assert report.vertical_defect.tobytes() == x.frame.norm(spec.s - 1.0, qd - c).tobytes()
+    np.testing.assert_allclose(report.vertical_defect, per_state[0], rtol=1e-15, atol=0.0)
     assert representation_coefficients(traj).tobytes() == stacked_representation(want).tobytes()
 
 
@@ -820,12 +828,19 @@ def test_trajectory_diagnostics_match_per_state_references(which, diagnosed_traj
     assert_close(representation_coefficients(traj), rows)
     report = ps_diagnostics(traj, spec, config)
     arrays, growth = reference_ps(traj)
-    # the batched loop velocities give the bytes of one velocity_coefficients per state
-    for got, want, want_bytes in zip((report.vertical_defect, report.quadratic_ratio,
-                                      report.derivative_norm, report.kernel_parallel,
-                                      report.kernel_residual), arrays, reference_ps_arrays(traj)):
+    got_arrays = (report.vertical_defect, report.quadratic_ratio, report.derivative_norm,
+                  report.kernel_parallel, report.kernel_residual)
+    per_state = reference_ps_arrays(traj)
+    for got, want in zip(got_arrays, arrays):
         assert_close(got, want)
+    # the fiber terms give the bytes of the per-state stack; the vertical
+    # defect reads the march's loop velocities, which the per-state
+    # states give back only up to the roundoff of rebuilding their loop data
+    for got, want_bytes in zip(got_arrays[1:], per_state[1:]):
         assert got.tobytes() == want_bytes.tobytes()
+    assert report.vertical_defect.tobytes() == \
+        x0.frame.norm(spec.s - 1.0, traj.velocities - traj.fibers).tobytes()
+    np.testing.assert_allclose(report.vertical_defect, per_state[0], rtol=1e-15, atol=0.0)
     assert report.growth_flag is growth
     assert growth is (which == 2)
 
@@ -939,7 +954,8 @@ def test_march_work_on_the_benchmark_flows(monkeypatch):
     # default_rng([1, k])): 16 040 stage evaluations, 4000 steps, none
     # halved, 13 295 FFTs; no step moves loop data, reads a loop velocity
     # off it or gathers a horizontal gradient: series_velocity runs once
-    # per flow, for the start's velocity, and rebuild_series once per flow
+    # per flow, for the start's velocity, and no flow rebuilds loop data;
+    # ps_diagnostics reads the recorded velocities with no series_velocity
     spec = default_spec()
     config = FlowConfig.auto(spec)
     counts = {name: 0 for name in ("metric_gradient", "_rk4", "fft", "move_series",
@@ -960,18 +976,41 @@ def test_march_work_on_the_benchmark_flows(monkeypatch):
         counted(action_mod, name)
     for name in ("rfft", "irfft"):
         counted(spectral.np.fft, name, "fft")
-    steps = 0
+    steps, trajectories = 0, []
     for k in range(40):
         traj = flow(random_phase_point(spec, np.random.default_rng([1, k])), spec, config, 1.0)
         steps += len(traj.times) - 1
+        trajectories.append(traj)
     assert steps == 4000 and counts["_rk4"] == steps   # no step halved
     assert counts["metric_gradient"] == 16040 and counts["fft"] == 13295
     assert counts["move_series"] == counts["horizontal_gradient"] == 0
-    assert counts["series_velocity"] == counts["rebuild_series"] == 40
+    assert counts["series_velocity"] == 40 and counts["rebuild_series"] == 0
+    for traj in trajectories:
+        ps_diagnostics(traj, spec, config)
+    assert counts["series_velocity"] == 40
 
 
 def test_trajectory_keeps_no_state_stack(small_spec, small_config, rng):
-    # the recorded fibers own their data: no view keeps the march's states alive
+    # the recorded velocities and fibers own their data: no view keeps the
+    # march's states alive
     traj = flow(random_phase_point(small_spec, rng), small_spec, small_config, 0.1)
-    assert traj.fibers.base is None and traj.loops.base is None
-    assert traj.fibers.shape == traj.loops.shape == (11, traj.x0.frame.dim)
+    assert traj.fibers.base is None and traj.velocities.base is None
+    assert traj.fibers.shape == traj.velocities.shape == (11, traj.x0.frame.dim)
+
+
+def test_trajectory_keeps_the_march_velocities(small_spec, small_config, rng, monkeypatch):
+    # traj.velocities holds each marched state's qd byte for byte, as
+    # _march yields it, and the states rebuild their loop data in one
+    # rebuild_series call, whose rows give the states' bits
+    x = random_phase_point(small_spec, rng)
+    yielded = [k.state[0].copy() for _, _, k in flow_mod._march(x, small_spec, small_config, 0.1)]
+    traj = flow(x, small_spec, small_config, 0.1)
+    assert traj.velocities.tobytes() == np.stack(yielded).tobytes()
+    calls = []
+    monkeypatch.setattr(flow_mod, "rebuild_series",
+                        lambda *a, f=flow_mod.rebuild_series: calls.append(a[-1].shape) or f(*a))
+    states = traj.states
+    assert calls == [(10, x.frame.dim)]
+    for k, state in enumerate(states[1:], start=1):
+        assert state_key(state) == state_key(flow_mod._at(x.loop, x.frame,
+                                                          (traj.velocities[k], traj.fibers[k])))

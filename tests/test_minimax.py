@@ -368,14 +368,24 @@ def test_refine_critical_on_a_singular_kernel_block(spec, rho, eps):
     assert gradient_norm(z, spec) <= gradient_norm(x, spec)
 
 
+def capture_polished(monkeypatch, family, spec, config):
+    """The unpolished witnesses of minimax_theta over the family, as the
+    PhasePoints of the states _descend hands to _polish, anchored on the
+    family's loop as the witness is; _polish returns each state as is."""
+    witnesses = []
+    monkeypatch.setattr(minimax, "_polish", lambda plan, z, *args: witnesses.append(
+        flow_mod._at(family[0], plan.frame, z)) or z)
+    minimax_theta(family, spec, config)
+    return witnesses
+
+
 def test_refine_critical_forms_no_dense_matrix(monkeypatch):
     # the unpolished witness of the benchmark's J = 64, r = 1 level, moved
     # 1e-6 off (the fiber solver leaves it at gradient norm 1.5e-14),
     # polished with no SVD and no dense fiber Hessian
     spec = default_spec(J=64, r=1.0)
-    witnesses = []
-    monkeypatch.setattr(minimax, "refine_critical", lambda x, x_spec: witnesses.append(x) or x)
-    minimax_theta(default_family(spec), spec, FlowConfig.auto(spec))
+    family = default_family(spec)
+    witnesses = capture_polished(monkeypatch, family, spec, FlowConfig.auto(spec))
     monkeypatch.undo()
     (x,) = witnesses
     assert_polish_matches_series(x, spec, monkeypatch)   # the c11 J = 64 witness
@@ -392,27 +402,44 @@ def test_refine_critical_forms_no_dense_matrix(monkeypatch):
 
 
 def test_minimax_theta_polishes_through_refine_critical_once_per_converged_level(monkeypatch):
-    # the level and its gradient norm are read at the state refine_critical
-    # returns; a level whose descent did not converge is not polished
+    # the level and its gradient norm are read at the state _polish
+    # returns, from which the witness is built; a level whose descent did
+    # not converge is not polished
     spec8 = default_spec(J=8)
     config8 = FlowConfig.auto(spec8)
     returned = []
-    polish = minimax.refine_critical
-    monkeypatch.setattr(minimax, "refine_critical",
+    polish = minimax._polish
+    monkeypatch.setattr(minimax, "_polish",
                         lambda *args: returned.append(polish(*args)) or returned[-1])
     rec = minimax_theta(default_family(spec8), spec8, config8)
-    assert rec.converged and len(returned) == 1 and rec.witness is returned[0]
-    k = flow_velocity(rec.witness, spec8, config8)
+    assert rec.converged and len(returned) == 1
+    (z,) = returned
+    assert rec.witness.fiber.coefficients.tobytes() == z[1].tobytes()
+    k = flow_mod._velocity(gradient_plan(rec.witness.frame, spec8.s), z, spec8, config8)
     assert (rec.theta, rec.grad_norm) == (k.action, k.grad_norm)
+    assert_witness_gives_the_record(rec, spec8, config8)
     returned.clear()
     records, _ = orbit_sweep(spec8, [0.05, 0.5, 1.0], config8)
     assert len(returned) == sum(r.converged for r in records) == 3
-    assert all(r.witness is x for r, x in zip(records, returned))
+    assert all(r.witness.fiber.coefficients.tobytes() == z[1].tobytes()
+               for r, z in zip(records, returned))
     returned.clear()
     monkeypatch.setattr(minimax, "HANDOFF", -1.0)
     monkeypatch.setattr(minimax, "DESCENT_ROUNDS", 1)
     rec = minimax_theta(default_family(spec8), spec8, config8)
     assert not rec.converged and returned == []
+
+
+# The record reads theta and grad_norm at the polished state z itself;
+# its witness rebuilds the loop data from z's velocity coefficients, and
+# reading them back off that loop is exact only up to roundoff.
+WITNESS_ROUNDOFF = 1e-17   # absolute, on theta and on grad_norm
+
+
+def assert_witness_gives_the_record(rec, spec, config):
+    k = flow_velocity(rec.witness, spec, config)
+    assert abs(k.action - rec.theta) <= WITNESS_ROUNDOFF
+    assert abs(k.grad_norm - rec.grad_norm) <= WITNESS_ROUNDOFF
 
 
 def test_refine_critical_never_worsens(spec, rng):
@@ -532,7 +559,7 @@ def series_polish(x, spec):
     vec, nfev = backtracked(fun, step, np.concatenate([L[n:], x.fiber.coefficients]),
                             minimax.POLISH_NFEV)
     L[n:] = vec[:k]
-    return flow_mod._state(x, L, vec[k:]), nfev
+    return PhasePoint(loop=x.loop.with_series(L), fiber=FiberField(x.frame, vec[k:])), nfev
 
 
 def mean_position(loop):
@@ -565,7 +592,7 @@ def assert_polish_matches_series(x, spec, monkeypatch):
     assert nfev == packed_nfev and abs(len(evaluations) - nfev) <= 1
     assert np.max(np.abs(z[1] - ref.fiber.coefficients)) <= POLISH_AGREEMENT
     assert np.max(np.abs(z[0] - velocity_coefficients(ref.loop, x.frame))) <= POLISH_AGREEMENT
-    ours = flow_mod._at(x, z)
+    ours = flow_mod._at(x.loop, x.frame, z)
     assert ours.loop.winding == ref.loop.winding and ref.loop.base == x.loop.base
     np.testing.assert_allclose(ours.loop.series(J)[n:], ref.loop.series(J)[n:], rtol=0.0,
                                atol=POLISH_AGREEMENT)
@@ -633,7 +660,7 @@ def trf_polish(x, spec):
     sol = least_squares(lambda vec: fun(state(vec)), z.ravel()[n:],
                         jac=lambda vec: dense_jacobian(plan, spec, state(vec))[:, n:],
                         method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=4000)
-    refined = flow_mod._at(x, state(sol.x))
+    refined = flow_mod._at(x.loop, x.frame, state(sol.x))
     return refined if gradient_norm(refined, spec) <= gradient_norm(x, spec) else x
 
 
@@ -646,11 +673,10 @@ def test_refine_critical_matches_the_trf_reference(spec, config, rng, monkeypatc
     xi, eta = random_direction(x, spec, rng)
     states = [(perturb(x, 1e-5, xi=xi, eta=eta), spec)]
     witnesses = []
-    monkeypatch.setattr(minimax, "refine_critical",
-                        lambda x, x_spec: witnesses.append((x, x_spec)) or x)
     for r in np.linspace(0.05, 2.0, 4):
         r_spec = spec.with_r(float(r))
-        minimax_theta(default_family(r_spec), r_spec, config)
+        witnesses += [(x, r_spec) for x in
+                      capture_polished(monkeypatch, default_family(r_spec), r_spec, config)]
     assert len(witnesses) == 4
     for x, x_spec in witnesses:
         xi, eta = random_direction(x, x_spec, rng)
@@ -736,11 +762,13 @@ def wiggled_loop(amplitude):
     for r in (0.05, 0.35789473684210527, 1.0, 2.0)] + [(8, 0.02, 0.05)])
 def test_minimax_theta_off_the_straight_family(J, amplitude, r):
     spec = default_spec(J=J, r=r)
-    rec = minimax_theta([wiggled_loop(amplitude)], spec, FlowConfig.auto(spec))
+    config = FlowConfig.auto(spec)
+    rec = minimax_theta([wiggled_loop(amplitude)], spec, config)
     level, kind = oracle_level(r)
     assert abs(rec.theta - level) <= 1e-9
     assert rec.classification.kind == kind
     assert rec.converged and rec.steps > 0
+    assert_witness_gives_the_record(rec, spec, config)
 
 
 def sweep_levels(s):
@@ -810,11 +838,13 @@ def test_minimax_theta_on_a_perturbed_winding_1_1_loop(r):
 # closed-geodesic 0.45
 def test_minimax_theta_reaches_the_fake_level_at_amplitude_0_05():
     spec = default_spec(J=32, r=0.05)
-    rec = minimax_theta([wiggled_loop(0.05)], spec, FlowConfig.auto(spec))
+    config = FlowConfig.auto(spec)
+    rec = minimax_theta([wiggled_loop(0.05)], spec, config)
     level, kind = oracle_level(0.05)
     assert abs(rec.theta - level) <= 1e-9
     assert rec.classification.kind == kind
     assert rec.converged
+    assert_witness_gives_the_record(rec, spec, config)
 
 
 # amplitude 0.05 at r = 0.3579: the step-capped gradient ascent that the
@@ -898,9 +928,9 @@ def test_minimax_theta_descends_once_on_the_straight_loop(spec, config, monkeypa
         solves.append(solve(*args))
         return solves[-1]
 
-    def descend(x, *args):
-        starts.append(x.fiber.coefficients)
-        return descent(x, *args)
+    def descend(plan, z, *args):
+        starts.append(z[1])
+        return descent(plan, z, *args)
 
     monkeypatch.setattr(minimax, "fiber_sup", ascend)
     monkeypatch.setattr(minimax, "_envelope_descent", descend)
@@ -913,7 +943,7 @@ def test_minimax_theta_descends_once_on_the_straight_loop(spec, config, monkeypa
     assert ascents[1][0].action <= rec.theta + minimax.ABOVE_LEVEL
     results = ascents[0]
     top = results[0]
-    assert starts[0] is top.field.coefficients
+    assert starts[0].tobytes() == top.field.coefficients.tobytes()
     copies = [res for res in results[1:] if res.field.frame.norm(
         1.0 - spec.s, res.field.coefficients - top.field.coefficients) <= minimax.SAME_MAXIMIZER]
     assert copies and all(res.action >= rec.theta for res in copies)
@@ -1076,7 +1106,7 @@ def reference_composite_descent(x, spec, config):
     qd, c = qd0, x.fiber.coefficients
     for _ in range(minimax.DESCENT_ROUNDS):
         c = minimax._ascend(frame, qd, c, spec, config.gamma_dprime).field.coefficients
-        state = flow_mod._state(x, flow_mod._states(x, qd0, qd), c)
+        state = flow_mod._at(x.loop, frame, (qd, c))
         if gradient_norm(state, spec) <= tol:
             return state, True
         _, k = flow_mod._step(spec, config, 5.0 * config.dt,
@@ -1084,7 +1114,7 @@ def reference_composite_descent(x, spec, config):
                                                  spec, config),
                               gradient_plan(frame, spec.s))
         qd, c = k.state
-    return flow_mod._state(x, flow_mod._states(x, qd0, qd), c), False
+    return flow_mod._at(x.loop, frame, (qd, c)), False
 
 
 def test_composite_descent_matches_reference(small_spec, small_config, monkeypatch):
@@ -1134,24 +1164,75 @@ def test_envelope_descent_builds_no_state(small_spec, small_config, monkeypatch)
         for cls in (LoopPath, PhasePoint):
             m.setattr(cls, "__post_init__", lambda self, f=cls.__post_init__:
                       built.append(type(self).__name__) or f(self))
-        rounds, k = minimax._envelope_descent(x, small_spec, small_config,
+        rounds, k = minimax._envelope_descent(gradient_plan(x.frame, small_spec.s),
+                                              flow_mod._start(x), small_spec, small_config,
                                               0.01 * small_config.grad_tol)
     assert built == [] and 0 < rounds < minimax.DESCENT_ROUNDS
     xc, ok = composite_descent(x, small_spec, small_config)
     assert ok and xc.fiber.coefficients.tobytes() == k.state[1].tobytes()
-    assert flow_mod._at(x, k.state).loop.content_key() == xc.loop.content_key()
+    assert flow_mod._at(x.loop, x.frame, k.state).loop.content_key() == xc.loop.content_key()
 
 
 def test_minimax_theta_builds_one_witness_per_descend(spec, config, monkeypatch):
-    # _descend builds the best descent's state once (flow._at) and hands
-    # it to refine_critical, which builds only the state it returns
-    descents, built, polished = [], [], []
-    monkeypatch.setattr(minimax, "_descend",
-                        lambda *args, f=minimax._descend: descents.append(1) or f(*args))
-    monkeypatch.setattr(minimax, "_at", lambda x, z, f=minimax._at: built.append(f(x, z))
+    # _descend builds exactly one PhasePoint, the witness, by one flow._at
+    # call from the state it keeps; it calls neither refine_critical,
+    # flow_velocity nor gradient_norm
+    descents, built, points = [], [], []
+
+    def descend(*args, f=minimax._descend):
+        points.clear()
+        out = f(*args)
+        descents.append(list(points))
+        return out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("_descend evaluated a built state")
+
+    monkeypatch.setattr(minimax, "_descend", descend)
+    monkeypatch.setattr(minimax, "_at", lambda *args, f=minimax._at: built.append(f(*args))
                         or built[-1])
-    monkeypatch.setattr(minimax, "refine_critical", lambda x, x_spec, f=minimax.refine_critical:
-                        polished.append((x, len(built))) or f(x, x_spec))
+    monkeypatch.setattr(PhasePoint, "__post_init__", lambda self, f=PhasePoint.__post_init__:
+                        points.append(self) or f(self))
+    monkeypatch.setattr(minimax, "refine_critical", refuse)
+    monkeypatch.setattr(flow_mod, "flow_velocity", refuse)
+    monkeypatch.setattr(action_mod, "gradient_norm", refuse)
+    assert not any(hasattr(minimax, name) for name in ("flow_velocity", "gradient_norm"))
     rec = minimax_theta(default_family(spec), spec, config)
-    assert len(descents) == 1 and len(built) == 2
-    assert polished == [(built[0], 1)] and rec.witness in built
+    assert len(descents) == 1 and len(built) == 1
+    assert descents[0] == built == [rec.witness]
+
+
+def test_minimax_theta_on_a_mixed_dimension_family(monkeypatch):
+    # a family may mix loop dimensions: _descend makes one gradient_plan
+    # per frame in its pool, and the level is each loop's alone
+    spec = default_spec(J=8, r=1.0)
+    config = FlowConfig.auto(spec)
+    loops = [straight_loop(flat_torus(1), (1,)), straight_loop(flat_torus(2), (1, 0))]
+    alone = [minimax_theta([loop], spec, config).theta for loop in loops]
+    plans = []
+    monkeypatch.setattr(minimax, "gradient_plan", lambda frame, s, f=minimax.gradient_plan:
+                        plans.append(frame.n) or f(frame, s))
+    rec = minimax_theta(loops, spec, config)
+    assert alone == [rec.theta] * 2 == [0.24961970515912177] * 2
+    assert sorted(plans) == [1, 2] and rec.converged
+
+
+def test_sweep_work_on_the_benchmark_points(spec, config, monkeypatch):
+    # the benchmark sweep's four r-points: per level one gradient_plan (in
+    # _descend), one rebuild_series (the witness) and five series_velocity
+    # calls, every one a velocity_coefficients of a loop
+    counts = Counter()
+
+    def counted(module, name):
+        monkeypatch.setattr(module, name, lambda *args, f=getattr(module, name):
+                            counts.update([name]) or f(*args))
+
+    for module in (action_mod, flow_mod, minimax):
+        counted(module, "gradient_plan")
+    counted(action_mod, "series_velocity")
+    counted(flow_mod, "rebuild_series")
+    records, _ = orbit_sweep(spec, np.linspace(0.05, 2.0, 4), config)
+    assert [str(rec.classification) for rec in records] == [
+        "fake-geodesic", "on-hypersurface(sigma=-0.169972)", "on-hypersurface(sigma=-0.178987)",
+        "on-hypersurface(sigma=-0.182948)"]
+    assert counts == {"gradient_plan": 4, "rebuild_series": 4, "series_velocity": 20}

@@ -15,7 +15,8 @@ DELETED = {"hamiltonian": ("evaluate_H", "hamiltonian_vector_field", "integrate_
            "action": ("rescale_period", "velocity_layout", "_padded_modes", "pack_coefficients",
                       "unpack_coefficients", "evaluate"),
            "action.GradientPlan": ("weight_h", "norm_h", "weight_v"),
-           "flow": ("flow_step", "kolmogorov_width_proxy", "_state_velocity"),
+           "flow": ("flow_step", "kolmogorov_width_proxy", "_state_velocity", "_states", "_state"),
+           "flow.FlowTrajectory": ("loops",),
            "flow.Velocity": ("grad_h", "grad_v", "loop_velocity", "fiber"),
            "spectral": ("adjoint_inclusion", "eigendecompose", "inner_r", "norm_r",
                         "fractional_apply", "project", "inner_r_emb", "norm_r_emb",
@@ -31,7 +32,7 @@ DELETED = {"hamiltonian": ("evaluate_H", "hamiltonian_vector_field", "integrate_
            "geometry.ModelManifold": ("embed_point", "embed_tangent", "embedding_dim")}
 
 # parameters deleted from functions that stay, by "module.function"
-DELETED_PARAMETERS = {"minimax.fiber_sup": ("seeds", "iters")}
+DELETED_PARAMETERS = {"minimax.fiber_sup": ("seeds", "iters"), "flow.flow_velocity": ("plan",)}
 
 REMOVED = ("AliasingError", "TangentFieldSamples", "covariant_derivative", "evaluate_loop",
            "field_from_function", "loop_json_roundtrip", "deformation_report",
@@ -87,9 +88,11 @@ def test_pyproject_version_is_the_package_version():
 
 
 def test_a_phase_point_holds_only_its_loop_and_fiber():
-    # the regularity s is the spec's; a trajectory keeps the s it was flowed at
+    # the regularity s is the spec's; a trajectory keeps the s it was flowed
+    # at, and the march's loop velocities, not loop data
     assert [f.name for f in fields(loopflow.PhasePoint)] == ["loop", "fiber"]
-    assert "s" in [f.name for f in fields(loopflow.FlowTrajectory)]
+    trajectory = [f.name for f in fields(loopflow.FlowTrajectory)]
+    assert "s" in trajectory and "velocities" in trajectory and "loops" not in trajectory
     assert list(inspect.signature(loopflow.metric_pairing).parameters) == \
         ["x", "spec", "pair_a", "pair_b"]
     assert list(inspect.signature(loopflow.action.random_direction).parameters) == ["x", "spec", "rng"]
