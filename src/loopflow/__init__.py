@@ -1,11 +1,11 @@
 """Mixed-regularity loop spaces: spectral frames, Hamiltonian actions, minimax flows."""
 
 from .action import (CriticalClass, PhasePoint, classify_critical, gradient,
-                     gradient_norm, hamilton_residual, loop_energy, metric_pairing,
-                     perturb, random_phase_point, straight_orbit)
+                     gradient_norm, loop_energy, metric_pairing, perturb,
+                     random_phase_point, straight_orbit)
 from .flow import (FlowConfig, FlowTrajectory, PSReport, flow_to_critical,
                    ps_diagnostics, representation_coefficients, speed_cutoff)
-from .fourier import analyze, differentiate, synthesize
+from .fourier import analyze, synthesize
 from .geometry import (LoopPath, ModelManifold, embedded_circle, flat_torus,
                        random_loop, straight_loop)
 from .hamiltonian import (HamiltonianSpec, alpha_bound, chi, default_spec, phi,
@@ -24,10 +24,10 @@ __all__ = [
     "FlowTrajectory", "HamiltonianSpec", "LoopPath", "MinimaxRecord",
     "ModelManifold", "PSReport", "SpectralFrame", "PhasePoint", "RunManifest",
     "SweepSummary", "alpha_bound", "analyze", "chi", "classify_critical",
-    "default_family", "default_spec", "differentiate", "embedded_circle",
+    "default_family", "default_spec", "embedded_circle",
     "embedded_metric", "fiber_sup", "fit_spectrum_bounds", "flat_torus",
     "flow_to_critical", "frame_of", "gradient", "gradient_norm",
-    "hamilton_residual", "loop_energy", "metric_pairing", "minimax_theta",
+    "loop_energy", "metric_pairing", "minimax_theta",
     "orbit_sweep", "perturb", "phi", "ps_diagnostics",
     "r0_threshold", "radial_H", "random_loop", "random_phase_point",
     "read_csv", "read_manifest", "refine_critical",

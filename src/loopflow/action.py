@@ -26,7 +26,7 @@ fiber (horizontal_gradient, a gather times a gain), so metric_gradient
 reads its norm, and the fiber's, off the fiber's block energies, and the
 callers that need the vector gather it.  Where the coefficients alone
 certify every radius in the quadratic zone rho >= 2 rho1
-(quadratic_zone_energy), the action and the plain gradient come in
+(_certified_energy), the action and the plain gradient come in
 closed form (quadratic_zone_terms) with no transform.
 Every other call is one fiber_evaluation: one irfft of the fiber, then
 that closed form, or one H pass and one rfft of dH/dp, bit for bit the
@@ -242,7 +242,7 @@ class GradientPlan(NamedTuple):
     -lam outside the kernel.  scale_v = (1+lam)^{s-1} turns the plain
     fiber gradient into the vertical one.  blocks holds the starts of the
     kernel block and of each mode's 2n cos/sin block, over which one
-    reduceat gives the block energies of a fiber (quadratic_zone_energy).
+    reduceat gives the block energies of a fiber (_certified_energy).
     The weights of the norms depend on the mode alone, so they are kept
     per block: block_h = (1+lam)^s gain^2, for the squared s-norm of the
     horizontal gradient (partner keeps the mode), and block_v =
@@ -275,14 +275,6 @@ def horizontal_gradient(plan, c):
     representative -(1+lam)^{-s} (dp/dt coefficients) of xi -> <xi_dot,
     p>: one gather of c's cos/sin partners times the plan's gain."""
     return c[plan.partner] * plan.gain
-
-
-def quadratic_zone_energy(plan, c, rho1):
-    """|c|^2 when the coefficients alone put every radius of the fiber c
-    in the quadratic zone 2 rho1 <= rho <= QUADRATIC_TOP, else None: the
-    certificate (_certified_energy) of c's block energies, the one
-    metric_gradient reads."""
-    return _certified_energy(np.add.reduceat(c * c, plan.blocks), rho1)
 
 
 def _certified_energy(energy, rho1):
@@ -387,21 +379,6 @@ def perturb(x, eps, xi=None, eta=None):
     coeffs = x.fiber.coefficients if eta is None else x.fiber.coefficients + eps * eta
     coeffs.flags.writeable = False
     return PhasePoint(loop=loop, fiber=FiberField(frame, coeffs))
-
-
-def hamilton_residual(x, spec):
-    """L^2 defect of the Hamilton equations at x.
-
-    On the flat models the equations are qdot = dH/dp and nabla p = 0;
-    the residual is the sum of the two L^2 norms.
-    """
-    frame = x.frame
-    qd = velocity_coefficients(x.loop, frame)
-    _, _, dpH = fiber_evaluation(frame, qd, x.fiber.coefficients, spec)
-    diff = frame.samples(qd) - dpH
-    res_q = float(np.sqrt(np.mean(np.sum(diff ** 2, axis=1))))
-    pdot = derivative_coefficients(frame, x.fiber.coefficients)
-    return res_q + float(np.linalg.norm(pdot))
 
 
 @dataclass(frozen=True)

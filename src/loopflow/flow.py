@@ -217,11 +217,10 @@ class FlowTrajectory:
     """A recorded flow run: the start state x0, the read-only (N, D)
     stacks of the states' loop velocity coefficients qd and fiber
     coefficients c, exactly as the march stepped them, and per-state
-    diagnostics.  states and final build their PhasePoints (but x0) each
-    time they are read, with loop data rebuilt from qd anchored on x0
-    (_at); states rebuilds all rows in one call.  ab holds the
-    representation pair (a(t), b(t)); phi_tilde the speed weights it
-    integrates; s is spec.s.
+    diagnostics.  states builds its PhasePoints (but x0) each time it is
+    read, with the loop data of all rows rebuilt from qd in one call,
+    anchored on x0 (_at).  ab holds the representation pair (a(t), b(t));
+    phi_tilde the speed weights it integrates; s is spec.s.
     """
 
     x0: PhasePoint
@@ -238,12 +237,6 @@ class FlowTrajectory:
     @property
     def states(self):
         return [self.x0] + _at(self.x0.loop, self.x0.frame, (self.velocities[1:], self.fibers[1:]))
-
-    @property
-    def final(self):
-        if len(self.times) == 1:
-            return self.x0
-        return _at(self.x0.loop, self.x0.frame, (self.velocities[-1], self.fibers[-1]))
 
 
 def _trajectory(x0, times, velocities, fibers, records, s, budget_exhausted=False):

@@ -61,11 +61,3 @@ def synthesize(a0, a, b, m=None):
     F[..., 0, :] = m * a0
     F[..., 1:J + 1, :] = 0.5 * m * (a - 1j * b)
     return np.fft.irfft(F, n=m, axis=-2)
-
-
-def differentiate(a0, a, b):
-    """Coefficients of d/dt of the series (exact on the truncation);
-    a and b may carry a leading batch axis."""
-    J = np.asarray(a).shape[-2]
-    w = 2.0 * np.pi * np.arange(1, J + 1)[:, None]
-    return np.zeros_like(np.atleast_1d(a0)), w * b, -w * a

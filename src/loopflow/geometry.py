@@ -60,10 +60,6 @@ class ModelManifold:
     def embedding_curvatures(self):
         return 2.0 * np.pi / np.asarray(self.periods)
 
-    def wrap(self, q):
-        """Canonical coordinate representative in [0, L_k)."""
-        return np.mod(np.asarray(q, dtype=float), np.asarray(self.periods))
-
 
 def flat_torus(n):
     """The flat torus T^n = R^n / Z^n (unit periods)."""
@@ -136,18 +132,11 @@ class LoopPath:
         """Coordinate displacement over one period: winding * L."""
         return np.asarray(self.winding, dtype=float) * np.asarray(self.manifold.periods)
 
-    def coordinates(self, t):
-        """Unwrapped coordinates q(t), shape (len(t), n)."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        ang = 2.0 * np.pi * np.outer(t, np.arange(1, self.modes + 1))
-        # anchored: cos - 1 and sin vanish at t = 0 exactly, so coordinates(0) == base
-        per = (np.cos(ang) - 1.0) @ self.cos_coeffs + np.sin(ang) @ self.sin_coeffs
-        return np.asarray(self.base)[None, :] + np.outer(t, self.drift) + per
-
     def velocity_samples(self, m):
         """Coordinate velocity dq/dt on the uniform m-grid (exact)."""
-        _, da, db = fourier.differentiate(np.zeros(self.manifold.dim), self.cos_coeffs, self.sin_coeffs)
-        return self.drift[None, :] + fourier.synthesize(np.zeros(self.manifold.dim), da, db, m=m)
+        w = 2.0 * np.pi * np.arange(1, self.modes + 1)[:, None]
+        return self.drift[None, :] + fourier.synthesize(
+            np.zeros(self.manifold.dim), w * self.sin_coeffs, -w * self.cos_coeffs, m=m)
 
     def series(self, J):
         """The loop's data as one (n(2J+1),) array in a spectral frame's
@@ -185,11 +174,18 @@ class LoopPath:
 
     @staticmethod
     def from_json(data, manifold):
+        """The loop of the interchange dict (to_json); cos and sin may be
+        empty or absent, and each of their rows must hold n numbers."""
         n = manifold.dim
-        a = np.asarray(data.get("cos", []), dtype=float).reshape(-1, n)
-        b = np.asarray(data.get("sin", []), dtype=float).reshape(-1, n)
+        a, b = (data.get(name, []) for name in ("cos", "sin"))
+        for name, rows in (("cos", a), ("sin", b)):
+            for row in rows:
+                if len(row) != n:
+                    raise ValueError(f"loop {name} rows must have length n = {n}, got a row "
+                                     f"of length {len(row)}")
         return LoopPath(manifold=manifold, winding=data["winding"], base=data["base"],
-                        cos_coeffs=a, sin_coeffs=b)
+                        cos_coeffs=np.asarray(a, dtype=float).reshape(-1, n),
+                        sin_coeffs=np.asarray(b, dtype=float).reshape(-1, n))
 
 
 def straight_loop(manifold, winding, base=None, modes=0):

@@ -18,8 +18,8 @@ a = min(ln(rho1/rho*), ln(rho*/rho0)).
 
 Everything here is a scalar closed form plus its derivatives; the
 module also carries the closed-form critical-point bookkeeping that
-depends only on the profiles (fake-geodesic action, the exclusion
-threshold r0, the perturbation envelope beta).
+depends only on the profiles and that the minimax level reads (the
+exclusion threshold r0, the perturbation envelope beta).
 """
 
 import math
@@ -76,6 +76,10 @@ class HamiltonianSpec:
         for f in fields(self):
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"spec {f.name} must be finite, got {getattr(self, f.name)!r}")
+        # no bool and no float (the frame code repeats lists J times); JSON needs an int
+        if isinstance(self.J, bool) or not isinstance(self.J, (int, np.integer)):
+            raise ValueError(f"mode cutoff J must be an integer, got {self.J!r}")
+        object.__setattr__(self, "J", int(self.J))
         if not 0.0 < self.rho0 < self.rho1:
             raise ValueError("need 0 < rho0 < rho1")
         if not self.rho0 < self.rho_star < self.rho1:
@@ -106,7 +110,9 @@ class HamiltonianSpec:
 
     @staticmethod
     def from_json(data):
-        return HamiltonianSpec(**{f.name: f.type(data[f.name]) for f in fields(HamiltonianSpec)})
+        # J is passed as read, so that a non-integral J is refused, not truncated
+        return HamiltonianSpec(**{f.name: data[f.name] if f.type is int else f.type(data[f.name])
+                                  for f in fields(HamiltonianSpec)})
 
 
 def default_spec(**overrides):
@@ -207,16 +213,6 @@ def radial_H(spec, rho, order=0):
     return float(out[0]) if np.ndim(rho) == 0 else out
 
 
-def fake_geodesic_action(spec, p0):
-    """Closed-form action of a fake closed geodesic with |p(0)| = p0."""
-    scalar = np.ndim(p0) == 0
-    p0 = np.atleast_1d(np.asarray(p0, dtype=float))
-    if np.any(p0 <= spec.rho1):
-        raise ValueError("no fake geodesics at or below rho1")
-    out = phi(spec, p0, order=1) * p0 - phi(spec, p0) - spec.r
-    return float(out[0]) if scalar else out
-
-
 def _grid_max(f, df, d2f, hi, grid):
     """max f over [0, hi]: the best of grid uniform nodes, hi among them.
 
@@ -264,11 +260,3 @@ def envelope_beta(spec, grid=10000):
 def alpha_bound(spec, speed):
     """alpha = sup_rho (c rho - rho^2/2 + beta) = c^2/2 + beta."""
     return 0.5 * float(speed) ** 2 + envelope_beta(spec)
-
-
-def perturbation_sup_diff(spec_a, spec_b):
-    """sup_rho |H_{r_a} - H_{r_b}| for two specs sharing their profiles,
-    over 4001 uniform radii in [0, 3 rho1]."""
-    top = 3.0 * max(spec_a.rho1, spec_b.rho1)
-    rho = np.linspace(0.0, top, 4001)
-    return float(np.max(np.abs(radial_H(spec_a, rho) - radial_H(spec_b, rho))))

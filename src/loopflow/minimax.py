@@ -30,7 +30,9 @@ no scipy.  Only the witness is built as a PhasePoint, once, from the z
 kept.  The level is a minimax, so the seeds ascend once more on the
 polished witness's loop, and a fiber maximizer above the level there is
 descended in turn.
-orbit_sweep runs one level per r-point, in grid order.
+orbit_sweep runs one level per r-point, in grid order.  The envelope
+descent from a single state, which the level never runs, is a test
+reference (composite_descent in tests/references.py).
 """
 
 import math
@@ -253,18 +255,6 @@ def _envelope_descent(plan, z, spec, config, tol):
     else:
         rounds = DESCENT_ROUNDS
     return rounds, k
-
-
-def composite_descent(x, spec, config):
-    """The envelope descent (_envelope_descent) from x's state to a
-    gradient norm two orders below grad_tol.  Returns (state, converged),
-    the state built from the descent's z anchored on x (flow._at); a
-    descent that does not converge within DESCENT_ROUNDS returns the
-    state its last round stepped to.
-    """
-    rounds, k = _envelope_descent(gradient_plan(x.frame, spec.s), _start(x), spec, config,
-                                  0.01 * config.grad_tol)
-    return _at(x.loop, x.frame, k.state), rounds < DESCENT_ROUNDS
 
 
 def _critical_system(plan, spec):

@@ -20,12 +20,12 @@ cross-validates the shortcut.
 A field along a loop is its (D,) frame coefficient array; FiberField
 binds a state's fiber to its frame, read-only and shape-checked, and
 tangent vectors stay plain arrays.  Sampled field data enter only
-through SpectralFrame.coefficients.  It and
-SpectralFrame.samples move one field at a time straight between its
-(D,) frame coefficients and its rfft spectrum, through per-grid slot and
-scale vectors the frame keeps (SpectralFrame._spectrum), with the
-arithmetic of the trig-series route (series, fourier.synthesize /
-fourier.analyze, layout); neither takes a stack of fields.  Sampled
+through SpectralFrame.coefficients.  It and SpectralFrame.samples move
+one field at a time straight between its (D,) frame coefficients and its
+rfft spectrum, through per-grid slot and scale vectors the frame keeps
+(SpectralFrame._spectrum), with the arithmetic of the trig-series route
+through fourier.synthesize / fourier.analyze (tests/references.py keeps
+its frame_series and layout); neither takes a stack of fields.  Sampled
 fields are held coordinate-major: an (m, n) array of samples is a view
 of (n, m) memory, so both transforms run along the contiguous axis,
 which pocketfft does faster than along the interleaved one and with the
@@ -52,7 +52,6 @@ matrix level for every loop and every r in [0,1].
 """
 
 import functools
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,10 +102,11 @@ class SpectralFrame:
         read off the flat real view of the spectrum at its slot and scaled
         as (F / gain) / root: F/m in the kernel and (F/(+-m/2))/sqrt(2)
         above it, which equals the ((+-2F)/m)/sqrt(2) of fourier.analyze
-        followed by layout bit for bit, since doubling F and halving m are
-        exact.  The slot and scale vectors come from _spectrum: built on
-        the first call for each m, kept read-only with the frame, dropped
-        by pickling.  The samples are read as given, with no conversion.
+        in the frame's slot order bit for bit, since doubling F and halving
+        m are exact.  The slot and scale vectors come from _spectrum: built
+        on the first call for each m, kept read-only with the frame,
+        dropped by pickling.  The samples are read as given, with no
+        conversion.
         Raises ValueError when m < 2J+1 or the samples are not an (m, n)
         array.
         """
@@ -119,40 +119,14 @@ class SpectralFrame:
         np.fft.rfft(samples.T, axis=-1, out=F)
         return F.view(float).reshape(-1)[slots] / gain / root
 
-    def layout(self, a0, a, b):
-        """Frame coefficients (..., D) of the trig series (a0, a, b).
-
-        The inverse of series; a and b may hold fewer than J modes, the
-        missing ones being zero, and all three may carry a leading batch
-        axis.
-        """
-        n = self.n
-        lead = np.shape(a0)[:-1]
-        c = np.zeros(lead + (self.dim,))
-        c[..., :n] = a0
-        block = c[..., n:].reshape(lead + (self.cutoff, 2, n))  # per mode: cos row then sin row
-        k = np.shape(a)[-2]
-        block[..., :k, 0, :] = a
-        block[..., :k, 1, :] = b
-        block[..., :k, :, :] /= SQ2
-        return c
-
-    def series(self, coefficients):
-        """Inverse layout map: (..., D) -> trig series (a0, a, b)."""
-        n = self.n
-        J = self.cutoff
-        c = np.asarray(coefficients, dtype=float)
-        block = c[..., n:].reshape(c.shape[:-1] + (J, 2 * n))
-        return c[..., :n].copy(), block[..., :n] * SQ2, block[..., n:] * SQ2
-
     def samples(self, coefficients, m=None):
         """Samples (m, n) on the uniform m-grid of one field's frame
         coefficients (D,).
 
         The coefficients, scaled as (c sqrt(2)) (m/2) (c m in the kernel)
-        like series followed by fourier.synthesize, are written straight
-        into their slots of the flat real view of an (n, m//2 + 1) rfft
-        spectrum, and one irfft along its last axis samples it.  The
+        like their trig series through fourier.synthesize, are written
+        straight into their slots of the flat real view of an (n, m//2 + 1)
+        rfft spectrum, and one irfft along its last axis samples it.  The
         result is the (m, n) transpose of that C-ordered (n, m) array, a
         view with no copy: its memory is coordinate-major.  Elementwise
         arithmetic on it keeps that layout, so the rfft of coefficients()
@@ -348,20 +322,17 @@ def dense_eigenvalues(n, cutoff):
 
 
 _FRAME_CACHE = {}
-_CACHE_LOCK = threading.Lock()
 
 
 def frame_of(loop, cutoff):
     """The frame for fields along the loop, shared by every loop of its
-    dimension (concurrent reads, exclusive insertion)."""
+    dimension: _FRAME_CACHE keeps the first frame made for each (n, J)."""
     if cutoff < loop.modes:
         raise ValueError(f"frame cutoff {cutoff} below loop mode content {loop.modes}")
     key = (loop.manifold.dim, cutoff)
     frame = _FRAME_CACHE.get(key)
     if frame is None:
-        frame = SpectralFrame(n=loop.manifold.dim, cutoff=cutoff)
-        with _CACHE_LOCK:
-            frame = _FRAME_CACHE.setdefault(key, frame)
+        frame = _FRAME_CACHE.setdefault(key, SpectralFrame(n=loop.manifold.dim, cutoff=cutoff))
     return frame
 
 

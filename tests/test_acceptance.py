@@ -13,16 +13,16 @@ import pytest
 import oracles
 from loopflow.action import (action, derivative_coefficients,
                              directional_derivative_check, gradient_norm,
-                             hamilton_residual, perturb, random_direction,
+                             perturb, random_direction,
                              random_phase_point, straight_orbit)
 from loopflow.flow import FlowConfig, flow, representation_coefficients
 from loopflow.fourier import default_samples
 from loopflow.geometry import embedded_circle, flat_torus, random_loop, straight_loop
-from loopflow.hamiltonian import (alpha_bound, default_spec, fake_geodesic_action,
-                                  perturbation_sup_diff, r0_threshold)
-from loopflow.minimax import (composite_descent, default_family, minimax_theta,
-                              orbit_sweep)
+from loopflow.hamiltonian import alpha_bound, default_spec, r0_threshold
+from loopflow.minimax import default_family, minimax_theta, orbit_sweep
 from loopflow.spectral import embedded_metric, fit_spectrum_bounds, frame_of
+from references import (composite_descent, fake_geodesic_action, hamilton_residual,
+                        perturbation_sup_diff)
 
 
 def report(num, name, detail):

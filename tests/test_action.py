@@ -11,14 +11,14 @@ import oracles
 from loopflow.action import (PhasePoint, action, classify_critical,
                              derivative_coefficients, directional_derivative_check,
                              fiber_evaluation, gradient, gradient_norm, gradient_plan,
-                             hamilton_residual, horizontal_gradient,
-                             loop_energy, metric_pairing, perturb, random_direction,
-                             move_series, random_phase_point, series_velocity,
+                             horizontal_gradient, loop_energy, metric_pairing, perturb,
+                             random_direction, move_series, random_phase_point, series_velocity,
                              straight_orbit, velocity_coefficients)
 from loopflow.flow import flow_velocity
 from loopflow.geometry import LoopPath, embedded_circle, flat_torus, random_loop, straight_loop
 from loopflow.hamiltonian import radial_H
 from loopflow.spectral import FiberField, SpectralFrame, frame_of
+from references import coordinates, frame_series, hamilton_residual, layout
 
 
 def kinetic_orbit(spec, winding=(1, 0)):
@@ -105,7 +105,7 @@ def test_perturb_moves_non_kernel_modes(spec, rng):
     z = perturb(x, 1e-3, xi=xi, eta=eta)
     assert z.loop.winding == x.loop.winding
     # anchoring survives the base shift
-    np.testing.assert_allclose(z.loop.coordinates(0.0)[0], z.loop.base, atol=1e-12)
+    np.testing.assert_allclose(coordinates(z.loop, 0.0)[0], z.loop.base, atol=1e-12)
 
 
 @pytest.mark.parametrize("modes", ["none", "half", "all"])
@@ -119,9 +119,9 @@ def test_perturb_output_is_the_padded_route_byte_for_byte(modes, spec, rng):
     x = PhasePoint(loop=loop, fiber=FiberField(frame, rng.standard_normal(frame.dim)))
     xi, eta = random_direction(x, spec, rng)
     got = perturb(x, 0.3, xi=xi, eta=eta)
-    # perturb's series arithmetic as it was before move_series: frame.series
+    # perturb's series arithmetic as it was before move_series: frame_series
     # of the tangent, and the base moved by eps (xa0 + sum xa)
-    xa0, xa, xb = frame.series(xi)
+    xa0, xa, xb = frame_series(frame, xi)
     cos, sin = (np.pad(a, ((0, J - k), (0, 0))) for a in (loop.cos_coeffs, loop.sin_coeffs))
     assert got.loop.cos_coeffs.tobytes() == (cos + 0.3 * xa).tobytes()
     assert got.loop.sin_coeffs.tobytes() == (sin + 0.3 * xb).tobytes()
@@ -299,13 +299,13 @@ def test_states_copy_what_a_caller_can_still_write(spec, rng):
 
 # velocity_coefficients as it was before it read series_velocity: the
 # frame layout of the series w sin and -w cos, with w = 2 pi j as
-# fourier.differentiate builds it, and +0.0 in the slots of modes the
+# references.differentiate builds it, and +0.0 in the slots of modes the
 # loop does not carry
 
 def layout_velocity(loop, frame):
     w = 2.0 * np.pi * np.arange(1, frame.cutoff + 1)[:, None]
     w = w[:loop.modes]
-    return frame.layout(loop.drift, w * loop.sin_coeffs, -w * loop.cos_coeffs)
+    return layout(frame, loop.drift, w * loop.sin_coeffs, -w * loop.cos_coeffs)
 
 
 @pytest.mark.parametrize("modes", [0, 4, 8])

@@ -373,6 +373,34 @@ def test_bad_config_value_types_exit_2(tmp_path, capsys, command, overlay):
     assert err.startswith("loopflow: error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("loop", [
+    {"cos": [[0.01, 0.02, 0.03, 0.04]], "sin": [[0.0, 0.0, 0.0, 0.0]]},
+    {"cos": [[0.01]], "sin": [[0.0]]},
+    {"cos": [[0.01, 0.02], [0.03]], "sin": [[0.0, 0.0], [0.0, 0.0]]},
+    {"cos": [], "sin": [[0.0, 0.0, 0.0]]},
+])
+def test_loop_rows_of_the_wrong_length_exit_2(tmp_path, capsys, loop):
+    # a row of 4 numbers on the 2-torus was reshaped into two modes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"loop": loop}))
+    code = run(["spectrum", "--modes", "4", "--config", str(cfg)] + out_args(tmp_path, "bad"))
+    assert code == 2
+    assert not (tmp_path / "bad").exists()
+    err = capsys.readouterr().err
+    assert "rows must have length n = 2, got a row of length" in err and "Traceback" not in err
+
+
+def test_empty_loop_rows_are_the_straight_loop(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"loop": {"cos": [], "sin": []}}))
+    assert run(["spectrum", "--modes", "4", "--config", str(cfg)]
+               + out_args(tmp_path, "empty")) == 0
+    assert run(["spectrum", "--modes", "4"] + out_args(tmp_path, "straight")) == 0
+    assert (read_csv(tmp_path / "empty" / "spectrum.csv")[:2]
+            == read_csv(tmp_path / "straight" / "spectrum.csv")[:2])
+    capsys.readouterr()
+
+
 def test_manifest_flow_section_is_the_flow_config(tmp_path, capsys):
     out = tmp_path / "spec"
     assert run(["spectrum", "--out", str(out)]) == 0

@@ -32,13 +32,13 @@ import loopflow.flow as flow_mod
 from loopflow import fourier, spectral
 from loopflow.action import (QUADRATIC_TOP, PhasePoint, action, derivative_coefficients,
                              fiber_evaluation, gradient, gradient_norm, gradient_plan,
-                             hamilton_residual, horizontal_gradient, loop_energy,
-                             metric_gradient, quadratic_zone_energy,
+                             horizontal_gradient, loop_energy, metric_gradient,
                              random_phase_point, velocity_coefficients)
 from loopflow.flow import FlowConfig, flow, speed_cutoff
 from loopflow.geometry import embedded_circle, flat_torus, random_loop, straight_loop
 from loopflow.hamiltonian import chi, default_spec, phi, radial_H, radial_H_jet
 from loopflow.spectral import SQ2, FiberField, SpectralFrame, frame_of
+from references import hamilton_residual, quadratic_zone_energy
 
 
 def reference_radial_H(spec, rho, order):

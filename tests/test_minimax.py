@@ -19,9 +19,10 @@ from loopflow.action import (PhasePoint, action, derivative_coefficients, gradie
 from loopflow.flow import FlowConfig, flow_velocity
 from loopflow.geometry import LoopPath, flat_torus, random_loop, straight_loop
 from loopflow.hamiltonian import default_spec, radial_H
-from loopflow.minimax import (ASCENT_TOL, composite_descent, default_family, fiber_sup,
-                              minimax_theta, orbit_sweep, refine_critical, symplectic_action)
+from loopflow.minimax import (ASCENT_TOL, default_family, fiber_sup, minimax_theta,
+                              orbit_sweep, refine_critical, symplectic_action)
 from loopflow.spectral import SQ2, FiberField, SpectralFrame, embedded_metric, frame_of
+from references import composite_descent, frame_series
 
 
 def reference_ascent(frame, qd, spec, c0, radius):
@@ -521,7 +522,7 @@ def packed_polish(x, spec):
         dc = antiderivative(frame, -f[:dim] / scale_h)
         rhs = -f[dim:dim + n] / scale_v[:n] - hess(dc)[:n]
         dc[:n] = np.linalg.lstsq(w.mean(axis=0), rhs, rcond=1e-13)[0]
-        _, da, db = frame.series(antiderivative(frame, f[dim:] / scale_v + hess(dc)))
+        _, da, db = frame_series(frame, antiderivative(frame, f[dim:] / scale_v + hess(dc)))
         return np.concatenate([da.reshape(-1), db.reshape(-1), dc])
 
     vec, nfev = backtracked(fun, step, packed(x), minimax.POLISH_NFEV)

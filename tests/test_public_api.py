@@ -11,25 +11,29 @@ import loopflow
 
 # names deleted from their own modules, by module (Module.Class: its methods)
 DELETED = {"hamiltonian": ("evaluate_H", "hamiltonian_vector_field", "integrate_hamiltonian",
-                           "Trajectory", "thickening_sigma", "_tail_jet"),
+                           "Trajectory", "thickening_sigma", "_tail_jet", "fake_geodesic_action",
+                           "perturbation_sup_diff"),
            "action": ("rescale_period", "velocity_layout", "_padded_modes", "pack_coefficients",
-                      "unpack_coefficients", "evaluate"),
+                      "unpack_coefficients", "evaluate", "quadratic_zone_energy",
+                      "hamilton_residual"),
            "action.GradientPlan": ("weight_h", "norm_h", "weight_v"),
            "flow": ("flow_step", "kolmogorov_width_proxy", "_state_velocity", "_states", "_state"),
-           "flow.FlowTrajectory": ("loops",),
+           "flow.FlowTrajectory": ("loops", "final"),
            "flow.Velocity": ("grad_h", "grad_v", "loop_velocity", "fiber"),
+           "fourier": ("differentiate",),
            "spectral": ("adjoint_inclusion", "eigendecompose", "inner_r", "norm_r",
                         "fractional_apply", "project", "inner_r_emb", "norm_r_emb",
-                        "_check_aligned", "_series_matrix", "_field_samples"),
-           "spectral.SpectralFrame": ("method", "kernel_dim", "basis"),
+                        "_check_aligned", "_series_matrix", "_field_samples", "_CACHE_LOCK",
+                        "threading"),
+           "spectral.SpectralFrame": ("method", "kernel_dim", "basis", "layout", "series"),
            "spectral.FiberField": ("norm_r", "samples", "__add__", "__sub__", "__mul__",
                                    "__rmul__", "__neg__"),
            "spectral.EmbeddedMetric": ("loop", "cutoff", "apply_power", "inner"),
            "minimax": ("ASCENT_STARTS", "fiber_hessian", "ASCENT_ITERS", "_vertical_newton",
-                       "_fiber_sups", "_level", "pool_size"),
+                       "_fiber_sups", "_level", "pool_size", "composite_descent"),
            "cli": ("load_defaults", "_winding"),
-           "geometry.LoopPath": ("coordinate_samples", "velocity_series"),
-           "geometry.ModelManifold": ("embed_point", "embed_tangent", "embedding_dim")}
+           "geometry.LoopPath": ("coordinate_samples", "velocity_series", "coordinates"),
+           "geometry.ModelManifold": ("embed_point", "embed_tangent", "embedding_dim", "wrap")}
 
 # parameters deleted from functions that stay, by "module.function"
 DELETED_PARAMETERS = {"minimax.fiber_sup": ("seeds", "iters"), "flow.flow_velocity": ("plan",)}
