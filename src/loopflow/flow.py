@@ -58,7 +58,7 @@ import numpy as np
 from .action import (PhasePoint, derivative_coefficients, gradient_plan, metric_gradient,
                      rebuild_series, require_finite, velocity_coefficients)
 from .geometry import flat_torus, straight_loop
-from .hamiltonian import alpha_bound, smoothstep
+from .hamiltonian import alpha_bound, finite_float, smoothstep
 from .spectral import FiberField, frame_of
 
 DESCENT_TOL = 1e-8   # allowed per-step action increase before halving
@@ -87,8 +87,7 @@ class FlowConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"flow {f.name} must be finite, got {getattr(self, f.name)!r}")
+            object.__setattr__(self, f.name, finite_float(f"flow {f.name}", getattr(self, f.name)))
         if not 0.0 < self.gamma < self.gamma_prime < self.gamma_dprime:
             raise ValueError("need 0 < gamma < gamma' < gamma''")
         if not self.gamma_dprime > self.gamma_prime + 1.0:
@@ -103,8 +102,7 @@ class FlowConfig:
         """Derive the radii from the spec's fiber action bound at unit
         loop speed.  epsilon is checked first, since gamma' divides by
         its square."""
-        if not math.isfinite(epsilon):
-            raise ValueError(f"flow epsilon must be finite, got {epsilon!r}")
+        epsilon = finite_float("flow epsilon", epsilon)
         if epsilon <= 0.0:
             raise ValueError("epsilon and dt must be positive")
         gamma_prime = gamma + alpha_bound(spec, 1.0) / epsilon ** 2 + 1.0
@@ -116,7 +114,7 @@ class FlowConfig:
 
     @staticmethod
     def from_json(data):
-        return FlowConfig(**{f.name: float(data[f.name]) for f in fields(FlowConfig)})
+        return FlowConfig(**{f.name: data[f.name] for f in fields(FlowConfig)})
 
 
 def speed_cutoff(config, fiber_norm):

@@ -53,6 +53,16 @@ def smoothstep(u, order=3):
     return tuple(jet)
 
 
+def finite_float(label, value):
+    """value as a float, refused unless it is a finite real number: a bool
+    would pass as 1.0 and be written back as JSON true."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{label} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{label} must be finite, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Parameters of H_r plus the discretization they are used with.
@@ -74,8 +84,9 @@ class HamiltonianSpec:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type is float and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"spec {f.name} must be finite, got {getattr(self, f.name)!r}")
+            if f.type is float:
+                value = finite_float(f"spec {f.name}", getattr(self, f.name))
+                object.__setattr__(self, f.name, value)
         # no bool and no float (the frame code repeats lists J times); JSON needs an int
         if isinstance(self.J, bool) or not isinstance(self.J, (int, np.integer)):
             raise ValueError(f"mode cutoff J must be an integer, got {self.J!r}")
@@ -103,16 +114,15 @@ class HamiltonianSpec:
         return min(math.log(self.rho1 / self.rho_star), math.log(self.rho_star / self.rho0))
 
     def with_r(self, r):
-        return replace(self, r=float(r))
+        return replace(self, r=r)
 
     def to_json(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @staticmethod
     def from_json(data):
-        # J is passed as read, so that a non-integral J is refused, not truncated
-        return HamiltonianSpec(**{f.name: data[f.name] if f.type is int else f.type(data[f.name])
-                                  for f in fields(HamiltonianSpec)})
+        # passed as read, so that a non-integral J or a true is refused, not converted
+        return HamiltonianSpec(**{f.name: data[f.name] for f in fields(HamiltonianSpec)})
 
 
 def default_spec(**overrides):
@@ -211,6 +221,72 @@ def radial_H(spec, rho, order=0):
         raise ValueError("order must be 0, 1, or 2")
     out = radial_H_jet(spec, rho)[order]
     return float(out[0]) if np.ndim(rho) == 0 else out
+
+
+# phi'' at rho = rho1 (1 + u), u in [0, 1], is u Q(u) with the quartic
+# Q(u) = 126u^4 - 45u^3 - 140u^2 + 30u + 30, whatever rho1: the annulus's
+# H_r' peaks and dips at Q's two roots in (0, 1), rounded to doubles here
+# (no eigensolver runs at import)
+_ANNULUS_TURNS = (0.656911493155239, 0.9912927268932786)
+CONJUGATE_ITERS = 60     # safeguarded Newton iterations of one legendre_conjugate
+CONJUGATE_TOL = 1e-13    # value error, times 1 + r, at which a root is taken
+
+
+def _rising_pieces(spec):
+    """(2, 3) starts and ends of the radius intervals on which H_r'
+    rises: the chi band up to its peak, the annulus from rho1 up to its
+    peak, and from the annulus's dip up to 2 rho1, past which H_r' = rho
+    rises for good.  H_r' is flat or falls everywhere else.  In the band,
+    H_r' = r chi'(sigma) / rho with u = (sigma + delta) / (2 delta) peaks
+    where u^2 - u (1 + 2/delta) + 1/delta = 0, at the smaller root."""
+    d, r1 = spec.delta, spec.rho1
+    u = 0.5 * (1.0 + 2.0 / d - math.sqrt(1.0 + 4.0 / d ** 2))
+    return np.array([[spec.rho_star * math.exp(-d), r1, r1 * (1.0 + _ANNULUS_TURNS[1])],
+                     [spec.rho_star * math.exp(d * (2.0 * u - 1.0)),
+                      r1 * (1.0 + _ANNULUS_TURNS[0]), 2.0 * r1]])
+
+
+def legendre_conjugate(spec, speeds):
+    """H_r*(v) = sup over rho >= 0 of rho v - H_r(rho) at each speed
+    v >= 0 of the 1-d array speeds: the Legendre-Fenchel conjugate of
+    the radial profile (Rockafellar, Convex Analysis, section 12).
+
+    f = rho v - H_r has f' = v - H_r'.  Between the rising pieces of
+    _rising_pieces H_r' is flat or falls, so f is linear or convex there,
+    and the sup is f(0) = 0 or the largest of f's maxima over the pieces.
+    On a piece f is largest where H_r' crosses v: at the piece's start
+    when v is at most H_r' there, at its end when v is at least H_r'
+    there, at rho = v on the tail when v >= 2 rho1, and otherwise at the
+    root of H_r' = v, found by Newton's method safeguarded by bisection in
+    the piece.  With g = H_r' - v and [lo, hi] the bracket kept, f at the
+    root exceeds f at x by at most |g(x)| (hi - lo), since H_r' rises on
+    the bracket; the iteration stops when that is at most CONJUGATE_TOL
+    (1 + r) for every root.  A speed whose root has not settled after
+    CONJUGATE_ITERS iterations, and a NaN speed, give NaN.
+    """
+    v = np.asarray(speeds, dtype=float)
+    ends = _rising_pieces(spec)[:, :, None]
+    slopes = radial_H_jet(spec, ends, order=1)[1]
+    x = np.where(v >= slopes[1], ends[1], ends[0])
+    x[2] = np.where(v >= 2.0 * spec.rho1, v, x[2])
+    inside = (v > slopes[0]) & (v < slopes[1])
+    lo, hi = (np.broadcast_to(end, x.shape)[inside] for end in ends)
+    target = np.broadcast_to(v, x.shape)[inside]
+    root = 0.5 * (lo + hi)
+    tol = CONJUGATE_TOL * (1.0 + spec.r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(CONJUGATE_ITERS):
+            _, h1, h2 = radial_H_jet(spec, root)
+            g = h1 - target
+            lo, hi = np.where(g < 0.0, root, lo), np.where(g > 0.0, root, hi)
+            settled = np.abs(g) * (hi - lo) <= tol
+            if settled.all():
+                break
+            newton = root - g / h2
+            step = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
+            root = np.where(settled, root, step)
+        x[inside] = np.where(settled, root, math.nan)
+        return np.maximum((x * v - radial_H_jet(spec, x, order=1)[0]).max(axis=0), 0.0)
 
 
 def _grid_max(f, df, d2f, hi, grid):

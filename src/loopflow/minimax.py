@@ -27,9 +27,13 @@ falls: the gradient the flow steps along and gradient_norm reports.  The
 Jacobian is block-triangular, so each step is solved through its blocks
 without forming it; it needs numpy only, so importing the package loads
 no scipy.  Only the witness is built as a PhasePoint, once, from the z
-kept.  The level is a minimax, so the seeds ascend once more on the
-polished witness's loop, and a fiber maximizer above the level there is
-descended in turn.
+kept.  The level is a minimax, so no fiber maximizer on the polished
+witness's loop may lie above it.  Every fiber's action there is at most
+the mean over the quadrature nodes of H_r*(|qdot(t)|), the Legendre
+conjugate of the radial profile (_fiber_bound); where that bound is
+within ABOVE_LEVEL of the level, no ascent runs.  Otherwise the seeds
+ascend once more on that loop, and a fiber maximizer above the level
+there is descended in turn.
 orbit_sweep runs one level per r-point, in grid order.  The envelope
 descent from a single state, which the level never runs, is a test
 reference (composite_descent in tests/references.py).
@@ -46,7 +50,7 @@ from .action import (PhasePoint, classify_critical, derivative_coefficients, fib
                      metric_gradient, require_finite, velocity_coefficients)
 from .flow import _at, _start, _step, _velocity
 from .geometry import flat_torus, straight_loop
-from .hamiltonian import alpha_bound, r0_threshold, radial_H_jet
+from .hamiltonian import alpha_bound, legendre_conjugate, r0_threshold, radial_H_jet
 from .spectral import FiberField, frame_of
 
 ASCENT_TOL = 1e-9
@@ -56,6 +60,7 @@ HANDOFF = 1e-2           # gradient norm at which the descent stops and the poli
 SAME_MAXIMIZER = 1e-6    # (1-s)-distance below which two ascents found one maximizer
 ABOVE_LEVEL = 1e-9       # fiber action above the level that sends the witness loop down again
 POLISH_NFEV = 4000       # residual evaluations one refine_critical polish may spend
+BOUND_SLACK = 1e-11      # roundoff allowance of _fiber_bound, relative to its scale
 
 
 def symplectic_action(x):
@@ -218,6 +223,26 @@ def fiber_sup(loop, spec, config):
                for rho in radii]
     results.sort(key=lambda res: res.action, reverse=True)
     return results
+
+
+def _fiber_bound(loop, spec, config):
+    """An upper bound on every action fiber_sup can return on the loop,
+    computed without an ascent: U + slack, with U = mean_t H_r*(|qdot(t)|)
+    over the default grid's nodes (hamiltonian.legendre_conjugate).
+
+    The action's pairing <qd, c> is the node mean of p(t).qdot(t), exactly
+    in exact arithmetic, since the product has degree at most 2J < 4J + 1;
+    and p.qdot - H_r(|p|) <= |p| |qdot| - H_r(|p|) <= H_r*(|qdot|) at
+    every node, so every fiber's action is at most U.  The slack,
+    BOUND_SLACK (1 + r + gamma'' max|qdot|), covers what the computed
+    numbers add: the roundoff of <qd, c> against the node mean and of the
+    sampled radii, speeds and H_r values, each below 1e-12 times that
+    scale (|c| <= gamma'' in the ball), and the conjugate's root
+    tolerance, 1e-13 (1 + r).  A non-finite loop gives NaN."""
+    frame = frame_of(loop, spec.J)
+    speeds = np.sqrt(np.sum(frame.samples(velocity_coefficients(loop, frame)) ** 2, axis=1))
+    scale = 1.0 + spec.r + config.gamma_dprime * float(np.max(speeds))
+    return float(np.mean(legendre_conjugate(spec, speeds))) + BOUND_SLACK * scale
 
 
 def _envelope_descent(plan, z, spec, config, tol):
@@ -387,13 +412,18 @@ def minimax_theta(family, spec, config, rng=None):
     loop converged, and a seed that does not only drops that flag, never
     the record.  The fiber maximizers of all loops are pooled and
     descended (_descend).  The level is a minimax, so on the loop of a
-    converged witness no fiber maximizer may lie above it: fiber_sup runs
-    once more on that loop, and a maximizer more than ABOVE_LEVEL above
-    the level is descended in turn; its level replaces the record's when
-    it is higher, and its rounds add to the witness's.  H_r vanishes on
-    the zero section, so the fiber supremum over every loop is
-    nonnegative; a level below -1e-6 means the estimator itself broke,
-    which raises.
+    converged witness no fiber maximizer may lie above it.  _fiber_bound
+    bounds every action fiber_sup can return there; when the bound is at
+    most ABOVE_LEVEL above the level, fiber_sup could find nothing above
+    it, and the check passes with no ascent.  Otherwise, and when the
+    bound is NaN, fiber_sup runs once more on that loop, and a maximizer
+    more than ABOVE_LEVEL above the level is descended in turn; its level
+    replaces the record's when it is higher, its rounds add to the
+    witness's, and the new witness's loop is checked the same way.  On
+    the straight family the bound passes at every r, so fiber_sup runs
+    once per loop.  H_r vanishes on the zero section, so the fiber
+    supremum over every loop is nonnegative; a level below -1e-6 means
+    the estimator itself broke, which raises.
 
     rng is accepted and ignored, since the seeds are deterministic.  It
     stays because callers written for the former random starts pass it
@@ -405,7 +435,9 @@ def minimax_theta(family, spec, config, rng=None):
     confident = all(res.converged for _, res in pool)
     witness, rounds, k = _descend(pool, spec, config)
     converged = rounds < DESCENT_ROUNDS
-    while converged:
+    # a bound at most the threshold proves that fiber_sup would find nothing above it there;
+    # a NaN bound proves nothing
+    while converged and not _fiber_bound(witness.loop, spec, config) <= k.action + ABOVE_LEVEL:
         top = fiber_sup(witness.loop, spec, config)[0]
         if top.action <= k.action + ABOVE_LEVEL:
             break

@@ -138,17 +138,24 @@ def legendre_branches(r, speed):
 
     On such a loop a fiber of constant direction qdot/|qdot| and radius
     rho has action rho v - H_r(rho), so the maximizers are the roots of
-    H_r'(rho) = v where H_r' rises through v, one per branch of H_r: the
-    shelf band, the fake annulus (rho1, 2 rho1) and the kinetic tail
-    rho = v >= 2 rho1, where H_r = r + rho^2/2.  Each up-crossing lies
-    between the branch's left end and the peak of H_r' on the branch.
+    H_r'(rho) = v where H_r' rises through v, one per rising piece of
+    H_r': the shelf band, the fake annulus (rho1, 2 rho1) up to the peak
+    of phi', the annulus again from the dip of phi' that follows to
+    2 rho1, and the kinetic tail rho = v >= 2 rho1, where H_r = r +
+    rho^2/2.  Each up-crossing lies between the piece's left end and the
+    peak of H_r' on the piece.  The second annulus piece has a root only
+    for speeds between phi' at its dip (0.79828) and 2 rho1 = 0.8, and
+    its value lies below the first annulus piece's there.
     """
-    def upcrossing(slope, lo, hi):
-        peak = minimize_scalar(lambda u: -slope(u), bounds=(lo, hi), method="bounded",
+    def peak(slope, lo, hi):
+        return minimize_scalar(lambda u: -slope(u), bounds=(lo, hi), method="bounded",
                                options={"xatol": 1e-13}).x
-        if slope(peak) <= speed:
+
+    def upcrossing(slope, lo, hi):
+        top = peak(slope, lo, hi)
+        if not slope(lo) < speed < slope(top):
             return None
-        return float(brentq(lambda u: slope(u) - speed, lo + 1e-12, peak, xtol=1e-14))
+        return float(brentq(lambda u: slope(u) - speed, lo + 1e-12, top, xtol=1e-14))
 
     levels = [(0.0, "constant")]
     # the band in sigma = ln(rho / rho*): H_r' = r chi'(sigma) / rho
@@ -157,9 +164,13 @@ def legendre_branches(r, speed):
     if sigma is not None:
         levels.append((RHO_STAR * math.exp(sigma) * speed - r * float(chi_oracle(sigma)),
                        "on-hypersurface"))
-    rho = upcrossing(lambda u: float(phi_d1_oracle(u)), RHO1, 2.0 * RHO1)
-    if rho is not None:
-        levels.append((rho * speed - r - float(phi_oracle(rho)), "fake-geodesic"))
+    slope = lambda u: float(phi_d1_oracle(u))
+    dip = minimize_scalar(slope, bounds=(peak(slope, RHO1, 2.0 * RHO1), 2.0 * RHO1),
+                          method="bounded", options={"xatol": 1e-13}).x
+    for lo in (RHO1, dip):
+        rho = upcrossing(slope, lo, 2.0 * RHO1)
+        if rho is not None:
+            levels.append((rho * speed - r - float(phi_oracle(rho)), "fake-geodesic"))
     if speed >= 2.0 * RHO1:
         levels.append((0.5 * speed ** 2 - r, "closed-geodesic"))
     return levels

@@ -62,6 +62,26 @@ def test_config_rejects_non_finite_values(config, field, value):
         dataclasses.replace(config, **{field: value})
 
 
+@pytest.mark.parametrize("field", ["gamma", "gamma_prime", "gamma_dprime", "epsilon",
+                                   "dt", "grad_tol", "t_max"])
+@pytest.mark.parametrize("value", [True, np.True_, "0.5", None])
+def test_config_refuses_a_bool_or_a_non_number(config, field, value):
+    # replace(config, dt=True) was accepted, kept True, and to_json wrote
+    # "dt": true; from_json read true as 1.0
+    with pytest.raises(ValueError, match=f"flow {field} must be a real number"):
+        dataclasses.replace(config, **{field: value})
+    with pytest.raises(ValueError, match=f"flow {field} must be a real number"):
+        FlowConfig.from_json({**config.to_json(), field: value})
+
+
+def test_config_auto_refuses_a_bool_and_stores_floats(spec):
+    with pytest.raises(ValueError, match="flow dt must be a real number"):
+        FlowConfig.auto(spec, dt=True)
+    cfg = FlowConfig.auto(spec, gamma=np.int64(2), t_max=50)
+    assert all(type(value) is float for value in cfg.to_json().values())
+    assert cfg == FlowConfig.auto(spec, gamma=2.0)
+
+
 def test_config_auto_and_json(spec):
     cfg = FlowConfig.auto(spec)
     # oracle: tests/oracles.py::alpha_oracle
@@ -75,7 +95,8 @@ def test_config_auto_and_json(spec):
 
 @pytest.mark.parametrize("epsilon, message", [
     (0.0, "epsilon and dt must be positive"), (-0.5, "epsilon and dt must be positive"),
-    (math.nan, "flow epsilon must be finite"), (math.inf, "flow epsilon must be finite")])
+    (math.nan, "flow epsilon must be finite"), (math.inf, "flow epsilon must be finite"),
+    ("0.5", "flow epsilon must be a real number"), (True, "flow epsilon must be a real number")])
 def test_config_auto_checks_epsilon_before_dividing(spec, epsilon, message):
     with pytest.raises(ValueError, match=message):
         FlowConfig.auto(spec, epsilon=epsilon)

@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from loopflow.hamiltonian import (HamiltonianSpec, alpha_bound, chi, default_spec,
-                                  envelope_beta, phi, r0_threshold, radial_H,
+from loopflow.hamiltonian import (_ANNULUS_TURNS, HamiltonianSpec, _rising_pieces,
+                                  alpha_bound, chi, default_spec, envelope_beta,
+                                  legendre_conjugate, phi, r0_threshold, radial_H,
                                   radial_H_jet, smoothstep)
 from references import fake_geodesic_action, perturbation_sup_diff
 
@@ -200,6 +201,29 @@ def test_spec_rejects_non_finite_values(field, value):
         default_spec(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["rho0", "rho1", "rho_star", "delta", "r", "s"])
+@pytest.mark.parametrize("value", [True, False, np.True_, "0.3", None])
+def test_spec_refuses_a_bool_or_a_non_number(field, value):
+    # default_spec(r=True) was accepted and kept True, to_json wrote
+    # "r": true, and from_json read true as 1.0
+    with pytest.raises(ValueError, match=f"spec {field} must be a real number"):
+        default_spec(**{field: value})
+    with pytest.raises(ValueError, match=f"spec {field} must be a real number"):
+        HamiltonianSpec.from_json({**default_spec().to_json(), field: value})
+    if field == "r":
+        with pytest.raises(ValueError, match="spec r must be a real number"):
+            default_spec().with_r(value)
+
+
+def test_spec_stores_its_real_fields_as_floats():
+    spec = default_spec(r=np.int64(1), delta=np.float64(0.2), s=0.75)
+    assert spec == default_spec() and spec.to_json() == default_spec().to_json()
+    assert all(type(getattr(spec, name)) is float
+               for name in ("rho0", "rho1", "rho_star", "delta", "r", "s"))
+    assert type(spec.with_r(1).r) is float
+    assert json.dumps(default_spec(r=1).to_json()) == json.dumps(default_spec().to_json())
+
+
 def test_fake_geodesic_action_against_oracle(spec):
     rho_f1, rho_f2 = oracles.fake_radii()
     np.testing.assert_allclose(fake_geodesic_action(spec, rho_f1),
@@ -329,3 +353,96 @@ def test_radial_H_branch_joins_are_C2(spec):
                           - radial_H(spec, x * (1.0 - steps), order))
             roundoff = 1e-9 * (1.0 + abs(radial_H(spec, x, order)))
             assert jump[1] <= jump[0] / 4.0 + roundoff, (x, order)
+
+
+CONJUGATE_RS = (0.05, 0.35789473684210527, 1.0, 2.0)
+
+
+def conjugate_speeds(r):
+    """Speeds at the ends of H_r's rising slopes (the band's peak 15.703 r,
+    the annulus's peak 1.35066, its dip 0.79828 and 2 rho1 = 0.8), just
+    inside and outside each, the dip window between 0.79828 and 0.8,
+    unit speed and 4 pi."""
+    ends = np.array([15.70322282 * r, 1.3506613, 0.79828441, 0.8])
+    return np.concatenate([ends, ends * (1.0 - 1e-6), ends * (1.0 + 1e-6),
+                           np.linspace(0.7983, 0.7999, 5), [0.3, 0.5, 1.0, 4.0 * np.pi]])
+
+
+def brute_conjugate(r, speeds):
+    """sup over rho of rho v - H_r(rho) on a dense rho grid, from the
+    oracle's H_r: spacing 1e-6 up to 1 and 2e-5 beyond, to 1.1 times
+    the largest speed.  The grid misses the sup by at most max|H_r''|/2
+    times the squared half-spacing: below 2e-10 (|H_r''| <= 970 up to 1
+    at r <= 2, and H_r'' = 1 on the tail)."""
+    top = 1.1 * max(1.0, float(np.max(speeds)))
+    rho = np.concatenate([np.linspace(0.0, 1.0, 1_000_001),
+                          np.linspace(1.0, top, int((top - 1.0) / 2e-5) + 2)])
+    H = oracles.radial_H_oracle(r, rho)
+    return np.array([np.max(rho * v - H) for v in speeds])
+
+
+@pytest.mark.parametrize("r", CONJUGATE_RS)
+def test_legendre_conjugate_matches_the_oracle_and_a_dense_search(r):
+    speeds = conjugate_speeds(r)
+    ours = legendre_conjugate(default_spec(r=r), speeds)
+    oracle = np.array([oracles.theta_oracle_at(r, v) for v in speeds])
+    brute = brute_conjugate(r, speeds)
+    np.testing.assert_allclose(ours, oracle, rtol=0.0, atol=1e-12)
+    # the grid's values are f at grid radii, so at most the sup
+    assert np.all(brute <= ours + 1e-14) and np.all(ours - brute <= 2e-10)
+
+
+@pytest.mark.parametrize("r", CONJUGATE_RS)
+def test_the_second_annulus_branch_leaves_the_oracle_level_unmoved(r):
+    # speeds in the dip window have a second fake-annulus maximizer, past
+    # the dip of phi'; it lies below the first, so theta_oracle_at, the
+    # largest value, is that of the branches without it
+    for v in np.linspace(0.7983, 0.7999, 9):
+        levels = oracles.legendre_branches(r, v)
+        fake = [value for value, kind in levels if kind == "fake-geodesic"]
+        assert len(fake) == 2 and fake[1] < fake[0]
+        without = [level for level in levels if level[1] != "fake-geodesic"] + [
+            ("fake-geodesic", fake[0])[::-1]]
+        assert oracles.theta_oracle_at(r, v) == max(value for value, _ in without)
+    for v in (0.79, 0.8, 1.0):
+        assert sum(kind == "fake-geodesic" for _, kind in oracles.legendre_branches(r, v)) <= 1
+
+
+def test_legendre_conjugate_at_zero_and_at_non_finite_speeds(spec):
+    # H_r >= 0 = H_r(0), so H_r*(0) = 0; a NaN or infinite speed gives NaN
+    values = legendre_conjugate(spec, np.array([0.0, math.nan, math.inf, 1.0]))
+    assert values[0] == 0.0 and np.isnan(values[1:3]).all()
+    assert abs(values[3] - oracles.theta_oracle_at(1.0, 1.0)) <= 1e-15
+
+
+def test_the_annulus_turns_are_the_roots_of_the_quartic():
+    # phi'' = u Q(u) at rho = rho1 (1 + u): Q's roots in (0, 1), to the
+    # double nearest each of their 20-digit values
+    roots = np.roots([126.0, -45.0, -140.0, 30.0, 30.0])
+    inside = np.sort(roots.real[(roots.real > 0.0) & (roots.real < 1.0)])
+    np.testing.assert_allclose(inside, _ANNULUS_TURNS, rtol=1e-15)
+    assert _ANNULUS_TURNS == (float("0.65691149315523903052"), float("0.99129272689327862962"))
+    u = np.array(_ANNULUS_TURNS)
+    assert np.all(np.abs(phi(default_spec(), 0.4 * (1.0 + u), order=2)) <= 1e-13)
+
+
+@given(valid_specs())
+def test_H_prime_rises_exactly_on_the_rising_pieces(spec):
+    # on a dense grid H_r' increases inside the pieces (and past 2 rho1)
+    # and nowhere else, away from the grid cells at the pieces' ends
+    starts, ends = _rising_pieces(spec)
+    rho = np.linspace(0.0, 3.0 * spec.rho1, 60001)
+    h = 3.0 * spec.rho1 / 60000
+    _, h1, h2 = radial_H_jet(spec, rho)
+    rising = np.diff(h1) > 0.0
+    mid = 0.5 * (rho[1:] + rho[:-1])
+    inside = np.zeros_like(rising)
+    near = np.zeros_like(rising)
+    for lo, hi in zip(starts, ends):
+        inside |= (mid > lo) & (mid < hi)
+        near |= (np.abs(mid - lo) < 2.0 * h) | (np.abs(mid - hi) < 2.0 * h)
+    inside |= mid > 2.0 * spec.rho1
+    assert np.array_equal(rising[~near], inside[~near])
+    # the pieces' ends where H_r' turns are zeros of H_r''
+    turns = np.array([ends[0], ends[1], starts[2]])
+    assert np.all(np.abs(radial_H_jet(spec, turns)[2]) <= 1e-12 * np.max(np.abs(h2)))

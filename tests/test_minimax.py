@@ -17,7 +17,7 @@ from loopflow.action import (PhasePoint, action, derivative_coefficients, gradie
                              random_direction, random_phase_point, straight_orbit,
                              velocity_coefficients)
 from loopflow.flow import FlowConfig, flow_velocity
-from loopflow.geometry import LoopPath, flat_torus, random_loop, straight_loop
+from loopflow.geometry import LoopPath, embedded_circle, flat_torus, random_loop, straight_loop
 from loopflow.hamiltonian import default_spec, radial_H
 from loopflow.minimax import (ASCENT_TOL, default_family, fiber_sup, minimax_theta,
                               orbit_sweep, refine_critical, symplectic_action)
@@ -809,11 +809,17 @@ def test_the_level_does_not_depend_on_s_off_the_straight_family(s):
 # maximizer above it, which is descended in turn
 def test_minimax_theta_descends_again_from_a_higher_maximizer_on_the_witness_loop(monkeypatch):
     spec = default_spec(J=8, r=0.05)
-    levels, descend = [], minimax._descend
+    levels, descend, sups = [], minimax._descend, []
     monkeypatch.setattr(minimax, "_descend",
                         lambda *args: levels.append(descend(*args)) or levels[-1])
+    monkeypatch.setattr(minimax, "fiber_sup", lambda loop, *args, f=minimax.fiber_sup:
+                        sups.append(loop) or f(loop, *args))
     rec = minimax_theta([wiggled_loop(0.02)], spec, FlowConfig.auto(spec))
     assert len(levels) == 2
+    # the first witness's loop carries a fiber 1.16e-2 above its level, so
+    # fiber_sup runs there; on the second witness's loop the Legendre bound
+    # proves that none lies above, and fiber_sup does not run again
+    assert len(sups) == 2 and sups[1] is levels[0][0].loop
     (first, rounds, k), (witness, more, k_top) = levels
     assert abs(k.action - 0.45) <= 1e-9 and abs(k_top.action - oracles.fake_value(0.05)) <= 1e-9
     assert rec.witness is witness and rec.theta == k_top.action and rec.steps == rounds + more
@@ -938,10 +944,11 @@ def test_minimax_theta_descends_once_on_the_straight_loop(spec, config, monkeypa
     monkeypatch.setattr(minimax, "_ascend", solved)
     rec = minimax_theta(default_family(spec), spec, config)
     assert len(starts) == 1 and rec.steps == 0 and rec.converged
-    # the pool's ascent of six seeds, the descent's one re-ascent, and the
-    # six seeds on the witness's loop, none above the level
-    assert rec.confident and len(ascents) == 2 and len(solves) == 6 + 1 + 6
-    assert ascents[1][0].action <= rec.theta + minimax.ABOVE_LEVEL
+    # the pool's ascent of six seeds and the descent's one re-ascent; the
+    # Legendre bound on the witness's loop proves that no fiber lies above
+    # the level there, so its six seeds do not ascend
+    assert rec.confident and len(ascents) == 1 and len(solves) == 6 + 1
+    assert minimax._fiber_bound(rec.witness.loop, spec, config) <= rec.theta + minimax.ABOVE_LEVEL
     results = ascents[0]
     top = results[0]
     assert starts[0].tobytes() == top.field.coefficients.tobytes()
@@ -1237,3 +1244,72 @@ def test_sweep_work_on_the_benchmark_points(spec, config, monkeypatch):
         "fake-geodesic", "on-hypersurface(sigma=-0.169972)", "on-hypersurface(sigma=-0.178987)",
         "on-hypersurface(sigma=-0.182948)"]
     assert counts == {"gradient_plan": 4, "rebuild_series": 4, "series_velocity": 20}
+
+
+# the twelve off-family start loops of the level's gates and, with
+# unit-speed radii, the circle of winding 2, whose Legendre maximizer at
+# speed 4 pi lies outside the fiber ball: the bound lies above the best
+# fiber action found, by the truncation gap off the family (at most 0.04
+# here) and by the ball's cap, 10.64, on the circle
+@pytest.mark.parametrize("amplitude", [0.005, 0.02, 0.05])
+@pytest.mark.parametrize("r", SWEEP_GRID)
+def test_the_legendre_bound_lies_above_fiber_sup_off_the_family(amplitude, r):
+    spec = default_spec(J=32, r=r)
+    config = FlowConfig.auto(spec)
+    loop = wiggled_loop(amplitude)
+    gap = minimax._fiber_bound(loop, spec, config) - fiber_sup(loop, spec, config)[0].action
+    assert 0.0 <= gap <= 0.05
+
+
+@pytest.mark.parametrize("r", SWEEP_GRID)
+def test_the_legendre_bound_lies_above_the_ball_capped_circle(r):
+    spec = default_spec(J=32, r=r)
+    config = FlowConfig.auto(spec)
+    loop = straight_loop(embedded_circle(), (2,))
+    gap = minimax._fiber_bound(loop, spec, config) - fiber_sup(loop, spec, config)[0].action
+    assert 10.6 <= gap <= 10.7
+
+
+def test_the_legendre_bound_of_a_non_finite_loop_is_nan(spec, config):
+    loop = straight_loop(flat_torus(2), (1, 0))
+    loop = loop.with_series(np.full_like(loop.series(spec.J), math.nan))
+    assert math.isnan(minimax._fiber_bound(loop, spec, config))
+
+
+@pytest.fixture(scope="module")
+def default_sweeps():
+    """The default 20-point sweep of the straight family twice: as it
+    runs, and with the Legendre bound forced to NaN, which proves
+    nothing, so that fiber_sup runs on every witness's loop as it did
+    before the bound; each with the r of every fiber_sup call."""
+    spec, grid = default_spec(), np.linspace(0.05, 2.0, 20)
+    config = FlowConfig.auto(spec)
+    runs = []
+    for bound in (minimax._fiber_bound, lambda *args: math.nan):
+        calls = []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(minimax, "_fiber_bound", bound)
+            m.setattr(minimax, "fiber_sup", lambda loop, spec, *args, f=minimax.fiber_sup:
+                      calls.append(spec.r) or f(loop, spec, *args))
+            runs.append((*orbit_sweep(spec, grid, config), calls))
+    return grid, runs
+
+
+def test_fiber_sup_runs_once_per_r_point_on_the_straight_family(default_sweeps):
+    grid, ((_, _, calls), (_, _, forced)) = default_sweeps
+    assert calls == list(grid)
+    assert forced == [r for r in grid for _ in range(2)]
+
+
+def test_the_legendre_bound_moves_no_record_of_the_default_sweep(default_sweeps):
+    _, ((records, summary, _), (forced, forced_summary, _)) = default_sweeps
+    assert summary == forced_summary and len(records) == len(forced) == 20
+    for rec, ref in zip(records, forced):
+        for name in ("r", "theta", "sigma", "leaf_action", "symplectic", "grad_norm", "steps",
+                     "converged", "confident"):
+            assert getattr(rec, name) == getattr(ref, name), name
+        assert str(rec.classification) == str(ref.classification)
+        assert rec.witness.loop.base == ref.witness.loop.base
+        assert rec.witness.loop.series(32).tobytes() == ref.witness.loop.series(32).tobytes()
+        assert (rec.witness.fiber.coefficients.tobytes()
+                == ref.witness.fiber.coefficients.tobytes())
