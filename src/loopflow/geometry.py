@@ -111,6 +111,10 @@ class LoopPath:
         for name, kind in (("winding", int), ("base", float)):
             values = getattr(self, name)   # converted once: a tuple of ints (floats) is kept
             if type(values) is not tuple or any(type(v) is not kind for v in values):
+                # a bool would pass as 1 and a numeric string would be parsed
+                if any(isinstance(v, bool) or not isinstance(v, (int, float, np.integer,
+                                                                np.floating)) for v in values):
+                    raise ValueError(f"loop {name} must hold real numbers, got {values!r}")
                 if kind is int and not all(float(w).is_integer() for w in values):
                     # int() would truncate 1.5 to 1 (and fail on inf or NaN)
                     raise ValueError(f"loop winding must be integral, got {values!r}")

@@ -19,7 +19,10 @@ a = min(ln(rho1/rho*), ln(rho*/rho0)).
 Everything here is a scalar closed form plus its derivatives; the
 module also carries the closed-form critical-point bookkeeping that
 depends only on the profiles and that the minimax level reads (the
-exclusion threshold r0, the perturbation envelope beta).
+exclusion threshold r0, the perturbation envelope beta), each read at
+its closed-form maximizer: with u = (rho - rho1)/rho1,
+phi = rho1^2 (1 + u)^2 s(u) / 2, so both maximands are rho1^2 times
+functions of u alone.
 """
 
 import math
@@ -228,6 +231,11 @@ def radial_H(spec, rho, order=0):
 # H_r' peaks and dips at Q's two roots in (0, 1), rounded to doubles here
 # (no eigensolver runs at import)
 _ANNULUS_TURNS = (0.656911493155239, 0.9912927268932786)
+# rho^2/2 - phi = rho1^2 (1 + u)^2 (1 - s(u)) / 2 at rho = rho1 (1 + u), and
+# d/du [(1 + u)^2 (1 - s(u))] = (1 + u) P(u) with the quintic
+# P(u) = 2 - 30u^2 + 10u^3 + 60u^4 - 42u^5, whose one root in (0, 1) is
+# where it peaks, whatever rho1; rounded to a double here
+_ENVELOPE_PEAK = 0.295621845806456
 CONJUGATE_ITERS = 60     # safeguarded Newton iterations of one legendre_conjugate
 CONJUGATE_TOL = 1e-13    # value error, times 1 + r, at which a root is taken
 
@@ -289,48 +297,28 @@ def legendre_conjugate(spec, speeds):
         return np.maximum((x * v - radial_H_jet(spec, x, order=1)[0]).max(axis=0), 0.0)
 
 
-def _grid_max(f, df, d2f, hi, grid):
-    """max f over [0, hi]: the best of grid uniform nodes, hi among them.
+def r0_threshold(spec):
+    """The fake-geodesic exclusion threshold r0 = 1 + max g over [0, 2 rho1],
+    g = phi' rho - phi (g >= 0, so the absolute value is moot).
 
-    When the best node is interior and f'' < 0 there, one Newton step on
-    f' gives a candidate that replaces it if f is larger there.
+    g is rho1^2 times a function of u alone, vanishes through rho1 and has
+    g' = phi'' rho, so it peaks where H_r' does, at rho1 (1 +
+    _ANNULUS_TURNS[0]): 4.530 rho1^2 there, against 2 rho1^2 at 2 rho1.
     """
-    rho = np.linspace(0.0, hi, grid)
-    vals = f(rho)
-    k = int(np.argmax(vals))
-    best = float(vals[k])
-    if 0 < k < grid - 1:
-        node = float(rho[k])
-        curvature = float(d2f(node))
-        if curvature < 0.0:
-            cand = node - float(df(node)) / curvature
-            if 0.0 < cand < hi:
-                best = max(best, float(f(cand)))
-    return best
+    rho = spec.rho1 * (1.0 + _ANNULUS_TURNS[0])
+    phi0, phi1 = tail_jet(spec, rho, 1, 0.0)
+    return 1.0 + float(phi1 * rho - phi0)
 
 
-def r0_threshold(spec, grid=10000):
-    """The fake-geodesic exclusion threshold r0 = 1 + max g, g = phi' rho - phi.
-
-    The search runs over [0, 2 rho1] with g' = phi'' rho and
-    g'' = phi''' rho + phi''.  g >= 0 there, so the absolute value is moot.
-    """
-    return 1.0 + _grid_max(lambda rho: phi(spec, rho, order=1) * rho - phi(spec, rho),
-                           lambda rho: phi(spec, rho, order=2) * rho,
-                           lambda rho: phi(spec, rho, order=3) * rho + phi(spec, rho, order=2),
-                           2.0 * spec.rho1, grid)
-
-
-def envelope_beta(spec, grid=10000):
+def envelope_beta(spec):
     """beta = sup_rho (rho^2/2 - phi_ext), the r-free perturbation envelope.
 
-    phi_ext is the phi-part of H_r (zero through rho1); beyond 2 rho1
-    the sup argument is identically zero, so the search stops there.
+    phi_ext, the phi-part of H_r, vanishes through rho1, and the sup
+    argument vanishes from 2 rho1 on; between, it is rho1^2 times a
+    function of u alone, which peaks at rho1 (1 + _ENVELOPE_PEAK).
     """
-    return _grid_max(lambda rho: 0.5 * rho ** 2 - phi(spec, rho),
-                     lambda rho: rho - phi(spec, rho, order=1),
-                     lambda rho: 1.0 - phi(spec, rho, order=2),
-                     2.0 * spec.rho1, grid)
+    rho = spec.rho1 * (1.0 + _ENVELOPE_PEAK)
+    return float(0.5 * rho ** 2 - phi(spec, rho))
 
 
 def alpha_bound(spec, speed):

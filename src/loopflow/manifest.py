@@ -88,8 +88,8 @@ def read_csv(path):
     """Read back a CSV written by write_csv: (header, string rows, hash)."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty CSV")
+    if len(lines) < 2:
+        raise ValueError(f"{path}: needs a header line and a manifest hash line")
     tail = lines[-1]
     if not tail.startswith("# manifest_sha256="):
         raise ValueError(f"{path}: missing manifest hash line")

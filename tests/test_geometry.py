@@ -154,6 +154,16 @@ def test_loop_converts_winding_and_base_once():
         assert [type(v) for v in other.winding + other.base] == [int, int, float, float]
 
 
+def test_loop_rejects_bools_and_strings_in_winding_and_base():
+    # True would be read as winding 1 and "0.5" parsed as base 0.5
+    cases = [("winding", (True, False), (0.0, 0.0)), ("winding", (1, np.bool_(False)), (0.0, 0.0)),
+             ("winding", ("1", 0), (0.0, 0.0)), ("base", (1, 0), ("0.5", 0.0)),
+             ("base", (1, 0), (0.5, True)), ("winding", (True, False), ("0.5", True))]
+    for name, w, b in cases:
+        with pytest.raises(ValueError, match=f"loop {name} must hold real numbers"):
+            LoopPath(manifold=flat_torus(2), winding=w, base=b)
+
+
 def test_loop_rejects_a_winding_that_is_not_integral():
     # int() would truncate it: (1.5, 0) once read as winding and drift (1, 0)
     for w in ((1.5, 0), (np.float64(2.7), 0), np.array([0.0, -0.5]), (math.inf, 0), (1, math.nan)):

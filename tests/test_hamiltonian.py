@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from loopflow.hamiltonian import (_ANNULUS_TURNS, HamiltonianSpec, _rising_pieces,
-                                  alpha_bound, chi, default_spec, envelope_beta,
+from loopflow.hamiltonian import (_ANNULUS_TURNS, _ENVELOPE_PEAK, HamiltonianSpec,
+                                  _rising_pieces, alpha_bound, chi, default_spec, envelope_beta,
                                   legendre_conjugate, phi, r0_threshold, radial_H,
                                   radial_H_jet, smoothstep)
 from references import fake_geodesic_action, perturbation_sup_diff
@@ -238,14 +238,15 @@ def test_fake_geodesic_action_against_oracle(spec):
 def test_thresholds_against_oracles(spec):
     # oracle: tests/oracles.py::threshold_r0 / beta_envelope / alpha_oracle
     np.testing.assert_allclose(r0_threshold(spec), 1.724856751089, atol=1e-9)
-    np.testing.assert_allclose(r0_threshold(spec), oracles.threshold_r0(), atol=1e-9)
-    np.testing.assert_allclose(envelope_beta(spec), oracles.beta_envelope(), atol=1e-10)
+    np.testing.assert_allclose(r0_threshold(spec), oracles.threshold_r0(), atol=1e-12)
+    np.testing.assert_allclose(envelope_beta(spec), oracles.beta_envelope(), atol=1e-12)
     np.testing.assert_allclose(alpha_bound(spec, 1.0), 0.613162058098, atol=1e-9)
     np.testing.assert_allclose(alpha_bound(spec, 2.0), 2.0 + envelope_beta(spec))
 
 
-# r0_threshold and envelope_beta share one grid-then-Newton search; the
-# references are the two separate searches they replaced.
+# r0_threshold and envelope_beta read their closed-form maximizers; the
+# references are the two 10 000-node searches (plus one Newton step) that
+# found them before.
 
 def reference_r0_threshold(spec, grid=10000):
     def defect(rho):
@@ -283,18 +284,53 @@ def reference_envelope_beta(spec, grid=10000):
     return best
 
 
-@pytest.mark.parametrize("overrides", [
+THRESHOLD_SPECS = [
     {},
     dict(rho0=0.1, rho1=0.5, rho_star=0.25, delta=0.3),
     dict(rho0=0.5, rho1=2.0, rho_star=1.0, delta=0.6),
     dict(rho0=0.01, rho1=0.03, rho_star=0.02, delta=0.1),
     dict(rho1=0.9, rho_star=0.35, delta=0.1),
-])
+]
+
+
+@pytest.mark.parametrize("overrides", THRESHOLD_SPECS)
 @pytest.mark.parametrize("grid", [10000, 101, 7])
 def test_thresholds_match_the_separate_searches(overrides, grid):
+    # a search samples the maximand, so at any node count it lies below
+    # the maximum up to roundoff; the 10 000-node one reaches it within 1e-15
     spec = default_spec(**overrides)
-    assert r0_threshold(spec, grid) == reference_r0_threshold(spec, grid)
-    assert envelope_beta(spec, grid) == reference_envelope_beta(spec, grid)
+    for closed, search in ((r0_threshold(spec), reference_r0_threshold(spec, grid)),
+                           (envelope_beta(spec), reference_envelope_beta(spec, grid))):
+        assert search <= closed * (1.0 + 1e-15)
+        if grid == 10000:
+            assert closed <= search * (1.0 + 1e-15)
+
+
+def test_thresholds_are_rho1_squared_times_constants():
+    # g = phi' rho - phi and rho^2/2 - phi are rho1^2 times functions of
+    # u = (rho - rho1)/rho1 alone, so r0 - 1 and beta over rho1^2 are the
+    # same on every spec: the maxima over u, here to 20 digits (r0 is
+    # compared whole, as r0 - 1 loses digits when rho1 is small)
+    for overrides in THRESHOLD_SPECS:
+        spec = default_spec(**overrides)
+        np.testing.assert_allclose(r0_threshold(spec), 1.0 + 4.5303546943076209664 * spec.rho1 ** 2,
+                                   rtol=1e-15, atol=0)
+        np.testing.assert_allclose(envelope_beta(spec), 0.70726286311456130096 * spec.rho1 ** 2,
+                                   rtol=1e-15, atol=0)
+
+
+def test_the_envelope_peak_is_the_root_of_the_quintic():
+    # d/du [(1 + u)^2 (1 - s(u))] = (1 + u) P(u), P's coefficients exact in
+    # doubles; P goes from + to - across _ENVELOPE_PEAK and nowhere else in
+    # (0, 1) (its other root there is the double root u = 1)
+    Poly = np.polynomial.Polynomial
+    quintic = Poly([2.0, 0.0, -30.0, 10.0, 60.0, -42.0])
+    s = Poly([0.0, 0.0, 0.0, 10.0, -15.0, 6.0])
+    assert (Poly([1.0, 1.0]) ** 2 * (1.0 - s)).deriv() == Poly([1.0, 1.0]) * quintic
+    assert _ENVELOPE_PEAK == float("0.29562184580645602224")
+    assert quintic(_ENVELOPE_PEAK - 1e-12) > 0.0 > quintic(_ENVELOPE_PEAK + 1e-12)
+    u = np.linspace(0.0, 1.0, 10001)[1:-1]
+    assert np.array_equal(quintic(u) > 0.0, u < _ENVELOPE_PEAK)
 
 
 def plateau_weight(spec, rho):

@@ -43,9 +43,8 @@ TEST_ONLY_PARAMETERS = {
     "flow_to_critical(floor)": "the stopping rule of the public flow_to_critical, which tests drive",
     "random_loop(amplitude)": "the off-family tests draw loops of amplitude 0.005 to 0.05",
     "chi(order)": "tests check the profile's derivatives against their oracles",
+    "phi(order)": "tests check the profile's derivatives against their oracles",
     "radial_H(order)": "tests check each derivative order against radial_H_jet",
-    "r0_threshold(grid)": "tests compare coarse grid searches with their references",
-    "envelope_beta(grid)": "tests compare coarse grid searches with their references",
     "refine_critical(max_nfev)": "tests cap the polish's residual evaluations",
     "default_family(winding)": "tests take levels over other winding classes",
     "basis_samples(m)": "tests build dense eigenfield references on a chosen grid",

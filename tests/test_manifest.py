@@ -56,6 +56,14 @@ def test_read_csv_rejects_missing_hash(tmp_path):
         read_csv(empty)
 
 
+def test_read_csv_rejects_a_hash_line_with_no_header(tmp_path):
+    # the comment would be read back as the header
+    path = tmp_path / "hash_only.csv"
+    path.write_text("# manifest_sha256=abc\n")
+    with pytest.raises(ValueError, match="hash_only.csv: needs a header line"):
+        read_csv(path)
+
+
 def test_write_json_is_order_independent(tmp_path):
     p1, p2 = tmp_path / "one.json", tmp_path / "two.json"
     write_json(p1, {"b": [1, 2], "a": 0.25})

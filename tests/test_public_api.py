@@ -36,7 +36,8 @@ DELETED = {"hamiltonian": ("evaluate_H", "hamiltonian_vector_field", "integrate_
            "geometry.ModelManifold": ("embed_point", "embed_tangent", "embedding_dim", "wrap")}
 
 # parameters deleted from functions that stay, by "module.function"
-DELETED_PARAMETERS = {"minimax.fiber_sup": ("seeds", "iters"), "flow.flow_velocity": ("plan",)}
+DELETED_PARAMETERS = {"minimax.fiber_sup": ("seeds", "iters"), "flow.flow_velocity": ("plan",),
+                      "hamiltonian.r0_threshold": ("grid",), "hamiltonian.envelope_beta": ("grid",)}
 
 REMOVED = ("AliasingError", "TangentFieldSamples", "covariant_derivative", "evaluate_loop",
            "field_from_function", "loop_json_roundtrip", "deformation_report",
