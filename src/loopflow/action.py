@@ -28,11 +28,13 @@ callers that need the vector gather it.  Where the coefficients alone
 certify every radius in the quadratic zone rho >= 2 rho1
 (_certified_energy), the action and the plain gradient come in
 closed form (quadratic_zone_terms) with no transform.
-Every other call is one fiber_evaluation: one irfft of the fiber, then
+Every other call is one fiber_evaluation of the fiber's fiber_samples,
+the one code that samples a fiber and takes its radii (one irfft), then
 that closed form, or one H pass and one rfft of dH/dp, bit for bit the
 trig-series route through fourier.synthesize and fourier.analyze.
-Velocity coefficients are read off the loop's series, with no sampling,
-and rebuild_series turns them back into a series on the loop's class.
+Velocity coefficients are the derivative_coefficients of the loop's
+series, with no sampling, and rebuild_series turns them back into a
+series on the loop's class.
 """
 
 import math
@@ -41,7 +43,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import fourier
 from .geometry import LoopPath, flat_torus, random_loop, straight_loop
 from .spectral import SQ2, FiberField, SpectralFrame, frame_of
 from .hamiltonian import TIE_BAND, radial_H_jet, tail_jet
@@ -129,11 +130,11 @@ def velocity_coefficients(loop, frame):
 
 def series_velocity(frame, drift, series):
     """Frame coefficients of loop velocities from their drift (n,) and
-    their loops' data (..., D) laid out as LoopPath.series: each cos/sin
-    partner gathered times its signed frequency, over sqrt(2), and the
-    drift in the kernel."""
-    partner, frequency = frame._derivative_map
-    out = np.take(series, partner, axis=-1) * frequency / SQ2
+    their loops' data (..., D) laid out as LoopPath.series: the
+    derivative_coefficients of the data over sqrt(2), and the drift in
+    the kernel."""
+    out = derivative_coefficients(frame, series)
+    out /= SQ2
     out[..., :frame.n] = drift
     return out
 
@@ -188,16 +189,14 @@ def fiber_samples(frame, c):
     return p_samp, np.sqrt((p_samp * p_samp).sum(axis=-1))
 
 
-def fiber_evaluation(frame, qd, c, spec, samples=None):
+def fiber_evaluation(frame, qd, c, spec, samples):
     """The action at fiber coefficients c and its plain fiber gradient.
 
-    qd holds the frame coefficients of the loop velocity.  Returns
-    (action, qd - coefficients of dH/dp, dH/dp samples) for the (D,)
-    fiber c, from its fiber_samples (one irfft), or from samples, c's
-    fiber_samples, where the caller keeps them.  The
-    gradient is C-contiguous; the (m, n) dH/dp samples are
-    coordinate-major, as frame.samples returns them.  The sampled radii
-    choose the rest:
+    qd holds the frame coefficients of the loop velocity and samples is
+    c's fiber_samples.  Returns (action, qd - coefficients of dH/dp,
+    dH/dp samples) for the (D,) fiber c.  The gradient is C-contiguous;
+    the (m, n) dH/dp samples are coordinate-major, as frame.samples
+    returns them.  The sampled radii choose the rest:
 
     * all in the quadratic zone 2 rho1 <= rho <= QUADRATIC_TOP:
       quadratic_zone_terms, and dH/dp is p itself, with no rfft.  2 rho1
@@ -213,11 +212,7 @@ def fiber_evaluation(frame, qd, c, spec, samples=None):
     overflowing one exceeds QUADRATIC_TOP, and the tail jet's dH/drho is
     NaN there.
     """
-    if samples is None:   # fiber_samples, written out on the flow's hot path
-        p_samp = frame.samples(c)
-        rho = np.sqrt((p_samp * p_samp).sum(axis=-1))
-    else:
-        p_samp, rho = samples
+    p_samp, rho = samples
     lo = rho.min()
     if lo >= 2.0 * spec.rho1 and rho.max() <= QUADRATIC_TOP:
         return (*quadratic_zone_terms(qd, c, float(c @ c), spec), p_samp)
@@ -319,7 +314,7 @@ def metric_gradient(plan, qd, c, spec):
     energy = np.add.reduceat(c * c, plan.blocks)
     zone = _certified_energy(energy, spec.rho1)
     if zone is None:
-        a, dv, _ = fiber_evaluation(plan.frame, qd, c, spec)
+        a, dv, _ = fiber_evaluation(plan.frame, qd, c, spec, fiber_samples(plan.frame, c))
     else:
         a, dv = quadratic_zone_terms(qd, c, zone, spec)
     grad_v = plan.scale_v * dv
@@ -400,9 +395,7 @@ def classify_critical(x, spec):
     tolerance come back unclassified.
     """
     tol = 1e-6
-    frame = x.frame
-    m = fourier.default_samples(frame.cutoff)
-    rho = np.linalg.norm(frame.samples(x.fiber.coefficients, m), axis=1)
+    _, rho = fiber_samples(x.frame, x.fiber.coefficients)
     # the RMS speed, by Parseval
     if math.sqrt(2.0 * loop_energy(x.loop)) <= tol:
         return CriticalClass("constant")

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -286,17 +286,10 @@ def cmd_orbit_sweep(args):
     family = [_loop_from_config(user.get("loop", {}), default_winding=winding)]
     records, summary = orbit_sweep(spec, grid, config, family=family)
     rows = [tuple(rec.to_row()[k] for k in SWEEP_COLUMNS) for rec in records]
-    payload = {"hit_found": summary.hit_found,
-               "first_hit_r": summary.first_hit_r,
-               "first_hit_leaf_action": summary.first_hit_leaf_action,
-               "leaf_bound": summary.leaf_bound,
-               "alpha": summary.alpha,
-               "r0": summary.r0,
-               "plateau_energies": {"%.17g" % k: v for k, v in summary.plateau_energies.items()},
-               "plateau_shifted_actions": {"%.17g" % k: v
-                                           for k, v in summary.plateau_shifted_actions.items()},
-               "budget_flagged": list(summary.budget_flagged),
-               "winding": list(family[0].winding)}
+    payload = asdict(summary)
+    for key in ("plateau_energies", "plateau_shifted_actions"):
+        payload[key] = {"%.17g" % r: v for r, v in payload[key].items()}
+    payload["winding"] = list(family[0].winding)
     run_config = {"sweep": {"r_min": r_min, "r_max": r_max, "count": count, "winding": winding}}
     if "loop" in user:
         run_config["loop"] = user["loop"]

@@ -76,10 +76,12 @@ class AscentResult:
     grad_norm: float
 
 
-def loop_speed(loop, J):
-    """The loop's largest speed |qdot| on the default sample grid of cutoff J."""
-    m = fourier.default_samples(J)
-    return math.sqrt(float(np.max(np.sum(loop.velocity_samples(m) ** 2, axis=1))))
+def node_speeds(loop, J):
+    """The loop's speeds |qdot| at the 4J+1 nodes of the default grid of
+    cutoff J, from its exact velocity_samples; a speed whose square
+    overflows reads inf, with no warning (fiber_sup refuses it)."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.sum(loop.velocity_samples(fourier.default_samples(J)) ** 2, axis=1))
 
 
 def _project_ball(c, frame, r, radius):
@@ -88,12 +90,11 @@ def _project_ball(c, frame, r, radius):
     return c * (radius / nrm) if nrm > radius else c
 
 
-def _pointwise_hessian(frame, c, spec, samples=None):
-    """The pointwise fiber Hessian of H_r at the fiber with coefficients
-    c, on the default grid: W(t) = (h'/rho) I + (h'' - h'/rho) phat phat^T,
-    an (m, n, n) array, from c's fiber_samples, or from samples where the
-    caller kept them."""
-    p, rho = fiber_samples(frame, c) if samples is None else samples
+def _pointwise_hessian(frame, spec, samples):
+    """The pointwise fiber Hessian of H_r at the fiber whose fiber_samples
+    are samples, on the default grid: W(t) = (h'/rho) I + (h'' - h'/rho)
+    phat phat^T, an (m, n, n) array."""
+    p, rho = samples
     safe = np.where(rho > 1e-12, rho, 1.0)
     _, h1, h2 = radial_H_jet(spec, rho)
     ratio = h1 / safe
@@ -182,7 +183,7 @@ def _ascend(frame, qd, c, spec, radius):
     for _ in range(TRUST_ITERS):
         if gn <= ASCENT_TOL or size < 1e-15:
             break
-        w = _pointwise_hessian(frame, c, spec, samples)
+        w = _pointwise_hessian(frame, spec, samples)
         step, gain = _steihaug(dv, lambda v: _hessian_product(frame, w, v), size)
         cand = _project_ball(c + step, frame, r, radius)
         a_new, dv_new, gn_new, samples_new = evaluate_at(cand)
@@ -210,13 +211,18 @@ def fiber_sup(loop, spec, config):
     coefficients are computed once; each seed then ascends on its own.
     Returns one AscentResult per seed, sorted by action, best first;
     converged says that the seed's vertical gradient norm reached
-    ASCENT_TOL.
+    ASCENT_TOL.  A loop whose node speeds overflow raises ValueError:
+    its actions would be inf - inf.
     """
     require_finite("fiber_sup loop", loop)
+    speeds = node_speeds(loop, spec.J)
+    if not np.isfinite(speeds).all():
+        raise ValueError(f"fiber_sup loop of winding {loop.winding} has non-finite speeds: "
+                         f"|qdot| overflows to {np.max(speeds)}")
     frame = frame_of(loop, spec.J)
     qd = velocity_coefficients(loop, frame)
     smooth = frame.weights(spec.s - 1.0) * qd
-    speed = max(loop_speed(loop, spec.J), 1e-12)
+    speed = max(float(np.max(speeds)), 1e-12)
     lo = spec.rho_star * math.exp(-spec.thickening_halfwidth)
     radii = (0.9 * lo, spec.rho_star, 1.45 * spec.rho1, 1.85 * spec.rho1, 1.0, 2.2 * spec.rho1)
     results = [_ascend(frame, qd, (rho / speed) * smooth, spec, config.gamma_dprime)
@@ -228,7 +234,7 @@ def fiber_sup(loop, spec, config):
 def _fiber_bound(loop, spec, config):
     """An upper bound on every action fiber_sup can return on the loop,
     computed without an ascent: U + slack, with U = mean_t H_r*(|qdot(t)|)
-    over the default grid's nodes (hamiltonian.legendre_conjugate).
+    over the default grid's node_speeds (hamiltonian.legendre_conjugate).
 
     The action's pairing <qd, c> is the node mean of p(t).qdot(t), exactly
     in exact arithmetic, since the product has degree at most 2J < 4J + 1;
@@ -239,8 +245,7 @@ def _fiber_bound(loop, spec, config):
     sampled radii, speeds and H_r values, each below 1e-12 times that
     scale (|c| <= gamma'' in the ball), and the conjugate's root
     tolerance, 1e-13 (1 + r).  A non-finite loop gives NaN."""
-    frame = frame_of(loop, spec.J)
-    speeds = np.sqrt(np.sum(frame.samples(velocity_coefficients(loop, frame)) ** 2, axis=1))
+    speeds = node_speeds(loop, spec.J)
     scale = 1.0 + spec.r + config.gamma_dprime * float(np.max(speeds))
     return float(np.mean(legendre_conjugate(spec, speeds))) + BOUND_SLACK * scale
 
@@ -323,7 +328,7 @@ def _critical_system(plan, spec):
                                frame.weights(0.5 * (1.0 - spec.s)) * grad_v])
 
     def step(z, f):
-        w = _pointwise_hessian(frame, z[1], spec)
+        w = _pointwise_hessian(frame, spec, fiber_samples(frame, z[1]))
         # the inverse of d/dt outside the kernel is -d/dt / lam
         dc = derivative_coefficients(frame, -f[:dim] / scale_h)
         dc[n:] /= -frame.eigenvalues[n:]
@@ -537,7 +542,8 @@ def orbit_sweep(spec_template, r_grid, config, family=None):
     if not family:
         raise ValueError("orbit_sweep needs a nonempty family of loops")
     records = [_sweep_task(family, spec_template.with_r(r), config) for r in r_grid]
-    alpha = alpha_bound(spec_template, max(loop_speed(loop, spec_template.J) for loop in family))
+    alpha = alpha_bound(spec_template,
+                        max(float(np.max(node_speeds(loop, spec_template.J))) for loop in family))
     r0 = r0_threshold(spec_template)
     bound = 2.0 * (alpha + r0)
     hits = [rec for rec in records

@@ -13,7 +13,7 @@ import numpy as np
 
 from loopflow import minimax
 from loopflow.action import (_certified_energy, derivative_coefficients, fiber_evaluation,
-                             gradient_plan, velocity_coefficients)
+                             fiber_samples, gradient_plan, velocity_coefficients)
 from loopflow.flow import _at, _start
 from loopflow.hamiltonian import phi, radial_H
 from loopflow.spectral import SQ2
@@ -85,10 +85,11 @@ def hamilton_residual(x, spec):
     """
     frame = x.frame
     qd = velocity_coefficients(x.loop, frame)
-    _, _, dpH = fiber_evaluation(frame, qd, x.fiber.coefficients, spec)
+    c = x.fiber.coefficients
+    _, _, dpH = fiber_evaluation(frame, qd, c, spec, fiber_samples(frame, c))
     diff = frame.samples(qd) - dpH
     res_q = float(np.sqrt(np.mean(np.sum(diff ** 2, axis=1))))
-    pdot = derivative_coefficients(frame, x.fiber.coefficients)
+    pdot = derivative_coefficients(frame, c)
     return res_q + float(np.linalg.norm(pdot))
 
 

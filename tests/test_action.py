@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 import oracles
 from loopflow.action import (PhasePoint, action, classify_critical,
                              derivative_coefficients, directional_derivative_check,
-                             fiber_evaluation, gradient, gradient_norm, gradient_plan,
-                             horizontal_gradient, loop_energy, metric_pairing, perturb,
-                             random_direction, move_series, random_phase_point, series_velocity,
-                             straight_orbit, velocity_coefficients)
+                             fiber_evaluation, fiber_samples, gradient, gradient_norm,
+                             gradient_plan, horizontal_gradient, loop_energy, metric_pairing,
+                             perturb, random_direction, move_series, random_phase_point,
+                             series_velocity, straight_orbit, velocity_coefficients)
 from loopflow.flow import flow_velocity
 from loopflow.geometry import LoopPath, embedded_circle, flat_torus, random_loop, straight_loop
 from loopflow.hamiltonian import radial_H
@@ -160,7 +160,8 @@ def test_the_metric_exponent_is_the_spec_s(spec, config, rng):
     assert gh6.tobytes() == (c[plan6.partner] * plan6.gain).tobytes()
     np.testing.assert_allclose(gh6, -frame.weights(-0.6) * derivative_coefficients(frame, c),
                                rtol=1e-15, atol=0.0)
-    _, dv, _ = fiber_evaluation(frame, velocity_coefficients(x.loop, frame), c, spec)
+    _, dv, _ = fiber_evaluation(frame, velocity_coefficients(x.loop, frame), c, spec,
+                                fiber_samples(frame, c))
     np.testing.assert_array_equal(gv6, frame.weights(0.6 - 1.0) * dv)
     assert not np.allclose(gh6, gh)
     # the one gradient-norm formula (metric_gradient), written out at s = 0.6:

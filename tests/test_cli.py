@@ -122,6 +122,9 @@ def test_orbit_sweep_single_point(tmp_path, capsys):
     assert len(rows) == 1
     assert rows[0][2].startswith("on-hypersurface")
     payload = json.loads((out / "orbit_sweep.json").read_text())
+    # the payload is the SweepSummary, plus the loop's winding and the manifest hash
+    assert set(payload) == ({field.name for field in dataclasses.fields(minimax.SweepSummary)}
+                            | {"winding", "manifest_sha256"})
     assert payload["hit_found"] is True
     assert payload["first_hit_r"] == 1.0
     np.testing.assert_allclose(payload["first_hit_leaf_action"], 0.251761699226,
@@ -210,6 +213,20 @@ def test_orbit_sweep_alpha_at_the_loop_speed(tmp_path, capsys):
     assert payload["leaf_bound"] == 2.0 * (payload["alpha"] + r0_threshold(spec))
     assert "loop" not in read_manifest(out / "manifest.json").config
     capsys.readouterr()
+
+
+def test_orbit_sweep_of_an_overflowing_loop_exits_2(tmp_path, capsys):
+    # speeds of 2 pi 1e200, whose squares overflow: without the check the
+    # sweep runs on at gradient norm inf and does not end
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"loop": {"cos": [[1e200, 0]], "sin": [[0, 0]]}}))
+    code = run(["orbit-sweep", "--r-count", "2", "--config", str(cfg)]
+               + out_args(tmp_path, "overflow"))
+    assert code == 2
+    assert not (tmp_path / "overflow").exists()
+    err = capsys.readouterr().err
+    assert "fiber_sup loop of winding (1, 0) has non-finite speeds" in err
+    assert "Traceback" not in err and "Warning" not in err
 
 
 def test_orbit_sweep_bad_range_exits_2(tmp_path, capsys):

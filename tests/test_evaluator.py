@@ -31,8 +31,8 @@ import loopflow.action as action_mod
 import loopflow.flow as flow_mod
 from loopflow import fourier, spectral
 from loopflow.action import (QUADRATIC_TOP, PhasePoint, action, derivative_coefficients,
-                             fiber_evaluation, gradient, gradient_norm, gradient_plan,
-                             horizontal_gradient, loop_energy, metric_gradient,
+                             fiber_evaluation, fiber_samples, gradient, gradient_norm,
+                             gradient_plan, horizontal_gradient, loop_energy, metric_gradient,
                              random_phase_point, velocity_coefficients)
 from loopflow.flow import FlowConfig, flow, speed_cutoff
 from loopflow.geometry import embedded_circle, flat_torus, random_loop, straight_loop
@@ -397,7 +397,7 @@ def test_quadratic_zone_equals_the_jet_path_byte_for_byte(case, monkeypatch):
     monkeypatch.setattr(action_mod, "radial_H_jet",
                         lambda *args, **kw: jets.append(1) or radial_H_jet(*args, **kw))
     with np.errstate(over="ignore", invalid="ignore"):
-        got = fiber_evaluation(frame, qd, c, spec)
+        got = fiber_evaluation(frame, qd, c, spec, fiber_samples(frame, c))
         want = reference_fiber_evaluation(frame, qd, c, spec)
     assert bool(jets) is (branch == "jet"), name
     assert type(got[0]) is type(want[0])

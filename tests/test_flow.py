@@ -14,7 +14,7 @@ import loopflow.flow as flow_mod
 from loopflow import fourier, spectral
 from loopflow.action import (PhasePoint, action, derivative_coefficients, fiber_evaluation,
                              gradient_plan, horizontal_gradient, metric_gradient, move_series,
-                             perturb, random_phase_point,
+                             fiber_samples, perturb, random_phase_point,
                              rebuild_series, series_velocity, straight_orbit,
                              velocity_coefficients)
 from loopflow.flow import (FlowConfig, divergent_fixture, flow, flow_to_critical,
@@ -597,7 +597,7 @@ class ReferenceVelocity(NamedTuple):
 
 def reference_velocity(x, spec, config, qd, c):
     frame = x.frame
-    a, dv, _ = fiber_evaluation(frame, qd, c, spec)
+    a, dv, _ = fiber_evaluation(frame, qd, c, spec, fiber_samples(frame, c))
     gh = -frame.weights(-spec.s) * derivative_coefficients(frame, c)
     gv = frame.weights(spec.s - 1.0) * dv
     gn = math.sqrt(frame.norm(spec.s, gh) ** 2 + frame.norm(1.0 - spec.s, gv) ** 2)

@@ -48,6 +48,7 @@ TEST_ONLY_PARAMETERS = {
     "refine_critical(max_nfev)": "tests cap the polish's residual evaluations",
     "default_family(winding)": "tests take levels over other winding classes",
     "basis_samples(m)": "tests build dense eigenfield references on a chosen grid",
+    "samples(m)": "tests sample fields on grids other than the default: round trips and aliasing",
 }
 
 # public name the package never calls -> why it stays in src/

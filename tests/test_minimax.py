@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -12,13 +13,14 @@ import oracles
 import loopflow.action as action_mod
 import loopflow.flow as flow_mod
 from loopflow import minimax
-from loopflow.action import (PhasePoint, action, derivative_coefficients, gradient,
-                             gradient_norm, gradient_plan, horizontal_gradient, perturb,
+from loopflow.action import (PhasePoint, action, derivative_coefficients, fiber_samples,
+                             gradient, gradient_norm, gradient_plan, horizontal_gradient, perturb,
                              random_direction, random_phase_point, straight_orbit,
                              velocity_coefficients)
 from loopflow.flow import FlowConfig, flow_velocity
 from loopflow.geometry import LoopPath, embedded_circle, flat_torus, random_loop, straight_loop
-from loopflow.hamiltonian import default_spec, radial_H
+from loopflow.fourier import default_samples
+from loopflow.hamiltonian import default_spec, legendre_conjugate, radial_H
 from loopflow.minimax import (ASCENT_TOL, default_family, fiber_sup, minimax_theta,
                               orbit_sweep, refine_critical, symplectic_action)
 from loopflow.spectral import SQ2, FiberField, SpectralFrame, embedded_metric, frame_of
@@ -38,7 +40,7 @@ def reference_ascent(frame, qd, spec, c0, radius):
     precond = (1.0 + lam) ** (1.0 - spec.s)
 
     def evaluate_at(c):
-        a, dv, _ = minimax.fiber_evaluation(frame, qd, c, spec)
+        a, dv, _ = minimax.fiber_evaluation(frame, qd, c, spec, fiber_samples(frame, c))
         g = to_vertical * dv
         return a, dv, math.sqrt(float(np.sum(precond * g ** 2)))
 
@@ -77,7 +79,7 @@ def reference_ascent(frame, qd, spec, c0, radius):
         if delta < 1e-15:
             trace["stop"] = "radius collapsed"
             break
-        w = minimax._pointwise_hessian(frame, c, spec)
+        w = minimax._pointwise_hessian(frame, spec, fiber_samples(frame, c))
         p, bp, negative = steihaug(dv, lambda v: minimax._hessian_product(frame, w, v), delta)
         trace["curvature"] += bool(negative)
         cand, clipped = project(c + p)
@@ -307,7 +309,7 @@ def dense_jacobian(plan, spec, z):
     out[:dim, dim:] *= -frame.weights(-0.5 * spec.s)[:, None]
     out[dim:, n:dim] = np.diag(vertical)[:, n:]
     out[dim:, dim:] = -vertical[:, None] * dense_compression(
-        frame, minimax._pointwise_hessian(frame, z[1], spec))
+        frame, minimax._pointwise_hessian(frame, spec, fiber_samples(frame, z[1])))
     return out
 
 
@@ -364,7 +366,8 @@ def test_refine_critical_on_a_singular_kernel_block(spec, rho, eps):
     x = straight_orbit(flat_torus(2), (1, 0), spec, momentum=(rho, 0.0))
     wave = np.cos(np.arange(x.frame.dim)) / (1.0 + x.frame.eigenvalues)
     x = perturb(x, eps, xi=wave, eta=wave)
-    assert not np.any(minimax._pointwise_hessian(x.frame, x.fiber.coefficients, spec))
+    samples = fiber_samples(x.frame, x.fiber.coefficients)
+    assert not np.any(minimax._pointwise_hessian(x.frame, spec, samples))
     z = refine_critical(x, spec)
     assert gradient_norm(z, spec) <= gradient_norm(x, spec)
 
@@ -514,7 +517,7 @@ def packed_polish(x, spec):
                                frame.weights(0.5 * (1.0 - spec.s)) * grad_v])
 
     def step(vec, f):
-        w = minimax._pointwise_hessian(frame, vec[k:], spec)
+        w = minimax._pointwise_hessian(frame, spec, fiber_samples(frame, vec[k:]))
 
         def hess(v):
             return frame.coefficients(np.einsum("tij,tj->ti", w, frame.samples(v)))
@@ -550,7 +553,7 @@ def series_polish(x, spec):
                                frame.weights(0.5 * (1.0 - spec.s)) * grad_v])
 
     def step(vec, f):
-        w = minimax._pointwise_hessian(frame, vec[k:], spec)
+        w = minimax._pointwise_hessian(frame, spec, fiber_samples(frame, vec[k:]))
         dc = antiderivative(frame, -f[:dim] / scale_h)
         rhs = -f[dim:dim + n] / scale_v[:n] - minimax._hessian_product(frame, w, dc)[:n]
         dc[:n] = np.linalg.lstsq(w.mean(axis=0), rhs, rcond=1e-13)[0]
@@ -867,9 +870,9 @@ def bare_newton(frame, qd, c, spec, steps):
     # Newton's method on the fiber gradient with the dense compressed
     # Hessian and no safeguard: it goes to the nearest stationary point
     for _ in range(steps):
-        _, dv, _ = minimax.fiber_evaluation(frame, qd, c, spec)
-        c = c + np.linalg.solve(dense_compression(frame, minimax._pointwise_hessian(frame, c, spec)),
-                                dv)
+        _, dv, _ = minimax.fiber_evaluation(frame, qd, c, spec, fiber_samples(frame, c))
+        w = minimax._pointwise_hessian(frame, spec, fiber_samples(frame, c))
+        c = c + np.linalg.solve(dense_compression(frame, w), dv)
     return c
 
 
@@ -1046,7 +1049,7 @@ def test_fiber_hessian_matches_dense_einsum(J):
              + (radial_H(spec, rho, order=2) - ratio)[:, None, None]
              * phat[:, :, None] * phat[:, None, :])
         ref = np.einsum("kti,tij,ltj->kl", basis, w, basis) / m
-        pointwise = minimax._pointwise_hessian(frame, c, spec)
+        pointwise = minimax._pointwise_hessian(frame, spec, fiber_samples(frame, c))
         hess = np.array([minimax._hessian_product(frame, pointwise, e) for e in np.eye(frame.dim)])
         assert np.max(np.abs(hess - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -1227,8 +1230,10 @@ def test_minimax_theta_on_a_mixed_dimension_family(monkeypatch):
 
 def test_sweep_work_on_the_benchmark_points(spec, config, monkeypatch):
     # the benchmark sweep's four r-points: per level one gradient_plan (in
-    # _descend), one rebuild_series (the witness) and five series_velocity
-    # calls, every one a velocity_coefficients of a loop
+    # _descend), one rebuild_series (the witness) and four series_velocity
+    # calls, every one a velocity_coefficients of a loop (fiber_sup, the
+    # descent's start, the witness and its symplectic action); the
+    # Legendre bound reads node_speeds, with no series_velocity
     counts = Counter()
 
     def counted(module, name):
@@ -1243,7 +1248,7 @@ def test_sweep_work_on_the_benchmark_points(spec, config, monkeypatch):
     assert [str(rec.classification) for rec in records] == [
         "fake-geodesic", "on-hypersurface(sigma=-0.169972)", "on-hypersurface(sigma=-0.178987)",
         "on-hypersurface(sigma=-0.182948)"]
-    assert counts == {"gradient_plan": 4, "rebuild_series": 4, "series_velocity": 20}
+    assert counts == {"gradient_plan": 4, "rebuild_series": 4, "series_velocity": 16}
 
 
 # the twelve off-family start loops of the level's gates and, with
@@ -1268,6 +1273,37 @@ def test_the_legendre_bound_lies_above_the_ball_capped_circle(r):
     loop = straight_loop(embedded_circle(), (2,))
     gap = minimax._fiber_bound(loop, spec, config) - fiber_sup(loop, spec, config)[0].action
     assert 10.6 <= gap <= 10.7
+
+
+@pytest.mark.parametrize("J", [64, 512])
+def test_the_legendre_bound_reads_the_straight_loops_exact_speeds(J, monkeypatch):
+    # every node speed of the unit-speed straight loop is exactly 1.0 in its
+    # velocity_samples; the frame's irfft of its velocity coefficients reads
+    # 0.9999999999999987 to 1.0000000000000009 at these J, which moves the
+    # bound at r = 0.05 (J = 64) and r = 2 (J = 512)
+    read = []
+    monkeypatch.setattr(minimax, "legendre_conjugate", lambda spec, speeds, f=legendre_conjugate:
+                        read.append(speeds) or f(spec, speeds))
+    ones = np.ones(default_samples(J))
+    for r in (0.05, 1.0, 2.0):
+        spec = default_spec(J=J, r=r)
+        config = FlowConfig.auto(spec)
+        want = (float(np.mean(legendre_conjugate(spec, ones)))
+                + minimax.BOUND_SLACK * (1.0 + spec.r + config.gamma_dprime))
+        assert minimax._fiber_bound(straight_loop(flat_torus(2), (1, 0)), spec, config) == want
+    assert len(read) == 3 and all(np.array_equal(speeds, ones) for speeds in read)
+
+
+def test_fiber_sup_refuses_a_loop_whose_speeds_overflow():
+    # speeds of 2 pi 1e200, whose squares overflow: every action would be
+    # inf - inf, and without the check the ascent runs on at gradient norm inf
+    spec = default_spec(J=8)
+    loop = LoopPath.from_json({"winding": [1, 0], "base": [0.0, 0.0], "cos": [[1e200, 0.0]],
+                               "sin": [[0.0, 0.0]]}, flat_torus(2))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"fiber_sup loop of winding \(1, 0\) has non-finite"):
+        fiber_sup(loop, spec, FlowConfig.auto(spec))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_the_legendre_bound_of_a_non_finite_loop_is_nan(spec, config):

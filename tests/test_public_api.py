@@ -30,14 +30,15 @@ DELETED = {"hamiltonian": ("evaluate_H", "hamiltonian_vector_field", "integrate_
                                    "__rmul__", "__neg__"),
            "spectral.EmbeddedMetric": ("loop", "cutoff", "apply_power", "inner"),
            "minimax": ("ASCENT_STARTS", "fiber_hessian", "ASCENT_ITERS", "_vertical_newton",
-                       "_fiber_sups", "_level", "pool_size", "composite_descent"),
+                       "_fiber_sups", "_level", "pool_size", "composite_descent", "loop_speed"),
            "cli": ("load_defaults", "_winding"),
            "geometry.LoopPath": ("coordinate_samples", "velocity_series", "coordinates"),
            "geometry.ModelManifold": ("embed_point", "embed_tangent", "embedding_dim", "wrap")}
 
 # parameters deleted from functions that stay, by "module.function"
 DELETED_PARAMETERS = {"minimax.fiber_sup": ("seeds", "iters"), "flow.flow_velocity": ("plan",),
-                      "hamiltonian.r0_threshold": ("grid",), "hamiltonian.envelope_beta": ("grid",)}
+                      "hamiltonian.r0_threshold": ("grid",), "hamiltonian.envelope_beta": ("grid",),
+                      "minimax._pointwise_hessian": ("c",)}
 
 REMOVED = ("AliasingError", "TangentFieldSamples", "covariant_derivative", "evaluate_loop",
            "field_from_function", "loop_json_roundtrip", "deformation_report",
